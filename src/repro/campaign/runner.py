@@ -37,6 +37,7 @@ from repro.campaign.store import CampaignStore, JournalReplay
 from repro.eval.scenario_sweep import (
     assemble_sweep_result,
     execute_sweep_cell,
+    merge_cell_phases,
     publish_domain_store,
 )
 from repro.exec.backends import ExecutionBackend, resolve_backend
@@ -187,6 +188,8 @@ class CampaignRunner:
                           if rec else nullcontext()):
                         results = self.backend.map_tasks(execute_sweep_cell,
                                                          specs)
+                    if self.backend.distributed:
+                        merge_cell_phases(rec, results)
                     for cell, result in zip(batch, results):
                         self.store.record(cell, result)
                         executed += 1

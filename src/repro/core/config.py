@@ -19,8 +19,6 @@ class L2QConfig:
 
     # -- Utility inference (Sect. III) ---------------------------------------
     alpha: float = 0.15
-    max_solver_iterations: int = 100
-    solver_tolerance: float = 1e-6
 
     # -- Query enumeration (Sect. VI-A) ---------------------------------------
     max_query_length: int = 3

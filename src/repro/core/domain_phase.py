@@ -1,8 +1,10 @@
 """The domain phase of domain-aware L2Q (Sect. IV-B).
 
-Executed once per (domain, aspect): from the pages of the peer (domain)
-entities, enumerate queries and templates, build the domain reinforcement
-graph, and infer the utilities of templates (and queries).  The resulting
+From the pages of the peer (domain) entities, enumerate queries and
+templates, build the domain reinforcement graph, and infer the utilities of
+templates (and queries) for one aspect.  The graph does not depend on the
+aspect, so a :class:`DomainPhase` builds it once per domain corpus and each
+aspect adds only its regularization and one joint solve.  The resulting
 :class:`DomainModel` is what the per-iteration entity phase consumes — the
 template utilities become extra regularization, and the frequently-occurring
 domain queries expand the target entity's candidate pool.
@@ -24,6 +26,7 @@ from repro.core.utility import (
 )
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
+from repro.graph.random_walk import RegularizationProblem, UtilitySolver
 
 
 @dataclass
@@ -57,14 +60,31 @@ class DomainModel:
         return self.num_domain_entities == 0 or not self.query_precision
 
 
+@dataclass(frozen=True)
+class _DomainGraph:
+    """The aspect-independent part of the domain phase, built once."""
+
+    pages: List[Page]
+    queries: List[Query]
+    query_entity_support: Dict[Query, int]
+    frequent_queries: List[Query]
+    #: ``None`` when the domain yields no pages or no queries.
+    solver: Optional[UtilitySolver]
+
+
 class DomainPhase:
-    """Learns a :class:`DomainModel` from a domain corpus."""
+    """Learns :class:`DomainModel` objects from a domain corpus, one per aspect.
+
+    The first :meth:`learn` enumerates the domain queries and builds the
+    graph and its solver; later calls reuse them.
+    """
 
     def __init__(self, domain_corpus: Corpus, config: Optional[L2QConfig] = None) -> None:
         self.corpus = domain_corpus
         self.config = config if config is not None else L2QConfig()
         self.config.validate()
         self._assembler = GraphAssembler(domain_corpus.type_system, self.config)
+        self._graph: Optional[_DomainGraph] = None
 
     # -- Public API ----------------------------------------------------------
     def learn(self, aspect: str, relevance: RelevanceFunction) -> DomainModel:
@@ -78,48 +98,57 @@ class DomainPhase:
             The relevance function ``Y`` (normally the pre-trained aspect
             classifier) evaluated on domain pages to derive regularization.
         """
-        pages = list(self.corpus.iter_pages())
-        num_entities = self.corpus.num_entities()
+        domain_graph = self._domain_graph()
         model = DomainModel(
             domain=self.corpus.domain,
             aspect=aspect,
-            num_domain_entities=num_entities,
-            num_domain_pages=len(pages),
+            num_domain_entities=self.corpus.num_entities(),
+            num_domain_pages=len(domain_graph.pages),
         )
-        if not pages:
+        if domain_graph.solver is None:
             return model
 
-        queries, statistics = self._enumerate_domain_queries(pages)
-        if not queries:
-            return model
-
-        assembled = self._assembler.assemble(pages, queries, use_templates=True)
-        solver = assembled.solver(self.config)
-
-        precision = solver.solve_precision(
-            page_regularization=precision_page_regularization(pages, relevance))
-        recall = solver.solve_recall(
-            page_regularization=recall_page_regularization(pages, relevance))
-        recall_all = solver.solve_recall(
-            page_regularization=recall_page_regularization(pages, AllRelevant()))
+        pages = domain_graph.pages
+        (precision,), (recall, recall_all) = domain_graph.solver.solve_joint(
+            [RegularizationProblem(
+                page_regularization=precision_page_regularization(pages, relevance))],
+            [RegularizationProblem(
+                page_regularization=recall_page_regularization(pages, relevance)),
+             RegularizationProblem(
+                 page_regularization=recall_page_regularization(pages, AllRelevant()))])
 
         model.template_precision = precision.template_utilities()
         model.template_recall = recall.template_utilities()
         model.template_recall_all = recall_all.template_utilities()
         model.query_precision = precision.query_utilities()
         model.query_recall = recall.query_utilities()
-        model.query_entity_support = {
-            query: statistics.entity_support(query) for query in queries
-        }
-
-        threshold = self.config.domain_support_threshold(num_entities)
-        model.frequent_queries = sorted(
-            (q for q in queries if statistics.entity_support(q) >= threshold),
-            key=lambda q: (-statistics.entity_support(q), q),
-        )
+        model.query_entity_support = dict(domain_graph.query_entity_support)
+        model.frequent_queries = list(domain_graph.frequent_queries)
         return model
 
     # -- Internals -------------------------------------------------------------
+    def _domain_graph(self) -> _DomainGraph:
+        if self._graph is not None:
+            return self._graph
+        pages = list(self.corpus.iter_pages())
+        queries: List[Query] = []
+        support: Dict[Query, int] = {}
+        frequent: List[Query] = []
+        solver = None
+        if pages:
+            queries, statistics = self._enumerate_domain_queries(pages)
+            support = {query: statistics.entity_support(query) for query in queries}
+            threshold = self.config.domain_support_threshold(self.corpus.num_entities())
+            frequent = sorted((q for q in queries if support[q] >= threshold),
+                              key=lambda q: (-support[q], q))
+        if queries:
+            assembled = self._assembler.assemble(pages, queries, use_templates=True)
+            solver = assembled.solver(self.config)
+        self._graph = _DomainGraph(pages=pages, queries=queries,
+                                   query_entity_support=support,
+                                   frequent_queries=frequent, solver=solver)
+        return self._graph
+
     def _enumerate_domain_queries(self, pages: Sequence[Page]):
         enumerator = QueryEnumerator(
             max_length=self.config.max_query_length,

@@ -41,10 +41,8 @@ class AssembledGraph:
     template_index: Optional[TemplateIndex]
 
     def solver(self, config: L2QConfig) -> UtilitySolver:
-        """Create a solver with the configured alpha / iteration limits."""
-        return UtilitySolver(self.graph, alpha=config.alpha,
-                             max_iterations=config.max_solver_iterations,
-                             tolerance=config.solver_tolerance)
+        """Create a solver with the configured restart probability alpha."""
+        return UtilitySolver(self.graph, alpha=config.alpha)
 
 
 class GraphAssembler:

@@ -81,14 +81,20 @@ class PreparedSplit:
     #: instead of trained (the zero-retrain guarantee probed by outcomes).
     classifier_attached: bool = False
     _domain_models: Dict[str, DomainModel] = field(default_factory=dict)
+    _domain_phase: Optional[DomainPhase] = None
     _hr_statistics: Dict[str, HarvestRateStatistics] = field(default_factory=dict)
 
     def domain_model(self, aspect: str) -> DomainModel:
-        """Lazily learn (and cache) the domain model for one aspect."""
+        """Lazily learn (and cache) the domain model for one aspect.
+
+        Every aspect shares one :class:`DomainPhase`, so the domain graph
+        is built once per split.
+        """
         model = self._domain_models.get(aspect)
         if model is None:
-            phase = DomainPhase(self.domain_corpus, self.config)
-            model = phase.learn(aspect, self.relevance_by_aspect[aspect])
+            if self._domain_phase is None:
+                self._domain_phase = DomainPhase(self.domain_corpus, self.config)
+            model = self._domain_phase.learn(aspect, self.relevance_by_aspect[aspect])
             self._domain_models[aspect] = model
         return model
 

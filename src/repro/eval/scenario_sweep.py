@@ -489,9 +489,26 @@ def execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
     rec = perf_recorder()
     if rec is None:
         return _execute_sweep_cell(spec)
+    perf_mark = rec.mark()
     with rec.phase("sweep-cell", domain=spec.domain,
                    scenario=spec.scenario_name or "clean"):
-        return _execute_sweep_cell(spec)
+        result = _execute_sweep_cell(spec)
+    result.perf_phases = rec.aggregates_since(perf_mark)
+    return result
+
+
+def merge_cell_phases(rec, results: Sequence[SweepCellResult]) -> None:
+    """Fold the phase timings distributed sweep cells shipped home into
+    ``rec``, one weighted sample per (cell, phase), tagged with the cell.
+
+    Only for cells that ran in worker processes: an in-process cell
+    already recorded into the orchestrator's recorder.
+    """
+    if rec is None:
+        return
+    for result in results:
+        rec.record_aggregates(result.perf_phases, domain=result.domain,
+                              scenario=result.scenario or "clean")
 
 
 def _execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
@@ -723,7 +740,9 @@ class ScenarioSweep:
             with (rec.phase("sweep-dispatch", cells=len(cell_specs),
                             workers=self.backend.workers)
                   if rec else nullcontext()):
-                return self.backend.map(execute_sweep_cell, cell_specs)
+                results = self.backend.map(execute_sweep_cell, cell_specs)
+            merge_cell_phases(rec, results)
+            return results
         finally:
             for handle in handles.values():
                 release(handle)

@@ -408,6 +408,11 @@ class SweepCellResult:
     #: Merged per-run fetch accounting of the cell's harvest runs — this is
     #: how worker-side engine counters survive the process boundary.
     fetch: dict = field(default_factory=dict)
+    #: Per-phase ``{count, total_seconds}`` the cell recorded while a perf
+    #: recorder was active (see :meth:`repro.perf.PerfRecorder.aggregates_since`),
+    #: shipped home so a distributed sweep's profile covers its workers.
+    #: Timing only: left out of the JSON rendering and of equality.
+    perf_phases: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         """Plain-JSON rendering (the campaign layer's on-disk artifact).

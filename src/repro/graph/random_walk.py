@@ -1,12 +1,12 @@
-"""Utility inference by iterative propagation on the reinforcement graph.
+"""Utility inference on the reinforcement graph, solved on the query-eliminated system.
 
 The paper shows (Sect. III, *Solution*) that the regularized mutual
 reinforcement equations (Eq. 13/19/20) are equivalent to random walks with
 restart: probabilistic precision ``P`` is the stationary distribution of the
 *backward* walk and probabilistic recall ``R`` of the *forward* walk, with
 restart probability ``alpha`` and preference vector equal to the utility
-regularization.  Rather than materialising the walk matrices we iterate the
-reinforcement rules directly, which is the same fixed point:
+regularization.  Both are the fixed point ``u = (1 - alpha) W u + alpha U_hat``
+of one reinforcement step ``W``:
 
 Precision (Eqs. 6, 8, 15, 17) — each vertex *averages* its neighbours:
 
@@ -21,12 +21,27 @@ Recall (Eqs. 7, 9, 16, 18) — each vertex's mass is *split* among retrievers:
 * ``R(t) = R_QT^T R_Q``
 
 where ``R_X`` / ``C_X`` denote row- / column-stochastic normalisations of the
-biadjacency matrices, and each update is blended with the regularization
-vector: ``U <- (1 - alpha) F(U) + alpha U_hat`` (Eq. 13).
+biadjacency matrices.
+
+Pages and templates update only from queries (``x <- B q`` with
+``x = [p; t]``) and queries only from pages and templates (``q <- A x``), so
+substituting the query equation into the other eliminates the query layer
+(the Schur complement of the query block)::
+
+    x = K x + b,   K = (1 - alpha)^2 B A,   b = alpha (x_hat + (1 - alpha) B q_hat)
+    q = (1 - alpha) A x + alpha q_hat
+
+For precision ``B = [rownorm(W_PQ); rownorm(W_QT^T)]`` and ``A = D M`` with
+``M = [rownorm(W_PQ^T) | rownorm(W_QT)]``, where ``D`` is the two-sided mean
+(0.5 on a query with both page and template neighbours, else 1).  The recall
+step is the diagonal similarity ``W_R = S W_P^T S^-1`` with ``S = diag(I, D)``,
+so recall uses ``B_R = M^T`` and ``A_R = D B^T``, and ``K_R = K_P^T``: one
+operator serves both walks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,15 +50,24 @@ from scipy import sparse
 
 from repro.graph.reinforcement import ReinforcementGraph
 
-try:  # pragma: no cover - exercised implicitly by every solve
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-    _CSR_MATVECS = _scipy_sparsetools.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - older/newer scipy
-    _CSR_MATVECS = None
-
 MODE_PRECISION = "precision"
 MODE_RECALL = "recall"
 _MODES = (MODE_PRECISION, MODE_RECALL)
+
+#: Largest full-system residual ``max |u - (1 - alpha) W u - alpha U_hat|``
+#: a solve may return; a column that misses it raises ``ArithmeticError``.
+RESIDUAL_TOLERANCE = 1e-10
+
+#: Distance from the exact fixed point the iteration aims for.  Two decades
+#: under the residual bound, so the check keeps ample headroom for rounding
+#: and the utilities agree with a direct solve to about 1e-12.
+_ERROR_TARGET = 1e-12
+
+#: The vector norm in which each mode's Schur step contracts by
+#: ``(1 - alpha)^2``.  ``B`` and ``A`` have row sums of at most 1, so the
+#: precision operator is bounded in the max norm; the recall operator is its
+#: transpose, hence bounded in the column-sum norm.
+_STEP_NORMS = {MODE_PRECISION: np.maximum, MODE_RECALL: np.add}
 
 
 @dataclass(frozen=True)
@@ -52,8 +76,8 @@ class RegularizationProblem:
 
     The entity phase solves several regularization problems on the *same*
     graph (recall w.r.t. ``Y``, ``Y~``, ``Y*``, ``Y~*``); stacking them as
-    the columns of one right-hand-side matrix lets the power iteration
-    share every sparse matmul across problems.
+    the columns of one right-hand-side matrix lets every solve step share
+    one sparse matmul across problems.
     """
 
     page_regularization: Optional[Mapping[Hashable, float]] = None
@@ -61,116 +85,18 @@ class RegularizationProblem:
     template_regularization: Optional[Mapping[Hashable, float]] = None
 
 
-def _matmul_into(matrix: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out <- matrix @ x`` for a 2-D dense ``x``, reusing ``out``.
-
-    Calls the same compiled ``csr_matvecs`` kernel ``csr @ dense`` dispatches
-    to (bit-identical accumulation in stored-index order), skipping the
-    Python-level dispatch that dominates on the small matrices of the power
-    iteration.  Falls back to the operator when the kernel is unavailable.
-    """
-    if _CSR_MATVECS is None:
-        out[...] = matrix @ x
-        return out
-    out.fill(0.0)
-    rows, cols = matrix.shape
-    _CSR_MATVECS(rows, cols, x.shape[1], matrix.indptr, matrix.indices,
-                 matrix.data, x.ravel(), out.ravel())
-    return out
-
-
-def _raw_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-             shape: Tuple[int, int]) -> sparse.csr_matrix:
-    """A CSR matrix from pre-validated arrays, skipping constructor checks.
-
-    The validating constructor re-derives the index dtype and walks the
-    structure on every call; for matrices assembled from arrays that are
-    *by construction* consistent (copies or concatenations of existing CSR
-    internals) that work is pure overhead on the selection hot path.
-    """
-    matrix = sparse.csr_matrix.__new__(sparse.csr_matrix)
-    matrix.data = data
-    matrix.indices = indices
-    matrix.indptr = indptr
-    matrix._shape = shape
-    return matrix
-
-
-def _scale_rows_exact(matrix: sparse.csr_matrix, weights: np.ndarray,
-                      copy: bool = True) -> sparse.csr_matrix:
-    """Row-scale a CSR by per-row ``weights``, preserving stored order.
-
-    Callers only pass powers of two (0.5 / 1.0), so every scaled entry is
-    exact and a dot product against the scaled rows equals the scaled dot
-    product against the original rows bit for bit.  ``copy=False`` scales a
-    matrix the caller owns (e.g. a freshly materialised transpose) in
-    place; with ``copy=True`` only the data array is duplicated — the
-    structure arrays are shared with the (never mutated) input.
-    """
-    scaled = matrix.tocsr()
-    data = scaled.data if not copy else scaled.data.copy()
-    if data.size:
-        data *= np.repeat(np.asarray(weights, dtype=np.float64),
-                          np.diff(scaled.indptr))
-    if not copy:
-        return scaled
-    return _raw_csr(data, scaled.indices, scaled.indptr, scaled.shape)
-
-
-def _vstack_csr(top: sparse.csr_matrix, bottom: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Stack two CSR matrices vertically without canonicalising.
-
-    ``sparse.vstack`` may re-sort indices within rows; the power iteration
-    needs every row's stored order untouched so that accumulation order (and
-    thus every rounding) matches a matmul against the original matrix.
-    """
-    top = top.tocsr()
-    bottom = bottom.tocsr()
-    indptr = np.concatenate([top.indptr,
-                             top.indptr[-1] + bottom.indptr[1:]])
-    indices = np.concatenate([top.indices, bottom.indices])
-    data = np.concatenate([top.data, bottom.data])
-    return _raw_csr(data, indices, indptr,
-                    (top.shape[0] + bottom.shape[0], top.shape[1]))
-
-
-def _raw_diagonal(scale: np.ndarray, container) -> sparse.spmatrix:
-    """A diagonal matrix in CSR/CSC form from pre-validated arrays.
-
-    ``sparse.diags(scale)`` builds a DIA matrix that the matmul dispatch
-    converts to exactly this compressed form before the kernel runs;
-    constructing it directly skips both the DIA detour and the validating
-    constructor, changing no bits of the product.
-    """
-    n = scale.shape[0]
-    diagonal = container.__new__(container)
-    diagonal.data = scale
-    diagonal.indices = np.arange(n, dtype=np.int32)
-    diagonal.indptr = np.arange(n + 1, dtype=np.int32)
-    diagonal._shape = (n, n)
-    return diagonal
-
-
-def normalize_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
+def normalize_rows(matrix: sparse.spmatrix) -> sparse.csr_matrix:
     """Return a row-stochastic copy of ``matrix`` (zero rows stay zero)."""
-    matrix = matrix.tocsr()
-    if matrix.dtype != np.float64:
-        matrix = matrix.astype(np.float64)
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    normalised = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
+    row_sums = np.asarray(normalised.sum(axis=1)).ravel()
     scale = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
-    diagonal = _raw_diagonal(scale, sparse.csr_matrix)
-    return (diagonal @ matrix).tocsr()
+    normalised.data *= np.repeat(scale, np.diff(normalised.indptr))
+    return normalised
 
 
-def normalize_columns(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
+def normalize_columns(matrix: sparse.spmatrix) -> sparse.csr_matrix:
     """Return a column-stochastic copy of ``matrix`` (zero columns stay zero)."""
-    matrix = matrix.tocsc()
-    if matrix.dtype != np.float64:
-        matrix = matrix.astype(np.float64)
-    col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    scale = np.divide(1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0)
-    diagonal = _raw_diagonal(scale, sparse.csc_matrix)
-    return (matrix @ diagonal).tocsr()
+    return normalize_rows(matrix.T).T.tocsr()
 
 
 @dataclass
@@ -182,8 +108,11 @@ class UtilityVector:
     query_values: np.ndarray
     template_values: np.ndarray
     graph: ReinforcementGraph
+    #: Steps of the query-eliminated iteration the solve took.
     iterations: int
     converged: bool
+    #: Full-system residual ``max |u - (1 - alpha) W u - alpha U_hat|``.
+    residual: float
 
     def page(self, page_key: Hashable) -> float:
         """Utility of a page vertex (0.0 if the page is not in the graph)."""
@@ -217,54 +146,57 @@ class UtilityVector:
 
 
 class UtilitySolver:
-    """Solves Eq. 13 / 19 / 20 on a reinforcement graph by power iteration."""
+    """Solves Eq. 13 / 19 / 20 on a reinforcement graph.
 
-    def __init__(self, graph: ReinforcementGraph, alpha: float = 0.15,
-                 max_iterations: int = 100, tolerance: float = 1e-6) -> None:
+    Every solve iterates the query-eliminated system (see the module
+    docstring) until the step is provably below what the residual bound
+    needs, then checks each column's residual on the full
+    page+query+template system against :data:`RESIDUAL_TOLERANCE`.
+    """
+
+    def __init__(self, graph: ReinforcementGraph, alpha: float = 0.15) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
         self.graph = graph
         self.alpha = float(alpha)
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
+        #: Per-step contraction of the query-eliminated iteration.
+        self.contraction = (1.0 - self.alpha) ** 2
 
+        # One stacked adjacency: rows are pages then templates, columns are
+        # queries, i.e. [W_PQ; W_QT^T] (a CSC's arrays are its transpose's
+        # CSR arrays).
         pq = graph.page_query
-        qt = graph.query_template
-        # Row-stochastic over a page's query neighbours / a query's template neighbours.
-        self._pq_row = normalize_rows(pq)
-        self._qt_row = normalize_rows(qt)
-        # Column-stochastic over a query's page neighbours / a template's query neighbours.
-        self._pq_col = normalize_columns(pq)
-        self._qt_col = normalize_columns(qt)
-        # Which queries have neighbours on each side (for averaging the two sides).
-        self._query_has_pages = np.asarray(pq.sum(axis=0)).ravel() > 0
-        self._query_has_templates = np.asarray(qt.sum(axis=1)).ravel() > 0
-        # Per-mode iteration operators with the two-sided average folded in.
-        # A query connected on both sides averages them — equivalently, both
-        # incoming operators carry weight 0.5 on that query's row.  0.5 is a
-        # power of two, so the folded matmul is bit-identical to averaging
-        # afterwards; one-sided queries keep weight 1.0, and their missing
-        # side contributes an exact +0.0.  The page and template updates both
-        # multiply the query vector, so their operators stack into one matrix
-        # (rows are unchanged, hence every dot product is unchanged).
-        # Transposes are materialised as CSR: a transposed-CSR matvec is
-        # bit-identical to the CSC-view matvec it replaces, and ``.T`` inside
-        # the loop would allocate a view per matmul per iteration.
-        both = self._query_has_pages & self._query_has_templates
-        weight = np.where(both, 0.5, 1.0)
-        self._operators = {
-            MODE_PRECISION: (
-                _scale_rows_exact(self._pq_col.T.tocsr(), weight, copy=False),
-                _scale_rows_exact(self._qt_row, weight),
-                _vstack_csr(self._pq_row, self._qt_col.T.tocsr()),
-            ),
-            MODE_RECALL: (
-                _scale_rows_exact(self._pq_row.T.tocsr(), weight, copy=False),
-                _scale_rows_exact(self._qt_col, weight),
-                _vstack_csr(self._pq_col, self._qt_row.T.tocsr()),
-            ),
+        tq = graph.query_template.tocsc()
+        shape = (graph.num_pages + graph.num_templates, graph.num_queries)
+        indptr = np.concatenate([pq.indptr, pq.indptr[-1] + tq.indptr[1:]])
+        indices = np.concatenate([pq.indices, tq.indices])
+        weights = np.concatenate([pq.data, tq.data]).astype(np.float64)
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        pt_degree = np.bincount(rows, weights, minlength=shape[0])
+        page_degree = np.bincount(pq.indices, pq.data, minlength=shape[1])
+        template_degree = np.bincount(tq.indices, tq.data, minlength=shape[1])
+        # Queries with neighbours on both sides average the two (the paper
+        # takes "their average as the final utility of q", Sect. IV-A).
+        two_sided = np.where((page_degree > 0) & (template_degree > 0), 0.5, 1.0)
+        self._two_sided = two_sided[:, None]
+
+        def stacked(data: np.ndarray) -> sparse.csr_matrix:
+            return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+        # B: rows normalised over each page's / template's queries.
+        pt_from_q = stacked(weights / pt_degree[rows])
+        # M^T: columns normalised over each query's pages and, separately,
+        # over its templates.
+        q_from_pt_t = stacked(weights / np.concatenate(
+            [page_degree[pq.indices], template_degree[tq.indices]]))
+        # K = (1 - alpha)^2 B D M, with D scaling the columns of B.
+        operator = (stacked(pt_from_q.data * (self.contraction * two_sided)[indices])
+                    @ q_from_pt_t.T).tocsr()
+        # Per mode (K, F, G): K = (1 - alpha)^2 F D G, the right-hand side
+        # and residual take F, the query back-substitution D G.
+        self._modes = {
+            MODE_PRECISION: (operator, pt_from_q, q_from_pt_t.T),
+            MODE_RECALL: (operator.T, q_from_pt_t, pt_from_q.T),
         }
 
     # -- Public API ----------------------------------------------------------
@@ -282,276 +214,104 @@ class UtilitySolver:
             The utility regularization ``U_hat`` per vertex key.  Missing
             vertices default to 0 (no regularization), as in the paper.
         """
-        problem = RegularizationProblem(
-            page_regularization=page_regularization,
-            query_regularization=query_regularization,
-            template_regularization=template_regularization)
-        return self.solve_many(mode, [problem])[0]
+        return self._solve(mode, [RegularizationProblem(
+            page_regularization, query_regularization, template_regularization)])[0]
 
     def solve_many(self, mode: str,
                    problems: Sequence[RegularizationProblem]) -> List[UtilityVector]:
         """Solve several regularization problems on this graph at once.
 
-        The problems share every sparse matmul: their ``U_hat`` vectors are
-        stacked as the columns of one right-hand-side matrix and the power
-        iteration advances all columns together.  A column whose own delta
-        drops below the tolerance is *frozen* (copied forward unchanged)
-        while the others continue, so each returned
-        :class:`UtilityVector` — values, ``iterations`` and ``converged``
-        — is bit-identical to a separate :meth:`solve` of that problem.
+        The problems' ``U_hat`` vectors are the columns of one right-hand
+        side, so every step is one sparse matmul for all of them.
         """
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if not problems:
-            return []
-
-        if mode == MODE_PRECISION:
-            return self.solve_joint(problems, [])[0]
-        return self.solve_joint([], problems)[1]
+        return self._solve(mode, problems)
 
     def solve_joint(self, precision_problems: Sequence[RegularizationProblem],
                     recall_problems: Sequence[RegularizationProblem]
                     ) -> Tuple[List[UtilityVector], List[UtilityVector]]:
-        """Solve precision and recall problems in one shared iteration loop.
-
-        The two modes iterate independent state over different operators, so
-        their per-column results are bit-identical to separate
-        :meth:`solve_many` calls — but one Python loop drives both, halving
-        the per-iteration interpreter overhead that dominates on the small
-        graphs of the selection hot path.  A mode whose columns have all
-        converged stops doing any work while the other finishes.
-        """
-        states = [_ModeIteration(self, mode, problems)
-                  for mode, problems in ((MODE_PRECISION, precision_problems),
-                                         (MODE_RECALL, recall_problems))
-                  if problems]
-        for iteration in range(1, self.max_iterations + 1):
-            any_active = False
-            for state in states:
-                if state.step(iteration):
-                    any_active = True
-            if not any_active:
-                break
-        by_mode = {state.mode: state.results() for state in states}
-        return (by_mode.get(MODE_PRECISION, []), by_mode.get(MODE_RECALL, []))
-
-    def solve_precision(self, **kwargs) -> UtilityVector:
-        """Shorthand for ``solve(MODE_PRECISION, ...)``."""
-        return self.solve(MODE_PRECISION, **kwargs)
-
-    def solve_recall(self, **kwargs) -> UtilityVector:
-        """Shorthand for ``solve(MODE_RECALL, ...)``."""
-        return self.solve(MODE_RECALL, **kwargs)
-
-    def solve_recall_many(self, problems: Sequence[RegularizationProblem]
-                          ) -> List[UtilityVector]:
-        """Shorthand for ``solve_many(MODE_RECALL, ...)``."""
-        return self.solve_many(MODE_RECALL, problems)
+        """Solve precision and recall problems on the one shared operator."""
+        return (self._solve(MODE_PRECISION, precision_problems),
+                self._solve(MODE_RECALL, recall_problems))
 
     # -- Internals -------------------------------------------------------------
-    def _combine_sides(self, from_pages: np.ndarray, from_templates: np.ndarray) -> np.ndarray:
-        """Average the page-side and template-side estimates per query.
+    def _solve(self, mode: str,
+               problems: Sequence[RegularizationProblem]) -> List[UtilityVector]:
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if not problems:
+            return []
+        graph = self.graph
+        alpha = self.alpha
+        damping = 1.0 - alpha
+        operator, pt_from_q, q_from_pt = self._modes[mode]
+        alpha_pt_hat = alpha * np.concatenate([
+            self._stack(graph.pages, [p.page_regularization for p in problems]),
+            self._stack(graph.templates,
+                        [p.template_regularization for p in problems])])
+        q_hat = self._stack(graph.queries,
+                            [p.query_regularization for p in problems])
+        alpha_q_hat = alpha * q_hat
 
-        The paper combines the two sides "by taking their average as the
-        final utility of q" (Sect. IV-A).  Queries connected to only one side
-        use that side alone.  Accepts one estimate per query (1-D) or one
-        column per regularization problem (2-D, the multi-RHS solve).
-        """
-        combined = np.zeros_like(from_pages)
-        if self.graph.num_queries == 0:
-            return combined
-        both = self._query_has_pages & self._query_has_templates
-        only_pages = self._query_has_pages & ~self._query_has_templates
-        only_templates = ~self._query_has_pages & self._query_has_templates
-        combined[both] = 0.5 * (from_pages[both] + from_templates[both])
-        combined[only_pages] = from_pages[only_pages]
-        combined[only_templates] = from_templates[only_templates]
-        return combined
+        rhs = alpha_pt_hat + (alpha * damping) * (pt_from_q @ q_hat)
+        pt, iterations = self._iterate(operator, rhs, _STEP_NORMS[mode])
+        queries = damping * self._two_sided * (q_from_pt @ pt) + alpha_q_hat
+        # The query block of the residual is zero by construction of the
+        # back-substitution, so the page+template block is the whole of it.
+        residuals = np.abs(pt - damping * (pt_from_q @ queries) - alpha_pt_hat)
+        residuals = residuals.max(axis=0, initial=0.0)
+        worst = float(residuals.max())
+        if not worst <= RESIDUAL_TOLERANCE:
+            raise ArithmeticError(
+                f"{mode} solve on a graph of {graph.num_pages} pages, "
+                f"{graph.num_queries} queries and {graph.num_templates} "
+                f"templates left a residual of {worst:.3g} "
+                f"(bound {RESIDUAL_TOLERANCE:g}) after {iterations} steps")
 
-    @staticmethod
-    def _vector(index, regularization: Optional[Mapping[Hashable, float]]) -> np.ndarray:
-        values = np.zeros(len(index))
-        if regularization:
-            for key, value in regularization.items():
-                position = index.index_of(key)
-                if position is not None:
-                    values[position] = float(value)
-        return values
-
-
-class _ModeIteration:
-    """Multi-RHS power-iteration state for one mode of a joint solve.
-
-    Pages and templates both update from the query vector alone, so they
-    live stacked in one array driven by one stacked operator; the query
-    update sums the two pre-scaled side operators.  All buffers are
-    preallocated and ping-ponged between iterations.
-
-    The per-iteration loop is deliberately overhead-lean: the sparse
-    kernels are called with pre-extracted index arrays and pre-raveled
-    buffer views (ping-ponged as whole bundles), and the per-column
-    convergence bookkeeping runs on plain Python ints and lists — with at
-    most a handful of problems, ``ndarray.any``-style reductions on
-    length-5 boolean arrays cost more than the arithmetic they guard.
-    """
-
-    __slots__ = ("solver", "mode", "num_problems", "num_pages", "tolerance",
-                 "alpha_pt_hat", "alpha_query_hat", "one_minus_alpha",
-                 "query_from_pages", "query_from_templates", "pt_from_queries",
-                 "op_query_from_pages", "op_query_from_templates",
-                 "op_pt_from_queries", "pt_bundle", "new_pt_bundle",
-                 "queries_bundle", "new_queries_bundle", "side_buffer",
-                 "side_flat", "scratch", "active_columns", "frozen_columns",
-                 "converged", "iterations", "last_iteration")
-
-    @staticmethod
-    def _pt_bundle_of(array: np.ndarray, num_pages: int):
-        """A pages+templates buffer with its raveled kernel views.
-
-        The page rows and template rows are contiguous leading/trailing
-        blocks of the stacked array, so all three raveled views alias the
-        buffer — swapping the bundle swaps the views consistently.
-        """
-        return (array, array[:num_pages].ravel(), array[num_pages:].ravel(),
-                array.ravel())
-
-    @staticmethod
-    def _operator_args(matrix: sparse.csr_matrix):
-        """The ``csr_matvecs`` argument prefix of one operator matrix."""
-        rows, cols = matrix.shape
-        return (rows, cols, matrix.indptr, matrix.indices, matrix.data)
-
-    def __init__(self, solver: "UtilitySolver", mode: str,
-                 problems: Sequence[RegularizationProblem]) -> None:
-        self.solver = solver
-        self.mode = mode
-        self.num_problems = len(problems)
-        graph = solver.graph
-        self.num_pages = graph.num_pages
-        self.tolerance = solver.tolerance
-        page_hat = np.stack(
-            [solver._vector(graph.pages, p.page_regularization)
-             for p in problems], axis=1)
-        query_hat = np.stack(
-            [solver._vector(graph.queries, p.query_regularization)
-             for p in problems], axis=1)
-        template_hat = np.stack(
-            [solver._vector(graph.templates, p.template_regularization)
-             for p in problems], axis=1)
-        pt_hat = np.concatenate([page_hat, template_hat], axis=0)
-        # ``alpha * U_hat`` is the same product every iteration.
-        self.alpha_pt_hat = solver.alpha * pt_hat
-        self.alpha_query_hat = solver.alpha * query_hat
-        self.one_minus_alpha = 1.0 - solver.alpha
-        (self.query_from_pages, self.query_from_templates,
-         self.pt_from_queries) = solver._operators[mode]
-        self.op_query_from_pages = self._operator_args(self.query_from_pages)
-        self.op_query_from_templates = self._operator_args(self.query_from_templates)
-        self.op_pt_from_queries = self._operator_args(self.pt_from_queries)
-        self.pt_bundle = self._pt_bundle_of(pt_hat.copy(), self.num_pages)
-        self.new_pt_bundle = self._pt_bundle_of(np.empty_like(pt_hat),
-                                                self.num_pages)
-        queries = query_hat.copy()
-        self.queries_bundle = (queries, queries.ravel())
-        new_queries = np.empty_like(queries)
-        self.new_queries_bundle = (new_queries, new_queries.ravel())
-        self.side_buffer = np.empty_like(queries)
-        self.side_flat = self.side_buffer.ravel()
-        # One scratch spanning [pages; templates; queries]: the convergence
-        # delta is a max over every vertex, so the three layers' residuals
-        # reduce in a single pass.
-        self.scratch = np.empty((pt_hat.shape[0] + queries.shape[0],
-                                 self.num_problems))
-        self.active_columns: List[int] = list(range(self.num_problems))
-        self.frozen_columns: List[int] = []
-        self.converged = [False] * self.num_problems
-        self.iterations = [0] * self.num_problems
-        self.last_iteration = 0
-
-    def step(self, iteration: int) -> bool:
-        """Advance one iteration; no-op (False) once every column converged."""
-        active = self.active_columns
-        if not active:
-            return False
-        self.last_iteration = iteration
-        pt, pt_pages_flat, pt_templates_flat, _ = self.pt_bundle
-        queries, queries_flat = self.queries_bundle
-        new_pt, _, _, new_pt_flat = self.new_pt_bundle
-        new_queries, new_queries_flat = self.new_queries_bundle
-
-        # new_q = W_qp @ pages + W_qt @ templates (two-sided average folded
-        # into the operators); new_[p;t] = W_ptq @ queries.
-        if _CSR_MATVECS is not None:
-            k = self.num_problems
-            new_queries_flat.fill(0.0)
-            rows, cols, indptr, indices, data = self.op_query_from_pages
-            _CSR_MATVECS(rows, cols, k, indptr, indices, data,
-                         pt_pages_flat, new_queries_flat)
-            self.side_flat.fill(0.0)
-            rows, cols, indptr, indices, data = self.op_query_from_templates
-            _CSR_MATVECS(rows, cols, k, indptr, indices, data,
-                         pt_templates_flat, self.side_flat)
-            new_pt_flat.fill(0.0)
-            rows, cols, indptr, indices, data = self.op_pt_from_queries
-            _CSR_MATVECS(rows, cols, k, indptr, indices, data,
-                         queries_flat, new_pt_flat)
-        else:  # pragma: no cover - scipy without the private kernel
-            num_pages = self.num_pages
-            _matmul_into(self.query_from_pages, pt[:num_pages], new_queries)
-            _matmul_into(self.query_from_templates, pt[num_pages:],
-                         self.side_buffer)
-            _matmul_into(self.pt_from_queries, queries, new_pt)
-        np.add(new_queries, self.side_buffer, out=new_queries)
-
-        np.multiply(new_pt, self.one_minus_alpha, out=new_pt)
-        np.add(new_pt, self.alpha_pt_hat, out=new_pt)
-        np.multiply(new_queries, self.one_minus_alpha, out=new_queries)
-        np.add(new_queries, self.alpha_query_hat, out=new_queries)
-
-        frozen = self.frozen_columns
-        if frozen:
-            # Frozen columns keep exactly the values they converged at —
-            # a separate solve would have broken out of the loop there.
-            new_pt[:, frozen] = pt[:, frozen]
-            new_queries[:, frozen] = queries[:, frozen]
-
-        scratch = self.scratch
-        if scratch.shape[0]:
-            boundary = pt.shape[0]
-            np.subtract(new_pt, pt, out=scratch[:boundary])
-            np.subtract(new_queries, queries, out=scratch[boundary:])
-            np.abs(scratch, out=scratch)
-            deltas = np.maximum.reduce(scratch, axis=0).tolist()
-        else:
-            deltas = [0.0] * self.num_problems
-
-        self.pt_bundle, self.new_pt_bundle = self.new_pt_bundle, self.pt_bundle
-        self.queries_bundle, self.new_queries_bundle = \
-            self.new_queries_bundle, self.queries_bundle
-        tolerance = self.tolerance
-        still_active: List[int] = []
-        for column in active:
-            if deltas[column] < tolerance:
-                self.iterations[column] = iteration
-                self.converged[column] = True
-                frozen.append(column)
-            else:
-                still_active.append(column)
-        self.active_columns = still_active
-        return bool(still_active)
-
-    def results(self) -> List[UtilityVector]:
-        for column in self.active_columns:
-            self.iterations[column] = self.last_iteration
-        num_pages = self.num_pages
-        pt = self.pt_bundle[0]
-        queries = self.queries_bundle[0]
+        num_pages = graph.num_pages
         return [UtilityVector(
-            mode=self.mode,
+            mode=mode,
             page_values=pt[:num_pages, j].copy(),
             query_values=queries[:, j].copy(),
             template_values=pt[num_pages:, j].copy(),
-            graph=self.solver.graph,
-            iterations=int(self.iterations[j]),
-            converged=bool(self.converged[j]),
-        ) for j in range(self.num_problems)]
+            graph=graph,
+            iterations=iterations,
+            converged=bool(residuals[j] <= RESIDUAL_TOLERANCE),
+            residual=float(residuals[j]),
+        ) for j in range(len(problems))]
+
+    def _iterate(self, operator: sparse.spmatrix, rhs: np.ndarray,
+                 norm: np.ufunc) -> Tuple[np.ndarray, int]:
+        """Iterate ``x <- K x + b`` from ``x = b``; return ``x`` and the steps.
+
+        The ``k``-th step is ``K^k b`` and ``K`` contracts by ``c`` in the
+        mode's norm, so after ``k`` steps the iterate lies within
+        ``c^(k+1) |b| / (1 - c)`` of the fixed point.  The solve takes the
+        fewest steps that bring this below :data:`_ERROR_TARGET`.  The bound
+        is tight: on non-negative ``b`` a recall step shrinks by exactly
+        ``c`` when every page and template has a query, so testing each
+        step as it is taken would save at most a few steps.
+        """
+        contraction = self.contraction
+        size = float(norm.reduce(np.abs(rhs), axis=0, initial=0.0).max(initial=0.0))
+        steps = 0
+        if 0.0 < size < math.inf:
+            target = _ERROR_TARGET * (1.0 - contraction) / size
+            steps = max(0, math.ceil(math.log(target) / math.log(contraction)) - 1)
+        pt = rhs
+        for _ in range(steps):
+            pt = operator @ pt
+            pt += rhs
+        return pt, steps
+
+    @staticmethod
+    def _stack(index, regularizations: Sequence[Optional[Mapping[Hashable, float]]]
+               ) -> np.ndarray:
+        """One ``(len(index), len(regularizations))`` column per problem."""
+        values = np.zeros((len(index), len(regularizations)))
+        for column, regularization in enumerate(regularizations):
+            if regularization:
+                for key, value in regularization.items():
+                    position = index.index_of(key)
+                    if position is not None:
+                        values[position, column] = float(value)
+        return values

@@ -28,9 +28,10 @@ Samples are wall-clock (``time.perf_counter``) phase durations with
 optional metadata, aggregated per phase name.  A recorder is process-local,
 but worker processes are not a blind spot: a worker with an active recorder
 ships per-phase ``{count, total_seconds}`` aggregates home with each batch
-outcome (see :func:`repro.eval.runner.execute_harvest_batch`), and the
+outcome (see :func:`repro.eval.runner.execute_harvest_batch`) and each sweep
+cell result (:func:`repro.eval.scenario_sweep.execute_sweep_cell`), and the
 orchestrator folds them into its recorder as aggregate samples
-(:meth:`PerfRecorder.record_aggregate`) tagged with the worker pid.  Worker
+(:meth:`PerfRecorder.record_aggregate`) tagged with their origin.  Worker
 seconds remain worker CPU time — they are *summed alongside*, never
 conflated with, orchestrator wall-clock dispatch phases.
 """

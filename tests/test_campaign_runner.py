@@ -89,6 +89,21 @@ class TestRunAndFold:
         b = threaded.run().matrices_path.read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_perf_phases_count_each_cell_once(self, tmp_path, backend):
+        # Worker processes ship their cells' phases home; in-process cells
+        # record directly, so their shipped copy must not be merged again.
+        from repro import perf
+
+        rec = perf.enable()
+        try:
+            CampaignRunner(tmp_path / "camp", spec=tiny_spec(corpus_store="off"),
+                           backend=backend, workers=2).run()
+        finally:
+            perf.disable()
+        assert rec.count("sweep-cell") == 2
+        assert rec.count("harvest") >= 1
+
     def test_checkpoint_every_validates(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
             CampaignRunner(tmp_path / "camp", spec=tiny_spec(),

@@ -335,7 +335,8 @@ class TestPerfCommand:
                      "--baseline", str(tmp_path / "absent.json")], out=out)
         assert code == 2
 
-    def test_perf_output_writes_phase_report(self, tmp_path):
+    @staticmethod
+    def _sweep_phase_report(tmp_path, *backend_args):
         import json
 
         out = io.StringIO()
@@ -344,12 +345,27 @@ class TestPerfCommand:
                      "--scenarios", "zipf-skew", "--methods", "MQ",
                      "--domains", "researcher", "--queries", "2",
                      "--output", str(tmp_path / "matrix.json"),
-                     "--perf-output", str(perf_path)], out=out)
+                     "--perf-output", str(perf_path), *backend_args], out=out)
         assert code == 0
         assert f"wrote perf report {perf_path}" in out.getvalue()
-        report = json.loads(perf_path.read_text(encoding="utf-8"))
+        return json.loads(perf_path.read_text(encoding="utf-8"))
+
+    def test_perf_output_writes_phase_report(self, tmp_path):
+        report = self._sweep_phase_report(tmp_path)
         # The instrumented phases of a local sweep all fired.
         for phase in ("sweep-cell", "split-prepare", "harvest", "selection"):
+            assert report["phases"][phase]["count"] >= 1, phase
+        assert report["phases"]["sweep-cell"]["total_seconds"] > 0.0
+
+    def test_perf_output_includes_worker_phases(self, tmp_path):
+        # Cells evaluated in worker processes ship their phases home: one
+        # sweep-cell sample per (domain, scenario) cell, plus the harvest
+        # work inside them.
+        report = self._sweep_phase_report(tmp_path, "--backend", "process",
+                                          "--workers", "2")
+        assert report["phases"]["sweep-dispatch"]["count"] == 1
+        assert report["phases"]["sweep-cell"]["count"] == 2
+        for phase in ("split-prepare", "harvest", "selection"):
             assert report["phases"][phase]["count"] >= 1, phase
         assert report["phases"]["sweep-cell"]["total_seconds"] > 0.0
 

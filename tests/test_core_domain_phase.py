@@ -6,6 +6,7 @@ from repro.aspects.relevance import OracleRelevance
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainPhase, learn_domain_models
 from repro.core.templates import is_type_unit
+from repro.core.utility import GraphAssembler
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +79,30 @@ class TestLearnDomainModels:
         assert set(models) == set(relevance)
         for aspect, model in models.items():
             assert model.aspect == aspect
+
+
+class TestSharedDomainGraph:
+    def test_aspects_reuse_one_enumeration_and_assembly(self, researcher_corpus,
+                                                        monkeypatch):
+        domain_corpus = researcher_corpus.subset(researcher_corpus.entity_ids()[:6])
+        aspects = researcher_corpus.aspects[:2]
+        fresh = {aspect: DomainPhase(domain_corpus, L2QConfig()).learn(
+                     aspect, OracleRelevance(aspect)) for aspect in aspects}
+
+        calls = {"enumerate": 0, "assemble": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(DomainPhase, "_enumerate_domain_queries",
+                            counted("enumerate", DomainPhase._enumerate_domain_queries))
+        monkeypatch.setattr(GraphAssembler, "assemble",
+                            counted("assemble", GraphAssembler.assemble))
+        phase = DomainPhase(domain_corpus, L2QConfig())
+        shared = {aspect: phase.learn(aspect, OracleRelevance(aspect))
+                  for aspect in aspects}
+        assert shared == fresh
+        assert calls == {"enumerate": 1, "assemble": 1}

@@ -78,19 +78,19 @@ class TestSolverBasics:
 
     def test_converges(self):
         solver = UtilitySolver(build_snir_graph(), alpha=0.15)
-        result = solver.solve_precision(page_regularization=RELEVANT_SNIR)
+        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
         assert result.converged
         assert result.iterations <= 100
 
     def test_no_regularization_gives_zero_utilities(self):
         solver = UtilitySolver(build_snir_graph())
-        result = solver.solve_precision()
+        result = solver.solve(MODE_PRECISION)
         assert np.allclose(result.page_values, 0.0)
         assert np.allclose(result.query_values, 0.0)
 
     def test_unknown_vertex_returns_zero(self):
         solver = UtilitySolver(build_snir_graph())
-        result = solver.solve_precision(page_regularization=RELEVANT_SNIR)
+        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
         assert result.page("ghost") == 0.0
         assert result.query(("ghost",)) == 0.0
         assert result.template(("<ghost>",)) == 0.0
@@ -107,7 +107,7 @@ class TestSolverBasics:
 
     def test_dictionary_exports(self):
         solver = UtilitySolver(build_snir_graph())
-        result = solver.solve_precision(page_regularization=RELEVANT_SNIR)
+        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
         assert set(result.page_utilities()) == set(RELEVANT_SNIR)
         assert len(result.query_utilities()) == 5
 
@@ -117,9 +117,9 @@ class TestSnirRunningExample:
 
     def setup_method(self):
         self.solver = UtilitySolver(build_snir_graph(), alpha=0.15)
-        self.precision = self.solver.solve_precision(page_regularization=RELEVANT_SNIR)
+        self.precision = self.solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
         recall_reg = {p: (0.25 if v > 0 else 0.0) for p, v in RELEVANT_SNIR.items()}
-        self.recall = self.solver.solve_recall(page_regularization=recall_reg)
+        self.recall = self.solver.solve(MODE_RECALL, page_regularization=recall_reg)
 
     def test_precision_prefers_queries_with_only_relevant_pages(self):
         # q1, q2 retrieve only relevant pages; q4 retrieves mostly irrelevant
@@ -149,8 +149,8 @@ class TestNgDomainExample:
         self.solver = UtilitySolver(graph, alpha=0.15)
         precision_reg = {"p7": 1.0, "p8": 1.0, "p9": 0.0}
         recall_reg = {"p7": 0.5, "p8": 0.5, "p9": 0.0}
-        self.precision = self.solver.solve_precision(page_regularization=precision_reg)
-        self.recall = self.solver.solve_recall(page_regularization=recall_reg)
+        self.precision = self.solver.solve(MODE_PRECISION, page_regularization=precision_reg)
+        self.recall = self.solver.solve(MODE_RECALL, page_regularization=recall_reg)
 
     def test_topic_research_template_has_higher_precision(self):
         assert self.precision.template(("<topic>", "research")) > \
@@ -165,15 +165,16 @@ class TestRegularizationLimit:
     def test_high_alpha_pins_pages_to_regularization(self):
         graph = build_snir_graph()
         solver = UtilitySolver(graph, alpha=0.99)
-        result = solver.solve_precision(page_regularization=RELEVANT_SNIR)
+        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
         for page, value in RELEVANT_SNIR.items():
             assert result.page(page) == pytest.approx(value, abs=0.05)
 
     def test_template_regularization_lifts_template_queries(self):
         graph = build_ng_graph()
         solver = UtilitySolver(graph, alpha=0.15)
-        baseline = solver.solve_precision(page_regularization={"p7": 1.0})
-        boosted = solver.solve_precision(
+        baseline = solver.solve(MODE_PRECISION, page_regularization={"p7": 1.0})
+        boosted = solver.solve(
+            MODE_PRECISION,
             page_regularization={"p7": 1.0},
             template_regularization={("<institute>",): 5.0})
         assert boosted.query(("stanford",)) > baseline.query(("stanford",))

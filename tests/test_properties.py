@@ -16,7 +16,12 @@ from repro.core.queries import QueryEnumerator, QueryStatistics
 from repro.core.templates import abstract_query, template_abstracts
 from repro.eval.metrics import HarvestMetrics, compute_metrics
 from repro.eval.splits import split_entities
-from repro.graph.random_walk import UtilitySolver
+from repro.graph.random_walk import (
+    MODE_PRECISION,
+    MODE_RECALL,
+    RegularizationProblem,
+    UtilitySolver,
+)
 from repro.graph.reinforcement import ReinforcementGraphBuilder
 from repro.scenarios import make_scenario, scenario_names
 from repro.search.index import InvertedIndex
@@ -138,8 +143,8 @@ class TestSolverProperties:
             builder.connect_page_query(f"p{page_index}", (f"q{query_index}",))
         graph = builder.build()
         regularization = {f"p{i}": 1.0 for i in range(6)}
-        solver = UtilitySolver(graph, alpha=alpha, max_iterations=300)
-        result = solver.solve_precision(page_regularization=regularization)
+        solver = UtilitySolver(graph, alpha=alpha)
+        result = solver.solve(MODE_PRECISION, page_regularization=regularization)
         assert result.page_values.max(initial=0.0) <= 1.0 + 1e-9
         assert result.query_values.max(initial=0.0) <= 1.0 + 1e-9
         assert result.page_values.min(initial=0.0) >= -1e-9
@@ -157,10 +162,44 @@ class TestSolverProperties:
         graph = builder.build()
         pages = graph.pages.keys()
         regularization = {p: 1.0 / len(pages) for p in pages}
-        solver = UtilitySolver(graph, alpha=0.15, max_iterations=300)
-        result = solver.solve_recall(page_regularization=regularization)
+        solver = UtilitySolver(graph, alpha=0.15)
+        result = solver.solve(MODE_RECALL, page_regularization=regularization)
         assert result.query_values.sum() <= 1.0 + 1e-6
         assert result.page_values.sum() <= 1.0 + 1e-6
+
+    @SETTINGS
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.sampled_from([0.5, 1.0, 3.0])),
+                    min_size=0, max_size=20),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                    min_size=0, max_size=10),
+           st.floats(0.05, 0.9),
+           st.integers(0, 2**31 - 1))
+    def test_every_solve_meets_the_residual_bound(self, page_edges,
+                                                  template_edges, alpha, seed):
+        builder = ReinforcementGraphBuilder()
+        for page_index, query_index, weight in page_edges:
+            builder.connect_page_query(f"p{page_index}", f"q{query_index}",
+                                       weight)
+        for query_index, template_index in template_edges:
+            builder.connect_query_template(f"q{query_index}",
+                                           f"t{template_index}")
+        builder.add_query("isolated")
+        graph = builder.build()
+        rng = random.Random(seed)
+
+        def regularization(index, scale):
+            return {key: scale * rng.random() for key in index.keys()}
+
+        problem = RegularizationProblem(
+            page_regularization=regularization(graph.pages, 1.0),
+            query_regularization=regularization(graph.queries, 1.0),
+            template_regularization=regularization(graph.templates, 10.0))
+        precision, recall = UtilitySolver(graph, alpha=alpha).solve_joint(
+            [problem], [problem, RegularizationProblem()])
+        for vector in precision + recall:
+            assert vector.residual <= 1e-10
+            assert vector.converged
 
 
 def _pages_from_docs(docs):
