@@ -15,6 +15,11 @@ folds pages in :meth:`~repro.core.session.HarvestSession.add_pages`; the
 statistics are therefore always in sync with ``session.current_pages``.
 Because pages are folded in gathering order, the resulting statistics are
 bit-for-bit identical to a from-scratch enumeration over the working set.
+
+The pool records queries and page membership only.  The words of the
+gathered pages, which the entity phase grounds domain queries with, are read
+from the session's :class:`~repro.core.utility.GraphTables`, per selection
+and from the pages that selection is given.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ class CandidateStatistics:
         self.enumerator = enumerator
         self.statistics = QueryStatistics()
         self._page_ids: Set[str] = set()
-        self._observed_words: Set[str] = set()
         self._sorted_queries: Optional[List[Query]] = None
 
     # -- Folding -----------------------------------------------------------
@@ -41,7 +45,6 @@ class CandidateStatistics:
         if page.page_id in self._page_ids:
             return False
         self._page_ids.add(page.page_id)
-        self._observed_words.update(page.token_set)
         counts = self.enumerator.enumerate_from_page(page)
         for query, count in counts.items():
             self.statistics.record(query, page.page_id, page.entity_id, count)
@@ -84,11 +87,6 @@ class CandidateStatistics:
     def num_queries(self) -> int:
         """How many distinct candidate queries the pool currently holds."""
         return len(self.statistics.occurrences)
-
-    @property
-    def observed_words(self) -> Set[str]:
-        """Union of all tokens seen on folded pages (grounding filter input)."""
-        return self._observed_words
 
     def has_page(self, page_id: str) -> bool:
         """Whether a page has already been folded into the pool."""

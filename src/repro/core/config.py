@@ -71,6 +71,10 @@ class L2QConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.max_query_length < 1:
             raise ValueError("max_query_length must be >= 1")
+        if self.max_entity_candidates < 1:
+            raise ValueError("max_entity_candidates must be >= 1")
+        if self.max_domain_queries < 1:
+            raise ValueError("max_domain_queries must be >= 1")
         if self.adaptation_lambda <= 0:
             raise ValueError("adaptation_lambda must be positive")
         if not 0.0 < self.seed_recall_r0 < 1.0:

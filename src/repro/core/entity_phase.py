@@ -15,6 +15,11 @@ the auxiliary recall problems needed by context-aware L2Q (Sect. V):
   ``Delta(Phi, q) = R^(Y~)(q) * R(Phi)``;
 * recall w.r.t. ``Y*`` (every page relevant) and its ``Y~*`` restriction —
   used for the denominator of collective precision.
+
+A harvest session passes its :class:`~repro.core.utility.GraphTables` to
+:meth:`EntityPhase.compute`, so the candidates' and pages' graph rows are
+derived once per session rather than once per selection; the normalising
+divisors of the domain model's template utilities are found once per model.
 """
 
 from __future__ import annotations
@@ -28,12 +33,15 @@ from repro.aspects.relevance import AllRelevant, RelevanceFunction
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
 from repro.core.queries import Query, QueryEnumerator, QueryStatistics, prune_queries
+from repro.core.templates import Template
 from repro.core.utility import (
     AssembledGraph,
     GraphAssembler,
+    GraphTables,
     precision_page_regularization,
     recall_page_regularization,
-    template_regularization,
+    scaled_template_regularization,
+    template_scale,
 )
 from repro.corpus.document import Entity, Page
 from repro.corpus.knowledge_base import TypeSystem
@@ -135,13 +143,20 @@ class EntityPhase:
         # (model, entity) pair, and a long-lived phase runs one selection per
         # harvest iteration over exactly that pair.
         self._domain_usable_cache: Optional[Tuple[DomainModel, str, List[Query]]] = None
+        # (domain_model, scales): the normalising divisors of the model's
+        # precision, recall and recall-all template utilities.  Only the
+        # divisors are kept: a selector outlives its session, and normalised
+        # copies of the model's utilities, one set per selector, would add
+        # up in a batch that keeps all its jobs.
+        self._template_scales_cache: Optional[
+            Tuple[DomainModel, Tuple[float, float, float]]] = None
 
     # -- Candidate enumeration --------------------------------------------------
     def enumerate_candidates(self, entity: Entity, current_pages: Sequence[Page],
                              domain_model: Optional[DomainModel] = None,
                              exclude: Optional[Set[Query]] = None,
                              statistics: Optional[QueryStatistics] = None,
-                             observed_words: Optional[Set[str]] = None) -> List[Query]:
+                             tables: Optional[GraphTables] = None) -> List[Query]:
         """Build the candidate query set ``Q_E``.
 
         Candidates come from the current result pages; when a domain model
@@ -149,11 +164,12 @@ class EntityPhase:
         as well, so that useful queries not yet visible in ``P_E`` remain
         reachable (Sect. IV-C, *Entity graph*).
 
-        ``statistics`` (and optionally ``observed_words``) may be supplied
-        by a caller that maintains them incrementally — the harvesting loop
-        passes ``session.candidates`` state here so that selection does not
-        re-enumerate the full working set every iteration.  When omitted,
-        both are computed from scratch over ``current_pages``.
+        ``statistics`` may be supplied by a caller that maintains it
+        incrementally — the harvesting loop passes ``session.candidates``
+        state here so that selection does not re-enumerate the full working
+        set every iteration.  When omitted, it is computed from scratch over
+        ``current_pages``.  ``tables`` is the memo of word rows the domain
+        queries are grounded with (a fresh one when omitted).
         """
         if statistics is None:
             enumerator = QueryEnumerator(
@@ -164,37 +180,49 @@ class EntityPhase:
             statistics = enumerator.enumerate_from_pages(list(current_pages))
         candidates = prune_queries(statistics, min_page_frequency=1,
                                    max_queries=self.config.max_entity_candidates)
-        seen = set(candidates)
         if domain_model is not None and not domain_model.is_empty():
-            if observed_words is None:
-                observed_words = set()
-                for page in current_pages:
-                    observed_words.update(page.token_set)
-            cache = self._domain_usable_cache
-            if (cache is not None and cache[0] is domain_model
-                    and cache[1] == entity.entity_id):
-                usable = cache[2]
-            else:
-                excluded_words = entity.excluded_words()
-                usable = [query for query in domain_model.frequent_queries
-                          if not any(word in excluded_words for word in query)]
-                self._domain_usable_cache = (domain_model, entity.entity_id, usable)
-            for query in usable:
-                if query in seen:
-                    continue
-                # Require at least partial evidence for the target entity:
-                # a frequent domain query none of whose words occur on any
-                # current page has no grounding for this entity and would be
-                # ranked purely by template transfer.
-                if not any(word in observed_words for word in query):
-                    continue
-                candidates.append(query)
-                seen.add(query)
-                if len(candidates) >= self.config.max_entity_candidates * 2:
-                    break
+            if tables is None:
+                tables = GraphTables(self.type_system)
+            usable = self._domain_usable(domain_model, entity)
+            # Require at least partial evidence for the target entity: a
+            # frequent domain query none of whose words occur on any current
+            # page has no grounding for this entity and would be ranked
+            # purely by template transfer.
+            grounded = tables.grounded(usable, current_pages)
+            seen = set(candidates)
+            added = [query for query in map(usable.__getitem__,
+                                            np.flatnonzero(grounded).tolist())
+                     if query not in seen]
+            candidates.extend(
+                added[:2 * self.config.max_entity_candidates - len(candidates)])
         if exclude:
             candidates = [q for q in candidates if q not in exclude]
         return candidates
+
+    def _domain_usable(self, domain_model: DomainModel, entity: Entity) -> List[Query]:
+        """The model's distinct frequent queries without an excluded word."""
+        cache = self._domain_usable_cache
+        if (cache is not None and cache[0] is domain_model
+                and cache[1] == entity.entity_id):
+            return cache[2]
+        excluded_words = entity.excluded_words()
+        usable = list(dict.fromkeys(
+            query for query in domain_model.frequent_queries
+            if not any(word in excluded_words for word in query)))
+        self._domain_usable_cache = (domain_model, entity.entity_id, usable)
+        return usable
+
+    def _template_utilities(self, domain_model: DomainModel
+                            ) -> List[Tuple[Dict[Template, float], float]]:
+        """The model's precision, recall and recall-all template utilities,
+        each paired with its normalising divisor (found once per model)."""
+        utilities = (domain_model.template_precision, domain_model.template_recall,
+                     domain_model.template_recall_all)
+        cache = self._template_scales_cache
+        if cache is None or cache[0] is not domain_model:
+            cache = self._template_scales_cache = (
+                domain_model, tuple(map(template_scale, utilities)))
+        return list(zip(utilities, cache[1]))
 
     # -- Utility inference ----------------------------------------------------------
     def compute(self, entity: Entity, current_pages: Sequence[Page],
@@ -203,7 +231,7 @@ class EntityPhase:
                 use_templates: bool = True,
                 exclude: Optional[Set[Query]] = None,
                 statistics: Optional[QueryStatistics] = None,
-                observed_words: Optional[Set[str]] = None) -> EntityUtilities:
+                tables: Optional[GraphTables] = None) -> EntityUtilities:
         """Run the entity phase and return all candidate utilities.
 
         Parameters
@@ -221,15 +249,20 @@ class EntityPhase:
             Whether to build the template layer at all.
         exclude:
             Queries to exclude from the candidate set (e.g. already fired).
-        statistics / observed_words:
+        statistics:
             Incrementally-maintained enumeration state (see
             :meth:`enumerate_candidates`); computed from scratch if omitted.
+        tables:
+            The graph-row memo shared by enumeration and assembly (a harvest
+            session passes its own); a fresh one when omitted.
         """
+        if tables is None:
+            tables = GraphTables(self.type_system)
         pages = list(current_pages)
         candidates = self.enumerate_candidates(entity, pages, domain_model, exclude,
-                                               statistics=statistics,
-                                               observed_words=observed_words)
-        assembled = self._assembler.assemble(pages, candidates, use_templates=use_templates)
+                                               statistics=statistics, tables=tables)
+        assembled = self._assembler.assemble(pages, candidates,
+                                             use_templates=use_templates, tables=tables)
         solver = assembled.solver(self.config)
 
         page_precision_reg = precision_page_regularization(pages, relevance)
@@ -241,16 +274,10 @@ class EntityPhase:
         template_recall_reg: Dict = {}
         template_recall_all_reg: Dict = {}
         if use_templates and domain_model is not None and not domain_model.is_empty():
-            graph_templates = assembled.graph.templates.keys()
-            template_precision_reg = template_regularization(
-                domain_model.template_precision, graph_templates,
-                self.config.adaptation_lambda)
-            template_recall_reg = template_regularization(
-                domain_model.template_recall, graph_templates,
-                self.config.adaptation_lambda)
-            template_recall_all_reg = template_regularization(
-                domain_model.template_recall_all, graph_templates,
-                self.config.adaptation_lambda)
+            template_precision_reg, template_recall_reg, template_recall_all_reg = (
+                scaled_template_regularization(utilities, assembled.templates,
+                                               self.config.adaptation_lambda, scale)
+                for utilities, scale in self._template_utilities(domain_model))
 
         # The precision problem and the four recall problems (w.r.t. Y, Y~,
         # Y* and Y~*) run in one joint loop: recall problems share every

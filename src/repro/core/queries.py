@@ -146,7 +146,12 @@ def query_contained_in_page(query: Query, page: Page) -> bool:
 
 def prune_queries(statistics: QueryStatistics, min_page_frequency: int = 1,
                   max_queries: Optional[int] = None) -> List[Query]:
-    """Keep frequent queries, most frequent first (ties broken lexicographically)."""
+    """Keep frequent queries, most frequent first (ties broken lexicographically).
+
+    ``max_queries`` caps the result; it must not be negative.
+    """
+    if max_queries is not None and max_queries < 0:
+        raise ValueError("max_queries must be non-negative")
     kept = [q for q in statistics.queries()
             if statistics.page_frequency(q) >= min_page_frequency]
     kept.sort(key=lambda q: (-statistics.occurrences[q], q))

@@ -122,7 +122,7 @@ class UtilityOnlySelection(EntityPhaseSelection):
             use_templates=False,
             exclude=set(session.fired_queries),
             statistics=session.candidates.statistics,
-            observed_words=session.candidates.observed_words,
+            tables=session.tables,
         )
         ranked = (utilities.ranked_by_precision()
                   if self.objective == OBJECTIVE_PRECISION
@@ -178,7 +178,7 @@ class TemplateSelection(EntityPhaseSelection):
             use_templates=True,
             exclude=set(session.fired_queries),
             statistics=session.candidates.statistics,
-            observed_words=session.candidates.observed_words,
+            tables=session.tables,
         )
         ranked = (utilities.ranked_by_precision()
                   if self.objective == OBJECTIVE_PRECISION
@@ -219,7 +219,7 @@ class ContextAwareSelection(EntityPhaseSelection):
             use_templates=True,
             exclude=set(session.fired_queries),
             statistics=session.candidates.statistics,
-            observed_words=session.candidates.observed_words,
+            tables=session.tables,
         )
         penalty = (self._config or session.config).dedup_penalty
         candidates = [query for query in sorted(utilities.candidates)

@@ -3,8 +3,9 @@
 A :class:`HarvestSession` is created by the harvester and passed to the
 query selector on every iteration; it bundles everything a selection
 strategy may legitimately look at: the current result pages, the
-incrementally-maintained candidate-query statistics, the past queries, the
-learner-visible relevance function, the domain model and the configuration.
+incrementally-maintained candidate-query statistics and graph tables, the
+past queries, the learner-visible relevance function, the domain model and
+the configuration.
 Ground-truth relevance is *not* part of the session — only the oracle/ideal
 selector receives it, explicitly.
 """
@@ -19,6 +20,7 @@ from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
 from repro.core.queries import Query, QueryEnumerator
+from repro.core.utility import GraphTables
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity, Page
 from repro.dedup.novelty import NoveltyEstimator
@@ -55,6 +57,11 @@ class HarvestSession:
         #: statistics double as the session's page-membership record.
         self.candidates = CandidateStatistics(enumerator)
         self.candidates.add_pages(self.current_pages)
+        #: Graph rows of the candidates and pages met so far, shared by every
+        #: selection of the session (see :class:`GraphTables`).  Only the
+        #: session holds the tables, so they are freed with it: a selector
+        #: or job kept after the harvest does not keep them alive.
+        self.tables = GraphTables(self.corpus.type_system)
         #: Incremental MinHash index over gathered pages, maintained under
         #: the same O(new pages) contract as ``candidates``.  Only built
         #: when the dedup penalty is active: with ``dedup_penalty == 0.0``

@@ -48,12 +48,12 @@ def format_template(template: Template) -> str:
 
 
 #: Memo of ``abstract_query`` answers per type system.  Abstraction is a
-#: pure function of the query and the type system's contents, yet the
-#: selection loop rebuilds its template layer every iteration over a largely
-#: unchanged candidate pool — without the memo it re-derives the same
-#: templates tens of thousands of times per harvest.  Entries are keyed by
-#: the type system's mutation counter so ``add_word`` after caching starts a
-#: fresh memo rather than serving stale templates.
+#: pure function of the query and the type system's contents, and the
+#: harvest sessions over one corpus meet largely the same candidate queries,
+#: so each query is abstracted once per type system rather than once per
+#: session.  Entries are keyed by the type system's mutation counter so
+#: ``add_word`` after caching starts a fresh memo rather than serving stale
+#: templates.
 _ABSTRACTION_MEMO: "WeakKeyDictionary[TypeSystem, Tuple[int, Dict]]" = WeakKeyDictionary()
 
 
@@ -81,15 +81,25 @@ def abstract_query(query: Query, type_system: TypeSystem,
     returned templates is capped at ``max_templates`` (deterministically, by
     preferring more-abstract templates first).
     """
+    return list(abstract_queries([query], type_system, max_templates)[0])
+
+
+def abstract_queries(queries: Iterable[Query], type_system: TypeSystem,
+                     max_templates: int = 16) -> List[Tuple[Template, ...]]:
+    """:func:`abstract_query` of every query, as tuples, with one memo lookup."""
     memo = _abstraction_memo(type_system)
-    if memo is not None:
+    if memo is None:
+        return [tuple(_abstract_query_uncached(query, type_system, max_templates))
+                for query in queries]
+    abstractions = []
+    for query in queries:
         key = (tuple(query), max_templates)
         cached = memo.get(key)
         if cached is None:
-            cached = tuple(_abstract_query_uncached(query, type_system, max_templates))
-            memo[key] = cached
-        return list(cached)
-    return _abstract_query_uncached(query, type_system, max_templates)
+            cached = memo[key] = tuple(
+                _abstract_query_uncached(query, type_system, max_templates))
+        abstractions.append(cached)
+    return abstractions
 
 
 def _abstract_query_uncached(query: Query, type_system: TypeSystem,
@@ -145,50 +155,24 @@ class TemplateIndex:
         self.max_templates_per_query = max_templates_per_query
         self._query_templates: Dict[Query, Tuple[Template, ...]] = {}
         self._template_queries: Dict[Template, Set[Query]] = {}
-        self._memo: Optional[Dict] = None
-        self._memo_version: Optional[int] = None
-
-    def _current_memo(self) -> Optional[Dict]:
-        """The shared abstraction memo, revalidated against the type system.
-
-        Re-fetching the :data:`_ABSTRACTION_MEMO` entry involves a weakref
-        lookup on every call; comparing the type system's mutation counter
-        is much cheaper, so the entry is kept until the counter moves.
-        """
-        version = getattr(self.type_system, "_version", None)
-        if version is None:
-            return None
-        if version != self._memo_version:
-            self._memo = _abstraction_memo(self.type_system)
-            self._memo_version = version
-        return self._memo
 
     def add_query(self, query: Query) -> Tuple[Template, ...]:
         """Register a query, computing (and caching) its templates."""
         cached = self._query_templates.get(query)
-        if cached is not None:
-            return cached
-        memo = self._current_memo()
-        if memo is not None:
-            key = (tuple(query), self.max_templates_per_query)
-            templates = memo.get(key)
-            if templates is None:
-                templates = tuple(_abstract_query_uncached(
-                    query, self.type_system, self.max_templates_per_query))
-                memo[key] = templates
-        else:
-            templates = tuple(abstract_query(
-                query, self.type_system,
-                max_templates=self.max_templates_per_query))
-        self._query_templates[query] = templates
-        for template in templates:
-            self._template_queries.setdefault(template, set()).add(query)
-        return templates
+        if cached is None:
+            self.add_queries([query])
+            cached = self._query_templates[query]
+        return cached
 
     def add_queries(self, queries: Iterable[Query]) -> None:
         """Register many queries."""
-        for query in queries:
-            self.add_query(query)
+        new = [query for query in dict.fromkeys(queries)
+               if query not in self._query_templates]
+        for query, templates in zip(new, abstract_queries(
+                new, self.type_system, self.max_templates_per_query)):
+            self._query_templates[query] = templates
+            for template in templates:
+                self._template_queries.setdefault(template, set()).add(query)
 
     def templates_of(self, query: Query) -> Tuple[Template, ...]:
         """Templates of a registered query (empty tuple if unknown/untyped)."""

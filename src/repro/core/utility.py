@@ -5,11 +5,21 @@ This module turns a working set of pages plus a candidate query pool into a
 with templates) and provides the utility-regularization vectors of Sect. III
 (Eqs. 11-12): every relevant page is guided towards precision 1, and the
 relevant pages share a total recall mass of 1.
+
+Assembly reads every vertex's edges from a :class:`GraphTables` memo.  A
+query's distinct words and templates and a page's words are pure functions
+of the query or the page, so a harvest session keeps one table and each
+selection derives only the rows of the candidates and pages it has not met
+before.  The page-query edges are then one sparse matmul over the gathered
+word rows, and the query-template edges a gather of template rows; vertex
+order and every CSR array are exactly those of building the graph
+vertex by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,16 +28,13 @@ from scipy import sparse
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
 from repro.core.queries import Query
-from repro.core.templates import Template, TemplateIndex
+from repro.core.templates import Template, abstract_queries
 from repro.corpus.document import Page
 from repro.corpus.knowledge_base import TypeSystem
-from repro.graph.reinforcement import (
-    ReinforcementGraph,
-    ReinforcementGraphBuilder,
-    VertexIndex,
-    _entries_to_csr,
-)
+from repro.graph.reinforcement import ReinforcementGraph, VertexIndex
 from repro.graph.random_walk import UtilitySolver
+
+_NO_ROW = -1
 
 
 @dataclass
@@ -38,11 +45,204 @@ class AssembledGraph:
     pages: List[Page]
     queries: List[Query]
     templates: List[Template]
-    template_index: Optional[TemplateIndex]
 
     def solver(self, config: L2QConfig) -> UtilitySolver:
         """Create a solver with the configured restart probability alpha."""
         return UtilitySolver(self.graph, alpha=config.alpha)
+
+
+class _RaggedRows:
+    """Integer rows appended over time and gathered by row number."""
+
+    def __init__(self) -> None:
+        self._values = np.zeros(64, dtype=np.int64)
+        self._starts = np.zeros(16, dtype=np.int64)
+        self._lengths = np.zeros(16, dtype=np.int64)
+        self._num_values = 0
+        self._num_rows = 0
+
+    def __len__(self) -> int:
+        return self._num_rows
+
+    def extend(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        """Append rows given as their concatenated values and lengths; they
+        get the next row numbers in order."""
+        first_row, first_value = self._num_rows, self._num_values
+        self._num_rows += lengths.size
+        self._num_values += values.size
+        self._starts = _with_capacity(self._starts, self._num_rows)
+        self._lengths = _with_capacity(self._lengths, self._num_rows)
+        self._values = _with_capacity(self._values, self._num_values)
+        self._starts[first_row:self._num_rows] = first_value + np.cumsum(lengths) - lengths
+        self._lengths[first_row:self._num_rows] = lengths
+        self._values[first_value:self._num_values] = values
+
+    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The values of ``rows`` concatenated in order, and each row's length."""
+        lengths = self._lengths[rows]
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        shift = np.repeat(self._starts[rows] - (ends - lengths), lengths)
+        return self._values[np.arange(total) + shift], lengths
+
+
+def _with_capacity(array: np.ndarray, size: int) -> np.ndarray:
+    if size <= array.size:
+        return array
+    grown = np.zeros(max(size, 2 * array.size), dtype=array.dtype)
+    grown[:array.size] = array
+    return grown
+
+
+def _numbered(keys: Sequence, ids: Dict, numbered: Optional[List] = None) -> np.ndarray:
+    """The id of every key in ``ids``; a key without one gets the next free
+    id (``len(ids)``) and, if given, is appended to ``numbered``."""
+    new = [key for key in dict.fromkeys(keys) if key not in ids]
+    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    if numbered is not None:
+        numbered.extend(new)
+    return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+class GraphTables:
+    """Memo of the graph rows of queries and pages.
+
+    Every entry is a pure function of its key, so a table can serve any
+    sequence of graphs over the same type system:
+
+    * a query's sorted distinct word ids, and its template ids (derived only
+      when a graph with templates first needs them);
+    * a page's word ids (of ``page.token_set``), keyed by ``page_id`` and
+      reused only for the very same :class:`Page` object;
+    * the word rows of a query list, for the last list asked about (by
+      identity: the list must not change while the table is in use).
+
+    Word and template ids number the table's own vocabularies.  The table
+    starts afresh when the type system changes, since templates depend on
+    it.  A harvest session owns one table; nothing that outlives the
+    session should hold it.
+    """
+
+    def __init__(self, type_system: TypeSystem) -> None:
+        self.type_system = type_system
+        self._clear()
+
+    def _clear(self) -> None:
+        self._version = getattr(self.type_system, "_version", None)
+        self._word_ids: Dict[str, int] = {}
+        self._query_ids: Dict[Query, int] = {}
+        self._queries: List[Query] = []
+        self._query_words = _RaggedRows()
+        #: Row of each query id in ``_query_templates``, or ``_NO_ROW``.
+        self._template_rows = np.zeros(0, dtype=np.int64)
+        self._query_templates = _RaggedRows()
+        self._template_ids: Dict[Template, int] = {}
+        self._templates: List[Template] = []
+        self._pages: Dict[str, Tuple[Page, np.ndarray]] = {}
+        self._list_rows: Optional[Tuple[Sequence[Query], np.ndarray, np.ndarray]] = None
+
+    def _current(self) -> None:
+        if getattr(self.type_system, "_version", None) != self._version:
+            self._clear()
+
+    @property
+    def num_words(self) -> int:
+        """Size of the word vocabulary (every word id is below it)."""
+        return len(self._word_ids)
+
+    # -- Queries -------------------------------------------------------------
+    def query_ids(self, queries: Sequence[Query]) -> np.ndarray:
+        """Table ids of ``queries``, registering the ones not seen before.
+
+        Ids stay valid until the type system changes.
+        """
+        self._current()
+        known = self._query_ids
+        ids = np.fromiter(map(known.get, queries, repeat(_NO_ROW)),
+                          dtype=np.int64, count=len(queries))
+        missing = np.flatnonzero(ids == _NO_ROW)
+        if missing.size:
+            unknown = [queries[position] for position in missing.tolist()]
+            first_id = len(self._queries)
+            ids[missing] = _numbered(unknown, known, self._queries)
+            new = self._queries[first_id:]
+            self._query_words.extend(*self._word_rows(new))
+            self._template_rows = np.concatenate(
+                [self._template_rows, np.full(len(new), _NO_ROW, dtype=np.int64)])
+        return ids
+
+    def _word_rows(self, queries: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query's sorted distinct word ids, concatenated, and their counts."""
+        words = _numbered(list(chain.from_iterable(queries)), self._word_ids)
+        owners = np.repeat(np.arange(len(queries)),
+                           np.fromiter(map(len, queries), dtype=np.int64,
+                                       count=len(queries)))
+        order = np.lexsort((words, owners))
+        words, owners = words[order], owners[order]
+        distinct = np.ones(words.size, dtype=bool)
+        distinct[1:] = (words[1:] != words[:-1]) | (owners[1:] != owners[:-1])
+        return words[distinct], np.bincount(owners[distinct], minlength=len(queries))
+
+    def query_words(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Concatenated word ids of the queries ``ids``, and each row's length."""
+        return self._query_words.gather(ids)
+
+    def query_templates(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Concatenated template ids of the queries ``ids`` (each query's in
+        :func:`~repro.core.templates.abstract_query` order), and each row's
+        length."""
+        rows = self._template_rows[ids]
+        missing = np.flatnonzero(rows == _NO_ROW)
+        if missing.size:
+            new_ids = np.unique(ids[missing])
+            abstractions = abstract_queries(
+                [self._queries[query_id] for query_id in new_ids.tolist()],
+                self.type_system)
+            first_row = len(self._query_templates)
+            self._query_templates.extend(
+                _numbered(list(chain.from_iterable(abstractions)),
+                          self._template_ids, self._templates),
+                np.fromiter(map(len, abstractions), dtype=np.int64,
+                            count=len(abstractions)))
+            self._template_rows[new_ids] = np.arange(
+                first_row, first_row + new_ids.size)
+            rows = self._template_rows[ids]
+        return self._query_templates.gather(rows)
+
+    def templates(self, ids: np.ndarray) -> List[Template]:
+        """The templates with table ids ``ids``."""
+        templates = self._templates
+        return [templates[template_id] for template_id in ids.tolist()]
+
+    # -- Pages ---------------------------------------------------------------
+    def page_words(self, pages: Sequence[Page]) -> Tuple[np.ndarray, np.ndarray]:
+        """Concatenated word ids of ``pages``, and each page's count."""
+        self._current()
+        cached = self._pages
+        rows = []
+        for page in pages:
+            entry = cached.get(page.page_id)
+            if entry is None or entry[0] is not page:
+                entry = cached[page.page_id] = (
+                    page, _numbered(list(page.token_set), self._word_ids))
+            rows.append(entry[1])
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        return (np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)), lengths
+
+    # -- Grounding -----------------------------------------------------------
+    def grounded(self, queries: Sequence[Query], pages: Sequence[Page]) -> np.ndarray:
+        """Whether each query has at least one word on at least one of ``pages``."""
+        self._current()
+        memo = self._list_rows
+        if memo is None or memo[0] is not queries:
+            words, lengths = self.query_words(self.query_ids(queries))
+            owners = np.repeat(np.arange(len(queries)), lengths)
+            memo = self._list_rows = (queries, words, owners)
+        _, words, owners = memo
+        page_words, _ = self.page_words(pages)
+        observed = np.zeros(self.num_words, dtype=bool)
+        observed[page_words] = True
+        return np.bincount(owners[observed[words]], minlength=len(queries)) > 0
 
 
 class GraphAssembler:
@@ -54,162 +254,109 @@ class GraphAssembler:
 
     def assemble(self, pages: Sequence[Page], queries: Sequence[Query],
                  use_templates: bool = True,
-                 edge_weights: Optional[Mapping[Tuple[str, Query], float]] = None) -> AssembledGraph:
+                 tables: Optional[GraphTables] = None) -> AssembledGraph:
         """Build the graph.
 
         Parameters
         ----------
         pages:
             The page vertices (e.g. current result pages ``P_E`` or domain
-            pages ``P_D``).
+            pages ``P_D``), with distinct page ids.
         queries:
-            The candidate query vertices.  Edges connect a query to every
-            page that contains all of its words ("page p can be retrieved by
-            query q"); queries with no containing page still become vertices
-            (they may be connected through templates).
+            The distinct candidate query vertices.  Edges connect a query to
+            every page that contains all of its words ("page p can be
+            retrieved by query q"); queries with no containing page still
+            become vertices (they may be connected through templates).
         use_templates:
             Whether to add the template layer (Sect. IV).
-        edge_weights:
-            Optional override of page-query edge weights keyed by
-            ``(page_id, query)``; defaults to binary containment weights.
+        tables:
+            The memo the rows are read from (a harvest session passes its
+            own); a fresh one when omitted.
+
+        Raises ``ValueError`` on a duplicate page id or query.
         """
-        # Same vertex/edge semantics as ReinforcementGraphBuilder (vertices
-        # registered up front in input order, positive weights accumulated),
-        # constructed directly: the builder's per-edge method calls are a
-        # measurable fraction of each selection step.
-        pages_index = VertexIndex()
-        pages_index.extend([page.page_id for page in pages])
-        queries_index = VertexIndex()
-        query_positions = queries_index.extend(queries)
+        if tables is None:
+            tables = GraphTables(self.type_system)
+        elif tables.type_system is not self.type_system:
+            raise ValueError("graph tables belong to another type system")
+        page_index = _distinct_index([page.page_id for page in pages], "page id")
+        query_index = _distinct_index(queries, "query")
+        query_ids = tables.query_ids(queries)
+        page_query = _containment_matrix(tables, pages, query_ids)
 
-        page_positions, query_cols = _containment_arrays(pages, queries)
-        distinct = (len(pages_index) == len(pages)
-                    and len(queries_index) == len(queries))
-        if edge_weights is None and distinct:
-            # Hot path: binary weights over distinct vertices mean every
-            # containment pair is one unit entry — straight to CSR, no
-            # accumulation dict (the COO constructor canonicalises).
-            page_query = sparse.csr_matrix(
-                (np.ones(page_positions.size), (page_positions, query_cols)),
-                shape=(len(pages_index), len(queries_index)), dtype=np.float64)
-        else:
-            # Duplicated vertices (or explicit weights) accumulate edge
-            # weights in page-major pair order, as the graph builder would.
-            pq_entries: Dict[Tuple[int, int], float] = {}
-            for page_position, query_position in sorted(
-                    zip(page_positions.tolist(), query_cols.tolist())):
-                page = pages[page_position]
-                query = queries[query_position]
-                weight = 1.0
-                if edge_weights is not None:
-                    weight = float(edge_weights.get((page.page_id, query), 1.0))
-                if weight <= 0:
-                    continue
-                key = (pages_index.add(page.page_id), query_positions[query_position])
-                pq_entries[key] = pq_entries.get(key, 0.0) + weight
-            page_query = _entries_to_csr(
-                pq_entries, (len(pages_index), len(queries_index)))
-
-        templates_index = VertexIndex()
-        template_index: Optional[TemplateIndex] = None
-        qt_rows: List[int] = []
-        qt_cols: List[int] = []
+        template_index = VertexIndex()
+        qt_rows = qt_cols = np.zeros(0, dtype=np.int64)
         if use_templates:
-            template_index = TemplateIndex(self.type_system)
-            for query, query_vertex in zip(queries, query_positions):
-                for template in template_index.add_query(query):
-                    qt_rows.append(query_vertex)
-                    qt_cols.append(templates_index.add(template))
-        # Unit weights again: duplicate (query, template) pairs — possible
-        # only with duplicated queries — sum to exact integers either way.
+            template_ids, lengths = tables.query_templates(query_ids)
+            distinct, first, inverse = np.unique(
+                template_ids, return_index=True, return_inverse=True)
+            # Template vertices in order of first appearance.
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            template_index.extend(tables.templates(distinct[order]))
+            qt_rows = np.repeat(np.arange(len(queries)), lengths)
+            qt_cols = rank[inverse.reshape(-1)]
         query_template = sparse.csr_matrix(
-            (np.ones(len(qt_rows)), (qt_rows, qt_cols)),
-            shape=(len(queries_index), len(templates_index)), dtype=np.float64)
+            (np.ones(qt_rows.size), (qt_rows, qt_cols)),
+            shape=(len(query_index), len(template_index)), dtype=np.float64)
 
-        graph = ReinforcementGraph(pages_index, queries_index, templates_index,
+        graph = ReinforcementGraph(page_index, query_index, template_index,
                                    page_query, query_template)
         return AssembledGraph(
             graph=graph,
             pages=list(pages),
             queries=list(queries),
-            templates=list(graph.templates.keys()),
-            template_index=template_index,
+            templates=template_index.keys(),
         )
 
 
-def _containment_arrays(pages: Sequence[Page],
-                        queries: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``(page_position, query_position)`` pairs where the page contains
-    every word of the query, via one sparse matmul.
+def _distinct_index(keys: Sequence, what: str) -> VertexIndex:
+    index = VertexIndex()
+    index.extend(keys)
+    if len(index) != len(keys):
+        raise ValueError(f"duplicate {what} among the graph's vertices")
+    return index
 
-    Equivalent to testing
-    :func:`~repro.core.queries.query_contained_in_page` for every pair, but
-    the O(pages × queries) loop collapses into counting, per pair, how many
-    *distinct* query words occur in the page — ``(pages × words) @ (words ×
-    queries)`` over binary incidence matrices — and keeping the pairs whose
-    count equals the query's word count.  Returns parallel position arrays
-    in no particular order; each pair occurs exactly once.
+
+def _containment_matrix(tables: GraphTables, pages: Sequence[Page],
+                        query_ids: np.ndarray) -> sparse.csr_matrix:
+    """Binary ``pages × queries`` matrix: 1 where the page contains every
+    word of the query.
+
+    The count of a query's words on a page is one sparse matmul,
+    ``(pages × words) @ (words × queries)`` over binary incidence matrices;
+    the page contains the query where the count equals the query's number
+    of distinct words.  An empty query is contained in every page.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    if not pages or not queries:
-        return empty, empty
-    word_positions: Dict[str, int] = {}
-    query_rows: List[int] = []
-    query_cols: List[int] = []
-    vacuous: List[int] = []
-    for query_position, query in enumerate(queries):
-        words = set(query)
-        if not words:
-            # An empty query is (vacuously) contained in every page.
-            vacuous.append(query_position)
-            continue
-        for word in words:
-            position = word_positions.setdefault(word, len(word_positions))
-            query_rows.append(query_position)
-            query_cols.append(position)
-
-    page_rows: List[int] = []
-    page_cols: List[int] = []
-    query_word_set = frozenset(word_positions)
-    position_of = word_positions.__getitem__
-    for page_position, page in enumerate(pages):
-        # Set intersection runs in C; incidence order is irrelevant because
-        # the COO->CSR conversion canonicalises (entries are unique).
-        hits = page.token_set & query_word_set
-        if hits:
-            page_cols.extend(map(position_of, hits))
-            page_rows.extend([page_position] * len(hits))
-
-    pair_pages, pair_queries = empty, empty
-    if word_positions:
-        shape_words = len(word_positions)
-        query_words = sparse.csr_matrix(
-            (np.ones(len(query_rows)), (query_rows, query_cols)),
-            shape=(len(queries), shape_words))
-        page_words = sparse.csr_matrix(
-            (np.ones(len(page_rows)), (page_rows, page_cols)),
-            shape=(len(pages), shape_words))
-        counts = (page_words @ query_words.T).tocoo()
-        required = np.bincount(np.asarray(query_rows, dtype=np.int64),
-                               minlength=len(queries))
-        contained = counts.data == required[counts.col]
-        pair_pages = counts.row[contained].astype(np.int64)
-        pair_queries = counts.col[contained].astype(np.int64)
-    if vacuous:
-        every_page = np.arange(len(pages), dtype=np.int64)
-        pair_pages = np.concatenate(
-            [pair_pages] + [every_page for _ in vacuous])
-        pair_queries = np.concatenate(
-            [pair_queries] + [np.full(len(pages), position, dtype=np.int64)
-                              for position in vacuous])
-    return pair_pages, pair_queries
+    shape = (len(pages), query_ids.size)
+    rows = cols = np.zeros(0, dtype=np.int64)
+    if pages and query_ids.size:
+        page_words, page_lengths = tables.page_words(pages)
+        query_words, query_lengths = tables.query_words(query_ids)
+        num_words = tables.num_words
+        pages_by_word = sparse.csr_matrix(
+            (np.ones(page_words.size), page_words, _indptr(page_lengths)),
+            shape=(len(pages), num_words))
+        words_by_query = sparse.csc_matrix(
+            (np.ones(query_words.size), query_words, _indptr(query_lengths)),
+            shape=(num_words, query_ids.size))
+        counts = (pages_by_word @ words_by_query).tocoo()
+        contained = counts.data == query_lengths[counts.col]
+        rows = counts.row[contained].astype(np.int64)
+        cols = counts.col[contained].astype(np.int64)
+        vacuous = np.flatnonzero(query_lengths == 0)
+        if vacuous.size:
+            rows = np.concatenate([rows, np.tile(np.arange(len(pages)), vacuous.size)])
+            cols = np.concatenate([cols, np.repeat(vacuous, len(pages))])
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape,
+                             dtype=np.float64)
 
 
-def _containment_pairs(pages: Sequence[Page],
-                       queries: Sequence[Query]) -> List[Tuple[int, int]]:
-    """:func:`_containment_arrays` as a page-major-sorted list of pairs."""
-    pair_pages, pair_queries = _containment_arrays(pages, queries)
-    return sorted(zip(pair_pages.tolist(), pair_queries.tolist()))
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +394,33 @@ def template_regularization(template_utilities: Mapping[Template, float],
     size; normalising makes the adaptation strength ``lambda`` comparable
     across modes and corpus scales (the ranking of templates is unchanged).
     """
-    values = {t: float(v) for t, v in template_utilities.items() if v > 0}
-    if not values:
-        return {}
-    scale = max(values.values()) if normalize else 1.0
-    if scale <= 0:
-        return {}
+    return scaled_template_regularization(
+        template_utilities, templates, adaptation_lambda,
+        template_scale(template_utilities, normalize))
+
+
+def template_scale(template_utilities: Mapping[Template, float],
+                   normalize: bool = True) -> float:
+    """The divisor :func:`template_regularization` applies: the largest
+    positive domain utility (1.0 without ``normalize``), or 0.0 when no
+    template has a positive utility, so that none is regularized."""
+    positive = [float(value) for value in template_utilities.values() if value > 0]
+    if not positive:
+        return 0.0
+    return max(positive) if normalize else 1.0
+
+
+def scaled_template_regularization(template_utilities: Mapping[Template, float],
+                                   templates: Iterable[Template],
+                                   adaptation_lambda: float,
+                                   scale: float) -> Dict[Template, float]:
+    """``lambda * U_D(t) / scale`` for each of ``templates`` with a positive
+    domain utility, in ``templates`` order (``{}`` when ``scale`` is 0)."""
     regularization: Dict[Template, float] = {}
+    if scale <= 0:
+        return regularization
     for template in templates:
-        domain_value = values.get(template)
-        if domain_value is not None:
-            regularization[template] = adaptation_lambda * domain_value / scale
+        domain_value = template_utilities.get(template)
+        if domain_value is not None and domain_value > 0:
+            regularization[template] = adaptation_lambda * float(domain_value) / scale
     return regularization

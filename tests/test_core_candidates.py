@@ -91,11 +91,3 @@ class TestDerivedState:
         remaining = stats.unfired_sorted_queries(fired)
         assert remaining == [q for q in all_queries if q not in fired]
 
-    def test_observed_words_union(self, enumerator):
-        stats = CandidateStatistics(enumerator)
-        pages = _pages()
-        stats.add_pages(pages)
-        expected = set()
-        for page in pages:
-            expected.update(page.token_set)
-        assert stats.observed_words == expected

@@ -29,6 +29,10 @@ class TestValidation:
         ("top_k", 0),
         ("num_queries", -1),
         ("domain_entity_support_fraction", 1.5),
+        ("max_entity_candidates", 0),
+        ("max_entity_candidates", -1),
+        ("max_domain_queries", 0),
+        ("max_domain_queries", -1),
     ])
     def test_invalid_values(self, field, value):
         config = L2QConfig(**{field: value})

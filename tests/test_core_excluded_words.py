@@ -86,5 +86,5 @@ class TestExcludedWords:
         from_scratch = phase.enumerate_candidates(entity, pages)
         incremental = phase.enumerate_candidates(
             entity, pages, statistics=session.candidates.statistics,
-            observed_words=session.candidates.observed_words)
+            tables=session.tables)
         assert from_scratch == incremental

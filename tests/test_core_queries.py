@@ -115,3 +115,14 @@ class TestPruning:
         assert frequent == [("common",)]
         capped = prune_queries(stats, min_page_frequency=1, max_queries=1)
         assert capped == [("common",)]
+
+    def test_negative_cap_raises(self):
+        # A negative cap once sliced silently: ``max_queries=-1`` dropped the
+        # last query instead of failing.
+        enumerator = QueryEnumerator(max_length=1)
+        stats = enumerator.enumerate_from_pages(
+            [make_page("p1", "e1", [(["alpha", "beta", "gamma"], None)])])
+        assert len(prune_queries(stats)) == 3
+        assert prune_queries(stats, max_queries=0) == []
+        with pytest.raises(ValueError, match="max_queries"):
+            prune_queries(stats, max_queries=-1)

@@ -8,9 +8,12 @@ from repro.aspects.relevance import AllRelevant, OracleRelevance
 from repro.core.config import L2QConfig
 from repro.core.utility import (
     GraphAssembler,
+    GraphTables,
     precision_page_regularization,
     recall_page_regularization,
+    scaled_template_regularization,
     template_regularization,
+    template_scale,
 )
 from repro.corpus.knowledge_base import build_type_system
 
@@ -45,20 +48,26 @@ class TestGraphAssembly:
     def test_no_templates_when_disabled(self):
         assembled = _assembler().assemble(_pages(), [("hpc", "research")], use_templates=False)
         assert assembled.graph.num_templates == 0
-        assert assembled.template_index is None
+        assert assembled.templates == []
 
     def test_query_without_containing_page_still_a_vertex(self):
         assembled = _assembler().assemble(_pages(), [("unseen_word",)], use_templates=False)
         assert ("unseen_word",) in assembled.graph.queries
         assert assembled.graph.query_page_neighbors(("unseen_word",)) == []
 
-    def test_edge_weight_override(self):
-        weights = {("p1", ("hpc",)): 0.25}
-        assembled = _assembler().assemble(_pages(), [("hpc",)], use_templates=False,
-                                          edge_weights=weights)
-        neighbors = dict(assembled.graph.query_page_neighbors(("hpc",)))
-        assert neighbors["p1"] == 0.25
-        assert neighbors["p2"] == 1.0
+    def test_duplicate_page_ids_raise(self):
+        pages = _pages()
+        with pytest.raises(ValueError, match="page id"):
+            _assembler().assemble(pages + [pages[0]], [("hpc",)])
+
+    def test_duplicate_queries_raise(self):
+        with pytest.raises(ValueError, match="query"):
+            _assembler().assemble(_pages(), [("hpc",), ("office",), ("hpc",)])
+
+    def test_tables_of_another_type_system_raise(self):
+        other = GraphTables(build_type_system({"topic": ["hpc"]}))
+        with pytest.raises(ValueError, match="type system"):
+            _assembler().assemble(_pages(), [("hpc",)], tables=other)
 
     def test_solver_uses_config_alpha(self):
         config = L2QConfig(alpha=0.3)
@@ -108,3 +117,15 @@ class TestTemplateRegularization:
 
     def test_non_positive_utilities_ignored(self):
         assert template_regularization({("a",): 0.0}, [("a",)], 10.0) == {}
+
+    def test_regularization_is_the_scaled_restriction(self):
+        domain = {("a",): 0.03, ("b",): 0.01, ("c",): -1.0}
+        assert template_scale(domain) == 0.03
+        assert template_scale(domain, normalize=False) == 1.0
+        assert template_scale({("c",): -1.0}, normalize=False) == 0.0
+        templates = [("b",), ("c",), ("d",), ("a",)]
+        scaled = scaled_template_regularization(domain, templates, 10.0, 0.03)
+        assert list(scaled) == [("b",), ("a",)]
+        assert scaled == {("b",): 10.0 * 0.01 / 0.03, ("a",): 10.0 * 0.03 / 0.03}
+        assert template_regularization(domain, templates, 10.0) == scaled
+        assert scaled_template_regularization(domain, templates, 10.0, 0.0) == {}
