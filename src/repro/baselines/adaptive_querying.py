@@ -12,20 +12,27 @@ Implementation: for every candidate query enumerated from the current
 result pages, estimate
 
 * ``support`` — how many classifier-relevant current pages contain the
-  query (the adaptive frequency statistic), and
+  query (the adaptive frequency statistic); while no current page is
+  relevant, how many current pages contain it, and
 * ``novelty`` — one minus the fraction of the query's containing pages that
-  every past query already covers (a crude estimate of how many *new*
-  documents the query would return, the heart of the adaptive policy).
+  some past query already covers (a crude estimate of how many *new*
+  documents the query would return, the heart of the adaptive policy);
+  1.0 for a query no current page contains.
 
-The score is ``support * novelty``; the best unfired candidate wins.
+The score is ``support * (0.5 + 0.5 * novelty)``; the best unfired candidate
+wins, the lexicographically smallest among equal scores.  Containment is
+read from the session's :class:`~repro.core.utility.GraphTables`, so one
+matrix scores every candidate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
-from repro.core.queries import Query, query_contained_in_page
-from repro.core.selection import QuerySelector, first_unfired
+import numpy as np
+
+from repro.core.queries import Query
+from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
 
 
@@ -35,36 +42,23 @@ class AdaptiveQueryingSelection(QuerySelector):
     name = "AQ"
 
     def select(self, session: HarvestSession) -> Optional[Query]:
-        if not session.current_pages:
+        pages = session.current_pages
+        if not pages:
             return None
-        relevant_pages = session.relevant_current_pages()
-        scoring_pages = relevant_pages if relevant_pages else session.current_pages
-
-        candidates = session.candidates.sorted_queries()
+        candidates = session.candidates.unfired_sorted_queries(session.fired_queries)
         if not candidates:
             return None
+        tables = session.tables
 
-        covered_by_past = self._pages_covered_by_past(session)
-        scores: Dict[Query, float] = {}
-        for query in candidates:
-            containing = [p for p in session.current_pages
-                          if query_contained_in_page(query, p)]
-            support = sum(1 for p in scoring_pages if query_contained_in_page(query, p))
-            if containing:
-                already = sum(1 for p in containing if p.page_id in covered_by_past)
-                novelty = 1.0 - already / len(containing)
-            else:
-                novelty = 1.0
-            scores[query] = support * (0.5 + 0.5 * novelty)
-
-        ranked = sorted(candidates, key=lambda q: (-scores[q], q))
-        return first_unfired(ranked, session)
-
-    @staticmethod
-    def _pages_covered_by_past(session: HarvestSession) -> Set[str]:
-        covered: Set[str] = set()
-        for query in session.past_queries:
-            for page in session.current_pages:
-                if query_contained_in_page(query, page):
-                    covered.add(page.page_id)
-        return covered
+        contained = tables.containment(pages, tables.query_ids(candidates))
+        relevant = np.array([session.relevance(page) == 1 for page in pages])
+        scoring = relevant if relevant.any() else np.ones(len(pages), dtype=bool)
+        past = tables.containment(pages, tables.query_ids(session.past_queries))
+        covered = np.asarray(past.sum(axis=1)).ravel() > 0
+        count = np.asarray(contained.sum(axis=0)).ravel()
+        support = contained.T @ scoring.astype(np.float64)
+        already = contained.T @ covered.astype(np.float64)
+        novelty = 1.0 - np.divide(already, count, out=np.zeros(len(candidates)),
+                                  where=count > 0)
+        score = support * (0.5 + 0.5 * novelty)
+        return candidates[int(np.argmax(score))]

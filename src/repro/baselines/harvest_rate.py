@@ -9,70 +9,121 @@ results and from domain data.  Following the paper's adaptation
 incorporated (harvest rate = fraction of containing pages that are
 relevant), and the statistics of each query are averaged over its templates
 because HR is the only baseline that exploits domain data.
+
+Implementation: the candidate pool is the session's n-grams plus every
+domain query that has none of the entity's excluded words.  A query's score
+is the mean of the rates it has: its *current* rate (the fraction of the
+current pages containing it that are relevant, if any contains it) and its
+template-averaged *domain* score (if it is a domain query); 0.0 if it has
+neither.  The unfired query with the highest score wins, the
+lexicographically smallest among equal scores.  Containment is read from
+the session's :class:`~repro.core.utility.GraphTables`, so one matrix
+scores the whole pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+from scipy import sparse
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
-from repro.core.queries import Query, QueryEnumerator, prune_queries, query_contained_in_page
-from repro.core.selection import QuerySelector, first_unfired
+from repro.core.domain_phase import enumerate_domain_queries
+from repro.core.queries import Query
+from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
-from repro.core.templates import Template, TemplateIndex
+from repro.core.templates import Template, abstract_queries
 from repro.corpus.corpus import Corpus
+from repro.corpus.document import Page
+
+
+@dataclass
+class HarvestRateDomain:
+    """The aspect-independent part of the HR statistics of a domain corpus.
+
+    Its domain queries (as the domain phase enumerates them), which pages
+    contain each one, and each one's templates; every aspect's
+    :class:`HarvestRateStatistics` applies only its relevance to them.
+    """
+
+    pages: List[Page]
+    #: Each domain query's templates, most frequent query first.
+    query_templates: Dict[Query, Tuple[Template, ...]]
+    #: Binary ``queries × pages`` matrix: which of ``pages`` contain each
+    #: query (rows in ``query_templates`` order).
+    containing: sparse.csr_matrix
+
+    @classmethod
+    def from_corpus(cls, domain_corpus: Corpus,
+                    config: Optional[L2QConfig] = None) -> "HarvestRateDomain":
+        """Enumerate and prune the domain queries and abstract their templates."""
+        config = config if config is not None else L2QConfig()
+        pages = list(domain_corpus.iter_pages())
+        queries, statistics = enumerate_domain_queries(pages, config)
+        position = {page.page_id: index for index, page in enumerate(pages)}
+        rows: List[int] = []
+        cols: List[int] = []
+        for row, query in enumerate(queries):
+            for page_id in statistics.pages[query]:
+                rows.append(row)
+                cols.append(position[page_id])
+        templates = abstract_queries(queries, domain_corpus.type_system)
+        return cls(pages=pages,
+                   query_templates=dict(zip(queries, templates)),
+                   containing=sparse.csr_matrix(
+                       (np.ones(len(rows)), (rows, cols)),
+                       shape=(len(queries), len(pages))))
 
 
 @dataclass
 class HarvestRateStatistics:
-    """Domain-side harvest-rate statistics, computed once per (domain, aspect)."""
+    """Domain-side harvest-rate statistics, computed once per (domain, aspect).
+
+    ``domain_queries`` and ``domain_scores`` (each domain query's
+    :meth:`domain_score`) are derived at construction; the statistics must
+    not be changed afterwards.
+    """
 
     query_harvest_rate: Dict[Query, float] = field(default_factory=dict)
     template_harvest_rate: Dict[Template, float] = field(default_factory=dict)
     query_templates: Dict[Query, tuple] = field(default_factory=dict)
+    domain_queries: List[Query] = field(init=False, repr=False, compare=False)
+    domain_scores: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.domain_queries = list(self.query_harvest_rate)
+        self.domain_scores = np.array(
+            [self.domain_score(query) for query in self.domain_queries],
+            dtype=np.float64)
 
     @classmethod
     def from_corpus(cls, domain_corpus: Corpus, relevance: RelevanceFunction,
                     config: Optional[L2QConfig] = None) -> "HarvestRateStatistics":
         """Estimate harvest rates of domain queries and their templates."""
-        config = config if config is not None else L2QConfig()
-        pages = list(domain_corpus.iter_pages())
-        statistics = cls()
-        if not pages:
-            return statistics
+        return cls.from_domain(HarvestRateDomain.from_corpus(domain_corpus, config),
+                               relevance)
 
-        enumerator = QueryEnumerator(
-            max_length=config.max_query_length,
-            min_word_length=config.min_query_word_length,
-        )
-        query_stats = enumerator.enumerate_from_pages(pages)
-        queries = prune_queries(query_stats,
-                                min_page_frequency=config.domain_min_query_pages,
-                                max_queries=config.max_domain_queries)
-
-        relevant_ids = {p.page_id for p in pages if relevance(p) == 1}
-        for query in queries:
-            containing = query_stats.pages.get(query, set())
-            if not containing:
-                continue
-            relevant = len(containing & relevant_ids)
-            statistics.query_harvest_rate[query] = relevant / len(containing)
-
-        template_index = TemplateIndex(domain_corpus.type_system)
-        template_index.add_queries(statistics.query_harvest_rate)
+    @classmethod
+    def from_domain(cls, domain: HarvestRateDomain,
+                    relevance: RelevanceFunction) -> "HarvestRateStatistics":
+        """Apply one aspect's relevance to a domain's queries."""
+        relevant = np.array([relevance(page) == 1 for page in domain.pages],
+                            dtype=np.float64)
+        # Integer counts as floats, so each rate is the float of ``int / int``.
+        rates = (domain.containing @ relevant) / np.diff(domain.containing.indptr)
+        query_harvest_rate = dict(zip(domain.query_templates, rates.tolist()))
         template_totals: Dict[Template, List[float]] = {}
-        for query, rate in statistics.query_harvest_rate.items():
-            templates = template_index.templates_of(query)
-            statistics.query_templates[query] = templates
-            for template in templates:
+        for query, rate in query_harvest_rate.items():
+            for template in domain.query_templates[query]:
                 template_totals.setdefault(template, []).append(rate)
-        statistics.template_harvest_rate = {
-            template: sum(values) / len(values)
-            for template, values in template_totals.items()
-        }
-        return statistics
+        return cls(
+            query_harvest_rate=query_harvest_rate,
+            template_harvest_rate={template: sum(values) / len(values)
+                                   for template, values in template_totals.items()},
+            query_templates=domain.query_templates)
 
     def domain_score(self, query: Query) -> Optional[float]:
         """Template-averaged domain harvest rate of a query (None if unseen)."""
@@ -96,29 +147,38 @@ class HarvestRateSelection(QuerySelector):
         self.domain_statistics = domain_statistics or HarvestRateStatistics()
 
     def select(self, session: HarvestSession) -> Optional[Query]:
-        if not session.current_pages:
+        pages = session.current_pages
+        if not pages:
             return None
-        candidates = set(session.candidates.queries())
-        # HR also exploits domain data: add domain queries it has statistics for.
-        excluded_words = session.entity.excluded_words()
-        for query in self.domain_statistics.query_harvest_rate:
-            if not any(word in excluded_words for word in query):
-                candidates.add(query)
-        if not candidates:
+        tables = session.tables
+        statistics = self.domain_statistics
+        domain = statistics.domain_queries
+        domain_ids = tables.query_ids(domain)
+        ngram_ids = tables.query_ids(session.candidates.queries())
+        fired_ids = tables.query_ids(list(session.fired_queries))
+        # The unfired queries of the pool, as a mask over every table id.
+        unfired = np.zeros(tables.num_queries, dtype=bool)
+        unfired[ngram_ids] = True
+        unfired[domain_ids[tables.avoiding(domain, session.entity.excluded_words())]] = True
+        unfired[fired_ids] = False
+        pool = np.flatnonzero(unfired)
+        if not pool.size:
             return None
 
-        relevant_ids = {p.page_id for p in session.relevant_current_pages()}
-        scores: Dict[Query, float] = {}
-        for query in candidates:
-            containing = [p for p in session.current_pages
-                          if query_contained_in_page(query, p)]
-            current_rate: Optional[float] = None
-            if containing:
-                current_rate = sum(1 for p in containing
-                                   if p.page_id in relevant_ids) / len(containing)
-            domain_rate = self.domain_statistics.domain_score(query)
-            components = [v for v in (current_rate, domain_rate) if v is not None]
-            scores[query] = sum(components) / len(components) if components else 0.0
-
-        ranked = sorted(candidates, key=lambda q: (-scores[q], q))
-        return first_unfired(ranked, session)
+        contained = tables.containment(pages, pool)
+        relevant = np.array([session.relevance(page) == 1 for page in pages],
+                            dtype=np.float64)
+        count = np.asarray(contained.sum(axis=0)).ravel()
+        has_current = count > 0
+        current = np.divide(contained.T @ relevant, count,
+                            out=np.zeros(pool.size), where=has_current)
+        domain_score = np.full(tables.num_queries, np.nan)
+        domain_score[domain_ids] = statistics.domain_scores
+        domain_score = domain_score[pool]
+        has_domain = ~np.isnan(domain_score)
+        # The mean of the rates each query has (the same float operations as
+        # ``sum(rates) / len(rates)``), 0.0 if it has none.
+        score = ((np.where(has_current, current, 0.0)
+                  + np.where(has_domain, domain_score, 0.0))
+                 / np.maximum(has_current.astype(np.int64) + has_domain, 1))
+        return min(tables.queries(pool[score == score.max()]))

@@ -30,9 +30,12 @@ class IdealSelection(QuerySelector):
 
     def __init__(self, ground_truth: RelevanceFunction,
                  max_candidates: int = 3000) -> None:
+        if max_candidates < 1:
+            raise ValueError("max_candidates must be >= 1")
         self.ground_truth = ground_truth
         self.max_candidates = max_candidates
-        self._candidates: List[Query] = []
+        #: The entity's candidates once :meth:`prepare` has run.
+        self._candidates: Optional[List[Query]] = None
         self._retrieved_cache: Dict[Query, Tuple[str, ...]] = {}
         self._relevant_ids: Set[str] = set()
 
@@ -53,7 +56,7 @@ class IdealSelection(QuerySelector):
 
     # -- Selection -----------------------------------------------------------------
     def select(self, session: HarvestSession) -> Optional[Query]:
-        if not self._candidates:
+        if self._candidates is None:
             self.prepare(session)
         if not self._relevant_ids:
             return None

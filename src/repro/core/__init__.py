@@ -27,7 +27,6 @@ from repro.core.queries import (
     QueryStatistics,
     format_query,
     prune_queries,
-    query_contained_in_page,
 )
 from repro.core.selection import (
     ContextAwareSelection,
@@ -104,7 +103,6 @@ __all__ = [
     "make_selector",
     "precision_page_regularization",
     "prune_queries",
-    "query_contained_in_page",
     "recall_page_regularization",
     "selector_names",
     "template_abstraction_level",

@@ -13,11 +13,11 @@ domain queries expand the target entity's candidate pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aspects.relevance import AllRelevant, RelevanceFunction
 from repro.core.config import L2QConfig
-from repro.core.queries import Query, QueryEnumerator, prune_queries
+from repro.core.queries import Query, QueryEnumerator, QueryStatistics, prune_queries
 from repro.core.templates import Template
 from repro.core.utility import (
     GraphAssembler,
@@ -136,7 +136,7 @@ class DomainPhase:
         frequent: List[Query] = []
         solver = None
         if pages:
-            queries, statistics = self._enumerate_domain_queries(pages)
+            queries, statistics = enumerate_domain_queries(pages, self.config)
             support = {query: statistics.entity_support(query) for query in queries}
             threshold = self.config.domain_support_threshold(self.corpus.num_entities())
             frequent = sorted((q for q in queries if support[q] >= threshold),
@@ -149,18 +149,28 @@ class DomainPhase:
                                    frequent_queries=frequent, solver=solver)
         return self._graph
 
-    def _enumerate_domain_queries(self, pages: Sequence[Page]):
-        enumerator = QueryEnumerator(
-            max_length=self.config.max_query_length,
-            min_word_length=self.config.min_query_word_length,
-        )
-        statistics = enumerator.enumerate_from_pages(pages)
-        queries = prune_queries(
-            statistics,
-            min_page_frequency=self.config.domain_min_query_pages,
-            max_queries=self.config.max_domain_queries,
-        )
-        return queries, statistics
+
+def enumerate_domain_queries(pages: Sequence[Page], config: L2QConfig
+                             ) -> Tuple[List[Query], QueryStatistics]:
+    """The domain queries of ``pages`` and the statistics they were pruned from.
+
+    Every n-gram of the pages is enumerated (no entity's words are
+    excluded); those on at least ``config.domain_min_query_pages`` pages
+    are kept, most frequent first, at most ``config.max_domain_queries`` of
+    them.  The domain phase and the HR baseline's domain statistics both
+    start from this list.
+    """
+    enumerator = QueryEnumerator(
+        max_length=config.max_query_length,
+        min_word_length=config.min_query_word_length,
+    )
+    statistics = enumerator.enumerate_from_pages(pages)
+    queries = prune_queries(
+        statistics,
+        min_page_frequency=config.domain_min_query_pages,
+        max_queries=config.max_domain_queries,
+    )
+    return queries, statistics
 
 
 def learn_domain_models(domain_corpus: Corpus, relevance_by_aspect: Dict[str, RelevanceFunction],

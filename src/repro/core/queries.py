@@ -134,16 +134,6 @@ class QueryEnumerator:
         return statistics
 
 
-def query_contained_in_page(query: Query, page: Page) -> bool:
-    """Whether ``page`` contains every word of ``query`` (bag-of-words containment).
-
-    Containment is the proxy the learner uses for "query q can retrieve page
-    p" when building reinforcement-graph edges — the whole point of utility
-    inference is to avoid actually firing candidate queries.
-    """
-    return page.contains_all(query)
-
-
 def prune_queries(statistics: QueryStatistics, min_page_frequency: int = 1,
                   max_queries: Optional[int] = None) -> List[Query]:
     """Keep frequent queries, most frequent first (ties broken lexicographically).

@@ -13,7 +13,8 @@ selection derives only the rows of the candidates and pages it has not met
 before.  The page-query edges are then one sparse matmul over the gathered
 word rows, and the query-template edges a gather of template rows; vertex
 order and every CSR array are exactly those of building the graph
-vertex by vertex.
+vertex by vertex.  The HR and AQ baselines read their candidates'
+containment from the same kernel (:meth:`GraphTables.containment`).
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class GraphTables:
     * the word rows of a query list, for the last list asked about (by
       identity: the list must not change while the table is in use).
 
+    From these rows it answers which pages contain which queries
+    (:meth:`containment`), which queries have a word on some page
+    (:meth:`grounded`) and which have none of a set of words
+    (:meth:`avoiding`).
+
     Word and template ids number the table's own vocabularies.  The table
     starts afresh when the type system changes, since templates depend on
     it.  A harvest session owns one table; nothing that outlives the
@@ -214,6 +220,16 @@ class GraphTables:
         templates = self._templates
         return [templates[template_id] for template_id in ids.tolist()]
 
+    @property
+    def num_queries(self) -> int:
+        """Number of registered queries (every query id is below it)."""
+        return len(self._queries)
+
+    def queries(self, ids: np.ndarray) -> List[Query]:
+        """The queries with table ids ``ids``."""
+        queries = self._queries
+        return [queries[query_id] for query_id in ids.tolist()]
+
     # -- Pages ---------------------------------------------------------------
     def page_words(self, pages: Sequence[Page]) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenated word ids of ``pages``, and each page's count."""
@@ -229,20 +245,70 @@ class GraphTables:
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         return (np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)), lengths
 
-    # -- Grounding -----------------------------------------------------------
-    def grounded(self, queries: Sequence[Query], pages: Sequence[Page]) -> np.ndarray:
-        """Whether each query has at least one word on at least one of ``pages``."""
+    # -- Containment ---------------------------------------------------------
+    def containment(self, pages: Sequence[Page],
+                    query_ids: np.ndarray) -> sparse.csr_matrix:
+        """Binary ``pages × queries`` matrix: 1 where the page contains every
+        word of the query (the queries ``query_ids``, in order).
+
+        Containment is the proxy for "query q can retrieve page p": the
+        learner builds its graph edges from it, and the baselines estimate
+        a query's results from it, without firing the query.  The count of
+        a query's words on a page is one sparse matmul,
+        ``(pages × words) @ (words × queries)`` over binary incidence
+        matrices; the page contains the query where the count equals the
+        query's number of distinct words.  An empty query is contained in
+        every page.
+        """
+        shape = (len(pages), query_ids.size)
+        rows = cols = np.zeros(0, dtype=np.int64)
+        if pages and query_ids.size:
+            page_words, page_lengths = self.page_words(pages)
+            query_words, query_lengths = self.query_words(query_ids)
+            pages_by_word = sparse.csr_matrix(
+                (np.ones(page_words.size), page_words, _indptr(page_lengths)),
+                shape=(len(pages), self.num_words))
+            words_by_query = sparse.csc_matrix(
+                (np.ones(query_words.size), query_words, _indptr(query_lengths)),
+                shape=(self.num_words, query_ids.size))
+            counts = (pages_by_word @ words_by_query).tocoo()
+            contained = counts.data == query_lengths[counts.col]
+            rows = counts.row[contained].astype(np.int64)
+            cols = counts.col[contained].astype(np.int64)
+            vacuous = np.flatnonzero(query_lengths == 0)
+            if vacuous.size:
+                rows = np.concatenate([rows, np.tile(np.arange(len(pages)), vacuous.size)])
+                cols = np.concatenate([cols, np.repeat(vacuous, len(pages))])
+        return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape,
+                                 dtype=np.float64)
+
+    # -- Query lists -----------------------------------------------------------
+    def _list_words(self, queries: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
+        """Word ids of the query list ``queries``, concatenated, and the list
+        position each belongs to."""
         self._current()
         memo = self._list_rows
         if memo is None or memo[0] is not queries:
             words, lengths = self.query_words(self.query_ids(queries))
             owners = np.repeat(np.arange(len(queries)), lengths)
             memo = self._list_rows = (queries, words, owners)
-        _, words, owners = memo
+        return memo[1], memo[2]
+
+    def grounded(self, queries: Sequence[Query], pages: Sequence[Page]) -> np.ndarray:
+        """Whether each query has at least one word on at least one of ``pages``."""
+        words, owners = self._list_words(queries)
         page_words, _ = self.page_words(pages)
         observed = np.zeros(self.num_words, dtype=bool)
         observed[page_words] = True
         return np.bincount(owners[observed[words]], minlength=len(queries)) > 0
+
+    def avoiding(self, queries: Sequence[Query], words: Iterable[str]) -> np.ndarray:
+        """Whether each query has none of ``words``."""
+        query_words, owners = self._list_words(queries)
+        known = self._word_ids
+        banned = np.zeros(self.num_words, dtype=bool)
+        banned[[known[word] for word in words if word in known]] = True
+        return np.bincount(owners[banned[query_words]], minlength=len(queries)) == 0
 
 
 class GraphAssembler:
@@ -282,7 +348,7 @@ class GraphAssembler:
         page_index = _distinct_index([page.page_id for page in pages], "page id")
         query_index = _distinct_index(queries, "query")
         query_ids = tables.query_ids(queries)
-        page_query = _containment_matrix(tables, pages, query_ids)
+        page_query = tables.containment(pages, query_ids)
 
         template_index = VertexIndex()
         qt_rows = qt_cols = np.zeros(0, dtype=np.int64)
@@ -317,40 +383,6 @@ def _distinct_index(keys: Sequence, what: str) -> VertexIndex:
     if len(index) != len(keys):
         raise ValueError(f"duplicate {what} among the graph's vertices")
     return index
-
-
-def _containment_matrix(tables: GraphTables, pages: Sequence[Page],
-                        query_ids: np.ndarray) -> sparse.csr_matrix:
-    """Binary ``pages × queries`` matrix: 1 where the page contains every
-    word of the query.
-
-    The count of a query's words on a page is one sparse matmul,
-    ``(pages × words) @ (words × queries)`` over binary incidence matrices;
-    the page contains the query where the count equals the query's number
-    of distinct words.  An empty query is contained in every page.
-    """
-    shape = (len(pages), query_ids.size)
-    rows = cols = np.zeros(0, dtype=np.int64)
-    if pages and query_ids.size:
-        page_words, page_lengths = tables.page_words(pages)
-        query_words, query_lengths = tables.query_words(query_ids)
-        num_words = tables.num_words
-        pages_by_word = sparse.csr_matrix(
-            (np.ones(page_words.size), page_words, _indptr(page_lengths)),
-            shape=(len(pages), num_words))
-        words_by_query = sparse.csc_matrix(
-            (np.ones(query_words.size), query_words, _indptr(query_lengths)),
-            shape=(num_words, query_ids.size))
-        counts = (pages_by_word @ words_by_query).tocoo()
-        contained = counts.data == query_lengths[counts.col]
-        rows = counts.row[contained].astype(np.int64)
-        cols = counts.col[contained].astype(np.int64)
-        vacuous = np.flatnonzero(query_lengths == 0)
-        if vacuous.size:
-            rows = np.concatenate([rows, np.tile(np.arange(len(pages)), vacuous.size)])
-            cols = np.concatenate([cols, np.repeat(vacuous, len(pages))])
-    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape,
-                             dtype=np.float64)
 
 
 def _indptr(lengths: np.ndarray) -> np.ndarray:

@@ -22,7 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.aspects.classifier import AspectClassifierSuite
 from repro.aspects.relevance import ClassifierRelevance, OracleRelevance, RelevanceFunction
 from repro.baselines.adaptive_querying import AdaptiveQueryingSelection
-from repro.baselines.harvest_rate import HarvestRateSelection, HarvestRateStatistics
+from repro.baselines.harvest_rate import (
+    HarvestRateDomain,
+    HarvestRateSelection,
+    HarvestRateStatistics,
+)
 from repro.baselines.lm_feedback import LanguageModelFeedbackSelection
 from repro.baselines.manual import ManualQuerySelection
 from repro.baselines.oracle import IdealSelection
@@ -82,6 +86,7 @@ class PreparedSplit:
     classifier_attached: bool = False
     _domain_models: Dict[str, DomainModel] = field(default_factory=dict)
     _domain_phase: Optional[DomainPhase] = None
+    _hr_domain: Optional[HarvestRateDomain] = None
     _hr_statistics: Dict[str, HarvestRateStatistics] = field(default_factory=dict)
 
     def domain_model(self, aspect: str) -> DomainModel:
@@ -99,11 +104,18 @@ class PreparedSplit:
         return model
 
     def hr_statistics(self, aspect: str) -> HarvestRateStatistics:
-        """Lazily compute (and cache) the HR baseline statistics for one aspect."""
+        """Lazily compute (and cache) the HR baseline statistics for one aspect.
+
+        Every aspect shares one :class:`HarvestRateDomain`, so the domain
+        queries are enumerated and abstracted once per split.
+        """
         stats = self._hr_statistics.get(aspect)
         if stats is None:
-            stats = HarvestRateStatistics.from_corpus(
-                self.domain_corpus, self.relevance_by_aspect[aspect], self.config)
+            if self._hr_domain is None:
+                self._hr_domain = HarvestRateDomain.from_corpus(self.domain_corpus,
+                                                                self.config)
+            stats = HarvestRateStatistics.from_domain(
+                self._hr_domain, self.relevance_by_aspect[aspect])
             self._hr_statistics[aspect] = stats
         return stats
 

@@ -7,18 +7,31 @@ and per-page Python loops.  The production
 :meth:`~repro.core.utility.GraphAssembler.assemble`, which reads memoised
 rows from :class:`~repro.core.utility.GraphTables`, must produce the same
 vertex keys in the same order and byte-identical CSR arrays.
+
+:func:`reference_hr_select` and :func:`reference_aq_select` score every
+candidate of the HR and AQ baselines with per-candidate × per-page loops
+over :meth:`~repro.corpus.document.Page.contains_all` and rank the whole
+pool; :func:`reference_hr_statistics` derives the HR domain statistics of
+one aspect from scratch.  The production selectors and statistics must
+return the same query and the same floats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.queries import Query
-from repro.core.templates import TemplateIndex
+from repro.aspects.relevance import RelevanceFunction
+from repro.baselines.harvest_rate import HarvestRateStatistics
+from repro.core.config import L2QConfig
+from repro.core.queries import Query, QueryEnumerator, prune_queries
+from repro.core.selection import first_unfired
+from repro.core.session import HarvestSession
+from repro.core.templates import Template, TemplateIndex
 from repro.core.utility import AssembledGraph
+from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
 from repro.corpus.knowledge_base import TypeSystem
 from repro.graph.reinforcement import ReinforcementGraph, VertexIndex
@@ -130,3 +143,101 @@ def assert_same_graph(actual: AssembledGraph, expected: AssembledGraph) -> None:
             a, b = getattr(mine, part), getattr(theirs, part)
             assert a.dtype == b.dtype, (name, part, a.dtype, b.dtype)
             assert a.tobytes() == b.tobytes(), (name, part)
+
+
+def reference_hr_select(domain_statistics: HarvestRateStatistics,
+                        session: HarvestSession) -> Optional[Query]:
+    """:meth:`~repro.baselines.harvest_rate.HarvestRateSelection.select`."""
+    if not session.current_pages:
+        return None
+    candidates = set(session.candidates.queries())
+    # HR also exploits domain data: add domain queries it has statistics for.
+    excluded_words = session.entity.excluded_words()
+    for query in domain_statistics.query_harvest_rate:
+        if not any(word in excluded_words for word in query):
+            candidates.add(query)
+    if not candidates:
+        return None
+
+    relevant_ids = {p.page_id for p in session.relevant_current_pages()}
+    scores: Dict[Query, float] = {}
+    for query in candidates:
+        containing = [p for p in session.current_pages if p.contains_all(query)]
+        current_rate: Optional[float] = None
+        if containing:
+            current_rate = sum(1 for p in containing
+                               if p.page_id in relevant_ids) / len(containing)
+        domain_rate = domain_statistics.domain_score(query)
+        components = [v for v in (current_rate, domain_rate) if v is not None]
+        scores[query] = sum(components) / len(components) if components else 0.0
+
+    ranked = sorted(candidates, key=lambda q: (-scores[q], q))
+    return first_unfired(ranked, session)
+
+
+def reference_aq_select(session: HarvestSession) -> Optional[Query]:
+    """:meth:`~repro.baselines.adaptive_querying.AdaptiveQueryingSelection.select`."""
+    if not session.current_pages:
+        return None
+    relevant_pages = session.relevant_current_pages()
+    scoring_pages = relevant_pages if relevant_pages else session.current_pages
+
+    candidates = session.candidates.sorted_queries()
+    if not candidates:
+        return None
+
+    covered_by_past: Set[str] = set()
+    for query in session.past_queries:
+        for page in session.current_pages:
+            if page.contains_all(query):
+                covered_by_past.add(page.page_id)
+    scores: Dict[Query, float] = {}
+    for query in candidates:
+        containing = [p for p in session.current_pages if p.contains_all(query)]
+        support = sum(1 for p in scoring_pages if p.contains_all(query))
+        if containing:
+            already = sum(1 for p in containing if p.page_id in covered_by_past)
+            novelty = 1.0 - already / len(containing)
+        else:
+            novelty = 1.0
+        scores[query] = support * (0.5 + 0.5 * novelty)
+
+    ranked = sorted(candidates, key=lambda q: (-scores[q], q))
+    return first_unfired(ranked, session)
+
+
+def reference_hr_statistics(domain_corpus: Corpus, relevance: RelevanceFunction,
+                            config: L2QConfig
+                            ) -> Tuple[Dict[Query, float], Dict[Template, float],
+                                       Dict[Query, tuple]]:
+    """The query rates, template rates and query templates of
+    :meth:`~repro.baselines.harvest_rate.HarvestRateStatistics.from_corpus`,
+    enumerated, pruned and abstracted for the one aspect."""
+    pages = list(domain_corpus.iter_pages())
+    query_rates: Dict[Query, float] = {}
+    query_templates: Dict[Query, tuple] = {}
+    if not pages:
+        return query_rates, {}, query_templates
+    enumerator = QueryEnumerator(max_length=config.max_query_length,
+                                 min_word_length=config.min_query_word_length)
+    query_stats = enumerator.enumerate_from_pages(pages)
+    queries = prune_queries(query_stats,
+                            min_page_frequency=config.domain_min_query_pages,
+                            max_queries=config.max_domain_queries)
+    relevant_ids = {p.page_id for p in pages if relevance(p) == 1}
+    for query in queries:
+        containing = query_stats.pages.get(query, set())
+        if containing:
+            query_rates[query] = len(containing & relevant_ids) / len(containing)
+
+    template_index = TemplateIndex(domain_corpus.type_system)
+    template_index.add_queries(query_rates)
+    template_totals: Dict[Template, List[float]] = {}
+    for query, rate in query_rates.items():
+        templates = template_index.templates_of(query)
+        query_templates[query] = templates
+        for template in templates:
+            template_totals.setdefault(template, []).append(rate)
+    template_rates = {template: sum(values) / len(values)
+                      for template, values in template_totals.items()}
+    return query_rates, template_rates, query_templates

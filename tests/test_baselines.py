@@ -9,8 +9,14 @@ from repro.baselines.lm_feedback import LanguageModelFeedbackSelection
 from repro.baselines.manual import ManualQuerySelection
 from repro.baselines.oracle import IdealSelection
 from repro.core.config import L2QConfig
+from repro.core.queries import QueryEnumerator
 from repro.core.session import HarvestSession
+from repro.corpus.corpus import Corpus
+from repro.corpus.document import Entity
+from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
+
+from tests.helpers import make_page
 
 
 @pytest.fixture()
@@ -165,3 +171,30 @@ class TestIdealSelection:
     def test_prepare_called_lazily(self, session):
         selector = IdealSelection(OracleRelevance("AWARD"))
         assert selector.select(session) is not None
+
+    @pytest.mark.parametrize("max_candidates", [0, -1])
+    def test_candidate_cap_validated(self, max_candidates):
+        with pytest.raises(ValueError):
+            IdealSelection(OracleRelevance("AWARD"), max_candidates=max_candidates)
+
+    def test_prepared_once_even_without_candidates(self, session, monkeypatch):
+        # The entity's only page holds nothing but its own excluded words, so
+        # its universe yields no candidate query at all.
+        entity = Entity(entity_id="e0", domain="researcher",
+                        name_tokens=("alpha",), seed_query=("beta",))
+        corpus = Corpus(session.corpus.domain_spec, {"e0": entity},
+                        {"p0": make_page("p0", "e0", [(["alpha", "beta"], "AWARD")])},
+                        session.corpus.type_system)
+        bare = HarvestSession(corpus=corpus, engine=SearchEngine(corpus), entity=entity,
+                              aspect="AWARD", relevance=OracleRelevance("AWARD"),
+                              config=L2QConfig(), rng=SeededRandom(7))
+        enumerations = []
+        enumerate_from_pages = QueryEnumerator.enumerate_from_pages
+        monkeypatch.setattr(QueryEnumerator, "enumerate_from_pages",
+                            lambda self, pages: enumerations.append(len(pages))
+                            or enumerate_from_pages(self, pages))
+        selector = IdealSelection(OracleRelevance("AWARD"))
+        selector.prepare(bare)
+        assert selector.select(bare) is None
+        assert selector.select(bare) is None
+        assert enumerations == [1]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.aspects.relevance import OracleRelevance
+from repro.core import domain_phase as domain_phase_module
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainPhase, learn_domain_models
 from repro.core.templates import is_type_unit
@@ -97,8 +98,9 @@ class TestSharedDomainGraph:
                 return method(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(DomainPhase, "_enumerate_domain_queries",
-                            counted("enumerate", DomainPhase._enumerate_domain_queries))
+        monkeypatch.setattr(domain_phase_module, "enumerate_domain_queries",
+                            counted("enumerate",
+                                    domain_phase_module.enumerate_domain_queries))
         monkeypatch.setattr(GraphAssembler, "assemble",
                             counted("assemble", GraphAssembler.assemble))
         phase = DomainPhase(domain_corpus, L2QConfig())

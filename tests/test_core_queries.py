@@ -8,7 +8,6 @@ from repro.core.queries import (
     QueryEnumerator,
     format_query,
     prune_queries,
-    query_contained_in_page,
 )
 
 
@@ -93,14 +92,6 @@ class TestPageEnumeration:
         a.merge(b)
         assert a.page_frequency(("x1",)) == 2
         assert a.entity_support(("x1",)) == 2
-
-
-class TestContainment:
-    def test_query_contained_in_page(self):
-        page = make_page("p1", "e1", [(["parallel", "hpc"], None)])
-        assert query_contained_in_page(("parallel",), page)
-        assert query_contained_in_page(("hpc", "parallel"), page)
-        assert not query_contained_in_page(("parallel", "missing"), page)
 
 
 class TestPruning:

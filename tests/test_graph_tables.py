@@ -156,6 +156,22 @@ class TestAssemblyEqualsReference:
         assert_same_graph(assembled, reference_assemble(type_system, pages, queries))
 
 
+class TestContainment:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30))
+    def test_equals_contains_all_pair_by_pair(self, seed):
+        rng = random.Random(seed)
+        tables = GraphTables(build_type_system({}))
+        pages = [make_page("p0", "e1", [(["parallel", "hpc"], None)])]
+        pages += [_random_page(rng, f"p{index}") for index in range(1, rng.randint(1, 6))]
+        queries = [("parallel",), ("hpc", "parallel"), ("parallel", "missing"), ()]
+        queries += [query for query in _candidates(rng, 20) if query not in queries]
+        contained = tables.containment(pages, tables.query_ids(queries))
+        assert contained.toarray().tolist() == [
+            [float(page.contains_all(query)) for query in queries] for page in pages]
+        assert contained.toarray()[0, :3].tolist() == [1.0, 1.0, 0.0]
+
+
 class TestGrounding:
     @pytest.fixture(scope="class")
     def setup(self, researcher_corpus):
