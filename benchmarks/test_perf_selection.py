@@ -74,7 +74,7 @@ def test_selection_benchmark(results_dir):
     for method, run in zip(job_methods, results):
         for record in run.iterations:
             per_method[method]["selection_seconds"].append(record.selection_seconds)
-            per_method[method]["fetch_seconds"].append(record.fetch_seconds)
+            per_method[method]["fetch_seconds"].append(record.simulated_fetch_seconds)
 
     stats = prepared.engine.fetch_statistics
     report = {

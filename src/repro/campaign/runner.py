@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro import perf
 from repro.campaign.registry import (
     clean_stale_stores,
     register_store_handles,
@@ -41,7 +41,6 @@ from repro.eval.scenario_sweep import (
     publish_domain_store,
 )
 from repro.exec.backends import ExecutionBackend, resolve_backend
-from repro.perf import recorder as perf_recorder
 from repro.store import MODE_OFF, StoreError, StoreHandle
 
 #: Identifier of the folded campaign-matrices layout.
@@ -162,9 +161,8 @@ class CampaignRunner:
         executes (``None`` = all) — useful for smoke-testing checkpoint
         behaviour and for slicing a campaign across short-lived runners.
         """
-        rec = perf_recorder()
         cells = self.plan()
-        with (rec.phase("campaign-replay") if rec else nullcontext()):
+        with perf.phase("campaign-replay"):
             replay = self.store.replay()
         # Reap segments a killed predecessor leaked before publishing new
         # ones — /dev/shm is a bounded resource.
@@ -177,19 +175,18 @@ class CampaignRunner:
         executed = 0
         sleep_seconds = float(os.environ.get(INTERCELL_SLEEP_ENV, "0") or 0)
         if to_run:
-            handles = self._publish_stores(to_run, rec)
+            handles = self._publish_stores(to_run)
             try:
                 for start in range(0, len(to_run), self.checkpoint_every):
                     batch = to_run[start:start + self.checkpoint_every]
                     specs = [self._transported_spec(cell, handles)
                              for cell in batch]
-                    with (rec.phase("campaign-dispatch", cells=len(batch),
-                                    workers=self.backend.workers)
-                          if rec else nullcontext()):
+                    with perf.phase("campaign-dispatch", cells=len(batch),
+                                    workers=self.backend.workers):
                         results = self.backend.map_tasks(execute_sweep_cell,
                                                          specs)
                     if self.backend.distributed:
-                        merge_cell_phases(rec, results)
+                        merge_cell_phases(results)
                     for cell, result in zip(batch, results):
                         self.store.record(cell, result)
                         executed += 1
@@ -206,12 +203,12 @@ class CampaignRunner:
             duplicates=replay.duplicates,
         )
         if report.remaining == 0:
-            with (rec.phase("campaign-fold") if rec else nullcontext()):
+            with perf.phase("campaign-fold"):
                 document = fold_matrices(self.spec, self.store, cells)
                 report.matrices_path = self.store.write_matrices(document)
         return report
 
-    def _publish_stores(self, to_run: List[CampaignCell], rec
+    def _publish_stores(self, to_run: List[CampaignCell]
                         ) -> Dict[Tuple[int, str], StoreHandle]:
         """Publish one clean base store per pending (seed, domain).
 
@@ -228,10 +225,9 @@ class CampaignRunner:
         for seed, domain in needed:
             scale = self.spec.scale_for_seed(seed)
             try:
-                with (rec.phase("campaign-publish", domain=domain, seed=seed)
-                      if rec else nullcontext()):
+                with perf.phase("campaign-publish", domain=domain, seed=seed):
                     handles[(seed, domain)] = publish_domain_store(
-                        scale, domain, self.spec.corpus_store, rec)
+                        scale, domain, self.spec.corpus_store)
             except StoreError:
                 break  # published domains stay usable; the rest rebuild
         register_store_handles(
@@ -263,7 +259,7 @@ class CampaignRunner:
         perf manifest folds these into its ``campaigns`` block so the
         fleet's resume behaviour is visible next to its throughput.
         """
-        rec = perf_recorder()
+        rec = perf.recorder()
         phases = rec.aggregates_since(0) if rec is not None else {}
         campaign_phases = {name: stats for name, stats in phases.items()
                            if name.startswith("campaign-")}

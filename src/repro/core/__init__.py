@@ -5,9 +5,6 @@ from repro.core.context import CollectiveUtilities, ContextTracker
 from repro.core.domain_phase import DomainModel, DomainPhase, learn_domain_models
 from repro.core.entity_phase import EntityPhase, EntityUtilities
 from repro.core.harvester import (
-    CLIENT_TIME,
-    FETCH_TIME,
-    SELECTION_TIME,
     HarvestResult,
     Harvester,
     IterationRecord,
@@ -61,7 +58,6 @@ from repro.core.utility import (
 
 __all__ = [
     "AssembledGraph",
-    "CLIENT_TIME",
     "CollectiveUtilities",
     "ContextAwareSelection",
     "ContextTracker",
@@ -72,7 +68,6 @@ __all__ = [
     "Done",
     "EntityPhase",
     "EntityUtilities",
-    "FETCH_TIME",
     "GraphAssembler",
     "GraphTables",
     "HarvestResult",
@@ -89,7 +84,6 @@ __all__ = [
     "QuerySelector",
     "QueryStatistics",
     "RandomSelection",
-    "SELECTION_TIME",
     "Template",
     "TemplateIndex",
     "TemplateSelection",

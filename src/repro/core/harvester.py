@@ -2,9 +2,13 @@
 
 Starting from the entity's seed query, each iteration asks the query
 selector for the next query, fires it against the search engine, and folds
-the new result pages into the working set.  Selection (CPU) and fetch
-(simulated I/O) times are recorded separately so that the efficiency
-experiment of Fig. 14 can be reproduced.
+the new result pages into the working set.  Each iteration's
+:class:`IterationRecord` keeps selection (CPU) time apart from the
+simulated fetch (I/O) cost, so that the efficiency experiment of Fig. 14
+can be reproduced.  With profiling on (:mod:`repro.perf`), the
+synchronous driver times each run as a ``harvest`` phase and the stepper
+records every selection as a ``selection`` sample, whichever driver runs
+it.
 
 The loop itself lives in :class:`~repro.core.stepper.HarvestStepper`, a
 resumable state machine split at the fetch boundary; :meth:`Harvester.harvest`
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
+from repro import perf
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
@@ -41,30 +46,22 @@ from repro.core.session import HarvestSession
 from repro.core.stepper import Done, HarvestStepper
 from repro.corpus.corpus import Corpus
 from repro.exec.backends import ExecutionBackend, resolve_backend
-from repro.perf import recorder as perf_recorder
 from repro.search.clients import InstantClient, SearchClient
 from repro.search.engine import RunFetchAccounting, SearchEngine
 from repro.utils.rng import SeededRandom
-from repro.utils.timing import TimingAccumulator
-
-SELECTION_TIME = "selection"
-FETCH_TIME = "fetch"
-#: Measured client-side fetch latency (retries and backoff included) —
-#: kept strictly apart from the paper's *simulated* per-page cost above,
-#: so serving metrics never double-count into the Fig. 14 accounting.
-CLIENT_TIME = "client"
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     """What happened in one iteration of the harvesting loop.
 
+    ``selection_seconds`` is the wall-clock time of exactly the
+    ``selector.select`` call that chose ``query``.
     ``simulated_fetch_seconds`` is the *paper's* accounting — result count
     times the engine's configured per-page cost, the quantity Fig. 14
     contrasts with selection time.  ``client_seconds`` is the measured (or
     simulated-service) client latency of the fetch, including retries and
-    backoff; it is 0.0 for the in-process instant client.  The two axes
-    used to be conflated in a single ``fetch_seconds`` field.
+    backoff; it is 0.0 for the in-process instant client.
     """
 
     index: int
@@ -74,11 +71,6 @@ class IterationRecord:
     selection_seconds: float
     simulated_fetch_seconds: float
     client_seconds: float = 0.0
-
-    @property
-    def fetch_seconds(self) -> float:
-        """Backward-compatible alias for ``simulated_fetch_seconds``."""
-        return self.simulated_fetch_seconds
 
 
 @dataclass
@@ -90,7 +82,6 @@ class HarvestResult:
     selector_name: str
     seed_page_ids: List[str] = field(default_factory=list)
     iterations: List[IterationRecord] = field(default_factory=list)
-    timing: TimingAccumulator = field(default_factory=TimingAccumulator)
     #: This run's own account of engine traffic (fired queries, fetched
     #: pages, cache-key lookups).  It travels with the result across
     #: process boundaries, so orchestrators can merge batch-level fetch
@@ -111,8 +102,11 @@ class HarvestResult:
         """Cumulative gathered page ids after ``num_queries`` iterations.
 
         The seed-query results count as gathered (iteration 0).  ``None``
-        means "after all iterations".
+        means "after all iterations"; a negative count is rejected (a slice
+        would silently answer for another budget).
         """
+        if num_queries is not None and num_queries < 0:
+            raise ValueError(f"num_queries must be >= 0, got {num_queries}")
         limit = len(self.iterations) if num_queries is None else num_queries
         gathered: List[str] = []
         seen = set()
@@ -126,18 +120,6 @@ class HarvestResult:
                     seen.add(page_id)
                     gathered.append(page_id)
         return gathered
-
-    def average_selection_seconds(self) -> float:
-        """Mean per-query selection time."""
-        return self.timing.average(SELECTION_TIME)
-
-    def average_fetch_seconds(self) -> float:
-        """Mean per-query (simulated, paper-accounting) fetch time."""
-        return self.timing.average(FETCH_TIME)
-
-    def total_client_seconds(self) -> float:
-        """Total measured client-side fetch latency (0.0 for instant)."""
-        return self.timing.total(CLIENT_TIME)
 
 
 @dataclass
@@ -269,21 +251,25 @@ class Harvester:
             The search client performing the fetches (defaults to the
             harvester's configured client, then to the in-process
             :class:`~repro.search.clients.InstantClient`).
+
+        With profiling on, the whole run is timed as one ``harvest``
+        phase.  Only synchronous drivers record that phase: serving
+        sessions interleave on one event loop, so their wall time is not
+        one run's.
         """
-        rec = perf_recorder()
-        if rec is None:
-            return self._harvest(entity_id, aspect, selector, relevance,
-                                 num_queries, domain_model, seed, client=client)
-        with rec.phase("harvest", entity=entity_id, aspect=aspect,
-                       selector=selector.name):
-            return self._harvest(entity_id, aspect, selector, relevance,
-                                 num_queries, domain_model, seed, rec=rec,
-                                 client=client)
+        with perf.phase("harvest", entity=entity_id, aspect=aspect,
+                        selector=selector.name):
+            stepper = self.stepper(entity_id, aspect, selector, relevance,
+                                   num_queries, domain_model, seed)
+            if client is None:
+                client = self.client if self.client is not None \
+                    else InstantClient(self.engine)
+            return drive_stepper(stepper, client)
 
     def stepper(self, entity_id: str, aspect: str, selector: QuerySelector,
                 relevance: RelevanceFunction, num_queries: Optional[int] = None,
                 domain_model: Optional[DomainModel] = None,
-                seed: Optional[int] = None, rec=None) -> HarvestStepper:
+                seed: Optional[int] = None) -> HarvestStepper:
         """Build the resumable state machine for one harvesting run.
 
         Sets up the session (seeded identically to the historical inline
@@ -315,23 +301,10 @@ class Harvester:
             accounting=accounting,
             budget=budget,
             simulated_fetch_seconds_per_page=self.engine.simulated_fetch_seconds_per_page,
-            rec=rec,
         )
 
-    def stepper_for_job(self, job: HarvestJob, rec=None) -> HarvestStepper:
+    def stepper_for_job(self, job: HarvestJob) -> HarvestStepper:
         """Build the state machine for one :class:`HarvestJob`."""
         return self.stepper(job.entity_id, job.aspect, job.selector,
                             job.relevance, num_queries=job.num_queries,
-                            domain_model=job.domain_model, seed=job.seed,
-                            rec=rec)
-
-    def _harvest(self, entity_id: str, aspect: str, selector: QuerySelector,
-                 relevance: RelevanceFunction, num_queries: Optional[int],
-                 domain_model: Optional[DomainModel], seed: Optional[int],
-                 rec=None, client: Optional[SearchClient] = None) -> HarvestResult:
-        stepper = self.stepper(entity_id, aspect, selector, relevance,
-                               num_queries, domain_model, seed, rec=rec)
-        if client is None:
-            client = self.client if self.client is not None \
-                else InstantClient(self.engine)
-        return drive_stepper(stepper, client)
+                            domain_model=job.domain_model, seed=job.seed)

@@ -13,13 +13,17 @@ state machine that never fetches anything itself:
 * :meth:`next_action` returns what the session needs next —
   :class:`SeedFetch` (iteration 0, the entity's seed query),
   :class:`QueryFetch` (one selected query; selection runs *inside* this
-  call and is timed), or :class:`Done` (budget exhausted, or the selector
-  returned ``None``).  The call is idempotent: until the pending fetch is
-  fed, repeated calls return the same action.
+  call, timed by a ``perf_counter`` pair around exactly the
+  ``selector.select`` call), or :class:`Done` (budget exhausted, or the
+  selector returned ``None``).  The call is idempotent: until the pending
+  fetch is fed, repeated calls return the same action.
 * :meth:`feed` ingests the responses for the pending action — ranked
   results plus the materialised pages — advances selection state
-  (``add_pages`` / ``record_query`` / ``selector.observe``) and appends
-  the :class:`~repro.core.harvester.IterationRecord`.
+  (``add_pages`` / ``record_query`` / ``selector.observe``), appends
+  the :class:`~repro.core.harvester.IterationRecord` and, with profiling
+  on, records the iteration's selection time as a ``selection`` sample
+  (:func:`repro.perf.record`).  Every driver — synchronous, serving or
+  hand-rolled — therefore reports the same selections.
 
 Who performs the fetch between those two calls is the caller's business: a
 synchronous driver with an in-process client reproduces the historical
@@ -35,13 +39,14 @@ the fetch budget stays honest regardless of the transport.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
+from repro import perf
 from repro.core.queries import Query
 from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
-from repro.utils.timing import Stopwatch
 
 #: Request-key component identifying the seed fetch (iteration 0).
 SEED_FETCH_LABEL = "seed"
@@ -105,15 +110,13 @@ class HarvestStepper:
 
     def __init__(self, session: HarvestSession, selector: QuerySelector,
                  result, accounting, budget: int,
-                 simulated_fetch_seconds_per_page: float,
-                 rec=None) -> None:
+                 simulated_fetch_seconds_per_page: float) -> None:
         self.session = session
         self.selector = selector
         self.result = result
         self.accounting = accounting
         self.budget = budget
         self.per_page_cost = simulated_fetch_seconds_per_page
-        self._rec = rec
         self._entity_id = session.entity.entity_id
         self._key_base = (self._entity_id, session.aspect, selector.name)
         self._index = 0
@@ -140,12 +143,13 @@ class HarvestStepper:
             return self._pending
         if self._done:
             return DONE
-        with Stopwatch() as select_watch:
-            query = self.selector.select(self.session)
+        start = time.perf_counter()
+        query = self.selector.select(self.session)
+        elapsed = time.perf_counter() - start
         if query is None:
             self._done = True
             return DONE
-        self._pending_selection_seconds = select_watch.elapsed
+        self._pending_selection_seconds = elapsed
         self._pending = QueryFetch(
             entity_id=self._entity_id,
             query=query,
@@ -162,8 +166,9 @@ class HarvestStepper:
         materialised pages (empty on a fully failed fetch — the iteration
         is still recorded and the budget still consumed).
         ``client_seconds`` is the *measured* client-side latency of the
-        fetch (retries and backoff included); it is recorded separately
-        from the paper's simulated per-page cost and never mixes with it.
+        fetch (retries and backoff included); a query fetch's record keeps
+        it apart from the paper's simulated per-page cost, and the seed
+        fetch, which has no record, keeps neither.
         """
         action = self._pending
         if action is None or isinstance(action, Done):
@@ -172,44 +177,29 @@ class HarvestStepper:
                 "first, and stop once it returns Done)")
         self._pending = None
         if isinstance(action, SeedFetch):
-            self._feed_seed(results, pages, client_seconds)
+            self._feed_seed(results, pages)
         else:
             self._feed_query(action, results, pages, client_seconds)
 
     # -- Ingestion ------------------------------------------------------------
-    def _feed_seed(self, results, pages, client_seconds: float) -> None:
-        # Local import: harvester imports this module at class-definition
-        # time, so the timing-label constants resolve lazily.
-        from repro.core.harvester import CLIENT_TIME, FETCH_TIME
-
+    def _feed_seed(self, results, pages) -> None:
         self.session.add_pages(pages)
         self.result.seed_page_ids = [r.page_id for r in results]
-        self.result.timing.add(FETCH_TIME, len(results) * self.per_page_cost)
-        if client_seconds:
-            self.result.timing.add(CLIENT_TIME, client_seconds)
         self.selector.prepare(self.session)
         if self.budget <= 0:
             self._done = True
 
     def _feed_query(self, action: QueryFetch, results, pages,
                     client_seconds: float) -> None:
-        from repro.core.harvester import (
-            CLIENT_TIME,
-            FETCH_TIME,
-            SELECTION_TIME,
-            IterationRecord,
-        )
+        # Local import: harvester imports this module at class-definition
+        # time, so the record type resolves lazily.
+        from repro.core.harvester import IterationRecord
 
         new_pages = self.session.add_pages(pages)
         self.session.record_query(action.query)
         simulated = len(results) * self.per_page_cost
-        if self._rec is not None:
-            self._rec.record(SELECTION_TIME, self._pending_selection_seconds,
-                             selector=self.selector.name)
-        self.result.timing.add(SELECTION_TIME, self._pending_selection_seconds)
-        self.result.timing.add(FETCH_TIME, simulated)
-        if client_seconds:
-            self.result.timing.add(CLIENT_TIME, client_seconds)
+        perf.record("selection", self._pending_selection_seconds,
+                    selector=self.selector.name)
         self.result.iterations.append(IterationRecord(
             index=action.index,
             query=action.query,

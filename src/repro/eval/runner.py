@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import perf
 from repro.aspects.classifier import AspectClassifierSuite
 from repro.aspects.relevance import ClassifierRelevance, OracleRelevance, RelevanceFunction
 from repro.baselines.adaptive_querying import AdaptiveQueryingSelection
@@ -48,8 +49,6 @@ from repro.exec.specs import (
     _ProcessLocalCache,
     reserve_base_slots,
 )
-from repro.perf import recorder as perf_recorder
-from repro.perf.timer import PerfRecorder
 from repro.search.engine import FetchStatistics, SearchEngine, merge_run_accounting
 from repro.store import (
     MODE_OFF,
@@ -220,42 +219,36 @@ class ExperimentRunner:
         the full domain half, mirroring the paper where the classifier is a
         fixed, pre-trained component.
         """
-        rec = perf_recorder()
-        if rec is None:
-            return self._prepare(split, domain_fraction)
-        with rec.phase("split-prepare", split_seed=split.seed,
-                       domain_fraction=domain_fraction):
-            return self._prepare(split, domain_fraction)
+        with perf.phase("split-prepare", split_seed=split.seed,
+                        domain_fraction=domain_fraction):
+            suite, classifier_attached = self._classifier_suite(split)
 
-    def _prepare(self, split: EntitySplit, domain_fraction: float) -> PreparedSplit:
-        suite, classifier_attached = self._classifier_suite(split)
+            if domain_fraction >= 1.0:
+                domain_entity_ids: Sequence[str] = split.domain_entities
+            else:
+                domain_entity_ids = subsample_entities(
+                    split.domain_entities, domain_fraction,
+                    seed=derive_seed(self.base_seed, "domain-fraction", split.seed))
+            domain_corpus = self.corpus.subset(domain_entity_ids) if domain_entity_ids \
+                else self.corpus.subset([])
 
-        if domain_fraction >= 1.0:
-            domain_entity_ids: Sequence[str] = split.domain_entities
-        else:
-            domain_entity_ids = subsample_entities(
-                split.domain_entities, domain_fraction,
-                seed=derive_seed(self.base_seed, "domain-fraction", split.seed))
-        domain_corpus = self.corpus.subset(domain_entity_ids) if domain_entity_ids \
-            else self.corpus.subset([])
-
-        relevance = {aspect: ClassifierRelevance(aspect, suite)
-                     for aspect in self.corpus.aspects}
-        ground_truth = {aspect: OracleRelevance(aspect) for aspect in self.corpus.aspects}
-        engine = SearchEngine(self.corpus, ranker=self.config.ranker,
-                              top_k=self.config.top_k, mu=self.config.dirichlet_mu)
-        return PreparedSplit(
-            split=split,
-            corpus=self.corpus,
-            domain_corpus=domain_corpus,
-            classifier_suite=suite,
-            relevance_by_aspect=relevance,
-            ground_truth_by_aspect=ground_truth,
-            engine=engine,
-            config=self.config,
-            domain_fraction=domain_fraction,
-            classifier_attached=classifier_attached,
-        )
+            relevance = {aspect: ClassifierRelevance(aspect, suite)
+                         for aspect in self.corpus.aspects}
+            ground_truth = {aspect: OracleRelevance(aspect) for aspect in self.corpus.aspects}
+            engine = SearchEngine(self.corpus, ranker=self.config.ranker,
+                                  top_k=self.config.top_k, mu=self.config.dirichlet_mu)
+            return PreparedSplit(
+                split=split,
+                corpus=self.corpus,
+                domain_corpus=domain_corpus,
+                classifier_suite=suite,
+                relevance_by_aspect=relevance,
+                ground_truth_by_aspect=ground_truth,
+                engine=engine,
+                config=self.config,
+                domain_fraction=domain_fraction,
+                classifier_attached=classifier_attached,
+            )
 
     def _classifier_key(self, split: EntitySplit) -> str:
         """Store key of this split's trained suite (shared orchestrator/worker)."""
@@ -272,19 +265,14 @@ class ExperimentRunner:
         key, failed digest check — falls back to the bit-identical retrain
         path.  Returns ``(suite, attached)``.
         """
-        rec = perf_recorder()
         attach_source = getattr(self.corpus, "classifier_suite", None)
         if attach_source is not None:
             try:
-                if rec is None:
-                    return attach_source(self._classifier_key(split)), True
-                with rec.phase("classifier-attach", split_seed=split.seed):
+                with perf.phase("classifier-attach", split_seed=split.seed):
                     return attach_source(self._classifier_key(split)), True
             except StoreError:
                 pass
-        if rec is None:
-            return self._train_classifier_suite(split), False
-        with rec.phase("classifier-train", split_seed=split.seed):
+        with perf.phase("classifier-train", split_seed=split.seed):
             return self._train_classifier_suite(split), False
 
     def _train_classifier_suite(self, split: EntitySplit) -> AspectClassifierSuite:
@@ -441,6 +429,10 @@ class ExperimentRunner:
         if not methods:
             raise ValueError("at least one method is required")
         budgets = sorted(set(num_queries_list))
+        negative = [k for k in budgets if k < 0]
+        if negative:
+            # Checked before any harvesting: 0 is the seed-only point.
+            raise ValueError(f"query budgets must be >= 0, got {negative}")
         max_budget = budgets[-1]
         aspect_list = list(aspects) if aspects is not None else list(self.corpus.aspects)
 
@@ -561,18 +553,14 @@ class ExperimentRunner:
                               num_entities=spec.num_entities,
                               pages_per_entity=spec.pages_per_entity,
                               seed=spec.seed)
-        rec = perf_recorder()
         try:
             suites = []
             for split in splits:
-                if rec is None:
+                with perf.phase("classifier-train", split_seed=split.seed):
                     suite = self._train_classifier_suite(split)
-                else:
-                    with rec.phase("classifier-train", split_seed=split.seed):
-                        suite = self._train_classifier_suite(split)
                 suites.append((self._classifier_key(split), suite))
 
-            def publish() -> StoreHandle:
+            with perf.phase("store-publish", domain=spec.domain):
                 writer = CorpusStoreWriter(config, self.corpus.entities)
                 writer.add_pages(self.corpus.iter_pages())
                 for key, suite in suites:
@@ -584,13 +572,7 @@ class ExperimentRunner:
                     raise StoreError(
                         f"published digest {handle.digest} does not match "
                         f"the runner's corpus digest {self._corpus_digest}")
-                return handle
-
-            if rec is None:
-                self._store_handle = publish()
-            else:
-                with rec.phase("store-publish", domain=spec.domain):
-                    self._store_handle = publish()
+            self._store_handle = handle
         except StoreError:
             self._store_failed = True
             return None
@@ -657,16 +639,11 @@ class ExperimentRunner:
                 self.backend.workers)
             outcomes = self.backend.map_tasks(execute_harvest_batch, payloads)
             self.last_batch_outcomes = list(outcomes)
-            rec = perf_recorder()
-            if rec is not None:
-                # Fold each worker's shipped-home phase aggregates into the
-                # active recorder: one weighted sample per (batch, phase),
-                # tagged with its origin.
-                for outcome in self.last_batch_outcomes:
-                    if outcome.perf_phases:
-                        rec.record_aggregates(outcome.perf_phases,
-                                              worker_pid=outcome.worker_pid,
-                                              split=outcome.split_index)
+            # Each worker's shipped-home phases: one weighted sample per
+            # (batch, phase), tagged with its origin.
+            for outcome in self.last_batch_outcomes:
+                perf.fold(outcome.perf_phases, worker_pid=outcome.worker_pid,
+                          split=outcome.split_index)
             per_split: List[List[HarvestResult]] = [[] for _ in split_specs]
             for payload, outcome in zip(payloads, outcomes):
                 # Payloads are split-major and in-order, so extending per
@@ -685,8 +662,7 @@ class ExperimentRunner:
     def measure_efficiency(self, methods: Sequence[str] = ("L2QP", "L2QR", "L2QBAL"),
                            num_queries: int = 3,
                            max_test_entities: int = 2,
-                           aspects: Optional[Sequence[str]] = None,
-                           recorder: Optional[PerfRecorder] = None
+                           aspects: Optional[Sequence[str]] = None
                            ) -> EfficiencyReport:
         """Measure per-query selection time and (simulated) fetch time.
 
@@ -698,21 +674,16 @@ class ExperimentRunner:
         Every method is measured against **cold** engine state: a freshly
         prepared split (fresh engine, result cache and classifier-relevance
         memos) per method, so no method is timed against caches an
-        earlier-measured method warmed.  All samples route through a
-        :class:`~repro.perf.PerfRecorder` — pass ``recorder`` to keep the
-        raw phase samples (``selection`` / ``fetch`` per query,
-        ``fig14-method`` per method batch) — and each method's engine-cache
-        hit rate, merged from its runs' own fetch accounting, is reported
-        alongside the timings.
+        earlier-measured method warmed.  The report folds the runs'
+        :class:`~repro.core.harvester.IterationRecord` timings, and each
+        method's engine-cache hit rate, merged from its runs' own fetch
+        accounting, is reported alongside them.  With profiling on, each
+        method's batch is also timed as one ``fig14-method`` phase.
         """
         split = self.default_split(0)
         aspect_list = list(aspects) if aspects is not None else list(self.corpus.aspects)[:2]
         test_entities = list(split.test_entities)[:max_test_entities]
-        rec = recorder if recorder is not None else PerfRecorder()
 
-        # The report folds only *this call's* samples (a reused recorder
-        # may already hold another corpus's fig14 samples under the same
-        # method names); ``rec`` additionally keeps every raw sample.
         selection: Dict[str, List[float]] = {m: [] for m in methods}
         queries: Dict[str, int] = {m: 0 for m in methods}
         hit_rates: Dict[str, float] = {}
@@ -725,16 +696,12 @@ class ExperimentRunner:
             jobs = [self.build_job(prepared, method, entity_id, aspect, num_queries)
                     for aspect in aspect_list
                     for entity_id in test_entities]
-            with rec.phase("fig14-method", method=method):
+            with perf.phase("fig14-method", method=method):
                 runs = self.harvester_for(prepared).harvest_many(jobs, workers=1)
             merged = merge_run_accounting([r.fetch_accounting for r in runs])
             hit_rates[method] = merged.cache_hit_rate
             for run in runs:
                 for record in run.iterations:
-                    rec.record("selection", record.selection_seconds,
-                               method=method)
-                    rec.record("fetch", record.simulated_fetch_seconds,
-                               method=method)
                     selection[method].append(record.selection_seconds)
                     fetch.append(record.simulated_fetch_seconds)
                     queries[method] += 1
@@ -916,21 +883,19 @@ def execute_harvest_batch(batch: HarvestBatchSpec) -> HarvestBatchOutcome:
     reserve_base_slots(batch.base_slots)
     before = _RUNTIME_BUILDS
     trainings_before = _CLASSIFIER_TRAININGS
-    rec = perf_recorder()
-    perf_mark = rec.mark() if rec is not None else 0
-    runtime = _task_runtime(batch.context)
-    results = [runtime.harvester.harvest_job(
-                   runtime.runner.job_from_spec(runtime.prepared, spec))
-               for spec in batch.specs]
+    # This worker's phase timings for exactly this batch, shipped home so
+    # the orchestrator's profile covers worker-side work too.
+    with perf.handoff() as perf_phases:
+        runtime = _task_runtime(batch.context)
+        results = [runtime.harvester.harvest_job(
+                       runtime.runner.job_from_spec(runtime.prepared, spec))
+                   for spec in batch.specs]
     return HarvestBatchOutcome(
         results=results,
         worker_pid=os.getpid(),
         split_index=batch.context.split_index,
         runtime_builds=_RUNTIME_BUILDS - before,
-        # This worker's phase timings for exactly this batch, shipped home
-        # so the orchestrator's profile covers worker-side work too.
-        perf_phases=(rec.aggregates_since(perf_mark)
-                     if rec is not None else {}),
+        perf_phases=perf_phases,
         attached=getattr(runtime.runner.corpus, "store_handle", None)
         is not None,
         index_builds=runtime.prepared.engine.index_builds,

@@ -40,11 +40,11 @@ a drifting corpus generator is distinguishable from a drifting selector.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import perf
 from repro.aspects.classifier import AspectClassifierSuite
 from repro.core.config import L2QConfig
 from repro.core.selection import selector_names
@@ -55,7 +55,6 @@ from repro.eval.runner import BASELINE_METHODS, ExperimentRunner
 from repro.eval.splits import split_entities
 from repro.exec.backends import ExecutionBackend, resolve_backend
 from repro.exec.specs import SweepCellResult, SweepCellSpec, reserve_base_slots
-from repro.perf import recorder as perf_recorder
 from repro.scenarios import ScenarioSpec, make_scenario, scenario_names
 from repro.store import MODE_OFF, CorpusStoreWriter, StoreError, StoreHandle
 from repro.store import release
@@ -404,7 +403,7 @@ def assemble_sweep_result(*, scale_name: str, seed: int, num_queries: int,
 
 
 def publish_domain_store(scale: ExperimentScale, domain: str,
-                         mode: str, rec=None) -> StoreHandle:
+                         mode: str) -> StoreHandle:
     """Publish one domain's clean base store plus its per-split suites.
 
     Pages flow straight from the generator into the store writer, so the
@@ -436,8 +435,7 @@ def publish_domain_store(scale: ExperimentScale, domain: str,
     for split in splits:
         needed.update(split.domain_entities or split.test_entities)
     retained = {}
-    with (rec.phase("store-publish", domain=domain)
-          if rec else nullcontext()):
+    with perf.phase("store-publish", domain=domain):
         for page in generator.generate_pages(entities):
             writer.add_page(page)
             if page.entity_id in needed:
@@ -447,15 +445,13 @@ def publish_domain_store(scale: ExperimentScale, domain: str,
     for split in splits:
         suite_seed = derive_seed(RUNNER_BASE_SEED, "classifier",
                                  split.seed)
-        with (rec.phase("classifier-train", split_seed=split.seed)
-              if rec else nullcontext()):
+        with perf.phase("classifier-train", split_seed=split.seed):
             suite = AspectClassifierSuite.train_on_corpus(
                 training_corpus.subset(
                     split.domain_entities or split.test_entities),
                 seed=suite_seed)
         writer.add_classifier_suite(str(suite_seed), suite)
-    with (rec.phase("store-publish", domain=domain)
-          if rec else nullcontext()):
+    with perf.phase("store-publish", domain=domain):
         return writer.publish(mode=mode)
 
 
@@ -470,10 +466,9 @@ def publish_domain_stores(scale: ExperimentScale, domains: Sequence[str],
     handles: Dict[str, StoreHandle] = {}
     if mode == MODE_OFF:
         return handles
-    rec = perf_recorder()
     for domain in domains:
         try:
-            handles[domain] = publish_domain_store(scale, domain, mode, rec)
+            handles[domain] = publish_domain_store(scale, domain, mode)
         except StoreError:
             break
     return handles
@@ -484,31 +479,28 @@ def execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
 
     The corpus is rebuilt from the spec (scenario pipelines realise against
     a process-locally cached shared base), evaluated serially, and only the
-    plain-data result crosses back — config in, result dataclass out.
+    plain-data result crosses back — config in, result dataclass out.  With
+    profiling on, the cell is timed as a ``sweep-cell`` phase and the
+    result carries the cell's phases home (:func:`repro.perf.handoff`).
     """
-    rec = perf_recorder()
-    if rec is None:
-        return _execute_sweep_cell(spec)
-    perf_mark = rec.mark()
-    with rec.phase("sweep-cell", domain=spec.domain,
-                   scenario=spec.scenario_name or "clean"):
+    with perf.handoff() as phases, \
+            perf.phase("sweep-cell", domain=spec.domain,
+                       scenario=spec.scenario_name or "clean"):
         result = _execute_sweep_cell(spec)
-    result.perf_phases = rec.aggregates_since(perf_mark)
+    result.perf_phases = phases
     return result
 
 
-def merge_cell_phases(rec, results: Sequence[SweepCellResult]) -> None:
-    """Fold the phase timings distributed sweep cells shipped home into
-    ``rec``, one weighted sample per (cell, phase), tagged with the cell.
+def merge_cell_phases(results: Sequence[SweepCellResult]) -> None:
+    """Fold the phases distributed sweep cells shipped home, one weighted
+    sample per (cell, phase), tagged with the cell (:func:`repro.perf.fold`).
 
     Only for cells that ran in worker processes: an in-process cell
     already recorded into the orchestrator's recorder.
     """
-    if rec is None:
-        return
     for result in results:
-        rec.record_aggregates(result.perf_phases, domain=result.domain,
-                              scenario=result.scenario or "clean")
+        perf.fold(result.perf_phases, domain=result.domain,
+                  scenario=result.scenario or "clean")
 
 
 def _execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
@@ -656,15 +648,13 @@ class ScenarioSweep:
         *inside* each cell's evaluation; cells run sequentially so the
         shared base and engine caches stay warm.
         """
-        rec = perf_recorder()
         out: List[SweepCellResult] = []
         for domain in self.domains:
             base = self.scale.base_corpus_for(domain)
             for scenario, corpus in self._domain_corpora(base):
                 name = scenario.name if scenario else None
-                with (rec.phase("sweep-cell", domain=domain,
-                                scenario=name or "clean")
-                      if rec else nullcontext()):
+                with perf.phase("sweep-cell", domain=domain,
+                                scenario=name or "clean"):
                     metrics, absolute, waste, fetch = _evaluate_corpus(
                         corpus, self.methods, self.num_queries,
                         self.scale.num_splits, self.scale.max_test_entities,
@@ -735,13 +725,11 @@ class ScenarioSweep:
         base_slots = len({spec.corpus.base_key() for spec in cell_specs})
         cell_specs = [replace(spec, base_slots=base_slots)
                       for spec in cell_specs]
-        rec = perf_recorder()
         try:
-            with (rec.phase("sweep-dispatch", cells=len(cell_specs),
-                            workers=self.backend.workers)
-                  if rec else nullcontext()):
+            with perf.phase("sweep-dispatch", cells=len(cell_specs),
+                            workers=self.backend.workers):
                 results = self.backend.map(execute_sweep_cell, cell_specs)
-            merge_cell_phases(rec, results)
+            merge_cell_phases(results)
             return results
         finally:
             for handle in handles.values():

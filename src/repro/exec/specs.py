@@ -24,10 +24,10 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Tuple, TypeVar
 
+from repro import perf
 from repro.core.config import L2QConfig
 from repro.corpus.corpus import Corpus
 from repro.corpus.synthetic import BaseCorpus, build_base, realise_base
-from repro.perf import recorder as perf_recorder
 from repro.scenarios import ScenarioSpec
 from repro.store import StoreError, StoreHandle, attach
 
@@ -180,15 +180,9 @@ class CorpusSpec:
             except StoreError:
                 attachment = None
             if attachment is not None:
-                rec = perf_recorder()
-                if rec is None:
+                with perf.phase("corpus-attach", domain=self.domain):
                     return attachment.corpus()
-                with rec.phase("corpus-attach", domain=self.domain):
-                    return attachment.corpus()
-        rec = perf_recorder()
-        if rec is None:
-            return self._rebuild()
-        with rec.phase("corpus-rebuild", domain=self.domain):
+        with perf.phase("corpus-rebuild", domain=self.domain):
             return self._rebuild()
 
     def _rebuild(self) -> Corpus:
@@ -304,11 +298,11 @@ class HarvestBatchOutcome:
     guarantee: each worker prepares each split at most once.
 
     ``perf_phases`` carries the worker-side profiling view when the worker
-    process had an active :class:`~repro.perf.PerfRecorder`: per-phase
-    ``{count, total_seconds}`` aggregates of exactly the samples this batch
-    produced (empty when worker profiling is off).  The orchestrator folds
-    them into its own recorder, so sharded runs lose no phase accounting to
-    the process boundary.
+    process had profiling on: per-phase ``{count, total_seconds}``
+    aggregates of exactly the samples this batch produced (see
+    :func:`repro.perf.handoff`; empty when worker profiling is off).  The
+    orchestrator folds them into its own recorder (:func:`repro.perf.fold`),
+    so sharded runs lose no phase accounting to the process boundary.
     """
 
     results: list
@@ -408,9 +402,9 @@ class SweepCellResult:
     #: Merged per-run fetch accounting of the cell's harvest runs — this is
     #: how worker-side engine counters survive the process boundary.
     fetch: dict = field(default_factory=dict)
-    #: Per-phase ``{count, total_seconds}`` the cell recorded while a perf
-    #: recorder was active (see :meth:`repro.perf.PerfRecorder.aggregates_since`),
-    #: shipped home so a distributed sweep's profile covers its workers.
+    #: Per-phase ``{count, total_seconds}`` the cell recorded while
+    #: profiling was on (see :func:`repro.perf.handoff`), shipped home so a
+    #: distributed sweep's profile covers its workers.
     #: Timing only: left out of the JSON rendering and of equality.
     perf_phases: dict = field(default_factory=dict, compare=False, repr=False)
 

@@ -2,12 +2,14 @@
 
 Three layers, each usable on its own:
 
-* :mod:`repro.perf.timer` — a :class:`PerfRecorder` that collects named
-  phase durations (``harvest``, ``selection``, ``sweep-cell``,
-  ``split-prepare``) behind a zero-overhead-when-disabled module switch.
-  Hot paths call :func:`recorder`, get ``None`` unless profiling was
-  explicitly enabled (:func:`enable` or the ``REPRO_PERF`` environment
-  variable), and skip all bookkeeping otherwise.
+* :mod:`repro.perf.timer` — the program's one timing facility: a
+  :class:`PerfRecorder` that collects named phase durations (``harvest``,
+  ``selection``, ``sweep-cell``, ``split-prepare``) behind a module
+  switch.  Instrumented sites make one call, ``with perf.phase(name):``
+  or ``perf.record(name, seconds)``; both are shared no-ops unless
+  profiling was explicitly enabled (:func:`enable` or the ``REPRO_PERF``
+  environment variable).  :func:`handoff` and :func:`fold` carry worker
+  phases home across a process boundary.
 * :mod:`repro.perf.manifest` — one schema over every
   ``benchmarks/results/BENCH_*.json`` artifact: versions, scale, backend,
   wall-clock, pages/sec, speedup-vs-serial.  Deterministic given the
@@ -35,7 +37,10 @@ from repro.perf.timer import (
     Timer,
     disable,
     enable,
-    is_enabled,
+    fold,
+    handoff,
+    phase,
+    record,
     recorder,
 )
 
@@ -48,11 +53,14 @@ __all__ = [
     "build_manifest",
     "disable",
     "enable",
+    "fold",
     "format_manifest",
     "format_manifest_delta",
-    "is_enabled",
+    "handoff",
     "load_manifest",
     "manifest_entries",
+    "phase",
+    "record",
     "recorder",
     "render_manifest_json",
     "throughput_entries",

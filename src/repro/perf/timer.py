@@ -1,39 +1,36 @@
-"""Phase timers with a zero-overhead-when-disabled switch.
+"""Phase timers behind one module-level switch.
 
 The harvesting hot paths (selection loops, split preparation, sweep cells)
 are exactly the code whose cost we want to measure, so the instrumentation
-must cost nothing when profiling is off.  The contract every instrumented
-site follows::
+must cost nothing when profiling is off.  Every instrumented site makes one
+call::
 
     from repro import perf
 
-    rec = perf.recorder()          # None unless profiling is enabled
-    if rec is not None:
-        with rec.phase("split-prepare", split=index):
-            ...                     # timed
-    else:
-        ...                         # identical code, untimed
+    with perf.phase("split-prepare", split=index):
+        ...                         # timed when profiling is on
 
     # or, for code that already measured a duration itself:
-    if rec is not None:
-        rec.record("selection", elapsed, method=name)
+    perf.record("selection", elapsed, selector=name)
 
-When disabled (the default), the only overhead is one module-global read
-and a ``None`` check — no object allocation, no dictionary work, no clock
-call.  Profiling is enabled explicitly with :func:`enable` (optionally
+With profiling off (the default), :func:`phase` returns one shared no-op
+context manager and :func:`record` returns at once: no clock call, no
+sample.  Profiling is enabled explicitly with :func:`enable` (optionally
 passing a recorder to collect into) or ambiently with the ``REPRO_PERF``
 environment variable, which the CLI and benchmark entry points honour.
 
 Samples are wall-clock (``time.perf_counter``) phase durations with
 optional metadata, aggregated per phase name.  A recorder is process-local,
-but worker processes are not a blind spot: a worker with an active recorder
-ships per-phase ``{count, total_seconds}`` aggregates home with each batch
-outcome (see :func:`repro.eval.runner.execute_harvest_batch`) and each sweep
-cell result (:func:`repro.eval.scenario_sweep.execute_sweep_cell`), and the
-orchestrator folds them into its recorder as aggregate samples
-(:meth:`PerfRecorder.record_aggregate`) tagged with their origin.  Worker
-seconds remain worker CPU time — they are *summed alongside*, never
-conflated with, orchestrator wall-clock dispatch phases.
+but worker processes are not a blind spot: a worker entry point wraps its
+work in :func:`handoff`, which yields the per-phase ``{count,
+total_seconds}`` aggregates of exactly the samples recorded inside it, and
+ships them home with its batch outcome or sweep cell result.  The
+orchestrator passes what crossed the process boundary to :func:`fold`,
+which records them as aggregate samples (:meth:`PerfRecorder.record_aggregate`)
+tagged with their origin.  Samples stay in the recorder they were written
+to: in-process work already recorded into the orchestrator's recorder and
+is never folded.  Worker seconds remain worker CPU time — they are *summed
+alongside*, never conflated with, orchestrator wall-clock dispatch phases.
 """
 
 from __future__ import annotations
@@ -41,9 +38,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,13 @@ class PhaseSample:
 class Timer:
     """Context manager timing one phase into a recorder.
 
-    Returned by :meth:`PerfRecorder.phase`; usable standalone as a plain
-    stopwatch (``Timer(None, "x")`` records nowhere but still measures).
+    Returned by :meth:`PerfRecorder.phase` (and by :func:`phase` while
+    profiling is on).
     """
 
     __slots__ = ("_recorder", "name", "meta", "elapsed", "_start")
 
-    def __init__(self, recorder: Optional["PerfRecorder"], name: str,
+    def __init__(self, recorder: "PerfRecorder", name: str,
                  **meta: object) -> None:
         self._recorder = recorder
         self.name = name
@@ -91,18 +89,15 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.elapsed = time.perf_counter() - self._start
-        if self._recorder is not None:
-            self._recorder.record(self.name, self.elapsed, **self.meta)
+        self._recorder.record(self.name, self.elapsed, **self.meta)
 
 
 class PerfRecorder:
     """Collects named phase durations and aggregates them per phase.
 
     Instances are cheap and independent; the module-level switch
-    (:func:`enable` / :func:`recorder`) only decides whether hot paths
-    *reach* a shared one.  Code that always wants timings (e.g. the
-    Fig. 14 efficiency measurement) constructs its own recorder and passes
-    it around explicitly.
+    (:func:`enable`) only decides whether :func:`phase` and :func:`record`
+    *reach* a shared one.
     """
 
     def __init__(self) -> None:
@@ -223,11 +218,69 @@ PERF_ENV_VAR = "REPRO_PERF"
 if os.environ.get(PERF_ENV_VAR, "") not in ("", "0"):
     _RECORDER = PerfRecorder()
 
+#: What :func:`phase` returns while profiling is off: one shared, reusable
+#: no-op context manager, so a disabled site allocates no timer.
+_NO_PHASE = nullcontext()
+
+
+def phase(name: str, **meta: object) -> Union[Timer, nullcontext]:
+    """A context manager timing one ``name`` phase into the global recorder.
+
+    With profiling off it is the shared no-op :data:`_NO_PHASE`.
+    """
+    active = _RECORDER
+    if active is None:
+        return _NO_PHASE
+    return active.phase(name, **meta)
+
+
+def record(name: str, seconds: float, **meta: object) -> None:
+    """Record one already-measured duration (a no-op with profiling off)."""
+    active = _RECORDER
+    if active is not None:
+        active.record(name, seconds, **meta)
+
+
+@contextmanager
+def handoff() -> Iterator[Dict[str, Dict[str, float]]]:
+    """The worker half of shipping phases across a process boundary.
+
+    Yields a dict that, on exit, holds the per-phase ``{count,
+    total_seconds}`` aggregates of exactly the samples recorded inside the
+    block — ``{}`` with profiling off.  The samples themselves stay in the
+    recorder: on an in-process backend they already *are* the
+    orchestrator's, and cells sharing one recorder across threads would
+    lose or double-count samples if the hand-off cut them out.
+    """
+    phases: Dict[str, Dict[str, float]] = {}
+    active = _RECORDER
+    if active is None:
+        yield phases
+        return
+    mark = active.mark()
+    try:
+        yield phases
+    finally:
+        phases.update(active.aggregates_since(mark))
+
+
+def fold(phases: Dict[str, Dict[str, float]], **meta: object) -> None:
+    """The orchestrator half: record :func:`handoff` aggregates, tagged
+    with ``meta``, into the global recorder (a no-op with profiling off).
+
+    Call it only for work that ran in another process; in-process work
+    already recorded into this recorder.
+    """
+    active = _RECORDER
+    if active is not None:
+        active.record_aggregates(phases, **meta)
+
 
 def recorder() -> Optional[PerfRecorder]:
     """The active global recorder, or ``None`` when profiling is disabled.
 
-    This is the hot-path check: one global read, one ``None`` compare.
+    For code that needs the recorder object itself (writing or summarising
+    a report); instrumented sites call :func:`phase` or :func:`record`.
     """
     return _RECORDER
 
@@ -243,8 +296,3 @@ def disable() -> None:
     """Disable global profiling (instrumented sites go back to zero cost)."""
     global _RECORDER
     _RECORDER = None
-
-
-def is_enabled() -> bool:
-    """Whether a global recorder is active."""
-    return _RECORDER is not None

@@ -22,12 +22,18 @@ The runner is also packaged as the ``serving`` :class:`ExecutionBackend`
 (registry name :data:`BACKEND_SERVING`), so ``harvest_many`` /
 ``--backend serving`` route whole job batches through it; with the default
 instant client it is bit-identical to the serial backend.
+
+Profiling (:mod:`repro.perf`) sees one ``selection`` sample per iteration,
+recorded by the steppers exactly as on the synchronous path.  There is no
+per-session ``harvest`` phase: sessions interleave on one loop, so no
+wall-clock interval belongs to one session alone.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -41,7 +47,6 @@ from repro.core.stepper import Done
 from repro.exec.backends import ExecutionBackend
 from repro.search.clients import ClientSpec, SearchClient, make_client
 from repro.search.engine import merge_run_accounting
-from repro.utils.timing import Stopwatch
 
 BACKEND_SERVING = "serving"
 
@@ -204,13 +209,14 @@ class ServingRunner:
     def run(self, jobs: Sequence[HarvestJob]) -> ServingReport:
         """Serve a batch of jobs; results come back in job order."""
         jobs = list(jobs)
-        with Stopwatch() as watch:
-            sessions = asyncio.run(self._serve(jobs)) if jobs else []
+        start = time.perf_counter()
+        sessions = asyncio.run(self._serve(jobs)) if jobs else []
+        wall_seconds = time.perf_counter() - start
         return ServingReport(
             sessions=sessions,
             concurrency=self.concurrency,
             time_scale=self.time_scale,
-            wall_seconds=watch.elapsed,
+            wall_seconds=wall_seconds,
             client_name=self.client.name,
             client_stats=self.client.stats.as_dict(),
         )

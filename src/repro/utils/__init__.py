@@ -1,11 +1,8 @@
-"""Shared utilities: seeded randomness, timing, logging and text statistics."""
+"""Shared utilities: seeded randomness, logging and text statistics."""
 
 from repro.utils.rng import SeededRandom, derive_seed
-from repro.utils.timing import Stopwatch, TimingAccumulator
 
 __all__ = [
     "SeededRandom",
     "derive_seed",
-    "Stopwatch",
-    "TimingAccumulator",
 ]

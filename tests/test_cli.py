@@ -369,6 +369,18 @@ class TestPerfCommand:
             assert report["phases"][phase]["count"] >= 1, phase
         assert report["phases"]["sweep-cell"]["total_seconds"] > 0.0
 
+    def test_perf_output_counts_serving_selections(self, tmp_path):
+        # The stepper records every selection, so serving sessions profile
+        # the same selections as the serial loop.  They interleave on one
+        # event loop, so they record no per-run harvest phase.
+        serial = self._sweep_phase_report(tmp_path)["phases"]
+        serving = self._sweep_phase_report(tmp_path, "--backend",
+                                           "serving")["phases"]
+        assert serial["selection"]["count"] > 0
+        assert serving.get("selection", {}).get("count") == \
+            serial["selection"]["count"]
+        assert "harvest" not in serving
+
     def test_perf_output_does_not_leak_global_recorder(self, tmp_path):
         from repro import perf
 

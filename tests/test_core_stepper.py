@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.harvester import CLIENT_TIME, drive_stepper
+from repro.core.harvester import drive_stepper
 from repro.core.stepper import (
     DONE,
     Done,
@@ -111,14 +111,13 @@ class TestBitIdentity:
         assert [harvest_signature(r) for r in via_stepper] == \
             [harvest_signature(r) for r in via_harvest]
 
-    def test_fetch_seconds_alias_preserved(self, researcher_runner,
-                                           researcher_prepared):
+    def test_instant_client_records_no_client_seconds(self, researcher_runner,
+                                                       researcher_prepared):
         stepper = _stepper(researcher_runner, researcher_prepared)
         result = drive_stepper(stepper,
                                InstantClient(researcher_prepared.engine))
         assert result.iterations
         for record in result.iterations:
-            assert record.fetch_seconds == record.simulated_fetch_seconds
             assert record.client_seconds == 0.0
 
 
@@ -135,8 +134,6 @@ class TestClientSecondsAxis:
         outcome = client.fetch(action, accounting=stepper.accounting)
         stepper.feed(outcome.results, outcome.pages, client_seconds=0.25)
         result = stepper.result
-        assert result.total_client_seconds() == pytest.approx(0.75)
-        assert result.timing.total(CLIENT_TIME) == pytest.approx(0.75)
         record = result.iterations[0]
         assert record.client_seconds == 0.25
         # The paper's simulated axis never absorbs measured latency.

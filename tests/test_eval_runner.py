@@ -89,11 +89,24 @@ class TestEvaluateMethods:
         with pytest.raises(ValueError):
             researcher_runner.evaluate_methods([])
 
+    def test_rejects_negative_budgets_before_harvesting(self, researcher_runner,
+                                                        monkeypatch):
+        def no_harvest(*args, **kwargs):
+            raise AssertionError("harvested before validating budgets")
+
+        monkeypatch.setattr(researcher_runner, "_run_all_splits", no_harvest)
+        with pytest.raises(ValueError, match=r"budgets must be >= 0, got \[-1\]"):
+            researcher_runner.evaluate_methods(("RND",),
+                                               num_queries_list=(-1, 2))
+
     def test_unnormalised_evaluation(self, researcher_runner, researcher_corpus):
+        # Budget 0 is the seed-only point, a legal budget.
         series = researcher_runner.evaluate_methods(
-            ["MQ"], num_queries_list=(2,), max_test_entities=1,
+            ["MQ"], num_queries_list=(0, 2), max_test_entities=1,
             aspects=researcher_corpus.aspects[:1], normalize=False)
+        assert series["MQ"].budgets() == [0, 2]
         assert 0.0 <= series["MQ"].precision[2] <= 1.0
+        assert series["MQ"].recall[0] <= series["MQ"].recall[2]
 
 
 class TestEfficiencyAndValidation:
@@ -105,6 +118,25 @@ class TestEfficiencyAndValidation:
         assert report.selection_seconds["L2QBAL"] >= 0.0
         assert report.fetch_seconds > 0.0
         assert report.queries_measured["L2QBAL"] >= 1
+
+    def test_measure_efficiency_profiles_into_the_global_recorder(
+            self, researcher_runner, researcher_corpus):
+        # One fig14-method phase per method, and exactly one selection
+        # sample per measured query (the stepper's; none re-recorded).
+        from repro import perf
+
+        rec = perf.enable()
+        try:
+            report = researcher_runner.measure_efficiency(
+                methods=("RND", "MQ"), num_queries=2, max_test_entities=1,
+                aspects=researcher_corpus.aspects[:1])
+        finally:
+            perf.disable()
+        assert rec.count("fig14-method") == 2
+        assert {s.meta_dict()["method"]
+                for s in rec.samples_for("fig14-method")} == {"RND", "MQ"}
+        assert rec.count("selection") == sum(report.queries_measured.values())
+        assert rec.count("fetch") == 0
 
     def test_validate_seed_recall_restores_config(self, researcher_corpus):
         runner = ExperimentRunner(researcher_corpus, config=L2QConfig(), base_seed=5)

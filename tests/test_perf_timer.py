@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import perf
-from repro.perf.timer import PerfRecorder, Timer
+from repro.perf.timer import PerfRecorder
 
 
 @pytest.fixture(autouse=True)
@@ -81,25 +81,58 @@ class TestPerfRecorder:
         rec.clear()
         assert rec.samples == []
 
-    def test_standalone_timer_measures_without_recorder(self):
-        with Timer(None, "anything") as timer:
-            _ = sum(range(100))
-        assert timer.elapsed >= 0.0
-
 
 class TestGlobalSwitch:
     def test_disabled_by_default_returns_none(self):
         perf.disable()
         assert perf.recorder() is None
-        assert not perf.is_enabled()
+
+    def test_disabled_calls_are_one_shared_no_op(self):
+        rec = perf.enable()
+        perf.disable()
+        first = perf.phase("split-prepare", split=0)
+        assert perf.phase("harvest") is first
+        with first:
+            pass
+        perf.record("selection", 0.5, selector="RND")
+        perf.fold({"harvest": {"count": 2, "total_seconds": 1.0}})
+        assert rec.samples == []
 
     def test_enable_installs_and_collects(self):
         rec = perf.enable()
         assert perf.recorder() is rec
-        assert perf.is_enabled()
-        with perf.recorder().phase("split-prepare"):
+        with perf.phase("split-prepare", split=3):
             pass
+        perf.record("selection", 0.25, selector="RND")
         assert rec.count("split-prepare") == 1
+        assert rec.samples_for("split-prepare")[0].meta_dict() == {"split": 3}
+        assert rec.count("selection") == 1
+        assert rec.total("selection") == 0.25
+
+    def test_handoff_ships_exactly_its_block(self):
+        perf.disable()
+        with perf.handoff() as phases:
+            perf.record("selection", 0.5)
+        assert phases == {}
+
+        rec = perf.enable()
+        perf.record("split-prepare", 1.0)  # before the hand-off
+        with perf.handoff() as phases:
+            with perf.phase("harvest"):
+                perf.record("selection", 0.25)
+                perf.record("selection", 0.75)
+        assert set(phases) == {"harvest", "selection"}
+        assert phases["selection"] == {"count": 2,
+                                       "total_seconds": pytest.approx(1.0)}
+        assert phases["harvest"]["count"] == 1
+        # The samples stay where they were written.
+        assert rec.count("selection") == 2
+
+        home = perf.enable(PerfRecorder())
+        perf.fold(phases, worker_pid=7)
+        assert home.count("selection") == 2
+        assert home.count("split-prepare") == 0
+        assert home.samples_for("harvest")[0].meta_dict() == {"worker_pid": 7}
 
     def test_enable_accepts_existing_recorder(self):
         mine = PerfRecorder()

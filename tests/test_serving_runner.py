@@ -113,6 +113,33 @@ class TestServeJobsAndBackend:
                             concurrency=2)
         assert len(report.results) == 4
 
+    @pytest.mark.parametrize("driver", [
+        lambda harvester, jobs: harvester.harvest_many(jobs, backend="serial"),
+        lambda harvester, jobs: harvester.harvest_many(jobs, backend="serving"),
+        lambda harvester, jobs: serve_jobs(harvester, jobs,
+                                           concurrency=2).results,
+        lambda harvester, jobs: harvest_serially(harvester, jobs),
+    ], ids=["serial", "serving-backend", "serve-jobs", "harvest-serially"])
+    def test_every_driver_profiles_each_selection(self, researcher_runner,
+                                                  researcher_prepared, driver):
+        # The stepper records selection, so profiling sees one sample per
+        # iteration whichever driver runs the sessions.
+        from repro import perf
+
+        harvester = researcher_runner.harvester_for(researcher_prepared)
+        jobs = _jobs(researcher_runner, researcher_prepared)
+        rec = perf.enable()
+        try:
+            results = driver(harvester, jobs)
+        finally:
+            perf.disable()
+        iterations = [record for result in results
+                      for record in result.iterations]
+        assert iterations
+        assert rec.count("selection") == len(iterations)
+        assert sorted(s.seconds for s in rec.samples_for("selection")) == \
+            sorted(record.selection_seconds for record in iterations)
+
     def test_backend_resolves_through_the_registry(self):
         backend = make_backend("serving", workers=3)
         assert isinstance(backend, ServingBackend)
