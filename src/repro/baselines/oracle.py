@@ -7,83 +7,158 @@ applications, and only acts as a performance upper bound for
 normalization."*
 
 The ideal selector therefore (a) enumerates candidates from the *entire*
-page universe of the entity, (b) fires every candidate against the engine
+page universe of the entity, (b) feeds every candidate to the engine
 without cost accounting, and (c) greedily picks the candidate that maximises
 ``precision x recall`` of the cumulative gathered set, judged with the
 ground-truth relevance function.
+
+(a) and (b) do not depend on the aspect, so they run once per entity: an
+:class:`IdealPool` holds the entity's candidates and a candidates × pages
+matrix of the pages each one retrieves, ranked in one batched engine call
+(:meth:`~repro.search.engine.SearchEngine.retrieve_many`).  The pool is
+built on the entity's first selection and kept in a cache that a prepared
+split shares among the entity's aspect sessions
+(:attr:`repro.eval.runner.PreparedSplit.ideal_pools`).  (c) is then one
+sparse product with the gathered and relevant masks and an argmax per
+selection, and chooses exactly what the per-candidate loop
+``tests/oracles.py::reference_ideal_select`` chooses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+import numpy as np
+from scipy import sparse
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.queries import Query, QueryEnumerator
 from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
 
+#: Pools by ``(entity_id, max_candidates)``; one cache serves one corpus,
+#: engine and configuration (a prepared split, or a single selector).
+IdealPoolCache = Dict[Tuple[str, int], "IdealPool"]
+
+
+@dataclass(frozen=True)
+class IdealPool:
+    """One entity's candidate pool and the pages each candidate retrieves.
+
+    ``candidates`` are the entity's queries by descending page frequency,
+    ties by query, cut to the cap; ``retrieval`` is a 0/1 candidates ×
+    pages CSR over the entity's pages in corpus order (``page_ids``), and
+    ``retrieves_nothing`` masks the candidates whose result list is empty.
+    A pool is immutable once built and a pure function of the corpus, the
+    engine, the entity, the configuration and the cap.
+    """
+
+    page_ids: Tuple[str, ...]
+    candidates: Tuple[Query, ...]
+    rows: Dict[Query, int]
+    retrieval: sparse.csr_matrix
+    retrieves_nothing: np.ndarray
+
+    @classmethod
+    def build(cls, session: HarvestSession, max_candidates: int) -> "IdealPool":
+        entity = session.entity
+        universe = session.corpus.pages_of(entity.entity_id)
+        enumerator = QueryEnumerator(
+            max_length=session.config.max_query_length,
+            min_word_length=session.config.min_query_word_length,
+            exclude_words=entity.excluded_words(),
+        )
+        statistics = enumerator.enumerate_from_pages(universe)
+        candidates = sorted(statistics.queries(),
+                            key=lambda q: (-statistics.page_frequency(q), q))
+        candidates = candidates[:max_candidates]
+        retrieved = session.engine.retrieve_many(entity.entity_id, candidates)
+        columns = {page.page_id: column for column, page in enumerate(universe)}
+        lengths = np.asarray([len(hits) for hits in retrieved], dtype=np.int64)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = np.asarray([columns[page_id] for hits in retrieved
+                              for page_id, _ in hits], dtype=np.int64)
+        retrieval = sparse.csr_matrix(
+            (np.ones(indices.size, dtype=np.int64), indices, indptr),
+            shape=(len(candidates), len(universe)))
+        return cls(page_ids=tuple(page.page_id for page in universe),
+                   candidates=tuple(candidates),
+                   rows={query: row for row, query in enumerate(candidates)},
+                   retrieval=retrieval,
+                   retrieves_nothing=lengths == 0)
+
 
 class IdealSelection(QuerySelector):
-    """Greedy oracle maximising actual coverage x precision per iteration."""
+    """Greedy oracle maximising actual coverage x precision per iteration.
+
+    ``pools`` is the cache the entity's pool is read from and added to; a
+    prepared split passes the one its aspect sessions share, and a selector
+    built without one keeps a private cache.
+    """
 
     name = "IDEAL"
 
     def __init__(self, ground_truth: RelevanceFunction,
-                 max_candidates: int = 3000) -> None:
+                 max_candidates: int = 3000,
+                 pools: Optional[IdealPoolCache] = None) -> None:
         if max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
         self.ground_truth = ground_truth
         self.max_candidates = max_candidates
-        #: The entity's candidates once :meth:`prepare` has run.
-        self._candidates: Optional[List[Query]] = None
-        self._retrieved_cache: Dict[Query, Tuple[str, ...]] = {}
-        self._relevant_ids: Set[str] = set()
+        self.pools: IdealPoolCache = {} if pools is None else pools
+        #: Ground-truth labels of each entity's pages, in corpus order.
+        self._relevant: Dict[str, np.ndarray] = {}
 
-    # -- Lifecycle ------------------------------------------------------------
-    def prepare(self, session: HarvestSession) -> None:
-        universe = session.corpus.pages_of(session.entity.entity_id)
-        self._relevant_ids = {p.page_id for p in universe if self.ground_truth(p) == 1}
-        enumerator = QueryEnumerator(
-            max_length=session.config.max_query_length,
-            min_word_length=session.config.min_query_word_length,
-            exclude_words=session.entity.excluded_words(),
-        )
-        statistics = enumerator.enumerate_from_pages(universe)
-        ranked = sorted(statistics.queries(),
-                        key=lambda q: (-statistics.page_frequency(q), q))
-        self._candidates = ranked[: self.max_candidates]
-        self._retrieved_cache = {}
-
-    # -- Selection -----------------------------------------------------------------
     def select(self, session: HarvestSession) -> Optional[Query]:
-        if self._candidates is None:
-            self.prepare(session)
-        if not self._relevant_ids:
+        relevant = self._relevant_pages(session)
+        total_relevant = int(relevant.sum())
+        if not total_relevant:
             return None
+        pool = self._pool(session)
 
-        gathered = set(session.current_page_ids())
-        best_query: Optional[Query] = None
-        best_score = float("-inf")
-        for query in self._candidates:
-            if session.is_fired(query):
-                continue
-            retrieved = self._retrieve(session, query)
-            if not retrieved:
-                continue
-            union = gathered | set(retrieved)
-            relevant_covered = len(union & self._relevant_ids)
-            precision = relevant_covered / len(union) if union else 0.0
-            coverage = relevant_covered / len(self._relevant_ids)
-            score = precision * coverage
-            if score > best_score:
-                best_score = score
-                best_query = query
-        return best_query
+        gathered_ids = set(session.current_page_ids())
+        gathered = np.asarray([page_id in gathered_ids for page_id in pool.page_ids],
+                              dtype=bool)
+        # Per candidate q, the pages and the relevant pages R(q) adds to the
+        # gathered set G; then |G ∪ R(q)| and |(G ∪ R(q)) ∩ Rel|, as integers.
+        added = pool.retrieval @ np.column_stack(
+            [~gathered, relevant & ~gathered]).astype(np.int64)
+        union = len(gathered_ids) + added[:, 0]
+        covered = int((gathered & relevant).sum()) + added[:, 1]
 
-    def _retrieve(self, session: HarvestSession, query: Query) -> Tuple[str, ...]:
-        cached = self._retrieved_cache.get(query)
-        if cached is None:
-            cached = tuple(session.engine.retrievable_pages(
-                session.entity.entity_id, list(query)))
-            self._retrieved_cache[query] = cached
-        return cached
+        valid = ~pool.retrieves_nothing
+        for query in session.fired_queries:
+            row = pool.rows.get(query)
+            if row is not None:
+                valid[row] = False
+        rows = np.flatnonzero(valid)
+        if not rows.size:
+            return None
+        covered, union = covered[rows], union[rows]
+        scores = (covered / union) * (covered / total_relevant)
+        # The first maximum in candidate order wins, as in the loop's ``>``.
+        return pool.candidates[rows[np.argmax(scores)]]
+
+    def _relevant_pages(self, session: HarvestSession) -> np.ndarray:
+        entity_id = session.entity.entity_id
+        relevant = self._relevant.get(entity_id)
+        if relevant is None:
+            relevant = np.asarray([self.ground_truth(page) == 1
+                                   for page in session.corpus.pages_of(entity_id)],
+                                  dtype=bool)
+            self._relevant[entity_id] = relevant
+        return relevant
+
+    def _pool(self, session: HarvestSession) -> IdealPool:
+        """The entity's pool, built on its first selection.
+
+        Sessions racing on the thread backend may both build it; the
+        builds are identical, so whichever lands first is kept.
+        """
+        key = (session.entity.entity_id, self.max_candidates)
+        pool = self.pools.get(key)
+        if pool is None:
+            pool = self.pools.setdefault(key, IdealPool.build(session,
+                                                              self.max_candidates))
+        return pool

@@ -30,7 +30,7 @@ from repro.baselines.harvest_rate import (
 )
 from repro.baselines.lm_feedback import LanguageModelFeedbackSelection
 from repro.baselines.manual import ManualQuerySelection
-from repro.baselines.oracle import IdealSelection
+from repro.baselines.oracle import IdealPoolCache, IdealSelection
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel, DomainPhase
 from repro.core.harvester import HarvestJob, HarvestResult, Harvester
@@ -87,6 +87,11 @@ class PreparedSplit:
     _domain_phase: Optional[DomainPhase] = None
     _hr_domain: Optional[HarvestRateDomain] = None
     _hr_statistics: Dict[str, HarvestRateStatistics] = field(default_factory=dict)
+    #: The ideal selector's per-entity candidate pools, filled by the
+    #: selectors on each entity's first selection and shared by the
+    #: entity's aspect sessions (see
+    #: :class:`~repro.baselines.oracle.IdealPool`).
+    ideal_pools: IdealPoolCache = field(default_factory=dict)
 
     def domain_model(self, aspect: str) -> DomainModel:
         """Lazily learn (and cache) the domain model for one aspect.
@@ -305,7 +310,8 @@ class ExperimentRunner:
         if method == "MQ":
             return ManualQuerySelection(self.corpus.domain_spec)
         if method == "IDEAL":
-            return IdealSelection(prepared.ground_truth_by_aspect[aspect])
+            return IdealSelection(prepared.ground_truth_by_aspect[aspect],
+                                  pools=prepared.ideal_pools)
         raise KeyError(f"unknown method {method!r}")
 
     def job_spec(self, split: EntitySplit, method: str, entity_id: str,
@@ -331,7 +337,12 @@ class ExperimentRunner:
 
         Everything a job needs — selector instance, domain model, HR
         statistics — is resolved here, on the calling thread, so executing
-        the job later on a worker pool touches no lazily-built shared state.
+        the job later on a worker pool touches no lazily-built shared state,
+        with one exception: the ideal selector's per-entity pools
+        (:attr:`PreparedSplit.ideal_pools`) are built on each entity's first
+        selection.  A pool is immutable once built and a pure function of
+        the split and the entity, so two of an entity's sessions racing on
+        the thread backend build identical pools and need no lock.
         """
         selector = self.create_selector(spec.method, prepared, spec.aspect)
         domain_model = (prepared.domain_model(spec.aspect)

@@ -4,22 +4,23 @@ The paper uses a Dirichlet-smoothed language model as its offline search
 engine; BM25 is provided so that the sensitivity of L2Q to the underlying
 retrieval model can be measured (``benchmarks/test_ablation_ranker.py``).
 
-Like the language model, ranking runs through a vectorized kernel over the
-index's CSR term–document matrix: per query term, one sparse column gather
-and a handful of array operations score every candidate document at once.
-The scalar :meth:`BM25Ranker.score` is the reference implementation and the
-kernel matches it bit for bit (per-term contributions are accumulated in
-query order; IDF values are computed with scalar ``math.log``).
+Like the language model, ranking runs through one vectorized kernel over
+the index's CSR term–document matrix: :meth:`BM25Ranker.rank_many` scores
+each (term, document) pair of a query batch once, and
+:meth:`BM25Ranker.rank` is a batch of one.  The scalar
+:meth:`BM25Ranker.score` is the reference implementation and the kernel
+matches it bit for bit (per-term contributions are accumulated in query
+order; IDF values are computed with scalar ``math.log``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.search.index import InvertedIndex, TermDocumentMatrix
+from repro.search.index import InvertedIndex, QueryBatch
 
 
 class BM25Ranker:
@@ -46,7 +47,7 @@ class BM25Ranker:
         """BM25 score of ``doc_id`` for ``query``.
 
         Scalar reference implementation of the vectorized
-        :meth:`score_rows` kernel (which must match it bit for bit).
+        :meth:`rank_many` kernel (which must match it bit for bit).
         """
         if doc_id not in self.index:
             raise KeyError(f"unknown document {doc_id!r}")
@@ -62,123 +63,39 @@ class BM25Ranker:
             total += idf * tf * (self.k1 + 1.0) / denominator
         return total
 
-    # -- Vectorized kernel -------------------------------------------------------
-    def score_rows(self, query: Sequence[str], matrix: TermDocumentMatrix,
-                   rows: np.ndarray) -> np.ndarray:
-        """Scores of ``query`` for the document rows ``rows`` of ``matrix``.
-
-        ``rows`` are row positions into ``matrix`` in strictly increasing
-        order.  Per-term contributions are accumulated in query order and
-        zero-tf terms contribute an exact ``0.0`` (the scalar path skips
-        them; adding zero to the non-negative partial sums is an identity),
-        so the result equals the scalar :meth:`score` bit for bit.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        num_docs = matrix.num_documents
-        avgdl = (matrix.total_tokens / num_docs if num_docs else 0.0) or 1.0
-        doc_lengths = matrix.doc_lengths[rows]
-        total = np.zeros(rows.size, dtype=np.float64)
-        for term in query:
-            column = matrix.term_position(term)
-            if column is None:
-                continue
-            col_rows, col_values = matrix.term_column(column)
-            if col_rows.size == 0:
-                continue
-            df = col_rows.size
-            idf = max(0.0, math.log((num_docs - df + 0.5) / (df + 0.5) + 1.0)) \
-                if num_docs else 0.0
-            tf = np.zeros(rows.size, dtype=np.float64)
-            positions = np.searchsorted(rows, col_rows)
-            positions = np.minimum(positions, rows.size - 1)
-            inside = rows[positions] == col_rows
-            tf[positions[inside]] = col_values[inside]
-            denominator = tf + self.k1 * (1.0 - self.b + self.b * doc_lengths / avgdl)
-            # Zero-tf rows may have a zero denominator (b = 1 and an empty
-            # document); the scalar path skips them, so mask them to an
-            # exact 0.0 — adding zero to the non-negative total is exact.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                contribution = idf * tf * (self.k1 + 1.0) / denominator
-            total = total + np.where(tf > 0.0, contribution, 0.0)
-        return total
-
-    def _matrix(self) -> Optional[TermDocumentMatrix]:
-        builder = getattr(self.index, "term_document_matrix", None)
-        return builder() if builder is not None else None
-
-    def _candidate_rows(self, query: Sequence[str], matrix: TermDocumentMatrix,
-                        require_match: bool) -> np.ndarray:
-        if not require_match:
-            return np.arange(matrix.num_documents, dtype=np.int64)
-        columns = {matrix.term_position(term) for term in query}
-        columns.discard(None)
-        if not columns:
-            return np.zeros(0, dtype=np.int64)
-        gathered = [matrix.term_column(column)[0] for column in sorted(columns)]
-        return np.unique(np.concatenate(gathered)).astype(np.int64)
-
     def rank(self, query: Sequence[str], top_k: int = 0,
              require_match: bool = True) -> List[Tuple[str, float]]:
-        """Rank documents for ``query`` (same contract as the language model)."""
-        query = [t for t in query if t]
-        if not query:
-            return []
-        matrix = self._matrix()
-        if matrix is None:
-            return self._rank_scalar(query, top_k, require_match)
-        rows = self._candidate_rows(query, matrix, require_match)
-        scores = self.score_rows(query, matrix, rows)
-        scored = [(matrix.doc_ids[row], float(score))
-                  for row, score in zip(rows.tolist(), scores.tolist())]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        if top_k > 0:
-            scored = scored[:top_k]
-        return scored
+        """Rank documents for ``query`` (same contract as the language
+        model): ``rank_many([query], ...)[0]``."""
+        return self.rank_many([query], top_k, require_match)[0]
 
     def rank_many(self, queries: Sequence[Sequence[str]], top_k: int = 0,
                   require_match: bool = True) -> List[List[Tuple[str, float]]]:
-        """Rank a batch of queries (one CSR snapshot, shared across queries)."""
-        return [self.rank(query, top_k=top_k, require_match=require_match)
-                for query in queries]
+        """Rank each of ``queries`` (the contract of :meth:`rank`).
 
-    def score_matrix(self, queries: Sequence[Sequence[str]]
-                     ) -> Tuple[np.ndarray, Tuple[str, ...]]:
-        """All (query, document) scores as a dense ``queries × docs`` array.
-
-        Returns the score matrix together with the document-id order of its
-        columns; row ``i`` equals the scalar scores of ``queries[i]``.
+        Each term's IDF is computed once with scalar ``math.log`` and each
+        (term, document) contribution once, with the scalar :meth:`score`'s
+        operations; each query sums its terms' contributions from zero in
+        query order.  Zero-tf contributions are masked to an exact ``0.0``
+        (the scalar path skips them, and adding zero to the non-negative
+        partial sums is an identity; the mask also covers the zero
+        denominator of ``b = 1`` and an empty document), so every score
+        equals :meth:`score` bit for bit.
         """
-        matrix = self._matrix()
-        if matrix is None:
-            raise TypeError("index does not expose a term-document matrix")
-        rows = np.arange(matrix.num_documents, dtype=np.int64)
-        scores = np.vstack([
-            self.score_rows([t for t in query if t], matrix, rows)
-            for query in queries
-        ]) if queries else np.zeros((0, matrix.num_documents))
-        return scores, matrix.doc_ids
-
-    def _rank_scalar(self, query: Sequence[str], top_k: int,
-                     require_match: bool) -> List[Tuple[str, float]]:
-        """Reference ranking path for indexes without a matrix view."""
-        if require_match:
-            candidates = sorted(self.index.matching_documents(query))
-        else:
-            candidates = self.index.document_ids()
-        scored = [(doc_id, self.score(query, doc_id)) for doc_id in candidates]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        if top_k > 0:
-            scored = scored[:top_k]
-        return scored
-
-    def retrieval_scores(self, query: Sequence[str]) -> Dict[str, float]:
-        """Normalised retrieval scores over matching documents (sum to 1)."""
-        ranked = self.rank(query, top_k=0, require_match=True)
-        if not ranked:
-            return {}
-        total = sum(max(score, 0.0) for _, score in ranked)
-        if total <= 0:
-            return {doc_id: 1.0 / len(ranked) for doc_id, _ in ranked}
-        return {doc_id: max(score, 0.0) / total for doc_id, score in ranked}
+        matrix = self.index.term_document_matrix()
+        batch = QueryBatch(matrix, queries)
+        num_docs = matrix.num_documents
+        avgdl = (matrix.total_tokens / num_docs if num_docs else 0.0) or 1.0
+        document_frequencies = np.diff(matrix.matrix_csc.indptr)
+        idf = np.zeros(len(batch.terms))
+        for position, column in enumerate(batch.columns.tolist()):
+            df = int(document_frequencies[column]) if column >= 0 else 0
+            if df:
+                idf[position] = max(0.0, math.log((num_docs - df + 0.5) / (df + 0.5)
+                                                  + 1.0))
+        tf = batch.term_frequencies
+        denominator = tf + self.k1 * (1.0 - self.b + self.b * matrix.doc_lengths / avgdl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contributions = idf[:, None] * tf * (self.k1 + 1.0) / denominator
+        return batch.ranked(batch.totals(np.where(tf > 0.0, contributions, 0.0)),
+                            top_k, require_match)

@@ -12,9 +12,12 @@ ranks with a pluggable retrieval model resolved from the ranker registry
 ``k = 5`` results per query in the paper).
 
 Repeated identical queries — common across harvesting runs that share an
-engine, e.g. the ideal selector probing its candidate pool for every test
-entity — are answered from an LRU result cache keyed by
-``(entity_id, query, top_k)``.
+engine, e.g. every method's runs for one (entity, aspect) firing the same
+popular queries — are answered from an LRU result cache keyed by
+``(entity_id, query, top_k)``.  :meth:`SearchEngine.retrieve_many` ranks a
+whole query list for one entity in one batched ranker call, outside the
+cache and the fetch accounting: it is how the ideal selector feeds its
+candidate pool to the engine.
 
 The engine also keeps *fetch accounting*: how many queries were fired and
 how many result pages were downloaded, plus a simulated per-page fetch cost
@@ -304,6 +307,14 @@ class SearchEngine:
             return self._entity_rankers.setdefault(entity_id, ranker)
 
     # -- Retrieval --------------------------------------------------------------
+    def _validated_top_k(self, top_k: Optional[int]) -> int:
+        """The per-call ``top_k`` (the engine default when ``None``), held
+        to the constructor's rule: at least one result per query."""
+        k = self.top_k if top_k is None else top_k
+        if k < 1:
+            raise ValueError(f"top_k must be positive, got {k}")
+        return k
+
     def search(self, entity_id: str, query: Sequence[str],
                top_k: Optional[int] = None, record_fetch: bool = True,
                accounting: Optional[RunFetchAccounting] = None) -> List[SearchResult]:
@@ -318,7 +329,7 @@ class SearchEngine:
         regardless) — the harvesting loop passes its run's account here so
         distributed backends can ship it home with the result.
         """
-        k = top_k if top_k is not None else self.top_k
+        k = self._validated_top_k(top_k)
         results = self._ranked_results(entity_id, tuple(query), k,
                                        accounting=accounting)
         if record_fetch:
@@ -360,16 +371,21 @@ class SearchEngine:
         """Materialise result pages from the corpus."""
         return [self.corpus.get_page(r.page_id) for r in results]
 
-    def retrievable_pages(self, entity_id: str, query: Sequence[str],
-                          top_k: Optional[int] = None) -> List[str]:
-        """Page ids ``query`` would retrieve, without recording a fetch.
+    def retrieve_many(self, entity_id: str, queries: Sequence[Sequence[str]],
+                      top_k: Optional[int] = None) -> List[List[Tuple[str, float]]]:
+        """Each of ``queries``' top-k ``(page_id, score)`` pairs for ``entity_id``.
 
-        Used by the oracle/ideal strategy, which is allowed to peek at the
-        engine (the paper's ideal solution feeds every candidate query to the
-        search engine to compute the upper bound).
+        Each list holds the pages and scores :meth:`search` would return for
+        that query, in the same order, from one call to the entity ranker's
+        ``rank_many``.  Nothing is fetched: no fetch is recorded, and the
+        result cache is neither read nor filled, nor are its hit and miss
+        counters touched.  The ideal selector uses it to feed its whole
+        candidate pool to the engine (the paper's ideal solution "feeds
+        each candidate query to the search engine", Sect. VI-A).
         """
-        return [r.page_id for r in self.search(entity_id, query, top_k=top_k,
-                                               record_fetch=False)]
+        k = self._validated_top_k(top_k)
+        return self._ranker_for(entity_id).rank_many(
+            [list(query) for query in queries], top_k=k, require_match=True)
 
     def seed_results(self, entity_id: str, top_k: Optional[int] = None,
                      accounting: Optional[RunFetchAccounting] = None
@@ -381,18 +397,19 @@ class SearchEngine:
         entity's pages by the seed terms (name and seed attributes), which
         naturally favours hub-like pages mentioning the entity's name.
         """
+        k = self._validated_top_k(top_k)
         entity = self.corpus.get_entity(entity_id)
-        results = self.search(entity_id, list(entity.seed_query), top_k=top_k,
+        results = self.search(entity_id, list(entity.seed_query), top_k=k,
                               accounting=accounting)
         if results:
             return results
         # Degenerate corner: the seed terms may not literally occur on any
         # page; fall back to the entity's name tokens, then to arbitrary pages.
-        results = self.search(entity_id, list(entity.name_tokens), top_k=top_k,
+        results = self.search(entity_id, list(entity.name_tokens), top_k=k,
                               accounting=accounting)
         if results:
             return results
-        pages = self.corpus.pages_of(entity_id)[: (top_k or self.top_k)]
+        pages = self.corpus.pages_of(entity_id)[:k]
         with self._lock:
             self.fetch_statistics.record(entity_id, len(pages),
                                          self.simulated_fetch_seconds_per_page)

@@ -80,14 +80,90 @@ class TermDocumentMatrix:
         start, end = csc.indptr[column], csc.indptr[column + 1]
         return csc.indices[start:end], csc.data[start:end]
 
-    def collection_probability(self, term: str) -> float:
-        """Maximum-likelihood collection probability of ``term``."""
-        if self.total_tokens == 0:
-            return 0.0
-        position = self._term_positions.get(term)
-        if position is None:
-            return 0.0
-        return float(self.collection_frequencies[position]) / self.total_tokens
+
+class QueryBatch:
+    """A batch of queries over one :class:`TermDocumentMatrix`.
+
+    The shared half of the rankers' ``rank_many`` kernels.  Empty tokens
+    are dropped from each query, and the batch's distinct terms are
+    gathered once: ``term_frequencies`` is a dense ``terms × docs`` array,
+    a zero row for a term the matrix lacks, and ``columns`` holds each
+    term's matrix column or ``-1``.  A ranker turns the terms into a
+    ``terms × docs`` array of per-term contributions; :meth:`totals` sums
+    them per query, term by term in query order, and :meth:`ranked` orders
+    each query's documents.
+    """
+
+    def __init__(self, matrix: TermDocumentMatrix,
+                 queries: Sequence[Sequence[str]]) -> None:
+        self.matrix = matrix
+        cleaned = [[term for term in query if term] for query in queries]
+        positions: Dict[str, int] = {}
+        rows = [[positions.setdefault(term, len(positions)) for term in query]
+                for query in cleaned]
+        self.terms: List[str] = list(positions)
+        self.lengths = np.array([len(query) for query in cleaned], dtype=np.int64)
+        # Each query's term rows, padded with ``len(terms)``: the index of
+        # the zero row below the terms in :meth:`totals` and :meth:`ranked`.
+        width, pad = int(self.lengths.max(initial=0)), len(self.terms)
+        self.term_rows = np.array([query + [pad] * (width - len(query)) for query in rows],
+                                  dtype=np.int64).reshape(len(rows), width)
+        self.columns = np.array(
+            [-1 if column is None else column
+             for column in map(matrix.term_position, self.terms)], dtype=np.int64)
+        # The known terms' sparse columns, gathered straight from the CSC
+        # arrays into the rows above the padding row.
+        self._padded_frequencies = np.zeros((pad + 1, matrix.num_documents))
+        self.term_frequencies = self._padded_frequencies[:pad]
+        known = np.flatnonzero(self.columns >= 0)
+        csc = matrix.matrix_csc
+        starts = csc.indptr[self.columns[known]]
+        counts = csc.indptr[self.columns[known] + 1] - starts
+        entries = np.repeat(starts - (np.cumsum(counts) - counts), counts) \
+            + np.arange(counts.sum())
+        self._padded_frequencies[np.repeat(known, counts), csc.indices[entries]] = \
+            csc.data[entries]
+
+    def totals(self, contributions: np.ndarray) -> np.ndarray:
+        """Per-query sums of the ``terms × docs`` ``contributions``.
+
+        Each query's terms are added left to right from zeros, in query
+        order.  Starting from ``+0.0`` (or adding a padding ``+0.0``)
+        changes no sum unless a contribution is ``-0.0``, which neither
+        ranker produces.
+        """
+        num_documents = self.matrix.num_documents
+        padded = np.concatenate((contributions, np.zeros((1, num_documents))))
+        total = np.zeros((self.lengths.size, num_documents))
+        for position in range(self.term_rows.shape[1]):
+            total = total + padded[self.term_rows[:, position]]
+        return total
+
+    def ranked(self, totals: np.ndarray, top_k: int,
+               require_match: bool) -> List[List[Tuple[str, float]]]:
+        """Each query's ``(doc_id, score)`` ranking: best score first, ties
+        in doc-id order, cut to ``top_k`` when positive.
+
+        ``require_match`` keeps the documents holding any of the query's
+        terms; an empty query ranks nothing.  Rows are in sorted doc-id
+        order, so a stable sort on the negated score gives the
+        ``(-score, doc_id)`` order.
+        """
+        if require_match:
+            matched = (self._padded_frequencies[self.term_rows] > 0.0).any(axis=1)
+        else:
+            matched = np.ones(totals.shape, dtype=bool)
+        matched &= (self.lengths > 0)[:, None]
+        order = np.argsort(np.where(matched, -totals, np.inf), axis=1, kind="stable")
+        counts = matched.sum(axis=1)
+        if top_k > 0:
+            counts = np.minimum(counts, top_k)
+        order = order[:, :int(counts.max(initial=0))]
+        scores = totals[np.arange(totals.shape[0])[:, None], order].tolist()
+        doc_ids = self.matrix.doc_ids
+        return [[(doc_ids[row], score) for row, score in zip(rows[:count], row_scores)]
+                for rows, row_scores, count
+                in zip(order.tolist(), scores, counts.tolist())]
 
 
 class InvertedIndex:

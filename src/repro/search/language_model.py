@@ -11,23 +11,24 @@ where ``p(w | C)`` is the collection language model and ``mu`` the Dirichlet
 prior.  Unseen query terms (zero collection probability) are smoothed with a
 small epsilon so the score remains finite.
 
-Ranking runs through a vectorized kernel over the index's CSR
+Ranking runs through one vectorized kernel over the index's CSR
 term–document matrix (:meth:`repro.search.index.InvertedIndex.term_document_matrix`):
-one dense column gather plus array arithmetic per query term, scoring the
-whole candidate set at once.  The scalar :meth:`score` is kept as the
-reference implementation; the kernel reproduces it bit for bit (term
-contributions are accumulated in query order and logarithms are taken with
-:func:`repro.utils.vectorize.exact_log`).
+:meth:`~DirichletLanguageModel.rank_many` computes each (term, document)
+contribution of a query batch once and sums them per query, and
+:meth:`~DirichletLanguageModel.rank` is a batch of one.  The scalar
+:meth:`score` is kept as the reference implementation; the kernel
+reproduces it bit for bit (term contributions are accumulated in query order
+and logarithms are taken with :func:`repro.utils.vectorize.exact_log`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.search.index import InvertedIndex, TermDocumentMatrix
+from repro.search.index import InvertedIndex, QueryBatch
 from repro.utils.vectorize import exact_log
 
 _UNSEEN_EPSILON = 1e-9
@@ -55,75 +56,15 @@ class DirichletLanguageModel:
         """Log query likelihood of ``query`` under ``doc_id``'s document model.
 
         Scalar reference implementation of the vectorized
-        :meth:`score_rows` kernel (which must match it bit for bit).
+        :meth:`rank_many` kernel (which must match it bit for bit).
         """
         if not query:
             return float("-inf")
         return sum(math.log(self.term_probability(term, doc_id)) for term in query)
 
-    # -- Vectorized kernel -------------------------------------------------------
-    def score_rows(self, query: Sequence[str], matrix: TermDocumentMatrix,
-                   rows: np.ndarray) -> np.ndarray:
-        """Scores of ``query`` for the document rows ``rows`` of ``matrix``.
-
-        ``rows`` are row positions into ``matrix`` in strictly increasing
-        order.  Contributions are accumulated term by term in query order,
-        so the result equals ``[self.score(query, doc_id) for doc_id in
-        rows]`` bit for bit.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if not query:
-            return np.full(rows.size, float("-inf"))
-        doc_lengths = matrix.doc_lengths[rows]
-        total: Optional[np.ndarray] = None
-        for term in query:
-            collection_p = matrix.collection_probability(term)
-            if collection_p <= 0.0:
-                collection_p = _UNSEEN_EPSILON
-            tf = np.zeros(rows.size, dtype=np.float64)
-            column = matrix.term_position(term)
-            if column is not None:
-                col_rows, col_values = matrix.term_column(column)
-                positions = np.searchsorted(rows, col_rows)
-                positions = np.minimum(positions, rows.size - 1)
-                inside = rows[positions] == col_rows
-                tf[positions[inside]] = col_values[inside]
-            probabilities = (tf + self.mu * collection_p) / (doc_lengths + self.mu)
-            contribution = exact_log(probabilities)
-            total = contribution if total is None else total + contribution
-        assert total is not None
-        return total
-
-    def _matrix(self) -> Optional[TermDocumentMatrix]:
-        builder = getattr(self.index, "term_document_matrix", None)
-        return builder() if builder is not None else None
-
-    def _candidate_rows(self, query: Sequence[str], matrix: TermDocumentMatrix,
-                        require_match: bool) -> np.ndarray:
-        if not require_match:
-            return np.arange(matrix.num_documents, dtype=np.int64)
-        columns = {matrix.term_position(term) for term in query}
-        columns.discard(None)
-        if not columns:
-            return np.zeros(0, dtype=np.int64)
-        gathered = [matrix.term_column(column)[0] for column in sorted(columns)]
-        return np.unique(np.concatenate(gathered)).astype(np.int64)
-
-    def _rank_rows(self, query: Sequence[str], matrix: TermDocumentMatrix,
-                   rows: np.ndarray, top_k: int) -> List[Tuple[str, float]]:
-        scores = self.score_rows(query, matrix, rows)
-        scored = [(matrix.doc_ids[row], float(score))
-                  for row, score in zip(rows.tolist(), scores.tolist())]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        if top_k > 0:
-            scored = scored[:top_k]
-        return scored
-
     def rank(self, query: Sequence[str], top_k: int = 0,
              require_match: bool = True) -> List[Tuple[str, float]]:
-        """Rank documents for ``query``.
+        """Rank documents for ``query``: ``rank_many([query], ...)[0]``.
 
         Parameters
         ----------
@@ -136,66 +77,28 @@ class DirichletLanguageModel:
             query term are returned — a pure smoothing score over unrelated
             documents is not a retrieval.
         """
-        query = [t for t in query if t]
-        if not query:
-            return []
-        matrix = self._matrix()
-        if matrix is None:
-            return self._rank_scalar(query, top_k, require_match)
-        rows = self._candidate_rows(query, matrix, require_match)
-        return self._rank_rows(query, matrix, rows, top_k)
+        return self.rank_many([query], top_k, require_match)[0]
 
     def rank_many(self, queries: Sequence[Sequence[str]], top_k: int = 0,
                   require_match: bool = True) -> List[List[Tuple[str, float]]]:
-        """Rank a batch of queries (one CSR snapshot, shared across queries)."""
-        return [self.rank(query, top_k=top_k, require_match=require_match)
-                for query in queries]
+        """Rank each of ``queries`` (the contract of :meth:`rank`).
 
-    def score_matrix(self, queries: Sequence[Sequence[str]]
-                     ) -> Tuple[np.ndarray, Tuple[str, ...]]:
-        """All (query, document) scores as a dense ``queries × docs`` array.
-
-        Returns the score matrix together with the document-id order of its
-        columns.  Row ``i`` equals ``[self.score(queries[i], d) for d in
-        doc_ids]`` bit for bit (empty queries score ``-inf`` everywhere).
+        Each (term, document) contribution of the batch is computed once as
+        ``exact_log((tf + mu * p(w|C)) / (|d| + mu))``, the scalar
+        :meth:`score`'s operations, and each query sums its terms'
+        contributions in query order, so every score equals :meth:`score`
+        bit for bit.  Documents are ordered by descending score, ties by
+        doc id.
         """
-        matrix = self._matrix()
-        if matrix is None:
-            raise TypeError("index does not expose a term-document matrix")
-        rows = np.arange(matrix.num_documents, dtype=np.int64)
-        scores = np.vstack([
-            self.score_rows([t for t in query if t], matrix, rows)
-            for query in queries
-        ]) if queries else np.zeros((0, matrix.num_documents))
-        return scores, matrix.doc_ids
-
-    def _rank_scalar(self, query: Sequence[str], top_k: int,
-                     require_match: bool) -> List[Tuple[str, float]]:
-        """Reference ranking path for indexes without a matrix view."""
-        if require_match:
-            candidates = sorted(self.index.matching_documents(query))
-        else:
-            candidates = self.index.document_ids()
-        scored = [(doc_id, self.score(query, doc_id)) for doc_id in candidates]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        if top_k > 0:
-            scored = scored[:top_k]
-        return scored
-
-    def retrieval_scores(self, query: Sequence[str]) -> Dict[str, float]:
-        """Return the normalised retrieval scores of all matching documents.
-
-        The scores are exponentiated log-likelihoods normalised to sum to 1,
-        usable as edge weights ``W_pq`` in the reinforcement graph ("we can
-        use a retrieval model to quantify the strength between page p and
-        query q", Sect. III).
-        """
-        ranked = self.rank(query, top_k=0, require_match=True)
-        if not ranked:
-            return {}
-        max_log = max(score for _, score in ranked)
-        weights = {doc_id: math.exp(score - max_log) for doc_id, score in ranked}
-        total = sum(weights.values())
-        if total <= 0:
-            return {doc_id: 1.0 / len(weights) for doc_id in weights}
-        return {doc_id: weight / total for doc_id, weight in weights.items()}
+        matrix = self.index.term_document_matrix()
+        batch = QueryBatch(matrix, queries)
+        collection_p = np.zeros(len(batch.terms))
+        known = batch.columns >= 0
+        if matrix.total_tokens:
+            collection_p[known] = (matrix.collection_frequencies[batch.columns[known]]
+                                   / matrix.total_tokens)
+        collection_p[collection_p <= 0.0] = _UNSEEN_EPSILON
+        probabilities = ((batch.term_frequencies + self.mu * collection_p[:, None])
+                         / (matrix.doc_lengths + self.mu))
+        return batch.ranked(batch.totals(exact_log(probabilities)),
+                            top_k, require_match)

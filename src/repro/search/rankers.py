@@ -38,8 +38,14 @@ class Ranker(Protocol):
         """Return ``(doc_id, score)`` pairs, best first."""
         ...
 
-    def retrieval_scores(self, query: Sequence[str]) -> Dict[str, float]:
-        """Normalised retrieval scores over matching documents (sum to 1)."""
+    def rank_many(self, queries: Sequence[Sequence[str]], top_k: int = 0,
+                  require_match: bool = True) -> List[List[Tuple[str, float]]]:
+        """Exactly ``[self.rank(q, top_k, require_match) for q in queries]``.
+
+        The engine ranks a whole query list through it in one call (see
+        :meth:`repro.search.engine.SearchEngine.retrieve_many`), so a batched
+        kernel pays off; a plain loop over :meth:`rank` also satisfies it.
+        """
         ...
 
 

@@ -14,6 +14,17 @@ over :meth:`~repro.corpus.document.Page.contains_all` and rank the whole
 pool; :func:`reference_hr_statistics` derives the HR domain statistics of
 one aspect from scratch.  The production selectors and statistics must
 return the same query and the same floats.
+
+:func:`reference_ideal_select` is the ideal selector's greedy loop: it
+enumerates the entity's candidates afresh, fires each one at the engine
+through the per-query :meth:`~repro.search.engine.SearchEngine.search`, and
+scores the union with the gathered pages using Python sets.
+:meth:`~repro.baselines.oracle.IdealSelection.select` must return the same
+query.
+
+:func:`reference_rank` is the rankers' scalar ranking path: it scores each
+candidate document with the scalar ``score`` and sorts the pairs.  Both
+ranker kernels, ``rank`` and ``rank_many``, must return the same pairs.
 """
 
 from __future__ import annotations
@@ -241,3 +252,58 @@ def reference_hr_statistics(domain_corpus: Corpus, relevance: RelevanceFunction,
     template_rates = {template: sum(values) / len(values)
                       for template, values in template_totals.items()}
     return query_rates, template_rates, query_templates
+
+
+def reference_ideal_select(ground_truth: RelevanceFunction, session: HarvestSession,
+                           max_candidates: int = 3000) -> Optional[Query]:
+    """:meth:`~repro.baselines.oracle.IdealSelection.select`."""
+    universe = session.corpus.pages_of(session.entity.entity_id)
+    relevant_ids = {p.page_id for p in universe if ground_truth(p) == 1}
+    enumerator = QueryEnumerator(
+        max_length=session.config.max_query_length,
+        min_word_length=session.config.min_query_word_length,
+        exclude_words=session.entity.excluded_words(),
+    )
+    statistics = enumerator.enumerate_from_pages(universe)
+    ranked = sorted(statistics.queries(),
+                    key=lambda q: (-statistics.page_frequency(q), q))
+    candidates = ranked[:max_candidates]
+    if not relevant_ids:
+        return None
+
+    gathered = set(session.current_page_ids())
+    best_query: Optional[Query] = None
+    best_score = float("-inf")
+    for query in candidates:
+        if session.is_fired(query):
+            continue
+        retrieved = [r.page_id for r in session.engine.search(
+            session.entity.entity_id, list(query), record_fetch=False)]
+        if not retrieved:
+            continue
+        union = gathered | set(retrieved)
+        relevant_covered = len(union & relevant_ids)
+        precision = relevant_covered / len(union) if union else 0.0
+        coverage = relevant_covered / len(relevant_ids)
+        score = precision * coverage
+        if score > best_score:
+            best_score = score
+            best_query = query
+    return best_query
+
+
+def reference_rank(ranker, query: Sequence[str], top_k: int,
+                   require_match: bool) -> List[Tuple[str, float]]:
+    """``ranker.rank(query, top_k, require_match)`` over the scalar ``score``."""
+    query = [t for t in query if t]
+    if not query:
+        return []
+    if require_match:
+        candidates = sorted(ranker.index.matching_documents(query))
+    else:
+        candidates = ranker.index.document_ids()
+    scored = [(doc_id, ranker.score(query, doc_id)) for doc_id in candidates]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    if top_k > 0:
+        scored = scored[:top_k]
+    return scored

@@ -155,7 +155,8 @@ class TestIdealSelection:
         selector.prepare(session)
         query = selector.select(session)
         assert query is not None
-        retrieved = session.engine.retrievable_pages(session.entity.entity_id, list(query))
+        retrieved = [r.page_id for r in session.engine.search(
+            session.entity.entity_id, list(query), record_fetch=False)]
         relevant = {p.page_id for p in session.corpus.relevant_pages(
             session.entity.entity_id, "AWARD")}
         assert set(retrieved) & relevant

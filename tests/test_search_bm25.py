@@ -60,10 +60,5 @@ class TestRanking:
     def test_top_k(self, ranker):
         assert len(ranker.rank(["parallel"], top_k=1)) == 1
 
-    def test_retrieval_scores_normalised(self, ranker):
-        scores = ranker.retrieval_scores(["parallel"])
-        assert sum(scores.values()) == pytest.approx(1.0)
-
     def test_empty_query(self, ranker):
         assert ranker.rank([]) == []
-        assert ranker.retrieval_scores([]) == {}

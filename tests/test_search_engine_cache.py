@@ -52,11 +52,20 @@ class TestCacheAccounting:
         assert stats.pages_fetched == 2 * len(first)
 
     def test_uncounted_lookups_also_cached(self, engine, entity_id):
-        engine.retrievable_pages(entity_id, ["research"])
-        engine.retrievable_pages(entity_id, ["research"])
+        engine.search(entity_id, ["research"], record_fetch=False)
+        engine.search(entity_id, ["research"], record_fetch=False)
         stats = engine.fetch_statistics
         assert stats.queries_fired == 0
         assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+
+    def test_batched_retrieval_bypasses_the_cache(self, engine, entity_id):
+        engine.retrieve_many(entity_id, [["research"], ["research"]])
+        engine.retrieve_many(entity_id, [["research"]])
+        stats = engine.fetch_statistics
+        assert (stats.cache_hits, stats.cache_misses) == (0, 0)
+        # Nothing was filled either: the first search still misses.
+        engine.search(entity_id, ["research"])
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
 
 
 class TestCacheBehaviour:

@@ -76,12 +76,3 @@ class TestRanking:
     def test_empty_query_returns_nothing(self, model):
         assert model.rank([]) == []
 
-
-class TestRetrievalScores:
-    def test_scores_normalised(self, model):
-        scores = model.retrieval_scores(["parallel"])
-        assert set(scores) == {"research_page", "mixed_page"}
-        assert sum(scores.values()) == pytest.approx(1.0)
-
-    def test_unknown_query_returns_empty(self, model):
-        assert model.retrieval_scores(["banana"]) == {}

@@ -117,9 +117,8 @@ class TestCustomRanker:
                 scored = [(doc_id, 1.0) for doc_id in matches]
                 return scored[:top_k] if top_k > 0 else scored
 
-            def retrieval_scores(self, query):
-                ranked = self.rank(query)
-                return {d: 1.0 / len(ranked) for d, _ in ranked} if ranked else {}
+            def rank_many(self, queries, top_k=0, require_match=True):
+                return [self.rank(query, top_k, require_match) for query in queries]
 
         register_ranker("first-doc-test", lambda index, **params: FirstDocRanker(index))
         try:

@@ -1,14 +1,16 @@
 """Vectorized hot-path kernels vs their scalar references, property-tested.
 
 The sparse-matrix selection kernels promise *bit-identical* results to the
-scalar reference implementations they replaced: the ranker ``score_rows`` /
-``score_matrix`` kernels vs ``score``, and the selector's batched
+scalar reference implementations they replaced: the rankers' batched
+``rank_many`` kernel (``rank`` is a batch of one) vs the scalar ``score``
+path (:func:`tests.oracles.reference_rank`), and the selector's batched
 ``_choose`` vs ``_choose_scalar``.  The multi-RHS joint solver agrees with
 one :meth:`~repro.graph.random_walk.UtilitySolver.solve` per problem to
 1e-12.  These tests pin that
 contract over seeded random corpora, graphs and regularizations — including
 the edge cases (empty/singleton candidate sets, unseen query terms,
-incremental index updates) where a vectorized path most easily drifts.
+incremental index updates, tied scores, entity views) where a vectorized
+path most easily drifts.
 """
 
 import random
@@ -30,15 +32,26 @@ from repro.search.bm25 import BM25Ranker
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
 
+from tests.oracles import reference_rank
+
 VOCABULARY = [f"w{i}" for i in range(30)]
 
 
-def _random_index(rng: random.Random, num_docs: int) -> InvertedIndex:
+def _random_index(rng: random.Random, num_docs: int,
+                  edge_cases: bool = False) -> InvertedIndex:
+    """Random documents; with ``edge_cases``, some repeat an earlier
+    document's tokens (tied scores) and one document is empty."""
     index = InvertedIndex()
+    documents = []
     for position in range(num_docs):
-        tokens = [rng.choice(VOCABULARY)
-                  for _ in range(rng.randint(1, 25))]
+        if edge_cases and documents and rng.random() < 0.3:
+            tokens = rng.choice(documents)
+        else:
+            tokens = [rng.choice(VOCABULARY) for _ in range(rng.randint(1, 25))]
+        documents.append(tokens)
         index.add_document(f"d{position:02d}", tokens)
+    if edge_cases:
+        index.add_document("empty", [])
     return index
 
 
@@ -47,39 +60,63 @@ def _random_query(rng: random.Random) -> list:
     return [rng.choice(pool) for _ in range(rng.randint(1, 3))]
 
 
+def _exact(rankings):
+    """Rankings with each score as its exact bits."""
+    return [[(doc_id, score.hex()) for doc_id, score in ranking]
+            for ranking in rankings]
+
+
 RANKERS = [
     pytest.param(lambda index: DirichletLanguageModel(index, mu=50.0),
                  id="dirichlet-lm"),
     pytest.param(lambda index: BM25Ranker(index, k1=1.2, b=0.75), id="bm25"),
+    # b = 1 gives an empty document a zero BM25 denominator.
+    pytest.param(lambda index: BM25Ranker(index, k1=1.2, b=1.0), id="bm25-b1"),
 ]
 
 
 class TestRankerKernelEquivalence:
     @pytest.mark.parametrize("make_ranker", RANKERS)
     @pytest.mark.parametrize("seed", range(5))
-    def test_score_matrix_matches_scalar_bitwise(self, make_ranker, seed):
+    def test_rank_many_scores_match_scalar_bitwise(self, make_ranker, seed):
         rng = random.Random(seed)
         ranker = make_ranker(_random_index(rng, rng.randint(1, 10)))
         queries = [_random_query(rng) for _ in range(6)]
-        scores, doc_ids = ranker.score_matrix(queries)
-        for row, query in enumerate(queries):
-            for column, doc_id in enumerate(doc_ids):
+        rankings = ranker.rank_many(queries, top_k=0, require_match=False)
+        for query, ranking in zip(queries, rankings):
+            assert sorted(doc_id for doc_id, _ in ranking) == \
+                ranker.index.document_ids()
+            for doc_id, score in ranking:
                 # Bit-identical, not approximately equal.
-                assert scores[row, column] == ranker.score(query, doc_id), \
+                assert score.hex() == ranker.score(query, doc_id).hex(), \
                     (query, doc_id)
 
     @pytest.mark.parametrize("make_ranker", RANKERS)
     @pytest.mark.parametrize("seed", range(5))
     def test_rank_matches_scalar_path(self, make_ranker, seed):
         rng = random.Random(100 + seed)
-        ranker = make_ranker(_random_index(rng, rng.randint(2, 10)))
-        for _ in range(6):
-            query = _random_query(rng)
-            top_k = rng.choice([0, 1, 3])
-            require_match = rng.random() < 0.5
-            assert ranker.rank(query, top_k=top_k,
-                               require_match=require_match) == \
-                ranker._rank_scalar(query, top_k, require_match)
+        index = _random_index(rng, rng.randint(2, 10), edge_cases=True)
+        documents = index.document_ids()
+        view = index.view(rng.sample(documents, rng.randint(1, len(documents))))
+        queries = [_random_query(rng) for _ in range(6)] + [
+            ["w0", "unseen-term"],                  # an unseen term
+            ["w1", "w2", "w1"],                     # a repeated term
+            [],                                     # an empty query
+            ["", "w3"],                             # an empty token
+        ]
+        rng.shuffle(queries)
+        for ranker in (make_ranker(index), make_ranker(view)):
+            for _ in range(4):
+                top_k = rng.choice([0, 1, 3])
+                require_match = rng.random() < 0.5
+                expected = _exact(reference_rank(ranker, query, top_k, require_match)
+                                  for query in queries)
+                assert _exact(ranker.rank(query, top_k=top_k,
+                                          require_match=require_match)
+                              for query in queries) == expected
+                assert _exact(ranker.rank_many(queries, top_k=top_k,
+                                               require_match=require_match)) \
+                    == expected
 
     @pytest.mark.parametrize("make_ranker", RANKERS)
     def test_unseen_terms_and_empty_query(self, make_ranker):
@@ -87,13 +124,16 @@ class TestRankerKernelEquivalence:
             {"d0": ["alpha", "beta"], "d1": ["beta", "gamma"]}))
         # A query of only unseen terms matches nothing.
         assert ranker.rank(["never-indexed"]) == []
+        assert ranker.rank_many([["never-indexed"]]) == [[]]
         # Mixed seen/unseen still scores identically to the scalar path.
         query = ["alpha", "never-indexed"]
-        scores, doc_ids = ranker.score_matrix([query])
-        for column, doc_id in enumerate(doc_ids):
-            assert scores[0, column] == ranker.score(query, doc_id)
+        [ranking] = ranker.rank_many([query], top_k=0, require_match=False)
+        for doc_id, score in ranking:
+            assert score == ranker.score(query, doc_id)
         # Empty queries retrieve nothing.
         assert ranker.rank([]) == []
+        assert ranker.rank_many([[], [""]], require_match=False) == [[], []]
+        assert ranker.rank_many([]) == []
 
     @pytest.mark.parametrize("make_ranker", RANKERS)
     def test_incremental_updates_refresh_the_kernel_snapshot(self, make_ranker):
@@ -107,16 +147,17 @@ class TestRankerKernelEquivalence:
         index.add_document("d1", ["beta", "beta", "gamma"])
         after = ranker.rank(["beta"])
         assert {doc_id for doc_id, _ in after} == {"d0", "d1"}
-        assert after == ranker._rank_scalar(["beta"], 0, True)
+        assert after == reference_rank(ranker, ["beta"], 0, True)
+        assert ranker.rank_many([["beta"]]) == [after]
 
     def test_singleton_index_matches_scalar(self):
         index = InvertedIndex.from_documents({"only": ["alpha"]})
         for make_ranker in (DirichletLanguageModel, BM25Ranker):
             ranker = make_ranker(index)
-            scores, doc_ids = ranker.score_matrix([["alpha"], ["beta"]])
-            assert doc_ids == ("only",)
-            assert scores[0, 0] == ranker.score(["alpha"], "only")
-            assert scores[1, 0] == ranker.score(["beta"], "only")
+            rankings = ranker.rank_many([["alpha"], ["beta"]], top_k=0,
+                                        require_match=False)
+            assert rankings == [[("only", ranker.score(["alpha"], "only"))],
+                                [("only", ranker.score(["beta"], "only"))]]
 
 
 def _random_graph(rng: random.Random):
