@@ -54,7 +54,8 @@ def _register_atexit() -> None:
 def register_store_handles(root, handles: Mapping[str, StoreHandle]) -> None:
     """Record published handles durably before any cell dispatches.
 
-    ``handles`` maps an arbitrary label (e.g. ``"seed7/car"``) to the
+    ``handles`` maps an arbitrary label (the campaign runner uses each
+    base's :meth:`~repro.exec.specs.CorpusSpec.base_key`) to the
     published :class:`~repro.store.StoreHandle`.  An empty mapping
     removes any stale registry file instead.
     """

@@ -1,18 +1,19 @@
-"""Checkpointed campaign execution over the existing backend machinery.
+"""Checkpointed campaign execution over the scenario sweep's cell pipeline.
 
 :class:`CampaignRunner` dispatches a compiled campaign's pending cells
-through any :class:`~repro.exec.backends.ExecutionBackend` — the same
-``execute_sweep_cell`` worker entry point the scenario sweep ships — and
-commits every finished cell to the journaled :class:`~repro.campaign
-.store.CampaignStore` before moving on.  A SIGKILL therefore loses at
-most the in-flight checkpoint batch; everything journalled is skipped on
-the next run, and the folded ``matrices.json`` — a pure function of the
-on-disk artifacts — comes out byte-identical to an uninterrupted run.
+through any :class:`~repro.exec.backends.ExecutionBackend` with the
+sweep's own :func:`~repro.eval.scenario_sweep.dispatch_cells` — one
+``execute_sweep_cell`` task per cell — and commits every finished cell
+to the journaled :class:`~repro.campaign.store.CampaignStore` before
+moving on.  A SIGKILL therefore loses at most the in-flight checkpoint
+batch; everything journalled is skipped on the next run, and the folded
+``matrices.json`` — a pure function of the on-disk artifacts — comes out
+byte-identical to an uninterrupted run.
 
-Stores publish per (seed, domain) exactly as the sweep publishes per
-domain, but only for the domains that still have pending cells — a
-resumed campaign never pays publish cost for finished work.  Published
-handles are recorded in the crash-safe registry
+Distributed dispatches publish one clean base store per (seed, domain)
+with :func:`~repro.eval.scenario_sweep.publish_base_stores`, but only for
+the cells still pending — a resumed campaign never pays publish cost for
+finished work.  Published handles are recorded in the crash-safe registry
 (:mod:`repro.campaign.registry`) *before* the first dispatch, so a
 campaign killed between publish and release leaks nothing a resume (or
 ``campaign clean``) cannot reap.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -36,12 +37,10 @@ from repro.campaign.spec import CampaignCell, CampaignSpec, compile_cells
 from repro.campaign.store import CampaignStore, JournalReplay
 from repro.eval.scenario_sweep import (
     assemble_sweep_result,
-    execute_sweep_cell,
-    merge_cell_phases,
-    publish_domain_store,
+    dispatch_cells,
+    publish_base_stores,
 )
 from repro.exec.backends import ExecutionBackend, resolve_backend
-from repro.store import MODE_OFF, StoreError, StoreHandle
 
 #: Identifier of the folded campaign-matrices layout.
 MATRICES_SCHEMA = "CampaignMatrices/v1"
@@ -175,18 +174,19 @@ class CampaignRunner:
         executed = 0
         sleep_seconds = float(os.environ.get(INTERCELL_SLEEP_ENV, "0") or 0)
         if to_run:
-            handles = self._publish_stores(to_run)
+            with perf.phase("campaign-publish"):
+                handles = publish_base_stores(
+                    self.backend, [cell.spec for cell in to_run],
+                    self.spec.corpus_store)
+            register_store_handles(self.store.root, handles)
             try:
                 for start in range(0, len(to_run), self.checkpoint_every):
                     batch = to_run[start:start + self.checkpoint_every]
-                    specs = [self._transported_spec(cell, handles)
-                             for cell in batch]
                     with perf.phase("campaign-dispatch", cells=len(batch),
                                     workers=self.backend.workers):
-                        results = self.backend.map_tasks(execute_sweep_cell,
-                                                         specs)
-                    if self.backend.distributed:
-                        merge_cell_phases(results)
+                        results = dispatch_cells(
+                            self.backend, [cell.spec for cell in batch],
+                            handles)
                     for cell, result in zip(batch, results):
                         self.store.record(cell, result)
                         executed += 1
@@ -207,48 +207,6 @@ class CampaignRunner:
                 document = fold_matrices(self.spec, self.store, cells)
                 report.matrices_path = self.store.write_matrices(document)
         return report
-
-    def _publish_stores(self, to_run: List[CampaignCell]
-                        ) -> Dict[Tuple[int, str], StoreHandle]:
-        """Publish one clean base store per pending (seed, domain).
-
-        Only distributed backends attach stores (matching the sweep);
-        in-process backends rely on the process-local base caches.
-        Handles are recorded in the crash-safe registry *before* any
-        cell dispatches, so no kill window can leak a segment invisibly.
-        """
-        handles: Dict[Tuple[int, str], StoreHandle] = {}
-        if not self.backend.distributed \
-                or self.spec.corpus_store == MODE_OFF:
-            return handles
-        needed = sorted({(cell.seed, cell.domain) for cell in to_run})
-        for seed, domain in needed:
-            scale = self.spec.scale_for_seed(seed)
-            try:
-                with perf.phase("campaign-publish", domain=domain, seed=seed):
-                    handles[(seed, domain)] = publish_domain_store(
-                        scale, domain, self.spec.corpus_store)
-            except StoreError:
-                break  # published domains stay usable; the rest rebuild
-        register_store_handles(
-            self.store.root,
-            {f"seed{seed}/{domain}": handle
-             for (seed, domain), handle in handles.items()})
-        return handles
-
-    @staticmethod
-    def _transported_spec(cell: CampaignCell,
-                          handles: Dict[Tuple[int, str], StoreHandle]):
-        """The cell's spec with its (seed, domain) store handle attached.
-
-        Transport only: the handle never changes the cell's denotation —
-        or its key — just how fast a worker materialises the corpus.
-        """
-        handle = handles.get((cell.seed, cell.domain))
-        if handle is None:
-            return cell.spec
-        return replace(cell.spec,
-                       corpus=replace(cell.spec.corpus, store_handle=handle))
 
     # -- Reporting ---------------------------------------------------------
     def summary_document(self, report: CampaignRunReport

@@ -25,14 +25,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import L2QConfig
-from repro.core.selection import selector_names
-from repro.corpus.domains import available_domains
 from repro.eval.experiments import ExperimentScale, get_scale
-from repro.eval.runner import BASELINE_METHODS
-from repro.eval.scenario_sweep import RUNNER_BASE_SEED
+from repro.eval.scenario_sweep import sweep_cell_specs, validate_sweep
 from repro.exec.specs import SweepCellSpec
-from repro.scenarios import ScenarioSpec, make_scenario, scenario_names
-from repro.store import STORE_MODES
+from repro.scenarios import ScenarioSpec, make_scenario
 
 #: Identifier of the campaign-spec serialisation layout.
 SPEC_SCHEMA = "CampaignSpec/v1"
@@ -65,38 +61,12 @@ class CampaignSpec:
         if not self.name or "/" in self.name:
             raise ValueError(f"campaign name must be a non-empty label "
                              f"without '/', got {self.name!r}")
-        if not self.domains:
-            raise ValueError("at least one domain is required")
-        bad_domains = [d for d in self.domains
-                       if d not in self.scale.num_entities]
-        if bad_domains:
-            raise ValueError(f"unknown domains {bad_domains}; this scale "
-                             f"sizes: {sorted(self.scale.num_entities)}")
-        if not self.scenarios:
-            raise ValueError("at least one scenario is required")
-        bad_scenarios = [s for s in self.scenarios
-                         if s not in scenario_names()]
-        if bad_scenarios:
-            raise ValueError(f"unknown scenarios {bad_scenarios}; "
-                             f"available: {scenario_names()}")
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ValueError(f"duplicate scenarios in {self.scenarios}")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        harvestable = set(selector_names()) | (BASELINE_METHODS - {"IDEAL"})
-        bad_methods = [m for m in self.methods if m not in harvestable]
-        if bad_methods:
-            raise ValueError(f"unknown methods {bad_methods}; "
-                             f"available: {sorted(harvestable)}")
+        validate_sweep(self.scale, self.domains, self.scenarios,
+                       self.methods, self.num_queries, self.corpus_store)
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds in {self.seeds}")
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be >= 1")
-        if self.corpus_store not in STORE_MODES:
-            raise ValueError(f"unknown corpus-store mode "
-                             f"{self.corpus_store!r}; options: {STORE_MODES}")
 
     # -- Serialisation -----------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
@@ -212,37 +182,25 @@ class CampaignCell:
 def compile_cells(spec: CampaignSpec) -> List[CampaignCell]:
     """Compile a spec into its deterministic, content-addressed job list.
 
-    Cell order is seed-major, then domain-major, then clean + scenarios
-    in spec order — the order :class:`~repro.eval.scenario_sweep
-    .ScenarioSweep` dispatches cells in, so contiguous runs keep a
-    domain's cells together and worker base caches amortise the same
-    way.  ``base_slots`` is sized to the distinct bases across the whole
-    campaign, so resumed partial dispatches can never thrash a worker
-    cache that a full dispatch would not.
+    Each seed's cells are :func:`~repro.eval.scenario_sweep
+    .sweep_cell_specs` of that seed's corpus realisation — the cells a
+    :class:`~repro.eval.scenario_sweep.ScenarioSweep` at that seed
+    dispatches, in the same order — so cell order is seed-major, then
+    domain-major, then clean + scenarios in spec order.  ``base_slots`` is
+    sized to the distinct bases across the whole campaign, so resumed
+    partial dispatches can never thrash a worker cache that a full
+    dispatch would not.
     """
     scenario_specs = spec.scenario_specs()
-    cells: List[CampaignCell] = []
-    for seed in spec.seeds:
-        scale = spec.scale_for_seed(seed)
-        for domain in spec.domains:
-            for scenario in [None] + scenario_specs:
-                cell_spec = SweepCellSpec(
-                    corpus=scale.corpus_spec_for(domain, scenario=scenario),
-                    methods=tuple(spec.methods),
-                    num_queries=spec.num_queries,
-                    num_splits=scale.num_splits,
-                    max_test_entities=scale.max_test_entities,
-                    max_aspects=scale.max_aspects,
-                    config=spec.config,
-                    base_seed=RUNNER_BASE_SEED,
-                )
-                cells.append(CampaignCell(
-                    seed=seed,
-                    domain=domain,
-                    scenario=scenario.name if scenario else None,
-                    spec=cell_spec,
-                    key=cell_spec.cell_key(),
-                ))
+    cells = [
+        CampaignCell(seed=seed, domain=cell_spec.domain,
+                     scenario=cell_spec.scenario_name, spec=cell_spec,
+                     key=cell_spec.cell_key())
+        for seed in spec.seeds
+        for cell_spec in sweep_cell_specs(
+            spec.scale_for_seed(seed), spec.domains, scenario_specs,
+            spec.methods, spec.num_queries, config=spec.config)
+    ]
     base_slots = len({cell.spec.corpus.base_key() for cell in cells})
     cells = [replace(cell, spec=replace(cell.spec, base_slots=base_slots))
              for cell in cells]
@@ -262,12 +220,8 @@ def spec_from_preset(name: str, scale: str, domains: Sequence[str],
     ``seeds`` defaulting is the caller's job; pass the preset's own
     ``corpus_seed`` for the single-world campaign the sweep runs today.
     """
-    preset = get_scale(scale)
-    bad = [d for d in domains if d not in available_domains()]
-    if bad:
-        raise ValueError(f"unknown domains {bad}; "
-                         f"available: {available_domains()}")
-    return CampaignSpec(name=name, scale=preset, domains=tuple(domains),
+    return CampaignSpec(name=name, scale=get_scale(scale),
+                        domains=tuple(domains),
                         scenarios=tuple(scenarios), methods=tuple(methods),
                         seeds=tuple(seeds), num_queries=num_queries,
                         corpus_store=corpus_store, config=config)

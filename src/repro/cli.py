@@ -65,12 +65,15 @@ results stay bit-identical across clients' *scheduling* (draws are
 request-keyed), and the instant client reproduces the historical results
 exactly at any concurrency.
 
-``scenarios run`` additionally accepts ``--paper-scale`` (the paper's 996
-researchers / 143 cars sweep, defaulting to the sharded process backend
-over all CPUs) and ``--param name=v1,v2,...`` severity grids that expand
-each requested scenario into one cell per parameter value; when the name
-is an :class:`~repro.core.config.L2QConfig` field (e.g. ``dedup_penalty``)
-the grid varies the learner against a fixed corpus condition instead.
+``scenarios run`` takes the same ``--backend``/``--workers``, but they
+dispatch the sweep's (domain, scenario) cells, one task per cell, and a
+cell's harvests run serially.  It additionally accepts ``--paper-scale``
+(the paper's 996 researchers / 143 cars sweep, defaulting to the process
+backend over all CPUs) and ``--param name=v1,v2,...`` severity grids that
+expand each requested scenario into one cell per parameter value; when the
+name is an :class:`~repro.core.config.L2QConfig` field (e.g.
+``dedup_penalty``) the grid varies the learner against a fixed corpus
+condition instead.
 ``harvest``, ``experiment`` and ``scenarios run`` take ``--dedup-penalty``
 to enable dedup-aware selection (page-level MinHash novelty discount;
 0 = off, the paper's exact behaviour) and ``--perf-output PATH`` to record
@@ -198,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", default="BENCH_scenarios.json",
                      help="path of the robustness matrix JSON "
                           "(default: ./BENCH_scenarios.json)")
-    _add_engine_arguments(run)
+    _add_engine_arguments(run, dispatched="the sweep's cells, one task per "
+                                          "(domain, scenario) cell whose "
+                                          "harvests run serially")
 
     serve = subparsers.add_parser(
         "serve", help="async serving runner over the harvest loop")
@@ -355,7 +360,8 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
                              "client results stay identical to serial)")
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_engine_arguments(parser: argparse.ArgumentParser,
+                          dispatched: str = "the harvesting loops") -> None:
     parser.add_argument("--ranker", default=None, choices=ranker_names(),
                         help="retrieval model of the offline search engine "
                              "(default: the configured 'dirichlet')")
@@ -365,13 +371,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "utilities by page-level expected redundancy "
                              "(0 = off, the default; 1 = full discount)")
     parser.add_argument("--backend", default=None, choices=backend_names(),
-                        help="execution backend for the harvesting loops "
+                        help=f"execution backend for {dispatched} "
                              "(default: serial for 1 worker, thread for "
                              "more; results are identical for any backend)")
     parser.add_argument("--workers", type=_positive_int, default=None,
-                        help="parallel harvesting workers (default 1, or all "
-                             "CPUs under --paper-scale; results are identical "
-                             "for any value)")
+                        help=f"parallel workers for {dispatched} (default "
+                             "1, or all CPUs under --paper-scale; results "
+                             "are identical for any value)")
     parser.add_argument("--corpus-store", default=None,
                         choices=list(STORE_MODES),
                         help="shared corpus store for the process backend: "
@@ -589,9 +595,9 @@ def _command_scenarios(args: argparse.Namespace, out) -> int:
                   "pass one or the other", file=out)
             return 2
         scale_name = "paper"
-        # The paper-scale sweep is the workload the sharded process backend
-        # exists for; fill in whichever of backend/workers the user left
-        # unset (an explicit --backend or --workers always wins).
+        # The paper-scale sweep is the workload the process backend exists
+        # for; fill in whichever of backend/workers the user left unset (an
+        # explicit --backend or --workers always wins).
         if backend is None:
             backend = BACKEND_PROCESS
         if workers is None:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.aspects.classifier import AspectAccuracy, AspectClassifierSuite
 from repro.core.config import L2QConfig
 from repro.corpus.corpus import Corpus
-from repro.corpus.synthetic import BaseCorpus, build_base, build_corpus
+from repro.corpus.synthetic import build_corpus
 from repro.eval.metrics import MetricSeries, relative_improvement
 from repro.eval.runner import EfficiencyReport, ExperimentRunner
 from repro.exec.backends import ExecutionBackend
@@ -74,18 +74,6 @@ class ExperimentScale:
                             num_entities=self.num_entities[domain],
                             pages_per_entity=self.pages_per_entity,
                             seed=self.corpus_seed)
-
-    def base_corpus_for(self, domain: str) -> BaseCorpus:
-        """Generate the shareable base corpus of one domain at this scale.
-
-        Scenario pipelines realise against this base byte-identically to a
-        full generation (perturbation RNGs are label-derived), so callers
-        evaluating many scenarios per domain pay base generation once.
-        """
-        return build_base(domain=domain,
-                          num_entities=self.num_entities[domain],
-                          pages_per_entity=self.pages_per_entity,
-                          seed=self.corpus_seed)
 
     def corpus_spec_for(self, domain: str, scenario=None) -> CorpusSpec:
         """The picklable spec a worker process rebuilds this corpus from."""

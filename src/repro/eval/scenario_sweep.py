@@ -21,13 +21,16 @@ label-derived — see :class:`~repro.corpus.synthetic.BaseCorpus`).  A sweep
 therefore performs exactly one base generation per domain instead of
 ``1 + len(scenarios)``.
 
-Execution is pluggable: the sweep accepts any
-:class:`~repro.exec.backends.ExecutionBackend`.  Serial and thread backends
-evaluate cells in-process (threads parallelise the harvesting runs inside a
-cell); the sharded process backend ships picklable
-:class:`~repro.exec.specs.SweepCellSpec` payloads, one per (domain,
-scenario) cell, and workers rebuild corpora against a process-local shared
-base.  Every backend produces the same JSON byte-for-byte.
+Sweeps and campaigns (:mod:`repro.campaign`) share one cell pipeline:
+:func:`sweep_cell_specs` lists one corpus realisation's cells, domain-major
+and clean first; :func:`publish_base_stores` publishes the clean base
+stores a distributed dispatch attaches; and :func:`dispatch_cells` runs
+every cell as its own ``backend.map_tasks`` task of
+:func:`execute_sweep_cell`, on any
+:class:`~repro.exec.backends.ExecutionBackend`.  A cell rebuilds its
+corpus from a picklable :class:`~repro.exec.specs.SweepCellSpec` against
+a process-locally cached base and runs its harvests serially, so every
+backend produces the same JSON byte-for-byte.
 
 Everything in the result is deterministic: corpora are seeded, harvest
 seeds derive from ``(base_seed, split, method, entity, aspect)``, and no
@@ -49,16 +52,26 @@ from repro.aspects.classifier import AspectClassifierSuite
 from repro.core.config import L2QConfig
 from repro.core.selection import selector_names
 from repro.corpus.corpus import Corpus
-from repro.corpus.synthetic import CorpusConfig, CorpusGenerator, realise_base
+from repro.corpus.synthetic import CorpusConfig, CorpusGenerator
 from repro.eval.experiments import DOMAINS, SMOKE_SCALE, ExperimentScale
 from repro.eval.runner import BASELINE_METHODS, ExperimentRunner
 from repro.eval.splits import split_entities
 from repro.exec.backends import ExecutionBackend, resolve_backend
 from repro.exec.specs import SweepCellResult, SweepCellSpec, reserve_base_slots
-from repro.scenarios import ScenarioSpec, make_scenario, scenario_names
-from repro.store import MODE_OFF, CorpusStoreWriter, StoreError, StoreHandle
-from repro.store import release
-from repro.store import resolve_mode as resolve_store_mode
+from repro.scenarios import (
+    ScenarioSpec,
+    is_registered,
+    make_scenario,
+    scenario_names,
+)
+from repro.store import (
+    MODE_OFF,
+    STORE_MODES,
+    CorpusStoreWriter,
+    StoreError,
+    StoreHandle,
+    release,
+)
 from repro.utils.rng import derive_seed
 
 #: Selectors swept by default: the paper's three full approaches.
@@ -302,41 +315,83 @@ def _metrics_block(series: Dict[str, object], methods: Sequence[str],
     }
 
 
-def _evaluate_corpus(corpus: Corpus, methods: Sequence[str], num_queries: int,
-                     num_splits: int, max_test_entities: Optional[int],
-                     max_aspects: Optional[int], config: Optional[L2QConfig],
-                     base_seed: int,
-                     backend: Union[None, str, ExecutionBackend] = None,
-                     workers: int = 1
-                     ) -> Tuple[Dict[str, Dict[str, float]],
-                                Dict[str, Dict[str, float]],
-                                Dict[str, float],
-                                Dict[str, object]]:
-    """Metrics, duplicate waste and fetch accounting of one corpus.
+def validate_sweep(scale: ExperimentScale, domains: Sequence[str],
+                   scenarios: Sequence[Union[str, ScenarioSpec]],
+                   methods: Sequence[str], num_queries: int,
+                   corpus_store: str) -> None:
+    """Reject inputs no cell could run, before any corpus is built.
 
-    Returns ``(normalised metrics, absolute metrics, duplicate_waste,
-    fetch)``.  The single evaluation routine shared by the in-process sweep
-    path and the process-backend worker path, so both fold identical floats
-    in identical order — the byte-for-byte equality across backends rests
-    on this sharing.
+    The one validator of :class:`ScenarioSweep` and
+    :class:`~repro.campaign.spec.CampaignSpec`: a cell is expensive, so a
+    typo must fail here, not mid-run after the clean baseline.
+    ``scenarios`` holds registry names or pre-built
+    :class:`~repro.scenarios.ScenarioSpec` instances.
     """
-    runner = ExperimentRunner(corpus, config=config, base_seed=base_seed,
-                              workers=workers, backend=backend)
-    aspects = list(corpus.aspects)
-    if max_aspects is not None:
-        aspects = aspects[:max_aspects]
-    evaluation = runner.evaluate_methods_detailed(
-        methods,
-        num_queries_list=(num_queries,),
-        num_splits=num_splits,
-        max_test_entities=max_test_entities,
-        aspects=aspects,
-    )
-    return (_metrics_block(evaluation.normalized, methods, num_queries),
-            _metrics_block(evaluation.absolute, methods, num_queries),
-            {method: evaluation.duplicate_waste[method][num_queries]
-             for method in methods},
-            evaluation.fetch_statistics.as_dict())
+    if not domains:
+        raise ValueError("at least one domain is required")
+    bad_domains = [d for d in domains if d not in scale.num_entities]
+    if bad_domains:
+        raise ValueError(f"unknown domains {bad_domains}; this scale "
+                         f"sizes: {sorted(scale.num_entities)}")
+    if not scenarios:
+        raise ValueError("at least one scenario is required")
+    unknown = [s for s in scenarios
+               if not isinstance(s, ScenarioSpec) and not is_registered(s)]
+    if unknown:
+        raise ValueError(f"unknown scenarios {unknown}; "
+                         f"available: {scenario_names()}")
+    names = [s.name if isinstance(s, ScenarioSpec) else s for s in scenarios]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate scenarios: {duplicates}")
+    if not methods:
+        raise ValueError("at least one method is required")
+    harvestable = set(selector_names()) | (BASELINE_METHODS - {"IDEAL"})
+    bad_methods = [m for m in methods if m not in harvestable]
+    if bad_methods:
+        raise ValueError(f"unknown methods {bad_methods}; "
+                         f"available: {sorted(harvestable)} "
+                         f"(IDEAL is the normalisation denominator and "
+                         f"cannot be swept)")
+    if num_queries < 1:
+        raise ValueError("num_queries must be >= 1")
+    if corpus_store not in STORE_MODES:
+        raise ValueError(f"unknown corpus-store mode {corpus_store!r}; "
+                         f"options: {STORE_MODES}")
+
+
+def sweep_cell_specs(scale: ExperimentScale, domains: Sequence[str],
+                     scenarios: Sequence[ScenarioSpec],
+                     methods: Sequence[str], num_queries: int,
+                     config: Optional[L2QConfig] = None,
+                     config_by_scenario: Optional[Dict[str, L2QConfig]] = None
+                     ) -> List[SweepCellSpec]:
+    """The cells of one corpus realisation: domain-major, clean first.
+
+    Each domain contributes its clean baseline, then one cell per scenario
+    in order, so a domain's cells are contiguous and share one base.  A
+    scenario cell evaluates with its ``config_by_scenario`` entry, every
+    other cell with ``config``.  ``base_slots`` is sized to the distinct
+    bases of the list (see :func:`~repro.exec.specs.reserve_base_slots`).
+    """
+    overrides = config_by_scenario or {}
+    specs = [
+        SweepCellSpec(
+            corpus=scale.corpus_spec_for(domain, scenario=scenario),
+            methods=tuple(methods),
+            num_queries=num_queries,
+            num_splits=scale.num_splits,
+            max_test_entities=scale.max_test_entities,
+            max_aspects=scale.max_aspects,
+            config=(overrides.get(scenario.name, config) if scenario
+                    else config),
+            base_seed=RUNNER_BASE_SEED,
+        )
+        for domain in domains
+        for scenario in [None, *scenarios]
+    ]
+    base_slots = len({spec.corpus.base_key() for spec in specs})
+    return [replace(spec, base_slots=base_slots) for spec in specs]
 
 
 def assemble_sweep_result(*, scale_name: str, seed: int, num_queries: int,
@@ -402,25 +457,25 @@ def assemble_sweep_result(*, scale_name: str, seed: int, num_queries: int,
     return result
 
 
-def publish_domain_store(scale: ExperimentScale, domain: str,
-                         mode: str) -> StoreHandle:
-    """Publish one domain's clean base store plus its per-split suites.
+def publish_domain_store(cell: SweepCellSpec, mode: str) -> StoreHandle:
+    """Publish the clean base store of ``cell``'s base plus its split suites.
 
     Pages flow straight from the generator into the store writer, so the
     publishing process never materialises the domain's full page set.
     The store also carries the clean cell's trained aspect-classifier
     suites (one per evaluation split, keyed exactly as
     :meth:`~repro.eval.runner.ExperimentRunner._classifier_key` derives
-    them), so worker clean cells attach trained models instead of
-    retraining per worker; only the pages of split training entities are
-    retained in this process to train those suites.  Shared by
-    :class:`ScenarioSweep` and the campaign runner — one publish path,
-    one store format.
+    them from the cell's ``base_seed``), so worker clean cells attach
+    trained models instead of retraining per worker; only the pages of
+    split training entities are retained in this process to train those
+    suites.  Scenario cells perturb the base, so their runners always
+    retrain — attached suites would describe the wrong corpus.
     """
-    config = CorpusConfig(domain=domain,
-                          num_entities=scale.num_entities[domain],
-                          pages_per_entity=scale.pages_per_entity,
-                          seed=scale.corpus_seed)
+    corpus = cell.corpus
+    config = CorpusConfig(domain=corpus.domain,
+                          num_entities=corpus.num_entities,
+                          pages_per_entity=corpus.pages_per_entity,
+                          seed=corpus.seed)
     generator = CorpusGenerator(config.base_config())
     entities = generator.generate_entities()
     writer = CorpusStoreWriter(config, entities)
@@ -428,14 +483,13 @@ def publish_domain_store(scale: ExperimentScale, domain: str,
     # base seed; training entities are the split's domain entities
     # (test entities only in the degenerate no-domain-half case).
     splits = [split_entities(sorted(entities),
-                             seed=derive_seed(RUNNER_BASE_SEED,
-                                              "split", index))
-              for index in range(scale.num_splits)]
+                             seed=derive_seed(cell.base_seed, "split", index))
+              for index in range(cell.num_splits)]
     needed = set()
     for split in splits:
         needed.update(split.domain_entities or split.test_entities)
     retained = {}
-    with perf.phase("store-publish", domain=domain):
+    with perf.phase("store-publish", domain=corpus.domain):
         for page in generator.generate_pages(entities):
             writer.add_page(page)
             if page.entity_id in needed:
@@ -443,86 +497,110 @@ def publish_domain_store(scale: ExperimentScale, domain: str,
     training_corpus = Corpus(generator.domain_spec, entities, retained,
                              type_system=generator.type_system)
     for split in splits:
-        suite_seed = derive_seed(RUNNER_BASE_SEED, "classifier",
-                                 split.seed)
+        suite_seed = derive_seed(cell.base_seed, "classifier", split.seed)
         with perf.phase("classifier-train", split_seed=split.seed):
             suite = AspectClassifierSuite.train_on_corpus(
                 training_corpus.subset(
                     split.domain_entities or split.test_entities),
                 seed=suite_seed)
         writer.add_classifier_suite(str(suite_seed), suite)
-    with perf.phase("store-publish", domain=domain):
+    with perf.phase("store-publish", domain=corpus.domain):
         return writer.publish(mode=mode)
 
 
-def publish_domain_stores(scale: ExperimentScale, domains: Sequence[str],
-                          mode: str) -> Dict[str, StoreHandle]:
-    """Stream-publish one clean base store per domain for workers.
+def publish_base_stores(backend: ExecutionBackend,
+                        specs: Sequence[SweepCellSpec],
+                        mode: str) -> Dict[str, StoreHandle]:
+    """Publish one clean base store per distinct base a dispatch needs.
 
-    A publish failure stops publishing (already-published domains stay
-    usable); affected cells simply rebuild.  With the store off, no
-    domain publishes and every cell rebuilds.
+    Keyed by :meth:`~repro.exec.specs.CorpusSpec.base_key`.  Only a
+    distributed backend attaches stores; in-process cells share the
+    process-local base cache, so they, and a store that is ``off``,
+    publish nothing.  A publish failure stops publishing: bases already
+    published stay usable, and the cells of the rest rebuild.
     """
     handles: Dict[str, StoreHandle] = {}
-    if mode == MODE_OFF:
+    if not backend.distributed or mode == MODE_OFF:
         return handles
-    for domain in domains:
+    for spec in specs:
+        key = spec.corpus.base_key()
+        if key in handles:
+            continue
         try:
-            handles[domain] = publish_domain_store(scale, domain, mode)
+            handles[key] = publish_domain_store(spec, mode)
         except StoreError:
             break
     return handles
 
 
 def execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
-    """Worker entry point: evaluate one (domain, scenario) cell from its spec.
+    """Evaluate one (domain, scenario) cell from its spec.
 
     The corpus is rebuilt from the spec (scenario pipelines realise against
-    a process-locally cached shared base), evaluated serially, and only the
-    plain-data result crosses back — config in, result dataclass out.  With
-    profiling on, the cell is timed as a ``sweep-cell`` phase and the
-    result carries the cell's phases home (:func:`repro.perf.handoff`).
+    a process-locally cached shared base), its harvests run serially, and
+    only the plain-data result crosses back — config in, result dataclass
+    out.  With profiling on, the cell is timed as a ``sweep-cell`` phase
+    and the result carries the cell's phases home
+    (:func:`repro.perf.handoff`).
     """
     with perf.handoff() as phases, \
             perf.phase("sweep-cell", domain=spec.domain,
                        scenario=spec.scenario_name or "clean"):
-        result = _execute_sweep_cell(spec)
+        # Room in the caches for every base in the dispatch, so
+        # interleaved work-stolen cells cannot thrash into regeneration.
+        reserve_base_slots(spec.base_slots)
+        corpus = spec.corpus.build()
+        runner = ExperimentRunner(corpus, config=spec.config,
+                                  base_seed=spec.base_seed)
+        evaluation = runner.evaluate_methods_detailed(
+            spec.methods,
+            num_queries_list=(spec.num_queries,),
+            num_splits=spec.num_splits,
+            max_test_entities=spec.max_test_entities,
+            aspects=list(corpus.aspects)[:spec.max_aspects],
+        )
+        # Store-attached corpora carry their publish-time content digest
+        # (the same canonical hash), sparing a full lazy-page realisation.
+        digest = getattr(corpus, "store_digest", None)
+        if digest is None:
+            digest = corpus.content_digest()
+        result = SweepCellResult(
+            domain=spec.domain,
+            scenario=spec.scenario_name,
+            corpus_digest=digest,
+            metrics=_metrics_block(evaluation.normalized, spec.methods,
+                                   spec.num_queries),
+            absolute_metrics=_metrics_block(evaluation.absolute,
+                                            spec.methods, spec.num_queries),
+            duplicate_waste={
+                method: evaluation.duplicate_waste[method][spec.num_queries]
+                for method in spec.methods},
+            fetch=evaluation.fetch_statistics.as_dict(),
+        )
     result.perf_phases = phases
     return result
 
 
-def merge_cell_phases(results: Sequence[SweepCellResult]) -> None:
-    """Fold the phases distributed sweep cells shipped home, one weighted
-    sample per (cell, phase), tagged with the cell (:func:`repro.perf.fold`).
+def dispatch_cells(backend: ExecutionBackend, specs: Sequence[SweepCellSpec],
+                   handles: Dict[str, StoreHandle]) -> List[SweepCellResult]:
+    """Run every cell as its own backend task; results in spec order.
 
-    Only for cells that ran in worker processes: an in-process cell
-    already recorded into the orchestrator's recorder.
+    Each cell travels with its base's store handle from
+    :func:`publish_base_stores`, if one was published: transport only, it
+    never changes what a cell denotes, or its key.  Cells that ran in
+    worker processes shipped their phases home, and they are folded here,
+    one weighted sample per (cell, phase) (:func:`repro.perf.fold`);
+    in-process cells already recorded into this process's recorder.
     """
-    for result in results:
-        perf.fold(result.perf_phases, domain=result.domain,
-                  scenario=result.scenario or "clean")
-
-
-def _execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
-    # Room in the worker's base/corpus caches for every base in the sweep,
-    # so interleaved work-stolen cells cannot thrash into regeneration.
-    reserve_base_slots(spec.base_slots)
-    corpus = spec.corpus.build()
-    metrics, absolute, waste, fetch = _evaluate_corpus(
-        corpus, spec.methods, spec.num_queries, spec.num_splits,
-        spec.max_test_entities, spec.max_aspects, spec.config, spec.base_seed)
-    # Store-attached corpora carry their publish-time content digest (the
-    # same canonical hash), sparing a full lazy-page realisation pass.
-    digest = getattr(corpus, "store_digest", None)
-    return SweepCellResult(
-        domain=spec.domain,
-        scenario=spec.scenario_name,
-        corpus_digest=digest if digest is not None else corpus.content_digest(),
-        metrics=metrics,
-        absolute_metrics=absolute,
-        duplicate_waste=waste,
-        fetch=fetch,
-    )
+    shipped = [replace(spec, corpus=replace(
+        spec.corpus, store_handle=handles.get(spec.corpus.base_key())))
+        for spec in specs]
+    results = backend.map_tasks(execute_sweep_cell, shipped)
+    if backend.distributed:
+        for result in results:
+            perf.fold(result.perf_phases, domain=result.domain,
+                      scenario=result.scenario or "clean")
+    return results
 
 
 class ScenarioSweep:
@@ -542,14 +620,12 @@ class ScenarioSweep:
         :meth:`ExperimentRunner.create_selector`.
     num_queries:
         Query budget evaluated (one budget keeps the matrix 2-D).
-    workers:
-        Degree of parallelism handed to the backend (results identical for
-        any value).
-    backend:
-        Execution backend name or instance (``serial`` / ``thread`` /
-        ``process``; default ``None`` = historical workers semantics).
-        Serial and thread evaluate cells in-process; the process backend
-        shards whole cells across worker processes.
+    workers / backend:
+        Execution engine for the cells, as :func:`~repro.exec.backends
+        .resolve_backend` takes them (default: serial for one worker,
+        thread for more).  Every backend dispatches one task per cell and
+        a cell's harvests run serially, so results are identical for any
+        backend and worker count.
     param_grid:
         Optional grid metadata from :func:`expand_severity_grid` or
         :func:`expand_config_grid`, embedded verbatim in the result.
@@ -570,46 +646,25 @@ class ScenarioSweep:
                  param_grid: Optional[Dict[str, object]] = None,
                  config_by_scenario: Optional[Dict[str, L2QConfig]] = None,
                  corpus_store: str = "auto") -> None:
-        # All inputs are validated eagerly: a sweep cell is expensive, so a
-        # typo must fail here, not mid-run after the clean baseline.
-        if not methods:
-            raise ValueError("at least one method is required")
-        harvestable = set(selector_names()) | (BASELINE_METHODS - {"IDEAL"})
-        bad_methods = [m for m in methods if m not in harvestable]
-        if bad_methods:
-            raise ValueError(f"unknown methods {bad_methods}; "
-                             f"available: {sorted(harvestable)} "
-                             f"(IDEAL is the normalisation denominator and "
-                             f"cannot be swept)")
+        scenarios = list(scenarios if scenarios is not None
+                         else scenario_names())
+        validate_sweep(scale, domains, scenarios, methods, num_queries,
+                       corpus_store)
         self.scale = scale
         self.specs: List[ScenarioSpec] = [
             spec if isinstance(spec, ScenarioSpec) else make_scenario(spec)
-            for spec in (scenarios if scenarios is not None else scenario_names())
+            for spec in scenarios
         ]
-        if not self.specs:
-            raise ValueError("at least one scenario is required")
-        seen: Dict[str, int] = {}
-        for spec in self.specs:
-            seen[spec.name] = seen.get(spec.name, 0) + 1
-        duplicates = sorted(name for name, count in seen.items() if count > 1)
-        if duplicates:
-            raise ValueError(f"duplicate scenarios: {duplicates}")
-        bad_domains = [d for d in domains if d not in scale.num_entities]
-        if bad_domains:
-            raise ValueError(f"unknown domains {bad_domains}; this scale "
-                             f"sizes: {sorted(scale.num_entities)}")
         self.methods = list(methods)
         self.domains = list(domains)
         self.num_queries = num_queries
         self.config = config
-        self.workers = workers
         self.backend = resolve_backend(backend, workers=workers)
         self.param_grid = param_grid
-        #: Shared corpus store policy for the distributed path (one
+        #: Shared corpus store policy of distributed dispatches (one
         #: published base per domain; workers attach instead of
         #: regenerating).  ``auto`` / ``off`` / ``shm`` / ``mmap``.
         self.corpus_store = corpus_store
-        resolve_store_mode(corpus_store)  # validate eagerly
         self.config_by_scenario = dict(config_by_scenario or {})
         known = {spec.name for spec in self.specs}
         orphans = sorted(set(self.config_by_scenario) - known)
@@ -617,18 +672,23 @@ class ScenarioSweep:
             raise ValueError(f"config_by_scenario names unknown scenarios "
                              f"{orphans}; swept: {sorted(known)}")
 
-    def _config_for(self, scenario_name: Optional[str]) -> Optional[L2QConfig]:
-        """The L2Q config one cell evaluates with (clean cell: the base)."""
-        if scenario_name is None:
-            return self.config
-        return self.config_by_scenario.get(scenario_name, self.config)
-
     def run(self) -> ScenarioSweepResult:
-        """Evaluate every (domain, scenario) cell and fold in the deltas."""
-        if self.backend.distributed:
-            cell_results = self._run_distributed()
-        else:
-            cell_results = self._run_local()
+        """Evaluate every (domain, scenario) cell and fold in the deltas.
+
+        Stores published for a distributed dispatch are released once it
+        returns; attached workers keep their mappings.
+        """
+        specs = sweep_cell_specs(self.scale, self.domains, self.specs,
+                                 self.methods, self.num_queries, self.config,
+                                 self.config_by_scenario)
+        handles = publish_base_stores(self.backend, specs, self.corpus_store)
+        try:
+            with perf.phase("sweep-dispatch", cells=len(specs),
+                            workers=self.backend.workers):
+                cell_results = dispatch_cells(self.backend, specs, handles)
+        finally:
+            for handle in handles.values():
+                release(handle)
         return assemble_sweep_result(
             scale_name=self.scale.name,
             seed=self.scale.corpus_seed,
@@ -640,100 +700,6 @@ class ScenarioSweep:
             param_grid=self.param_grid,
         )
 
-    # -- Execution paths -------------------------------------------------------
-    def _run_local(self) -> List[SweepCellResult]:
-        """In-process path: one shared base per domain, cells in order.
-
-        The thread backend (if configured) parallelises the harvesting runs
-        *inside* each cell's evaluation; cells run sequentially so the
-        shared base and engine caches stay warm.
-        """
-        out: List[SweepCellResult] = []
-        for domain in self.domains:
-            base = self.scale.base_corpus_for(domain)
-            for scenario, corpus in self._domain_corpora(base):
-                name = scenario.name if scenario else None
-                with perf.phase("sweep-cell", domain=domain,
-                                scenario=name or "clean"):
-                    metrics, absolute, waste, fetch = _evaluate_corpus(
-                        corpus, self.methods, self.num_queries,
-                        self.scale.num_splits, self.scale.max_test_entities,
-                        self.scale.max_aspects, self._config_for(name),
-                        RUNNER_BASE_SEED,
-                        backend=self.backend, workers=self.workers)
-                out.append(SweepCellResult(
-                    domain=domain,
-                    scenario=name,
-                    corpus_digest=corpus.content_digest(),
-                    metrics=metrics,
-                    absolute_metrics=absolute,
-                    duplicate_waste=waste,
-                    fetch=fetch,
-                ))
-        return out
-
-    def _domain_corpora(self, base):
-        """Yield (scenario-or-None, corpus) pairs realised from one base."""
-        yield None, realise_base(base)
-        for spec in self.specs:
-            if spec.shares_base:
-                yield spec, spec.corpus_from_base(base)
-            else:
-                # Config overrides change the base generation itself; this
-                # scenario pays for its own full generation.
-                yield spec, self.scale.corpus_for(base.domain, scenario=spec)
-
-    def _publish_domain_stores(self) -> Dict[str, StoreHandle]:
-        """One clean base store per domain (see :func:`publish_domain_stores`).
-
-        Scenario cells perturb the base, so their runners always retrain
-        classifiers — attached suites would describe the wrong corpus.
-        """
-        return publish_domain_stores(self.scale, self.domains,
-                                     self.corpus_store)
-
-    def _run_distributed(self) -> List[SweepCellResult]:
-        """Process path: shard whole (domain, scenario) cells across workers.
-
-        Cells are ordered domain-major, so contiguous shards keep a
-        domain's cells together and the workers' process-local base-corpus
-        caches amortise generation the same way the in-process path does.
-        Unless the store is off, each domain's clean base is published to a
-        shared corpus store first and every cell spec carries its handle:
-        workers attach (clean cells zero-copy, base-sharing scenarios
-        perturb the attached base) instead of regenerating, and fall back
-        to generation if a segment vanishes.  Stores are unlinked once the
-        dispatch returns — attached workers keep their mappings.
-        """
-        handles = self._publish_domain_stores()
-        cell_specs = [
-            SweepCellSpec(
-                corpus=replace(
-                    self.scale.corpus_spec_for(domain, scenario=scenario),
-                    store_handle=handles.get(domain)),
-                methods=tuple(self.methods),
-                num_queries=self.num_queries,
-                num_splits=self.scale.num_splits,
-                max_test_entities=self.scale.max_test_entities,
-                max_aspects=self.scale.max_aspects,
-                config=self._config_for(scenario.name if scenario else None),
-                base_seed=RUNNER_BASE_SEED,
-            )
-            for domain in self.domains
-            for scenario in [None] + list(self.specs)
-        ]
-        base_slots = len({spec.corpus.base_key() for spec in cell_specs})
-        cell_specs = [replace(spec, base_slots=base_slots)
-                      for spec in cell_specs]
-        try:
-            with perf.phase("sweep-dispatch", cells=len(cell_specs),
-                            workers=self.backend.workers):
-                results = self.backend.map(execute_sweep_cell, cell_specs)
-            merge_cell_phases(results)
-            return results
-        finally:
-            for handle in handles.values():
-                release(handle)
 
 def run_scenario_sweep(scale: ExperimentScale = SMOKE_SCALE,
                        scenarios: Optional[Sequence[object]] = None,

@@ -1,10 +1,14 @@
 """Pluggable execution backends: one orchestration API, three engines.
 
-Every fan-out site in the project — :meth:`Harvester.harvest_many`, the
-split batches of :class:`~repro.eval.runner.ExperimentRunner` and the
-scenario cells of :class:`~repro.eval.scenario_sweep.ScenarioSweep` —
-funnels through the same tiny contract: an :class:`ExecutionBackend` maps a
-callable over a list of payloads and returns the results *in payload order*.
+Every fan-out site in the project funnels through the same tiny contract:
+an :class:`ExecutionBackend` maps a callable over a list of payloads and
+returns the results *in payload order*.  :meth:`Harvester.harvest_many`
+maps harvest jobs.  :meth:`ExecutionBackend.map_tasks` schedules one task
+per payload: a distributed :class:`~repro.eval.runner.ExperimentRunner`
+ships its split batches that way, and a
+:class:`~repro.eval.scenario_sweep.ScenarioSweep` or a campaign ships its
+(domain, scenario) cells that way on every backend, each cell running its
+own harvests serially.
 Because every job's randomness derives only from its seed (never from
 scheduling), swapping the backend changes wall-clock behaviour but not one
 bit of the results.
@@ -16,13 +20,13 @@ Three engines are built in and registered through the shared
 * ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; right for
   workloads dominated by lock-free CPU work under the GIL plus simulated
   I/O, and for shared-memory caches (one engine, one result cache).
-* ``process`` — *sharded* multiprocess execution: payloads are split into
-  at most ``workers`` contiguous shards, each shard is shipped to a worker
-  process and executed as an in-order loop there.  Contiguous sharding
-  keeps neighbouring payloads (same split, same domain) in the same worker
-  so process-local caches — rebuilt corpora, trained classifier suites,
-  search indexes — amortise across a shard.  Payloads and the mapped
-  callable must be picklable; results travel back by pickle too.
+* ``process`` — multiprocess execution: :meth:`~ExecutionBackend.map`
+  splits payloads into at most ``workers`` contiguous shards, each shipped
+  to a worker process and executed as an in-order loop there, so
+  process-local caches — rebuilt corpora, trained classifier suites,
+  search indexes — amortise across a shard; ``map_tasks`` submits one pool
+  task per payload, so idle workers steal the next one.  Payloads and the
+  mapped callable must be picklable; results travel back by pickle too.
 
 Custom backends register the same way rankers and scenarios do::
 

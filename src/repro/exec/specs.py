@@ -11,15 +11,16 @@ objects the caller would have built locally.
 
 Workers keep small process-local caches (:meth:`CorpusSpec.build_base`
 backed by a module-level LRU) so the expensive rebuilds amortise across the
-contiguous shard a :class:`~repro.exec.backends.ProcessBackend` assigns
-them — and, because the worker pool persists across ``map`` calls, across
-successive batches too.
+payloads a worker runs — and, because a
+:class:`~repro.exec.backends.ProcessBackend` keeps its worker pool across
+calls, across successive dispatches too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Tuple, TypeVar
@@ -39,11 +40,17 @@ class _ProcessLocalCache:
 
     Keys are ``repr`` strings of spec dataclasses: deterministic within a
     process and cheap, without requiring hashability of nested configs.
+
+    Thread-backend cells share one cache, so every lookup, touch and
+    eviction holds a lock.  A build runs outside it: builds are
+    deterministic, so two threads racing to build one key build equal
+    values, and the first one stored is the one every caller gets.
     """
 
     def __init__(self, capacity: int = 4) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def reserve(self, capacity: int) -> None:
         """Grow (never shrink) the capacity.
@@ -54,17 +61,20 @@ class _ProcessLocalCache:
         cache into evict-and-rebuild cycles.  Only entries actually built
         occupy memory; capacity is just the eviction bound.
         """
-        if capacity > self.capacity:
-            self.capacity = capacity
+        with self._lock:
+            self.capacity = max(self.capacity, capacity)
 
     def get_or_build(self, key: str, build: Callable[[], V]) -> V:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return self._entries[key]  # type: ignore[return-value]
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]  # type: ignore[return-value]
         value = build()
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
         return value
 
 
@@ -120,7 +130,7 @@ class CorpusSpec:
     (itself a frozen, picklable dataclass); ``None`` means the clean
     corpus.  :meth:`build` realises scenarios against a process-locally
     cached shared base, so all cells of one domain landing in the same
-    worker shard pay base generation once.
+    worker pay base generation once.
 
     ``store_handle`` optionally points at a published corpus store
     (:mod:`repro.store`) holding this spec's *clean* realisation: workers

@@ -15,7 +15,13 @@ from repro.corpus.synthetic import base_generation_count
 from repro.eval.experiments import ExperimentScale
 from repro.eval.runner import ExperimentRunner, plan_harvest_batches
 from repro.eval.scenario_sweep import run_scenario_sweep
-from repro.exec.specs import CorpusSpec, HarvestJobSpec, HarvestTaskContext
+from repro.exec.specs import (
+    _BASE_CACHE,
+    _CORPUS_CACHE,
+    CorpusSpec,
+    HarvestJobSpec,
+    HarvestTaskContext,
+)
 
 from tests.helpers import harvest_signature
 
@@ -567,6 +573,10 @@ class TestSharedBaseGeneration:
 
     @pytest.fixture(scope="class")
     def sweep_result_counted(self):
+        # The sweep builds its corpora through the process-local caches, so
+        # a base an earlier test cached would read as zero generations.
+        _BASE_CACHE._entries.clear()
+        _CORPUS_CACHE._entries.clear()
         before = base_generation_count()
         result = run_scenario_sweep(
             scale=TINY_SCALE, scenarios=("zipf-skew", "near-duplicates"),

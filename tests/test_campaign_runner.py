@@ -14,6 +14,7 @@ from repro.campaign import (
 )
 from repro.eval.experiments import ExperimentScale
 from repro.eval.scenario_sweep import ScenarioSweep
+from repro.exec.backends import SerialBackend
 from repro.store import StoreHandle
 
 TINY_SCALE = ExperimentScale(
@@ -47,6 +48,28 @@ class TestRunAndFold:
                               methods=("MQ", "RND"), domains=("car",),
                               num_queries=2).run()
         assert document["seeds"]["11"] == sweep.to_json_dict()
+
+    def test_sweep_and_campaign_dispatch_the_same_cells(self, tmp_path):
+        # One cell pipeline: even on the serial backend, a sweep and a
+        # campaign hand map_tasks the same cells, in the same order.
+        class RecordingBackend(SerialBackend):
+            def __init__(self):
+                self.keys = []
+
+            def map_tasks(self, fn, items):
+                self.keys += [spec.cell_key() for spec in items]
+                return super().map_tasks(fn, items)
+
+        domains = ("car", "researcher")
+        campaign = RecordingBackend()
+        CampaignRunner(tmp_path / "camp", spec=tiny_spec(domains=domains),
+                       backend=campaign).run()
+        sweep = RecordingBackend()
+        ScenarioSweep(scale=TINY_SCALE, scenarios=("zipf-skew",),
+                      methods=("MQ", "RND"), domains=domains, num_queries=2,
+                      backend=sweep).run()
+        assert len(sweep.keys) == 4
+        assert sweep.keys == campaign.keys
 
     def test_interrupted_then_resumed_is_byte_identical(self, tmp_path):
         control = CampaignRunner(tmp_path / "control", spec=tiny_spec())

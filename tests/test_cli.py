@@ -369,13 +369,23 @@ class TestPerfCommand:
             assert report["phases"][phase]["count"] >= 1, phase
         assert report["phases"]["sweep-cell"]["total_seconds"] > 0.0
 
+    @staticmethod
+    def _fig13_phases(tmp_path, *backend_args):
+        import json
+
+        perf_path = tmp_path / "perf.json"
+        code = main(["experiment", "--figure", "fig13", "--scale", "smoke",
+                     "--perf-output", str(perf_path), *backend_args],
+                    out=io.StringIO())
+        assert code == 0
+        return json.loads(perf_path.read_text(encoding="utf-8"))["phases"]
+
     def test_perf_output_counts_serving_selections(self, tmp_path):
         # The stepper records every selection, so serving sessions profile
         # the same selections as the serial loop.  They interleave on one
         # event loop, so they record no per-run harvest phase.
-        serial = self._sweep_phase_report(tmp_path)["phases"]
-        serving = self._sweep_phase_report(tmp_path, "--backend",
-                                           "serving")["phases"]
+        serial = self._fig13_phases(tmp_path)
+        serving = self._fig13_phases(tmp_path, "--concurrency", "4")
         assert serial["selection"]["count"] > 0
         assert serving.get("selection", {}).get("count") == \
             serial["selection"]["count"]

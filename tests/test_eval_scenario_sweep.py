@@ -190,6 +190,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown domains"):
             ScenarioSweep(scale=TINY_SCALE, domains=("researcher", "carz"))
 
+    @pytest.mark.parametrize("num_queries", [0, -1])
+    def test_non_positive_budget_rejected_up_front(self, num_queries):
+        # A campaign and `scenarios run --queries` reject these too; the
+        # sweep used to fail only when its first cell evaluated (-1) or to
+        # run a zero-query matrix (0).
+        with pytest.raises(ValueError, match="num_queries"):
+            ScenarioSweep(scale=TINY_SCALE, num_queries=num_queries)
+
+    def test_empty_domains_rejected_up_front(self):
+        # Used to return an empty matrix whose summary read mean ΔF 0.0.
+        with pytest.raises(ValueError, match="at least one domain"):
+            ScenarioSweep(scale=TINY_SCALE, domains=())
+
     def test_accepts_prebuilt_specs(self):
         spec = ScenarioSpec(name="inline", description="ad hoc",
                             perturbations=(ZipfPageSkew(),))

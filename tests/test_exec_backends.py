@@ -292,6 +292,46 @@ class TestProcessLocalCache:
         rebuilt = cache.get_or_build("a", object)
         assert rebuilt is not first
 
+    def test_concurrent_lookups_survive_evictions(self):
+        # Thread-backend cells share the process caches.  A hit that is
+        # evicted by another thread between its membership test and its
+        # LRU touch raised KeyError.  Each key's hash yields the GIL, which
+        # opens that window on every lookup, as a thread switch there would.
+        import sys
+        import threading
+        import time
+
+        class YieldingKey(str):
+            def __hash__(self):
+                time.sleep(0)
+                return str.__hash__(self)
+
+        cache = _ProcessLocalCache(capacity=1)
+        keys = [YieldingKey(name) for name in "abc"]
+        errors = []
+
+        def hammer(offset):
+            try:
+                for call in range(200):
+                    cache.get_or_build(keys[(call + offset) % 3], object)
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(offset,))
+                   for offset in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache._entries) == 1
+
 
 class TestCorpusSpec:
     def test_clean_build_matches_direct_generation(self):
