@@ -19,6 +19,12 @@ neither.  The unfired query with the highest score wins, the
 lexicographically smallest among equal scores.  Containment is read from
 the session's :class:`~repro.core.utility.GraphTables`, so one matrix
 scores the whole pool.
+
+The domain side starts from
+:class:`~repro.core.domain_phase.DomainQueries`, the domain phase's own
+enumeration: a prepared split enumerates its domain pages once for both.
+A query's domain rate reads which pages hold it from that object's
+containment matrix, so no per-query page sets are kept.
 """
 
 from __future__ import annotations
@@ -31,13 +37,14 @@ from scipy import sparse
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
-from repro.core.domain_phase import enumerate_domain_queries
+from repro.core.domain_phase import DomainQueries, enumerate_domain_queries
 from repro.core.queries import Query
 from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
 from repro.core.templates import Template, abstract_queries
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
+from repro.corpus.knowledge_base import TypeSystem
 
 
 @dataclass
@@ -61,21 +68,18 @@ class HarvestRateDomain:
                     config: Optional[L2QConfig] = None) -> "HarvestRateDomain":
         """Enumerate and prune the domain queries and abstract their templates."""
         config = config if config is not None else L2QConfig()
-        pages = list(domain_corpus.iter_pages())
-        queries, statistics = enumerate_domain_queries(pages, config)
-        position = {page.page_id: index for index, page in enumerate(pages)}
-        rows: List[int] = []
-        cols: List[int] = []
-        for row, query in enumerate(queries):
-            for page_id in statistics.pages[query]:
-                rows.append(row)
-                cols.append(position[page_id])
-        templates = abstract_queries(queries, domain_corpus.type_system)
-        return cls(pages=pages,
-                   query_templates=dict(zip(queries, templates)),
-                   containing=sparse.csr_matrix(
-                       (np.ones(len(rows)), (rows, cols)),
-                       shape=(len(queries), len(pages))))
+        return cls.from_queries(
+            enumerate_domain_queries(list(domain_corpus.iter_pages()), config),
+            domain_corpus.type_system)
+
+    @classmethod
+    def from_queries(cls, domain: DomainQueries,
+                     type_system: TypeSystem) -> "HarvestRateDomain":
+        """Abstract the templates of already-enumerated domain queries."""
+        templates = abstract_queries(domain.queries, type_system)
+        return cls(pages=domain.pages,
+                   query_templates=dict(zip(domain.queries, templates)),
+                   containing=domain.containing)
 
 
 @dataclass
@@ -154,7 +158,7 @@ class HarvestRateSelection(QuerySelector):
         statistics = self.domain_statistics
         domain = statistics.domain_queries
         domain_ids = tables.query_ids(domain)
-        ngram_ids = tables.query_ids(session.candidates.queries())
+        ngram_ids = tables.query_ids(session.candidates.sorted_queries())
         fired_ids = tables.query_ids(list(session.fired_queries))
         # The unfired queries of the pool, as a mask over every table id.
         unfired = np.zeros(tables.num_queries, dtype=bool)

@@ -15,9 +15,13 @@ ground-truth relevance function.
 (a) and (b) do not depend on the aspect, so they run once per entity: an
 :class:`IdealPool` holds the entity's candidates and a candidates × pages
 matrix of the pages each one retrieves, ranked in one batched engine call
-(:meth:`~repro.search.engine.SearchEngine.retrieve_many`).  The pool is
-built on the entity's first selection and kept in a cache that a prepared
-split shares among the entity's aspect sessions
+(:meth:`~repro.search.engine.SearchEngine.retrieve_many`).  The candidates
+come from the session's :class:`~repro.core.queries.NgramTable`, the
+entity's pages enumerated once and shared with every session of the
+entity, so building a pool enumerates nothing: ordering the table's
+queries by page frequency is one stable argsort.  The pool is built on
+the entity's first selection and kept in a cache that a prepared split
+shares among the entity's aspect sessions
 (:attr:`repro.eval.runner.PreparedSplit.ideal_pools`).  (c) is then one
 sparse product with the gathered and relevant masks and an argmax per
 selection, and chooses exactly what the per-candidate loop
@@ -33,7 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.aspects.relevance import RelevanceFunction
-from repro.core.queries import Query, QueryEnumerator
+from repro.core.queries import Query
 from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
 
@@ -62,27 +66,21 @@ class IdealPool:
 
     @classmethod
     def build(cls, session: HarvestSession, max_candidates: int) -> "IdealPool":
-        entity = session.entity
-        universe = session.corpus.pages_of(entity.entity_id)
-        enumerator = QueryEnumerator(
-            max_length=session.config.max_query_length,
-            min_word_length=session.config.min_query_word_length,
-            exclude_words=entity.excluded_words(),
-        )
-        statistics = enumerator.enumerate_from_pages(universe)
-        candidates = sorted(statistics.queries(),
-                            key=lambda q: (-statistics.page_frequency(q), q))
-        candidates = candidates[:max_candidates]
-        retrieved = session.engine.retrieve_many(entity.entity_id, candidates)
-        columns = {page.page_id: column for column, page in enumerate(universe)}
+        # The table's rows are the entity's pages in corpus order, and its
+        # ids sort as queries do, so a stable sort by descending page
+        # frequency breaks ties by query.
+        table = session.candidates.table
+        order = np.argsort(-table.page_frequency(), kind="stable")[:max_candidates]
+        candidates = [table.queries[index] for index in order.tolist()]
+        retrieved = session.engine.retrieve_many(session.entity.entity_id, candidates)
         lengths = np.asarray([len(hits) for hits in retrieved], dtype=np.int64)
         indptr = np.concatenate([[0], np.cumsum(lengths)])
-        indices = np.asarray([columns[page_id] for hits in retrieved
+        indices = np.asarray([table.rows[page_id] for hits in retrieved
                               for page_id, _ in hits], dtype=np.int64)
         retrieval = sparse.csr_matrix(
             (np.ones(indices.size, dtype=np.int64), indices, indptr),
-            shape=(len(candidates), len(universe)))
-        return cls(page_ids=tuple(page.page_id for page in universe),
+            shape=(len(candidates), len(table.page_ids)))
+        return cls(page_ids=table.page_ids,
                    candidates=tuple(candidates),
                    rows={query: row for row, query in enumerate(candidates)},
                    retrieval=retrieval,

@@ -19,9 +19,9 @@ from repro.core.stepper import (
     StepperProtocolError,
 )
 from repro.core.queries import (
+    NgramTable,
     Query,
     QueryEnumerator,
-    QueryStatistics,
     format_query,
     prune_queries,
 )
@@ -79,10 +79,10 @@ __all__ = [
     "SeedFetch",
     "StepperProtocolError",
     "L2QConfig",
+    "NgramTable",
     "Query",
     "QueryEnumerator",
     "QuerySelector",
-    "QueryStatistics",
     "RandomSelection",
     "Template",
     "TemplateIndex",

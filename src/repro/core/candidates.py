@@ -1,20 +1,23 @@
 """Incrementally-maintained candidate-query statistics.
 
 Every selection strategy needs the pool of candidate queries enumerable from
-the pages gathered so far.  Re-running
-:meth:`~repro.core.queries.QueryEnumerator.enumerate_from_pages` over the
-*full* working set on every ``select()`` call makes selection cost grow
-superlinearly with harvested pages — the exact failure mode the paper's
-efficiency experiment (Fig. 14) warns against.  :class:`CandidateStatistics`
-instead folds only *new* pages' n-grams into a persistent
-:class:`~repro.core.queries.QueryStatistics` as they arrive, so each
-iteration's selection cost is amortised O(new pages).
+the pages gathered so far.  Re-enumerating the *full* working set on every
+``select()`` call makes selection cost grow superlinearly with harvested
+pages — the exact failure mode the paper's efficiency experiment (Fig. 14)
+warns against.  :class:`CandidateStatistics` instead folds only *new* pages
+into the pool as they arrive, and folding a page enumerates nothing: the
+page's n-grams are a row of the entity's
+:class:`~repro.core.queries.NgramTable`, so a fold is one indexed add into
+two integer arrays over the table's query ids, occurrences and page
+frequency.  A page the table does not hold raises ``ValueError``.
 
 The structure is owned by :class:`~repro.core.session.HarvestSession`, which
 folds pages in :meth:`~repro.core.session.HarvestSession.add_pages`; the
 statistics are therefore always in sync with ``session.current_pages``.
-Because pages are folded in gathering order, the resulting statistics are
-bit-for-bit identical to a from-scratch enumeration over the working set.
+The pool is the table ids with a non-zero page frequency; because ids are
+numbered in lexicographic order, the pool comes out sorted, and the
+occurrence ranking of :func:`~repro.core.queries.prune_queries` is one
+stable argsort.  Neither depends on the order pages were folded in.
 
 The pool records queries and page membership only.  The words of the
 gathered pages, which the entity phase grounds domain queries with, are read
@@ -24,31 +27,53 @@ and from the pages that selection is given.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence, Set
 
-from repro.core.queries import Query, QueryEnumerator, QueryStatistics
+import numpy as np
+
+from repro.core.queries import NgramTable, Query, prune_queries
 from repro.corpus.document import Page
 
 
 class CandidateStatistics:
-    """Candidate-query pool kept in sync with a growing page working set."""
+    """Candidate-query pool kept in sync with a growing page working set.
 
-    def __init__(self, enumerator: QueryEnumerator) -> None:
-        self.enumerator = enumerator
-        self.statistics = QueryStatistics()
+    ``table`` returns the n-gram table holding every page that may be
+    folded; it is called once, on first use, so a pool that never folds a
+    page never needs one.
+    """
+
+    def __init__(self, table: Callable[[], NgramTable]) -> None:
+        self._load_table = table
+        self._table: Optional[NgramTable] = None
+        #: Per table query id: occurrences on the folded pages, and how
+        #: many folded pages hold it.
+        self.occurrences = np.zeros(0, dtype=np.int64)
+        self.page_frequency = np.zeros(0, dtype=np.int64)
         self._page_ids: Set[str] = set()
         self._sorted_queries: Optional[List[Query]] = None
+
+    @property
+    def table(self) -> NgramTable:
+        """The n-gram table the pool counts over (loaded on first use)."""
+        if self._table is None:
+            table = self._load_table()
+            self.occurrences = np.zeros(table.num_queries, dtype=np.int64)
+            self.page_frequency = np.zeros(table.num_queries, dtype=np.int64)
+            self._table = table
+        return self._table
 
     # -- Folding -----------------------------------------------------------
     def add_page(self, page: Page) -> bool:
         """Fold one page's n-grams into the pool; returns False if already seen."""
         if page.page_id in self._page_ids:
             return False
+        ids, counts = self.table.row(page.page_id)
         self._page_ids.add(page.page_id)
-        counts = self.enumerator.enumerate_from_page(page)
-        for query, count in counts.items():
-            self.statistics.record(query, page.page_id, page.entity_id, count)
-        if counts:
+        if ids.size:
+            # A row's ids are distinct, so no indexed add is lost to a repeat.
+            self.occurrences[ids] += counts
+            self.page_frequency[ids] += 1
             self._sorted_queries = None
         return True
 
@@ -57,18 +82,20 @@ class CandidateStatistics:
         return sum(1 for page in pages if self.add_page(page))
 
     # -- Queries -----------------------------------------------------------
-    def queries(self) -> List[Query]:
-        """All candidate queries, in first-occurrence order."""
-        return self.statistics.queries()
+    def _queries_of(self, ids: np.ndarray) -> List[Query]:
+        if not ids.size:  # also before the table is loaded
+            return []
+        queries = self.table.queries
+        return [queries[index] for index in ids.tolist()]
 
     def sorted_queries(self) -> List[Query]:
         """All candidate queries, lexicographically sorted.
 
-        The sort is cached between page additions; a copy is returned so
+        The list is cached between page additions; a copy is returned so
         callers can never corrupt the cache in place.
         """
         if self._sorted_queries is None:
-            self._sorted_queries = sorted(self.statistics.occurrences)
+            self._sorted_queries = self._queries_of(np.flatnonzero(self.page_frequency))
         return list(self._sorted_queries)
 
     def unfired_sorted_queries(self, fired: Set[Query]) -> List[Query]:
@@ -76,6 +103,12 @@ class CandidateStatistics:
         if not fired:
             return self.sorted_queries()
         return [q for q in self.sorted_queries() if q not in fired]
+
+    def pruned(self, max_queries: Optional[int] = None) -> List[Query]:
+        """The candidates by decreasing occurrences, ties lexicographic,
+        at most ``max_queries`` of them."""
+        return self._queries_of(prune_queries(self.occurrences, self.page_frequency,
+                                              max_queries=max_queries))
 
     # -- Introspection -----------------------------------------------------
     @property
@@ -86,7 +119,7 @@ class CandidateStatistics:
     @property
     def num_queries(self) -> int:
         """How many distinct candidate queries the pool currently holds."""
-        return len(self.statistics.occurrences)
+        return int(np.count_nonzero(self.page_frequency))
 
     def has_page(self, page_id: str) -> bool:
         """Whether a page has already been folded into the pool."""

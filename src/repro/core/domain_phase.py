@@ -8,16 +8,26 @@ aspect adds only its regularization and one joint solve.  The resulting
 :class:`DomainModel` is what the per-iteration entity phase consumes — the
 template utilities become extra regularization, and the frequently-occurring
 domain queries expand the target entity's candidate pool.
+
+:func:`enumerate_domain_queries` enumerates every domain page once, into an
+:class:`~repro.core.queries.NgramTable`, and keeps only what outlives the
+table: the pruned queries, their entity support, and which pages hold each
+one (the HR baseline's containment matrix).  A prepared split enumerates
+its domain once, through :meth:`DomainPhase.domain_queries`, for both the
+domain phase and HR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
+from scipy import sparse
 
 from repro.aspects.relevance import AllRelevant, RelevanceFunction
 from repro.core.config import L2QConfig
-from repro.core.queries import Query, QueryEnumerator, QueryStatistics, prune_queries
+from repro.core.queries import NgramTable, Query, QueryEnumerator, prune_queries
 from repro.core.templates import Template
 from repro.core.utility import (
     GraphAssembler,
@@ -75,8 +85,9 @@ class _DomainGraph:
 class DomainPhase:
     """Learns :class:`DomainModel` objects from a domain corpus, one per aspect.
 
-    The first :meth:`learn` enumerates the domain queries and builds the
-    graph and its solver; later calls reuse them.
+    The first :meth:`learn` enumerates the domain queries (unless
+    :meth:`domain_queries` already did) and builds the graph and its
+    solver; later calls reuse them.
     """
 
     def __init__(self, domain_corpus: Corpus, config: Optional[L2QConfig] = None) -> None:
@@ -84,6 +95,7 @@ class DomainPhase:
         self.config = config if config is not None else L2QConfig()
         self.config.validate()
         self._assembler = GraphAssembler(domain_corpus.type_system, self.config)
+        self._queries: Optional[DomainQueries] = None
         self._graph: Optional[_DomainGraph] = None
 
     # -- Public API ----------------------------------------------------------
@@ -126,21 +138,24 @@ class DomainPhase:
         model.frequent_queries = list(domain_graph.frequent_queries)
         return model
 
+    def domain_queries(self) -> DomainQueries:
+        """The domain corpus's pruned queries, enumerated on the first call."""
+        if self._queries is None:
+            self._queries = enumerate_domain_queries(list(self.corpus.iter_pages()),
+                                                     self.config)
+        return self._queries
+
     # -- Internals -------------------------------------------------------------
     def _domain_graph(self) -> _DomainGraph:
         if self._graph is not None:
             return self._graph
-        pages = list(self.corpus.iter_pages())
-        queries: List[Query] = []
-        support: Dict[Query, int] = {}
-        frequent: List[Query] = []
+        domain = self.domain_queries()
+        pages, queries = domain.pages, domain.queries
+        support = dict(zip(queries, domain.entity_support.tolist()))
+        threshold = self.config.domain_support_threshold(self.corpus.num_entities())
+        frequent = sorted((q for q in queries if support[q] >= threshold),
+                          key=lambda q: (-support[q], q))
         solver = None
-        if pages:
-            queries, statistics = enumerate_domain_queries(pages, self.config)
-            support = {query: statistics.entity_support(query) for query in queries}
-            threshold = self.config.domain_support_threshold(self.corpus.num_entities())
-            frequent = sorted((q for q in queries if support[q] >= threshold),
-                              key=lambda q: (-support[q], q))
         if queries:
             assembled = self._assembler.assemble(pages, queries, use_templates=True)
             solver = assembled.solver(self.config)
@@ -150,27 +165,51 @@ class DomainPhase:
         return self._graph
 
 
-def enumerate_domain_queries(pages: Sequence[Page], config: L2QConfig
-                             ) -> Tuple[List[Query], QueryStatistics]:
-    """The domain queries of ``pages`` and the statistics they were pruned from.
+@dataclass(frozen=True, eq=False)
+class DomainQueries:
+    """The pruned queries of a domain's pages and what is known of each.
+
+    The domain phase and the HR baseline's domain statistics both start
+    from these.
+    """
+
+    pages: List[Page]
+    #: Most frequent first (ties lexicographic).
+    queries: List[Query]
+    #: Per query: how many distinct entities' pages hold it.
+    entity_support: np.ndarray
+    #: 0/1 ``queries × pages`` CSR: which pages hold each query as an n-gram.
+    containing: sparse.csr_matrix
+
+
+def enumerate_domain_queries(pages: Sequence[Page], config: L2QConfig) -> DomainQueries:
+    """The domain queries of ``pages``, each page enumerated once.
 
     Every n-gram of the pages is enumerated (no entity's words are
     excluded); those on at least ``config.domain_min_query_pages`` pages
     are kept, most frequent first, at most ``config.max_domain_queries`` of
-    them.  The domain phase and the HR baseline's domain statistics both
-    start from this list.
+    them.  The n-gram table is dropped once they are known.
     """
-    enumerator = QueryEnumerator(
+    pages = list(pages)
+    table = NgramTable.build(QueryEnumerator(
         max_length=config.max_query_length,
         min_word_length=config.min_query_word_length,
-    )
-    statistics = enumerator.enumerate_from_pages(pages)
-    queries = prune_queries(
-        statistics,
-        min_page_frequency=config.domain_min_query_pages,
-        max_queries=config.max_domain_queries,
-    )
-    return queries, statistics
+    ), pages)
+    kept = prune_queries(table.occurrences(), table.page_frequency(),
+                         min_page_frequency=config.domain_min_query_pages,
+                         max_queries=config.max_domain_queries)
+    containing = table.containment(kept)
+    # Entity support: the number of distinct entities in each query's row.
+    entity_ids, entity_of_page = np.unique([page.entity_id for page in pages],
+                                           return_inverse=True)
+    page_entity = sparse.csr_matrix(
+        (np.ones(len(pages)), (np.arange(len(pages)), entity_of_page)),
+        shape=(len(pages), len(entity_ids)))
+    return DomainQueries(
+        pages=pages,
+        queries=[table.queries[index] for index in kept.tolist()],
+        entity_support=(containing @ page_entity).getnnz(axis=1),
+        containing=containing)
 
 
 def learn_domain_models(domain_corpus: Corpus, relevance_by_aspect: Dict[str, RelevanceFunction],

@@ -20,6 +20,9 @@ A harvest session passes its :class:`~repro.core.utility.GraphTables` to
 :meth:`EntityPhase.compute`, so the candidates' and pages' graph rows are
 derived once per session rather than once per selection; the normalising
 divisors of the domain model's template utilities are found once per model.
+It also passes its :class:`~repro.core.candidates.CandidateStatistics`, the
+pool of n-grams on its pages, which the phase ranks by occurrences and
+never enumerates itself.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.aspects.relevance import AllRelevant, RelevanceFunction
+from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
-from repro.core.queries import Query, QueryEnumerator, QueryStatistics, prune_queries
+from repro.core.queries import Query
 from repro.core.templates import Template
 from repro.core.utility import (
     AssembledGraph,
@@ -154,8 +158,8 @@ class EntityPhase:
     # -- Candidate enumeration --------------------------------------------------
     def enumerate_candidates(self, entity: Entity, current_pages: Sequence[Page],
                              domain_model: Optional[DomainModel] = None,
-                             exclude: Optional[Set[Query]] = None,
-                             statistics: Optional[QueryStatistics] = None,
+                             exclude: Optional[Set[Query]] = None, *,
+                             statistics: CandidateStatistics,
                              tables: Optional[GraphTables] = None) -> List[Query]:
         """Build the candidate query set ``Q_E``.
 
@@ -164,22 +168,13 @@ class EntityPhase:
         as well, so that useful queries not yet visible in ``P_E`` remain
         reachable (Sect. IV-C, *Entity graph*).
 
-        ``statistics`` may be supplied by a caller that maintains it
-        incrementally — the harvesting loop passes ``session.candidates``
-        state here so that selection does not re-enumerate the full working
-        set every iteration.  When omitted, it is computed from scratch over
-        ``current_pages``.  ``tables`` is the memo of word rows the domain
-        queries are grounded with (a fresh one when omitted).
+        ``statistics`` is the n-gram pool of exactly ``current_pages`` —
+        the harvesting loop passes ``session.candidates``, maintained
+        incrementally, so that selection never re-enumerates the working
+        set.  ``tables`` is the memo of word rows the domain queries are
+        grounded with (a fresh one when omitted).
         """
-        if statistics is None:
-            enumerator = QueryEnumerator(
-                max_length=self.config.max_query_length,
-                min_word_length=self.config.min_query_word_length,
-                exclude_words=entity.excluded_words(),
-            )
-            statistics = enumerator.enumerate_from_pages(list(current_pages))
-        candidates = prune_queries(statistics, min_page_frequency=1,
-                                   max_queries=self.config.max_entity_candidates)
+        candidates = statistics.pruned(self.config.max_entity_candidates)
         if domain_model is not None and not domain_model.is_empty():
             if tables is None:
                 tables = GraphTables(self.type_system)
@@ -229,8 +224,8 @@ class EntityPhase:
                 relevance: RelevanceFunction,
                 domain_model: Optional[DomainModel] = None,
                 use_templates: bool = True,
-                exclude: Optional[Set[Query]] = None,
-                statistics: Optional[QueryStatistics] = None,
+                exclude: Optional[Set[Query]] = None, *,
+                statistics: CandidateStatistics,
                 tables: Optional[GraphTables] = None) -> EntityUtilities:
         """Run the entity phase and return all candidate utilities.
 
@@ -250,8 +245,8 @@ class EntityPhase:
         exclude:
             Queries to exclude from the candidate set (e.g. already fired).
         statistics:
-            Incrementally-maintained enumeration state (see
-            :meth:`enumerate_candidates`); computed from scratch if omitted.
+            The n-gram pool of ``current_pages`` (see
+            :meth:`enumerate_candidates`).
         tables:
             The graph-row memo shared by enumeration and assembly (a harvest
             session passes its own); a fresh one when omitted.

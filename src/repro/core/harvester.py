@@ -42,7 +42,7 @@ from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
 from repro.core.queries import Query
 from repro.core.selection import QuerySelector
-from repro.core.session import HarvestSession
+from repro.core.session import HarvestSession, NgramTableCache
 from repro.core.stepper import Done, HarvestStepper
 from repro.corpus.corpus import Corpus
 from repro.exec.backends import ExecutionBackend, resolve_backend
@@ -169,6 +169,9 @@ class Harvester:
         self.config = config if config is not None else L2QConfig()
         self.config.validate()
         self.client = client
+        #: Every entity's n-gram table, shared by all the sessions this
+        #: harvester builds (see :mod:`repro.core.session`).
+        self.ngram_tables: NgramTableCache = {}
 
     def harvest_job(self, job: HarvestJob,
                     client: Optional[SearchClient] = None) -> HarvestResult:
@@ -289,6 +292,7 @@ class Harvester:
             config=self.config,
             rng=rng.spawn(entity_id, aspect, selector.name),
             domain_model=domain_model,
+            ngram_tables=self.ngram_tables,
         )
         accounting = RunFetchAccounting()
         result = HarvestResult(entity_id=entity_id, aspect=aspect,

@@ -121,7 +121,7 @@ class UtilityOnlySelection(EntityPhaseSelection):
             domain_model=None,
             use_templates=False,
             exclude=set(session.fired_queries),
-            statistics=session.candidates.statistics,
+            statistics=session.candidates,
             tables=session.tables,
         )
         ranked = (utilities.ranked_by_precision()
@@ -177,7 +177,7 @@ class TemplateSelection(EntityPhaseSelection):
             domain_model=session.domain_model,
             use_templates=True,
             exclude=set(session.fired_queries),
-            statistics=session.candidates.statistics,
+            statistics=session.candidates,
             tables=session.tables,
         )
         ranked = (utilities.ranked_by_precision()
@@ -218,7 +218,7 @@ class ContextAwareSelection(EntityPhaseSelection):
             domain_model=session.domain_model,
             use_templates=True,
             exclude=set(session.fired_queries),
-            statistics=session.candidates.statistics,
+            statistics=session.candidates,
             tables=session.tables,
         )
         penalty = (self._config or session.config).dedup_penalty
@@ -235,8 +235,11 @@ class ContextAwareSelection(EntityPhaseSelection):
 
         Ranks every unfired candidate by ``(collective utility, individual
         utility)`` and returns the first lexicographic maximum — the same
-        winner the scalar reference :meth:`_choose_scalar` produces (array
-        expressions mirror the scalar ones operation for operation).
+        winner the per-candidate loop ``tests/oracles.py::reference_choose``
+        produces (array expressions mirror the scalar ones operation for
+        operation).  The individual utility breaks ties so that
+        near-identical collective values (common in the first iteration)
+        still prefer genuinely useful queries.
         """
         if not candidates:
             return None
@@ -253,7 +256,7 @@ class ContextAwareSelection(EntityPhaseSelection):
 
     def _score_arrays(self, collective, utilities: EntityUtilities,
                       candidates: List[Query]) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_score`: per-candidate (primary, secondary) arrays."""
+        """Per-candidate (primary, secondary) score arrays."""
         arrays = utilities.gather(candidates)
         if self.objective == OBJECTIVE_PRECISION:
             return collective.collective_precision, arrays.precision
@@ -262,40 +265,6 @@ class ContextAwareSelection(EntityPhaseSelection):
         individual = exact_pow_half(np.maximum(arrays.precision, 0.0)
                                     * np.maximum(arrays.recall, 0.0))
         return collective.balanced, individual
-
-    def _choose_scalar(self, session: HarvestSession, utilities: EntityUtilities,
-                       candidates: List[Query],
-                       penalty: float) -> Optional[Query]:
-        """Scalar reference implementation of :meth:`_choose`.
-
-        Kept (and exercised by the equivalence tests) as the executable
-        specification the vectorized path must reproduce choice for choice.
-        """
-        assert self._tracker is not None
-        best_query: Optional[Query] = None
-        best_score: Optional[tuple] = None
-        for query in candidates:
-            collective = self._tracker.evaluate(query, utilities)
-            if penalty > 0.0:
-                collective = collective.discounted(
-                    session.expected_novelty(query), penalty)
-            score = self._score(collective, utilities, query)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_query = query
-        return best_query
-
-    def _score(self, collective, utilities: EntityUtilities, query: Query) -> tuple:
-        """Primary score is the collective utility; ties break on the
-        individual inferred utility so that near-identical collective values
-        (common in the first iteration) still prefer genuinely useful queries."""
-        if self.objective == OBJECTIVE_PRECISION:
-            return (collective.collective_precision, utilities.precision_of(query))
-        if self.objective == OBJECTIVE_RECALL:
-            return (collective.collective_recall, utilities.recall_of(query))
-        individual = (max(utilities.precision_of(query), 0.0)
-                      * max(utilities.recall_of(query), 0.0)) ** 0.5
-        return (collective.balanced, individual)
 
 
 # ---------------------------------------------------------------------------

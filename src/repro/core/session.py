@@ -8,24 +8,55 @@ past queries, the learner-visible relevance function, the domain model and
 the configuration.
 Ground-truth relevance is *not* part of the session — only the oracle/ideal
 selector receives it, explicitly.
+
+The candidate statistics count over the entity's
+:class:`~repro.core.queries.NgramTable`: every page of
+``corpus.pages_of(entity)`` enumerated once with the entity's excluded
+words.  The table is built on the session's first page fold and kept in
+``ngram_tables``, a cache the harvester hands to every session it builds,
+so all of an entity's sessions (and the ideal oracle's pool) share one
+table; a session built without a cache keeps its own.  Sessions racing on
+the thread backend may build the same table twice; the builds are
+identical, and the first one stored is the one every session uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
-from repro.core.queries import Query, QueryEnumerator
+from repro.core.queries import NgramTable, Query, QueryEnumerator
 from repro.core.utility import GraphTables
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity, Page
 from repro.dedup.novelty import NoveltyEstimator
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
+
+#: N-gram tables by ``(entity_id, max_query_length, min_query_word_length)``;
+#: one cache serves one corpus (a harvester's).
+NgramTableCache = Dict[Tuple[str, int, int], NgramTable]
+
+
+def entity_ngram_table(cache: NgramTableCache, corpus: Corpus, entity: Entity,
+                       config: L2QConfig) -> NgramTable:
+    """The entity's n-gram table from ``cache``, built there on first use:
+    every page of ``corpus.pages_of(entity)`` enumerated once, the entity's
+    excluded words dropped."""
+    key = (entity.entity_id, config.max_query_length, config.min_query_word_length)
+    table = cache.get(key)
+    if table is None:
+        enumerator = QueryEnumerator(max_length=config.max_query_length,
+                                     min_word_length=config.min_query_word_length,
+                                     exclude_words=entity.excluded_words())
+        table = cache.setdefault(key, NgramTable.build(
+            enumerator, corpus.pages_of(entity.entity_id)))
+    return table
 
 
 @dataclass
@@ -43,20 +74,20 @@ class HarvestSession:
     current_pages: List[Page] = field(default_factory=list)
     past_queries: List[Query] = field(default_factory=list)
     fired_queries: Set[Query] = field(default_factory=set)
+    ngram_tables: NgramTableCache = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        enumerator = QueryEnumerator(
-            max_length=self.config.max_query_length,
-            min_word_length=self.config.min_query_word_length,
-            exclude_words=self.entity.excluded_words(),
-        )
         #: Candidate queries enumerated so far, kept in sync with
         #: ``current_pages``: every page added through :meth:`add_pages` is
         #: folded in exactly once, so selectors never re-enumerate the full
         #: working set (amortised O(new pages) per iteration).  The
         #: statistics double as the session's page-membership record.
-        self.candidates = CandidateStatistics(enumerator)
-        self.candidates.add_pages(self.current_pages)
+        #: The table loader holds the session's parts, not the session, so
+        #: a finished session is freed at once rather than by the cycle
+        #: collector.
+        self.candidates = CandidateStatistics(partial(
+            entity_ngram_table, self.ngram_tables, self.corpus, self.entity,
+            self.config))
         #: Graph rows of the candidates and pages met so far, shared by every
         #: selection of the session (see :class:`GraphTables`).  Only the
         #: session holds the tables, so they are freed with it: a selector
@@ -73,7 +104,9 @@ class HarvestSession:
                                             engine=self.engine,
                                             entity=self.entity,
                                             config=self.config)
-            self.novelty.observe_pages(self.current_pages)
+        # Pages given at construction take the same path as fetched ones.
+        pages, self.current_pages = self.current_pages, []
+        self.add_pages(pages)
 
     # -- Page management -----------------------------------------------------
     def add_pages(self, pages: Sequence[Page]) -> List[Page]:

@@ -92,6 +92,17 @@ class PreparedSplit:
     #: entity's aspect sessions (see
     #: :class:`~repro.baselines.oracle.IdealPool`).
     ideal_pools: IdealPoolCache = field(default_factory=dict)
+    #: The one harvester of this split (see
+    #: :meth:`ExperimentRunner.harvester_for`); a copy made with
+    #: :func:`dataclasses.replace` starts without one.
+    _harvester: Optional[Harvester] = field(default=None, init=False,
+                                            repr=False, compare=False)
+
+    def domain_phase(self) -> DomainPhase:
+        """The split's one :class:`DomainPhase`, built on first use."""
+        if self._domain_phase is None:
+            self._domain_phase = DomainPhase(self.domain_corpus, self.config)
+        return self._domain_phase
 
     def domain_model(self, aspect: str) -> DomainModel:
         """Lazily learn (and cache) the domain model for one aspect.
@@ -101,23 +112,23 @@ class PreparedSplit:
         """
         model = self._domain_models.get(aspect)
         if model is None:
-            if self._domain_phase is None:
-                self._domain_phase = DomainPhase(self.domain_corpus, self.config)
-            model = self._domain_phase.learn(aspect, self.relevance_by_aspect[aspect])
+            model = self.domain_phase().learn(aspect, self.relevance_by_aspect[aspect])
             self._domain_models[aspect] = model
         return model
 
     def hr_statistics(self, aspect: str) -> HarvestRateStatistics:
         """Lazily compute (and cache) the HR baseline statistics for one aspect.
 
-        Every aspect shares one :class:`HarvestRateDomain`, so the domain
-        queries are enumerated and abstracted once per split.
+        Every aspect shares one :class:`HarvestRateDomain`, built from the
+        domain phase's queries, so the domain pages are enumerated once per
+        split for the domain phase and HR together.
         """
         stats = self._hr_statistics.get(aspect)
         if stats is None:
             if self._hr_domain is None:
-                self._hr_domain = HarvestRateDomain.from_corpus(self.domain_corpus,
-                                                                self.config)
+                self._hr_domain = HarvestRateDomain.from_queries(
+                    self.domain_phase().domain_queries(),
+                    self.domain_corpus.type_system)
             stats = HarvestRateStatistics.from_domain(
                 self._hr_domain, self.relevance_by_aspect[aspect])
             self._hr_statistics[aspect] = stats
@@ -368,8 +379,14 @@ class ExperimentRunner:
             self.job_spec(prepared.split, method, entity_id, aspect, num_queries))
 
     def harvester_for(self, prepared: PreparedSplit) -> Harvester:
-        """A harvester over this corpus and the split's engine."""
-        return Harvester(self.corpus, prepared.engine, self.config)
+        """The split's harvester over this corpus and the split's engine.
+
+        One per prepared split, so every session of an entity in the split
+        shares the entity's n-gram table.
+        """
+        if prepared._harvester is None:
+            prepared._harvester = Harvester(self.corpus, prepared.engine, self.config)
+        return prepared._harvester
 
     # -- Single harvest -------------------------------------------------------------
     def harvest_once(self, prepared: PreparedSplit, method: str, entity_id: str,

@@ -10,6 +10,9 @@ repository root on ``sys.path``).
 
 from __future__ import annotations
 
+from repro.core.candidates import CandidateStatistics
+from repro.core.config import L2QConfig
+from repro.core.queries import NgramTable, QueryEnumerator
 from repro.corpus.document import Page, Paragraph
 
 
@@ -25,6 +28,22 @@ def make_page(page_id, entity_id, paragraph_specs):
         for i, (tokens, aspect) in enumerate(paragraph_specs)
     )
     return Page(page_id=page_id, entity_id=entity_id, paragraphs=paragraphs)
+
+
+def entity_enumerator(entity, config=None):
+    """The enumerator a session of ``entity`` builds its n-gram table with."""
+    config = config if config is not None else L2QConfig()
+    return QueryEnumerator(max_length=config.max_query_length,
+                           min_word_length=config.min_query_word_length,
+                           exclude_words=entity.excluded_words())
+
+
+def candidate_pool(entity, pages, config=None):
+    """The candidate pool of a session that gathered exactly ``pages``."""
+    table = NgramTable.build(entity_enumerator(entity, config), pages)
+    pool = CandidateStatistics(lambda: table)
+    pool.add_pages(pages)
+    return pool
 
 
 def harvest_signature(result):

@@ -25,10 +25,24 @@ query.
 :func:`reference_rank` is the rankers' scalar ranking path: it scores each
 candidate document with the scalar ``score`` and sorts the pairs.  Both
 ranker kernels, ``rank`` and ``rank_many``, must return the same pairs.
+
+:class:`ReferenceQueryStatistics` is the dict-and-set n-gram statistics that
+every page fold once re-derived: :func:`reference_enumerate` enumerates a
+page set into it and :func:`reference_prune` ranks its queries.  The
+array-native :class:`~repro.core.candidates.CandidateStatistics`, the
+:class:`~repro.core.queries.NgramTable` and
+:func:`~repro.core.domain_phase.enumerate_domain_queries` must yield the same
+pools, rankings, supports and page sets.
+
+:func:`reference_choose` scores the context-aware selector's candidates one
+at a time; :meth:`~repro.core.selection.ContextAwareSelection._choose` must
+return the same query.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -37,8 +51,14 @@ from scipy import sparse
 from repro.aspects.relevance import RelevanceFunction
 from repro.baselines.harvest_rate import HarvestRateStatistics
 from repro.core.config import L2QConfig
-from repro.core.queries import Query, QueryEnumerator, prune_queries
-from repro.core.selection import first_unfired
+from repro.core.entity_phase import EntityUtilities
+from repro.core.queries import Query, QueryEnumerator
+from repro.core.selection import (
+    OBJECTIVE_PRECISION,
+    OBJECTIVE_RECALL,
+    ContextAwareSelection,
+    first_unfired,
+)
 from repro.core.session import HarvestSession
 from repro.core.templates import Template, TemplateIndex
 from repro.core.utility import AssembledGraph
@@ -161,7 +181,7 @@ def reference_hr_select(domain_statistics: HarvestRateStatistics,
     """:meth:`~repro.baselines.harvest_rate.HarvestRateSelection.select`."""
     if not session.current_pages:
         return None
-    candidates = set(session.candidates.queries())
+    candidates = set(session.candidates.sorted_queries())
     # HR also exploits domain data: add domain queries it has statistics for.
     excluded_words = session.entity.excluded_words()
     for query in domain_statistics.query_harvest_rate:
@@ -231,10 +251,10 @@ def reference_hr_statistics(domain_corpus: Corpus, relevance: RelevanceFunction,
         return query_rates, {}, query_templates
     enumerator = QueryEnumerator(max_length=config.max_query_length,
                                  min_word_length=config.min_query_word_length)
-    query_stats = enumerator.enumerate_from_pages(pages)
-    queries = prune_queries(query_stats,
-                            min_page_frequency=config.domain_min_query_pages,
-                            max_queries=config.max_domain_queries)
+    query_stats = reference_enumerate(enumerator, pages)
+    queries = reference_prune(query_stats,
+                              min_page_frequency=config.domain_min_query_pages,
+                              max_queries=config.max_domain_queries)
     relevant_ids = {p.page_id for p in pages if relevance(p) == 1}
     for query in queries:
         containing = query_stats.pages.get(query, set())
@@ -264,10 +284,8 @@ def reference_ideal_select(ground_truth: RelevanceFunction, session: HarvestSess
         min_word_length=session.config.min_query_word_length,
         exclude_words=session.entity.excluded_words(),
     )
-    statistics = enumerator.enumerate_from_pages(universe)
-    ranked = sorted(statistics.queries(),
-                    key=lambda q: (-statistics.page_frequency(q), q))
-    candidates = ranked[:max_candidates]
+    candidates = reference_ideal_candidates(reference_enumerate(enumerator, universe),
+                                            max_candidates)
     if not relevant_ids:
         return None
 
@@ -290,6 +308,93 @@ def reference_ideal_select(ground_truth: RelevanceFunction, session: HarvestSess
             best_score = score
             best_query = query
     return best_query
+
+
+def reference_ideal_candidates(statistics: "ReferenceQueryStatistics",
+                               max_candidates: int) -> List[Query]:
+    """The ideal oracle's pool: by descending page frequency, ties by query."""
+    ranked = sorted(statistics.queries(),
+                    key=lambda q: (-statistics.page_frequency(q), q))
+    return ranked[:max_candidates]
+
+
+def reference_choose(selector: ContextAwareSelection, session: HarvestSession,
+                     utilities: EntityUtilities, candidates: List[Query],
+                     penalty: float) -> Optional[Query]:
+    """:meth:`~repro.core.selection.ContextAwareSelection._choose`, one
+    candidate at a time: the first candidate with the greatest
+    ``(collective utility, individual utility)``."""
+    tracker = selector._tracker
+    assert tracker is not None
+    best_query: Optional[Query] = None
+    best_score: Optional[tuple] = None
+    for query in candidates:
+        collective = tracker.evaluate(query, utilities)
+        if penalty > 0.0:
+            collective = collective.discounted(session.expected_novelty(query),
+                                               penalty)
+        if selector.objective == OBJECTIVE_PRECISION:
+            score = (collective.collective_precision, utilities.precision_of(query))
+        elif selector.objective == OBJECTIVE_RECALL:
+            score = (collective.collective_recall, utilities.recall_of(query))
+        else:
+            individual = (max(utilities.precision_of(query), 0.0)
+                          * max(utilities.recall_of(query), 0.0)) ** 0.5
+            score = (collective.balanced, individual)
+        if best_score is None or score > best_score:
+            best_score = score
+            best_query = query
+    return best_query
+
+
+@dataclass
+class ReferenceQueryStatistics:
+    """Occurrence statistics for a set of enumerated queries, as dicts and sets."""
+
+    occurrences: Counter = field(default_factory=Counter)
+    pages: Dict[Query, Set[str]] = field(default_factory=lambda: defaultdict(set))
+    entities: Dict[Query, Set[str]] = field(default_factory=lambda: defaultdict(set))
+
+    def record(self, query: Query, page_id: str, entity_id: str, count: int = 1) -> None:
+        """Record ``count`` occurrences of ``query`` on a page of an entity."""
+        self.occurrences[query] += count
+        self.pages[query].add(page_id)
+        self.entities[query].add(entity_id)
+
+    def queries(self) -> List[Query]:
+        """All recorded queries, in first-occurrence order."""
+        return list(self.occurrences)
+
+    def page_frequency(self, query: Query) -> int:
+        """Number of distinct pages containing ``query``."""
+        return len(self.pages.get(query, ()))
+
+    def entity_support(self, query: Query) -> int:
+        """Number of distinct entities whose pages contain ``query``."""
+        return len(self.entities.get(query, ()))
+
+
+def reference_enumerate(enumerator: QueryEnumerator,
+                        pages: Sequence[Page]) -> ReferenceQueryStatistics:
+    """Enumerate every page of ``pages`` and record each of its n-grams."""
+    statistics = ReferenceQueryStatistics()
+    for page in pages:
+        for query, count in enumerator.enumerate_from_page(page).items():
+            statistics.record(query, page.page_id, page.entity_id, count)
+    return statistics
+
+
+def reference_prune(statistics: ReferenceQueryStatistics, min_page_frequency: int = 1,
+                    max_queries: Optional[int] = None) -> List[Query]:
+    """Keep frequent queries, most frequent first (ties broken lexicographically)."""
+    if max_queries is not None and max_queries < 0:
+        raise ValueError("max_queries must be non-negative")
+    kept = [q for q in statistics.queries()
+            if statistics.page_frequency(q) >= min_page_frequency]
+    kept.sort(key=lambda q: (-statistics.occurrences[q], q))
+    if max_queries is not None and len(kept) > max_queries:
+        kept = kept[:max_queries]
+    return kept
 
 
 def reference_rank(ranker, query: Sequence[str], top_k: int,

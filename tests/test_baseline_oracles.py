@@ -28,12 +28,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aspects.relevance import OracleRelevance
-from repro.baselines import harvest_rate as harvest_rate_module
 from repro.baselines.adaptive_querying import AdaptiveQueryingSelection
 from repro.baselines.harvest_rate import HarvestRateSelection, HarvestRateStatistics
 from repro.baselines.oracle import IdealSelection
+from repro.core import domain_phase as domain_phase_module
 from repro.core.config import L2QConfig
-from repro.core.queries import QueryEnumerator
+from repro.core.queries import NgramTable
 from repro.core.session import HarvestSession
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity
@@ -64,11 +64,6 @@ UNSEEN = "zz"
 RATES = [0.0, 0.25, 0.5, 1.0]
 TEMPLATES = [("<t0>",), ("<t1>",), ("<t2>",)]
 FIRE_MODES = ("nothing", "choice", "sample", "miss", "everywhere")
-
-
-@pytest.fixture(scope="module")
-def engine(researcher_corpus):
-    return SearchEngine(researcher_corpus, top_k=5)
 
 
 def _pages(rng):
@@ -112,7 +107,7 @@ def _domain_statistics(rng):
 
 def _hr_pool(session, statistics):
     excluded = session.entity.excluded_words()
-    return set(session.candidates.queries()) | {
+    return set(session.candidates.sorted_queries()) | {
         query for query in statistics.query_harvest_rate
         if not excluded.intersection(query)}
 
@@ -155,7 +150,7 @@ def _check(session, hr, aq, met):
     if len(set(tokens)) < len(tokens):
         met.add("duplicate pages")
     excluded = session.entity.excluded_words()
-    ngrams = set(session.candidates.queries())
+    ngrams = set(session.candidates.sorted_queries())
     for query in hr.domain_statistics.query_harvest_rate:
         if excluded.intersection(query):
             met.add("domain query with an excluded word")
@@ -165,7 +160,16 @@ def _check(session, hr, aq, met):
             met.add("domain query among the n-grams")
 
 
-def _replay(seed, corpus, engine):
+def _universe(corpus_like, pages):
+    """A corpus whose one entity ``e1`` has exactly ``pages``."""
+    entity = Entity(entity_id="e1", domain="researcher",
+                    name_tokens=(EXCLUDED[0],), seed_query=(EXCLUDED[1],))
+    corpus = Corpus(corpus_like.domain_spec, {"e1": entity},
+                    {page.page_id: page for page in pages}, corpus_like.type_system)
+    return entity, corpus
+
+
+def _replay(seed, corpus_like):
     """Replay random session ``seed``: pages arrive in batches, queries are
     fired between selections, and finally the whole pool is fired.  Both
     selectors must choose the oracle's query at every step; returns the
@@ -174,10 +178,9 @@ def _replay(seed, corpus, engine):
     pages = _pages(rng)
     statistics = _domain_statistics(rng)
     met = {"bare HR"} if statistics is None else set()
+    entity, corpus = _universe(corpus_like, pages)
     session = HarvestSession(
-        corpus=corpus, engine=engine,
-        entity=Entity(entity_id="e1", domain="researcher",
-                      name_tokens=(EXCLUDED[0],), seed_query=(EXCLUDED[1],)),
+        corpus=corpus, engine=SearchEngine(corpus, top_k=5), entity=entity,
         aspect=ASPECT, relevance=OracleRelevance(ASPECT), config=L2QConfig(),
         rng=SeededRandom(seed))
     hr, aq = HarvestRateSelection(statistics), AdaptiveQueryingSelection()
@@ -199,14 +202,13 @@ class TestRandomSessions:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=2 ** 30))
-    def test_selectors_choose_the_oracles_query(self, researcher_corpus, engine,
-                                                seed):
-        _replay(seed, researcher_corpus, engine)
+    def test_selectors_choose_the_oracles_query(self, researcher_corpus, seed):
+        _replay(seed, researcher_corpus)
 
-    def test_generator_covers_every_case(self, researcher_corpus, engine):
+    def test_generator_covers_every_case(self, researcher_corpus):
         met = set()
         for seed in range(40):
-            met |= _replay(seed, researcher_corpus, engine)
+            met |= _replay(seed, researcher_corpus)
         assert met == {
             "relevant:none", "relevant:some", "relevant:all",
             "fired:none", "fired:some", "fired:all",
@@ -252,10 +254,7 @@ def _ideal_session(seed, corpus_like, ranker):
     with ``ranker`` and returns a random number of results per query."""
     rng = random.Random(seed)
     pages = _pages(rng)
-    entity = Entity(entity_id="e1", domain="researcher",
-                    name_tokens=(EXCLUDED[0],), seed_query=(EXCLUDED[1],))
-    corpus = Corpus(corpus_like.domain_spec, {"e1": entity},
-                    {page.page_id: page for page in pages}, corpus_like.type_system)
+    entity, corpus = _universe(corpus_like, pages)
     engine = SearchEngine(corpus, ranker=ranker, top_k=rng.choice([1, 2, 5]))
     session = HarvestSession(
         corpus=corpus, engine=engine, entity=entity, aspect=ASPECT,
@@ -406,10 +405,10 @@ def test_prepared_split_builds_each_entity_pool_once(researcher_runner,
     """Every aspect session of one entity reads one pool: one enumeration
     of the entity's pages and one batched ranking of its candidates."""
     enumerations, batches = [], []
-    enumerate_from_pages = QueryEnumerator.enumerate_from_pages
-    monkeypatch.setattr(QueryEnumerator, "enumerate_from_pages",
-                        lambda self, pages: enumerations.append(len(pages))
-                        or enumerate_from_pages(self, pages))
+    build = NgramTable.build.__func__
+    monkeypatch.setattr(NgramTable, "build", classmethod(
+        lambda cls, enumerator, pages: enumerations.append(len(pages))
+        or build(cls, enumerator, pages)))
     retrieve_many = SearchEngine.retrieve_many
     monkeypatch.setattr(SearchEngine, "retrieve_many",
                         lambda self, entity, queries, *args, **kwargs:
@@ -487,15 +486,19 @@ class TestHarvestRateStatistics:
 
     def test_prepared_split_enumerates_once_for_every_aspect(
             self, researcher_prepared, monkeypatch):
+        # The domain phase and HR share the split's one domain enumeration.
         enumerations = []
-        enumerate_domain_queries = harvest_rate_module.enumerate_domain_queries
-        monkeypatch.setattr(harvest_rate_module, "enumerate_domain_queries",
+        enumerate_domain_queries = domain_phase_module.enumerate_domain_queries
+        monkeypatch.setattr(domain_phase_module, "enumerate_domain_queries",
                             lambda pages, config: enumerations.append(len(pages))
                             or enumerate_domain_queries(pages, config))
-        prepared = replace(researcher_prepared, _hr_domain=None, _hr_statistics={})
+        prepared = replace(researcher_prepared, _domain_models={},
+                           _domain_phase=None, _hr_domain=None, _hr_statistics={})
         aspects = list(prepared.relevance_by_aspect)[:3]
         shared = {aspect: prepared.hr_statistics(aspect) for aspect in aspects}
-        assert len(enumerations) == 1
+        for aspect in aspects:
+            prepared.domain_model(aspect)
+        assert enumerations == [prepared.domain_corpus.num_pages()]
         for aspect, stats in shared.items():
             fresh = HarvestRateStatistics.from_corpus(
                 prepared.domain_corpus, prepared.relevance_by_aspect[aspect],

@@ -9,7 +9,7 @@ from repro.baselines.lm_feedback import LanguageModelFeedbackSelection
 from repro.baselines.manual import ManualQuerySelection
 from repro.baselines.oracle import IdealSelection
 from repro.core.config import L2QConfig
-from repro.core.queries import QueryEnumerator
+from repro.core.queries import NgramTable
 from repro.core.session import HarvestSession
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity
@@ -190,10 +190,10 @@ class TestIdealSelection:
                               aspect="AWARD", relevance=OracleRelevance("AWARD"),
                               config=L2QConfig(), rng=SeededRandom(7))
         enumerations = []
-        enumerate_from_pages = QueryEnumerator.enumerate_from_pages
-        monkeypatch.setattr(QueryEnumerator, "enumerate_from_pages",
-                            lambda self, pages: enumerations.append(len(pages))
-                            or enumerate_from_pages(self, pages))
+        build = NgramTable.build.__func__
+        monkeypatch.setattr(NgramTable, "build", classmethod(
+            lambda cls, enumerator, pages: enumerations.append(len(pages))
+            or build(cls, enumerator, pages)))
         selector = IdealSelection(OracleRelevance("AWARD"))
         selector.prepare(bare)
         assert selector.select(bare) is None

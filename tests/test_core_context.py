@@ -7,6 +7,8 @@ from repro.core.config import L2QConfig
 from repro.core.context import CollectiveUtilities, ContextTracker
 from repro.core.entity_phase import EntityPhase
 
+from tests.helpers import candidate_pool
+
 
 @pytest.fixture(scope="module")
 def entity_utilities(researcher_corpus):
@@ -14,7 +16,8 @@ def entity_utilities(researcher_corpus):
     entity = researcher_corpus.get_entity(entity_id)
     pages = researcher_corpus.pages_of(entity_id)[:5]
     phase = EntityPhase(researcher_corpus.type_system, L2QConfig())
-    return phase.compute(entity, pages, OracleRelevance("RESEARCH"), domain_model=None)
+    return phase.compute(entity, pages, OracleRelevance("RESEARCH"), domain_model=None,
+                         statistics=candidate_pool(entity, pages))
 
 
 class TestCollectiveUtilities:

@@ -7,6 +7,8 @@ from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainPhase
 from repro.core.entity_phase import EntityPhase
 
+from tests.helpers import candidate_pool
+
 
 @pytest.fixture(scope="module")
 def setup(researcher_corpus):
@@ -26,21 +28,23 @@ def setup(researcher_corpus):
         "pages": current_pages,
         "relevance": relevance,
         "phase": phase,
+        "pool": candidate_pool(entity, current_pages, config),
     }
 
 
 class TestCandidateEnumeration:
     def test_candidates_exclude_seed_words(self, setup):
         candidates = setup["phase"].enumerate_candidates(
-            setup["entity"], setup["pages"], setup["model"])
+            setup["entity"], setup["pages"], setup["model"], statistics=setup["pool"])
         seed_words = set(setup["entity"].seed_query) | set(setup["entity"].name_tokens)
         for query in candidates:
             assert not seed_words & set(query)
 
     def test_domain_queries_expand_candidates(self, setup):
-        without = setup["phase"].enumerate_candidates(setup["entity"], setup["pages"], None)
+        without = setup["phase"].enumerate_candidates(
+            setup["entity"], setup["pages"], None, statistics=setup["pool"])
         with_domain = setup["phase"].enumerate_candidates(
-            setup["entity"], setup["pages"], setup["model"])
+            setup["entity"], setup["pages"], setup["model"], statistics=setup["pool"])
         assert len(with_domain) >= len(without)
 
     def test_domain_queries_need_partial_evidence(self, setup):
@@ -48,18 +52,19 @@ class TestCandidateEnumeration:
         for page in setup["pages"]:
             observed.update(page.token_set)
         candidates = set(setup["phase"].enumerate_candidates(
-            setup["entity"], setup["pages"], setup["model"]))
+            setup["entity"], setup["pages"], setup["model"], statistics=setup["pool"]))
         from_current = set(setup["phase"].enumerate_candidates(
-            setup["entity"], setup["pages"], None))
+            setup["entity"], setup["pages"], None, statistics=setup["pool"]))
         for query in candidates - from_current:
             assert any(word in observed for word in query)
 
     def test_exclusion_filter(self, setup):
         all_candidates = setup["phase"].enumerate_candidates(
-            setup["entity"], setup["pages"], setup["model"])
+            setup["entity"], setup["pages"], setup["model"], statistics=setup["pool"])
         excluded = {all_candidates[0]}
         filtered = setup["phase"].enumerate_candidates(
-            setup["entity"], setup["pages"], setup["model"], exclude=excluded)
+            setup["entity"], setup["pages"], setup["model"], exclude=excluded,
+            statistics=setup["pool"])
         assert all_candidates[0] not in filtered
 
 
@@ -67,7 +72,7 @@ class TestUtilityComputation:
     def test_compute_produces_all_five_vectors(self, setup):
         utilities = setup["phase"].compute(
             setup["entity"], setup["pages"], setup["relevance"],
-            domain_model=setup["model"])
+            domain_model=setup["model"], statistics=setup["pool"])
         assert utilities.candidates
         assert utilities.precision.mode == "precision"
         assert utilities.recall.mode == "recall"
@@ -78,7 +83,7 @@ class TestUtilityComputation:
     def test_rankings_are_sorted(self, setup):
         utilities = setup["phase"].compute(
             setup["entity"], setup["pages"], setup["relevance"],
-            domain_model=setup["model"])
+            domain_model=setup["model"], statistics=setup["pool"])
         by_precision = utilities.ranked_by_precision()
         values = [utilities.precision_of(q) for q in by_precision]
         assert values == sorted(values, reverse=True)
@@ -89,15 +94,16 @@ class TestUtilityComputation:
     def test_no_templates_mode_has_no_template_vertices(self, setup):
         utilities = setup["phase"].compute(
             setup["entity"], setup["pages"], setup["relevance"],
-            domain_model=None, use_templates=False)
+            domain_model=None, use_templates=False, statistics=setup["pool"])
         assert utilities.assembled.graph.num_templates == 0
 
     def test_domain_model_changes_rankings(self, setup):
         plain = setup["phase"].compute(
-            setup["entity"], setup["pages"], setup["relevance"], domain_model=None)
+            setup["entity"], setup["pages"], setup["relevance"],
+            domain_model=None, statistics=setup["pool"])
         adapted = setup["phase"].compute(
             setup["entity"], setup["pages"], setup["relevance"],
-            domain_model=setup["model"])
+            domain_model=setup["model"], statistics=setup["pool"])
         shared = set(plain.candidates) & set(adapted.candidates)
         assert shared
         changed = any(abs(plain.precision_of(q) - adapted.precision_of(q)) > 1e-9
@@ -107,7 +113,7 @@ class TestUtilityComputation:
     def test_topical_queries_outrank_background_for_research(self, setup):
         utilities = setup["phase"].compute(
             setup["entity"], setup["pages"], setup["relevance"],
-            domain_model=setup["model"])
+            domain_model=setup["model"], statistics=setup["pool"])
         topics = set(setup["entity"].attribute_values("topic"))
         topical = [q for q in utilities.candidates if set(q) & topics]
         background = [q for q in utilities.candidates

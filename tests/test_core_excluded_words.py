@@ -13,10 +13,13 @@ import repro
 from repro.aspects.relevance import AllRelevant
 from repro.core.config import L2QConfig
 from repro.core.entity_phase import EntityPhase
+from repro.core.queries import NgramTable
 from repro.core.session import HarvestSession
 from repro.corpus.document import Entity
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
+
+from tests.helpers import candidate_pool, entity_enumerator
 
 
 def _entity():
@@ -61,14 +64,16 @@ class TestExcludedWords:
             config=L2QConfig(),
             rng=SeededRandom(3),
         )
-        assert session.candidates.enumerator.exclude_words == \
-            entity.excluded_words()
+        pages = researcher_corpus.pages_of(entity_id)
+        assert any(entity.excluded_words() & page.token_set for page in pages)
+        assert session.candidates.table.queries == \
+            NgramTable.build(entity_enumerator(entity), pages).queries
 
     def test_entity_phase_enumeration_agrees_with_session(self,
                                                           researcher_corpus):
-        # From-scratch enumeration (EntityPhase builds its own enumerator)
-        # and the session's incremental pool must exclude the same words:
-        # the same pages yield the same candidate set either way.
+        # An enumeration of exactly the gathered pages and the session's
+        # incremental pool over the entity's whole table must exclude the
+        # same words: the same pages yield the same candidate set either way.
         entity_id = researcher_corpus.entity_ids()[0]
         entity = researcher_corpus.get_entity(entity_id)
         pages = researcher_corpus.pages_of(entity_id)[:4]
@@ -83,8 +88,8 @@ class TestExcludedWords:
             current_pages=list(pages),
         )
         phase = EntityPhase(researcher_corpus.type_system, L2QConfig())
-        from_scratch = phase.enumerate_candidates(entity, pages)
+        from_scratch = phase.enumerate_candidates(
+            entity, pages, statistics=candidate_pool(entity, pages))
         incremental = phase.enumerate_candidates(
-            entity, pages, statistics=session.candidates.statistics,
-            tables=session.tables)
+            entity, pages, statistics=session.candidates, tables=session.tables)
         assert from_scratch == incremental

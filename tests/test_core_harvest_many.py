@@ -10,6 +10,7 @@ re-enumeration of the working set inside ``select()``.
 import pytest
 
 from repro.baselines.manual import ManualQuerySelection
+from repro.core.harvester import Harvester
 from repro.core.queries import QueryEnumerator
 
 from tests.helpers import harvest_signature as _signature
@@ -77,19 +78,39 @@ class TestSelectionHotPath:
                                                    researcher_prepared, monkeypatch):
         """`select()` must run off the incremental statistics: a full
         re-enumeration of the gathered pages would defeat the amortisation,
-        so it is banned from the hot path for every strategy."""
+        so it is banned from the hot path for every strategy.  Pages are
+        enumerated once each, when a fold first needs the entity's table."""
+        selecting = []
+        enumerated = []
+        enumerate_from_page = QueryEnumerator.enumerate_from_page
 
-        def _forbidden(self, pages):
-            raise AssertionError(
-                "enumerate_from_pages called inside a select() hot path")
+        def _outside_select(self, page):
+            if selecting:
+                raise AssertionError(
+                    f"page {page.page_id} enumerated inside a select() hot path")
+            enumerated.append(page.page_id)
+            return enumerate_from_page(self, page)
 
-        harvester = researcher_runner.harvester_for(researcher_prepared)
+        # A harvester of its own: its entities' tables are not built yet.
+        harvester = Harvester(researcher_prepared.corpus, researcher_prepared.engine,
+                              researcher_prepared.config)
         jobs = _jobs(researcher_runner, researcher_prepared,
                      ("RND", "P", "R+t", "L2QBAL", "LM", "AQ", "HR", "MQ"),
                      num_queries=2)
-        monkeypatch.setattr(QueryEnumerator, "enumerate_from_pages", _forbidden)
+        for job in jobs:
+            def select(session, select=job.selector.select):
+                selecting.append(session)
+                try:
+                    return select(session)
+                finally:
+                    selecting.pop()
+            job.selector.select = select
+        monkeypatch.setattr(QueryEnumerator, "enumerate_from_page", _outside_select)
         results = harvester.harvest_many(jobs)
         assert len(results) == len(jobs)
+        assert sorted(enumerated) == sorted(
+            page.page_id for entity_id in {job.entity_id for job in jobs}
+            for page in researcher_prepared.corpus.pages_of(entity_id))
 
 
 class TestHarvestJob:

@@ -4,7 +4,10 @@ import pytest
 
 from tests.helpers import make_page
 
+from repro.core.config import L2QConfig
+from repro.core.domain_phase import enumerate_domain_queries
 from repro.core.queries import (
+    NgramTable,
     QueryEnumerator,
     format_query,
     prune_queries,
@@ -74,24 +77,60 @@ class TestPageEnumeration:
         assert ("beta", "gamma") not in counts
         assert ("alpha", "beta") in counts
 
-    def test_statistics_track_pages_and_entities(self):
+    def test_excluded_words_bridge_windows(self):
+        # Excluded words are dropped before windowing, so the words around
+        # one become adjacent: an entity's candidates are not the
+        # unexcluded n-grams minus those holding an excluded word.
+        enumerator = QueryEnumerator(max_length=3, exclude_words={"snir"})
+        counts = enumerator.enumerate_from_tokens(["parallel", "snir", "computing"])
+        assert ("parallel", "computing") in counts
+        assert not any("snir" in query for query in counts)
+        plain = QueryEnumerator(max_length=3).enumerate_from_tokens(
+            ["parallel", "snir", "computing"])
+        assert ("parallel", "computing") not in plain
+
+
+class TestNgramTable:
+    def test_rows_hold_each_page_once_in_lexicographic_ids(self):
+        enumerator = QueryEnumerator(max_length=2)
+        pages = [
+            make_page("p1", "e1", [(["beta", "alpha", "beta"], None)]),
+            make_page("p2", "e1", [([], None), (["alpha"], None)]),
+        ]
+        table = NgramTable.build(enumerator, pages)
+        assert list(table.queries) == sorted(table.queries)
+        assert table.page_ids == ("p1", "p2") and table.rows == {"p1": 0, "p2": 1}
+        for page in pages:
+            ids, counts = table.row(page.page_id)
+            assert dict(zip((table.queries[i] for i in ids), counts.tolist())) == \
+                enumerator.enumerate_from_page(page)
+        with pytest.raises(ValueError, match="p3"):
+            table.row("p3")
+
+    def test_statistics_track_pages(self):
         enumerator = QueryEnumerator(max_length=1)
         pages = [
-            make_page("p1", "e1", [(["shared", "unique1"], None)]),
+            make_page("p1", "e1", [(["shared", "unique1", "shared"], None)]),
             make_page("p2", "e2", [(["shared", "unique2"], None)]),
         ]
-        stats = enumerator.enumerate_from_pages(pages)
-        assert stats.page_frequency(("shared",)) == 2
-        assert stats.entity_support(("shared",)) == 2
-        assert stats.entity_support(("unique1",)) == 1
+        table = NgramTable.build(enumerator, pages)
+        shared = table.queries.index(("shared",))
+        assert table.page_frequency()[shared] == 2
+        assert table.occurrences()[shared] == 3
+        assert table.containment([shared]).toarray().tolist() == [[1.0, 1.0]]
 
-    def test_merge_statistics(self):
-        enumerator = QueryEnumerator(max_length=1)
-        a = enumerator.enumerate_from_pages([make_page("p1", "e1", [(["x1"], None)])])
-        b = enumerator.enumerate_from_pages([make_page("p2", "e2", [(["x1"], None)])])
-        a.merge(b)
-        assert a.page_frequency(("x1",)) == 2
-        assert a.entity_support(("x1",)) == 2
+    def test_domain_queries_count_entity_support(self):
+        pages = [
+            make_page("p1", "e1", [(["shared", "unique1"], None)]),
+            make_page("p2", "e1", [(["shared", "unique1"], None)]),
+            make_page("p3", "e2", [(["shared", "unique2"], None)]),
+        ]
+        config = L2QConfig(max_query_length=1, domain_min_query_pages=2)
+        domain = enumerate_domain_queries(pages, config)
+        assert domain.queries == [("shared",), ("unique1",)]
+        assert domain.entity_support.tolist() == [2, 1]
+        assert domain.containing.toarray().tolist() == [[1.0, 1.0, 1.0],
+                                                        [1.0, 1.0, 0.0]]
 
 
 class TestPruning:
@@ -101,19 +140,27 @@ class TestPruning:
             make_page("p1", "e1", [(["common", "rare1"], None)]),
             make_page("p2", "e1", [(["common", "rare2"], None)]),
         ]
-        stats = enumerator.enumerate_from_pages(pages)
-        frequent = prune_queries(stats, min_page_frequency=2)
-        assert frequent == [("common",)]
-        capped = prune_queries(stats, min_page_frequency=1, max_queries=1)
-        assert capped == [("common",)]
+        table = NgramTable.build(enumerator, pages)
+        occurrences, frequency = table.occurrences(), table.page_frequency()
+        frequent = prune_queries(occurrences, frequency, min_page_frequency=2)
+        assert [table.queries[i] for i in frequent] == [("common",)]
+        capped = prune_queries(occurrences, frequency, min_page_frequency=1,
+                               max_queries=1)
+        assert [table.queries[i] for i in capped] == [("common",)]
+
+    def test_ties_break_lexicographically(self):
+        table = NgramTable.build(QueryEnumerator(max_length=1), [
+            make_page("p1", "e1", [(["gamma", "alpha", "beta", "beta"], None)])])
+        kept = prune_queries(table.occurrences(), table.page_frequency())
+        assert [table.queries[i] for i in kept] == [("beta",), ("alpha",), ("gamma",)]
 
     def test_negative_cap_raises(self):
         # A negative cap once sliced silently: ``max_queries=-1`` dropped the
         # last query instead of failing.
-        enumerator = QueryEnumerator(max_length=1)
-        stats = enumerator.enumerate_from_pages(
-            [make_page("p1", "e1", [(["alpha", "beta", "gamma"], None)])])
-        assert len(prune_queries(stats)) == 3
-        assert prune_queries(stats, max_queries=0) == []
+        table = NgramTable.build(QueryEnumerator(max_length=1), [
+            make_page("p1", "e1", [(["alpha", "beta", "gamma"], None)])])
+        occurrences, frequency = table.occurrences(), table.page_frequency()
+        assert len(prune_queries(occurrences, frequency)) == 3
+        assert prune_queries(occurrences, frequency, max_queries=0).tolist() == []
         with pytest.raises(ValueError, match="max_queries"):
-            prune_queries(stats, max_queries=-1)
+            prune_queries(occurrences, frequency, max_queries=-1)

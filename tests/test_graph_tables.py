@@ -25,7 +25,7 @@ from repro.core.utility import GraphAssembler, GraphTables, template_regularizat
 from repro.corpus.knowledge_base import build_type_system
 from repro.graph.random_walk import UtilitySolver
 
-from tests.helpers import make_page
+from tests.helpers import candidate_pool, make_page
 from tests.oracles import assert_same_graph, reference_assemble
 
 WORDS = [f"w{i}" for i in range(10)]
@@ -189,11 +189,14 @@ class TestGrounding:
         tables = GraphTables(corpus.type_system)
         # The table first sees many pages, then a call passes only two: the
         # grounding must read the words of those two alone.
-        phase.enumerate_candidates(entity, pages[:8], model, tables=tables)
-        reused = phase.enumerate_candidates(entity, pages[:2], model, tables=tables)
-        fresh = phase.enumerate_candidates(entity, pages[:2], model)
+        few, many = candidate_pool(entity, pages[:2]), candidate_pool(entity, pages[:8])
+        phase.enumerate_candidates(entity, pages[:8], model, statistics=many,
+                                   tables=tables)
+        reused = phase.enumerate_candidates(entity, pages[:2], model, statistics=few,
+                                            tables=tables)
+        fresh = phase.enumerate_candidates(entity, pages[:2], model, statistics=few)
         assert reused == fresh
-        wide = phase.enumerate_candidates(entity, pages[:8], model)
+        wide = phase.enumerate_candidates(entity, pages[:8], model, statistics=many)
         assert set(reused) != set(wide)
 
     def test_grounding_matches_a_word_scan(self, setup):
@@ -219,7 +222,8 @@ class TestGrounding:
                                 (precision, recall)) or solve_joint(self, precision, recall))
         phase = EntityPhase(corpus.type_system, config)
         relevance = OracleRelevance("RESEARCH")
-        results = [phase.compute(entity, pages[:count], relevance, domain_model=model)
+        results = [phase.compute(entity, pages[:count], relevance, domain_model=model,
+                                 statistics=candidate_pool(entity, pages[:count]))
                    for count in (3, 4)]
         assert sorted(scaled) == sorted(map(id, (
             model.template_precision, model.template_recall,
@@ -265,7 +269,7 @@ def cross_checked(monkeypatch):
         return assembled
 
     def checked_enumerate(self, entity, current_pages, domain_model=None,
-                          exclude=None, statistics=None, tables=None):
+                          exclude=None, *, statistics, tables=None):
         candidates = enumerate_candidates(self, entity, current_pages, domain_model,
                                           exclude, statistics=statistics,
                                           tables=tables)

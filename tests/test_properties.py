@@ -12,7 +12,7 @@ from repro.corpus.document import Page, Paragraph
 from repro.corpus.knowledge_base import TypeSystem, build_type_system
 from repro.corpus.synthetic import CorpusConfig, CorpusGenerator
 from repro.corpus.vocabulary import Vocabulary
-from repro.core.queries import QueryEnumerator, QueryStatistics
+from repro.core.queries import NgramTable, QueryEnumerator
 from repro.core.templates import abstract_query, template_abstracts
 from repro.eval.metrics import HarvestMetrics, compute_metrics
 from repro.eval.splits import split_entities
@@ -26,6 +26,8 @@ from repro.graph.reinforcement import ReinforcementGraphBuilder
 from repro.scenarios import make_scenario, scenario_names
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
+
+from tests.oracles import reference_enumerate, reference_prune
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -226,24 +228,25 @@ class TestCandidateStatisticsProperties:
         # the statistics of a from-scratch enumeration over the working set.
         enumerator = QueryEnumerator(max_length=3, min_word_length=1)
         pages = _pages_from_docs(docs)
+        table = NgramTable.build(enumerator, pages)
 
         arrival = list(pages)
         random.Random(order_seed).shuffle(arrival)
-        incremental = CandidateStatistics(enumerator)
+        incremental = CandidateStatistics(lambda: table)
         incremental.add_pages(arrival)
         # Re-adding in a different order must be a no-op (pages are deduped).
         assert incremental.add_pages(pages) == 0
 
-        scratch = QueryStatistics()
-        for page in pages:
-            for query, count in enumerator.enumerate_from_page(page).items():
-                scratch.record(query, page.page_id, page.entity_id, count)
-
-        assert incremental.statistics.occurrences == scratch.occurrences
-        assert dict(incremental.statistics.pages) == dict(scratch.pages)
-        assert dict(incremental.statistics.entities) == dict(scratch.entities)
+        scratch = reference_enumerate(enumerator, pages)
+        queries = incremental.sorted_queries()
+        assert queries == sorted(scratch.occurrences)
+        ids = [table.queries.index(query) for query in queries]
+        assert incremental.occurrences[ids].tolist() == \
+            [scratch.occurrences[query] for query in queries]
+        assert incremental.page_frequency[ids].tolist() == \
+            [scratch.page_frequency(query) for query in queries]
         assert incremental.num_pages == len(pages)
-        assert sorted(incremental.sorted_queries()) == sorted(scratch.occurrences)
+        assert incremental.pruned() == reference_prune(scratch)
 
 
 class TestScenarioGenerationProperties:

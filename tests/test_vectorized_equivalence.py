@@ -4,7 +4,7 @@ The sparse-matrix selection kernels promise *bit-identical* results to the
 scalar reference implementations they replaced: the rankers' batched
 ``rank_many`` kernel (``rank`` is a batch of one) vs the scalar ``score``
 path (:func:`tests.oracles.reference_rank`), and the selector's batched
-``_choose`` vs ``_choose_scalar``.  The multi-RHS joint solver agrees with
+``_choose`` vs :func:`tests.oracles.reference_choose`.  The multi-RHS joint solver agrees with
 one :meth:`~repro.graph.random_walk.UtilitySolver.solve` per problem to
 1e-12.  These tests pin that
 contract over seeded random corpora, graphs and regularizations — including
@@ -32,7 +32,7 @@ from repro.search.bm25 import BM25Ranker
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
 
-from tests.oracles import reference_rank
+from tests.oracles import reference_choose, reference_rank
 
 VOCABULARY = [f"w{i}" for i in range(30)]
 
@@ -278,8 +278,8 @@ class _CrossCheckingSelection(ContextAwareSelection):
 
     def _choose(self, session, utilities, candidates, penalty):
         chosen = super()._choose(session, utilities, candidates, penalty)
-        reference = self._choose_scalar(session, utilities, candidates,
-                                        penalty)
+        reference = reference_choose(self, session, utilities, candidates,
+                                     penalty)
         assert chosen == reference, \
             f"vectorized choice {chosen!r} != scalar choice {reference!r}"
         self.comparisons += 1
