@@ -1,12 +1,13 @@
 """Micro-benchmark: aspect-classifier training and inference throughput.
 
-Times the vectorized classifier stack at ``smoke`` scale — suite training
-(paragraphs/second through the ``fit_matrix`` kernels) and full-corpus page
-scoring through the batched ``page_assessment`` kernel versus the scalar
-per-paragraph oracle — and writes a machine-readable ``BENCH_fig09.json``
-next to the other benchmark results, so successive PRs can track the
-classifier throughput trajectory.  Bit-identity of the batched scores with
-the scalar reference is asserted alongside the timing.
+Times the classifier stack at ``smoke`` scale — suite training
+(paragraphs/second through the ``fit_matrix`` kernel) and full-corpus page
+scoring through ``page_assessment`` (the "batched" row) versus the
+dict-based per-paragraph reference ``tests.oracles.reference_page_assessment``
+(the "scalar" row) — and writes a machine-readable ``BENCH_fig09.json`` next
+to the other benchmark results, so successive changes can track the
+classifier throughput trajectory.  Bit-identity of the production scores
+with the scalar reference is asserted alongside the timing.
 
 Run with ``python -m pytest benchmarks/test_perf_fig09.py -q``.
 """
@@ -22,6 +23,8 @@ import scipy
 
 from repro.aspects.classifier import AspectClassifierSuite
 from repro.eval.experiments import SMOKE_SCALE
+
+from tests.oracles import reference_page_assessment
 
 DOMAINS = ("researcher", "car")
 
@@ -52,12 +55,11 @@ def test_fig09_classifier_benchmark(results_dir):
         batched_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        scalar = [(suite.classify_page(page, aspect),
-                   suite.page_probability(page, aspect))
+        scalar = [reference_page_assessment(suite, page, aspect)
                   for page in pages for aspect in aspects]
         scalar_seconds = time.perf_counter() - started
 
-        # The batched kernel must reproduce the scalar oracle bit for bit.
+        # Production must reproduce the scalar reference bit for bit.
         assert batched == scalar
 
         accuracies = [row.accuracy for row in suite.accuracy_report()]

@@ -7,11 +7,13 @@ which trains one binary Naive-Bayes classifier per aspect on labelled
 paragraphs of the domain corpus and reports per-aspect accuracy on a held
 out split — the reproduction of Fig. 9.
 
-Training and page scoring run on the batched array kernels of
-:class:`~repro.aspects.naive_bayes.MultinomialNaiveBayes` (bit-identical to
-the scalar oracles by construction).  A fitted suite also serialises to raw
-arrays (:meth:`AspectClassifierSuite.to_state` /
-:meth:`~AspectClassifierSuite.from_state`): one shared vocabulary table
+Training runs on :meth:`~repro.aspects.naive_bayes.MultinomialNaiveBayes.
+fit_matrix`; every paragraph label and posterior — of a page assessment and
+of the Fig. 9 holdout alike — comes from the class scores of
+:meth:`~repro.aspects.naive_bayes.MultinomialNaiveBayes.joint_log_likelihood`.
+A fitted
+suite also serialises to raw arrays (:meth:`AspectClassifierSuite.to_state`
+/ :meth:`~AspectClassifierSuite.from_state`): one shared vocabulary table
 plus a per-aspect class-prior vector and log-probability matrix — the
 layout the shared corpus store publishes so distributed workers can attach
 trained suites zero-copy instead of retraining.
@@ -93,7 +95,9 @@ class AspectClassifierSuite:
         train_tokens = [p.tokens for p in train]
         self._extractor.fit(train_tokens)
         train_features = self._extractor.transform_many(train_tokens)
-        holdout_features = self._extractor.transform_many([p.tokens for p in holdout])
+        # Without a holdout, the accuracy is measured on the training set.
+        evaluated = holdout if holdout else train
+        evaluated_features = [self._extractor.transform(p.tokens) for p in evaluated]
 
         for aspect in self.aspects:
             labels = [RELEVANT if p.aspect == aspect else IRRELEVANT for p in train]
@@ -104,12 +108,9 @@ class AspectClassifierSuite:
             self._models[aspect] = model
 
             frequency = sum(1 for p in paragraphs if p.aspect == aspect)
-            if holdout:
-                holdout_labels = [RELEVANT if p.aspect == aspect else IRRELEVANT
-                                  for p in holdout]
-                accuracy = model.score(holdout_features, holdout_labels)
-            else:
-                accuracy = model.score(train_features, labels)
+            evaluated_labels = [RELEVANT if p.aspect == aspect else IRRELEVANT
+                                for p in evaluated]
+            accuracy = model.score(evaluated_features, evaluated_labels)
             self._accuracies[aspect] = AspectAccuracy(
                 aspect=aspect,
                 paragraph_frequency=frequency,
@@ -213,55 +214,27 @@ class AspectClassifierSuite:
         return suite
 
     # -- Prediction ------------------------------------------------------------------
-    def classify_paragraph(self, paragraph: Paragraph, aspect: str) -> int:
-        """Predict whether one paragraph is relevant to ``aspect`` (1/0)."""
-        self._check_fitted()
-        model = self._models[aspect]
-        features = self._extractor.transform(paragraph.tokens)
-        return int(model.predict(features))
-
-    def paragraph_probability(self, paragraph: Paragraph, aspect: str) -> float:
-        """Posterior probability that the paragraph is relevant to ``aspect``."""
-        self._check_fitted()
-        model = self._models[aspect]
-        features = self._extractor.transform(paragraph.tokens)
-        probabilities = model.predict_proba(features)
-        return probabilities.get(RELEVANT, 0.0)
-
     def page_assessment(self, page: Page, aspect: str) -> Tuple[int, float]:
-        """Page label and relevance probability from one batched kernel pass.
+        """Page label and relevance probability for ``aspect``.
 
-        Bit-identical to ``(classify_page(page, aspect),
-        page_probability(page, aspect))`` but transforms and scores all
-        paragraphs of the page at once instead of looping per paragraph.
+        A page is relevant if any paragraph's most probable class is
+        :data:`RELEVANT`; its probability is the greatest paragraph
+        posterior of :data:`RELEVANT` (0.0 for a page without paragraphs,
+        or for a model that never saw the class).  The page's paragraphs are
+        one :meth:`~repro.aspects.naive_bayes.MultinomialNaiveBayes.assess`.
         """
         self._check_fitted()
-        if not page.paragraphs:
-            return 0, 0.0
         model = self._models[aspect]
-        matrix = self._extractor.transform_many([p.tokens for p in page.paragraphs])
-        scores = model.joint_log_likelihood_matrix(matrix)
         classes = model.classes
-        winners = np.argmax(scores, axis=1)
-        label = int(any(int(classes[int(c)]) == RELEVANT for c in winners))
-        if RELEVANT in classes:
-            probabilities = model.posteriors_from_scores(scores)
-            probability = float(probabilities[:, classes.index(RELEVANT)].max())
-        else:
-            probability = 0.0
+        relevant = classes.index(RELEVANT) if RELEVANT in classes else None
+        label, probability = 0, 0.0
+        for predicted, posteriors in model.assess(
+                [self._extractor.transform(p.tokens) for p in page.paragraphs]):
+            if predicted == RELEVANT:
+                label = 1
+            if relevant is not None:
+                probability = max(probability, posteriors[relevant])
         return label, probability
-
-    def classify_page(self, page: Page, aspect: str) -> int:
-        """Predict whether a page is relevant: any relevant paragraph suffices."""
-        return int(any(self.classify_paragraph(p, aspect) == RELEVANT
-                       for p in page.paragraphs))
-
-    def page_probability(self, page: Page, aspect: str) -> float:
-        """Maximum paragraph relevance probability of a page."""
-        self._check_fitted()
-        if not page.paragraphs:
-            return 0.0
-        return max(self.paragraph_probability(p, aspect) for p in page.paragraphs)
 
     # -- Reporting --------------------------------------------------------------------
     def accuracy_report(self) -> List[AspectAccuracy]:

@@ -4,75 +4,56 @@ The classifiers operate on paragraphs represented as bags of words.  The
 extractor optionally drops stopwords and rare terms, which both improves
 accuracy and keeps the models small.
 
-Since the classifier stack was vectorized, :meth:`BagOfWordsExtractor.
-transform_many` emits a :class:`FeatureMatrix` — a documents×vocabulary CSR
-matrix whose per-row column order preserves the *first-occurrence* order of
-terms in each document.  That ordering is load-bearing: the scalar Naive
-Bayes reference accumulates ``count * log_prob`` contributions in feature
-``dict`` insertion order, and float addition is order-dependent, so the
-batched kernels replay exactly this order to stay bit-identical.  The
-matrix is also a drop-in ``Sequence[Dict[str, int]]`` (each row
-materialises to the same dict :meth:`transform` would return), so scalar
-consumers keep working unchanged.
+:meth:`BagOfWordsExtractor.transform` gives one paragraph's ``{term:
+count}`` dict, in first-occurrence order — the order in which
+:meth:`~repro.aspects.naive_bayes.MultinomialNaiveBayes.joint_log_likelihood`
+adds the term contributions.  :meth:`BagOfWordsExtractor.transform_many`
+stacks a training batch into a :class:`FeatureMatrix`, the CSR input of
+:meth:`~repro.aspects.naive_bayes.MultinomialNaiveBayes.fit_matrix`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.corpus.tokenizer import DEFAULT_STOPWORDS
 
 
-class FeatureMatrix(Sequence):
+class FeatureMatrix:
     """Bag-of-words counts of many documents in CSR layout.
 
     ``terms`` is the (sorted) column vocabulary; ``indptr``/``indices``/
-    ``data`` are standard CSR arrays except that each row's ``indices`` are
-    stored in the document's first-occurrence term order rather than
-    sorted — the accumulation order of the scalar Naive Bayes reference.
-    Counts are stored as ``float64`` (they are small integers, exact in a
-    double) so kernels multiply without a cast.
-
-    Rows index like the list of dicts :meth:`BagOfWordsExtractor.transform_many`
-    historically returned: ``matrix[i]`` builds ``{term: count}`` in stored
-    (first-occurrence) order, bit-compatible with the scalar pipeline.
+    ``data`` are the CSR arrays, each row's columns in its document's
+    first-occurrence term order.  Counts are stored as ``float64`` (small
+    integers, exact in a double) so the training kernel sums them without
+    a cast.
     """
 
-    __slots__ = ("terms", "term_column", "indptr", "indices", "data")
+    __slots__ = ("terms", "indptr", "indices", "data")
 
     def __init__(self, terms: Sequence[str], indptr: np.ndarray,
-                 indices: np.ndarray, data: np.ndarray,
-                 term_column: Optional[Dict[str, int]] = None) -> None:
+                 indices: np.ndarray, data: np.ndarray) -> None:
         self.terms = tuple(terms)
-        # A caller holding the canonical column map of this vocabulary (the
-        # fitted extractor) shares it; rebuilding a vocabulary-sized dict
-        # per small batch would dominate page-granularity scoring.
-        self.term_column = term_column if term_column is not None else \
-            {term: i for i, term in enumerate(self.terms)}
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
 
     @classmethod
     def from_dicts(cls, documents: Sequence[Dict[str, int]],
-                   terms: Optional[Sequence[str]] = None,
-                   term_column: Optional[Dict[str, int]] = None) -> "FeatureMatrix":
+                   terms: Optional[Sequence[str]] = None) -> "FeatureMatrix":
         """Build a matrix from bag-of-words dicts (dict order preserved).
 
-        ``terms`` defaults to the sorted union of all document terms;
-        ``term_column`` optionally shares the matching precomputed column
-        map instead of rebuilding it.
+        ``terms`` defaults to the sorted union of all document terms.
         """
         if terms is None:
             vocabulary = set()
             for features in documents:
                 vocabulary.update(features)
             terms = sorted(vocabulary)
-        column = term_column if term_column is not None else \
-            {term: i for i, term in enumerate(terms)}
+        column = {term: i for i, term in enumerate(terms)}
         indptr = [0]
         indices: List[int] = []
         data: List[float] = []
@@ -83,36 +64,12 @@ class FeatureMatrix(Sequence):
             indptr.append(len(indices))
         return cls(terms, np.asarray(indptr, dtype=np.int64),
                    np.asarray(indices, dtype=np.int64),
-                   np.asarray(data, dtype=np.float64),
-                   term_column=column)
+                   np.asarray(data, dtype=np.float64))
 
     @property
     def num_documents(self) -> int:
         """Number of rows."""
         return len(self.indptr) - 1
-
-    def row_dict(self, i: int) -> Dict[str, int]:
-        """Row ``i`` as the bag-of-words dict the scalar path would build."""
-        start, end = int(self.indptr[i]), int(self.indptr[i + 1])
-        return {self.terms[int(col)]: int(count)
-                for col, count in zip(self.indices[start:end],
-                                      self.data[start:end])}
-
-    # -- Sequence protocol (drop-in for List[Dict[str, int]]) ----------------
-    def __len__(self) -> int:
-        return self.num_documents
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.row_dict(j) for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self.row_dict(i)
-
-    def __iter__(self) -> Iterator[Dict[str, int]]:
-        return (self.row_dict(i) for i in range(len(self)))
 
 
 class BagOfWordsExtractor:
@@ -127,10 +84,6 @@ class BagOfWordsExtractor:
         self.min_document_frequency = min_document_frequency
         self.stopwords = frozenset(stopwords) if stopwords is not None else DEFAULT_STOPWORDS
         self._vocabulary: Optional[frozenset] = None
-        # Lazily computed views of the fitted vocabulary, shared with every
-        # FeatureMatrix this extractor emits (see transform_many).
-        self._sorted_terms: Optional[tuple] = None
-        self._term_column: Optional[Dict[str, int]] = None
 
     # -- Fitting -------------------------------------------------------------
     def fit(self, documents: Sequence[Sequence[str]]) -> "BagOfWordsExtractor":
@@ -141,8 +94,6 @@ class BagOfWordsExtractor:
         self._vocabulary = frozenset(
             term for term, count in df.items() if count >= self.min_document_frequency
         )
-        self._sorted_terms = None
-        self._term_column = None
         return self
 
     @property
@@ -163,21 +114,13 @@ class BagOfWordsExtractor:
     def transform_many(self, documents: Sequence[Sequence[str]]) -> FeatureMatrix:
         """Transform a batch of documents into a :class:`FeatureMatrix`.
 
-        The result indexes like the historical list of dicts (each row is
-        the exact dict :meth:`transform` returns, in the same term order)
-        while exposing CSR arrays to the batched classifier kernels.
+        Row ``i`` holds the counts :meth:`transform` returns for
+        ``documents[i]``; the columns are the fitted vocabulary, sorted
+        (or the batch's own terms when the extractor is unfitted).
         """
-        if self._vocabulary is not None:
-            if self._sorted_terms is None:
-                self._sorted_terms = tuple(sorted(self._vocabulary))
-                self._term_column = {term: i for i, term
-                                     in enumerate(self._sorted_terms)}
-            terms, column = self._sorted_terms, self._term_column
-        else:
-            terms = column = None
+        terms = sorted(self._vocabulary) if self._vocabulary is not None else None
         return FeatureMatrix.from_dicts(
-            [self.transform(tokens) for tokens in documents],
-            terms=terms, term_column=column)
+            [self.transform(tokens) for tokens in documents], terms=terms)
 
     # -- Internals -------------------------------------------------------------------
     def _filter(self, tokens: Sequence[str]) -> List[str]:

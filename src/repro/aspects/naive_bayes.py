@@ -6,40 +6,33 @@ over bag-of-words features reaches a comparable accuracy band on the
 synthetic corpus while keeping the reproduction dependency-free, and — as in
 the paper — its role is only to materialise the relevance function ``Y``.
 
-Two implementations live side by side, per the vectorization policy of the
-selection kernels: the scalar dict-loop methods (``fit``,
-``joint_log_likelihood``, ``predict``, ``predict_proba``) are the reference
-oracles, and the batched array methods (``fit_matrix``,
-``joint_log_likelihood_matrix``, ``predict_many``/``predict_proba_many``
-over a :class:`~repro.aspects.features.FeatureMatrix`) are required to be
-bit-identical to them.  Bit-identity hinges on two details:
-
-* transcendentals go through :func:`repro.utils.vectorize.exact_log` /
-  :func:`~repro.utils.vectorize.exact_exp` (scalar libm per unique value),
-  and
-* per-document accumulation replays the scalar dict-iteration order via
-  :func:`~repro.utils.vectorize.rowwise_ordered_sum` — the
-  :class:`FeatureMatrix` stores each row's columns in first-occurrence
-  order precisely so this is possible.
-
-The fitted state exists in two coupled forms: the scalar dicts and a dense
-``(n_classes, n_terms + 1)`` log-probability table whose last column is the
-unseen-term default (bitwise equal to the smoothed zero-count entry, since
-``0 + alpha == alpha``).  ``from_arrays`` restores a model from the raw
-table (e.g. a zero-copy store attachment); the scalar dicts are then built
-lazily on first scalar-path use.
+A fitted model is its arrays: the class labels, the sorted term table, a
+class log-prior vector and a dense ``(n_classes, n_terms + 1)``
+log-probability table whose last column is the unseen-term default (bitwise
+equal to a smoothed zero-count entry, since ``0 + alpha == alpha``).
+:meth:`MultinomialNaiveBayes.fit_matrix` trains them from a
+:class:`~repro.aspects.features.FeatureMatrix` (logarithms through
+:func:`repro.utils.vectorize.exact_log`, i.e. scalar libm), and
+:meth:`~MultinomialNaiveBayes.from_arrays` restores them, e.g. as zero-copy
+views over a shared corpus store.
+:meth:`~MultinomialNaiveBayes.joint_log_likelihood` is the one scoring
+path: every label and posterior, of a page assessment
+(:meth:`~MultinomialNaiveBayes.assess`) or of the Fig. 9 holdout
+(:meth:`~MultinomialNaiveBayes.score`), comes from its class scores.  Its
+dict-based reference is ``tests/oracles.py::ReferenceNaiveBayes``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import chain
+from typing import Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.aspects.features import FeatureMatrix
-from repro.utils.vectorize import exact_exp, exact_log, rowwise_ordered_sum
+from repro.utils.vectorize import exact_log
 
 
 class MultinomialNaiveBayes:
@@ -49,71 +42,23 @@ class MultinomialNaiveBayes:
         if alpha <= 0:
             raise ValueError("the smoothing parameter alpha must be positive")
         self.alpha = float(alpha)
-        self._class_log_prior: Dict[Hashable, float] = {}
-        self._feature_log_prob: Dict[Hashable, Dict[str, float]] = {}
-        self._default_log_prob: Dict[Hashable, float] = {}
         self._classes: List[Hashable] = []
         self._vocabulary_size = 0
-        # Array form of the fitted state (terms sorted; table column j is
-        # the log probability of _terms[j], last column the unseen default).
+        # Table column j is the log probability of _terms[j]; the last
+        # column is the unseen-term default.
         self._terms: Tuple[str, ...] = ()
-        self._term_column: Optional[Dict[str, int]] = None
-        self._prior_array: Optional[np.ndarray] = None
-        self._log_prob_table: Optional[np.ndarray] = None
-        # Matrix-vocabulary → model-column map, cached per extractor
-        # vocabulary: every FeatureMatrix of one extractor shares a terms
-        # tuple, and rebuilding the map per call dominates small batches.
-        self._column_map_terms: Optional[Tuple[str, ...]] = None
-        self._column_map: Optional[np.ndarray] = None
+        self._term_columns: Mapping[str, int] = {}
+        self._prior_array = np.zeros(0, dtype=np.float64)
+        self._log_prob_table = np.zeros((0, 1), dtype=np.float64)
 
     # -- Training ------------------------------------------------------------
-    def fit(self, documents: Sequence[Mapping[str, int]],
-            labels: Sequence[Hashable]) -> "MultinomialNaiveBayes":
-        """Fit the model on bag-of-words documents and their labels."""
-        if len(documents) != len(labels):
-            raise ValueError("documents and labels must have the same length")
-        if not documents:
-            raise ValueError("cannot fit on an empty training set")
-
-        class_counts: Counter = Counter(labels)
-        self._classes = sorted(class_counts, key=str)
-        total = len(labels)
-        self._class_log_prior = {
-            label: math.log(count / total) for label, count in class_counts.items()
-        }
-
-        vocabulary = set()
-        term_counts: Dict[Hashable, Counter] = defaultdict(Counter)
-        for features, label in zip(documents, labels):
-            for term, count in features.items():
-                if count < 0:
-                    raise ValueError("feature counts must be non-negative")
-                term_counts[label][term] += count
-                vocabulary.add(term)
-        self._vocabulary_size = max(len(vocabulary), 1)
-
-        self._feature_log_prob = {}
-        self._default_log_prob = {}
-        for label in self._classes:
-            counts = term_counts[label]
-            total_count = sum(counts.values())
-            denominator = total_count + self.alpha * self._vocabulary_size
-            self._feature_log_prob[label] = {
-                term: math.log((counts[term] + self.alpha) / denominator)
-                for term in counts
-            }
-            self._default_log_prob[label] = math.log(self.alpha / denominator)
-        self._build_arrays_from_dicts(sorted(vocabulary))
-        return self
-
     def fit_matrix(self, matrix: FeatureMatrix,
                    labels: Sequence[Hashable]) -> "MultinomialNaiveBayes":
-        """Vectorized :meth:`fit` over a :class:`FeatureMatrix`.
+        """Fit the model on the documents of ``matrix`` and their labels.
 
-        Bit-identical to ``fit(list(matrix), labels)``: per-class term
-        counts are exact (integer-valued float sums via ``np.bincount``),
-        the smoothed ratios are formed by the same IEEE operations as the
-        scalar path, and the logs go through ``exact_log``.
+        Per-class term counts are exact (integer-valued float sums via
+        ``np.bincount``); the vocabulary is the set of columns some
+        document uses, so unused extractor columns never enter the model.
         """
         n_docs = matrix.num_documents
         if n_docs != len(labels):
@@ -124,42 +69,32 @@ class MultinomialNaiveBayes:
             raise ValueError("feature counts must be non-negative")
 
         class_counts: Counter = Counter(labels)
-        self._classes = sorted(class_counts, key=str)
+        classes = sorted(class_counts, key=str)
         total = len(labels)
-        self._class_log_prior = {
-            label: math.log(count / total) for label, count in class_counts.items()
-        }
 
-        # Columns actually used by some document are the scalar path's
-        # vocabulary; unused extractor columns never enter the model.
         used = np.unique(matrix.indices)
         self._vocabulary_size = max(int(used.size), 1)
         terms = [matrix.terms[int(c)] for c in used]
 
-        class_index = {label: i for i, label in enumerate(self._classes)}
+        class_index = {label: i for i, label in enumerate(classes)}
         lengths = np.diff(matrix.indptr)
         row_classes = np.fromiter((class_index[label] for label in labels),
                                   dtype=np.int64, count=n_docs)
         entry_classes = np.repeat(row_classes, lengths)
 
         width = len(matrix.terms)
-        n_classes = len(self._classes)
-        table = np.empty((n_classes, len(terms) + 1), dtype=np.float64)
-        priors = np.empty(n_classes, dtype=np.float64)
-        for c, label in enumerate(self._classes):
+        table = np.empty((len(classes), len(terms) + 1), dtype=np.float64)
+        priors = np.empty(len(classes), dtype=np.float64)
+        for c, label in enumerate(classes):
             mask = entry_classes == c
             counts = np.bincount(matrix.indices[mask],
                                  weights=matrix.data[mask], minlength=width)
             counts = counts[used]
-            total_count = float(counts.sum())
-            denominator = total_count + self.alpha * self._vocabulary_size
+            denominator = float(counts.sum()) + self.alpha * self._vocabulary_size
             table[c, :-1] = exact_log((counts + self.alpha) / denominator)
             table[c, -1] = math.log(self.alpha / denominator)
-            priors[c] = self._class_log_prior[label]
-        self._set_arrays(terms, priors, table)
-        # Scalar dict state is rebuilt lazily if an oracle method is called.
-        self._feature_log_prob = {}
-        self._default_log_prob = {}
+            priors[c] = math.log(class_counts[label] / total)
+        self._set_arrays(classes, terms, priors, table)
         return self
 
     @classmethod
@@ -167,184 +102,93 @@ class MultinomialNaiveBayes:
                     vocabulary_size: int, terms: Sequence[str],
                     class_log_prior: np.ndarray,
                     log_prob_table: np.ndarray) -> "MultinomialNaiveBayes":
-        """Restore a fitted model from its raw-array state.
+        """Restore a fitted model from its arrays.
 
         Accepts read-only views (e.g. ``np.frombuffer`` over a shared
-        store segment); nothing is copied.  Scalar dict state is built
-        lazily only if a scalar oracle method is invoked.
+        store segment); nothing is copied.
         """
         model = cls(alpha=alpha)
-        model._classes = list(classes)
         model._vocabulary_size = int(vocabulary_size)
-        priors = np.asarray(class_log_prior, dtype=np.float64)
-        model._class_log_prior = {
-            label: float(priors[c]) for c, label in enumerate(model._classes)
-        }
-        model._set_arrays(terms, priors,
+        model._set_arrays(classes, terms,
+                          np.asarray(class_log_prior, dtype=np.float64),
                           np.asarray(log_prob_table, dtype=np.float64))
         return model
 
-    def _set_arrays(self, terms: Sequence[str], priors: np.ndarray,
-                    table: np.ndarray) -> None:
+    def _set_arrays(self, classes: Sequence[Hashable], terms: Sequence[str],
+                    priors: np.ndarray, table: np.ndarray) -> None:
+        self._classes = list(classes)
         self._terms = tuple(terms)
-        self._term_column = None
+        self._term_columns = {term: j for j, term in enumerate(self._terms)}
         self._prior_array = priors
         self._log_prob_table = table
-        self._column_map_terms = None
-        self._column_map = None
-
-    def _column_map_for(self, terms: Tuple[str, ...]) -> np.ndarray:
-        """Model-column index of each matrix column (unseen → default)."""
-        if terms is not self._column_map_terms and \
-                terms != self._column_map_terms:
-            if terms == self._terms:
-                # Matrix columns come straight from the model's own
-                # vocabulary (the usual case: the suite's one extractor
-                # produced both) — the map is the identity.
-                self._column_map = np.arange(len(terms), dtype=np.int64)
-            else:
-                if self._term_column is None:
-                    self._term_column = {term: i for i, term
-                                         in enumerate(self._terms)}
-                default_column = len(self._terms)
-                self._column_map = np.fromiter(
-                    (self._term_column.get(term, default_column)
-                     for term in terms),
-                    dtype=np.int64, count=len(terms))
-            self._column_map_terms = terms
-        return self._column_map
-
-    def _build_arrays_from_dicts(self, terms: Sequence[str]) -> None:
-        n_classes = len(self._classes)
-        table = np.empty((n_classes, len(terms) + 1), dtype=np.float64)
-        priors = np.empty(n_classes, dtype=np.float64)
-        for c, label in enumerate(self._classes):
-            per_term = self._feature_log_prob[label]
-            default = self._default_log_prob[label]
-            table[c, :-1] = [per_term.get(term, default) for term in terms]
-            table[c, -1] = default
-            priors[c] = self._class_log_prior[label]
-        self._set_arrays(terms, priors, table)
-
-    def _ensure_scalar_state(self) -> None:
-        """Materialise the dict state from the array state (attach path)."""
-        if self._feature_log_prob or self._log_prob_table is None:
-            return
-        table = self._log_prob_table
-        for c, label in enumerate(self._classes):
-            self._feature_log_prob[label] = {
-                term: float(table[c, j]) for j, term in enumerate(self._terms)
-            }
-            self._default_log_prob[label] = float(table[c, -1])
 
     @property
     def classes(self) -> List[Hashable]:
-        """The class labels seen during training."""
+        """The class labels seen during training (str-sorted)."""
         return list(self._classes)
 
     def _check_fitted(self) -> None:
         if not self._classes:
-            raise RuntimeError("model is not fitted; call fit() first")
+            raise RuntimeError("model is not fitted; call fit_matrix() first")
 
     # -- Inference ------------------------------------------------------------------
-    def joint_log_likelihood(self, features: Mapping[str, int]) -> Dict[Hashable, float]:
-        """Unnormalised class log posteriors for one document."""
-        self._check_fitted()
-        self._ensure_scalar_state()
-        scores: Dict[Hashable, float] = {}
-        for label in self._classes:
-            log_prob = self._class_log_prior.get(label, float("-inf"))
-            per_term = self._feature_log_prob[label]
-            default = self._default_log_prob[label]
-            for term, count in features.items():
-                log_prob += count * per_term.get(term, default)
-            scores[label] = log_prob
-        return scores
+    def joint_log_likelihood(self, documents: Sequence[Mapping[str, int]]) -> np.ndarray:
+        """Class scores of each document: a ``documents x classes`` array.
 
-    def joint_log_likelihood_matrix(self, matrix: FeatureMatrix) -> np.ndarray:
-        """Batched :meth:`joint_log_likelihood`: a ``docs x classes`` array.
-
-        Column ``c`` holds the scores of ``self.classes[c]``.  Bit-identical
-        to the scalar method: contributions are formed by the same
-        ``count * log_prob`` multiplies, mapped through the model's term
-        table (unseen terms hit the default column, mirroring
-        ``per_term.get(term, default)``), and accumulated in each row's
-        stored first-occurrence order by ``rowwise_ordered_sum``.
+        Entry ``(i, c)`` is the log prior of ``classes[c]`` plus ``count *
+        log p(term | class)`` over document ``i``'s terms, added one term at
+        a time in the mapping's (first-occurrence) order; an unseen term
+        reads the default column.  Each document is one padded row — its
+        prior, then its terms' contributions — summed left to right by
+        ``np.add.accumulate``.  The ``+0.0`` padding after a short row's
+        last term changes no sum: a running sum that starts at a log prior
+        (never ``-0.0``) is never ``-0.0`` itself.
         """
         self._check_fitted()
-        if self._log_prob_table is None:
-            raise RuntimeError("model has no array state; refit the model")
-        column_map = self._column_map_for(matrix.terms)
-        mapped = (column_map[matrix.indices] if matrix.indices.size
-                  else matrix.indices)
-        scores = np.empty((matrix.num_documents, len(self._classes)),
-                          dtype=np.float64)
-        for c in range(len(self._classes)):
-            row = self._log_prob_table[c]
-            contributions = matrix.data * row[mapped]
-            init = np.full(matrix.num_documents, self._prior_array[c],
-                           dtype=np.float64)
-            scores[:, c] = rowwise_ordered_sum(matrix.indptr, contributions, init)
-        return scores
+        default = len(self._terms)
+        lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+        columns = [self._term_columns.get(term, default)
+                   for features in documents for term in features]
+        counts = np.fromiter(chain.from_iterable(features.values() for features in documents),
+                             dtype=np.float64, count=len(columns))
+        padded = np.zeros((len(documents), len(self._classes),
+                           int(lengths.max(initial=0)) + 1))
+        padded[:, :, 0] = self._prior_array
+        rows = np.repeat(np.arange(len(documents)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        positions = np.arange(1, len(columns) + 1) - np.repeat(starts, lengths)
+        padded[rows, :, positions] = self._log_prob_table.T[columns] * counts[:, None]
+        return np.add.accumulate(padded, axis=2)[:, :, -1]
 
-    def predict(self, features: Mapping[str, int]) -> Hashable:
-        """Most probable class for one document."""
-        scores = self.joint_log_likelihood(features)
-        return max(sorted(scores, key=str), key=lambda label: scores[label])
+    def assess(self, documents: Sequence[Mapping[str, int]]
+               ) -> List[Tuple[Hashable, List[float]]]:
+        """Most probable class and class posteriors of each document.
 
-    def predict_many(self, documents: Sequence[Mapping[str, int]]) -> List[Hashable]:
-        """Predict a batch of documents (batched kernel for a FeatureMatrix).
-
-        ``np.argmax`` keeps the first of equal columns; the columns are in
-        ``self._classes`` (str-sorted) order, which is exactly the scalar
-        tie-break ``max(sorted(scores, key=str), ...)``.
+        From :meth:`joint_log_likelihood`: the label is the first class, in
+        :attr:`classes` order, with the greatest score; the posteriors,
+        aligned with :attr:`classes`, are ``exp(score - max)`` over their
+        left-to-right sum.
         """
-        if isinstance(documents, FeatureMatrix) and self._log_prob_table is not None:
-            scores = self.joint_log_likelihood_matrix(documents)
-            winners = np.argmax(scores, axis=1)
-            return [self._classes[int(c)] for c in winners]
-        return [self.predict(features) for features in documents]
-
-    def predict_proba(self, features: Mapping[str, int]) -> Dict[Hashable, float]:
-        """Normalised class posteriors for one document."""
-        scores = self.joint_log_likelihood(features)
-        max_score = max(scores.values())
-        exp_scores = {label: math.exp(score - max_score) for label, score in scores.items()}
-        total = sum(exp_scores.values())
-        return {label: value / total for label, value in exp_scores.items()}
-
-    def predict_proba_many(self, matrix: FeatureMatrix) -> np.ndarray:
-        """Batched :meth:`predict_proba`: a ``docs x classes`` array.
-
-        Bit-identical to the scalar method: the row maximum is subtracted
-        (exact), ``exact_exp`` stands in for ``math.exp``, and the
-        normaliser is summed left-to-right in class order like
-        ``sum(exp_scores.values())``.
-        """
-        return self.posteriors_from_scores(
-            self.joint_log_likelihood_matrix(matrix))
-
-    def posteriors_from_scores(self, scores: np.ndarray) -> np.ndarray:
-        """Normalise a :meth:`joint_log_likelihood_matrix` result in place
-        of recomputing it — callers that need both labels and posteriors
-        run the likelihood kernel once and derive both from its output."""
-        if scores.shape[0] == 0:
-            return scores
-        max_scores = scores.max(axis=1)
-        exps = exact_exp(scores - max_scores[:, None])
-        totals = exps[:, 0].copy()
-        for c in range(1, exps.shape[1]):
-            totals = totals + exps[:, c]
-        return exps / totals[:, None]
+        assessments = []
+        for scores in self.joint_log_likelihood(documents).tolist():
+            best = max(scores)
+            exps = [math.exp(score - best) for score in scores]
+            total = 0.0
+            for value in exps:
+                total += value
+            assessments.append((self._classes[scores.index(best)],
+                                [value / total for value in exps]))
+        return assessments
 
     def score(self, documents: Sequence[Mapping[str, int]],
               labels: Sequence[Hashable]) -> float:
-        """Accuracy over a labelled evaluation set."""
+        """Accuracy over a labelled evaluation set; a document's label is
+        its first highest-scoring class, as in :meth:`assess`."""
         if len(documents) != len(labels):
             raise ValueError("documents and labels must have the same length")
         if not documents:
             return 0.0
-        predictions = self.predict_many(documents)
-        correct = sum(1 for predicted, label in zip(predictions, labels)
-                      if predicted == label)
+        winners = np.argmax(self.joint_log_likelihood(documents), axis=1).tolist()
+        correct = sum(1 for winner, label in zip(winners, labels)
+                      if self._classes[winner] == label)
         return correct / len(documents)

@@ -1,7 +1,7 @@
 """L2Q core: utility inference, domain/context awareness, selection and harvesting."""
 
 from repro.core.config import L2QConfig
-from repro.core.context import CollectiveUtilities, ContextTracker
+from repro.core.context import ContextTracker
 from repro.core.domain_phase import DomainModel, DomainPhase, learn_domain_models
 from repro.core.entity_phase import EntityPhase, EntityUtilities
 from repro.core.harvester import (
@@ -58,7 +58,6 @@ from repro.core.utility import (
 
 __all__ = [
     "AssembledGraph",
-    "CollectiveUtilities",
     "ContextAwareSelection",
     "ContextTracker",
     "DONE",

@@ -22,7 +22,7 @@ iterations and evaluates the collective utilities of candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -34,33 +34,40 @@ from repro.utils.vectorize import exact_pow_half
 _EPSILON = 1e-12
 
 
-@dataclass
-class CollectiveUtilities:
-    """Collective utilities of the context plus one candidate query."""
+@dataclass(frozen=True)
+class CollectiveUtilityArrays:
+    """Collective utilities of the context plus each of many candidates.
 
-    query: Query
-    collective_recall: float
-    collective_recall_all: float
+    Element ``i`` of every array corresponds to ``queries[i]``.  Each
+    derived quantity equals, bit for bit, the same-named scalar property of
+    the one-candidate reference ``tests/oracles.py::reference_evaluate``
+    returns (the square root uses :func:`repro.utils.vectorize.exact_pow_half`,
+    matching Python's ``** 0.5``).
+    """
+
+    queries: List[Query]
+    collective_recall: np.ndarray
+    collective_recall_all: np.ndarray
 
     @property
-    def collective_precision(self) -> float:
+    def collective_precision(self) -> np.ndarray:
         """``R(Phi u {q}) / R*(Phi u {q})`` (Eq. 27).
 
         The paper's derivation drops the constant prior ``P(w in Omega(Y))``,
         so this quantity is only *proportional* to the collective precision;
         it is used for ranking candidates and is therefore not clamped to 1.
         """
-        return max(self.collective_recall, 0.0) / max(self.collective_recall_all, _EPSILON)
+        return (np.maximum(self.collective_recall, 0.0)
+                / np.maximum(self.collective_recall_all, _EPSILON))
 
     @property
-    def balanced(self) -> float:
+    def balanced(self) -> np.ndarray:
         """Geometric mean of collective precision and recall (L2QBAL)."""
-        precision = self.collective_precision
-        recall = max(self.collective_recall, 0.0)
-        return (precision * recall) ** 0.5
+        return exact_pow_half(self.collective_precision
+                              * np.maximum(self.collective_recall, 0.0))
 
-    def discounted(self, expected_novelty: float,
-                   penalty: float) -> "CollectiveUtilities":
+    def discounted(self, expected_novelty: np.ndarray,
+                   penalty: float) -> "CollectiveUtilityArrays":
         """Discount by page-level expected redundancy (dedup awareness).
 
         The paper's ``Delta(Phi, q)`` models redundancy among *relevant
@@ -73,45 +80,6 @@ class CollectiveUtilities:
         ``penalty = 0`` returns an identical ranking (and callers skip the
         call entirely, keeping the zero-penalty path bit-for-bit).
         """
-        redundancy = min(max(1.0 - expected_novelty, 0.0), 1.0)
-        factor = 1.0 - penalty * redundancy
-        return CollectiveUtilities(
-            query=self.query,
-            collective_recall=self.collective_recall * factor,
-            collective_recall_all=self.collective_recall_all,
-        )
-
-
-@dataclass(frozen=True)
-class CollectiveUtilityArrays:
-    """Collective utilities of the context plus each of many candidates.
-
-    The batched counterpart of :class:`CollectiveUtilities`: element ``i``
-    of every array corresponds to ``queries[i]``, and each derived quantity
-    reproduces the scalar property of the same name bit for bit (the square
-    root uses :func:`repro.utils.vectorize.exact_pow_half`, matching
-    Python's ``** 0.5``).
-    """
-
-    queries: List[Query]
-    collective_recall: np.ndarray
-    collective_recall_all: np.ndarray
-
-    @property
-    def collective_precision(self) -> np.ndarray:
-        """Elementwise :attr:`CollectiveUtilities.collective_precision`."""
-        return (np.maximum(self.collective_recall, 0.0)
-                / np.maximum(self.collective_recall_all, _EPSILON))
-
-    @property
-    def balanced(self) -> np.ndarray:
-        """Elementwise :attr:`CollectiveUtilities.balanced`."""
-        return exact_pow_half(self.collective_precision
-                              * np.maximum(self.collective_recall, 0.0))
-
-    def discounted(self, expected_novelty: np.ndarray,
-                   penalty: float) -> "CollectiveUtilityArrays":
-        """Elementwise :meth:`CollectiveUtilities.discounted`."""
         redundancy = np.minimum(np.maximum(1.0 - np.asarray(expected_novelty,
                                                             dtype=np.float64),
                                            0.0), 1.0)
@@ -139,31 +107,14 @@ class ContextTracker:
         self.past_queries: List[Query] = []
 
     # -- Evaluation ----------------------------------------------------------
-    def evaluate(self, query: Query, utilities: EntityUtilities) -> CollectiveUtilities:
-        """Collective utilities of ``Phi u {query}`` (Eqs. 26-27)."""
-        recall_q = utilities.recall.query(query)
-        redundancy = utilities.recall_current.query(query) * self.context_recall
-        collective_recall = self.context_recall + recall_q - redundancy
-
-        recall_all_q = utilities.recall_all.query(query)
-        redundancy_all = utilities.recall_current_all.query(query) * self.context_recall_all
-        collective_recall_all = self.context_recall_all + recall_all_q - redundancy_all
-
-        return CollectiveUtilities(
-            query=query,
-            collective_recall=_clamp(collective_recall),
-            collective_recall_all=_clamp(collective_recall_all),
-        )
-
     def evaluate_many(self, queries: Sequence[Query],
                       utilities: EntityUtilities) -> CollectiveUtilityArrays:
-        """Collective utilities of ``Phi u {q}`` for every candidate at once.
+        """Collective utilities of ``Phi u {q}`` for every candidate (Eqs. 26-27).
 
-        The batched counterpart of :meth:`evaluate`: one gather of the five
-        utility vectors and a handful of array operations replace the
-        per-candidate Python loop.  Element ``i`` equals
-        ``evaluate(queries[i], utilities)`` bit for bit (same expression
-        order, same clamping).
+        One gather of the five utility vectors and a handful of array
+        operations.  Element ``i`` equals the scalar
+        ``tests/oracles.py::reference_evaluate(self, queries[i], utilities)``
+        bit for bit (same expression order, same clamping).
         """
         arrays = utilities.gather(queries)
         collective_recall = (self.context_recall + arrays.recall
@@ -179,17 +130,13 @@ class ContextTracker:
     # -- Updates ---------------------------------------------------------------
     def update(self, query: Query, utilities: EntityUtilities) -> None:
         """Fold the selected query into the context (``Phi <- Phi u {q*}``)."""
-        collective = self.evaluate(query, utilities)
-        self.context_recall = collective.collective_recall
-        self.context_recall_all = collective.collective_recall_all
+        collective = self.evaluate_many([query], utilities)
+        self.context_recall = float(collective.collective_recall[0])
+        self.context_recall_all = float(collective.collective_recall_all[0])
         self.past_queries.append(query)
 
     def __len__(self) -> int:
         return len(self.past_queries)
-
-
-def _clamp(value: float, low: float = 0.0, high: float = 1.0) -> float:
-    return min(max(value, low), high)
 
 
 def _clamp_array(values: np.ndarray, low: float = 0.0,

@@ -32,22 +32,19 @@ class Vocabulary:
             self._id_to_word.append(word)
         return word_id
 
-    def add_document(self, tokens: Sequence[str]) -> None:
-        """Register a document's tokens, updating term and document frequencies."""
-        self._num_documents += 1
-        self._num_tokens += len(tokens)
-        for token in tokens:
-            self.add(token)
-            self._term_frequency[token] += 1
-        for token in set(tokens):
-            self._document_frequency[token] += 1
-
     @classmethod
     def from_documents(cls, documents: Iterable[Sequence[str]]) -> "Vocabulary":
-        """Build a vocabulary from an iterable of token sequences."""
+        """Build a vocabulary from an iterable of token sequences, counting
+        term and document frequencies."""
         vocab = cls()
         for tokens in documents:
-            vocab.add_document(tokens)
+            vocab._num_documents += 1
+            vocab._num_tokens += len(tokens)
+            for token in tokens:
+                vocab.add(token)
+                vocab._term_frequency[token] += 1
+            for token in set(tokens):
+                vocab._document_frequency[token] += 1
         return vocab
 
     # -- Lookups -------------------------------------------------------------

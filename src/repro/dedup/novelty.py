@@ -11,7 +11,7 @@ genuinely new content.  :class:`NoveltyEstimator` closes that gap:
   per harvesting step — the same contract as
   :class:`~repro.core.candidates.CandidateStatistics`;
 * a candidate query's *posting pages* — the pages it could retrieve,
-  resolved through the entity's :class:`~repro.search.index.IndexView`
+  resolved through the entity's view of the engine's index
   (conjunctive match first, any-match fallback) — are scored for novelty:
   an already-gathered page contributes 0, an ungathered page contributes
   ``1 - max_similarity`` against the gathered index;

@@ -1,4 +1,4 @@
-"""Search-engine substrate: shared inverted index, entity-scoped views,
+"""Search-engine substrate: the shared inverted index and its entity views,
 pluggable rankers and the entity-scoped engine."""
 
 from repro.search.bm25 import BM25Ranker
@@ -20,7 +20,7 @@ from repro.search.engine import (
     SearchEngine,
     SearchResult,
 )
-from repro.search.index import IndexView, InvertedIndex
+from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
 from repro.search.rankers import (
     RANKER_BM25,
@@ -46,7 +46,6 @@ __all__ = [
     "SearchClient",
     "SimulatedServiceClient",
     "TokenBucket",
-    "IndexView",
     "InvertedIndex",
     "RANKER_BM25",
     "RANKER_DIRICHLET",

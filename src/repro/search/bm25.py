@@ -7,10 +7,10 @@ retrieval model can be measured (``benchmarks/test_ablation_ranker.py``).
 Like the language model, ranking runs through one vectorized kernel over
 the index's CSR term–document matrix: :meth:`BM25Ranker.rank_many` scores
 each (term, document) pair of a query batch once, and
-:meth:`BM25Ranker.rank` is a batch of one.  The scalar
-:meth:`BM25Ranker.score` is the reference implementation and the kernel
-matches it bit for bit (per-term contributions are accumulated in query
-order; IDF values are computed with scalar ``math.log``).
+:meth:`BM25Ranker.rank` is a batch of one.  The kernel matches the scalar
+per-document score of ``tests/oracles.py`` bit for bit (per-term
+contributions are accumulated in query order; IDF values are computed with
+scalar ``math.log``).
 """
 
 from __future__ import annotations
@@ -35,34 +35,6 @@ class BM25Ranker:
         self.k1 = float(k1)
         self.b = float(b)
 
-    def idf(self, term: str) -> float:
-        """Robertson-Sparck-Jones IDF (floored at 0)."""
-        n = self.index.num_documents
-        df = self.index.document_frequency(term)
-        if n == 0 or df == 0:
-            return 0.0
-        return max(0.0, math.log((n - df + 0.5) / (df + 0.5) + 1.0))
-
-    def score(self, query: Sequence[str], doc_id: str) -> float:
-        """BM25 score of ``doc_id`` for ``query``.
-
-        Scalar reference implementation of the vectorized
-        :meth:`rank_many` kernel (which must match it bit for bit).
-        """
-        if doc_id not in self.index:
-            raise KeyError(f"unknown document {doc_id!r}")
-        avgdl = self.index.average_document_length or 1.0
-        dl = self.index.document_length(doc_id)
-        total = 0.0
-        for term in query:
-            tf = self.index.term_frequency(term, doc_id)
-            if tf == 0:
-                continue
-            idf = self.idf(term)
-            denominator = tf + self.k1 * (1.0 - self.b + self.b * dl / avgdl)
-            total += idf * tf * (self.k1 + 1.0) / denominator
-        return total
-
     def rank(self, query: Sequence[str], top_k: int = 0,
              require_match: bool = True) -> List[Tuple[str, float]]:
         """Rank documents for ``query`` (same contract as the language
@@ -73,14 +45,14 @@ class BM25Ranker:
                   require_match: bool = True) -> List[List[Tuple[str, float]]]:
         """Rank each of ``queries`` (the contract of :meth:`rank`).
 
-        Each term's IDF is computed once with scalar ``math.log`` and each
-        (term, document) contribution once, with the scalar :meth:`score`'s
-        operations; each query sums its terms' contributions from zero in
-        query order.  Zero-tf contributions are masked to an exact ``0.0``
-        (the scalar path skips them, and adding zero to the non-negative
-        partial sums is an identity; the mask also covers the zero
-        denominator of ``b = 1`` and an empty document), so every score
-        equals :meth:`score` bit for bit.
+        Each term's Robertson-Sparck-Jones IDF, ``log((n - df + 0.5) /
+        (df + 0.5) + 1)`` floored at 0, is computed once with scalar
+        ``math.log``, and each (term, document) contribution
+        ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))``
+        once; each query sums its terms' contributions from zero in query
+        order.  Zero-tf contributions are masked to an exact ``0.0`` (a
+        term the document lacks adds nothing; the mask also covers the zero
+        denominator of ``b = 1`` and an empty document).
         """
         matrix = self.index.term_document_matrix()
         batch = QueryBatch(matrix, queries)

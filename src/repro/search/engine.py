@@ -5,11 +5,11 @@ engine with the entity's seed query appended, so that every result page is
 about the target entity.  Over the offline corpus this is equivalent to
 ranking only within the target entity's page universe, which is exactly what
 :class:`SearchEngine` does: it indexes the whole corpus *once* (see
-``index_builds``), serves every entity through a cheap
-:class:`~repro.search.index.IndexView` scoped to that entity's pages, and
-ranks with a pluggable retrieval model resolved from the ranker registry
-(:mod:`repro.search.rankers`; ``dirichlet`` and ``bm25`` are built in,
-``k = 5`` results per query in the paper).
+``index_builds``), serves every entity through a
+:meth:`~repro.search.index.InvertedIndex.view` of that index scoped to the
+entity's pages, and ranks with a pluggable retrieval model resolved from
+the ranker registry (:mod:`repro.search.rankers`; ``dirichlet`` and
+``bm25`` are built in, ``k = 5`` results per query in the paper).
 
 Repeated identical queries — common across harvesting runs that share an
 engine, e.g. every method's runs for one (entity, aspect) firing the same
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
-from repro.search.index import IndexView, InvertedIndex
+from repro.search.index import InvertedIndex
 from repro.search.rankers import (
     RANKER_BM25,
     RANKER_DIRICHLET,
@@ -215,7 +215,7 @@ class SearchEngine:
         #: (store-backed corpora; see :meth:`shared_index`).
         self.index_attaches = 0
         self._shared_index: Optional[InvertedIndex] = None
-        self._entity_views: Dict[str, IndexView] = {}
+        self._entity_views: Dict[str, InvertedIndex] = {}
         self._entity_rankers: Dict[str, Ranker] = {}
         self._result_cache: "OrderedDict[Tuple[str, Tuple[str, ...], int], Tuple[SearchResult, ...]]" = OrderedDict()
         # One engine may serve several concurrent harvesting runs
@@ -265,8 +265,8 @@ class SearchEngine:
         A corpus that already carries its index — a store-backed corpus
         attached from a published segment exposes it via
         ``shared_index_supplier`` — is adopted as-is instead of re-indexed:
-        the supplied index is bit-identical to the one this build loop
-        produces (the store writer added the same documents in the same
+        the supplied index is an index over the same matrix this build
+        produces (the store writer counted the same documents in the same
         sorted order), and ``index_attaches`` (not ``index_builds``) counts
         the adoption.
         """
@@ -277,14 +277,12 @@ class SearchEngine:
                     self._shared_index = supplier()
                     self.index_attaches += 1
                 else:
-                    index = InvertedIndex()
-                    for page in sorted(self.corpus.iter_pages(), key=lambda p: p.page_id):
-                        index.add_document(page.page_id, page.tokens)
-                    self._shared_index = index
+                    self._shared_index = InvertedIndex.from_documents(
+                        {page.page_id: page.tokens for page in self.corpus.iter_pages()})
                     self.index_builds += 1
             return self._shared_index
 
-    def _index_for(self, entity_id: str) -> IndexView:
+    def _index_for(self, entity_id: str) -> InvertedIndex:
         with self._lock:
             view = self._entity_views.get(entity_id)
         if view is not None:
@@ -424,10 +422,11 @@ class SearchEngine:
         with self._lock:
             self.fetch_statistics = FetchStatistics()
 
-    def entity_index(self, entity_id: str) -> IndexView:
-        """The entity's scoped view of the shared corpus index.
+    def entity_index(self, entity_id: str) -> InvertedIndex:
+        """The entity's view of the shared corpus index.
 
-        The view exposes the full statistics interface of a from-scratch
-        per-entity :class:`InvertedIndex` (useful for tests and baselines).
+        Its statistics are those of a from-scratch index of the entity's
+        pages (the LM-feedback baseline reads collection probabilities from
+        it, dedup novelty its matching documents).
         """
         return self._index_for(entity_id)

@@ -1,24 +1,29 @@
-"""Inverted index with collection statistics, plus cheap scoped views.
+"""The search index: one immutable term–document matrix per document set.
 
 The index is the storage layer beneath the retrieval models
 (:mod:`repro.search.language_model`, :mod:`repro.search.bm25`).  Documents
 are arbitrary token sequences keyed by a string id; in this project they are
 web pages.
 
-The search engine indexes the *whole* corpus exactly once and then serves
-each entity through an :class:`IndexView` restricted to that entity's page
-universe (the seed query scopes retrieval to a single entity, see
-:mod:`repro.search.engine`).  A view exposes the same statistics interface
-as a from-scratch per-entity :class:`InvertedIndex` — term frequencies,
-document/collection frequencies and collection probabilities are all
-computed over the view's documents only — but shares the underlying
-postings, so N entities cost one tokenization/counting pass instead of N.
+An :class:`InvertedIndex` is a :class:`TermDocumentMatrix` — a CSR term
+frequency matrix with rows in sorted document-id order and columns in
+sorted term order, plus the document-length and collection-frequency
+vectors — built once from its documents and never mutated; every statistic
+the index reports is read from that matrix.  The search engine indexes the
+*whole* corpus exactly once and serves each entity through
+:meth:`InvertedIndex.view`: an index over the corpus matrix's rows of that
+entity's pages, with the terms they never use dropped, so its statistics
+are those of a from-scratch index of the entity's pages (the seed query
+scopes retrieval to a single entity, see :mod:`repro.search.engine`).  A
+corpus attached from the shared store is an index over the store's
+published matrix, zero-copy.  Its dict-postings reference is
+``tests/oracles.py::ReferenceIndex``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +39,7 @@ class TermDocumentMatrix:
     in sorted-term order, alongside the cached document-length and
     collection-frequency vectors every retrieval model needs.  Term
     frequencies are exact integers stored as float64, so all derived
-    statistics match the scalar dictionary lookups bit for bit.
+    statistics are exact.
     """
 
     __slots__ = ("doc_ids", "terms", "matrix", "matrix_csc", "doc_lengths",
@@ -55,6 +60,42 @@ class TermDocumentMatrix:
         self.total_tokens = int(total_tokens)
         self._doc_positions = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
         self._term_positions = {term: j for j, term in enumerate(self.terms)}
+
+    @classmethod
+    def from_counts(cls, doc_ids: Sequence[str],
+                    counts: Sequence[Mapping[str, int]]) -> "TermDocumentMatrix":
+        """The matrix of documents given as ``{term: count}`` bags.
+
+        ``doc_ids`` must be sorted; ``counts[i]`` is the bag of
+        ``doc_ids[i]``, whose length is the sum of its counts.
+        """
+        terms = sorted(set().union(*counts))
+        positions = {term: j for j, term in enumerate(terms)}
+        distinct = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+        rows = np.repeat(np.arange(len(counts), dtype=np.int64), distinct)
+        cols = np.asarray([positions[term] for bag in counts for term in bag],
+                          dtype=np.int64)
+        data = np.asarray([tf for bag in counts for tf in bag.values()],
+                          dtype=np.float64)
+        matrix = sparse.csr_matrix((data, (rows, cols)),
+                                   shape=(len(counts), len(terms)))
+        sizes = [sum(bag.values()) for bag in counts]
+        collection = np.bincount(cols, weights=data, minlength=len(terms))
+        return cls(doc_ids, terms, matrix, np.asarray(sizes, dtype=np.float64),
+                   collection, sum(sizes))
+
+    def restrict(self, doc_ids: Sequence[str]) -> "TermDocumentMatrix":
+        """The rows of ``doc_ids`` (sorted, all present), without the terms
+        those documents never use."""
+        rows = np.asarray([self._doc_positions[d] for d in doc_ids], dtype=np.int64)
+        restricted = self.matrix[rows]
+        frequencies = np.asarray(restricted.sum(axis=0)).ravel()
+        columns = np.flatnonzero(frequencies)
+        doc_lengths = self.doc_lengths[rows]
+        return TermDocumentMatrix(
+            doc_ids, [self.terms[c] for c in columns],
+            restricted[:, columns].tocsr(), doc_lengths, frequencies[columns],
+            int(doc_lengths.sum()))
 
     @property
     def num_documents(self) -> int:
@@ -167,370 +208,116 @@ class QueryBatch:
 
 
 class InvertedIndex:
-    """A simple in-memory inverted index."""
+    """An immutable index over one :class:`TermDocumentMatrix`."""
 
-    def __init__(self) -> None:
-        self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
-        self._doc_lengths: Dict[str, int] = {}
-        self._collection_frequency: Counter = Counter()
-        self._total_tokens = 0
-        self._matrix: Optional[TermDocumentMatrix] = None
-
-    # -- Construction ------------------------------------------------------
-    def add_document(self, doc_id: str, tokens: Sequence[str]) -> None:
-        """Index one document.  Re-adding an existing id raises ``ValueError``."""
-        if doc_id in self._doc_lengths:
-            raise ValueError(f"document {doc_id!r} already indexed")
-        counts = Counter(tokens)
-        self._doc_lengths[doc_id] = len(tokens)
-        self._total_tokens += len(tokens)
-        for term, tf in counts.items():
-            self._postings[term][doc_id] = tf
-            self._collection_frequency[term] += tf
-        # The CSR snapshot is a pure function of the postings; incremental
-        # updates invalidate it and the next access rebuilds lazily.
-        self._matrix = None
+    def __init__(self, matrix: TermDocumentMatrix) -> None:
+        self._matrix = matrix
 
     @classmethod
     def from_documents(cls, documents: Mapping[str, Sequence[str]]) -> "InvertedIndex":
         """Build an index from a ``{doc_id: tokens}`` mapping."""
-        index = cls()
-        for doc_id in sorted(documents):
-            index.add_document(doc_id, documents[doc_id])
-        return index
+        doc_ids = sorted(documents)
+        return cls(TermDocumentMatrix.from_counts(
+            doc_ids, [Counter(documents[doc_id]) for doc_id in doc_ids]))
 
     # -- Document statistics ---------------------------------------------------
     @property
     def num_documents(self) -> int:
         """Number of indexed documents."""
-        return len(self._doc_lengths)
+        return self._matrix.num_documents
 
     @property
     def total_tokens(self) -> int:
         """Total number of tokens across all documents."""
-        return self._total_tokens
+        return self._matrix.total_tokens
 
     @property
     def average_document_length(self) -> float:
         """Mean document length in tokens (0.0 for an empty index)."""
-        if not self._doc_lengths:
+        if not self.num_documents:
             return 0.0
-        return self._total_tokens / len(self._doc_lengths)
+        return self.total_tokens / self.num_documents
 
     def document_ids(self) -> List[str]:
         """All indexed document ids, sorted."""
-        return sorted(self._doc_lengths)
+        return list(self._matrix.doc_ids)
 
     def document_length(self, doc_id: str) -> int:
         """Length of one document (raises ``KeyError`` if unknown)."""
-        return self._doc_lengths[doc_id]
+        row = self._matrix.doc_position(doc_id)
+        if row is None:
+            raise KeyError(doc_id)
+        return int(self._matrix.doc_lengths[row])
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_lengths
+        return self._matrix.doc_position(doc_id) is not None
 
     # -- Term statistics -----------------------------------------------------------
+    def _postings(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and frequencies of the documents holding ``term``."""
+        column = self._matrix.term_position(term)
+        if column is None:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        return self._matrix.term_column(column)
+
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Frequency of ``term`` in ``doc_id`` (0 if absent)."""
-        return self._postings.get(term, {}).get(doc_id, 0)
+        row = self._matrix.doc_position(doc_id)
+        column = self._matrix.term_position(term)
+        if row is None or column is None:
+            return 0
+        return int(self._matrix.matrix[row, column])
 
     def document_frequency(self, term: str) -> int:
         """Number of documents containing ``term``."""
-        return len(self._postings.get(term, {}))
+        return int(self._postings(term)[0].size)
 
     def collection_frequency(self, term: str) -> int:
         """Total occurrences of ``term`` in the collection."""
-        return self._collection_frequency.get(term, 0)
+        column = self._matrix.term_position(term)
+        if column is None:
+            return 0
+        return int(self._matrix.collection_frequencies[column])
 
     def collection_probability(self, term: str) -> float:
         """Maximum-likelihood collection probability of ``term``."""
-        if self._total_tokens == 0:
+        if self.total_tokens == 0:
             return 0.0
-        return self._collection_frequency.get(term, 0) / self._total_tokens
+        return self.collection_frequency(term) / self.total_tokens
 
     def postings(self, term: str) -> Dict[str, int]:
-        """Return a copy of the postings for ``term`` (``{doc_id: tf}``)."""
-        return dict(self._postings.get(term, {}))
+        """The postings of ``term`` (``{doc_id: tf}``, in doc-id order)."""
+        doc_ids = self._matrix.doc_ids
+        rows, frequencies = self._postings(term)
+        return {doc_ids[row]: int(tf)
+                for row, tf in zip(rows.tolist(), frequencies.tolist())}
 
     def matching_documents(self, terms: Iterable[str],
                            require_all: bool = False) -> Set[str]:
         """Documents containing any (or all) of ``terms``."""
-        term_list = list(terms)
-        if not term_list:
+        row_sets = [set(self._postings(term)[0].tolist()) for term in terms]
+        if not row_sets:
             return set()
-        sets = [set(self._postings.get(term, {})) for term in term_list]
-        if require_all:
-            result = sets[0]
-            for other in sets[1:]:
-                result &= other
-            return result
-        result = set()
-        for other in sets:
-            result |= other
-        return result
+        rows = (set.intersection(*row_sets) if require_all
+                else set.union(*row_sets))
+        doc_ids = self._matrix.doc_ids
+        return {doc_ids[row] for row in rows}
 
     def vocabulary(self) -> List[str]:
         """All indexed terms, sorted."""
-        return sorted(self._postings)
+        return list(self._matrix.terms)
 
-    # -- Matrix view -------------------------------------------------------------
+    # -- Matrix and views ---------------------------------------------------------
     def term_document_matrix(self) -> TermDocumentMatrix:
-        """The (lazily built, cached) CSR snapshot of this index.
-
-        Invalidated by :meth:`add_document`; because indexed term
-        frequencies are immutable, a returned snapshot stays valid for the
-        documents it covers even after the index grows.
-        """
-        if self._matrix is None:
-            self._matrix = self._build_matrix()
+        """The CSR matrix this index reads its statistics from."""
         return self._matrix
 
-    def _build_matrix(self) -> TermDocumentMatrix:
-        doc_ids = sorted(self._doc_lengths)
-        terms = sorted(self._postings)
-        doc_positions = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[int] = []
-        for column, term in enumerate(terms):
-            for doc_id, tf in self._postings[term].items():
-                rows.append(doc_positions[doc_id])
-                cols.append(column)
-                data.append(tf)
-        matrix = sparse.csr_matrix(
-            (np.asarray(data, dtype=np.float64),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(len(doc_ids), len(terms)))
-        doc_lengths = np.asarray([self._doc_lengths[d] for d in doc_ids],
-                                 dtype=np.float64)
-        collection = np.asarray([self._collection_frequency[t] for t in terms],
-                                dtype=np.float64)
-        return TermDocumentMatrix(doc_ids, terms, matrix, doc_lengths,
-                                  collection, self._total_tokens)
-
-    # -- Scoped views -----------------------------------------------------------
-    def view(self, doc_ids: Iterable[str]) -> "IndexView":
-        """A view of this index restricted to ``doc_ids``."""
-        return IndexView(self, doc_ids)
-
-
-class _SnapshotPostings(Mapping):
-    """Lazy ``{term: {doc_id: tf}}`` postings over a CSR snapshot.
-
-    Backs :class:`AttachedInvertedIndex`: per-term postings dicts are
-    materialised from the snapshot's CSC columns on first access and cached.
-    Column row-indices are sorted, so each dict's insertion order is sorted
-    doc-id order — the same order :meth:`InvertedIndex.add_document` produces
-    when documents arrive in sorted id order, keeping every iteration-order-
-    sensitive consumer bit-identical to the rebuilt index.
-    """
-
-    __slots__ = ("_snapshot", "_cache")
-
-    def __init__(self, snapshot: TermDocumentMatrix) -> None:
-        self._snapshot = snapshot
-        self._cache: Dict[str, Dict[str, int]] = {}
-
-    def __getitem__(self, term: str) -> Dict[str, int]:
-        postings = self._cache.get(term)
-        if postings is None:
-            column = self._snapshot.term_position(term)
-            if column is None:
-                raise KeyError(term)
-            rows, values = self._snapshot.term_column(column)
-            doc_ids = self._snapshot.doc_ids
-            postings = {doc_ids[row]: int(tf)
-                        for row, tf in zip(rows, values)}
-            self._cache[term] = postings
-        return postings
-
-    def __iter__(self):
-        return iter(self._snapshot.terms)
-
-    def __len__(self) -> int:
-        return self._snapshot.num_terms
-
-    def __contains__(self, term: object) -> bool:
-        return self._snapshot.term_position(term) is not None  # type: ignore[arg-type]
-
-
-class AttachedInvertedIndex(InvertedIndex):
-    """A read-only :class:`InvertedIndex` reconstructed from a CSR snapshot.
-
-    The attach-construction path of the shared corpus store: instead of
-    re-tokenising and re-counting every document, the index adopts a
-    published :class:`TermDocumentMatrix` (typically zero-copy views over a
-    shared-memory segment) as its matrix snapshot and serves the dictionary
-    interface through lazy per-term postings.  All statistics — term/
-    document/collection frequencies, probabilities, views — are bit-for-bit
-    identical to an index built by adding the same documents in sorted id
-    order, because the snapshot is a pure function of exactly that build.
-    """
-
-    def __init__(self, snapshot: TermDocumentMatrix) -> None:
-        self._postings = _SnapshotPostings(snapshot)  # type: ignore[assignment]
-        self._doc_lengths = {doc_id: int(length)
-                             for doc_id, length
-                             in zip(snapshot.doc_ids, snapshot.doc_lengths)}
-        self._collection_frequency = Counter(
-            {term: int(cf) for term, cf
-             in zip(snapshot.terms, snapshot.collection_frequencies)})
-        self._total_tokens = snapshot.total_tokens
-        self._matrix = snapshot
-
-    def add_document(self, doc_id: str, tokens: Sequence[str]) -> None:
-        raise TypeError("attached indexes are read-only; "
-                        "rebuild from the corpus to extend")
-
-
-class IndexView:
-    """A read-only restriction of an :class:`InvertedIndex` to a document subset.
-
-    All statistics (document lengths, term/document/collection frequencies,
-    collection probabilities) are reported as if only the view's documents
-    had been indexed, so retrieval models ranking through a view behave
-    identically to ranking over a from-scratch index of those documents.
-    Per-term restricted postings are materialised lazily and cached, so a
-    view costs O(1) to create and only pays for the terms actually queried.
-    """
-
-    def __init__(self, parent: InvertedIndex, doc_ids: Iterable[str]) -> None:
-        self._parent = parent
-        ids = set(doc_ids)
-        missing = [d for d in ids if d not in parent]
+    def view(self, doc_ids: Iterable[str]) -> "InvertedIndex":
+        """This index restricted to ``doc_ids``: every statistic is that of
+        a from-scratch index of those documents (``KeyError`` names any
+        document this index lacks)."""
+        ids = sorted(set(doc_ids))
+        missing = [d for d in ids if d not in self]
         if missing:
-            raise KeyError(f"documents not in parent index: {sorted(missing)[:3]!r}")
-        self._doc_ids: FrozenSet[str] = frozenset(ids)
-        self._total_tokens = sum(parent.document_length(d) for d in self._doc_ids)
-        # term -> (restricted postings, their tf sum); the sum is cached so
-        # collection_frequency stays O(1) on the ranker's innermost loop.
-        self._postings_cache: Dict[str, Tuple[Dict[str, int], int]] = {}
-        # The document subset is frozen and indexed term frequencies are
-        # immutable, so a built snapshot never goes stale.
-        self._matrix: Optional[TermDocumentMatrix] = None
-
-    #: Shared sentinel for terms absent from a view, so caching a miss costs
-    #: one dict slot instead of a fresh empty dict per term.
-    _EMPTY_STATS: Tuple[Dict[str, int], int] = ({}, 0)
-
-    def _restricted_stats(self, term: str,
-                          cache_empty: bool = True) -> Tuple[Dict[str, int], int]:
-        cached = self._postings_cache.get(term)
-        if cached is None:
-            postings = {doc_id: tf
-                        for doc_id, tf in self._parent._postings.get(term, {}).items()
-                        if doc_id in self._doc_ids}
-            cached = (postings, sum(postings.values())) if postings else self._EMPTY_STATS
-            # Misses are cached too (rankers probe absent query terms once per
-            # scored document), except during vocabulary() sweeps, which would
-            # otherwise pin one cache key per corpus term.
-            if postings or cache_empty:
-                self._postings_cache[term] = cached
-        return cached
-
-    def _restricted(self, term: str) -> Dict[str, int]:
-        return self._restricted_stats(term)[0]
-
-    # -- Document statistics ---------------------------------------------------
-    @property
-    def num_documents(self) -> int:
-        """Number of documents in the view."""
-        return len(self._doc_ids)
-
-    @property
-    def total_tokens(self) -> int:
-        """Total number of tokens across the view's documents."""
-        return self._total_tokens
-
-    @property
-    def average_document_length(self) -> float:
-        """Mean document length in tokens (0.0 for an empty view)."""
-        if not self._doc_ids:
-            return 0.0
-        return self._total_tokens / len(self._doc_ids)
-
-    def document_ids(self) -> List[str]:
-        """The view's document ids, sorted."""
-        return sorted(self._doc_ids)
-
-    def document_length(self, doc_id: str) -> int:
-        """Length of one document (raises ``KeyError`` if outside the view)."""
-        if doc_id not in self._doc_ids:
-            raise KeyError(doc_id)
-        return self._parent.document_length(doc_id)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_ids
-
-    # -- Term statistics -----------------------------------------------------------
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        """Frequency of ``term`` in ``doc_id`` (0 if absent or outside the view)."""
-        if doc_id not in self._doc_ids:
-            return 0
-        return self._parent.term_frequency(term, doc_id)
-
-    def document_frequency(self, term: str) -> int:
-        """Number of view documents containing ``term``."""
-        return len(self._restricted(term))
-
-    def collection_frequency(self, term: str) -> int:
-        """Total occurrences of ``term`` within the view."""
-        return self._restricted_stats(term)[1]
-
-    def collection_probability(self, term: str) -> float:
-        """Maximum-likelihood probability of ``term`` within the view."""
-        if self._total_tokens == 0:
-            return 0.0
-        return self.collection_frequency(term) / self._total_tokens
-
-    def postings(self, term: str) -> Dict[str, int]:
-        """Return a copy of the view-restricted postings for ``term``."""
-        return dict(self._restricted(term))
-
-    def matching_documents(self, terms: Iterable[str],
-                           require_all: bool = False) -> Set[str]:
-        """View documents containing any (or all) of ``terms``."""
-        term_list = list(terms)
-        if not term_list:
-            return set()
-        sets = [set(self._restricted(term)) for term in term_list]
-        result = set(sets[0])
-        for other in sets[1:]:
-            if require_all:
-                result &= other
-            else:
-                result |= other
-        return result
-
-    def vocabulary(self) -> List[str]:
-        """Terms occurring in the view's documents, sorted."""
-        return sorted(term for term in self._parent.vocabulary()
-                      if self._restricted_stats(term, cache_empty=False)[0])
-
-    # -- Matrix view -------------------------------------------------------------
-    def term_document_matrix(self) -> TermDocumentMatrix:
-        """The (lazily built, cached) CSR snapshot of this view.
-
-        Built by row-slicing the parent's snapshot to the view's documents
-        and dropping terms that do not occur in them, so N entity views
-        share one corpus-wide matrix build and each keeps only its own
-        compact vocabulary.
-        """
-        if self._matrix is None:
-            parent = self._parent.term_document_matrix()
-            doc_ids = self.document_ids()
-            rows = np.asarray([parent.doc_position(d) for d in doc_ids],
-                              dtype=np.int64)
-            if rows.size:
-                restricted = parent.matrix[rows]
-            else:
-                restricted = sparse.csr_matrix((0, parent.num_terms))
-            frequencies = np.asarray(restricted.sum(axis=0)).ravel()
-            columns = np.flatnonzero(frequencies)
-            matrix = restricted[:, columns].tocsr()
-            terms = [parent.terms[c] for c in columns]
-            doc_lengths = (parent.doc_lengths[rows] if rows.size
-                           else np.zeros(0, dtype=np.float64))
-            self._matrix = TermDocumentMatrix(
-                doc_ids, terms, matrix, doc_lengths,
-                frequencies[columns], self._total_tokens)
-        return self._matrix
+            raise KeyError(f"documents not in parent index: {missing[:3]!r}")
+        return InvertedIndex(self._matrix.restrict(ids))

@@ -15,15 +15,14 @@ Ranking runs through one vectorized kernel over the index's CSR
 term–document matrix (:meth:`repro.search.index.InvertedIndex.term_document_matrix`):
 :meth:`~DirichletLanguageModel.rank_many` computes each (term, document)
 contribution of a query batch once and sums them per query, and
-:meth:`~DirichletLanguageModel.rank` is a batch of one.  The scalar
-:meth:`score` is kept as the reference implementation; the kernel
-reproduces it bit for bit (term contributions are accumulated in query order
-and logarithms are taken with :func:`repro.utils.vectorize.exact_log`).
+:meth:`~DirichletLanguageModel.rank` is a batch of one.  The kernel
+reproduces the scalar per-document score of ``tests/oracles.py`` bit for
+bit (term contributions are accumulated in query order and logarithms are
+taken with :func:`repro.utils.vectorize.exact_log`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -42,25 +41,6 @@ class DirichletLanguageModel:
             raise ValueError("the Dirichlet prior mu must be positive")
         self.index = index
         self.mu = float(mu)
-
-    def term_probability(self, term: str, doc_id: str) -> float:
-        """Smoothed probability of ``term`` under the document model of ``doc_id``."""
-        tf = self.index.term_frequency(term, doc_id)
-        collection_p = self.index.collection_probability(term)
-        if collection_p <= 0.0:
-            collection_p = _UNSEEN_EPSILON
-        doc_length = self.index.document_length(doc_id)
-        return (tf + self.mu * collection_p) / (doc_length + self.mu)
-
-    def score(self, query: Sequence[str], doc_id: str) -> float:
-        """Log query likelihood of ``query`` under ``doc_id``'s document model.
-
-        Scalar reference implementation of the vectorized
-        :meth:`rank_many` kernel (which must match it bit for bit).
-        """
-        if not query:
-            return float("-inf")
-        return sum(math.log(self.term_probability(term, doc_id)) for term in query)
 
     def rank(self, query: Sequence[str], top_k: int = 0,
              require_match: bool = True) -> List[Tuple[str, float]]:
@@ -84,11 +64,10 @@ class DirichletLanguageModel:
         """Rank each of ``queries`` (the contract of :meth:`rank`).
 
         Each (term, document) contribution of the batch is computed once as
-        ``exact_log((tf + mu * p(w|C)) / (|d| + mu))``, the scalar
-        :meth:`score`'s operations, and each query sums its terms'
-        contributions in query order, so every score equals :meth:`score`
-        bit for bit.  Documents are ordered by descending score, ties by
-        doc id.
+        ``exact_log((tf + mu * p(w|C)) / (|d| + mu))``, an unseen term's
+        ``p(w|C)`` raised to a small epsilon, and each query sums its
+        terms' contributions in query order.  Documents are ordered by
+        descending score, ties by doc id.
         """
         matrix = self.index.term_document_matrix()
         batch = QueryBatch(matrix, queries)

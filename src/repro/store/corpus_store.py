@@ -9,9 +9,8 @@ arrays (CSR ``indptr``/``indices``/``data``, document-length and
 collection-frequency vectors, doc-id/term tables) — into one
 ``multiprocessing.shared_memory`` segment or mmap'd file, and workers
 *attach*: numeric arrays become zero-copy ``np.ndarray`` views over the
-shared buffer and feed a read-only
-:class:`~repro.search.index.AttachedInvertedIndex`; pages deserialise
-lazily, one blob at a time, on first access.
+shared buffer and back an :class:`~repro.search.index.InvertedIndex` over
+that matrix; pages deserialise lazily, one blob at a time, on first access.
 
 Layout of a published segment::
 
@@ -20,8 +19,8 @@ Layout of a published segment::
 The JSON header names every section's (payload-relative) offset, length
 and — for arrays — dtype and shape.  Pages are streamed into the writer in
 sorted page-id order (:meth:`CorpusStoreWriter.add_page` enforces this), so
-the stored doc-id order equals the order
-:meth:`~repro.search.engine.SearchEngine.shared_index` adds documents in
+the stored doc-id order equals the sorted order
+:meth:`~repro.search.engine.SearchEngine.shared_index` indexes documents in
 and an attached index is bit-for-bit the index a worker would have rebuilt.
 
 Memory model and cleanup
@@ -51,6 +50,7 @@ import pickle
 import struct
 import tempfile
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -65,11 +65,7 @@ from repro.corpus.document import Entity, Page
 from repro.corpus.domains import get_domain
 from repro.corpus.synthetic import BaseCorpus, CorpusConfig, CorpusGenerator
 from repro.corpus.tokenizer import Tokenizer
-from repro.search.index import (
-    AttachedInvertedIndex,
-    InvertedIndex,
-    TermDocumentMatrix,
-)
+from repro.search.index import InvertedIndex, TermDocumentMatrix
 
 #: Store modes (the CLI's ``--corpus-store`` choices).
 MODE_AUTO = "auto"
@@ -180,16 +176,17 @@ class CorpusStoreWriter:
     """Streams one corpus into a publishable segment.
 
     Feed pages in sorted page-id order via :meth:`add_page` — each page is
-    pickled immediately (only its compact blob is retained) and folded into
-    the inverted index and the running content digest, so arbitrarily large
-    corpora never materialise as object graphs in the publishing process.
+    pickled immediately (only its compact blob and its term counts are
+    retained) and folded into the running content digest, so arbitrarily
+    large corpora never materialise as object graphs in the publishing
+    process.
     """
 
     def __init__(self, config: CorpusConfig,
                  entities: Mapping[str, Entity]) -> None:
         self._config = config.base_config()
         self._entities = {eid: entities[eid] for eid in sorted(entities)}
-        self._index = InvertedIndex()
+        self._page_counts: List[Counter] = []
         self._page_blobs = bytearray()
         self._page_ids: List[str] = []
         self._page_entity_ids: List[str] = []
@@ -230,7 +227,7 @@ class CorpusStoreWriter:
         self._page_offsets.append(len(self._page_blobs))
         self._page_ids.append(page.page_id)
         self._page_entity_ids.append(page.entity_id)
-        self._index.add_document(page.page_id, page.tokens)
+        self._page_counts.append(Counter(page.tokens))
         feed_page(self._digest, page)
 
     def add_pages(self, pages: Iterable[Page]) -> None:
@@ -272,9 +269,7 @@ class CorpusStoreWriter:
                               "shape": list(array.shape)}
             payload.extend(data)
 
-        snapshot = self._index.term_document_matrix()
-        if list(snapshot.doc_ids) != self._page_ids:
-            raise StoreError("index doc order diverged from page stream order")
+        snapshot = TermDocumentMatrix.from_counts(self._page_ids, self._page_counts)
         digest = self._digest.hexdigest()
 
         put_bytes("config", pickle.dumps(self._config, protocol=_PICKLE_PROTOCOL))
@@ -469,7 +464,7 @@ class StoreBackedCorpus(Corpus):
         self.store_digest = attachment.digest
 
     def shared_index_supplier(self) -> InvertedIndex:
-        """The attached read-only corpus-wide index.
+        """The attached corpus-wide index.
 
         :meth:`~repro.search.engine.SearchEngine.shared_index` calls this
         instead of re-indexing every page when the corpus carries it.
@@ -557,7 +552,7 @@ class StoreAttachment:
         self._pages_section: Optional[Tuple[int, int]] = None
         self._snapshot: Optional[TermDocumentMatrix] = None
         self._classifier_cache: Dict[str, AspectClassifierSuite] = {}
-        self._index: Optional[AttachedInvertedIndex] = None
+        self._index: Optional[InvertedIndex] = None
         self._corpus: Optional[StoreBackedCorpus] = None
         self._base_corpus: Optional[BaseCorpus] = None
         self._closed = False
@@ -686,10 +681,10 @@ class StoreAttachment:
             self._classifier_cache[key] = suite
         return suite
 
-    def index(self) -> AttachedInvertedIndex:
-        """The read-only corpus-wide inverted index (built once, shared)."""
+    def index(self) -> InvertedIndex:
+        """The corpus-wide inverted index over :meth:`snapshot` (shared)."""
         if self._index is None:
-            self._index = AttachedInvertedIndex(self.snapshot())
+            self._index = InvertedIndex(self.snapshot())
         return self._index
 
     def corpus(self) -> StoreBackedCorpus:

@@ -1,9 +1,10 @@
 """Exact-arithmetic helpers for the vectorized scoring kernels.
 
-The selection hot path is pinned by a golden snapshot
-(``tests/data/fig13_smoke_golden.json``) that is compared *exactly*, so the
-sparse-matrix kernels in :mod:`repro.search` / :mod:`repro.core` must
-reproduce the scalar reference implementations bit for bit.  Two scalar
+The selection hot path is pinned by golden snapshots
+(``tests/data/fig13_smoke_golden.json``, ``tests/data/fig09_smoke_golden.json``)
+that are compared *exactly*, so the array kernels in :mod:`repro.search`,
+:mod:`repro.core` and :mod:`repro.aspects` must reproduce the scalar
+references in ``tests/oracles.py`` bit for bit.  Two scalar
 operations stand in the way:
 
 * ``math.log(x)`` and ``numpy.log(x)`` may disagree by an ULP (libm vs the
@@ -29,16 +30,11 @@ import math
 
 import numpy as np
 
-#: Below this many elements the dedup-and-scatter machinery costs more than
-#: simply mapping the scalar libm call over the array (which is what the
-#: helpers are bit-identical to in the first place).  Page-granularity
-#: classifier batches sit far under it; training batches far over.
+#: Below this many elements the dedup-and-scatter machinery of
+#: :func:`exact_log` costs more than simply mapping the scalar libm call
+#: over the array (which is what it is bit-identical to in the first place).
+#: A small ranker batch sits under it; classifier training far over.
 _SMALL_EXACT = 64
-
-#: Below this many stored values :func:`rowwise_ordered_sum` replays the
-#: scalar accumulation directly — the dense scatter plus one numpy add per
-#: column has too much constant overhead for a handful of short rows.
-_SMALL_ROWSUM = 512
 
 
 def exact_log(values: np.ndarray) -> np.ndarray:
@@ -57,77 +53,12 @@ def exact_log(values: np.ndarray) -> np.ndarray:
     return logs[inverse].reshape(values.shape)
 
 
-def exact_exp(values: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.exp`` over a float array (bit-identical to scalar).
-
-    The classifier posterior kernel needs it: ``numpy.exp`` may differ from
-    libm's ``exp`` by an ULP, and the aspect-relevance scores feed selection
-    decisions that are pinned byte-for-byte.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size <= _SMALL_EXACT:
-        exps = np.array([math.exp(v) for v in values.ravel().tolist()],
-                        dtype=np.float64)
-        return exps.reshape(values.shape)
-    unique, inverse = np.unique(values, return_inverse=True)
-    exps = np.array([math.exp(v) for v in unique.tolist()], dtype=np.float64)
-    return exps[inverse].reshape(values.shape)
-
-
 def exact_pow_half(values: np.ndarray) -> np.ndarray:
     """Elementwise Python ``x ** 0.5`` over a float array (bit-identical)."""
     values = np.asarray(values, dtype=np.float64)
     unique, inverse = np.unique(values, return_inverse=True)
     roots = np.array([v ** 0.5 for v in unique.tolist()], dtype=np.float64)
     return roots[inverse].reshape(values.shape)
-
-
-def rowwise_ordered_sum(indptr: np.ndarray, values: np.ndarray,
-                        init: np.ndarray) -> np.ndarray:
-    """Per-row left-to-right sum of a ragged array, seeded by ``init``.
-
-    Replays, for every row at once, the scalar accumulation
-    ``acc = init[i]; for v in row: acc += v``.  Float addition is
-    order-dependent, so ``np.add.reduceat`` (pairwise summation) or a
-    matmul (unspecified order) would not be bit-identical to the scalar
-    loop.  Instead the ragged rows are scattered into a dense
-    ``rows x max_row_length`` matrix padded with ``+0.0`` and accumulated
-    column by column.
-
-    The ``+0.0`` padding is bitwise-safe only when no partial sum can be
-    ``-0.0`` (``x + 0.0 == x`` for every other ``x``).  That holds for the
-    log-likelihood accumulations this serves: every addend is non-positive
-    and a left-to-right sum of non-positive floats never produces ``-0.0``.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    n_rows = len(indptr) - 1
-    totals = np.array(init, dtype=np.float64, copy=True)
-    if n_rows == 0 or values.size == 0:
-        return totals
-    if values.size <= _SMALL_ROWSUM:
-        # Small batches (page-granularity scoring): replay the scalar loop
-        # outright.  Python float ``+`` is the same IEEE-754 addition in the
-        # same left-to-right order, so this is bit-identical by definition
-        # and skips the scatter set-up cost entirely.
-        value_list = values.tolist()
-        bounds = indptr.tolist()
-        accumulators = totals.tolist()
-        for i in range(n_rows):
-            acc = accumulators[i]
-            for j in range(bounds[i], bounds[i + 1]):
-                acc += value_list[j]
-            accumulators[i] = acc
-        return np.asarray(accumulators, dtype=np.float64)
-    lengths = np.diff(indptr)
-    width = int(lengths.max())
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
-    positions = np.arange(values.size, dtype=np.int64) - indptr[rows]
-    padded = np.zeros((n_rows, width), dtype=np.float64)
-    padded[rows, positions] = values
-    for j in range(width):
-        totals = totals + padded[:, j]
-    return totals
 
 
 def first_lexicographic_argmax(primary: np.ndarray,

@@ -1,5 +1,9 @@
 """Executable references that production code must reproduce exactly.
 
+Each is the straightforward scalar (dict-and-loop) form of a computation
+that production runs as array kernels; the equivalence tests compare the
+two on random and real inputs.
+
 :func:`reference_assemble` is the straightforward graph assembler: it
 derives every query's words and templates and every page's words afresh,
 registers vertices one by one, and finds containment pairs with per-query
@@ -22,8 +26,11 @@ scores the union with the gathered pages using Python sets.
 :meth:`~repro.baselines.oracle.IdealSelection.select` must return the same
 query.
 
-:func:`reference_rank` is the rankers' scalar ranking path: it scores each
-candidate document with the scalar ``score`` and sorts the pairs.  Both
+:class:`ReferenceIndex` is the dict-postings inverted index (and its
+subset views) that every :class:`~repro.search.index.InvertedIndex`
+statistic must equal, value and Python type.  :func:`reference_rank` ranks
+its documents by the rankers' scalar per-document scores
+(:func:`reference_dirichlet_score`, :func:`reference_bm25_score`); both
 ranker kernels, ``rank`` and ``rank_many``, must return the same pairs.
 
 :class:`ReferenceQueryStatistics` is the dict-and-set n-gram statistics that
@@ -35,19 +42,38 @@ array-native :class:`~repro.core.candidates.CandidateStatistics`, the
 pools, rankings, supports and page sets.
 
 :func:`reference_choose` scores the context-aware selector's candidates one
-at a time; :meth:`~repro.core.selection.ContextAwareSelection._choose` must
-return the same query.
+at a time through :func:`reference_evaluate`, the scalar
+:class:`CollectiveUtilities` of one candidate;
+:meth:`~repro.core.selection.ContextAwareSelection._choose` must return the
+same query, and :meth:`~repro.core.context.ContextTracker.evaluate_many` the
+same floats.
+
+:class:`ReferenceNaiveBayes` is the dict-based multinomial Naive Bayes:
+its ``fit`` must equal :meth:`~repro.aspects.naive_bayes.
+MultinomialNaiveBayes.fit_matrix`'s arrays, its per-document
+``joint_log_likelihood`` the scores of :meth:`~repro.aspects.naive_bayes.
+MultinomialNaiveBayes.joint_log_likelihood`, and its ``predict`` /
+``predict_proba`` the labels and posteriors of
+:meth:`~repro.aspects.naive_bayes.MultinomialNaiveBayes.assess`.
+:func:`reference_page_assessment` is the suite's per-paragraph page
+assessment over it; :meth:`~repro.aspects.classifier.AspectClassifierSuite.
+page_assessment` must return the same ``(label, probability)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import math
+import weakref
 
 import numpy as np
 from scipy import sparse
 
+from repro.aspects.classifier import RELEVANT, AspectClassifierSuite
+from repro.aspects.naive_bayes import MultinomialNaiveBayes
 from repro.aspects.relevance import RelevanceFunction
 from repro.baselines.harvest_rate import HarvestRateStatistics
 from repro.core.config import L2QConfig
@@ -64,8 +90,11 @@ from repro.core.templates import Template, TemplateIndex
 from repro.core.utility import AssembledGraph
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
+from repro.core.context import ContextTracker
 from repro.corpus.knowledge_base import TypeSystem
 from repro.graph.reinforcement import ReinforcementGraph, VertexIndex
+from repro.search.bm25 import BM25Ranker
+from repro.search.language_model import DirichletLanguageModel
 
 
 def reference_assemble(type_system: TypeSystem, pages: Sequence[Page],
@@ -329,7 +358,7 @@ def reference_choose(selector: ContextAwareSelection, session: HarvestSession,
     best_query: Optional[Query] = None
     best_score: Optional[tuple] = None
     for query in candidates:
-        collective = tracker.evaluate(query, utilities)
+        collective = reference_evaluate(tracker, query, utilities)
         if penalty > 0.0:
             collective = collective.discounted(session.expected_novelty(query),
                                                penalty)
@@ -397,18 +426,348 @@ def reference_prune(statistics: ReferenceQueryStatistics, min_page_frequency: in
     return kept
 
 
-def reference_rank(ranker, query: Sequence[str], top_k: int,
+_UNSEEN_EPSILON = 1e-9
+
+
+class ReferenceIndex:
+    """The dict-postings inverted index: ``{term: {doc_id: tf}}``."""
+
+    def __init__(self) -> None:
+        self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
+        self._doc_lengths: Dict[str, int] = {}
+        self._collection_frequency: Counter = Counter()
+        self._total_tokens = 0
+
+    @classmethod
+    def from_documents(cls, documents: Mapping[str, Sequence[str]]) -> "ReferenceIndex":
+        """Index ``{doc_id: tokens}``, one document at a time in id order."""
+        index = cls()
+        for doc_id in sorted(documents):
+            tokens = documents[doc_id]
+            index._doc_lengths[doc_id] = len(tokens)
+            index._total_tokens += len(tokens)
+            for term, tf in Counter(tokens).items():
+                index._postings[term][doc_id] = tf
+                index._collection_frequency[term] += tf
+        return index
+
+    def view(self, doc_ids: Iterable[str]) -> "ReferenceIndex":
+        """The index of ``doc_ids`` alone, filtered from this one."""
+        ids = set(doc_ids)
+        missing = [d for d in ids if d not in self._doc_lengths]
+        if missing:
+            raise KeyError(f"documents not in parent index: {sorted(missing)[:3]!r}")
+        view = ReferenceIndex()
+        for doc_id in sorted(ids):
+            view._doc_lengths[doc_id] = self._doc_lengths[doc_id]
+            view._total_tokens += self._doc_lengths[doc_id]
+        for term, postings in self._postings.items():
+            for doc_id, tf in postings.items():
+                if doc_id in ids:
+                    view._postings[term][doc_id] = tf
+                    view._collection_frequency[term] += tf
+        return view
+
+    @property
+    def num_documents(self) -> int:
+        return len(self._doc_lengths)
+
+    @property
+    def total_tokens(self) -> int:
+        return self._total_tokens
+
+    @property
+    def average_document_length(self) -> float:
+        if not self._doc_lengths:
+            return 0.0
+        return self._total_tokens / len(self._doc_lengths)
+
+    def document_ids(self) -> List[str]:
+        return sorted(self._doc_lengths)
+
+    def document_length(self, doc_id: str) -> int:
+        return self._doc_lengths[doc_id]
+
+    def __contains__(self, doc_id: str) -> bool:
+        return doc_id in self._doc_lengths
+
+    def term_frequency(self, term: str, doc_id: str) -> int:
+        return self._postings.get(term, {}).get(doc_id, 0)
+
+    def document_frequency(self, term: str) -> int:
+        return len(self._postings.get(term, {}))
+
+    def collection_frequency(self, term: str) -> int:
+        return self._collection_frequency.get(term, 0)
+
+    def collection_probability(self, term: str) -> float:
+        if self._total_tokens == 0:
+            return 0.0
+        return self._collection_frequency.get(term, 0) / self._total_tokens
+
+    def postings(self, term: str) -> Dict[str, int]:
+        return dict(self._postings.get(term, {}))
+
+    def matching_documents(self, terms: Iterable[str],
+                           require_all: bool = False) -> Set[str]:
+        sets = [set(self._postings.get(term, {})) for term in terms]
+        if not sets:
+            return set()
+        return set.intersection(*sets) if require_all else set.union(*sets)
+
+    def vocabulary(self) -> List[str]:
+        return sorted(self._postings)
+
+
+def _assert_same(actual, expected) -> None:
+    assert actual == expected and type(actual) is type(expected), (actual, expected)
+
+
+def assert_same_index(index, reference: ReferenceIndex,
+                      probe_terms: Sequence[str] = ("unseen-term", "")) -> None:
+    """Every statistic of an :class:`~repro.search.index.InvertedIndex`
+    equals ``reference``'s, Python type included (``probe_terms`` adds
+    terms neither index holds)."""
+    _assert_same(index.num_documents, reference.num_documents)
+    _assert_same(index.total_tokens, reference.total_tokens)
+    _assert_same(index.average_document_length, reference.average_document_length)
+    _assert_same(index.document_ids(), reference.document_ids())
+    _assert_same(index.vocabulary(), reference.vocabulary())
+    for doc_id in reference.document_ids():
+        assert doc_id in index
+        _assert_same(index.document_length(doc_id), reference.document_length(doc_id))
+    assert "missing-doc" not in index
+    try:
+        index.document_length("missing-doc")
+    except KeyError:
+        pass
+    else:
+        raise AssertionError("document_length of an unknown document must raise")
+    terms = reference.vocabulary() + list(probe_terms)
+    for term in terms:
+        _assert_same(index.document_frequency(term), reference.document_frequency(term))
+        _assert_same(index.collection_frequency(term),
+                     reference.collection_frequency(term))
+        _assert_same(index.collection_probability(term),
+                     reference.collection_probability(term))
+        postings = index.postings(term)
+        _assert_same(postings, reference.postings(term))
+        assert list(postings) == list(reference.postings(term))
+        for doc_id in reference.document_ids() + ["missing-doc"]:
+            _assert_same(index.term_frequency(term, doc_id),
+                         reference.term_frequency(term, doc_id))
+    for pair in zip(terms, terms[1:] + terms[:1]):
+        for require_all in (False, True):
+            _assert_same(index.matching_documents(pair, require_all=require_all),
+                         reference.matching_documents(pair, require_all=require_all))
+    _assert_same(index.matching_documents([]), set())
+
+
+def reference_dirichlet_score(index: ReferenceIndex, query: Sequence[str],
+                              doc_id: str, mu: float) -> float:
+    """Log query likelihood of ``query`` under ``doc_id``'s smoothed model."""
+    if not query:
+        return float("-inf")
+    total = 0.0
+    for term in query:
+        collection_p = index.collection_probability(term)
+        if collection_p <= 0.0:
+            collection_p = _UNSEEN_EPSILON
+        total += math.log((index.term_frequency(term, doc_id) + mu * collection_p)
+                          / (index.document_length(doc_id) + mu))
+    return total
+
+
+def reference_bm25_idf(index: ReferenceIndex, term: str) -> float:
+    """Robertson-Sparck-Jones IDF (floored at 0)."""
+    n = index.num_documents
+    df = index.document_frequency(term)
+    if n == 0 or df == 0:
+        return 0.0
+    return max(0.0, math.log((n - df + 0.5) / (df + 0.5) + 1.0))
+
+
+def reference_bm25_score(index: ReferenceIndex, query: Sequence[str], doc_id: str,
+                         k1: float, b: float) -> float:
+    """BM25 score of ``doc_id`` for ``query``."""
+    avgdl = index.average_document_length or 1.0
+    dl = index.document_length(doc_id)
+    total = 0.0
+    for term in query:
+        tf = index.term_frequency(term, doc_id)
+        if tf == 0:
+            continue
+        denominator = tf + k1 * (1.0 - b + b * dl / avgdl)
+        total += reference_bm25_idf(index, term) * tf * (k1 + 1.0) / denominator
+    return total
+
+
+def reference_score(ranker, index: ReferenceIndex, query: Sequence[str],
+                    doc_id: str) -> float:
+    """The scalar score of ``ranker``'s model and parameters over ``index``."""
+    if isinstance(ranker, DirichletLanguageModel):
+        return reference_dirichlet_score(index, query, doc_id, ranker.mu)
+    assert isinstance(ranker, BM25Ranker), type(ranker)
+    return reference_bm25_score(index, query, doc_id, ranker.k1, ranker.b)
+
+
+def reference_rank(ranker, index: ReferenceIndex, query: Sequence[str], top_k: int,
                    require_match: bool) -> List[Tuple[str, float]]:
-    """``ranker.rank(query, top_k, require_match)`` over the scalar ``score``."""
+    """``ranker.rank(query, top_k, require_match)``, scored document by
+    document over ``index``, the reference twin of ``ranker.index``."""
     query = [t for t in query if t]
     if not query:
         return []
     if require_match:
-        candidates = sorted(ranker.index.matching_documents(query))
+        candidates = sorted(index.matching_documents(query))
     else:
-        candidates = ranker.index.document_ids()
-    scored = [(doc_id, ranker.score(query, doc_id)) for doc_id in candidates]
+        candidates = index.document_ids()
+    scored = [(doc_id, reference_score(ranker, index, query, doc_id))
+              for doc_id in candidates]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     if top_k > 0:
         scored = scored[:top_k]
     return scored
+
+
+@dataclass
+class CollectiveUtilities:
+    """Collective utilities of the context plus one candidate query."""
+
+    query: Query
+    collective_recall: float
+    collective_recall_all: float
+
+    @property
+    def collective_precision(self) -> float:
+        return max(self.collective_recall, 0.0) / max(self.collective_recall_all, 1e-12)
+
+    @property
+    def balanced(self) -> float:
+        precision = self.collective_precision
+        recall = max(self.collective_recall, 0.0)
+        return (precision * recall) ** 0.5
+
+    def discounted(self, expected_novelty: float,
+                   penalty: float) -> "CollectiveUtilities":
+        redundancy = min(max(1.0 - expected_novelty, 0.0), 1.0)
+        factor = 1.0 - penalty * redundancy
+        return CollectiveUtilities(
+            query=self.query,
+            collective_recall=self.collective_recall * factor,
+            collective_recall_all=self.collective_recall_all,
+        )
+
+
+def reference_evaluate(tracker: ContextTracker, query: Query,
+                       utilities: EntityUtilities) -> CollectiveUtilities:
+    """Collective utilities of ``Phi u {query}`` (Eqs. 26-27), one query."""
+    recall_q = utilities.recall.query(query)
+    redundancy = utilities.recall_current.query(query) * tracker.context_recall
+    collective_recall = tracker.context_recall + recall_q - redundancy
+
+    recall_all_q = utilities.recall_all.query(query)
+    redundancy_all = (utilities.recall_current_all.query(query)
+                      * tracker.context_recall_all)
+    collective_recall_all = tracker.context_recall_all + recall_all_q - redundancy_all
+
+    return CollectiveUtilities(
+        query=query,
+        collective_recall=min(max(collective_recall, 0.0), 1.0),
+        collective_recall_all=min(max(collective_recall_all, 0.0), 1.0),
+    )
+
+
+class ReferenceNaiveBayes:
+    """Multinomial Naive Bayes with Laplace smoothing, over dicts."""
+
+    def __init__(self, alpha: float = 1.0) -> None:
+        self.alpha = float(alpha)
+        self.classes: List[Hashable] = []
+        self.class_log_prior: Dict[Hashable, float] = {}
+        self.feature_log_prob: Dict[Hashable, Dict[str, float]] = {}
+        self.default_log_prob: Dict[Hashable, float] = {}
+        self.vocabulary_size = 0
+
+    def fit(self, documents: Sequence[Mapping[str, int]],
+            labels: Sequence[Hashable]) -> "ReferenceNaiveBayes":
+        class_counts: Counter = Counter(labels)
+        self.classes = sorted(class_counts, key=str)
+        total = len(labels)
+        self.class_log_prior = {label: math.log(count / total)
+                                for label, count in class_counts.items()}
+        vocabulary = set()
+        term_counts: Dict[Hashable, Counter] = defaultdict(Counter)
+        for features, label in zip(documents, labels):
+            for term, count in features.items():
+                term_counts[label][term] += count
+                vocabulary.add(term)
+        self.vocabulary_size = max(len(vocabulary), 1)
+        for label in self.classes:
+            counts = term_counts[label]
+            denominator = sum(counts.values()) + self.alpha * self.vocabulary_size
+            self.feature_log_prob[label] = {
+                term: math.log((counts[term] + self.alpha) / denominator)
+                for term in counts}
+            self.default_log_prob[label] = math.log(self.alpha / denominator)
+        return self
+
+    @classmethod
+    def from_model(cls, model: MultinomialNaiveBayes) -> "ReferenceNaiveBayes":
+        """The dict state of a fitted array model (every term explicit)."""
+        reference = cls(alpha=model.alpha)
+        reference.classes = model.classes
+        reference.vocabulary_size = model._vocabulary_size
+        table = model._log_prob_table
+        for c, label in enumerate(reference.classes):
+            reference.class_log_prior[label] = float(model._prior_array[c])
+            reference.feature_log_prob[label] = {
+                term: float(table[c, j]) for j, term in enumerate(model._terms)}
+            reference.default_log_prob[label] = float(table[c, -1])
+        return reference
+
+    def joint_log_likelihood(self, features: Mapping[str, int]) -> Dict[Hashable, float]:
+        scores: Dict[Hashable, float] = {}
+        for label in self.classes:
+            log_prob = self.class_log_prior[label]
+            per_term = self.feature_log_prob[label]
+            default = self.default_log_prob[label]
+            for term, count in features.items():
+                log_prob += count * per_term.get(term, default)
+            scores[label] = log_prob
+        return scores
+
+    def predict(self, features: Mapping[str, int]) -> Hashable:
+        scores = self.joint_log_likelihood(features)
+        return max(sorted(scores, key=str), key=lambda label: scores[label])
+
+    def predict_proba(self, features: Mapping[str, int]) -> Dict[Hashable, float]:
+        scores = self.joint_log_likelihood(features)
+        max_score = max(scores.values())
+        exp_scores = {label: math.exp(score - max_score)
+                      for label, score in scores.items()}
+        total = 0.0
+        for value in exp_scores.values():
+            total += value
+        return {label: value / total for label, value in exp_scores.items()}
+
+
+_REFERENCE_MODELS: "weakref.WeakKeyDictionary[MultinomialNaiveBayes, ReferenceNaiveBayes]" = \
+    weakref.WeakKeyDictionary()
+
+
+def reference_page_assessment(suite: AspectClassifierSuite, page: Page,
+                              aspect: str) -> Tuple[int, float]:
+    """``suite.page_assessment(page, aspect)``, paragraph by paragraph over
+    the dict form of the suite's model: any relevant paragraph makes the
+    page relevant, and its probability is the greatest paragraph
+    posterior of the relevant class."""
+    model = suite._models[aspect]
+    reference = _REFERENCE_MODELS.get(model)
+    if reference is None:
+        reference = _REFERENCE_MODELS[model] = ReferenceNaiveBayes.from_model(model)
+    features = [suite._extractor.transform(p.tokens) for p in page.paragraphs]
+    label = int(any(reference.predict(f) == RELEVANT for f in features))
+    probability = max((reference.predict_proba(f).get(RELEVANT, 0.0)
+                       for f in features), default=0.0)
+    return label, probability

@@ -43,7 +43,7 @@ class TestTraining:
         suite = AspectClassifierSuite(researcher_corpus.aspects)
         page = next(researcher_corpus.iter_pages())
         with pytest.raises(RuntimeError):
-            suite.classify_page(page, "RESEARCH")
+            suite.page_assessment(page, "RESEARCH")
 
 
 class TestAccuracy:
@@ -63,9 +63,12 @@ class TestAccuracy:
 
 
 class TestPrediction:
-    def test_classify_paragraph_binary(self, trained_suite, researcher_corpus):
-        paragraph = next(researcher_corpus.iter_paragraphs())
-        assert trained_suite.classify_paragraph(paragraph, "RESEARCH") in (0, 1)
+    def test_page_assessment_is_binary_label_and_probability(self, trained_suite,
+                                                             researcher_corpus):
+        page = next(researcher_corpus.iter_pages())
+        label, probability = trained_suite.page_assessment(page, "RESEARCH")
+        assert label in (0, 1)
+        assert 0.0 <= probability <= 1.0
 
     def test_page_relevant_if_any_paragraph_relevant(self, trained_suite):
         page = make_page("pX", "eX", [
@@ -73,17 +76,17 @@ class TestPrediction:
               "research", "projects"], "RESEARCH"),
             (["visit", "siebel", "center"], None),
         ])
-        assert trained_suite.classify_page(page, "RESEARCH") == 1
+        assert trained_suite.page_assessment(page, "RESEARCH")[0] == 1
 
     def test_page_probability_bounds(self, trained_suite, researcher_corpus):
         for page in list(researcher_corpus.iter_pages())[:20]:
-            probability = trained_suite.page_probability(page, "RESEARCH")
+            _, probability = trained_suite.page_assessment(page, "RESEARCH")
             assert 0.0 <= probability <= 1.0
 
     def test_empty_page_probability_zero(self, trained_suite):
         from repro.corpus.document import Page
         empty = Page(page_id="empty", entity_id="eX", paragraphs=())
-        assert trained_suite.page_probability(empty, "RESEARCH") == 0.0
+        assert trained_suite.page_assessment(empty, "RESEARCH") == (0, 0.0)
 
     def test_page_level_agreement_with_ground_truth(self, trained_suite, researcher_corpus):
         # The classifier output is treated as ground truth by the paper, so
@@ -93,7 +96,7 @@ class TestPrediction:
         for page in list(researcher_corpus.iter_pages())[:100]:
             for aspect in ("RESEARCH", "CONTACT"):
                 total += 1
-                predicted = trained_suite.classify_page(page, aspect)
+                predicted, _ = trained_suite.page_assessment(page, aspect)
                 actual = int(page.has_aspect(aspect))
                 agreements += int(predicted == actual)
         assert agreements / total >= 0.75

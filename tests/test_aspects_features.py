@@ -43,7 +43,7 @@ class TestFitting:
     def test_transform_many_length(self):
         extractor = BagOfWordsExtractor()
         docs = [["a", "b"], ["c"]]
-        assert len(extractor.transform_many(docs)) == 2
+        assert extractor.transform_many(docs).num_documents == 2
 
     def test_fit_returns_self(self):
         extractor = BagOfWordsExtractor()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aspects.features import FeatureMatrix
 from repro.aspects.naive_bayes import MultinomialNaiveBayes
 
 
@@ -18,18 +19,23 @@ def _toy_training_set():
     return documents, labels
 
 
+def _fit(documents, labels, **kwargs):
+    return MultinomialNaiveBayes(**kwargs).fit_matrix(
+        FeatureMatrix.from_dicts(documents), labels)
+
+
 class TestFit:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            MultinomialNaiveBayes().fit([], [])
+            _fit([], [])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MultinomialNaiveBayes().fit([{"a": 1}], [0, 1])
+            _fit([{"a": 1}], [0, 1])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            MultinomialNaiveBayes().fit([{"a": -1}], [0])
+            _fit([{"a": -1}], [0])
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -37,45 +43,38 @@ class TestFit:
 
     def test_classes_recorded(self):
         docs, labels = _toy_training_set()
-        model = MultinomialNaiveBayes().fit(docs, labels)
+        model = _fit(docs, labels)
         assert set(model.classes) == {0, 1}
 
 
 class TestPredict:
     def setup_method(self):
         docs, labels = _toy_training_set()
-        self.model = MultinomialNaiveBayes().fit(docs, labels)
+        self.model = _fit(docs, labels)
 
     def test_predicts_obvious_classes(self):
-        assert self.model.predict({"award": 3}) == 1
-        assert self.model.predict({"research": 3, "parallel": 1}) == 0
+        [(award, _), (research, _)] = self.model.assess(
+            [{"award": 3}, {"research": 3, "parallel": 1}])
+        assert (award, research) == (1, 0)
 
     def test_predict_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            MultinomialNaiveBayes().predict({"a": 1})
+            MultinomialNaiveBayes().assess([{"a": 1}])
 
     def test_predict_many(self):
-        predictions = self.model.predict_many([{"award": 1}, {"research": 1}])
-        assert predictions == [1, 0]
-
-    def test_predict_many_matrix_matches_scalar_loop(self):
-        from repro.aspects.features import FeatureMatrix
-
-        evaluation = [{"award": 1}, {"research": 1}, {},
-                      {"novel": 2, "award": 1}, {"prize": 1, "papers": 3}]
-        matrix = FeatureMatrix.from_dicts(evaluation)
-        assert self.model.predict_many(matrix) == \
-            [self.model.predict(features) for features in evaluation]
+        assert [label for label, _ in self.model.assess(
+            [{"award": 1}, {"research": 1}])] == [1, 0]
+        assert self.model.assess([]) == []
 
     def test_predict_proba_normalised(self):
-        probabilities = self.model.predict_proba({"award": 1, "research": 1})
-        assert sum(probabilities.values()) == pytest.approx(1.0)
-        assert all(0.0 <= p <= 1.0 for p in probabilities.values())
+        [(_, posteriors)] = self.model.assess([{"award": 1, "research": 1}])
+        assert sum(posteriors) == pytest.approx(1.0)
+        assert all(0.0 <= p <= 1.0 for p in posteriors)
 
     def test_unknown_features_fall_back_to_prior(self):
-        probabilities = self.model.predict_proba({"zzz": 1})
+        [(_, posteriors)] = self.model.assess([{"zzz": 1}])
         # Balanced training set: unknown evidence gives roughly the prior.
-        assert probabilities[0] == pytest.approx(0.5, abs=0.1)
+        assert posteriors[self.model.classes.index(0)] == pytest.approx(0.5, abs=0.1)
 
     def test_score_accuracy(self):
         docs, labels = _toy_training_set()
@@ -91,5 +90,5 @@ class TestPredict:
 
 class TestSingleClass:
     def test_single_class_training_predicts_that_class(self):
-        model = MultinomialNaiveBayes().fit([{"a": 1}, {"b": 1}], [1, 1])
-        assert model.predict({"c": 1}) == 1
+        model = _fit([{"a": 1}, {"b": 1}], [1, 1])
+        assert model.assess([{"c": 1}]) == [(1, [1.0])]

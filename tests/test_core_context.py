@@ -4,10 +4,13 @@ import pytest
 
 from repro.aspects.relevance import OracleRelevance
 from repro.core.config import L2QConfig
-from repro.core.context import CollectiveUtilities, ContextTracker
+import numpy as np
+
+from repro.core.context import CollectiveUtilityArrays, ContextTracker
 from repro.core.entity_phase import EntityPhase
 
 from tests.helpers import candidate_pool
+from tests.oracles import CollectiveUtilities, reference_evaluate
 
 
 @pytest.fixture(scope="module")
@@ -20,22 +23,43 @@ def entity_utilities(researcher_corpus):
                          statistics=candidate_pool(entity, pages))
 
 
+def _collective(recall, recall_all) -> CollectiveUtilityArrays:
+    return CollectiveUtilityArrays(queries=[("q",)],
+                                   collective_recall=np.array([recall]),
+                                   collective_recall_all=np.array([recall_all]))
+
+
 class TestCollectiveUtilities:
     def test_balanced_is_geometric_mean(self):
-        collective = CollectiveUtilities(query=("q",), collective_recall=0.5,
-                                         collective_recall_all=1.0)
-        assert collective.collective_precision == pytest.approx(0.5)
-        assert collective.balanced == pytest.approx((0.5 * 0.5) ** 0.5)
+        collective = _collective(0.5, 1.0)
+        assert collective.collective_precision[0] == pytest.approx(0.5)
+        assert collective.balanced[0] == pytest.approx((0.5 * 0.5) ** 0.5)
 
     def test_precision_handles_zero_denominator(self):
-        collective = CollectiveUtilities(query=("q",), collective_recall=0.2,
-                                         collective_recall_all=0.0)
-        assert collective.collective_precision >= 0.0
+        assert _collective(0.2, 0.0).collective_precision[0] >= 0.0
 
     def test_precision_not_clamped_to_one(self):
-        collective = CollectiveUtilities(query=("q",), collective_recall=0.6,
-                                         collective_recall_all=0.3)
-        assert collective.collective_precision == pytest.approx(2.0)
+        assert _collective(0.6, 0.3).collective_precision[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arrays_match_the_scalar_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        recall = np.concatenate([rng.random(20), [0.0, 1.0, -0.0]])
+        recall_all = np.concatenate([rng.random(20), [0.0, 1.0, 0.5]])
+        novelty = np.concatenate([rng.random(20), [0.0, 1.0, 0.5]])
+        arrays = CollectiveUtilityArrays(queries=[(str(i),) for i in range(23)],
+                                         collective_recall=recall,
+                                         collective_recall_all=recall_all)
+        discounted = arrays.discounted(novelty, 0.7)
+        for i in range(23):
+            scalar = CollectiveUtilities(query=(str(i),),
+                                         collective_recall=float(recall[i]),
+                                         collective_recall_all=float(recall_all[i]))
+            for mine, theirs in ((arrays, scalar),
+                                 (discounted, scalar.discounted(float(novelty[i]), 0.7))):
+                assert mine.collective_recall[i] == theirs.collective_recall
+                assert mine.collective_precision[i] == theirs.collective_precision
+                assert mine.balanced[i] == theirs.balanced
 
 
 class TestContextTracker:
@@ -54,19 +78,36 @@ class TestContextTracker:
     def test_inclusion_exclusion_formula(self, entity_utilities):
         tracker = ContextTracker(seed_recall_r0=0.3)
         query = entity_utilities.candidates[0]
-        collective = tracker.evaluate(query, entity_utilities)
+        collective = tracker.evaluate_many([query], entity_utilities)
         recall_q = entity_utilities.recall.query(query)
         redundancy = entity_utilities.recall_current.query(query) * 0.3
-        assert collective.collective_recall == pytest.approx(
+        assert collective.collective_recall[0] == pytest.approx(
             min(max(0.3 + recall_q - redundancy, 0.0), 1.0))
+
+    def test_evaluate_many_matches_the_scalar_reference_bitwise(self, entity_utilities):
+        tracker = ContextTracker(seed_recall_r0=0.3)
+        candidates = list(entity_utilities.candidates[:40]) + [("never", "seen")]
+        for step in range(3):
+            collective = tracker.evaluate_many(candidates, entity_utilities)
+            for i, query in enumerate(candidates):
+                scalar = reference_evaluate(tracker, query, entity_utilities)
+                assert collective.collective_recall[i] == scalar.collective_recall
+                assert collective.collective_recall_all[i] == \
+                    scalar.collective_recall_all
+            chosen = candidates[step]
+            expected = reference_evaluate(tracker, chosen, entity_utilities)
+            tracker.update(chosen, entity_utilities)
+            assert type(tracker.context_recall) is float
+            assert tracker.context_recall == expected.collective_recall
+            assert tracker.context_recall_all == expected.collective_recall_all
 
     def test_collective_recall_never_decreases_below_context(self, entity_utilities):
         # Adding a query can only add pages: R(Phi u {q}) >= R(Phi) because
         # the redundancy term is at most R(q)'s contribution.
         tracker = ContextTracker(seed_recall_r0=0.3)
-        for query in entity_utilities.candidates[:20]:
-            collective = tracker.evaluate(query, entity_utilities)
-            assert collective.collective_recall >= tracker.context_recall - 1e-9
+        collective = tracker.evaluate_many(entity_utilities.candidates[:20],
+                                           entity_utilities)
+        assert (collective.collective_recall >= tracker.context_recall - 1e-9).all()
 
     def test_update_moves_context(self, entity_utilities):
         tracker = ContextTracker(seed_recall_r0=0.3)
@@ -89,10 +130,10 @@ class TestContextTracker:
         """A query whose pages are already covered contributes less gain."""
         tracker = ContextTracker(seed_recall_r0=0.3)
         candidates = entity_utilities.candidates
-        gains = {}
-        for query in candidates[:50]:
-            collective = tracker.evaluate(query, entity_utilities)
-            gains[query] = collective.collective_recall - tracker.context_recall
+        collective = tracker.evaluate_many(candidates[:50], entity_utilities)
+        gains = {query: recall - tracker.context_recall
+                 for query, recall in zip(candidates[:50],
+                                          collective.collective_recall.tolist())}
         redundancies = {q: entity_utilities.recall_current.query(q) for q in gains}
         # The query with the largest redundancy should not have the largest gain
         # unless its raw recall is also the largest.

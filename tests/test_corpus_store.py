@@ -18,8 +18,10 @@ from repro.corpus.synthetic import (
     build_corpus,
 )
 from repro.exec.specs import CorpusSpec
+from repro.search.bm25 import BM25Ranker
 from repro.search.engine import SearchEngine
-from repro.search.index import AttachedInvertedIndex, InvertedIndex
+from repro.search.index import InvertedIndex
+from repro.search.language_model import DirichletLanguageModel
 from repro.store import (
     MODE_MMAP,
     MODE_SHM,
@@ -33,6 +35,8 @@ from repro.store import (
     release,
     resolve_mode,
 )
+
+from tests.oracles import ReferenceIndex, assert_same_index, reference_rank
 
 DOMAIN = "researcher"
 NUM_ENTITIES = 6
@@ -61,10 +65,7 @@ def handle(live_corpus):
 
 
 def _built_index(corpus) -> InvertedIndex:
-    index = InvertedIndex()
-    for page in sorted(corpus.iter_pages(), key=lambda p: p.page_id):
-        index.add_document(page.page_id, page.tokens)
-    return index
+    return InvertedIndex.from_documents({p.page_id: p.tokens for p in corpus.iter_pages()})
 
 
 class TestStreamingGeneration:
@@ -165,11 +166,22 @@ class TestAttachedIndex:
         assert (attached.collection_frequencies ==
                 built.collection_frequencies).all()
 
-    def test_attached_index_is_read_only(self, handle):
-        index = attach(handle).index()
-        assert isinstance(index, AttachedInvertedIndex)
-        with pytest.raises(TypeError, match="read-only"):
-            index.add_document("zzz_new_page", ["some", "tokens"])
+    def test_attached_index_matches_reference(self, live_corpus, handle):
+        attached = attach(handle).index()
+        assert isinstance(attached, InvertedIndex)
+        documents = {p.page_id: p.tokens for p in live_corpus.iter_pages()}
+        reference = ReferenceIndex.from_documents(documents)
+        assert_same_index(attached, reference)
+        entity_id = sorted(live_corpus.entities)[0]
+        pages = [p.page_id for p in live_corpus.pages_of(entity_id)]
+        view, twin = attached.view(pages), reference.view(pages)
+        assert_same_index(view, twin)
+        queries = [["research"], ["parallel", "unseen-term"], ["award", "award"]]
+        for ranker in (DirichletLanguageModel(view, mu=100.0), BM25Ranker(view)):
+            for require_match in (True, False):
+                assert ranker.rank_many(queries, top_k=3, require_match=require_match) \
+                    == [reference_rank(ranker, twin, query, 3, require_match)
+                        for query in queries]
 
     def test_engine_adopts_index_without_building(self, handle):
         engine = SearchEngine(attach_corpus(handle))

@@ -1,10 +1,11 @@
 """Dedup-aware selection wiring: session index, discount, determinism."""
 
+import numpy as np
 import pytest
 
 from repro.aspects.relevance import AllRelevant
 from repro.core.config import L2QConfig
-from repro.core.context import CollectiveUtilities
+from repro.core.context import CollectiveUtilityArrays
 from repro.core.harvester import Harvester
 from repro.core.selection import make_selector
 from repro.core.session import HarvestSession
@@ -63,8 +64,9 @@ class TestSessionNoveltyIndex:
 
 class TestCollectiveDiscount:
     def _collective(self):
-        return CollectiveUtilities(query=("q",), collective_recall=0.6,
-                                   collective_recall_all=0.8)
+        return CollectiveUtilityArrays(queries=[("q",)],
+                                       collective_recall=np.array([0.6]),
+                                       collective_recall_all=np.array([0.8]))
 
     def test_full_novelty_is_identity(self):
         collective = self._collective()

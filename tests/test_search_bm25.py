@@ -30,22 +30,26 @@ class TestParameters:
             BM25Ranker(index, b=1.5)
 
 
+def _scores(ranker, query):
+    """``{doc_id: score}`` of every document for ``query``."""
+    return dict(ranker.rank(query, require_match=False))
+
+
 class TestScoring:
     def test_idf_zero_for_unknown_term(self, ranker):
-        assert ranker.idf("banana") == 0.0
+        assert set(_scores(ranker, ["banana"]).values()) == {0.0}
 
     def test_idf_decreases_with_document_frequency(self, ranker):
-        assert ranker.idf("email") > ranker.idf("parallel")
+        # In d3 "email" (df 1) and "office" (df 2) both occur once, so only
+        # their IDFs differ.
+        assert _scores(ranker, ["email"])["d3"] > _scores(ranker, ["office"])["d3"]
 
     def test_score_zero_when_no_terms_match(self, ranker):
-        assert ranker.score(["banana"], "d1") == 0.0
+        assert _scores(ranker, ["email"])["d1"] == 0.0
 
     def test_higher_tf_scores_higher(self, ranker):
-        assert ranker.score(["parallel"], "d1") > ranker.score(["parallel"], "d2")
-
-    def test_unknown_document_raises(self, ranker):
-        with pytest.raises(KeyError):
-            ranker.score(["parallel"], "missing")
+        scores = _scores(ranker, ["parallel"])
+        assert scores["d1"] > scores["d2"]
 
 
 class TestRanking:

@@ -24,17 +24,14 @@ class TestConstruction:
     def test_average_document_length(self, index):
         assert index.average_document_length == pytest.approx(3.0)
 
-    def test_duplicate_document_rejected(self, index):
-        with pytest.raises(ValueError):
-            index.add_document("d1", ["x"])
-
     def test_contains(self, index):
         assert "d1" in index
         assert "missing" not in index
 
     def test_empty_index(self):
-        empty = InvertedIndex()
+        empty = InvertedIndex.from_documents({})
         assert empty.num_documents == 0
+        assert empty.vocabulary() == []
         assert empty.average_document_length == 0.0
         assert empty.collection_probability("x") == 0.0
 
@@ -55,6 +52,9 @@ class TestTermStatistics:
     def test_collection_probability_sums_to_one(self, index):
         total = sum(index.collection_probability(t) for t in index.vocabulary())
         assert total == pytest.approx(1.0)
+
+    def test_term_frequency_of_unknown_document_is_zero(self, index):
+        assert index.term_frequency("parallel", "missing") == 0
 
     def test_postings_copy(self, index):
         postings = index.postings("hpc")

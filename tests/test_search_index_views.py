@@ -1,15 +1,20 @@
 """Tests for entity-scoped views of the shared corpus index.
 
-The refactored engine indexes the corpus once and serves every entity
-through an :class:`IndexView`; these tests pin the core invariant that a
-view is statistically indistinguishable from a from-scratch per-entity
-:class:`InvertedIndex`.
+The engine indexes the corpus once and serves every entity through
+:meth:`InvertedIndex.view`; these tests pin the core invariant that a view
+is statistically indistinguishable from a from-scratch per-entity index,
+and that every statistic of an index or a view — value and Python type —
+equals the dict-postings reference ``tests/oracles.py::ReferenceIndex``.
 """
+
+import random
 
 import pytest
 
 from repro.search.engine import SearchEngine
-from repro.search.index import IndexView, InvertedIndex
+from repro.search.index import InvertedIndex
+
+from tests.oracles import ReferenceIndex, assert_same_index
 
 DOCUMENTS = {
     "a1": ["parallel", "hpc", "research", "parallel"],
@@ -18,6 +23,7 @@ DOCUMENTS = {
     "b2": ["award", "ceremony", "award"],
 }
 SUBSET = ("a1", "a2")
+VOCABULARY = [f"w{i}" for i in range(12)]
 
 
 @pytest.fixture()
@@ -35,24 +41,66 @@ def scratch():
     return InvertedIndex.from_documents({d: DOCUMENTS[d] for d in SUBSET})
 
 
+def _random_documents(rng: random.Random, num_docs: int) -> dict:
+    documents = {}
+    for position in range(num_docs):
+        if documents and rng.random() < 0.2:
+            tokens = list(rng.choice(list(documents.values())))
+        else:
+            tokens = [rng.choice(VOCABULARY) for _ in range(rng.randint(0, 15))]
+        documents[f"d{position:02d}"] = tokens
+    return documents
+
+
+class TestIndexMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_index_and_views_match_reference(self, seed):
+        rng = random.Random(seed)
+        documents = _random_documents(rng, rng.randint(1, 12))
+        index = InvertedIndex.from_documents(documents)
+        reference = ReferenceIndex.from_documents(documents)
+        assert_same_index(index, reference)
+        ids = list(documents)
+        for subset in ([], rng.sample(ids, rng.randint(1, len(ids))), ids):
+            view = index.view(subset)
+            assert_same_index(view, reference.view(subset))
+            # A view of a view is the view of the intersection.
+            inner = subset[: len(subset) // 2]
+            assert_same_index(view.view(inner), reference.view(inner))
+
+    def test_fixture_index_matches_reference(self, parent):
+        assert_same_index(parent, ReferenceIndex.from_documents(DOCUMENTS))
+
+
 class TestViewMatchesScratchIndex:
     def test_document_statistics(self, view, scratch):
         assert view.num_documents == scratch.num_documents
         assert view.total_tokens == scratch.total_tokens
-        assert view.average_document_length == pytest.approx(
-            scratch.average_document_length)
+        assert view.average_document_length == scratch.average_document_length
         assert view.document_ids() == scratch.document_ids()
 
     def test_document_lengths(self, view, scratch):
         for doc_id in SUBSET:
             assert view.document_length(doc_id) == scratch.document_length(doc_id)
 
+    def test_matrix_equals_scratch_matrix(self, view, scratch):
+        mine, theirs = view.term_document_matrix(), scratch.term_document_matrix()
+        assert mine.doc_ids == theirs.doc_ids
+        assert mine.terms == theirs.terms
+        assert mine.total_tokens == theirs.total_tokens
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(mine.matrix, part), getattr(theirs.matrix, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+        assert mine.doc_lengths.tobytes() == theirs.doc_lengths.tobytes()
+        assert mine.collection_frequencies.tobytes() == \
+            theirs.collection_frequencies.tobytes()
+
     def test_term_statistics_over_full_vocabulary(self, parent, view, scratch):
         for term in parent.vocabulary():
             assert view.document_frequency(term) == scratch.document_frequency(term)
             assert view.collection_frequency(term) == scratch.collection_frequency(term)
-            assert view.collection_probability(term) == pytest.approx(
-                scratch.collection_probability(term))
+            assert view.collection_probability(term) == \
+                scratch.collection_probability(term)
             assert view.postings(term) == scratch.postings(term)
             for doc_id in SUBSET:
                 assert view.term_frequency(term, doc_id) == \
@@ -89,6 +137,7 @@ class TestViewBoundaries:
         assert empty.num_documents == 0
         assert empty.average_document_length == 0.0
         assert empty.collection_probability("hpc") == 0.0
+        assert empty.vocabulary() == []
 
 
 class TestEngineSharedIndex:
@@ -103,11 +152,6 @@ class TestEngineSharedIndex:
         engine = SearchEngine(researcher_corpus)
         entity_id = researcher_corpus.entity_ids()[0]
         view = engine.entity_index(entity_id)
-        assert isinstance(view, IndexView)
-        scratch = InvertedIndex.from_documents(
-            {p.page_id: p.tokens for p in researcher_corpus.pages_of(entity_id)})
-        assert view.document_ids() == scratch.document_ids()
-        assert view.total_tokens == scratch.total_tokens
-        for term in scratch.vocabulary():
-            assert view.collection_frequency(term) == scratch.collection_frequency(term)
-            assert view.document_frequency(term) == scratch.document_frequency(term)
+        assert isinstance(view, InvertedIndex)
+        assert_same_index(view, ReferenceIndex.from_documents(
+            {p.page_id: p.tokens for p in researcher_corpus.pages_of(entity_id)}))
