@@ -42,7 +42,7 @@ NUM_QUERIES = 3
 #: ``REPRO_BENCH_WORKERS`` on multi-core runners so the recorded speedups
 #: reflect the hardware (the default 2 keeps laptop runs cheap).
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _pages_gathered(results):

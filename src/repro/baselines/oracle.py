@@ -151,8 +151,8 @@ class IdealSelection(QuerySelector):
     def _pool(self, session: HarvestSession) -> IdealPool:
         """The entity's pool, built on its first selection.
 
-        Sessions racing on the thread backend may both build it; the
-        builds are identical, so whichever lands first is kept.
+        Sessions a caller runs on threads of its own may both build it;
+        the builds are identical, so whichever lands first is kept.
         """
         key = (session.entity.entity_id, self.max_candidates)
         pool = self.pools.get(key)

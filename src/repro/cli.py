@@ -1,6 +1,6 @@
 """Command-line interface for the L2Q reproduction.
 
-Four subcommands cover the common workflows:
+Six subcommands cover the common workflows:
 
 ``repro-l2q corpus``
     Generate a synthetic corpus and print its summary statistics.
@@ -19,20 +19,12 @@ Four subcommands cover the common workflows:
     robustness matrix to ``BENCH_scenarios.json`` (same seed ⇒ byte-identical
     output).
 
-``repro-l2q serve``
-    Async serving layer: ``serve bench`` drives one job batch through the
-    asyncio :class:`~repro.serving.runner.ServingRunner` at each requested
-    concurrency level (simulated search service: latency tails, QPS cap,
-    injected timeouts/failures with budget-charged retries) and writes the
-    ``BENCH_serving.json`` artifact — deterministic metrics blocks under a
-    fixed client seed, measured sessions/sec per level.
-
 ``repro-l2q perf``
     Performance tracking: ``perf manifest`` regenerates the unified
     ``BENCH_manifest.json`` from the ``benchmarks/results/BENCH_*.json``
     artifacts (deterministic — CI diffs it for freshness); ``perf report``
-    renders per-backend speedup tables, the serving table and throughput
-    deltas vs the committed manifest.
+    renders per-backend speedup tables and throughput deltas vs the
+    committed manifest.
 
 ``repro-l2q campaign``
     Resumable campaigns: ``campaign plan`` compiles a spec (from a JSON
@@ -48,22 +40,13 @@ Four subcommands cover the common workflows:
 
 ``harvest`` and ``experiment`` both accept ``--ranker`` to pick the
 retrieval model backing the offline search engine (any name in the ranker
-registry, ``dirichlet`` by default), plus ``--backend {serial,thread,
-process}`` and ``--workers`` to pick the execution engine for the
-harvesting loops (results are identical for any backend and worker count;
-seeds are derived per run, not per schedule).  ``--backend``/``--workers``
-are ignored — with a note — where they cannot help: single ``harvest``
-runs, ``fig09`` (no harvesting) and ``fig14`` (wall-clock selection timings
-must be measured serially).
-
-They also accept ``--client {instant,simulated}`` to pick the search
-client at the fetch boundary (``instant`` is the historical in-process
-oracle; ``simulated`` wraps the engine in a seeded flaky search service)
-and — for ``experiment`` — ``--concurrency N`` to route harvesting
-through the async serving backend with N sessions in flight.  Session
-results stay bit-identical across clients' *scheduling* (draws are
-request-keyed), and the instant client reproduces the historical results
-exactly at any concurrency.
+registry, ``dirichlet`` by default), plus ``--backend {serial,process}``
+and ``--workers`` to pick the execution engine for the harvesting loops
+(serial for 1 worker, process for more; results are identical for any
+backend and worker count, because seeds are derived per run, not per
+schedule).  ``--backend``/``--workers`` are ignored — with a note — where
+they cannot help: single ``harvest`` runs, ``fig09`` (no harvesting) and
+``fig14`` (wall-clock selection timings must be measured serially).
 
 ``scenarios run`` takes the same ``--backend``/``--workers``, but they
 dispatch the sweep's (domain, scenario) cells, one task per cell, and a
@@ -92,9 +75,6 @@ Usage examples::
     python -m repro.cli scenarios run --scenarios near-duplicates --param dedup_penalty=0.0,0.5
     python -m repro.cli scenarios run --scenarios near-duplicates hostile-mix --dedup-penalty 0.5
     python -m repro.cli scenarios run --paper-scale --perf-output perf.json
-    python -m repro.cli harvest --domain researcher --client simulated
-    python -m repro.cli experiment --figure fig13 --client simulated --concurrency 8
-    python -m repro.cli serve bench --scale smoke --concurrency 1 8
     python -m repro.cli perf manifest
     python -m repro.cli perf report
 """
@@ -120,10 +100,9 @@ from repro.eval.scenario_sweep import (
     expand_config_grid,
     expand_severity_grid,
 )
-from repro.exec.backends import BACKEND_PROCESS, backend_names, make_backend
+from repro.exec.backends import BACKEND_PROCESS, backend_names
 from repro.scenarios import make_scenario, scenario_names
 from repro.store import STORE_MODES
-from repro.search.clients import CLIENT_KINDS, CLIENT_SIMULATED, make_client
 from repro.search.rankers import ranker_names
 
 _FIGURES = {
@@ -157,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     harvest.add_argument("--entity", default=None,
                          help="entity id to harvest (defaults to the first test entity)")
     _add_engine_arguments(harvest)
-    _add_serving_arguments(harvest)
 
     experiment = subparsers.add_parser("experiment", help="regenerate a paper figure")
     experiment.add_argument("--figure", choices=sorted(_FIGURES), required=True)
@@ -166,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--domains", nargs="+", default=list(experiments.DOMAINS),
                             choices=available_domains())
     _add_engine_arguments(experiment)
-    _add_serving_arguments(experiment)
 
     scenarios = subparsers.add_parser(
         "scenarios", help="list or run hostile-corpus robustness scenarios")
@@ -205,39 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "(domain, scenario) cell whose "
                                           "harvests run serially")
 
-    serve = subparsers.add_parser(
-        "serve", help="async serving runner over the harvest loop")
-    serve_commands = serve.add_subparsers(dest="serve_command", required=True)
-    bench = serve_commands.add_parser(
-        "bench", help="serve one job batch per concurrency level and write "
-                      "BENCH_serving.json (sessions/sec, latency tails, "
-                      "retry/timeout counts)")
-    bench.add_argument("--scale", choices=["smoke", "default", "paper"],
-                       default="smoke")
-    bench.add_argument("--domain", default="researcher",
-                       choices=available_domains())
-    bench.add_argument("--methods", nargs="+", default=None, metavar="METHOD",
-                       help="selection strategies served (default: RND MQ)")
-    bench.add_argument("--queries", type=_positive_int, default=3,
-                       help="query budget per session (default 3)")
-    bench.add_argument("--entities", type=_positive_int, default=4,
-                       help="test entities served per method x aspect "
-                            "(default 4)")
-    bench.add_argument("--concurrency", type=_positive_int, nargs="+",
-                       default=None, metavar="N",
-                       help="concurrency levels to measure (default: 1 8)")
-    bench.add_argument("--time-scale", type=_non_negative_float, default=1.0,
-                       metavar="FACTOR",
-                       help="simulated-latency-to-real-sleep multiplier; "
-                            "< 1 compresses wall-clock without touching the "
-                            "deterministic metrics (default 1.0)")
-    bench.add_argument("--client-seed", type=int, default=None,
-                       help="seed of the simulated service's stochastic "
-                            "draws (default: the stock ClientSpec seed)")
-    bench.add_argument("--output", default="benchmarks/results/BENCH_serving.json",
-                       help="artifact path "
-                            "(default: benchmarks/results/BENCH_serving.json)")
-
     campaign = subparsers.add_parser(
         "campaign", help="plan, run, resume and inspect journaled campaigns")
     campaign_commands = campaign.add_subparsers(dest="campaign_command",
@@ -263,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_campaign_spec_arguments(sub)
         sub.add_argument("--backend", default=None, choices=backend_names(),
                          help="execution backend for cell dispatch "
-                              "(default: serial for 1 worker, thread for "
+                              "(default: serial for 1 worker, process for "
                               "more; results identical for any backend)")
         sub.add_argument("--workers", type=_positive_int, default=None,
                          help="parallel cell workers (default 1)")
@@ -339,27 +283,6 @@ def _dedup_penalty(value: str) -> float:
     return number
 
 
-def _non_negative_float(value: str) -> float:
-    number = float(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
-    return number
-
-
-def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--client", default=None, choices=list(CLIENT_KINDS),
-                        help="search client at the fetch boundary: 'instant' "
-                             "is the in-process oracle (default, the paper's "
-                             "semantics); 'simulated' wraps the engine in a "
-                             "seeded flaky service (latency tails, QPS cap, "
-                             "timeouts/failures with budget-charged retries)")
-    parser.add_argument("--concurrency", type=_positive_int, default=None,
-                        metavar="N",
-                        help="serve harvests through the async serving "
-                             "backend with N sessions in flight (instant "
-                             "client results stay identical to serial)")
-
-
 def _add_engine_arguments(parser: argparse.ArgumentParser,
                           dispatched: str = "the harvesting loops") -> None:
     parser.add_argument("--ranker", default=None, choices=ranker_names(),
@@ -372,7 +295,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
                              "(0 = off, the default; 1 = full discount)")
     parser.add_argument("--backend", default=None, choices=backend_names(),
                         help=f"execution backend for {dispatched} "
-                             "(default: serial for 1 worker, thread for "
+                             "(default: serial for 1 worker, process for "
                              "more; results are identical for any backend)")
     parser.add_argument("--workers", type=_positive_int, default=None,
                         help=f"parallel workers for {dispatched} (default "
@@ -472,9 +395,6 @@ def _command_harvest(args: argparse.Namespace, out) -> int:
     if args.workers is not None or args.backend:
         print("note: harvest runs a single loop; --backend/--workers ignored",
               file=out)
-    if args.concurrency is not None:
-        print("note: harvest runs a single session; --concurrency ignored",
-              file=out)
     runner = ExperimentRunner(corpus, config=config)
     split = runner.default_split(0)
     prepared = runner.prepare(split)
@@ -483,20 +403,8 @@ def _command_harvest(args: argparse.Namespace, out) -> int:
         print(f"unknown entity {entity_id!r}", file=out)
         return 2
 
-    client = None
-    if args.client is not None:
-        # Route the session through the stepper + client path explicitly,
-        # so the fetch boundary (latency, retries, budget charging) shows.
-        from repro.core.harvester import drive_stepper
-
-        harvester = runner.harvester_for(prepared)
-        job = runner.build_job(prepared, args.method, entity_id, aspect,
-                               args.queries)
-        client = make_client(args.client, prepared.engine)
-        result = drive_stepper(harvester.stepper_for_job(job), client)
-    else:
-        result = runner.harvest_once(prepared, args.method, entity_id, aspect,
-                                     args.queries)
+    result = runner.harvest_once(prepared, args.method, entity_id, aspect,
+                                 args.queries)
     entity = corpus.get_entity(entity_id)
     print(f"entity : {entity.name} ({entity_id})", file=out)
     print(f"aspect : {aspect}", file=out)
@@ -509,17 +417,6 @@ def _command_harvest(args: argparse.Namespace, out) -> int:
     print(f"gathered {len(result.gathered_after(args.queries))} pages; "
           f"precision={metrics.precision:.3f} recall={metrics.recall:.3f} "
           f"f-score={metrics.f_score:.3f}", file=out)
-    if client is not None:
-        stats = client.stats
-        print(f"client : {client.name}; requests={stats.requests} "
-              f"attempts={stats.attempts} retries={stats.retries} "
-              f"timeouts={stats.timeouts} failures={stats.failures} "
-              f"exhausted={stats.exhausted}", file=out)
-        print(f"client latency {stats.latency_seconds:.3f}s "
-              f"(throttle {stats.throttle_seconds:.3f}s); "
-              f"engine queries {stats.engine_queries}, "
-              f"retry queries charged to budget {stats.retry_queries}",
-              file=out)
     return 0
 
 
@@ -527,14 +424,11 @@ def _command_experiment(args: argparse.Namespace, out) -> int:
     run, render = _FIGURES[args.figure]
     scale = experiments.get_scale(args.scale)
     kwargs = {}
-    serving_requested = args.client == CLIENT_SIMULATED \
-        or args.concurrency is not None
     if args.figure == "fig09":  # fig09 trains classifiers only, no harvesting
         if args.ranker or args.workers is not None or args.backend \
-                or args.dedup_penalty is not None or serving_requested:
+                or args.dedup_penalty is not None:
             print("note: fig09 does no harvesting; --ranker/--backend/"
-                  "--workers/--dedup-penalty/--client/--concurrency ignored",
-                  file=out)
+                  "--workers/--dedup-penalty ignored", file=out)
     else:
         if args.ranker or args.dedup_penalty is not None:
             config = L2QConfig()
@@ -543,22 +437,13 @@ def _command_experiment(args: argparse.Namespace, out) -> int:
             if args.dedup_penalty is not None:
                 config.dedup_penalty = args.dedup_penalty
             kwargs["config"] = config
-        kwargs["workers"] = args.workers if args.workers is not None else 1
         if args.figure == "fig14":
-            if args.workers is not None or args.backend or serving_requested:
+            if args.workers is not None or args.backend:
                 print("note: fig14 measures wall-clock selection time; "
                       "harvests stay pinned to the serial backend, "
-                      "--backend/--workers/--client/--concurrency ignored",
-                      file=out)
-        elif serving_requested:
-            if args.backend:
-                print("--client/--concurrency route harvesting through the "
-                      "serving backend; drop --backend or the serving flags",
-                      file=out)
-                return 2
-            kwargs["backend"] = make_backend(
-                "serving", workers=args.concurrency or 8, client=args.client)
+                      "--backend/--workers ignored", file=out)
         else:
+            kwargs["workers"] = args.workers if args.workers is not None else 1
             if args.backend:
                 kwargs["backend"] = args.backend
             if args.corpus_store is not None:
@@ -653,41 +538,6 @@ def _command_scenarios(args: argparse.Namespace, out) -> int:
     result = sweep.run()
     print(reporting.format_scenarios(result), file=out)
     path = result.write(args.output)
-    print(f"\nwrote {path}", file=out)
-    return 0
-
-
-def _command_serve(args: argparse.Namespace, out) -> int:
-    import json
-    from pathlib import Path
-
-    # Lazy: the serving layer (asyncio runner, bench assembly) is only
-    # needed by this subcommand.
-    from repro.search.clients import ClientSpec
-    from repro.serving.bench import (
-        DEFAULT_CONCURRENCY_LEVELS,
-        DEFAULT_METHODS,
-        format_serving_report,
-        run_serving_bench,
-    )
-
-    spec = ClientSpec(kind=CLIENT_SIMULATED) if args.client_seed is None \
-        else ClientSpec(kind=CLIENT_SIMULATED, seed=args.client_seed)
-    artifact, _ = run_serving_bench(
-        scale=args.scale,
-        domain=args.domain,
-        methods=tuple(args.methods) if args.methods else DEFAULT_METHODS,
-        num_queries=args.queries,
-        concurrency_levels=(tuple(args.concurrency) if args.concurrency
-                            else DEFAULT_CONCURRENCY_LEVELS),
-        spec=spec,
-        time_scale=args.time_scale,
-        max_entities=args.entities,
-    )
-    print(format_serving_report(artifact), file=out)
-    path = Path(args.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {path}", file=out)
     return 0
 
@@ -882,8 +732,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _command_experiment(args, out)
         if args.command == "scenarios":
             return _command_scenarios(args, out)
-        if args.command == "serve":
-            return _command_serve(args, out)
         if args.command == "campaign":
             return _command_campaign(args, out)
         if args.command == "perf":

@@ -4,20 +4,7 @@ from repro.core.config import L2QConfig
 from repro.core.context import ContextTracker
 from repro.core.domain_phase import DomainModel, DomainPhase, learn_domain_models
 from repro.core.entity_phase import EntityPhase, EntityUtilities
-from repro.core.harvester import (
-    HarvestResult,
-    Harvester,
-    IterationRecord,
-    drive_stepper,
-)
-from repro.core.stepper import (
-    DONE,
-    Done,
-    HarvestStepper,
-    QueryFetch,
-    SeedFetch,
-    StepperProtocolError,
-)
+from repro.core.harvester import HarvestResult, Harvester, IterationRecord
 from repro.core.queries import (
     NgramTable,
     Query,
@@ -60,23 +47,17 @@ __all__ = [
     "AssembledGraph",
     "ContextAwareSelection",
     "ContextTracker",
-    "DONE",
     "DomainModel",
     "DomainPhase",
     "DomainQuerySelection",
-    "Done",
     "EntityPhase",
     "EntityUtilities",
     "GraphAssembler",
     "GraphTables",
     "HarvestResult",
     "HarvestSession",
-    "HarvestStepper",
     "Harvester",
     "IterationRecord",
-    "QueryFetch",
-    "SeedFetch",
-    "StepperProtocolError",
     "L2QConfig",
     "NgramTable",
     "Query",
@@ -88,7 +69,6 @@ __all__ = [
     "TemplateSelection",
     "UtilityOnlySelection",
     "abstract_query",
-    "drive_stepper",
     "format_query",
     "format_template",
     "is_type_unit",

@@ -15,8 +15,8 @@ The candidate statistics count over the entity's
 words.  The table is built on the session's first page fold and kept in
 ``ngram_tables``, a cache the harvester hands to every session it builds,
 so all of an entity's sessions (and the ideal oracle's pool) share one
-table; a session built without a cache keeps its own.  Sessions racing on
-the thread backend may build the same table twice; the builds are
+table; a session built without a cache keeps its own.  Sessions a caller
+runs on threads of its own may build the same table twice; the builds are
 identical, and the first one stored is the one every session uses.
 """
 

@@ -414,13 +414,15 @@ class Fig14Result:
 def run_fig14(scale: ExperimentScale = DEFAULT_SCALE,
               domains: Sequence[str] = DOMAINS,
               config: Optional[L2QConfig] = None,
-              methods: Sequence[str] = ("L2QP", "L2QR", "L2QBAL"),
-              workers: int = 1) -> Fig14Result:
-    """Measure the per-query selection time of the full approaches."""
+              methods: Sequence[str] = ("L2QP", "L2QR", "L2QBAL")) -> Fig14Result:
+    """Measure the per-query selection time of the full approaches.
+
+    Harvests run serially: the wall-clock selection times are the result.
+    """
     reports: Dict[str, EfficiencyReport] = {}
     for domain in domains:
         corpus = scale.corpus_for(domain)
-        runner = ExperimentRunner(corpus, config=config, workers=workers)
+        runner = ExperimentRunner(corpus, config=config)
         aspects = scale.aspects_for(corpus)[:2]
         reports[domain] = runner.measure_efficiency(
             methods=methods, num_queries=3,

@@ -181,20 +181,19 @@ class ExperimentRunner:
     """Runs the paper's evaluation protocol over one corpus.
 
     ``backend`` picks the execution engine for the harvesting runs (a
-    registered name, an :class:`ExecutionBackend` instance, or ``None`` for
-    the historical ``workers`` semantics: 1 = serial, N = thread pool).
-    Per-run seeds are derived from ``(base_seed, split, method, entity,
-    aspect)`` and never from execution order, so every backend and worker
-    count yields identical results.
+    registered name, an :class:`ExecutionBackend` instance, or ``None``
+    for the ``workers`` default: 1 = serial, N = process pool).  Per-run
+    seeds are derived from ``(base_seed, split, method, entity, aspect)``
+    and never from execution order, so every backend and worker count
+    yields identical results.
 
-    Distributed (process) backends shard **split-first** when
-    ``corpus_spec`` describes how workers can rebuild the corpus: every
-    split's job specs travel as one
-    :class:`~repro.exec.specs.HarvestBatchSpec`, so each worker prepares
-    and trains classifiers for exactly one split per batch (see
-    :func:`plan_harvest_batches` for the ``workers > num_splits``
-    page-batch fallback).  Without a spec they fall back to pickling the
-    live harvester and jobs, which is correct but heavier.
+    Distributed (process) backends shard **split-first**, and need
+    ``corpus_spec`` to say how workers rebuild the corpus: every split's
+    job specs travel as one :class:`~repro.exec.specs.HarvestBatchSpec`,
+    so each worker prepares and trains classifiers for exactly one split
+    per batch (see :func:`plan_harvest_batches` for the ``workers >
+    num_splits`` page-batch fallback).  A distributed backend without a
+    ``corpus_spec`` is rejected at construction.
     """
 
     def __init__(self, corpus: Corpus, config: Optional[L2QConfig] = None,
@@ -210,6 +209,10 @@ class ExperimentRunner:
         self.base_seed = base_seed
         self.workers = workers
         self.backend = resolve_backend(backend, workers=workers)
+        if self.backend.distributed and corpus_spec is None:
+            raise ValueError(
+                f"the {self.backend.name} backend ships corpus specs to its "
+                f"workers; pass corpus_spec= describing this corpus")
         self.corpus_spec = corpus_spec
         #: Shared corpus store policy for distributed dispatches:
         #: ``auto`` (probe shm, else mmap), ``off``, ``shm`` or ``mmap``.
@@ -348,12 +351,13 @@ class ExperimentRunner:
 
         Everything a job needs — selector instance, domain model, HR
         statistics — is resolved here, on the calling thread, so executing
-        the job later on a worker pool touches no lazily-built shared state,
-        with one exception: the ideal selector's per-entity pools
+        the job later touches no lazily-built shared state, with one
+        exception: the ideal selector's per-entity pools
         (:attr:`PreparedSplit.ideal_pools`) are built on each entity's first
         selection.  A pool is immutable once built and a pure function of
-        the split and the entity, so two of an entity's sessions racing on
-        the thread backend build identical pools and need no lock.
+        the split and the entity, so two of an entity's sessions that a
+        caller races on its own threads build identical pools and need no
+        lock.
         """
         selector = self.create_selector(spec.method, prepared, spec.aspect)
         domain_model = (prepared.domain_model(spec.aspect)
@@ -631,8 +635,8 @@ class ExperimentRunner:
                         domain_fraction: float) -> List[List[HarvestResult]]:
         """Execute every split's job specs; returns results grouped by split.
 
-        On a distributed backend with a known ``corpus_spec``, the batches
-        are sharded **split-first**: :func:`plan_harvest_batches` emits one
+        On a distributed backend, the batches are sharded **split-first**:
+        :func:`plan_harvest_batches` emits one
         :class:`~repro.exec.specs.HarvestBatchSpec` per split (each worker
         prepares and trains classifiers for exactly one split at a time),
         falling back to cutting splits into contiguous page batches when
@@ -642,12 +646,11 @@ class ExperimentRunner:
         executed :class:`~repro.exec.specs.HarvestBatchOutcome` probes are
         kept on :attr:`last_batch_outcomes` for preparation accounting.
 
-        In-process backends (and distributed ones without a spec, which
-        fall back to pickling live jobs) prepare each split locally and
-        delegate its batch to :meth:`Harvester.harvest_many`, exactly one
-        preparation per split.
+        In-process backends prepare each split locally and delegate its
+        batch to :meth:`Harvester.harvest_many`, exactly one preparation
+        per split.
         """
-        if self.backend.distributed and self.corpus_spec is not None:
+        if self.backend.distributed:
             if self._corpus_digest is None:
                 # Computed once per runner and shipped with every context:
                 # workers refuse to harvest a rebuilt corpus that does not
@@ -750,7 +753,9 @@ class ExperimentRunner:
         """Choose the seed-recall parameter ``r0`` on the validation entities.
 
         Mirrors the paper's cross-validation of ``r0`` (Sect. V-A).  Returns
-        the best value and the mean F-score of every candidate.
+        the best value and the mean F-score of every candidate.  Harvests
+        run in this process whatever the backend: each candidate mutates
+        this runner's config, which a worker never sees.
         """
         split = self.default_split(0)
         prepared = self.prepare(split)
@@ -772,8 +777,7 @@ class ExperimentRunner:
                         relevant_sets.append(relevant)
                         jobs.append(self.build_job(prepared, method, entity_id,
                                                    aspect, num_queries))
-                runs = self.harvester_for(prepared).harvest_many(
-                    jobs, backend=self.backend)
+                runs = self.harvester_for(prepared).harvest_many(jobs)
                 per_run = [compute_metrics(run.gathered_after(num_queries),
                                            relevant).f_score
                            for relevant, run in zip(relevant_sets, runs)]

@@ -623,7 +623,7 @@ class ScenarioSweep:
     workers / backend:
         Execution engine for the cells, as :func:`~repro.exec.backends
         .resolve_backend` takes them (default: serial for one worker,
-        thread for more).  Every backend dispatches one task per cell and
+        process for more).  Every backend dispatches one task per cell and
         a cell's harvests run serially, so results are identical for any
         backend and worker count.
     param_grid:

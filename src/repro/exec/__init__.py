@@ -1,8 +1,8 @@
 """Pluggable execution backends and picklable job specifications.
 
 The orchestration API every fan-out site shares: resolve a backend
-(``serial`` / ``thread`` / ``process``), hand it payloads, get results in
-payload order.  See :mod:`repro.exec.backends` for the engines and
+(``serial`` / ``process``), hand it payloads, get results in payload
+order.  See :mod:`repro.exec.backends` for the engines and
 :mod:`repro.exec.specs` for the spec layer distributed backends ship
 instead of live object graphs.
 """
@@ -10,12 +10,9 @@ instead of live object graphs.
 from repro.exec.backends import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_SERVING,
-    BACKEND_THREAD,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     backend_names,
     is_registered,
     make_backend,
@@ -36,12 +33,9 @@ from repro.exec.specs import (
 __all__ = [
     "BACKEND_PROCESS",
     "BACKEND_SERIAL",
-    "BACKEND_SERVING",
-    "BACKEND_THREAD",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "backend_names",
     "is_registered",
     "make_backend",

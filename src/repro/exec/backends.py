@@ -1,4 +1,4 @@
-"""Pluggable execution backends: one orchestration API, three engines.
+"""Pluggable execution backends: one orchestration API, two engines.
 
 Every fan-out site in the project funnels through the same tiny contract:
 an :class:`ExecutionBackend` maps a callable over a list of payloads and
@@ -13,13 +13,10 @@ Because every job's randomness derives only from its seed (never from
 scheduling), swapping the backend changes wall-clock behaviour but not one
 bit of the results.
 
-Three engines are built in and registered through the shared
+Two engines are built in and registered through the shared
 :class:`~repro.utils.registry.NamedRegistry`:
 
 * ``serial`` — a plain in-order loop; the reference semantics.
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; right for
-  workloads dominated by lock-free CPU work under the GIL plus simulated
-  I/O, and for shared-memory caches (one engine, one result cache).
 * ``process`` — multiprocess execution: :meth:`~ExecutionBackend.map`
   splits payloads into at most ``workers`` contiguous shards, each shipped
   to a worker process and executed as an in-order loop there, so
@@ -40,7 +37,7 @@ Custom backends register the same way rankers and scenarios do::
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.utils.registry import NamedRegistry
@@ -49,9 +46,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 BACKEND_SERIAL = "serial"
-BACKEND_THREAD = "thread"
 BACKEND_PROCESS = "process"
-BACKEND_SERVING = "serving"
 
 
 class ExecutionBackend:
@@ -104,24 +99,6 @@ class SerialBackend(ExecutionBackend):
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         return [fn(item) for item in items]
-
-
-class ThreadBackend(ExecutionBackend):
-    """Fan out across a thread pool (shared memory, GIL-interleaved)."""
-
-    name = BACKEND_THREAD
-
-    def __init__(self, workers: int = 4) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items))
 
 
 def _run_shard(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
@@ -275,13 +252,13 @@ def resolve_backend(backend: Union[None, str, ExecutionBackend],
                     workers: int = 1) -> ExecutionBackend:
     """Coerce a backend argument (name, instance or None) to an instance.
 
-    ``None`` preserves the historical ``workers=N`` behaviour: one worker
-    means serial, several mean a thread pool.  A string resolves through
-    the registry with ``workers`` forwarded; an instance is returned as-is
-    (its own worker count wins).
+    ``None`` picks by ``workers``: one worker means serial, several mean
+    the process pool.  A string resolves through the registry with
+    ``workers`` forwarded; an instance is returned as-is (its own worker
+    count wins).
     """
     if backend is None:
-        return SerialBackend() if workers == 1 else ThreadBackend(workers)
+        return SerialBackend() if workers == 1 else ProcessBackend(workers)
     if isinstance(backend, str):
         return make_backend(backend, workers=workers)
     if isinstance(backend, ExecutionBackend):
@@ -296,21 +273,7 @@ def _serial_backend(workers: int = 1) -> SerialBackend:
     return SerialBackend()
 
 
-@register_backend(BACKEND_THREAD)
-def _thread_backend(workers: int = 4) -> ThreadBackend:
-    return ThreadBackend(workers)
-
-
 @register_backend(BACKEND_PROCESS)
 def _process_backend(workers: int = 4,
                      start_method: Optional[str] = None) -> ProcessBackend:
     return ProcessBackend(workers, start_method=start_method)
-
-
-@register_backend(BACKEND_SERVING)
-def _serving_backend(workers: int = 8, **params) -> ExecutionBackend:
-    # Lazy import: repro.serving imports the harvester, which imports this
-    # module — resolving the backend class at build time breaks the cycle.
-    from repro.serving.runner import ServingBackend
-
-    return ServingBackend(workers=workers, **params)

@@ -41,10 +41,11 @@ class _ProcessLocalCache:
     Keys are ``repr`` strings of spec dataclasses: deterministic within a
     process and cheap, without requiring hashability of nested configs.
 
-    Thread-backend cells share one cache, so every lookup, touch and
-    eviction holds a lock.  A build runs outside it: builds are
-    deterministic, so two threads racing to build one key build equal
-    values, and the first one stored is the one every caller gets.
+    Callers may run cells or harvests on threads of their own, which then
+    share one cache, so every lookup, touch and eviction holds a lock.  A
+    build runs outside it: builds are deterministic, so two threads racing
+    to build one key build equal values, and the first one stored is the
+    one every caller gets.
     """
 
     def __init__(self, capacity: int = 4) -> None:

@@ -180,43 +180,6 @@ def _selection_entries(source: str, report: Dict[str, object]) -> List[Dict[str,
     return entries
 
 
-def _serving_entries(source: str, report: Dict[str, object]) -> List[Dict[str, object]]:
-    """Per-concurrency serving-throughput entries from ``BENCH_serving.json``.
-
-    ``pages_per_second`` carries sessions/second here — the serving
-    workload's unit of work is a whole harvest session — so the serving
-    levels ride the same gated throughput axis as every other backend.
-    The deterministic metrics block (latency percentiles from *simulated*
-    clocks, retry/timeout counts) travels untruncated in ``metrics``;
-    only the wall-clock block feeds the unified timing fields.
-    """
-    versions = {"python": report.get("python")}
-    speedups = report.get("speedup_vs_baseline", {})
-    entries = []
-    for level in sorted(report.get("concurrency", {}), key=int):
-        stats = report["concurrency"][level]
-        wall = stats.get("wall_clock", {})
-        metrics = dict(stats.get("metrics", {}))
-        metrics.update({
-            "sessions": report.get("sessions"),
-            "client": report.get("client", {}).get("kind"),
-            "time_scale": report.get("time_scale"),
-        })
-        entries.append(_entry(
-            source=source,
-            benchmark="serving",
-            kind=KIND_BACKEND_THROUGHPUT,
-            scale=report.get("scale"),
-            backend=f"concurrency-{level}",
-            versions=versions,
-            wall_seconds=wall.get("wall_seconds"),
-            pages_per_second=wall.get("sessions_per_second"),
-            speedup_vs_serial=speedups.get(level),
-            metrics=metrics,
-        ))
-    return entries
-
-
 def _scenario_entries(source: str, report: Dict[str, object]) -> List[Dict[str, object]]:
     """One robustness-matrix entry per scenario-matrix artifact.
 
@@ -303,8 +266,6 @@ def manifest_entries(results_dir) -> List[Dict[str, object]]:
             entries.extend(_fig09_entries(path.name, report))
         elif path.name == "BENCH_selection.json":
             entries.extend(_selection_entries(path.name, report))
-        elif path.name == "BENCH_serving.json":
-            entries.extend(_serving_entries(path.name, report))
         elif isinstance(report, dict) and \
                 str(report.get("schema", "")).startswith("BENCH_scenarios/"):
             entries.extend(_scenario_entries(path.name, report))

@@ -44,28 +44,6 @@ def format_manifest(manifest: Dict[str, object]) -> str:
             ["Benchmark/backend", "Scale", "Wall s", "Pages/s", "Speedup",
              "Workers"], rows))
 
-    serving = [entry for entry in manifest.get("entries", [])
-               if entry.get("benchmark") == "serving"]
-    if serving:
-        rows = []
-        for entry in sorted(serving, key=lambda e: str(e.get("backend"))):
-            metrics = entry.get("metrics", {})
-            rows.append([
-                str(entry.get("backend")),
-                _fmt(entry.get("pages_per_second"), "{:.1f}"),
-                _fmt(entry.get("speedup_vs_serial"), "{:.2f}x"),
-                _fmt(metrics.get("session_latency_p50"), "{:.3f}"),
-                _fmt(metrics.get("session_latency_p99"), "{:.3f}"),
-                str(metrics.get("retries", "-")),
-                str(metrics.get("timeouts", "-")),
-                str(metrics.get("exhausted_requests", "-")),
-            ])
-        sections.append("Serving (simulated search service; latencies are "
-                        "deterministic simulated seconds)\n" + _format_table(
-                            ["Concurrency", "Sessions/s", "Speedup",
-                             "p50 lat s", "p99 lat s", "Retries", "Timeouts",
-                             "Exhausted"], rows))
-
     others = [entry for entry in manifest.get("entries", [])
               if entry.get("kind") != "backend-throughput"]
     if others:

@@ -248,9 +248,9 @@ def handoff() -> Iterator[Dict[str, Dict[str, float]]]:
     Yields a dict that, on exit, holds the per-phase ``{count,
     total_seconds}`` aggregates of exactly the samples recorded inside the
     block — ``{}`` with profiling off.  The samples themselves stay in the
-    recorder: on an in-process backend they already *are* the
-    orchestrator's, and cells sharing one recorder across threads would
-    lose or double-count samples if the hand-off cut them out.
+    recorder: on the serial backend they already *are* the orchestrator's,
+    and cells a caller runs on threads of its own, sharing one recorder,
+    would lose or double-count samples if the hand-off cut them out.
     """
     phases: Dict[str, Dict[str, float]] = {}
     active = _RECORDER

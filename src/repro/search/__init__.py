@@ -1,20 +1,9 @@
 """Search-engine substrate: the shared inverted index and its entity views,
-pluggable rankers and the entity-scoped engine."""
+pluggable rankers, the entity-scoped engine and the client the harvesting
+loop fetches through."""
 
 from repro.search.bm25 import BM25Ranker
-from repro.search.clients import (
-    CLIENT_INSTANT,
-    CLIENT_KINDS,
-    CLIENT_SIMULATED,
-    ClientSpec,
-    FetchOutcome,
-    InstantClient,
-    LatencyModel,
-    SearchClient,
-    SimulatedServiceClient,
-    TokenBucket,
-    make_client,
-)
+from repro.search.clients import SearchClient
 from repro.search.engine import (
     FetchStatistics,
     SearchEngine,
@@ -34,18 +23,9 @@ from repro.search.rankers import (
 
 __all__ = [
     "BM25Ranker",
-    "CLIENT_INSTANT",
-    "CLIENT_KINDS",
-    "CLIENT_SIMULATED",
-    "ClientSpec",
     "DirichletLanguageModel",
-    "FetchOutcome",
     "FetchStatistics",
-    "InstantClient",
-    "LatencyModel",
     "SearchClient",
-    "SimulatedServiceClient",
-    "TokenBucket",
     "InvertedIndex",
     "RANKER_BM25",
     "RANKER_DIRICHLET",
@@ -53,7 +33,6 @@ __all__ = [
     "SearchEngine",
     "SearchResult",
     "is_registered",
-    "make_client",
     "make_ranker",
     "ranker_names",
     "register_ranker",

@@ -1,437 +1,38 @@
-"""Search-client adapters: what sits between a session and the engine.
+"""The fetch boundary between the harvesting loop and the search engine.
 
-The harvesting loop (:mod:`repro.core.stepper`) never talks to the
-:class:`~repro.search.engine.SearchEngine` directly any more — it emits
-fetch *actions* and ingests fetch *outcomes*.  A :class:`SearchClient`
-executes those actions:
-
-* :class:`InstantClient` — the in-process oracle of the paper: zero
-  latency, no failures, a plain pass-through to the engine.  The default,
-  and bit-for-bit identical to the historical inline loop.
-* :class:`SimulatedServiceClient` — wraps *any* engine in the failure
-  modes of a real search service: seeded lognormal latency (parametrised
-  by p50/p99), a :class:`TokenBucket` QPS cap, injected timeout and
-  failure rates, and deterministic retry with exponential backoff.  Every
-  attempt — including failed ones that will be retried — is charged
-  against the run's fetch budget through the existing
-  :class:`~repro.search.engine.RunFetchAccounting` (a failed attempt is a
-  fired query that fetched zero pages), so retries are never free.
-
-Determinism contract: every stochastic draw of the simulated client
-(latency, timeout, failure) derives from ``(client seed, request key,
-attempt)`` via :func:`~repro.utils.rng.derive_seed` — never from shared
-RNG call order — so session results and the deterministic serving metrics
-are identical regardless of how concurrent sessions interleave.  Only the
-token bucket's waits depend on global request *order* (rate limiting is
-inherently a shared-timeline concern); they are therefore reported
-separately (``throttle_seconds``) and excluded from the
-deterministically-compared metrics blocks.
+Every fetch of the loop of Fig. 1 — the entity's seed query ``q(0)`` and
+each selected query after it — goes through :meth:`SearchClient.fetch`:
+one engine call (charged to the run's
+:class:`~repro.search.engine.RunFetchAccounting`) plus the
+materialisation of the result pages.  The engine is in-process and
+instant, as in the paper; Fig. 14 prices each fetched page at the engine's
+fixed per-page cost instead of measuring it.  The fetch stays one method
+rather than inline in the loop because ``perfbench`` times it by name as
+its ``search.fetch_s`` layer.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.corpus.document import Page
 from repro.search.engine import RunFetchAccounting, SearchEngine, SearchResult
-from repro.utils.rng import SeededRandom, derive_seed
-
-CLIENT_INSTANT = "instant"
-CLIENT_SIMULATED = "simulated"
-
-#: Registered client kinds (the CLI's ``--client`` choices).
-CLIENT_KINDS = (CLIENT_INSTANT, CLIENT_SIMULATED)
-
-#: z-score of the 99th percentile of the standard normal distribution;
-#: turns a (p50, p99) pair into the lognormal's (mu, sigma).
-_Z99 = 2.3263478740408408
-
-
-@dataclass(frozen=True)
-class FetchOutcome:
-    """What one fetch action produced.
-
-    ``latency_seconds`` is the client's *simulated/measured* latency for
-    the whole request (all attempts, backoff delays included), on the
-    deterministic axis; ``throttle_seconds`` is the token-bucket wait,
-    which depends on global request order and is kept apart.  ``results``
-    and ``pages`` are empty when every attempt failed (``exhausted``) —
-    the session records the iteration anyway and the budget is consumed.
-    """
-
-    results: Sequence[SearchResult]
-    pages: Sequence[Page]
-    latency_seconds: float = 0.0
-    throttle_seconds: float = 0.0
-    attempts: int = 1
-    retries: int = 0
-    timeouts: int = 0
-    failures: int = 0
-    exhausted: bool = False
-
-
-@dataclass
-class ClientStats:
-    """Aggregate accounting of one client's traffic (all sessions).
-
-    ``engine_queries`` counts queries the engine actually served (observed
-    through the run accounting around successful attempts);
-    ``retry_queries`` counts the failed attempts charged to the fetch
-    budget at zero pages.  Their sum equals the merged accounting's
-    ``queries_fired`` — the invariant the serving CI smoke asserts.
-    """
-
-    requests: int = 0
-    attempts: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    failures: int = 0
-    exhausted: int = 0
-    engine_queries: int = 0
-    retry_queries: int = 0
-    latency_seconds: float = 0.0
-    throttle_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-JSON summary (wall-clock-free: all simulated axes)."""
-        return {
-            "requests": self.requests,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "exhausted": self.exhausted,
-            "engine_queries": self.engine_queries,
-            "retry_queries": self.retry_queries,
-        }
 
 
 class SearchClient:
-    """Contract between the harvesting loop and any search transport.
-
-    ``fetch`` executes one stepper action (:class:`~repro.core.stepper.SeedFetch`
-    or :class:`~repro.core.stepper.QueryFetch`) and returns a
-    :class:`FetchOutcome`.  Implementations must charge every engine
-    request to ``accounting`` (the run's fetch budget) — including
-    attempts that fail and are retried.
-    """
-
-    name: str = "abstract"
+    """Fires one query at the engine and returns its ranked results and pages."""
 
     def __init__(self, engine: SearchEngine) -> None:
         self.engine = engine
-        self.stats = ClientStats()
 
-    def fetch(self, action, accounting: Optional[RunFetchAccounting] = None
-              ) -> FetchOutcome:
-        """Execute one fetch action (dispatches on the action's type)."""
-        if hasattr(action, "query"):
-            return self.query_fetch(action, accounting=accounting)
-        return self.seed_fetch(action, accounting=accounting)
-
-    def seed_fetch(self, action, accounting=None) -> FetchOutcome:
-        raise NotImplementedError
-
-    def query_fetch(self, action, accounting=None) -> FetchOutcome:
-        raise NotImplementedError
-
-
-class InstantClient(SearchClient):
-    """The paper's semantics: an in-process engine call, instantly.
-
-    A pure pass-through — same engine methods, same argument shapes, same
-    call order as the historical inline loop, so the default harvesting
-    path stays bit-for-bit identical (pinned by the golden fig13 snapshot
-    and the backend-equivalence suite).
-    """
-
-    name = CLIENT_INSTANT
-
-    def seed_fetch(self, action, accounting=None) -> FetchOutcome:
-        results = self.engine.seed_results(action.entity_id,
-                                           accounting=accounting)
-        pages = self.engine.fetch_pages(results)
-        self.stats.requests += 1
-        self.stats.attempts += 1
-        return FetchOutcome(results=results, pages=pages)
-
-    def query_fetch(self, action, accounting=None) -> FetchOutcome:
-        results = self.engine.search(action.entity_id, list(action.query),
-                                     accounting=accounting)
-        pages = self.engine.fetch_pages(results)
-        self.stats.requests += 1
-        self.stats.attempts += 1
-        return FetchOutcome(results=results, pages=pages)
-
-
-class TokenBucket:
-    """A deterministic token bucket on a virtual clock.
-
-    Admits one request per :meth:`reserve` call, refilling ``rate`` tokens
-    per virtual second up to ``capacity``.  With no explicit arrival time
-    the internal clock is used (it advances only by imposed waits), which
-    makes the wait *sequence* a pure function of the number of requests —
-    order-independent in aggregate, which is why serving reports can sum
-    throttle waits deterministically even under concurrency.
-
-    The admission invariant (property-tested): over any virtual-time
-    window ``[t1, t2]``, at most ``capacity + rate * (t2 - t1)`` requests
-    are admitted.
-    """
-
-    def __init__(self, rate: float, capacity: Optional[float] = None) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = float(rate)
-        self.capacity = float(capacity) if capacity is not None \
-            else max(1.0, self.rate / 10.0)
-        if self.capacity < 1.0:
-            raise ValueError("capacity must be >= 1 token")
-        self._tokens = self.capacity
-        self._clock = 0.0
-
-    @property
-    def clock(self) -> float:
-        """The current virtual time (advanced by arrivals and waits)."""
-        return self._clock
-
-    def _refill(self, now: float) -> None:
-        elapsed = now - self._clock
-        if elapsed > 0:
-            self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
-            self._clock = now
-
-    def reserve(self, now: Optional[float] = None) -> float:
-        """Admit one request; return how long it must wait for its token.
-
-        ``now`` is the request's virtual arrival time (clamped to be
-        monotone); ``None`` means "at the current virtual clock".
-        """
-        arrival = self._clock if now is None else max(self._clock, float(now))
-        self._refill(arrival)
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return 0.0
-        wait = (1.0 - self._tokens) / self.rate
-        self._refill(arrival + wait)
-        self._tokens = max(0.0, self._tokens - 1.0)
-        return wait
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Seeded lognormal service latency parametrised by its p50 and p99."""
-
-    p50: float
-    p99: float
-
-    def __post_init__(self) -> None:
-        if self.p50 <= 0 or self.p99 < self.p50:
-            raise ValueError("need 0 < p50 <= p99")
-
-    @property
-    def mu(self) -> float:
-        return math.log(self.p50)
-
-    @property
-    def sigma(self) -> float:
-        return math.log(self.p99 / self.p50) / _Z99
-
-    def sample(self, rng: SeededRandom) -> float:
-        """Draw one latency (seconds)."""
-        return math.exp(self.mu + self.sigma * rng.gauss(0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class ClientSpec:
-    """Declarative, picklable recipe for building a client per engine.
-
-    Orchestrators that prepare one engine per split (or per worker) carry
-    a spec instead of a live client; :func:`make_client` instantiates it
-    against each engine.  Defaults model a fast, mostly-healthy search
-    service; the serving benchmark's headline numbers are measured under
-    these defaults.
-    """
-
-    kind: str = CLIENT_INSTANT
-    latency_p50: float = 0.025
-    latency_p99: float = 0.1
-    qps_limit: Optional[float] = 500.0
-    burst: Optional[float] = None
-    timeout_rate: float = 0.05
-    failure_rate: float = 0.05
-    timeout_seconds: Optional[float] = None
-    max_retries: int = 3
-    backoff_base: float = 0.05
-    backoff_multiplier: float = 2.0
-    seed: int = 17
-
-    def __post_init__(self) -> None:
-        if self.kind not in CLIENT_KINDS:
-            raise ValueError(f"unknown client kind {self.kind!r}; "
-                             f"available: {list(CLIENT_KINDS)}")
-        if not 0.0 <= self.timeout_rate <= 1.0 or not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError("timeout_rate/failure_rate must be in [0, 1]")
-        if self.timeout_rate + self.failure_rate >= 1.0:
-            raise ValueError("timeout_rate + failure_rate must stay < 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-    def as_dict(self) -> dict:
-        """Plain-JSON rendering (for benchmark artifacts)."""
-        return {
-            "kind": self.kind,
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
-            "qps_limit": self.qps_limit,
-            "burst": self.burst,
-            "timeout_rate": self.timeout_rate,
-            "failure_rate": self.failure_rate,
-            "timeout_seconds": self.timeout_seconds,
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_multiplier": self.backoff_multiplier,
-            "seed": self.seed,
-        }
-
-
-class SimulatedServiceClient(SearchClient):
-    """Any engine, dressed up as a flaky remote search service.
-
-    Each request runs up to ``1 + max_retries`` attempts.  Per attempt, a
-    request-keyed RNG draws a lognormal service latency and one uniform
-    variate classifying the attempt: timeout (charged the full
-    ``timeout_seconds`` window), failure (charged the drawn latency), or
-    success (the real engine call happens, charged the drawn latency).
-    Failed attempts charge one fired query at zero pages to the run's
-    :class:`~repro.search.engine.RunFetchAccounting` and wait a
-    deterministic exponential backoff (``backoff_base * multiplier **
-    attempt``) before retrying.  A request whose every attempt failed
-    returns an empty, ``exhausted`` outcome — the harvest records the
-    iteration and moves on, exactly like a production fleet would.
-    """
-
-    name = CLIENT_SIMULATED
-
-    def __init__(self, engine: SearchEngine,
-                 spec: Optional[ClientSpec] = None) -> None:
-        super().__init__(engine)
-        if spec is None:
-            spec = ClientSpec(kind=CLIENT_SIMULATED)
-        elif spec.kind != CLIENT_SIMULATED:
-            spec = replace(spec, kind=CLIENT_SIMULATED)
-        self.spec = spec
-        self.latency = LatencyModel(spec.latency_p50, spec.latency_p99)
-        self.timeout_seconds = spec.timeout_seconds if spec.timeout_seconds \
-            is not None else 2.0 * spec.latency_p99
-        self.bucket = TokenBucket(spec.qps_limit, spec.burst) \
-            if spec.qps_limit else None
-        # One client serves many concurrent sessions; the lock guards the
-        # shared bucket and the aggregate stats (the event loop interleaves
-        # sessions only between awaits, but thread backends may share too).
-        self._lock = threading.Lock()
-
-    # -- Request execution -----------------------------------------------------
-    def seed_fetch(self, action, accounting=None) -> FetchOutcome:
-        return self._request(
-            action, accounting,
-            lambda: self.engine.seed_results(action.entity_id,
-                                             accounting=accounting))
-
-    def query_fetch(self, action, accounting=None) -> FetchOutcome:
-        return self._request(
-            action, accounting,
-            lambda: self.engine.search(action.entity_id, list(action.query),
-                                       accounting=accounting))
-
-    def _request(self, action, accounting: Optional[RunFetchAccounting],
-                 engine_call: Callable[[], Sequence[SearchResult]]
-                 ) -> FetchOutcome:
-        spec = self.spec
-        rng = SeededRandom(derive_seed(spec.seed, "request",
-                                       *action.request_key))
-        latency = 0.0
-        throttle = 0.0
-        attempts = retries = timeouts = failures = 0
-        outcome: Optional[FetchOutcome] = None
-        for attempt in range(spec.max_retries + 1):
-            if self.bucket is not None:
-                with self._lock:
-                    throttle += self.bucket.reserve()
-            attempts += 1
-            service_latency = self.latency.sample(rng)
-            verdict = rng.random()
-            if verdict < spec.timeout_rate:
-                timeouts += 1
-                latency += self.timeout_seconds
-            elif verdict < spec.timeout_rate + spec.failure_rate:
-                failures += 1
-                latency += service_latency
-            else:
-                latency += service_latency
-                before = accounting.queries_fired if accounting else 0
-                results = engine_call()
-                served = (accounting.queries_fired - before) if accounting else 1
-                pages = self.engine.fetch_pages(results)
-                outcome = FetchOutcome(
-                    results=results, pages=pages,
-                    latency_seconds=latency, throttle_seconds=throttle,
-                    attempts=attempts, retries=attempts - 1,
-                    timeouts=timeouts, failures=failures)
-                self._fold_stats(outcome, engine_queries=served)
-                return outcome
-            # Failed attempt: a fired query that fetched nothing — charged
-            # to the fetch budget so retries are never free.
-            if accounting is not None:
-                accounting.record(action.entity_id, 0,
-                                  self.engine.simulated_fetch_seconds_per_page)
-            if attempt < spec.max_retries:
-                retries += 1
-                latency += spec.backoff_base * spec.backoff_multiplier ** attempt
-        outcome = FetchOutcome(
-            results=(), pages=(),
-            latency_seconds=latency, throttle_seconds=throttle,
-            attempts=attempts, retries=retries,
-            timeouts=timeouts, failures=failures, exhausted=True)
-        self._fold_stats(outcome, engine_queries=0)
-        return outcome
-
-    def _fold_stats(self, outcome: FetchOutcome, engine_queries: int) -> None:
-        with self._lock:
-            stats = self.stats
-            stats.requests += 1
-            stats.attempts += outcome.attempts
-            stats.retries += outcome.retries
-            stats.timeouts += outcome.timeouts
-            stats.failures += outcome.failures
-            stats.exhausted += 1 if outcome.exhausted else 0
-            stats.engine_queries += engine_queries
-            stats.retry_queries += outcome.timeouts + outcome.failures
-            stats.latency_seconds += outcome.latency_seconds
-            stats.throttle_seconds += outcome.throttle_seconds
-
-
-def make_client(client: Union[None, str, ClientSpec, SearchClient],
-                engine: SearchEngine) -> SearchClient:
-    """Coerce a client argument (name, spec, instance or None) to a client.
-
-    ``None`` and ``"instant"`` give the in-process pass-through;
-    ``"simulated"`` gives a simulated service under the default
-    :class:`ClientSpec`; a spec builds its kind against ``engine``; a
-    ready instance is returned as-is.
-    """
-    if client is None or client == CLIENT_INSTANT:
-        return InstantClient(engine)
-    if client == CLIENT_SIMULATED:
-        return SimulatedServiceClient(engine)
-    if isinstance(client, ClientSpec):
-        if client.kind == CLIENT_INSTANT:
-            return InstantClient(engine)
-        return SimulatedServiceClient(engine, client)
-    if isinstance(client, SearchClient):
-        return client
-    raise TypeError(f"client must be None, a kind name, a ClientSpec or a "
-                    f"SearchClient, got {type(client).__name__}")
+    def fetch(self, entity_id: str, query: Optional[Sequence[str]] = None,
+              accounting: Optional[RunFetchAccounting] = None
+              ) -> Tuple[Sequence[SearchResult], List[Page]]:
+        """``(results, pages)`` of ``query``, or of the entity's seed query
+        when ``query`` is ``None``."""
+        if query is None:
+            results = self.engine.seed_results(entity_id, accounting=accounting)
+        else:
+            results = self.engine.search(entity_id, list(query),
+                                         accounting=accounting)
+        return results, self.engine.fetch_pages(results)

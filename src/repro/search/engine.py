@@ -143,7 +143,7 @@ def merge_run_accounting(accountings: Sequence[Optional[RunFetchAccounting]]
     already seen earlier in the merged stream counts as a hit.  For a fresh
     serial engine (no eviction) this reproduces the engine's own hit/miss
     accounting exactly, and because it reads only result payloads, every
-    backend — serial, thread or sharded process — merges to the same
+    backend — serial or sharded process — merges to the same
     statistics.  ``None`` entries (results from before accounting existed)
     are skipped.
     """
@@ -218,8 +218,8 @@ class SearchEngine:
         self._entity_views: Dict[str, InvertedIndex] = {}
         self._entity_rankers: Dict[str, Ranker] = {}
         self._result_cache: "OrderedDict[Tuple[str, Tuple[str, ...], int], Tuple[SearchResult, ...]]" = OrderedDict()
-        # One engine may serve several concurrent harvesting runs
-        # (Harvester.harvest_many); the lock guards the caches and counters.
+        # Callers may run several harvests of one engine on threads of
+        # their own; the lock guards the caches and counters.
         self._lock = threading.Lock()
 
     # -- Pickling (process-backend support) -----------------------------------

@@ -10,6 +10,9 @@ repository root on ``sys.path``).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.queries import NgramTable, QueryEnumerator
@@ -62,3 +65,37 @@ def harvest_signature(result):
         tuple((r.query, r.result_page_ids, r.new_page_ids)
               for r in result.iterations),
     )
+
+
+def run_on_threads(fn, items, timeout=120.0):
+    """``[fn(item) for item in items]``, each call on a thread of its own.
+
+    The threads start under a tiny switch interval, so they interleave at
+    almost every bytecode; the interval is restored and every thread
+    joined (with ``timeout``) whatever happens.  A call's exception is
+    re-raised here.
+    """
+    results = [None] * len(items)
+    errors = []
+
+    def run(index):
+        try:
+            results[index] = fn(items[index])
+        except BaseException as error:  # re-raised on the calling thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(index,))
+               for index in range(len(items))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            thread.join(timeout=timeout)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results

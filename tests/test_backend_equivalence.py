@@ -1,11 +1,9 @@
-"""Backend equivalence: serial == thread(4) == process(4) == serving, bit for bit.
+"""Backend equivalence: serial == process(4), bit for bit.
 
 The acceptance bar of the execution-backend refactor: swapping the engine
 must never change a result.  Harvest runs are compared on everything
 scheduling-independent (queries, result/new/seed page ids, per-job seeds)
-and scenario sweeps on their full JSON rendering.  The async serving
-backend joins the same bar with its default instant client: awaiting at
-the fetch boundary must not perturb a single page id.
+and scenario sweeps on their full JSON rendering.
 """
 
 import pytest
@@ -15,6 +13,7 @@ from repro.corpus.synthetic import base_generation_count
 from repro.eval.experiments import ExperimentScale
 from repro.eval.runner import ExperimentRunner, plan_harvest_batches
 from repro.eval.scenario_sweep import run_scenario_sweep
+from repro.exec.backends import ProcessBackend
 from repro.exec.specs import (
     _BASE_CACHE,
     _CORPUS_CACHE,
@@ -36,8 +35,6 @@ TINY_SCALE = ExperimentScale(
     corpus_seed=11,
 )
 
-BACKENDS = ("serial", "thread", "process", "serving")
-
 
 def _jobs(runner, prepared, methods=("L2QBAL", "RND"), num_queries=2):
     entities = list(prepared.split.test_entities)[:2]
@@ -54,15 +51,38 @@ class TestHarvestEquivalence:
             _jobs(researcher_runner, researcher_prepared), backend="serial")
         return [harvest_signature(r) for r in results]
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "serving"])
-    def test_backend_reproduces_serial(self, researcher_runner,
-                                       researcher_prepared, backend,
-                                       serial_signatures):
+    def test_process_backend_reproduces_serial(self, researcher_runner,
+                                               researcher_prepared,
+                                               serial_signatures):
         harvester = researcher_runner.harvester_for(researcher_prepared)
         results = harvester.harvest_many(
             _jobs(researcher_runner, researcher_prepared),
-            workers=4, backend=backend)
+            workers=4, backend="process")
         assert [harvest_signature(r) for r in results] == serial_signatures
+
+    @pytest.fixture(scope="class")
+    def process_backend(self):
+        backend = ProcessBackend(2)
+        yield backend
+        backend.close()
+
+    @pytest.mark.parametrize("method", ["RND", "L2QBAL", "L2QP", "L2QR", "LM",
+                                        "AQ", "HR", "MQ", "IDEAL"])
+    def test_each_method_reproduces_serial_on_process(self, researcher_runner,
+                                                      researcher_prepared,
+                                                      process_backend, method):
+        # Every selector's jobs, shipped live to worker processes, fire the
+        # same queries and gather the same pages as the serial loop.
+        harvester = researcher_runner.harvester_for(researcher_prepared)
+        serial = harvester.harvest_many(
+            _jobs(researcher_runner, researcher_prepared, methods=(method,)),
+            backend="serial")
+        shipped = harvester.harvest_many(
+            _jobs(researcher_runner, researcher_prepared, methods=(method,)),
+            backend=process_backend)
+        assert all(result.iterations for result in serial)
+        assert [harvest_signature(r) for r in shipped] == \
+            [harvest_signature(r) for r in serial]
 
     def test_job_seeds_identical_across_backends(self, researcher_runner,
                                                  researcher_prepared):
@@ -110,19 +130,32 @@ class TestRunnerEquivalence:
                                     max_test_entities=1,
                                     aspects=("RESEARCH",))
 
-    def test_process_live_fallback_reproduces_serial(self, tiny_corpus):
-        # Without a corpus spec the process backend pickles the live
-        # harvester and jobs (engine rebuilds its index per worker).
-        def evaluate(backend, workers=1):
-            runner = ExperimentRunner(tiny_corpus, base_seed=5, workers=workers,
-                                      backend=backend)
-            return runner.evaluate_methods(("RND",), num_queries_list=(2,),
-                                           max_test_entities=2,
-                                           aspects=("RESEARCH",))
+    def test_process_backend_without_corpus_spec_is_rejected(self, tiny_corpus):
+        # Workers rebuild the corpus from its spec; there is no path that
+        # ships the live corpus instead, so the runner refuses up front.
+        with pytest.raises(ValueError, match="corpus_spec"):
+            ExperimentRunner(tiny_corpus, base_seed=5, backend="process")
+        # Several workers without a named backend mean the process pool.
+        with pytest.raises(ValueError, match="corpus_spec"):
+            ExperimentRunner(tiny_corpus, base_seed=5, workers=2)
 
-        serial = evaluate("serial")
-        process = evaluate("process", workers=2)
-        assert serial["RND"].f_score == process["RND"].f_score
+    def test_process_backend_instance_without_corpus_spec_is_rejected(
+            self, tiny_corpus):
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(ValueError, match="corpus_spec"):
+                ExperimentRunner(tiny_corpus, base_seed=5, backend=backend)
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"workers": 1}, {"backend": "serial", "workers": 4},
+    ], ids=["default", "one-worker", "serial-named"])
+    def test_in_process_runner_needs_no_corpus_spec(self, tiny_corpus,
+                                                    kwargs):
+        runner = ExperimentRunner(tiny_corpus, base_seed=5, **kwargs)
+        assert runner.backend.name == "serial"
+        assert not runner.backend.distributed
 
     @pytest.fixture(scope="class")
     def tiny_corpus(self):
@@ -157,9 +190,8 @@ class TestFetchAccountingEquivalence:
     def test_merged_accounting_identical_across_backends(self, tiny_corpus):
         serial, _ = self._merged(tiny_corpus, "serial", 1)
         assert serial.queries_fired > 0
-        for backend in ("thread", "process"):
-            merged, _ = self._merged(tiny_corpus, backend, 4)
-            assert merged == serial
+        merged, _ = self._merged(tiny_corpus, "process", 4)
+        assert merged == serial
 
     def test_process_backend_ships_statistics_home(self, tiny_corpus):
         # The orchestrator's engine never fired a query (workers did), yet
@@ -184,7 +216,6 @@ class TestFetchAccountingEquivalence:
 
         serial = fetch_stats("serial")
         assert serial.queries_fired > 0
-        assert fetch_stats("thread", workers=4) == serial
         assert fetch_stats("process", workers=4,
                            corpus_spec=TINY_SCALE.corpus_spec_for(
                                "researcher")) == serial
@@ -369,17 +400,14 @@ class TestSplitFirstSharding:
                 max_test_entities=2, aspects=("RESEARCH",))
 
         serial = evaluate("serial")
-        thread = evaluate("thread", workers=4)
         process = evaluate("process", workers=4, corpus_spec=tiny_corpus_spec)
         for method in self.METHODS:
-            for other in (thread, process):
-                assert other.normalized[method].f_score == \
-                    serial.normalized[method].f_score
-                assert other.absolute[method].precision == \
-                    serial.absolute[method].precision
+            assert process.normalized[method].f_score == \
+                serial.normalized[method].f_score
+            assert process.absolute[method].precision == \
+                serial.absolute[method].precision
         # Merged fetch accounting survives split-first sharding unchanged.
         assert serial.fetch_statistics.queries_fired > 0
-        assert thread.fetch_statistics == serial.fetch_statistics
         assert process.fetch_statistics == serial.fetch_statistics
 
 
@@ -443,10 +471,8 @@ class TestSweepEquivalence:
     def serial_json(self, sweep_kwargs):
         return run_scenario_sweep(backend="serial", **sweep_kwargs).to_json()
 
-    @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 4)])
-    def test_sweep_digest_equal_across_backends(self, sweep_kwargs, serial_json,
-                                                backend, workers):
-        swept = run_scenario_sweep(backend=backend, workers=workers,
+    def test_sweep_digest_equal_across_backends(self, sweep_kwargs, serial_json):
+        swept = run_scenario_sweep(backend="process", workers=4,
                                    **sweep_kwargs).to_json()
         assert swept == serial_json
 
@@ -531,14 +557,17 @@ class TestSharedCorpusStore:
         assert all(o.attached for o in attach_outcomes)
         assert sum(o.index_builds for o in attach_outcomes) == 0
 
-    def test_thread_backend_ignores_store_publication(self, tiny_corpus):
-        # In-process backends share the live corpus already; the store flag
+    def test_serial_backend_ignores_store_publication(self, tiny_corpus,
+                                                      tiny_corpus_spec):
+        # The serial backend shares the live corpus already; the store flag
         # must be a no-op there, not an error.
-        _, threaded = self._evaluate(tiny_corpus, "thread", workers=4,
-                                     corpus_store="auto")
+        runner, published = self._evaluate(tiny_corpus, "serial",
+                                           corpus_spec=tiny_corpus_spec,
+                                           corpus_store="auto")
         _, serial = self._evaluate(tiny_corpus, "serial")
+        assert runner.last_batch_outcomes == []
         for method in self.METHODS:
-            assert threaded.normalized[method].f_score == \
+            assert published.normalized[method].f_score == \
                 serial.normalized[method].f_score
 
     def test_store_off_flag_disables_publication(self, tiny_corpus,
@@ -637,13 +666,10 @@ class TestClassifierSuiteAttach:
     def test_attached_metrics_identical_across_backends(self, tiny_corpus,
                                                         tiny_corpus_spec):
         _, serial = self._evaluate(tiny_corpus, "serial")
-        _, threaded = self._evaluate(tiny_corpus, "thread", workers=4,
-                                     corpus_store="auto")
         _, attached = self._evaluate(
             tiny_corpus, "process", workers=4, corpus_spec=tiny_corpus_spec,
             corpus_store="auto")
         for method in self.METHODS:
-            for other in (threaded, attached):
-                assert other[method].precision == serial[method].precision
-                assert other[method].recall == serial[method].recall
-                assert other[method].f_score == serial[method].f_score
+            assert attached[method].precision == serial[method].precision
+            assert attached[method].recall == serial[method].recall
+            assert attached[method].f_score == serial[method].f_score

@@ -20,7 +20,6 @@ each entity's pool once for all of its aspect sessions.
 """
 
 import random
-import sys
 from dataclasses import replace
 
 import pytest
@@ -39,14 +38,13 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity
 from repro.eval.experiments import SMOKE_SCALE, run_fig12, run_fig13
 from repro.eval.scenario_sweep import ScenarioSweep
-from repro.exec.backends import make_backend
 from repro.search import rankers as rankers_module
 from repro.search.engine import SearchEngine
 from repro.search.language_model import DirichletLanguageModel
 from repro.search.rankers import register_ranker
 from repro.utils.rng import SeededRandom
 
-from tests.helpers import make_page
+from tests.helpers import make_page, run_on_threads
 from tests.oracles import (
     reference_aq_select,
     reference_hr_select,
@@ -449,13 +447,8 @@ def test_thread_sessions_racing_for_one_pool_choose_the_serial_queries(
     threaded = replace(researcher_prepared, ideal_pools={})
     jobs = [researcher_runner.build_job(threaded, "IDEAL", entity_id, aspect, 3)
             for aspect in aspects * 2]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = researcher_runner.harvester_for(threaded).harvest_many(
-            jobs, backend=make_backend("thread", workers=8))
-    finally:
-        sys.setswitchinterval(interval)
+    runs = run_on_threads(researcher_runner.harvester_for(threaded).harvest_job,
+                          jobs)
     assert queries(runs) == expected * 2
     assert list(threaded.ideal_pools) == [(entity_id, 3000)]
 

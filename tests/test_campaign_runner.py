@@ -104,12 +104,12 @@ class TestRunAndFold:
         assert json.dumps(once, sort_keys=True) \
             == json.dumps(twice, sort_keys=True)
 
-    def test_thread_backend_same_bytes(self, tmp_path):
+    def test_process_backend_same_bytes(self, tmp_path):
         serial = CampaignRunner(tmp_path / "serial", spec=tiny_spec())
-        threaded = CampaignRunner(tmp_path / "threaded", spec=tiny_spec(),
-                                  backend="thread", workers=2)
+        process = CampaignRunner(tmp_path / "process", spec=tiny_spec(),
+                                 backend="process", workers=2)
         a = serial.run().matrices_path.read_bytes()
-        b = threaded.run().matrices_path.read_bytes()
+        b = process.run().matrices_path.read_bytes()
         assert a == b
 
     @pytest.mark.parametrize("backend", ["serial", "process"])

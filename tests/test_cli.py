@@ -267,7 +267,7 @@ class TestBackendArguments:
         out = io.StringIO()
         code = main(["harvest", "--domain", "researcher", "--entities", "12",
                      "--pages", "8", "--method", "MQ", "--queries", "2",
-                     "--backend", "thread"], out=out)
+                     "--backend", "process"], out=out)
         assert code == 0
         assert "--backend/--workers ignored" in out.getvalue()
 
@@ -380,16 +380,18 @@ class TestPerfCommand:
         assert code == 0
         return json.loads(perf_path.read_text(encoding="utf-8"))["phases"]
 
-    def test_perf_output_counts_serving_selections(self, tmp_path):
-        # The stepper records every selection, so serving sessions profile
-        # the same selections as the serial loop.  They interleave on one
-        # event loop, so they record no per-run harvest phase.
+    def test_perf_output_counts_process_selections(self, tmp_path):
+        # The harvest loop records every selection wherever it runs, and
+        # process workers ship their samples home, so a process run
+        # profiles the same selections and harvests as the serial loop.
         serial = self._fig13_phases(tmp_path)
-        serving = self._fig13_phases(tmp_path, "--concurrency", "4")
+        process = self._fig13_phases(tmp_path, "--backend", "process",
+                                     "--workers", "2")
         assert serial["selection"]["count"] > 0
-        assert serving.get("selection", {}).get("count") == \
+        assert process.get("selection", {}).get("count") == \
             serial["selection"]["count"]
-        assert "harvest" not in serving
+        assert process.get("harvest", {}).get("count") == \
+            serial["harvest"]["count"]
 
     def test_perf_output_does_not_leak_global_recorder(self, tmp_path):
         from repro import perf
@@ -403,63 +405,44 @@ class TestPerfCommand:
         assert perf.recorder() is None
 
 
-class TestServingArguments:
-    def test_client_choices(self):
-        args = build_parser().parse_args(["harvest", "--client", "simulated"])
-        assert args.client == "simulated"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["harvest", "--client", "psychic"])
+class TestRetiredArguments:
+    """There is no thread backend, search-client choice, concurrency level
+    or serve command: asking for one fails at parse time, not silently."""
 
-    def test_harvest_with_simulated_client_prints_stats(self):
-        out = io.StringIO()
-        code = main(["harvest", "--domain", "researcher", "--entities", "12",
-                     "--pages", "8", "--method", "MQ", "--queries", "2",
-                     "--client", "simulated"], out=out)
-        assert code == 0
-        text = out.getvalue()
-        assert "client : simulated" in text
-        assert "retry queries charged to budget" in text
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--figure", "fig13", "--backend", "thread"],
+        ["scenarios", "run", "--backend", "thread"],
+        ["campaign", "run", "--dir", "x", "--backend", "thread"],
+        ["harvest", "--client", "simulated"],
+        ["experiment", "--figure", "fig13", "--client", "instant"],
+        ["experiment", "--figure", "fig13", "--concurrency", "4"],
+        ["serve", "bench"],
+        ["harvest", "--backend", "thread"],
+        ["harvest", "--concurrency", "4"],
+        ["campaign", "resume", "--dir", "x", "--backend", "thread"],
+        ["serve"],
+    ], ids=["experiment-thread", "scenarios-thread", "campaign-thread",
+            "harvest-client", "experiment-client", "concurrency", "serve",
+            "harvest-thread", "harvest-concurrency", "campaign-resume-thread",
+            "serve-bare"])
+    def test_rejected_by_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
 
-    def test_harvest_instant_client_matches_default_path(self):
-        def run(extra):
-            out = io.StringIO()
-            assert main(["harvest", "--domain", "researcher", "--entities",
-                         "12", "--pages", "8", "--method", "L2QBAL",
-                         "--queries", "2"] + extra, out=out) == 0
-            return [line for line in out.getvalue().splitlines()
-                    if line.startswith(("query #", "f-score", "precision"))]
-
-        assert run(["--client", "instant"]) == run([])
-
-    def test_experiment_concurrency_conflicts_with_backend(self, tmp_path):
-        out = io.StringIO()
-        code = main(["experiment", "--figure", "fig13", "--scale", "smoke",
-                     "--backend", "thread", "--concurrency", "4"], out=out)
-        assert code == 2
-        assert "serving" in out.getvalue()
-
-    def test_serve_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
-
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve", "bench"])
-        assert args.scale == "smoke"
-        assert args.concurrency is None  # falls back to (1, 8)
-
-    def test_serve_bench_writes_artifact(self, tmp_path):
-        import json
-
-        out = io.StringIO()
-        output = tmp_path / "BENCH_serving.json"
-        code = main(["serve", "bench", "--scale", "smoke",
-                     "--methods", "RND", "--queries", "2", "--entities", "2",
-                     "--concurrency", "1", "2", "--time-scale", "0",
-                     "--output", str(output)], out=out)
-        assert code == 0
-        artifact = json.loads(output.read_text(encoding="utf-8"))
-        assert artifact["schema"] == "BENCH_serving/v1"
-        assert set(artifact["concurrency"]) == {"1", "2"}
-        assert artifact["concurrency"]["1"]["metrics"] == \
-            artifact["concurrency"]["2"]["metrics"]
-        assert "sess/s" in out.getvalue()
+    @pytest.mark.parametrize("command", [
+        ["harvest"],
+        ["experiment"],
+        ["scenarios", "run"],
+        ["campaign", "run"],
+        ["campaign", "resume"],
+    ], ids=["harvest", "experiment", "scenarios-run", "campaign-run",
+            "campaign-resume"])
+    def test_backend_help_names_the_two_backends(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(command + ["--help"])
+        assert raised.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "{process,serial}" in text
+        assert "default: serial for 1 worker, process for more" in text
+        assert "thread" not in text

@@ -43,9 +43,16 @@ class TestDeterminism:
 
     def test_evaluate_methods_identical_across_worker_counts(self, researcher_corpus):
         from repro.eval.runner import ExperimentRunner
+        from repro.exec.specs import CorpusSpec
+
+        # Several workers mean the process backend, whose workers rebuild
+        # the corpus from its spec.
+        spec = CorpusSpec(domain="researcher", num_entities=16,
+                          pages_per_entity=10, seed=11)
 
         def run(workers):
-            runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=workers)
+            runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=workers,
+                                      corpus_spec=spec)
             return runner.evaluate_methods(("RND", "MQ"), num_queries_list=(2,),
                                            max_test_entities=2,
                                            aspects=("RESEARCH",))

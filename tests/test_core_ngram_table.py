@@ -13,8 +13,6 @@ per entity.
 
 import gc
 import random
-import sys
-import threading
 import weakref
 
 import pytest
@@ -26,18 +24,22 @@ from repro.baselines.oracle import IdealPool
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import enumerate_domain_queries
 from repro.core.entity_phase import EntityPhase
-from repro.core.harvester import Harvester, drive_stepper
+from repro.core.harvester import Harvester
 from repro.core.queries import QueryEnumerator
 from repro.core.session import HarvestSession
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity
 from repro.dedup.novelty import NoveltyEstimator
 from repro.eval.experiments import SMOKE_SCALE, run_fig13
-from repro.search.clients import InstantClient
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
 
-from tests.helpers import entity_enumerator, harvest_signature, make_page
+from tests.helpers import (
+    entity_enumerator,
+    harvest_signature,
+    make_page,
+    run_on_threads,
+)
 from tests.oracles import (
     reference_enumerate,
     reference_ideal_candidates,
@@ -234,28 +236,24 @@ class TestThreadedSessions:
         expected = [harvest_signature(serial.harvest_job(job)) for job in jobs()]
 
         threaded = harvester()
-        steppers = [threaded.stepper_for_job(job) for job in jobs()]
-        results = [None] * len(steppers)
-
-        def run(index):
-            results[index] = drive_stepper(steppers[index],
-                                           InstantClient(threaded.engine))
-
-        threads = [threading.Thread(target=run, args=(index,))
-                   for index in range(len(steppers))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-        finally:
-            for thread in threads:
-                thread.join(timeout=120)
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        racing = jobs()
+        sessions = []
+        for job in racing:
+            # Each selector is prepared once, with its run's session.
+            job.selector.prepare = _capturing(job.selector.prepare, sessions)
+        results = run_on_threads(threaded.harvest_job, racing)
         assert list(threaded.ngram_tables) == [
             (entity_id, prepared.config.max_query_length,
              prepared.config.min_query_word_length)]
         table = next(iter(threaded.ngram_tables.values()))
-        assert all(stepper.session.candidates.table is table for stepper in steppers)
+        assert len(sessions) == len(racing)
+        assert all(session.candidates.table is table for session in sessions)
         assert [harvest_signature(result) for result in results] == expected
+
+
+def _capturing(prepare, sessions):
+    """``prepare``, recording the session it is handed into ``sessions``."""
+    def capture(session):
+        sessions.append(session)
+        prepare(session)
+    return capture

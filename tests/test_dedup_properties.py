@@ -92,5 +92,4 @@ class TestZeroPenaltyBackendEquivalence:
     def test_zero_penalty_identical_on_all_backends(self, dup_corpus):
         serial = self._signatures_on(dup_corpus, "serial", 1)
         assert serial  # the batch must not be empty
-        for backend in ("thread", "process"):
-            assert self._signatures_on(dup_corpus, backend, 4) == serial
+        assert self._signatures_on(dup_corpus, "process", 4) == serial

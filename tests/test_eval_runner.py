@@ -122,7 +122,7 @@ class TestEfficiencyAndValidation:
     def test_measure_efficiency_profiles_into_the_global_recorder(
             self, researcher_runner, researcher_corpus):
         # One fig14-method phase per method, and exactly one selection
-        # sample per measured query (the stepper's; none re-recorded).
+        # sample per measured query (the harvest loop's; none re-recorded).
         from repro import perf
 
         rec = perf.enable()
@@ -147,3 +147,22 @@ class TestEfficiencyAndValidation:
         assert best in (0.2, 0.5)
         assert set(scores) == {0.2, 0.5}
         assert runner.config.seed_recall_r0 == original
+
+    def test_validate_seed_recall_harvests_in_process(self, researcher_corpus):
+        # Each candidate r0 lives in this runner's config, so the harvests
+        # stay here whatever the backend: the process pool is never started.
+        from repro.exec.specs import CorpusSpec
+
+        def validate(runner):
+            return runner.validate_seed_recall(
+                candidates=(0.2, 0.5), method="L2QBAL", num_queries=2,
+                max_validation_entities=1,
+                aspects=researcher_corpus.aspects[:1])
+
+        serial = validate(ExperimentRunner(researcher_corpus, base_seed=5))
+        runner = ExperimentRunner(
+            researcher_corpus, base_seed=5, workers=2, backend="process",
+            corpus_spec=CorpusSpec(domain="researcher", num_entities=16,
+                                   pages_per_entity=10, seed=11))
+        assert validate(runner) == serial
+        assert runner.backend._pool is None

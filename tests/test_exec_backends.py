@@ -5,10 +5,8 @@ import pytest
 from repro.exec.backends import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_THREAD,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     _REGISTRY,
     backend_names,
     is_registered,
@@ -62,20 +60,25 @@ def _count_base_generations(payload):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {BACKEND_SERIAL, BACKEND_THREAD, BACKEND_PROCESS} <= set(backend_names())
+        assert backend_names() == [BACKEND_PROCESS, BACKEND_SERIAL]
 
     def test_make_backend_resolves_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", workers=3), ThreadBackend)
         assert isinstance(make_backend("process", workers=2), ProcessBackend)
 
+    @pytest.mark.parametrize("name", backend_names())
+    def test_every_registered_backend_builds_under_its_name(self, name):
+        backend = make_backend(name, workers=2)
+        assert backend.name == name
+        assert backend.distributed == (name == BACKEND_PROCESS)
+
     def test_make_backend_forwards_workers(self):
-        assert make_backend("thread", workers=7).workers == 7
         assert make_backend("process", workers=2).workers == 2
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["quantum", "thread", "serving"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("quantum")
+            make_backend(name)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -91,11 +94,11 @@ class TestRegistry:
 
 
 class TestResolveBackend:
-    def test_none_maps_workers_to_serial_or_thread(self):
+    def test_none_maps_workers_to_serial_or_process(self):
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
-        thread = resolve_backend(None, workers=4)
-        assert isinstance(thread, ThreadBackend)
-        assert thread.workers == 4
+        process = resolve_backend(None, workers=4)
+        assert isinstance(process, ProcessBackend)
+        assert process.workers == 4
 
     def test_string_resolves_with_workers(self):
         backend = resolve_backend("process", workers=2)
@@ -103,7 +106,7 @@ class TestResolveBackend:
         assert backend.workers == 2
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         assert resolve_backend(backend, workers=9) is backend
 
     def test_bad_type_rejected(self):
@@ -112,29 +115,37 @@ class TestResolveBackend:
 
 
 class TestMapSemantics:
-    @pytest.mark.parametrize("backend", [
-        SerialBackend(), ThreadBackend(3), ProcessBackend(2)],
-        ids=["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
+                             ids=["serial", "process"])
     def test_map_preserves_order(self, backend):
         items = list(range(13))
         assert backend.map(_double, items) == [2 * i for i in items]
 
-    @pytest.mark.parametrize("backend", [
-        SerialBackend(), ThreadBackend(3), ProcessBackend(2)],
-        ids=["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
+                             ids=["serial", "process"])
     def test_map_empty(self, backend):
         assert backend.map(_double, []) == []
 
-    def test_serial_and_thread_not_distributed(self):
+    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
+                             ids=["serial", "process"])
+    def test_map_tasks_preserves_order(self, backend):
+        # One task per item on the process pool; results still come back
+        # in item order, as sweeps and campaigns fold them.
+        items = list(range(13))
+        assert backend.map_tasks(_double, items) == [2 * i for i in items]
+
+    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
+                             ids=["serial", "process"])
+    def test_map_tasks_empty(self, backend):
+        assert backend.map_tasks(_double, []) == []
+
+    def test_serial_not_distributed(self):
         assert not SerialBackend().distributed
-        assert not ThreadBackend(2).distributed
 
     def test_process_is_distributed(self):
         assert ProcessBackend(2).distributed
 
     def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            ThreadBackend(0)
         with pytest.raises(ValueError):
             ProcessBackend(0)
 
@@ -293,10 +304,11 @@ class TestProcessLocalCache:
         assert rebuilt is not first
 
     def test_concurrent_lookups_survive_evictions(self):
-        # Thread-backend cells share the process caches.  A hit that is
-        # evicted by another thread between its membership test and its
-        # LRU touch raised KeyError.  Each key's hash yields the GIL, which
-        # opens that window on every lookup, as a thread switch there would.
+        # Cells a caller runs on its own threads share the process caches.
+        # A hit that is evicted by another thread between its membership
+        # test and its LRU touch raised KeyError.  Each key's hash yields
+        # the GIL, which opens that window on every lookup, as a thread
+        # switch there would.
         import sys
         import threading
         import time
