@@ -18,8 +18,10 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy>=1.21", "scipy>=1.7"],
     extras_require={
-        # Running the test suite and the figure/perf benchmarks.
-        "dev": ["pytest>=7.0"],
+        # Running the test suite (hypothesis drives the property and oracle
+        # tests) and the figure/perf benchmarks (pytest-benchmark's
+        # ``benchmark`` fixture).
+        "dev": ["pytest>=7.0", "hypothesis>=6.0", "pytest-benchmark>=3.4"],
     },
     entry_points={"console_scripts": ["repro-l2q = repro.cli:main"]},
 )

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.queries import Query
-from repro.core.selection import QuerySelector, first_unfired
+from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession
 from repro.corpus.document import Page
 
@@ -50,14 +51,17 @@ class LanguageModelFeedbackSelection(QuerySelector):
         if not feedback_model:
             return None
 
-        candidates = self._candidates(session)
-        if not candidates:
+        unfired = [q for q in self._candidates(session) if not session.is_fired(q)]
+        if not unfired:
             return None
-        ranked = sorted(
-            candidates,
-            key=lambda q: (-self._query_log_likelihood(q, feedback_model), q),
-        )
-        return first_unfired(ranked, session)
+        # Logs are taken once per model term.  Each query's sum runs in query
+        # order from 0, like the per-word reference in tests/oracles.py, so
+        # the scores match it bit for bit; the best unfired query is the
+        # minimum of the ranking key.
+        log_model = {term: math.log(p) for term, p in feedback_model.items()}
+        unseen = repeat(math.log(_EPSILON))
+        return min(unfired, key=lambda q: (
+            -sum(map(log_model.get, q, unseen)), q))
 
     # -- Internals -------------------------------------------------------------
     def _top_relevant_pages(self, session: HarvestSession) -> List[Page]:
@@ -89,6 +93,3 @@ class LanguageModelFeedbackSelection(QuerySelector):
 
     def _candidates(self, session: HarvestSession) -> List[Query]:
         return list(session.candidates.sorted_queries())
-
-    def _query_log_likelihood(self, query: Query, model: Dict[str, float]) -> float:
-        return sum(math.log(model.get(word, _EPSILON)) for word in query)

@@ -1,4 +1,4 @@
-"""Content-similarity subsystem: w-shingling, MinHash and LSH.
+"""Content-similarity subsystem: w-shingling, MinHash and the band rule.
 
 The near-duplicate scenario (PR 2) exposed a failure mode the paper's
 context-aware collective selection cannot see: it reasons about redundancy
@@ -11,10 +11,12 @@ This package provides the page-level machinery to detect that waste:
 
 * :mod:`repro.dedup.shingles` — w-shingling of token sequences into stable
   64-bit shingle hashes;
-* :mod:`repro.dedup.minhash` — seeded MinHash signatures whose
-  component-agreement fraction estimates shingle-set Jaccard similarity;
-* :mod:`repro.dedup.index` — an LSH-banded :class:`NearDuplicateIndex`
-  over signatures, O(1) per lookup in the number of indexed pages;
+* :mod:`repro.dedup.minhash` — seeded MinHash signatures, signed in
+  batches by one exact ``uint64`` kernel, and :func:`band_similarity`, the
+  one near-duplicate rule: the agreement fraction of two signatures when
+  some LSH band agrees on all its rows, else 0;
+* :mod:`repro.dedup.signatures` — the page → signature cache both users
+  below share;
 * :mod:`repro.dedup.novelty` — the per-query expected-novelty estimate the
   harvesting loop feeds into collective selection;
 * :mod:`repro.dedup.waste` — the ``duplicate_waste`` evaluation metric.
@@ -24,8 +26,7 @@ not Python's salted ``hash``) and the MinHash coefficients derive from a
 seed, so signatures agree bit-for-bit across processes and backends.
 """
 
-from repro.dedup.index import NearDuplicateIndex
-from repro.dedup.minhash import MinHasher, estimated_jaccard
+from repro.dedup.minhash import MinHasher, band_similarity
 from repro.dedup.novelty import NoveltyEstimator
 from repro.dedup.shingles import shingle_hashes
 from repro.dedup.waste import DuplicateWasteScorer
@@ -33,8 +34,7 @@ from repro.dedup.waste import DuplicateWasteScorer
 __all__ = [
     "DuplicateWasteScorer",
     "MinHasher",
-    "NearDuplicateIndex",
     "NoveltyEstimator",
-    "estimated_jaccard",
+    "band_similarity",
     "shingle_hashes",
 ]

@@ -6,32 +6,34 @@ It cannot see page-level redundancy — a query whose result pages are
 near-copies of pages already gathered scores exactly like one retrieving
 genuinely new content.  :class:`NoveltyEstimator` closes that gap:
 
-* gathered pages are fingerprinted incrementally (w-shingles → MinHash)
-  into an LSH :class:`~repro.dedup.index.NearDuplicateIndex`, O(new pages)
-  per harvesting step — the same contract as
-  :class:`~repro.core.candidates.CandidateStatistics`;
+* gathered pages are fingerprinted incrementally (w-shingles → MinHash),
+  O(new pages) per harvesting step — the same contract as
+  :class:`~repro.core.candidates.CandidateStatistics` — and their
+  signatures stacked into one matrix;
 * a candidate query's *posting pages* — the pages it could retrieve,
   resolved through the entity's view of the engine's index
   (conjunctive match first, any-match fallback) — are scored for novelty:
   an already-gathered page contributes 0, an ungathered page contributes
-  ``1 - max_similarity`` against the gathered index;
+  ``1 - max similarity`` against the gathered matrix under the band rule
+  of :func:`~repro.dedup.minhash.band_similarity`;
 * the query's expected novelty is the mean over its posting pages, 1.0
   when nothing is known (no postings), so an uninformed estimate never
   penalises a query.
 
 All iteration is over sorted page ids and all hashing is seeded, so the
-estimate is deterministic across runs, threads and worker processes.
+estimate is deterministic across runs and worker processes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import L2QConfig
 from repro.core.queries import Query
 from repro.corpus.document import Page
-from repro.dedup.index import NearDuplicateIndex
-from repro.dedup.minhash import Signature
+from repro.dedup.minhash import band_similarity
 from repro.dedup.signatures import PageSignatureCache
 
 
@@ -44,26 +46,27 @@ class NoveltyEstimator:
         self.entity = entity
         self.config = config
         self.signatures = PageSignatureCache(config)
-        self.index = NearDuplicateIndex(
-            num_bands=config.dedup_bands,
-            similarity_threshold=config.dedup_similarity_threshold)
+        #: Signatures of the gathered pages, in gathering order.
+        self.gathered: Dict[str, np.ndarray] = {}
+        self._gathered_matrix: Optional[np.ndarray] = None
         self._postings: Dict[Query, Tuple[str, ...]] = {}
-        # Page novelty is stable until another page is gathered; cache it
-        # against the index version so one iteration's selection pass scores
-        # each posting page once, not once per candidate query.
-        self._page_novelty: Dict[str, Tuple[int, float]] = {}
+        # Page novelty is stable until another page is gathered; caching it
+        # lets one iteration's selection pass score each posting page once,
+        # not once per candidate query.
+        self._page_novelty: Dict[str, float] = {}
 
     # -- Fingerprinting -----------------------------------------------------
-    def signature_of(self, page: Page) -> Signature:
-        """The (cached) MinHash signature of one corpus page."""
-        return self.signatures.signature_of(page)
-
     def observe_page(self, page: Page) -> None:
-        """Fold one gathered page into the signature index (idempotent)."""
-        self.index.add(page.page_id, self.signature_of(page))
+        """Fold one gathered page into the gathered set (idempotent)."""
+        if page.page_id in self.gathered:
+            return
+        self.gathered[page.page_id] = self.signatures.signature_of(page)
+        self._gathered_matrix = None
+        self._page_novelty.clear()
 
     def observe_pages(self, pages: Sequence[Page]) -> None:
-        """Fold several gathered pages into the signature index."""
+        """Fold several gathered pages into the gathered set."""
+        self.signatures.signatures_of(pages)
         for page in pages:
             self.observe_page(page)
 
@@ -86,17 +89,27 @@ class NoveltyEstimator:
             self._postings[query] = cached
         return cached
 
+    def _score(self, page_ids: Sequence[str]) -> None:
+        """Cache the novelty of every page in ``page_ids`` not yet scored."""
+        missing = [page_id for page_id in page_ids
+                   if page_id not in self._page_novelty]
+        if not missing:
+            return
+        if not self.gathered:
+            self._page_novelty.update(dict.fromkeys(missing, 1.0))
+            return
+        if self._gathered_matrix is None:
+            self._gathered_matrix = np.stack(list(self.gathered.values()))
+        signatures = self.signatures.signatures_of(
+            [self.corpus.get_page(page_id) for page_id in missing])
+        best = band_similarity(self._gathered_matrix, signatures,
+                               self.config.dedup_bands).max(axis=0)
+        self._page_novelty.update(zip(missing, (1.0 - best).tolist()))
+
     def page_novelty(self, page_id: str) -> float:
         """Novelty of one page against the gathered set: ``1 - max_sim``."""
-        cached = self._page_novelty.get(page_id)
-        if cached is not None and cached[0] == self.index.version:
-            return cached[1]
-        signature = self.signatures.get(page_id)
-        if signature is None:
-            signature = self.signature_of(self.corpus.get_page(page_id))
-        novelty = 1.0 - self.index.max_similarity(signature)
-        self._page_novelty[page_id] = (self.index.version, novelty)
-        return novelty
+        self._score((page_id,))
+        return self._page_novelty[page_id]
 
     def expected_novelty(self, query: Query,
                          is_gathered: Callable[[str], bool]) -> float:
@@ -109,9 +122,9 @@ class NoveltyEstimator:
         postings = self._posting_pages(query)
         if not postings:
             return 1.0
+        fresh = [page_id for page_id in postings if not is_gathered(page_id)]
+        self._score(fresh)
         total = 0.0
-        for page_id in postings:
-            if is_gathered(page_id):
-                continue
-            total += self.page_novelty(page_id)
+        for page_id in fresh:
+            total += self._page_novelty[page_id]
         return total / len(postings)

@@ -9,7 +9,9 @@ while still separating pages that merely share vocabulary.
 
 Shingles are hashed to 64-bit integers with BLAKE2b rather than Python's
 ``hash`` (which is salted per process): signatures computed in a worker
-process must agree bit-for-bit with the orchestrator's.
+process must agree bit-for-bit with the orchestrator's.  Each token is
+UTF-8 encoded once per page; a shingle hashes its tokens' bytes joined by a
+separator.
 """
 
 from __future__ import annotations
@@ -18,12 +20,6 @@ import hashlib
 from typing import FrozenSet, Sequence
 
 _SHINGLE_SEPARATOR = b"\x1f"  # Cannot occur inside a token.
-
-
-def _hash_shingle(tokens: Sequence[str]) -> int:
-    digest = hashlib.blake2b(_SHINGLE_SEPARATOR.join(
-        token.encode("utf-8") for token in tokens), digest_size=8)
-    return int.from_bytes(digest.digest(), "big")
 
 
 def shingle_hashes(tokens: Sequence[str], size: int) -> FrozenSet[int]:
@@ -37,7 +33,10 @@ def shingle_hashes(tokens: Sequence[str], size: int) -> FrozenSet[int]:
         raise ValueError("shingle size must be >= 1")
     if not tokens:
         return frozenset()
-    if len(tokens) < size:
-        return frozenset((_hash_shingle(tokens),))
-    return frozenset(_hash_shingle(tokens[i:i + size])
-                     for i in range(len(tokens) - size + 1))
+    encoded = [token.encode("utf-8") for token in tokens]
+    windows = [encoded[i:i + size]
+               for i in range(max(len(encoded) - size, 0) + 1)]
+    return frozenset(
+        int.from_bytes(hashlib.blake2b(_SHINGLE_SEPARATOR.join(window),
+                                       digest_size=8).digest(), "big")
+        for window in windows)

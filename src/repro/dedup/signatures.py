@@ -5,15 +5,19 @@ waste scoring (:mod:`repro.dedup.waste`) must fingerprint pages *the same
 way* — a drift between the two would silently invalidate every
 penalty-on/off comparison.  Both therefore share this single
 config → hasher → signature mapping, with one cached signature per page.
+Each user hands over a batch of pages (a run's fetches, a query's
+postings), and the pages not yet cached are signed in one kernel call.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
+
+import numpy as np
 
 from repro.core.config import L2QConfig
 from repro.corpus.document import Page
-from repro.dedup.minhash import MinHasher, Signature
+from repro.dedup.minhash import MinHasher
 from repro.dedup.shingles import shingle_hashes
 
 
@@ -24,17 +28,21 @@ class PageSignatureCache:
         self.config = config
         self.hasher = MinHasher(num_hashes=config.dedup_num_hashes,
                                 seed=config.dedup_hash_seed)
-        self._signatures: Dict[str, Signature] = {}
+        self._signatures: Dict[str, np.ndarray] = {}
 
-    def signature_of(self, page: Page) -> Signature:
-        """The (cached) signature of one page, keyed by ``page_id``."""
-        cached = self._signatures.get(page.page_id)
-        if cached is None:
-            cached = self.hasher.signature(
-                shingle_hashes(page.tokens, self.config.dedup_shingle_size))
-            self._signatures[page.page_id] = cached
-        return cached
+    def signatures_of(self, pages: Sequence[Page]) -> np.ndarray:
+        """The signatures of ``pages`` as rows, keyed by ``page_id``."""
+        missing = {page.page_id: page for page in pages
+                   if page.page_id not in self._signatures}
+        if missing:
+            rows = self.hasher.signatures([
+                shingle_hashes(page.tokens, self.config.dedup_shingle_size)
+                for page in missing.values()])
+            self._signatures.update(zip(missing, rows))
+        if not pages:
+            return np.empty((0, self.hasher.num_hashes), dtype=np.uint64)
+        return np.stack([self._signatures[page.page_id] for page in pages])
 
-    def get(self, page_id: str):
-        """The cached signature of ``page_id``, or ``None`` if not computed."""
-        return self._signatures.get(page_id)
+    def signature_of(self, page: Page) -> np.ndarray:
+        """The (cached) signature of one page."""
+        return self.signatures_of((page,))[0]

@@ -58,13 +58,28 @@ MultinomialNaiveBayes.joint_log_likelihood`, and its ``predict`` /
 :func:`reference_page_assessment` is the suite's per-paragraph page
 assessment over it; :meth:`~repro.aspects.classifier.AspectClassifierSuite.
 page_assessment` must return the same ``(label, probability)``.
+
+:func:`reference_signature` is the per-shingle MinHash: one Python big-int
+``(a * x + b) % p`` per shingle and hash function, no reduction of ``x``
+first; :meth:`~repro.dedup.minhash.MinHasher.signatures` must return the
+same components.  :class:`ReferenceNearDuplicateIndex` is the LSH index
+with one bucket dict per band, whose lookups verify bucket candidates with
+:func:`reference_jaccard`; :func:`~repro.dedup.minhash.band_similarity`
+must answer every ``max_similarity`` and near-duplicate query the same.
+:func:`reference_waste_checkpoints` replays a run page by page through
+that index; :class:`~repro.dedup.waste.DuplicateWasteScorer` must read the
+same waste at every budget.  :func:`reference_query_log_likelihood` is the
+LM baseline's per-word ``math.log`` score, the ranking
+:meth:`~repro.baselines.lm_feedback.LanguageModelFeedbackSelection.select`
+must reproduce.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 import math
 import weakref
@@ -92,6 +107,8 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
 from repro.core.context import ContextTracker
 from repro.corpus.knowledge_base import TypeSystem
+from repro.dedup.minhash import EMPTY_COMPONENT, MinHasher
+from repro.dedup.shingles import shingle_hashes
 from repro.graph.reinforcement import ReinforcementGraph, VertexIndex
 from repro.search.bm25 import BM25Ranker
 from repro.search.language_model import DirichletLanguageModel
@@ -771,3 +788,148 @@ def reference_page_assessment(suite: AspectClassifierSuite, page: Page,
     probability = max((reference.predict_proba(f).get(RELEVANT, 0.0)
                        for f in features), default=0.0)
     return label, probability
+
+
+# -- Dedup: MinHash, the LSH index and the waste replay -----------------------
+
+_MINHASH_PRIME = (1 << 61) - 1
+
+Signature = Tuple[int, ...]
+
+
+def reference_signature(hasher: MinHasher, shingles: AbstractSet[int]) -> Signature:
+    """The MinHash signature of one shingle set, shingle by shingle."""
+    if not shingles:
+        return (EMPTY_COMPONENT,) * hasher.num_hashes
+    return tuple(min((a * x + b) % _MINHASH_PRIME for x in shingles)
+                 for a, b in hasher.coefficients.tolist())
+
+
+def reference_jaccard(left: Sequence[int], right: Sequence[int]) -> float:
+    """Estimated Jaccard similarity: the fraction of agreeing components."""
+    if len(left) != len(right):
+        raise ValueError("signatures must have the same length")
+    if not len(left):
+        return 0.0
+    return sum(1 for a, b in zip(left, right) if a == b) / len(left)
+
+
+class ReferenceNearDuplicateIndex:
+    """Incremental LSH index: one bucket per (band, band rows), candidates
+    verified against the full signature.  Two signatures share a bucket when
+    some band agrees on all its rows; buckets are sets and similarity comes
+    from signatures, so answers do not depend on insertion order."""
+
+    def __init__(self, num_bands: int = 32, similarity_threshold: float = 0.5) -> None:
+        if num_bands < 1:
+            raise ValueError("num_bands must be >= 1")
+        if not 0.0 < similarity_threshold <= 1.0:
+            raise ValueError("similarity_threshold must be in (0, 1]")
+        self.num_bands = num_bands
+        self.similarity_threshold = similarity_threshold
+        self._signatures: Dict[str, Signature] = {}
+        self._buckets: Dict[Tuple[int, Signature], Set[str]] = {}
+        #: Bumped on every insertion.
+        self.version = 0
+
+    def __len__(self) -> int:
+        return len(self._signatures)
+
+    def __contains__(self, page_id: str) -> bool:
+        return page_id in self._signatures
+
+    def _bands(self, signature: Sequence[int]) -> List[Tuple[int, Signature]]:
+        signature = tuple(int(v) for v in signature)
+        if len(signature) % self.num_bands:
+            raise ValueError(
+                f"signature length {len(signature)} is not divisible by "
+                f"{self.num_bands} bands")
+        rows = len(signature) // self.num_bands
+        return [(band, signature[band * rows:(band + 1) * rows])
+                for band in range(self.num_bands)]
+
+    def add(self, page_id: str, signature: Sequence[int]) -> bool:
+        """Index one page's signature; returns False if already present."""
+        if page_id in self._signatures:
+            return False
+        keys = self._bands(signature)
+        self._signatures[page_id] = tuple(int(v) for v in signature)
+        for key in keys:
+            self._buckets.setdefault(key, set()).add(page_id)
+        self.version += 1
+        return True
+
+    def candidates(self, signature: Sequence[int]) -> Set[str]:
+        """Pages sharing at least one LSH bucket with ``signature``."""
+        found: Set[str] = set()
+        for key in self._bands(signature):
+            found |= self._buckets.get(key, set())
+        return found
+
+    def max_similarity(self, signature: Sequence[int]) -> float:
+        """Highest estimated Jaccard against any bucket candidate (0.0 if none)."""
+        signature = tuple(int(v) for v in signature)
+        return max((reference_jaccard(signature, self._signatures[page_id])
+                    for page_id in self.candidates(signature)), default=0.0)
+
+    def near_duplicates(self, signature: Sequence[int]) -> List[str]:
+        """Indexed pages whose estimated similarity meets the threshold."""
+        signature = tuple(int(v) for v in signature)
+        return sorted(
+            page_id for page_id in self.candidates(signature)
+            if reference_jaccard(signature, self._signatures[page_id])
+            >= self.similarity_threshold)
+
+    def is_near_duplicate(self, signature: Sequence[int]) -> bool:
+        """Whether any indexed page meets the similarity threshold."""
+        return bool(self.near_duplicates(signature))
+
+
+def reference_waste_checkpoints(corpus: Corpus, config: L2QConfig,
+                                result) -> List[Tuple[int, int]]:
+    """Cumulative ``(fetched, wasted)`` after the seed and each iteration.
+
+    Each fetch in stream order: a page already indexed is waste; otherwise
+    it is waste when the index holds a near-duplicate, and it joins the
+    index either way.  Signatures come from :func:`reference_signature`.
+    """
+    hasher = MinHasher(num_hashes=config.dedup_num_hashes,
+                       seed=config.dedup_hash_seed)
+    index = ReferenceNearDuplicateIndex(
+        num_bands=config.dedup_bands,
+        similarity_threshold=config.dedup_similarity_threshold)
+    fetched = wasted = 0
+    checkpoints: List[Tuple[int, int]] = []
+    for page_ids in [result.seed_page_ids] + [
+            record.result_page_ids for record in result.iterations]:
+        for page_id in page_ids:
+            fetched += 1
+            if page_id in index:
+                wasted += 1
+                continue
+            signature = reference_signature(hasher, shingle_hashes(
+                corpus.get_page(page_id).tokens, config.dedup_shingle_size))
+            if index.is_near_duplicate(signature):
+                wasted += 1
+            index.add(page_id, signature)
+        checkpoints.append((fetched, wasted))
+    return checkpoints
+
+
+def reference_waste_by_budget(corpus: Corpus, config: L2QConfig, result,
+                              budgets: Sequence[int]) -> Dict[int, float]:
+    """Waste at each budget read off :func:`reference_waste_checkpoints`."""
+    checkpoints = reference_waste_checkpoints(corpus, config, result)
+    out: Dict[int, float] = {}
+    for budget in budgets:
+        fetched, wasted = checkpoints[min(budget, len(checkpoints) - 1)]
+        out[budget] = wasted / fetched if fetched else 0.0
+    return out
+
+
+# -- LM feedback --------------------------------------------------------------
+
+def reference_query_log_likelihood(query: Query, model: Mapping[str, float],
+                                   epsilon: float) -> float:
+    """Log-likelihood of a query under a feedback model, one log per word."""
+    return sum(math.log(model.get(word, epsilon)) for word in query)

@@ -1,15 +1,18 @@
 """Tests for the baseline strategies (LM, AQ, HR, MQ) and the ideal oracle."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.aspects.relevance import OracleRelevance
 from repro.baselines.adaptive_querying import AdaptiveQueryingSelection
 from repro.baselines.harvest_rate import HarvestRateSelection, HarvestRateStatistics
-from repro.baselines.lm_feedback import LanguageModelFeedbackSelection
+from repro.baselines.lm_feedback import _EPSILON, LanguageModelFeedbackSelection
 from repro.baselines.manual import ManualQuerySelection
 from repro.baselines.oracle import IdealSelection
 from repro.core.config import L2QConfig
 from repro.core.queries import NgramTable
+from repro.core.selection import first_unfired
 from repro.core.session import HarvestSession
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity
@@ -17,6 +20,7 @@ from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
 
 from tests.helpers import make_page
+from tests.oracles import reference_query_log_likelihood
 
 
 @pytest.fixture()
@@ -64,6 +68,30 @@ class TestLanguageModelFeedback:
         session.record_query(first)
         second = selector.select(session)
         assert second != first
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(st.dictionaries(st.sampled_from("abcdefgh"),
+                           st.one_of(st.sampled_from([_EPSILON, 0.5, 1.0]),
+                                     st.floats(1e-12, 1.0)),
+                           min_size=1),
+           st.lists(st.lists(st.sampled_from("abcdefghxyz"), min_size=1,
+                             max_size=3).map(tuple),
+                    min_size=1, max_size=12, unique=True),
+           st.data())
+    def test_select_matches_reference_ranking(self, session, model, candidates,
+                                              data):
+        # Random feedback models, words the model has never seen (x, y, z
+        # and unmodelled letters), ties and fired queries: the selector must
+        # choose what ranking by the per-word-log reference chooses.
+        session.fired_queries = set(data.draw(st.lists(st.sampled_from(candidates))))
+        selector = LanguageModelFeedbackSelection()
+        selector._feedback_model = lambda session, pages: model
+        selector._candidates = lambda session: list(candidates)
+        ranked = sorted(candidates, key=lambda q: (
+            -reference_query_log_likelihood(q, model, _EPSILON), q))
+        assert selector.select(session) == first_unfired(ranked, session)
 
 
 class TestAdaptiveQuerying:

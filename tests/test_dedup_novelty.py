@@ -1,13 +1,30 @@
-"""Tests for the novelty estimator and the duplicate-waste scorer."""
+"""Tests for the novelty estimator and the duplicate-waste scorer.
+
+Both are compared with the LSH-index references in ``tests/oracles.py``:
+the novelty of a page is one minus the reference index's
+``max_similarity``, and the waste at each budget is what the page-by-page
+reference replay reads.
+"""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import L2QConfig
 from repro.core.harvester import HarvestResult, IterationRecord
+from repro.dedup.minhash import MinHasher
 from repro.dedup.novelty import NoveltyEstimator
+from repro.dedup.shingles import shingle_hashes
 from repro.dedup.waste import DuplicateWasteScorer
 from repro.scenarios import make_scenario
 from repro.search.engine import SearchEngine
+
+from tests.helpers import make_page
+from tests.oracles import (
+    ReferenceNearDuplicateIndex,
+    reference_signature,
+    reference_waste_by_budget,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +93,38 @@ class TestNoveltyEstimator:
         query = tuple(dup_corpus.get_page(source_id).tokens[:1])
         assert estimator.expected_novelty(query, lambda pid: False) == 1.0
 
+    def test_page_novelty_matches_reference_index(self, dup_corpus, estimator,
+                                                  dup_target):
+        # After each gathered page, every page of the entity scores exactly
+        # one minus the reference index's max similarity, and a query's
+        # expected novelty is the mean of those over its ungathered postings.
+        entity_id = dup_target[0]
+        config = estimator.config
+        hasher = MinHasher(config.dedup_num_hashes, config.dedup_hash_seed)
+        signatures = {
+            page.page_id: reference_signature(hasher, shingle_hashes(
+                page.tokens, config.dedup_shingle_size))
+            for page in dup_corpus.pages_of(entity_id)}
+        page_ids = sorted(signatures)
+        index = ReferenceNearDuplicateIndex(
+            num_bands=config.dedup_bands,
+            similarity_threshold=config.dedup_similarity_threshold)
+        query = tuple(dup_corpus.get_page(page_ids[0]).tokens[:1])
+        postings = estimator._posting_pages(query)
+        assert postings
+        for page_id in page_ids[1::2] + page_ids[::2]:
+            estimator.observe_page(dup_corpus.get_page(page_id))
+            index.add(page_id, signatures[page_id])
+            for other in page_ids:
+                assert estimator.page_novelty(other) == \
+                    1.0 - index.max_similarity(signatures[other])
+            expected = 0.0
+            for other in postings:
+                if other not in index:
+                    expected += 1.0 - index.max_similarity(signatures[other])
+            assert estimator.expected_novelty(
+                query, lambda pid: pid in index) == expected / len(postings)
+
 
 def _result(seed_ids, iteration_page_ids):
     result = HarvestResult(entity_id="e", aspect="A", selector_name="T",
@@ -127,3 +176,97 @@ class TestDuplicateWasteScorer:
         profile = scorer.waste_by_budget(result, budgets)
         assert profile == {k: scorer.waste(result, k) for k in budgets}
         assert profile[5] == profile[2]  # stream simply ends early
+
+
+def _two_iteration_run():
+    """Six fetches: two seed pages, then two pages in each of two iterations."""
+    return _result(["a", "b"], [("c", "a"), ("d", "e")])
+
+
+class TestNegativeBudgets:
+    """A negative budget is rejected, as in ``HarvestResult.gathered_after``."""
+
+    def test_waste_by_budget_rejects_negative_budget(self, dup_corpus):
+        scorer = DuplicateWasteScorer(dup_corpus)
+        with pytest.raises(ValueError, match="num_queries must be >= 0"):
+            scorer.waste_by_budget(_two_iteration_run(), [-1])
+        with pytest.raises(ValueError):
+            scorer.waste_by_budget(_two_iteration_run(), [0, 2, -2])
+
+    def test_waste_rejects_negative_budget(self, dup_corpus):
+        with pytest.raises(ValueError):
+            DuplicateWasteScorer(dup_corpus).waste(_two_iteration_run(), -1)
+
+    def test_fetched_page_ids_rejects_negative_budget(self, dup_corpus):
+        scorer = DuplicateWasteScorer(dup_corpus)
+        with pytest.raises(ValueError):
+            scorer.fetched_page_ids(_two_iteration_run(), -1)
+
+    def test_fetched_page_ids_reads_each_budget(self, dup_corpus):
+        scorer = DuplicateWasteScorer(dup_corpus)
+        run = _two_iteration_run()
+        assert scorer.fetched_page_ids(run, 0) == ["a", "b"]
+        assert scorer.fetched_page_ids(run, 1) == ["a", "b", "c", "a"]
+        assert scorer.fetched_page_ids(run) == scorer.fetched_page_ids(run, 2) \
+            == scorer.fetched_page_ids(run, 5) == ["a", "b", "c", "a", "d", "e"]
+
+
+class _Pages:
+    """The one corpus method the scorer reads."""
+
+    def __init__(self, pages):
+        self._pages = {page.page_id: page for page in pages}
+
+    def get_page(self, page_id):
+        return self._pages[page_id]
+
+
+def _pool(texts):
+    """Per text: the page, an exact copy, a one-token edit and an empty page."""
+    pages = []
+    for i, tokens in enumerate(texts):
+        edited = list(tokens[:-1]) + ["zz"] if tokens else ["zz"]
+        for page_id, page_tokens in ((f"p{i}", tokens), (f"c{i}", tokens),
+                                     (f"n{i}", edited), (f"e{i}", [])):
+            pages.append(make_page(page_id, "e", [(page_tokens, None)]))
+    return pages
+
+
+WASTE_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestWasteReplayMatchesReference:
+    @WASTE_SETTINGS
+    @given(st.data(),
+           st.lists(st.lists(st.sampled_from("abcdefg"), max_size=10),
+                    min_size=1, max_size=4),
+           st.sampled_from([L2QConfig(),
+                            L2QConfig(dedup_shingle_size=1,
+                                      dedup_similarity_threshold=0.3),
+                            L2QConfig(dedup_num_hashes=16, dedup_bands=4,
+                                      dedup_similarity_threshold=0.75)]))
+    def test_random_streams(self, data, texts, config):
+        pages = _pool(texts)
+        ids = st.sampled_from([page.page_id for page in pages])
+        seed_ids = data.draw(st.lists(ids, max_size=4))
+        iterations = data.draw(st.lists(st.lists(ids, max_size=5), max_size=4))
+        budgets = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=5))
+        corpus = _Pages(pages)
+        result = _result(seed_ids, iterations)
+        assert DuplicateWasteScorer(corpus, config).waste_by_budget(
+            result, budgets) == reference_waste_by_budget(corpus, config,
+                                                          result, budgets)
+
+    def test_scenario_runs(self, dup_corpus, dup_target):
+        # Repeats, exact copies and near-copies of real pages, with budgets
+        # past the run's end.
+        entity_id = dup_target[0]
+        page_ids = sorted(p.page_id for p in dup_corpus.pages_of(entity_id))
+        config = L2QConfig()
+        result = _result(page_ids[:2], [page_ids[1:4], page_ids[::-1],
+                                        page_ids[2:5] * 2, ()])
+        budgets = list(range(7))
+        assert DuplicateWasteScorer(dup_corpus, config).waste_by_budget(
+            result, budgets) == reference_waste_by_budget(dup_corpus, config,
+                                                          result, budgets)

@@ -1,6 +1,6 @@
 """Property tests for the dedup subsystem (ISSUE 4 acceptance).
 
-1. The MinHash index flags pages injected by
+1. The band rule flags pages injected by
    :class:`~repro.scenarios.perturbations.NearDuplicateInjection` at a
    true-positive rate above threshold, with zero false positives on a
    clean corpus (clean pages flagged against earlier clean pages).
@@ -9,11 +9,13 @@
    fingerprint, index or discount anything.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.config import L2QConfig
 from repro.corpus.synthetic import build_corpus
-from repro.dedup import MinHasher, NearDuplicateIndex, shingle_hashes
+from repro.dedup import band_similarity
+from repro.dedup.signatures import PageSignatureCache
 from repro.eval.runner import ExperimentRunner
 from repro.scenarios import make_scenario
 
@@ -24,20 +26,16 @@ from tests.helpers import harvest_signature
 MIN_TRUE_POSITIVE_RATE = 0.7
 
 
-def _signatures(corpus, config):
-    hasher = MinHasher(num_hashes=config.dedup_num_hashes,
-                       seed=config.dedup_hash_seed)
-    return {
-        page.page_id: hasher.signature(
-            shingle_hashes(page.tokens, config.dedup_shingle_size))
-        for page in corpus.iter_pages()
-    }
+def _signatures(corpus, config, page_ids):
+    """Signature rows of ``page_ids``, in that order."""
+    return PageSignatureCache(config).signatures_of(
+        [corpus.get_page(page_id) for page_id in page_ids])
 
 
-def _index(config):
-    return NearDuplicateIndex(
-        num_bands=config.dedup_bands,
-        similarity_threshold=config.dedup_similarity_threshold)
+def _near_duplicate(config, indexed, probes):
+    """Per probe row: whether some indexed row meets the threshold."""
+    similarity = band_similarity(indexed, probes, config.dedup_bands)
+    return (similarity >= config.dedup_similarity_threshold).any(axis=0)
 
 
 class TestInjectedDuplicateDetection:
@@ -46,28 +44,26 @@ class TestInjectedDuplicateDetection:
         config = L2QConfig()
         corpus = make_scenario("near-duplicates").corpus_for(
             domain, num_entities=20, pages_per_entity=10, seed=7)
-        signatures = _signatures(corpus, config)
-        index = _index(config)
-        injected = [pid for pid in sorted(signatures) if "_dup" in pid]
+        page_ids = sorted(page.page_id for page in corpus.iter_pages())
+        injected = [pid for pid in page_ids if "_dup" in pid]
         assert injected, "scenario injected no duplicates"
-        for page_id in sorted(signatures):
-            if "_dup" not in page_id:
-                index.add(page_id, signatures[page_id])
-        flagged = sum(1 for page_id in injected
-                      if index.is_near_duplicate(signatures[page_id]))
-        assert flagged / len(injected) >= MIN_TRUE_POSITIVE_RATE
+        clean = [pid for pid in page_ids if "_dup" not in pid]
+        flagged = _near_duplicate(config, _signatures(corpus, config, clean),
+                                  _signatures(corpus, config, injected))
+        assert flagged.sum() / len(injected) >= MIN_TRUE_POSITIVE_RATE
 
     def test_zero_false_positives_on_clean_corpus(self):
         config = L2QConfig()
         corpus = build_corpus("researcher", num_entities=20,
                               pages_per_entity=10, seed=7)
-        signatures = _signatures(corpus, config)
-        index = _index(config)
-        false_positives = []
-        for page_id in sorted(signatures):
-            if index.is_near_duplicate(signatures[page_id]):
-                false_positives.append(page_id)
-            index.add(page_id, signatures[page_id])
+        page_ids = sorted(page.page_id for page in corpus.iter_pages())
+        signatures = _signatures(corpus, config, page_ids)
+        similar = band_similarity(signatures, signatures, config.dedup_bands) \
+            >= config.dedup_similarity_threshold
+        # Row j flags page j against every page sorted before it.
+        false_positives = [page_id for page_id, flagged in
+                           zip(page_ids, np.tril(similar, -1).any(axis=1))
+                           if flagged]
         assert false_positives == []
 
 

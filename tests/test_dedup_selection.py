@@ -49,10 +49,10 @@ class TestSessionNoveltyIndex:
         session = _session(dup_corpus, L2QConfig(dedup_penalty=0.5))
         pages = dup_corpus.pages_of(session.entity.entity_id)[:2]
         session.add_pages(pages)
-        assert len(session.novelty.index) == 2
+        assert len(session.novelty.gathered) == 2
         # Re-adding must not grow the index (same contract as candidates).
         session.add_pages(pages)
-        assert len(session.novelty.index) == 2
+        assert len(session.novelty.gathered) == 2
 
     def test_gathered_postings_score_zero_novelty(self, dup_corpus):
         session = _session(dup_corpus, L2QConfig(dedup_penalty=0.5))
