@@ -45,7 +45,7 @@ from repro.exec.backends import ExecutionBackend, resolve_backend
 #: Identifier of the folded campaign-matrices layout.
 MATRICES_SCHEMA = "CampaignMatrices/v1"
 
-#: Identifier of the campaign summary artifact (perf-manifest food).
+#: Identifier of the campaign summary artifact (`campaign run --bench-output`).
 SUMMARY_SCHEMA = "BENCH_campaign/v1"
 
 #: Test/CI hook: seconds to sleep after committing each cell, so an
@@ -211,11 +211,11 @@ class CampaignRunner:
     # -- Reporting ---------------------------------------------------------
     def summary_document(self, report: CampaignRunReport
                          ) -> Dict[str, object]:
-        """The ``BENCH_campaign`` summary artifact for the perf manifest.
+        """The ``BENCH_campaign`` summary artifact of a run.
 
-        Carries the campaign's shape and checkpoint/resume counters; the
-        perf manifest folds these into its ``campaigns`` block so the
-        fleet's resume behaviour is visible next to its throughput.
+        Carries the campaign's shape, its checkpoint/resume counters and
+        the ``campaign-*`` phase timings, so a run's resume behaviour is
+        on record next to its wall time.
         """
         rec = perf.recorder()
         phases = rec.aggregates_since(0) if rec is not None else {}

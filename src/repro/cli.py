@@ -1,6 +1,6 @@
 """Command-line interface for the L2Q reproduction.
 
-Six subcommands cover the common workflows:
+Five subcommands cover the common workflows:
 
 ``repro-l2q corpus``
     Generate a synthetic corpus and print its summary statistics.
@@ -18,13 +18,6 @@ Six subcommands cover the common workflows:
     scenarios; ``scenarios run`` sweeps selectors × scenarios and writes the
     robustness matrix to ``BENCH_scenarios.json`` (same seed ⇒ byte-identical
     output).
-
-``repro-l2q perf``
-    Performance tracking: ``perf manifest`` regenerates the unified
-    ``BENCH_manifest.json`` from the ``benchmarks/results/BENCH_*.json``
-    artifacts (deterministic — CI diffs it for freshness); ``perf report``
-    renders per-backend speedup tables and throughput deltas vs the
-    committed manifest.
 
 ``repro-l2q campaign``
     Resumable campaigns: ``campaign plan`` compiles a spec (from a JSON
@@ -75,8 +68,6 @@ Usage examples::
     python -m repro.cli scenarios run --scenarios near-duplicates --param dedup_penalty=0.0,0.5
     python -m repro.cli scenarios run --scenarios near-duplicates hostile-mix --dedup-penalty 0.5
     python -m repro.cli scenarios run --paper-scale --perf-output perf.json
-    python -m repro.cli perf manifest
-    python -m repro.cli perf report
 """
 
 from __future__ import annotations
@@ -131,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target aspect (defaults to the domain's first aspect)")
     harvest.add_argument("--method", default="L2QBAL",
                          help="selection strategy (e.g. L2QBAL, L2QP, MQ, LM)")
-    harvest.add_argument("--queries", type=int, default=3,
-                         help="number of queries after the seed (default 3)")
+    harvest.add_argument("--queries", type=_non_negative_int, default=3,
+                         help="number of queries after the seed (default 3; "
+                              "0 runs the seed query only)")
     harvest.add_argument("--entity", default=None,
                          help="entity id to harvest (defaults to the first test entity)")
     _add_engine_arguments(harvest)
@@ -221,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "invocation (default: all)")
         sub.add_argument("--bench-output", default=None, metavar="PATH",
                          help="write the BENCH_campaign summary artifact "
-                              "(cells skipped/executed, journal anomalies) "
-                              "for the perf manifest's campaigns block")
+                              "(cells skipped/executed, journal anomalies)")
         sub.add_argument("--perf-output", default=None, metavar="PATH",
                          help="record campaign phase timings (replay, "
                               "publish, dispatch, fold) to PATH")
@@ -234,31 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "campaign orchestrator leaked")
     clean.add_argument("--dir", required=True, metavar="DIR")
 
-    perf_parser = subparsers.add_parser(
-        "perf", help="build the perf manifest or render speedup reports")
-    perf_commands = perf_parser.add_subparsers(dest="perf_command",
-                                               required=True)
-    manifest = perf_commands.add_parser(
-        "manifest", help="regenerate BENCH_manifest.json from the "
-                         "committed BENCH_*.json artifacts (deterministic)")
-    manifest.add_argument("--results", default="benchmarks/results",
-                          help="directory holding the BENCH_*.json artifacts "
-                               "(default: benchmarks/results)")
-    manifest.add_argument("--output", default=None,
-                          help="manifest path to write "
-                               "(default: <results>/BENCH_manifest.json)")
-    report = perf_commands.add_parser(
-        "report", help="render per-backend speedup tables and deltas vs "
-                       "the committed manifest")
-    report.add_argument("--results", default="benchmarks/results",
-                        help="artifact directory a fresh manifest is built "
-                             "from when --manifest is not given")
-    report.add_argument("--manifest", default=None,
-                        help="pre-built manifest to render (default: build "
-                             "one in memory from --results)")
-    report.add_argument("--baseline", default=None,
-                        help="committed manifest to diff against (default: "
-                             "<results>/BENCH_manifest.json when present)")
     return parser
 
 
@@ -273,6 +239,13 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
     return number
 
 
@@ -679,43 +652,6 @@ def _command_campaign(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_perf(args: argparse.Namespace, out) -> int:
-    from pathlib import Path
-
-    if args.perf_command == "manifest":
-        results = Path(args.results)
-        if not results.is_dir():
-            print(f"results directory {results} does not exist", file=out)
-            return 2
-        path = perf.write_manifest(results, output=args.output)
-        print(f"wrote {path}", file=out)
-        return 0
-
-    # perf report
-    results = Path(args.results)
-    if args.manifest is not None:
-        manifest = perf.load_manifest(args.manifest)
-    elif results.is_dir():
-        manifest = perf.build_manifest(results)
-    else:
-        print(f"results directory {results} does not exist "
-              f"(pass --manifest or --results)", file=out)
-        return 2
-    print(perf.format_manifest(manifest), file=out)
-
-    baseline_path = Path(args.baseline) if args.baseline is not None \
-        else results / perf.MANIFEST_NAME
-    if baseline_path.exists():
-        baseline = perf.load_manifest(baseline_path)
-        print(f"\nThroughput vs committed manifest ({baseline_path}):",
-              file=out)
-        print(perf.format_manifest_delta(manifest, baseline), file=out)
-    elif args.baseline is not None:
-        print(f"baseline manifest {baseline_path} does not exist", file=out)
-        return 2
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -734,8 +670,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _command_scenarios(args, out)
         if args.command == "campaign":
             return _command_campaign(args, out)
-        if args.command == "perf":
-            return _command_perf(args, out)
         parser.error(f"unknown command {args.command!r}")
         return 2  # pragma: no cover - parser.error raises
     finally:

@@ -13,20 +13,20 @@ Every fetch, the seed's and each selected query's, goes through the
 harvester's :class:`~repro.search.clients.SearchClient`: the engine call,
 charged to the run's own fetch accounting, plus the result pages.
 
-Batched runs go through :meth:`Harvester.harvest_many`: each
-:class:`HarvestJob` is an independent harvesting run (own session, own
-seeded RNG, own selector instance), so job batches can be delegated to any
-:class:`~repro.exec.backends.ExecutionBackend` — serial or sharded process
-pool — while remaining bit-for-bit reproducible: results are returned in
-job order and every job's randomness derives only from its seed, never
-from scheduling.
+A :class:`HarvestJob` is one independent harvesting run (own session,
+own seeded RNG, own selector instance), executed by
+:meth:`Harvester.harvest_job`.  Every job's randomness derives only from
+its seed, so a batch of jobs gives the same results in any order and in
+any process: distributed backends ship job *specs*
+(:mod:`repro.exec.specs`), and each worker builds its jobs and harvester
+from them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 from repro import perf
 from repro.aspects.relevance import RelevanceFunction
@@ -36,7 +36,7 @@ from repro.core.queries import Query
 from repro.core.selection import QuerySelector
 from repro.core.session import HarvestSession, NgramTableCache
 from repro.corpus.corpus import Corpus
-from repro.exec.backends import ExecutionBackend, resolve_backend
+from repro.dedup.signatures import PageSignatureCache
 from repro.search.clients import SearchClient
 from repro.search.engine import RunFetchAccounting, SearchEngine
 from repro.utils.rng import SeededRandom
@@ -145,6 +145,10 @@ class Harvester:
         #: Every entity's n-gram table, shared by all the sessions this
         #: harvester builds (see :mod:`repro.core.session`).
         self.ngram_tables: NgramTableCache = {}
+        #: Every page's MinHash signature, shared by the novelty estimators
+        #: of all the sessions this harvester builds, so that with the dedup
+        #: penalty on each page is signed once, not once per session.
+        self.page_signatures = PageSignatureCache(self.config)
 
     def harvest_job(self, job: HarvestJob) -> HarvestResult:
         """Execute one :class:`HarvestJob`."""
@@ -157,34 +161,6 @@ class Harvester:
             domain_model=job.domain_model,
             seed=job.seed,
         )
-
-    def harvest_many(self, jobs: Sequence[HarvestJob], workers: int = 1,
-                     backend: Union[None, str, ExecutionBackend] = None
-                     ) -> List[HarvestResult]:
-        """Execute a batch of jobs on an execution backend.
-
-        ``backend`` is a registered backend name, a ready instance, or
-        ``None`` for the ``workers`` default (1 = serial, more = process
-        pool).  Results are returned in job order.  Every job owns its
-        session, seeded RNG and selector, so every backend reproduces
-        serial bit-for-bit (queries, result pages, seed pages — wall-clock
-        timings naturally vary).
-
-        The process backend pickles this harvester (corpus, engine
-        configuration — the engine rebuilds its index per worker) and the
-        job payloads into contiguous shards.  Worker-side engine counters
-        stay in their workers, but every result carries its run's
-        :class:`~repro.search.engine.RunFetchAccounting`; merge them with
-        :func:`~repro.search.engine.merge_run_accounting` for batch-level
-        fetch statistics that are identical on every backend.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        engine = resolve_backend(backend, workers=workers)
-        return engine.map(self.harvest_job, jobs)
 
     def harvest(self, entity_id: str, aspect: str, selector: QuerySelector,
                 relevance: RelevanceFunction, num_queries: Optional[int] = None,
@@ -202,7 +178,8 @@ class Harvester:
             The learner-visible relevance function (aspect classifier).
         num_queries:
             Number of queries to fire after the seed (defaults to the
-            configured ``num_queries``).  The run ends early when the
+            configured ``num_queries``); 0 runs the seed query only, and a
+            negative budget is rejected.  The run ends early when the
             selector returns ``None``.
         domain_model:
             Domain-phase knowledge, if the strategy is domain aware.
@@ -213,11 +190,13 @@ class Harvester:
         phase, and each iteration's selection time is recorded as a
         ``selection`` sample.
         """
+        budget = num_queries if num_queries is not None \
+            else self.config.num_queries
+        if budget < 0:
+            raise ValueError(f"num_queries must be >= 0, got {budget}")
         with perf.phase("harvest", entity=entity_id, aspect=aspect,
                         selector=selector.name):
             entity = self.corpus.get_entity(entity_id)
-            budget = num_queries if num_queries is not None \
-                else self.config.num_queries
             rng = SeededRandom(seed if seed is not None else self.config.random_seed)
             session = HarvestSession(
                 corpus=self.corpus,
@@ -229,6 +208,7 @@ class Harvester:
                 rng=rng.spawn(entity_id, aspect, selector.name),
                 domain_model=domain_model,
                 ngram_tables=self.ngram_tables,
+                page_signatures=self.page_signatures,
             )
             accounting = RunFetchAccounting()
             result = HarvestResult(entity_id=entity_id, aspect=aspect,

@@ -17,7 +17,9 @@ words.  The table is built on the session's first page fold and kept in
 so all of an entity's sessions (and the ideal oracle's pool) share one
 table; a session built without a cache keeps its own.  Sessions a caller
 runs on threads of its own may build the same table twice; the builds are
-identical, and the first one stored is the one every session uses.
+identical, and the first one stored is the one every session uses.  With
+the dedup penalty on, the harvester hands its page-signature cache over
+the same way, so each page is signed once per harvester.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.core.utility import GraphTables
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Entity, Page
 from repro.dedup.novelty import NoveltyEstimator
+from repro.dedup.signatures import PageSignatureCache
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
 
@@ -75,6 +78,10 @@ class HarvestSession:
     past_queries: List[Query] = field(default_factory=list)
     fired_queries: Set[Query] = field(default_factory=set)
     ngram_tables: NgramTableCache = field(default_factory=dict, repr=False)
+    #: Page signatures for the novelty estimator; a session built without
+    #: one (no harvester) signs into a cache of its own.
+    page_signatures: Optional[PageSignatureCache] = field(default=None,
+                                                          repr=False)
 
     def __post_init__(self) -> None:
         #: Candidate queries enumerated so far, kept in sync with
@@ -103,7 +110,8 @@ class HarvestSession:
             self.novelty = NoveltyEstimator(corpus=self.corpus,
                                             engine=self.engine,
                                             entity=self.entity,
-                                            config=self.config)
+                                            config=self.config,
+                                            signatures=self.page_signatures)
         # Pages given at construction take the same path as fetched ones.
         pages, self.current_pages = self.current_pages, []
         self.add_pages(pages)

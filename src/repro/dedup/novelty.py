@@ -40,12 +40,16 @@ from repro.dedup.signatures import PageSignatureCache
 class NoveltyEstimator:
     """Estimates how much genuinely new content a candidate query buys."""
 
-    def __init__(self, corpus, engine, entity, config: L2QConfig) -> None:
+    def __init__(self, corpus, engine, entity, config: L2QConfig,
+                 signatures: Optional[PageSignatureCache] = None) -> None:
         self.corpus = corpus
         self.engine = engine
         self.entity = entity
         self.config = config
-        self.signatures = PageSignatureCache(config)
+        #: Signatures made with ``config``'s MinHash parameters; estimators
+        #: of one corpus may share one cache.
+        self.signatures = signatures if signatures is not None \
+            else PageSignatureCache(config)
         #: Signatures of the gathered pages, in gathering order.
         self.gathered: Dict[str, np.ndarray] = {}
         self._gathered_matrix: Optional[np.ndarray] = None

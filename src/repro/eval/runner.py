@@ -646,9 +646,9 @@ class ExperimentRunner:
         executed :class:`~repro.exec.specs.HarvestBatchOutcome` probes are
         kept on :attr:`last_batch_outcomes` for preparation accounting.
 
-        In-process backends prepare each split locally and delegate its
-        batch to :meth:`Harvester.harvest_many`, exactly one preparation
-        per split.
+        In-process backends prepare each split locally and run its jobs in
+        order through :meth:`Harvester.harvest_job`, exactly one
+        preparation per split.
         """
         if self.backend.distributed:
             if self._corpus_digest is None:
@@ -685,8 +685,8 @@ class ExperimentRunner:
         for split, specs in split_specs:
             prepared = self.prepare(split, domain_fraction=domain_fraction)
             jobs = [self.job_from_spec(prepared, spec) for spec in specs]
-            out.append(self.harvester_for(prepared).harvest_many(
-                jobs, backend=self.backend))
+            harvester = self.harvester_for(prepared)
+            out.append([harvester.harvest_job(job) for job in jobs])
         return out
 
     # -- Efficiency (Fig. 14) --------------------------------------------------------------
@@ -727,8 +727,9 @@ class ExperimentRunner:
             jobs = [self.build_job(prepared, method, entity_id, aspect, num_queries)
                     for aspect in aspect_list
                     for entity_id in test_entities]
+            harvester = self.harvester_for(prepared)
             with perf.phase("fig14-method", method=method):
-                runs = self.harvester_for(prepared).harvest_many(jobs, workers=1)
+                runs = [harvester.harvest_job(job) for job in jobs]
             merged = merge_run_accounting([r.fetch_accounting for r in runs])
             hit_rates[method] = merged.cache_hit_rate
             for run in runs:
@@ -759,6 +760,7 @@ class ExperimentRunner:
         """
         split = self.default_split(0)
         prepared = self.prepare(split)
+        harvester = self.harvester_for(prepared)
         aspect_list = list(aspects) if aspects is not None else list(self.corpus.aspects)[:2]
         validation = list(split.validation_entities)[:max_validation_entities]
         scores: Dict[float, float] = {}
@@ -777,7 +779,7 @@ class ExperimentRunner:
                         relevant_sets.append(relevant)
                         jobs.append(self.build_job(prepared, method, entity_id,
                                                    aspect, num_queries))
-                runs = self.harvester_for(prepared).harvest_many(jobs)
+                runs = [harvester.harvest_job(job) for job in jobs]
                 per_run = [compute_metrics(run.gathered_after(num_queries),
                                            relevant).f_score
                            for relevant, run in zip(relevant_sets, runs)]
@@ -832,8 +834,8 @@ def plan_harvest_batches(split_payloads: Sequence[Tuple[HarvestTaskContext,
 
 # -- Distributed worker side -------------------------------------------------------
 #: Rebuilt (runner, prepared, harvester) runtimes, cached per worker process
-#: so every job of a contiguous shard reuses one corpus, classifier suite
-#: and engine.
+#: so every batch a worker runs of one split reuses one corpus, classifier
+#: suite and engine.
 _TASK_RUNTIMES = _ProcessLocalCache(capacity=4)
 
 #: Process-local count of prepared-runtime *builds* (cache misses in
@@ -842,21 +844,10 @@ _TASK_RUNTIMES = _ProcessLocalCache(capacity=4)
 #: prepared each split at most once.
 _RUNTIME_BUILDS = 0
 
-
-def runtime_build_count() -> int:
-    """How many prepared-split runtimes this process has built."""
-    return _RUNTIME_BUILDS
-
-
 #: Process-local count of aspect-classifier suite *trainings*.  The
 #: train-once/attach-many probe: with a store carrying published suites,
 #: worker batches must report a delta of 0 (attach instead of train).
 _CLASSIFIER_TRAININGS = 0
-
-
-def classifier_training_count() -> int:
-    """How many classifier suites this process has trained from scratch."""
-    return _CLASSIFIER_TRAININGS
 
 
 @dataclass
@@ -910,7 +901,7 @@ def execute_harvest_batch(batch: HarvestBatchSpec) -> HarvestBatchOutcome:
     # evict and re-prepare runtimes it still needs.
     _TASK_RUNTIMES.reserve(batch.runtime_slots)
     # Likewise for the base-corpus and realised-corpus caches: room for
-    # every distinct base in the dispatch, so shards touching many
+    # every distinct base in the dispatch, so workers touching many
     # (domain, sizes, seed) bases cannot thrash into regeneration cycles.
     reserve_base_slots(batch.base_slots)
     before = _RUNTIME_BUILDS

@@ -1,29 +1,27 @@
 """Pluggable execution backends: one orchestration API, two engines.
 
 Every fan-out site in the project funnels through the same tiny contract:
-an :class:`ExecutionBackend` maps a callable over a list of payloads and
-returns the results *in payload order*.  :meth:`Harvester.harvest_many`
-maps harvest jobs.  :meth:`ExecutionBackend.map_tasks` schedules one task
-per payload: a distributed :class:`~repro.eval.runner.ExperimentRunner`
-ships its split batches that way, and a
-:class:`~repro.eval.scenario_sweep.ScenarioSweep` or a campaign ships its
-(domain, scenario) cells that way on every backend, each cell running its
-own harvests serially.
-Because every job's randomness derives only from its seed (never from
-scheduling), swapping the backend changes wall-clock behaviour but not one
-bit of the results.
+:meth:`ExecutionBackend.map_tasks` applies a module-level function to
+each of a list of picklable payloads, one task per payload, and returns
+the results *in payload order*.  A distributed
+:class:`~repro.eval.runner.ExperimentRunner` ships its split batches that
+way, and a :class:`~repro.eval.scenario_sweep.ScenarioSweep` or a
+campaign ships its (domain, scenario) cells that way on every backend,
+each cell running its own harvests serially.  Payloads are specs
+(:mod:`repro.exec.specs`), never live object graphs: a worker rebuilds or
+attaches the corpus, classifiers and engine it needs.  Because every
+job's randomness derives only from its seed (never from scheduling),
+swapping the backend changes wall-clock behaviour but not one bit of the
+results.
 
 Two engines are built in and registered through the shared
 :class:`~repro.utils.registry.NamedRegistry`:
 
 * ``serial`` — a plain in-order loop; the reference semantics.
-* ``process`` — multiprocess execution: :meth:`~ExecutionBackend.map`
-  splits payloads into at most ``workers`` contiguous shards, each shipped
-  to a worker process and executed as an in-order loop there, so
-  process-local caches — rebuilt corpora, trained classifier suites,
-  search indexes — amortise across a shard; ``map_tasks`` submits one pool
-  task per payload, so idle workers steal the next one.  Payloads and the
-  mapped callable must be picklable; results travel back by pickle too.
+* ``process`` — a persistent process pool; every payload becomes its own
+  pool task, so idle workers steal the next one, and process-local caches
+  (rebuilt corpora, prepared splits) amortise across the tasks a worker
+  runs.  Results travel back by pickle.
 
 Custom backends register the same way rankers and scenarios do::
 
@@ -62,31 +60,22 @@ class ExecutionBackend:
         True when jobs execute in *another process*: payloads must be
         picklable and in-memory side effects (cache fills, statistics
         counters) stay in the worker instead of the caller's objects.
-        Orchestrators use this flag to choose spec-based payloads over
-        live object graphs.
+        Orchestrators use this flag to ship specs instead of running on
+        their own live objects.
     """
 
     name: str = "abstract"
     workers: int = 1
     distributed: bool = False
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item and return results in item order."""
-        raise NotImplementedError
-
     def map_tasks(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Like :meth:`map`, but schedule every item independently.
+        """Apply ``fn`` to every item, one task each; results in item order.
 
-        For items that are already coarse, self-contained batches (e.g. the
-        split-first :class:`~repro.exec.specs.HarvestBatchSpec` payloads),
-        contiguous sharding would pin each batch to a fixed worker and lose
-        load balance.  ``map_tasks`` asks the engine for per-item
-        scheduling — on the process backend every item becomes its own pool
-        task, so idle workers steal the next pending batch.  In-process
-        engines have no sharding to bypass; the default simply delegates to
-        :meth:`map`.  Results are returned in item order either way.
+        Items are coarse, self-contained batches (a split's
+        :class:`~repro.exec.specs.HarvestBatchSpec`, a sweep cell).  This
+        default runs them in order on the calling thread.
         """
-        return self.map(fn, items)
+        return [fn(item) for item in items]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(workers={self.workers})"
@@ -97,33 +86,15 @@ class SerialBackend(ExecutionBackend):
 
     name = BACKEND_SERIAL
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        return [fn(item) for item in items]
-
-
-def _run_shard(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """Execute one shard serially inside a worker process.
-
-    Module-level so it pickles by reference under every start method.
-    """
-    return [fn(item) for item in items]
-
 
 class ProcessBackend(ExecutionBackend):
-    """Sharded multiprocess execution.
+    """Multiprocess execution: one pool task per payload.
 
-    The payload list is cut into at most ``workers`` contiguous shards;
-    each shard becomes one task in a :class:`ProcessPoolExecutor` and runs
-    as an in-order loop in its worker.  One shard therefore pickles the
-    mapped callable (and anything it closes over, e.g. a bound method's
-    instance) exactly once, and process-local caches amortise across all
-    payloads of the shard.
-
-    The worker pool is created lazily and persists across :meth:`map`
-    calls, so those process-local caches (rebuilt corpora, prepared
-    splits) also amortise across calls — e.g. across the per-split batches
-    of a multi-split evaluation.  Call :meth:`close` (or drop the backend)
-    to release the workers.
+    The worker pool is created lazily and persists across
+    :meth:`map_tasks` calls, so process-local caches (rebuilt corpora,
+    prepared splits) amortise across calls — e.g. across the dispatch
+    rounds of a campaign.  Call :meth:`close` (or drop the backend) to
+    release the workers.
     """
 
     name = BACKEND_PROCESS
@@ -144,15 +115,6 @@ class ProcessBackend(ExecutionBackend):
         self.workers = workers
         self.start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    def shards(self, items: Sequence[T]) -> List[List[T]]:
-        """Cut ``items`` into at most ``workers`` contiguous shards."""
-        items = list(items)
-        if not items:
-            return []
-        shard_count = min(self.workers, len(items))
-        size = -(-len(items) // shard_count)  # ceil division
-        return [items[start:start + size] for start in range(0, len(items), size)]
 
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -190,28 +152,11 @@ class ProcessBackend(ExecutionBackend):
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         self.close()
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        shards = self.shards(items)
-        if not shards:
-            return []
-        try:
-            futures = [self._executor().submit(_run_shard, fn, shard)
-                       for shard in shards]
-            results: List[R] = []
-            for future in futures:
-                results.extend(future.result())
-            return results
-        except Exception:
-            self._abort()
-            raise
-
     def map_tasks(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """One pool task per item: work-stealing scheduling, results in order.
 
-        The per-item pickling cost this pays (vs one pickle per shard in
-        :meth:`map`) only makes sense for coarse payloads — whole splits or
-        sweep cells — where load balance matters more than dispatch
-        overhead.
+        ``fn`` must be a module-level function, so that it pickles by
+        reference; each item is pickled once, for its own task.
         """
         items = list(items)
         if not items:

@@ -22,7 +22,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Tuple, TypeVar
 
 from repro import perf
@@ -116,7 +116,7 @@ def reserve_base_slots(count: int) -> None:
 
     Dispatchers call this (via the ``base_slots`` carried on batch and cell
     specs) with the number of distinct base keys in flight, so a worker
-    shard touching many ``(domain, sizes, seed)`` bases cannot thrash either
+    touching many ``(domain, sizes, seed)`` bases cannot thrash either
     cache into evict-and-rebuild cycles.
     """
     _BASE_CACHE.reserve(count)
@@ -278,24 +278,6 @@ class HarvestBatchSpec:
     #: grow their base/corpus caches to at least this (see
     #: :func:`reserve_base_slots`).
     base_slots: int = 4
-
-    def cell_key(self) -> str:
-        """Stable content-addressed identity of this batch.
-
-        Only the denotation counts: cache-tuning fields
-        (``runtime_slots``, ``base_slots``) and the context corpus's
-        ``store_handle`` (transport, not meaning) are excluded, so a
-        resumed dispatch recognises the batch regardless of worker
-        count or store availability.
-        """
-        context = replace(self.context,
-                          corpus=replace(self.context.corpus,
-                                         store_handle=None))
-        return stable_key({
-            "kind": "harvest-batch",
-            "context": repr(context),
-            "specs": [repr(spec) for spec in self.specs],
-        })
 
 
 @dataclass

@@ -104,7 +104,7 @@ class RunFetchAccounting:
     """Per-harvest-run fetch accounting (picklable, travels with results).
 
     The shared engine's :class:`FetchStatistics` live in whichever process
-    ran the harvest — a sharded process backend throws them away with the
+    ran the harvest — a process backend throws them away with the
     worker.  Each harvesting run therefore keeps its *own* account of what
     it asked the engine for: fired queries, fetched pages, simulated fetch
     cost, and the ordered result-cache keys it looked up.  Orchestrators
@@ -143,7 +143,7 @@ def merge_run_accounting(accountings: Sequence[Optional[RunFetchAccounting]]
     already seen earlier in the merged stream counts as a hit.  For a fresh
     serial engine (no eviction) this reproduces the engine's own hit/miss
     accounting exactly, and because it reads only result payloads, every
-    backend — serial or sharded process — merges to the same
+    backend — serial or process — merges to the same
     statistics.  ``None`` entries (results from before accounting existed)
     are skipped.
     """

@@ -10,6 +10,7 @@ repository root on ``sys.path``).
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 
@@ -17,6 +18,7 @@ from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.queries import NgramTable, QueryEnumerator
 from repro.corpus.document import Page, Paragraph
+from repro.eval.runner import ExperimentRunner
 
 
 def make_paragraph(paragraph_id, tokens, aspect=None):
@@ -65,6 +67,32 @@ def harvest_signature(result):
         tuple((r.query, r.result_page_ids, r.new_page_ids)
               for r in result.iterations),
     )
+
+
+def run_split_specs(corpus, methods, *, corpus_spec=None, config=None,
+                    num_queries=2):
+    """Two test entities of split 0 × ``methods``, dispatched once.
+
+    With ``corpus_spec`` the specs go to two process workers, which rebuild
+    the corpus from it, and the results are read from the runner's batch
+    outcomes; without it they run in this process.  Returns the results in
+    spec order.
+    """
+    runner = ExperimentRunner(corpus, config=config, base_seed=5,
+                              workers=2 if corpus_spec else 1,
+                              corpus_spec=corpus_spec, corpus_store="off")
+    split = runner.default_split(0)
+    specs = [runner.job_spec(split, method, entity_id, "RESEARCH", num_queries)
+             for method in methods
+             for entity_id in list(split.test_entities)[:2]]
+    (results,) = runner._run_all_splits([(split, specs)], 1.0)
+    if corpus_spec is not None:
+        outcomes = runner.last_batch_outcomes
+        assert outcomes
+        assert all(outcome.worker_pid != os.getpid() for outcome in outcomes)
+        results = [result for outcome in outcomes for result in outcome.results]
+        runner.backend.close()
+    return results
 
 
 def run_on_threads(fn, items, timeout=120.0):

@@ -1,4 +1,4 @@
-"""Backend equivalence: serial == process(4), bit for bit.
+"""Backend equivalence: serial == process, bit for bit.
 
 The acceptance bar of the execution-backend refactor: swapping the engine
 must never change a result.  Harvest runs are compared on everything
@@ -22,7 +22,7 @@ from repro.exec.specs import (
     HarvestTaskContext,
 )
 
-from tests.helpers import harvest_signature
+from tests.helpers import harvest_signature, run_split_specs
 
 TINY_SCALE = ExperimentScale(
     name="tiny",
@@ -36,6 +36,10 @@ TINY_SCALE = ExperimentScale(
 )
 
 
+#: Every selector the runner builds.
+ALL_METHODS = ("RND", "L2QBAL", "L2QP", "L2QR", "LM", "AQ", "HR", "MQ", "IDEAL")
+
+
 def _jobs(runner, prepared, methods=("L2QBAL", "RND"), num_queries=2):
     entities = list(prepared.split.test_entities)[:2]
     return [(runner.build_job(prepared, method, entity_id, "RESEARCH", num_queries))
@@ -44,44 +48,25 @@ def _jobs(runner, prepared, methods=("L2QBAL", "RND"), num_queries=2):
 
 
 class TestHarvestEquivalence:
-    @pytest.fixture(scope="class")
-    def serial_signatures(self, researcher_runner, researcher_prepared):
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        results = harvester.harvest_many(
-            _jobs(researcher_runner, researcher_prepared), backend="serial")
-        return [harvest_signature(r) for r in results]
-
-    def test_process_backend_reproduces_serial(self, researcher_runner,
-                                               researcher_prepared,
-                                               serial_signatures):
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        results = harvester.harvest_many(
-            _jobs(researcher_runner, researcher_prepared),
-            workers=4, backend="process")
-        assert [harvest_signature(r) for r in results] == serial_signatures
+    """Every selector's jobs, shipped as specs to process workers, fire the
+    same queries and gather the same pages as the serial loop."""
 
     @pytest.fixture(scope="class")
-    def process_backend(self):
-        backend = ProcessBackend(2)
-        yield backend
-        backend.close()
+    def runs(self, researcher_corpus):
+        # One dispatch for all nine methods on each side.
+        spec = CorpusSpec(domain="researcher", num_entities=16,
+                          pages_per_entity=10, seed=11)
+        return (run_split_specs(researcher_corpus, ALL_METHODS),
+                run_split_specs(researcher_corpus, ALL_METHODS,
+                                corpus_spec=spec))
 
-    @pytest.mark.parametrize("method", ["RND", "L2QBAL", "L2QP", "L2QR", "LM",
-                                        "AQ", "HR", "MQ", "IDEAL"])
-    def test_each_method_reproduces_serial_on_process(self, researcher_runner,
-                                                      researcher_prepared,
-                                                      process_backend, method):
-        # Every selector's jobs, shipped live to worker processes, fire the
-        # same queries and gather the same pages as the serial loop.
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        serial = harvester.harvest_many(
-            _jobs(researcher_runner, researcher_prepared, methods=(method,)),
-            backend="serial")
-        shipped = harvester.harvest_many(
-            _jobs(researcher_runner, researcher_prepared, methods=(method,)),
-            backend=process_backend)
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_each_method_reproduces_serial_on_process(self, runs, method):
+        serial, process = ([r for r in results if r.selector_name == method]
+                           for results in runs)
+        assert len(serial) == 2
         assert all(result.iterations for result in serial)
-        assert [harvest_signature(r) for r in shipped] == \
+        assert [harvest_signature(r) for r in process] == \
             [harvest_signature(r) for r in serial]
 
     def test_job_seeds_identical_across_backends(self, researcher_runner,
@@ -175,31 +160,30 @@ class TestFetchAccountingEquivalence:
     def tiny_corpus(self):
         return TINY_SCALE.corpus_for("researcher")
 
-    def _merged(self, corpus, backend, workers):
+    def _merged(self, corpus, corpus_spec=None):
         from repro.search.engine import merge_run_accounting
 
-        runner = ExperimentRunner(corpus, base_seed=5)
-        prepared = runner.prepare(runner.default_split(0))
-        jobs = _jobs(runner, prepared)
-        results = runner.harvester_for(prepared).harvest_many(
-            jobs, workers=workers, backend=backend)
-        engine_stats = prepared.engine.fetch_statistics
-        return merge_run_accounting(
-            [r.fetch_accounting for r in results]), engine_stats
+        results = run_split_specs(corpus, ("L2QBAL", "RND"),
+                                  corpus_spec=corpus_spec)
+        return merge_run_accounting([r.fetch_accounting for r in results])
 
     def test_merged_accounting_identical_across_backends(self, tiny_corpus):
-        serial, _ = self._merged(tiny_corpus, "serial", 1)
+        serial = self._merged(tiny_corpus)
         assert serial.queries_fired > 0
-        merged, _ = self._merged(tiny_corpus, "process", 4)
+        merged = self._merged(tiny_corpus, TINY_SCALE.corpus_spec_for("researcher"))
         assert merged == serial
 
     def test_process_backend_ships_statistics_home(self, tiny_corpus):
-        # The orchestrator's engine never fired a query (workers did), yet
-        # the merged per-run accounts reproduce the serial engine's view.
-        serial, serial_engine = self._merged(tiny_corpus, "serial", 1)
-        merged, orchestrator_engine = self._merged(tiny_corpus, "process", 4)
-        assert orchestrator_engine.queries_fired == 0
-        assert merged.queries_fired == serial_engine.queries_fired
+        # The workers fired every query, yet the merged per-run accounts
+        # reproduce what one serial engine counted for the same jobs.
+        runner = ExperimentRunner(tiny_corpus, base_seed=5)
+        prepared = runner.prepare(runner.default_split(0))
+        harvester = runner.harvester_for(prepared)
+        for job in _jobs(runner, prepared):
+            harvester.harvest_job(job)
+        serial_engine = prepared.engine.fetch_statistics
+        merged = self._merged(tiny_corpus, TINY_SCALE.corpus_spec_for("researcher"))
+        assert merged.queries_fired == serial_engine.queries_fired > 0
         assert merged.pages_fetched == serial_engine.pages_fetched
         assert merged.cache_hits == serial_engine.cache_hits
         assert merged.cache_misses == serial_engine.cache_misses

@@ -61,6 +61,22 @@ class TestHarvestCommand:
                      "--pages", "8", "--entity", "ghost"], out=out)
         assert code == 2
 
+    def test_negative_queries_rejected_with_a_message(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["harvest", "--queries", "-1"], out=io.StringIO())
+        assert raised.value.code == 2
+        assert "--queries: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_zero_queries_runs_the_seed_query_only(self):
+        out = io.StringIO()
+        code = main(["harvest", "--domain", "researcher", "--entities", "12",
+                     "--pages", "8", "--method", "MQ", "--queries", "0"],
+                    out=out)
+        assert code == 0
+        text = out.getvalue()
+        assert "query #" not in text
+        assert "gathered" in text
+
 
 class TestExperimentCommand:
     def test_fig09_smoke(self):
@@ -284,56 +300,13 @@ class TestBackendArguments:
 
 
 class TestPerfCommand:
-    def test_perf_requires_subcommand(self):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf"])
-
-    def test_manifest_regenerates_from_artifacts(self, tmp_path):
-        import json
-
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_harvest.json").write_text(json.dumps({
-            "scale": "smoke", "python": "3.11.7", "workers": 2, "jobs": 4,
-            "backends": {"serial": {"wall_seconds": 1.0,
-                                    "pages_gathered": 100,
-                                    "pages_per_second": 100.0,
-                                    "jobs_per_second": 4.0,
-                                    "speedup_vs_serial": 1.0}},
-        }), encoding="utf-8")
-        out = io.StringIO()
-        code = main(["perf", "manifest", "--results", str(results)], out=out)
-        assert code == 0
-        manifest = json.loads(
-            (results / "BENCH_manifest.json").read_text(encoding="utf-8"))
-        assert manifest["schema"] == "BENCH_manifest/v1"
-        assert manifest["sources"] == ["BENCH_harvest.json"]
-
-    def test_manifest_rejects_missing_results_dir(self, tmp_path):
-        out = io.StringIO()
-        code = main(["perf", "manifest", "--results",
-                     str(tmp_path / "absent")], out=out)
-        assert code == 2
-        assert "does not exist" in out.getvalue()
-
-    def test_report_renders_speedups_and_deltas(self):
-        out = io.StringIO()
-        code = main(["perf", "report", "--results", "benchmarks/results"],
-                    out=out)
-        assert code == 0
-        text = out.getvalue()
-        assert "harvest/serial" in text
-        assert "Speedup" in text
-        # The committed manifest exists, so the delta section renders too.
-        assert "Throughput vs committed manifest" in text
-
-    def test_report_rejects_missing_baseline(self, tmp_path):
-        out = io.StringIO()
-        code = main(["perf", "report", "--results", "benchmarks/results",
-                     "--baseline", str(tmp_path / "absent.json")], out=out)
-        assert code == 2
+    def test_perf_command_is_rejected(self, capsys):
+        # The perf manifest and report commands are gone; perfbench and
+        # benchmarks/check_perf_ab.py track performance.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["perf", "report"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     @staticmethod
     def _sweep_phase_report(tmp_path, *backend_args):

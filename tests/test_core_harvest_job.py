@@ -1,10 +1,9 @@
-"""Tests for batched harvesting (``Harvester.harvest_many``).
+"""Tests for job-level harvesting (``Harvester.harvest_job``).
 
-The acceptance bar of the refactor: ``workers=4`` must reproduce
-``workers=1`` bit-for-bit (fired queries, result pages, new pages and seed
-pages; wall-clock timings naturally differ), and selection must run
-entirely off the session's incremental candidate statistics — no full
-re-enumeration of the working set inside ``select()``.
+A job run reproduces the direct loop bit-for-bit, the runner's evaluation
+is identical for any worker count, and selection runs entirely off the
+session's incremental candidate statistics — no full re-enumeration of the
+working set inside ``select()``.
 """
 
 import pytest
@@ -24,23 +23,6 @@ def _jobs(runner, prepared, methods, num_queries=2):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("methods", [("L2QBAL", "RND"), ("LM", "HR")])
-    def test_workers_4_reproduces_workers_1(self, researcher_runner,
-                                            researcher_prepared, methods):
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        serial = harvester.harvest_many(
-            _jobs(researcher_runner, researcher_prepared, methods), workers=1)
-        parallel = harvester.harvest_many(
-            _jobs(researcher_runner, researcher_prepared, methods), workers=4)
-        assert [_signature(r) for r in serial] == [_signature(r) for r in parallel]
-
-    def test_results_in_job_order(self, researcher_runner, researcher_prepared):
-        jobs = _jobs(researcher_runner, researcher_prepared, ("RND", "MQ"))
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        results = harvester.harvest_many(jobs, workers=3)
-        assert [(r.entity_id, r.selector_name) for r in results] == \
-            [(j.entity_id, j.selector.name) for j in jobs]
-
     def test_evaluate_methods_identical_across_worker_counts(self, researcher_corpus):
         from repro.eval.runner import ExperimentRunner
         from repro.exec.specs import CorpusSpec
@@ -65,19 +47,28 @@ class TestDeterminism:
 
 
 class TestValidation:
-    def test_zero_workers_rejected(self, researcher_runner, researcher_prepared):
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        with pytest.raises(ValueError):
-            harvester.harvest_many([], workers=0)
-
-    def test_empty_batch(self, researcher_runner, researcher_prepared):
-        harvester = researcher_runner.harvester_for(researcher_prepared)
-        assert harvester.harvest_many([], workers=4) == []
-
     def test_runner_rejects_zero_workers(self, researcher_corpus):
         from repro.eval.runner import ExperimentRunner
         with pytest.raises(ValueError):
             ExperimentRunner(researcher_corpus, workers=0)
+
+    def test_negative_budget_rejected(self, researcher_runner,
+                                      researcher_prepared):
+        # A budget of -1 used to run the seed query alone, silently.
+        entity_id = researcher_prepared.split.test_entities[0]
+        job = researcher_runner.build_job(researcher_prepared, "RND", entity_id,
+                                          "RESEARCH", -1)
+        harvester = researcher_runner.harvester_for(researcher_prepared)
+        with pytest.raises(ValueError, match="num_queries must be >= 0"):
+            harvester.harvest_job(job)
+
+    def test_zero_budget_runs_the_seed_query_only(self, researcher_runner,
+                                                  researcher_prepared):
+        entity_id = researcher_prepared.split.test_entities[0]
+        result = researcher_runner.harvest_once(researcher_prepared, "RND",
+                                                entity_id, "RESEARCH", 0)
+        assert result.iterations == []
+        assert result.seed_page_ids
 
 
 class TestSelectionHotPath:
@@ -113,7 +104,7 @@ class TestSelectionHotPath:
                     selecting.pop()
             job.selector.select = select
         monkeypatch.setattr(QueryEnumerator, "enumerate_from_page", _outside_select)
-        results = harvester.harvest_many(jobs)
+        results = [harvester.harvest_job(job) for job in jobs]
         assert len(results) == len(jobs)
         assert sorted(enumerated) == sorted(
             page.page_id for entity_id in {job.entity_id for job in jobs}

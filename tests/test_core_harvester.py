@@ -317,8 +317,7 @@ class TestProfiling:
     @pytest.mark.parametrize("driver", [
         _harvest_directly,
         lambda harvester, jobs: [harvester.harvest_job(job) for job in jobs],
-        lambda harvester, jobs: harvester.harvest_many(jobs, backend="serial"),
-    ], ids=["harvest", "harvest-job", "harvest-many"])
+    ], ids=["harvest", "harvest-job"])
     def test_selection_samples_are_the_recorded_selection_seconds(
             self, researcher_runner, researcher_prepared, driver):
         # One ``selection`` sample per iteration, whichever entry point

@@ -16,10 +16,10 @@ from repro.core.config import L2QConfig
 from repro.corpus.synthetic import build_corpus
 from repro.dedup import band_similarity
 from repro.dedup.signatures import PageSignatureCache
-from repro.eval.runner import ExperimentRunner
+from repro.exec.specs import CorpusSpec
 from repro.scenarios import make_scenario
 
-from tests.helpers import harvest_signature
+from tests.helpers import harvest_signature, run_split_specs
 
 #: Fraction of injected near-copies the index must flag (measured ~0.78 on
 #: researcher, ~0.81 on car at the default knobs; pinned with margin).
@@ -73,19 +73,16 @@ class TestZeroPenaltyBackendEquivalence:
         return make_scenario("near-duplicates").corpus_for(
             "researcher", num_entities=12, pages_per_entity=8, seed=11)
 
-    def _signatures_on(self, corpus, backend, workers):
-        config = L2QConfig(dedup_penalty=0.0)
-        runner = ExperimentRunner(corpus, config=config, base_seed=5)
-        prepared = runner.prepare(runner.default_split(0))
-        entities = list(prepared.split.test_entities)[:2]
-        jobs = [runner.build_job(prepared, method, entity_id, "RESEARCH", 2)
-                for method in ("L2QBAL", "L2QP", "L2QR")
-                for entity_id in entities]
-        results = runner.harvester_for(prepared).harvest_many(
-            jobs, workers=workers, backend=backend)
+    def _signatures_on(self, corpus, corpus_spec=None):
+        results = run_split_specs(corpus, ("L2QBAL", "L2QP", "L2QR"),
+                                  corpus_spec=corpus_spec,
+                                  config=L2QConfig(dedup_penalty=0.0))
         return [harvest_signature(r) for r in results]
 
     def test_zero_penalty_identical_on_all_backends(self, dup_corpus):
-        serial = self._signatures_on(dup_corpus, "serial", 1)
+        serial = self._signatures_on(dup_corpus)
         assert serial  # the batch must not be empty
-        assert self._signatures_on(dup_corpus, "process", 4) == serial
+        spec = CorpusSpec(domain="researcher", num_entities=12,
+                          pages_per_entity=8, seed=11,
+                          scenario=make_scenario("near-duplicates"))
+        assert self._signatures_on(dup_corpus, spec) == serial

@@ -9,6 +9,7 @@ from repro.core.context import CollectiveUtilityArrays
 from repro.core.harvester import Harvester
 from repro.core.selection import make_selector
 from repro.core.session import HarvestSession
+from repro.dedup.minhash import MinHasher
 from repro.scenarios import make_scenario
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
@@ -125,3 +126,27 @@ class TestPenalisedHarvestDeterminism:
                                        AllRelevant(), num_queries=3)
             signatures.append(harvest_signature(result))
         assert signatures[0] == signatures[1]
+
+
+class TestSharedPageSignatures:
+    def test_sessions_of_a_harvester_sign_each_page_once(self, dup_corpus,
+                                                         monkeypatch):
+        # Every session's novelty estimator signs into the harvester's one
+        # cache, so six sessions over two entities sign each page once.
+        signed = []
+        signatures = MinHasher.signatures
+
+        def counting(self, shingle_sets):
+            signed.append(len(shingle_sets))
+            return signatures(self, shingle_sets)
+
+        monkeypatch.setattr(MinHasher, "signatures", counting)
+        config = L2QConfig(dedup_penalty=0.5)
+        harvester = Harvester(dup_corpus, SearchEngine(dup_corpus, top_k=5),
+                              config)
+        for method in ("L2QBAL", "L2QP", "L2QR"):
+            for entity_id in dup_corpus.entity_ids()[:2]:
+                harvester.harvest(entity_id, "RESEARCH",
+                                  make_selector(method, config), AllRelevant(),
+                                  num_queries=3)
+        assert sum(signed) == len(harvester.page_signatures._signatures) > 0

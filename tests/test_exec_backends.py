@@ -117,17 +117,6 @@ class TestResolveBackend:
 class TestMapSemantics:
     @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
                              ids=["serial", "process"])
-    def test_map_preserves_order(self, backend):
-        items = list(range(13))
-        assert backend.map(_double, items) == [2 * i for i in items]
-
-    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
-                             ids=["serial", "process"])
-    def test_map_empty(self, backend):
-        assert backend.map(_double, []) == []
-
-    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
-                             ids=["serial", "process"])
     def test_map_tasks_preserves_order(self, backend):
         # One task per item on the process pool; results still come back
         # in item order, as sweeps and campaigns fold them.
@@ -154,28 +143,14 @@ class TestMapSemantics:
             ProcessBackend(2, start_method="telepathy")
 
 
-class TestSharding:
-    def test_contiguous_shards_cover_all_items(self):
-        backend = ProcessBackend(3)
-        items = list(range(10))
-        shards = backend.shards(items)
-        assert len(shards) <= 3
-        assert [x for shard in shards for x in shard] == items
-
-    def test_fewer_items_than_workers(self):
-        shards = ProcessBackend(8).shards([1, 2])
-        assert shards == [[1], [2]]
-
-    def test_no_items_no_shards(self):
-        assert ProcessBackend(4).shards([]) == []
-
-    def test_pool_persists_across_map_calls(self):
+class TestPool:
+    def test_pool_persists_across_map_tasks_calls(self):
         backend = ProcessBackend(2)
         try:
-            backend.map(_double, [1, 2, 3])
+            backend.map_tasks(_double, [1, 2, 3])
             pool = backend._pool
             assert pool is not None
-            backend.map(_double, [4, 5, 6])
+            backend.map_tasks(_double, [4, 5, 6])
             assert backend._pool is pool
         finally:
             backend.close()
@@ -185,7 +160,7 @@ class TestSharding:
         backend = ProcessBackend(2)
         backend.close()
         backend.close()
-        assert backend.map(_double, [7]) == [14]
+        assert backend.map_tasks(_double, [7]) == [14]
         backend.close()
 
 
@@ -205,21 +180,7 @@ class TestFailurePropagation:
             assert list(tmp_path.iterdir()) == []
             # The dead pool was dropped, not left to poison later calls.
             assert backend._pool is None
-            assert backend.map(_double, [21]) == [42]
-        finally:
-            backend.close()
-
-    def test_map_failure_aborts_without_draining_shards(self, tmp_path):
-        backend = ProcessBackend(1)
-        # Two shards on one worker: the first poisons, the second (still
-        # queued) must be cancelled rather than executed.
-        items = [(str(tmp_path), "poison", True, 0.0),
-                 (str(tmp_path), "late", False, 0.5)]
-        try:
-            with pytest.raises(RuntimeError, match="poisoned payload"):
-                backend.map(_mark_or_poison, items)
-            assert not (tmp_path / "late").exists()
-            assert backend._pool is None
+            assert backend.map_tasks(_double, [21]) == [42]
         finally:
             backend.close()
 
@@ -255,7 +216,7 @@ class TestBaseCacheReservation:
         specs = self._specs(6)
         backend = ProcessBackend(1)
         try:
-            (generated,) = backend.map(
+            (generated,) = backend.map_tasks(
                 _count_base_generations, [(tuple(specs * 2), 4, 6)])
         finally:
             backend.close()
@@ -267,7 +228,7 @@ class TestBaseCacheReservation:
         specs = self._specs(6)
         backend = ProcessBackend(1)
         try:
-            (generated,) = backend.map(
+            (generated,) = backend.map_tasks(
                 _count_base_generations, [(tuple(specs * 2), 4, 0)])
         finally:
             backend.close()
