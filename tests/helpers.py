@@ -70,16 +70,16 @@ def harvest_signature(result):
 
 
 def run_split_specs(corpus, methods, *, corpus_spec=None, config=None,
-                    num_queries=2):
+                    num_queries=2, workers=2):
     """Two test entities of split 0 × ``methods``, dispatched once.
 
-    With ``corpus_spec`` the specs go to two process workers, which rebuild
-    the corpus from it, and the results are read from the runner's batch
-    outcomes; without it they run in this process.  Returns the results in
-    spec order.
+    With ``corpus_spec`` the specs go to ``workers`` process workers, which
+    rebuild the corpus from it, and the runner's results must be its batch
+    outcomes' results in batch order; without it they run in this process.
+    Returns the results in spec order.
     """
     runner = ExperimentRunner(corpus, config=config, base_seed=5,
-                              workers=2 if corpus_spec else 1,
+                              workers=workers if corpus_spec else 1,
                               corpus_spec=corpus_spec, corpus_store="off")
     split = runner.default_split(0)
     specs = [runner.job_spec(split, method, entity_id, "RESEARCH", num_queries)
@@ -90,7 +90,8 @@ def run_split_specs(corpus, methods, *, corpus_spec=None, config=None,
         outcomes = runner.last_batch_outcomes
         assert outcomes
         assert all(outcome.worker_pid != os.getpid() for outcome in outcomes)
-        results = [result for outcome in outcomes for result in outcome.results]
+        assert results == [result for outcome in outcomes
+                           for result in outcome.results]
         runner.backend.close()
     return results
 

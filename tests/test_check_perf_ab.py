@@ -1,4 +1,5 @@
-"""Tests for the same-machine perfbench A/B gate's decision rule."""
+"""Tests for the same-machine perfbench A/B gate: its decision rule, its
+perfbench runs and its command line."""
 
 import io
 import json
@@ -9,10 +10,14 @@ import pytest
 from benchmarks import check_perf_ab
 from benchmarks.check_perf_ab import (
     Run,
+    failed_share,
+    iqr,
     judge_metric,
     judge_workload,
     parse_run,
     perfbench_command,
+    report,
+    run_perfbench,
 )
 
 END_TO_END = [
@@ -33,6 +38,41 @@ def _runs(pass_s, f_score=0.8, **fields):
 
 def _failed(verdicts):
     return [(v.workload, v.metric) for v in verdicts if v.failed]
+
+
+#: A stand-in for ``perfbench/run.py``: reads ``marker.txt`` from its
+#: working directory and prints a result line with that ``pass_s``, or,
+#: for the marker ``fail``, exits 3 with a message on stderr.
+FAKE_PERFBENCH = """\
+import json, os, sys
+from pathlib import Path
+
+print(json.dumps({"perfbench": {}}))
+marker = Path("marker.txt").read_text().strip()
+if marker == "fail":
+    print("setup went wrong", file=sys.stderr)
+    sys.exit(3)
+metrics = {"pass_s": {"value": float(marker), "unit": "s"},
+           "saw_pythonpath": {"value": float("PYTHONPATH" in os.environ),
+                              "unit": "count"}}
+print(json.dumps({"correct": True, "attempted": 4, "failed": 1,
+                  "metrics": metrics}))
+"""
+
+
+def _checkout(path, marker="1.5", benchmark=None):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(FAKE_PERFBENCH)
+    (path / "marker.txt").write_text(marker)
+    if benchmark is not None:
+        (path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return path
+
+
+def _benchmark(*workloads):
+    return {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+            "workloads": [{"name": name} for name in workloads],
+            "end_to_end": END_TO_END}
 
 
 class TestJudgeMetric:
@@ -206,3 +246,103 @@ class TestRuns:
     def test_main_requires_both_checkouts(self):
         with pytest.raises(SystemExit):
             check_perf_ab.main(["--head", "."])
+
+    def test_command_keeps_a_launcher_that_is_not_python(self):
+        command = perfbench_command({"command": ["./perfbench.sh"]}, "fig13", 10)
+        assert command[0] == "./perfbench.sh"
+
+    def test_run_perfbench_runs_in_the_checkout_without_pythonpath(
+            self, tmp_path, monkeypatch):
+        # Each side runs its own checkout's code: the run's working
+        # directory is the checkout, and an inherited PYTHONPATH (which
+        # could point at the other checkout's sources) is dropped.
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path / "elsewhere"))
+        checkout = _checkout(tmp_path / "base", marker="2.25")
+        run = run_perfbench(checkout, [sys.executable, "perfbench/run.py"], 1)
+        assert run.correct and run.error == ""
+        assert run.metrics == {"pass_s": 2.25, "saw_pythonpath": 0.0}
+        assert (run.attempted, run.failed) == (4, 1)
+        assert run.wall_s > 0
+
+    def test_run_perfbench_failure_carries_the_stderr_tail(self, tmp_path):
+        checkout = _checkout(tmp_path / "head", marker="fail")
+        run = run_perfbench(checkout, [sys.executable, "perfbench/run.py"], 1)
+        assert not run.correct
+        assert run.error.startswith("exit 3, no result line")
+        assert run.error.endswith("setup went wrong")
+
+
+class TestSummaries:
+    def test_iqr(self):
+        assert iqr([7.0]) == 0.0
+        assert iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
+
+    def test_failed_share_counts_a_run_without_result_as_one_failure(self):
+        runs = [Run(correct=True, attempted=10, failed=1), Run(error="timed out")]
+        assert failed_share(runs) == pytest.approx(2 / 11)
+        assert failed_share([]) == 0.0
+
+    def test_report_prints_walls_and_returns_the_failures(self):
+        base = _runs(BASE_PASS_S)
+        head = _runs([value * 1.2 for value in BASE_PASS_S])
+        for run in base + head:
+            run.wall_s = 12.0
+        out = io.StringIO()
+        failures = report({"l2q-sessions": {"base": base, "head": head}},
+                          _benchmark("l2q-sessions"), out=out)
+        assert [(v.workload, v.metric) for v in failures] == \
+            [("l2q-sessions", "pass_s")]
+        text = out.getvalue()
+        assert "walls (s) base [12.0, 12.0, 12.0, 12.0, 12.0]" in text
+        assert "FAIL pass_s" in text
+        assert "ok   f_score" in text
+
+
+class TestMain:
+    @pytest.fixture
+    def checkouts(self, tmp_path):
+        return (_checkout(tmp_path / "base", benchmark=_benchmark("old")),
+                _checkout(tmp_path / "head",
+                          benchmark=_benchmark("l2q-sessions")))
+
+    def _main(self, checkouts, monkeypatch, head_pass_s):
+        seen = {}
+
+        def fake_collect(base, head, benchmark, pairs=check_perf_ab.PAIRS,
+                         log=sys.stderr):
+            seen["benchmark"] = benchmark
+            return {"l2q-sessions": {"base": _runs(BASE_PASS_S),
+                                     "head": _runs(head_pass_s)}}
+
+        monkeypatch.setattr(check_perf_ab, "collect", fake_collect)
+        out = io.StringIO()
+        base, head = checkouts
+        code = check_perf_ab.main(["--base", str(base), "--head", str(head)],
+                                  out=out)
+        return code, out.getvalue(), seen["benchmark"]
+
+    def test_clean_runs_pass(self, checkouts, monkeypatch):
+        code, text, _ = self._main(checkouts, monkeypatch, BASE_PASS_S)
+        assert code == 0
+        assert text.rstrip().endswith("perf gate passed")
+
+    def test_a_regression_exits_1_and_names_workload_and_metric(
+            self, checkouts, monkeypatch):
+        code, text, _ = self._main(checkouts, monkeypatch,
+                                   [value * 1.2 for value in BASE_PASS_S])
+        assert code == 1
+        assert "perf gate FAILED: l2q-sessions/pass_s" in text
+
+    def test_workloads_come_from_the_heads_benchmark(self, checkouts,
+                                                     monkeypatch):
+        _, _, benchmark = self._main(checkouts, monkeypatch, BASE_PASS_S)
+        assert [entry["name"] for entry in benchmark["workloads"]] == \
+            ["l2q-sessions"]
+
+    def test_head_without_benchmark_json_is_rejected(self, tmp_path):
+        base = _checkout(tmp_path / "base", benchmark=_benchmark("fig13"))
+        head = _checkout(tmp_path / "head")
+        out = io.StringIO()
+        assert check_perf_ab.main(["--base", str(base), "--head", str(head)],
+                                  out=out) == 2
+        assert "no BENCHMARK.json" in out.getvalue()

@@ -13,6 +13,11 @@ from repro.core.harvester import Harvester
 from repro.core.queries import QueryEnumerator
 
 from tests.helpers import harvest_signature as _signature
+from tests.helpers import run_split_specs
+
+#: The spec the process workers rebuild ``researcher_corpus`` from.
+RESEARCHER_SPEC = dict(domain="researcher", num_entities=16,
+                       pages_per_entity=10, seed=11)
 
 
 def _jobs(runner, prepared, methods, num_queries=2):
@@ -23,6 +28,39 @@ def _jobs(runner, prepared, methods, num_queries=2):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("methods", [("L2QBAL", "RND"), ("LM", "HR")])
+    def test_workers_4_reproduces_workers_1(self, researcher_corpus, methods):
+        # Four workers over one split cut it into four one-spec page
+        # batches; the reassembled results equal the in-process loop's.
+        from repro.exec.specs import CorpusSpec
+
+        serial = run_split_specs(researcher_corpus, methods)
+        parallel = run_split_specs(researcher_corpus, methods, workers=4,
+                                   corpus_spec=CorpusSpec(**RESEARCHER_SPEC))
+        assert [_signature(r) for r in parallel] == \
+            [_signature(r) for r in serial]
+
+    def test_results_in_job_order(self, researcher_corpus):
+        # Four workers cut the split into four one-spec page batches; the
+        # runner puts their results back together in spec order.
+        from repro.eval.runner import ExperimentRunner
+        from repro.exec.specs import CorpusSpec
+
+        runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=4,
+                                  corpus_spec=CorpusSpec(**RESEARCHER_SPEC),
+                                  corpus_store="off")
+        split = runner.default_split(0)
+        specs = [runner.job_spec(split, method, entity_id, "RESEARCH", 2)
+                 for method in ("RND", "MQ")
+                 for entity_id in list(split.test_entities)[:2]]
+        try:
+            (results,) = runner._run_all_splits([(split, specs)], 1.0)
+        finally:
+            runner.backend.close()
+        assert len(runner.last_batch_outcomes) == 4
+        assert [(r.selector_name, r.entity_id) for r in results] == \
+            [(spec.method, spec.entity_id) for spec in specs]
+
     def test_evaluate_methods_identical_across_worker_counts(self, researcher_corpus):
         from repro.eval.runner import ExperimentRunner
         from repro.exec.specs import CorpusSpec
@@ -47,6 +85,22 @@ class TestDeterminism:
 
 
 class TestValidation:
+    def test_empty_batch(self, researcher_corpus):
+        # A split without specs dispatches nothing: no batch, no pool.
+        from repro.eval.runner import ExperimentRunner
+        from repro.exec.specs import CorpusSpec
+
+        runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=2,
+                                  corpus_spec=CorpusSpec(**RESEARCHER_SPEC),
+                                  corpus_store="off")
+        try:
+            assert runner._run_all_splits([(runner.default_split(0), [])],
+                                          1.0) == [[]]
+            assert runner.last_batch_outcomes == []
+            assert runner.backend._pool is None
+        finally:
+            runner.backend.close()
+
     def test_runner_rejects_zero_workers(self, researcher_corpus):
         from repro.eval.runner import ExperimentRunner
         with pytest.raises(ValueError):

@@ -150,3 +150,35 @@ class TestSharedPageSignatures:
                                   make_selector(method, config), AllRelevant(),
                                   num_queries=3)
         assert sum(signed) == len(harvester.page_signatures._signatures) > 0
+
+    def test_shared_signatures_leave_results_unchanged(self, dup_corpus):
+        # One harvester for all runs (one shared cache) gathers exactly what
+        # a fresh harvester per run (a cache of its own) gathers.
+        config = L2QConfig(dedup_penalty=0.5)
+        engine = SearchEngine(dup_corpus, top_k=5)
+        shared = Harvester(dup_corpus, engine, config)
+        runs = [(method, entity_id) for method in ("L2QBAL", "L2QP", "L2QR")
+                for entity_id in dup_corpus.entity_ids()[:2]]
+
+        def signature(harvester, method, entity_id):
+            return harvest_signature(harvester.harvest(
+                entity_id, "RESEARCH", make_selector(method, config),
+                AllRelevant(), num_queries=3))
+
+        assert [signature(shared, *run) for run in runs] == \
+            [signature(Harvester(dup_corpus, engine, config), *run)
+             for run in runs]
+
+    def test_penalty_off_signs_no_page(self, dup_corpus, monkeypatch):
+        def refuse(self, shingle_sets):
+            raise AssertionError("a page was signed with the penalty off")
+
+        monkeypatch.setattr(MinHasher, "signatures", refuse)
+        config = L2QConfig()
+        harvester = Harvester(dup_corpus, SearchEngine(dup_corpus, top_k=5),
+                              config)
+        result = harvester.harvest(dup_corpus.entity_ids()[0], "RESEARCH",
+                                   make_selector("L2QBAL", config),
+                                   AllRelevant(), num_queries=3)
+        assert result.iterations
+        assert harvester.page_signatures._signatures == {}

@@ -23,6 +23,15 @@ def _double(value):
     return value * 2
 
 
+def _sleep_then_return(payload):
+    """Sleep ``delay`` seconds, then return ``value``."""
+    import time
+
+    delay, value = payload
+    time.sleep(delay)
+    return value
+
+
 def _mark_or_poison(payload):
     """Touch a marker file, or raise — the failure-path probe payload."""
     import time
@@ -113,6 +122,12 @@ class TestResolveBackend:
         with pytest.raises(TypeError, match="backend"):
             resolve_backend(3.14)
 
+    @pytest.mark.parametrize("name", [None, "process"])
+    def test_zero_workers_rejected(self, name):
+        # Zero workers is not "serial": it is refused, as the runner does.
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            resolve_backend(name, workers=0)
+
 
 class TestMapSemantics:
     @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend(2)],
@@ -127,6 +142,25 @@ class TestMapSemantics:
                              ids=["serial", "process"])
     def test_map_tasks_empty(self, backend):
         assert backend.map_tasks(_double, []) == []
+
+    def test_fewer_items_than_workers(self):
+        backend = ProcessBackend(4)
+        try:
+            assert backend.map_tasks(_double, [5, 6]) == [10, 12]
+        finally:
+            backend.close()
+
+    def test_results_keep_item_order_when_tasks_finish_out_of_order(self):
+        # The first task is the slowest: the others finish before it, yet
+        # every result comes back at its item's position.
+        backend = ProcessBackend(2)
+        items = [(0.3, "first"), (0.0, "second"), (0.0, "third"),
+                 (0.0, "fourth")]
+        try:
+            assert backend.map_tasks(_sleep_then_return, items) == \
+                ["first", "second", "third", "fourth"]
+        finally:
+            backend.close()
 
     def test_serial_not_distributed(self):
         assert not SerialBackend().distributed
