@@ -23,6 +23,10 @@ produces no result at all) or a larger failed share than base's runs.  A
 metric head reports and base does not (a metric the change adds) is
 listed but not gated, and so is a metric without a bound.
 
+Per workload the report also says whether base and head produced the same
+outputs, from the ``perfbench.digest`` of each run's info line.  That is
+information, not a verdict: a change may move the outputs on purpose.
+
 Comparing two commits on one runner, instead of fresh numbers against
 numbers another machine committed, keeps the machine's speed out of the
 verdict.  Usage (exit 0: pass, 1: a regression, 2: a checkout is
@@ -69,6 +73,8 @@ class Run:
     metrics: Dict[str, float] = field(default_factory=dict)
     wall_s: float = 0.0
     error: str = ""
+    #: The outputs' digest from perfbench's info line ("" without one).
+    digest: str = ""
 
 
 @dataclass
@@ -96,8 +102,13 @@ def perfbench_command(benchmark: dict, workload: str, seconds: int) -> List[str]
 
 
 def parse_run(stdout: str, returncode: int, wall_s: float) -> Run:
-    """Read perfbench's last stdout line: ``{"correct", "attempted", ...}``."""
+    """Read perfbench's last stdout line, ``{"correct", "attempted", ...}``,
+    and the digest of the info line before it."""
     lines = stdout.strip().splitlines()
+    try:
+        digest = str(json.loads(lines[-2])["perfbench"]["digest"])
+    except (IndexError, KeyError, TypeError, ValueError):
+        digest = ""
     try:
         result = json.loads(lines[-1])
         metrics = {name: float(entry["value"])
@@ -106,7 +117,8 @@ def parse_run(stdout: str, returncode: int, wall_s: float) -> Run:
                    attempted=int(result["attempted"]),
                    failed=int(result["failed"]), metrics=metrics,
                    wall_s=wall_s,
-                   error="" if returncode == 0 else f"exit {returncode}")
+                   error="" if returncode == 0 else f"exit {returncode}",
+                   digest=digest)
     except (IndexError, KeyError, TypeError, ValueError):
         return Run(wall_s=wall_s, error=f"exit {returncode}, no result line")
 
@@ -238,6 +250,21 @@ def judge_workload(workload: str, base: Sequence[Run], head: Sequence[Run],
     return verdicts
 
 
+def compare_outputs(base: Sequence[Run], head: Sequence[Run]) -> str:
+    """Whether base and head produced the same outputs, by their digests."""
+    runs = list(base) + list(head)
+    missing = sum(1 for run in runs if not run.digest)
+    if missing:
+        return f"outputs not compared: {missing} of {len(runs)} runs reported no digest"
+    digests = {side: sorted({run.digest for run in side_runs})
+               for side, side_runs in (("base", base), ("head", head))}
+    if len(digests["base"]) == 1 and digests["base"] == digests["head"]:
+        return "outputs identical"
+    return "outputs differ ({})".format(", ".join(
+        f"{side} {' '.join(digest[:12] for digest in side_digests)}"
+        for side, side_digests in digests.items()))
+
+
 def report(runs: Dict[str, Dict[str, List[Run]]], benchmark: dict,
            out=sys.stdout) -> List[Verdict]:
     """Print every verdict and the run walls; return the failed ones."""
@@ -247,6 +274,7 @@ def report(runs: Dict[str, Dict[str, List[Run]]], benchmark: dict,
                  for side, side_runs in sides.items()}
         print(f"\n{workload}: walls (s) base {walls['base']}, "
               f"head {walls['head']}", file=out)
+        print(f"  {compare_outputs(sides['base'], sides['head'])}", file=out)
         for verdict in judge_workload(workload, sides["base"], sides["head"],
                                       benchmark["end_to_end"]):
             mark = "FAIL" if verdict.failed else "ok"

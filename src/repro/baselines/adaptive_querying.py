@@ -20,8 +20,9 @@ result pages, estimate
   1.0 for a query no current page contains.
 
 The score is ``support * (0.5 + 0.5 * novelty)``; the best unfired candidate
-wins, the lexicographically smallest among equal scores.  Containment is
-read from the session's :class:`~repro.core.utility.GraphTables`, so one
+wins, the lexicographically smallest among equal scores.  Candidates are
+ids of the entity's :class:`~repro.core.utility.GraphTables`, in
+lexicographic order, and containment is read from the same tables, so one
 matrix scores every candidate.
 """
 
@@ -42,23 +43,25 @@ class AdaptiveQueryingSelection(QuerySelector):
     name = "AQ"
 
     def select(self, session: HarvestSession) -> Optional[Query]:
-        pages = session.current_pages
-        if not pages:
+        if not session.current_pages:
             return None
-        candidates = session.candidates.unfired_sorted_queries(session.fired_queries)
-        if not candidates:
+        tables = session.tables()
+        fired = session.fired_ids(tables)
+        candidates = tables.ngram_ids[session.candidates.ids()]
+        candidates = candidates[~np.isin(candidates, fired)]
+        if not candidates.size:
             return None
-        tables = session.tables
 
-        contained = tables.containment(pages, tables.query_ids(candidates))
-        relevant = np.array([session.relevance(page) == 1 for page in pages])
-        scoring = relevant if relevant.any() else np.ones(len(pages), dtype=bool)
-        past = tables.containment(pages, tables.query_ids(session.past_queries))
-        covered = np.asarray(past.sum(axis=1)).ravel() > 0
+        pages = session.candidates.page_rows
+        contained = tables.containment(pages, candidates)
+        relevant = np.array([session.relevance(page) == 1
+                             for page in session.current_pages])
+        scoring = relevant if relevant.any() else np.ones(pages.size, dtype=bool)
+        covered = np.asarray(tables.containment(pages, fired).sum(axis=1)).ravel() > 0
         count = np.asarray(contained.sum(axis=0)).ravel()
         support = contained.T @ scoring.astype(np.float64)
         already = contained.T @ covered.astype(np.float64)
-        novelty = 1.0 - np.divide(already, count, out=np.zeros(len(candidates)),
+        novelty = 1.0 - np.divide(already, count, out=np.zeros(candidates.size),
                                   where=count > 0)
         score = support * (0.5 + 0.5 * novelty)
-        return candidates[int(np.argmax(score))]
+        return tables.queries[candidates[int(np.argmax(score))]]

@@ -16,9 +16,11 @@ is the mean of the rates it has: its *current* rate (the fraction of the
 current pages containing it that are relevant, if any contains it) and its
 template-averaged *domain* score (if it is a domain query); 0.0 if it has
 neither.  The unfired query with the highest score wins, the
-lexicographically smallest among equal scores.  Containment is read from
-the session's :class:`~repro.core.utility.GraphTables`, so one matrix
-scores the whole pool.
+lexicographically smallest among equal scores.  The pool is a mask over the
+ids of the entity's :class:`~repro.core.utility.GraphTables`, which number
+its n-grams and the domain queries in one lexicographic space, and
+containment is read from the same tables, so one matrix scores the whole
+pool.
 
 The domain side starts from
 :class:`~repro.core.domain_phase.DomainQueries`, the domain phase's own
@@ -30,7 +32,7 @@ containment matrix, so no per-query page sets are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -57,7 +59,9 @@ class HarvestRateDomain:
     """
 
     pages: List[Page]
-    #: Each domain query's templates, most frequent query first.
+    #: The domain queries, most frequent first (the domain phase's list).
+    queries: List[Query]
+    #: Each domain query's templates, in ``queries`` order.
     query_templates: Dict[Query, Tuple[Template, ...]]
     #: Binary ``queries × pages`` matrix: which of ``pages`` contain each
     #: query (rows in ``query_templates`` order).
@@ -77,7 +81,7 @@ class HarvestRateDomain:
                      type_system: TypeSystem) -> "HarvestRateDomain":
         """Abstract the templates of already-enumerated domain queries."""
         templates = abstract_queries(domain.queries, type_system)
-        return cls(pages=domain.pages,
+        return cls(pages=domain.pages, queries=domain.queries,
                    query_templates=dict(zip(domain.queries, templates)),
                    containing=domain.containing)
 
@@ -86,19 +90,24 @@ class HarvestRateDomain:
 class HarvestRateStatistics:
     """Domain-side harvest-rate statistics, computed once per (domain, aspect).
 
-    ``domain_queries`` and ``domain_scores`` (each domain query's
-    :meth:`domain_score`) are derived at construction; the statistics must
+    ``domain_queries`` are the queries of ``query_harvest_rate`` in order:
+    statistics of a :class:`HarvestRateDomain` keep the domain phase's own
+    list, which a harvester numbers with the domain model's queries in one
+    id space (see :mod:`repro.core.session`); otherwise the list is made
+    from the rates.  It and ``domain_scores`` (each domain query's
+    :meth:`domain_score`) are fixed at construction; the statistics must
     not be changed afterwards.
     """
 
     query_harvest_rate: Dict[Query, float] = field(default_factory=dict)
     template_harvest_rate: Dict[Template, float] = field(default_factory=dict)
     query_templates: Dict[Query, tuple] = field(default_factory=dict)
-    domain_queries: List[Query] = field(init=False, repr=False, compare=False)
+    domain_queries: Sequence[Query] = field(default=(), repr=False, compare=False)
     domain_scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.domain_queries = list(self.query_harvest_rate)
+        if not self.domain_queries:
+            self.domain_queries = tuple(self.query_harvest_rate)
         self.domain_scores = np.array(
             [self.domain_score(query) for query in self.domain_queries],
             dtype=np.float64)
@@ -127,7 +136,8 @@ class HarvestRateStatistics:
             query_harvest_rate=query_harvest_rate,
             template_harvest_rate={template: sum(values) / len(values)
                                    for template, values in template_totals.items()},
-            query_templates=domain.query_templates)
+            query_templates=domain.query_templates,
+            domain_queries=domain.queries)
 
     def domain_score(self, query: Query) -> Optional[float]:
         """Template-averaged domain harvest rate of a query (None if unseen)."""
@@ -151,27 +161,24 @@ class HarvestRateSelection(QuerySelector):
         self.domain_statistics = domain_statistics or HarvestRateStatistics()
 
     def select(self, session: HarvestSession) -> Optional[Query]:
-        pages = session.current_pages
-        if not pages:
+        if not session.current_pages:
             return None
-        tables = session.tables
         statistics = self.domain_statistics
-        domain = statistics.domain_queries
-        domain_ids = tables.query_ids(domain)
-        ngram_ids = tables.query_ids(session.candidates.sorted_queries())
-        fired_ids = tables.query_ids(list(session.fired_queries))
-        # The unfired queries of the pool, as a mask over every table id.
+        tables = session.tables(statistics.domain_queries)
+        domain_ids = tables.domain_ids
+        # The unfired queries of the pool, as a mask over every id.
         unfired = np.zeros(tables.num_queries, dtype=bool)
-        unfired[ngram_ids] = True
-        unfired[domain_ids[tables.avoiding(domain, session.entity.excluded_words())]] = True
-        unfired[fired_ids] = False
+        unfired[tables.ngram_ids[session.candidates.ids()]] = True
+        usable = tables.avoiding(session.entity.excluded_words())
+        unfired[domain_ids[usable[domain_ids]]] = True
+        unfired[session.fired_ids(tables)] = False
         pool = np.flatnonzero(unfired)
         if not pool.size:
             return None
 
-        contained = tables.containment(pages, pool)
-        relevant = np.array([session.relevance(page) == 1 for page in pages],
-                            dtype=np.float64)
+        contained = tables.containment(session.candidates.page_rows, pool)
+        relevant = np.array([session.relevance(page) == 1
+                             for page in session.current_pages], dtype=np.float64)
         count = np.asarray(contained.sum(axis=0)).ravel()
         has_current = count > 0
         current = np.divide(contained.T @ relevant, count,
@@ -185,4 +192,6 @@ class HarvestRateSelection(QuerySelector):
         score = ((np.where(has_current, current, 0.0)
                   + np.where(has_domain, domain_score, 0.0))
                  / np.maximum(has_current.astype(np.int64) + has_domain, 1))
-        return min(tables.queries(pool[score == score.max()]))
+        # The pool is in id order, so the first maximum is the
+        # lexicographically smallest.
+        return tables.queries[pool[np.argmax(score)]]

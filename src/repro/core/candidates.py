@@ -19,10 +19,11 @@ numbered in lexicographic order, the pool comes out sorted, and the
 occurrence ranking of :func:`~repro.core.queries.prune_queries` is one
 stable argsort.  Neither depends on the order pages were folded in.
 
-The pool records queries and page membership only.  The words of the
-gathered pages, which the entity phase grounds domain queries with, are read
-from the session's :class:`~repro.core.utility.GraphTables`, per selection
-and from the pages that selection is given.
+The pool records queries and page membership only: the rows of the
+folded pages in the table, in folding order, are the page vertices of the
+entity phase's graphs, whose words are read from the entity's
+:class:`~repro.core.utility.GraphTables` (whose page rows are the n-gram
+table's).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class CandidateStatistics:
         self.occurrences = np.zeros(0, dtype=np.int64)
         self.page_frequency = np.zeros(0, dtype=np.int64)
         self._page_ids: Set[str] = set()
+        self._page_rows: List[int] = []
         self._sorted_queries: Optional[List[Query]] = None
 
     @property
@@ -70,6 +72,7 @@ class CandidateStatistics:
             return False
         ids, counts = self.table.row(page.page_id)
         self._page_ids.add(page.page_id)
+        self._page_rows.append(self.table.rows[page.page_id])
         if ids.size:
             # A row's ids are distinct, so no indexed add is lost to a repeat.
             self.occurrences[ids] += counts
@@ -88,6 +91,11 @@ class CandidateStatistics:
         queries = self.table.queries
         return [queries[index] for index in ids.tolist()]
 
+    def ids(self) -> np.ndarray:
+        """Table ids of all candidate queries, in increasing (lexicographic)
+        order."""
+        return np.flatnonzero(self.page_frequency)
+
     def sorted_queries(self) -> List[Query]:
         """All candidate queries, lexicographically sorted.
 
@@ -95,7 +103,7 @@ class CandidateStatistics:
         callers can never corrupt the cache in place.
         """
         if self._sorted_queries is None:
-            self._sorted_queries = self._queries_of(np.flatnonzero(self.page_frequency))
+            self._sorted_queries = self._queries_of(self.ids())
         return list(self._sorted_queries)
 
     def unfired_sorted_queries(self, fired: Set[Query]) -> List[Query]:
@@ -104,11 +112,16 @@ class CandidateStatistics:
             return self.sorted_queries()
         return [q for q in self.sorted_queries() if q not in fired]
 
-    def pruned(self, max_queries: Optional[int] = None) -> List[Query]:
-        """The candidates by decreasing occurrences, ties lexicographic,
-        at most ``max_queries`` of them."""
-        return self._queries_of(prune_queries(self.occurrences, self.page_frequency,
-                                              max_queries=max_queries))
+    def pruned(self, max_queries: Optional[int] = None) -> np.ndarray:
+        """Table ids of the candidates by decreasing occurrences, ties
+        lexicographic, at most ``max_queries`` of them."""
+        return prune_queries(self.occurrences, self.page_frequency,
+                             max_queries=max_queries)
+
+    @property
+    def page_rows(self) -> np.ndarray:
+        """The table rows of the folded pages, in folding order."""
+        return np.array(self._page_rows, dtype=np.int64)
 
     # -- Introspection -----------------------------------------------------
     @property

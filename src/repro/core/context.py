@@ -17,18 +17,18 @@ relevant)::
     P(Phi u {q})  proportional to  R(Phi u {q}) / R*(Phi u {q})
 
 :class:`ContextTracker` maintains ``R(Phi)`` and ``R*(Phi)`` across
-iterations and evaluates the collective utilities of candidates.
+iterations and evaluates the collective utilities of candidates, each
+named by its query vertex in the entity phase's graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.core.entity_phase import EntityUtilities
-from repro.core.queries import Query
 from repro.utils.vectorize import exact_pow_half
 
 _EPSILON = 1e-12
@@ -38,14 +38,14 @@ _EPSILON = 1e-12
 class CollectiveUtilityArrays:
     """Collective utilities of the context plus each of many candidates.
 
-    Element ``i`` of every array corresponds to ``queries[i]``.  Each
-    derived quantity equals, bit for bit, the same-named scalar property of
-    the one-candidate reference ``tests/oracles.py::reference_evaluate``
-    returns (the square root uses :func:`repro.utils.vectorize.exact_pow_half`,
-    matching Python's ``** 0.5``).
+    Element ``i`` of every array corresponds to the ``i``-th candidate
+    evaluated.  Each derived quantity equals, bit for bit, the same-named
+    scalar property of the one-candidate reference
+    ``tests/oracles.py::reference_evaluate`` returns (the square root uses
+    :func:`repro.utils.vectorize.exact_pow_half`, matching Python's
+    ``** 0.5``).
     """
 
-    queries: List[Query]
     collective_recall: np.ndarray
     collective_recall_all: np.ndarray
 
@@ -85,7 +85,6 @@ class CollectiveUtilityArrays:
                                            0.0), 1.0)
         factor = 1.0 - penalty * redundancy
         return CollectiveUtilityArrays(
-            queries=self.queries,
             collective_recall=self.collective_recall * factor,
             collective_recall_all=self.collective_recall_all,
         )
@@ -104,39 +103,44 @@ class ContextTracker:
         # R(Phi) w.r.t. Y and w.r.t. Y*: base case is the seed query q(0).
         self.context_recall = seed_recall_r0
         self.context_recall_all = self.seed_recall_all
-        self.past_queries: List[Query] = []
+        #: How many queries have been folded into the context.
+        self.num_queries = 0
 
     # -- Evaluation ----------------------------------------------------------
-    def evaluate_many(self, queries: Sequence[Query],
-                      utilities: EntityUtilities) -> CollectiveUtilityArrays:
+    def evaluate_many(self, utilities: EntityUtilities,
+                      vertices: np.ndarray) -> CollectiveUtilityArrays:
         """Collective utilities of ``Phi u {q}`` for every candidate (Eqs. 26-27).
 
-        One gather of the five utility vectors and a handful of array
-        operations.  Element ``i`` equals the scalar
-        ``tests/oracles.py::reference_evaluate(self, queries[i], utilities)``
+        ``vertices`` are the candidates' query vertices in ``utilities``'
+        graph.  One gather of the five utility vectors and a handful of
+        array operations.  Element ``i`` equals the scalar
+        ``tests/oracles.py::reference_evaluate(self, utilities, vertices[i])``
         bit for bit (same expression order, same clamping).
         """
-        arrays = utilities.gather(queries)
-        collective_recall = (self.context_recall + arrays.recall
-                             - arrays.recall_current * self.context_recall)
-        collective_recall_all = (self.context_recall_all + arrays.recall_all
-                                 - arrays.recall_current_all * self.context_recall_all)
+        collective_recall = (self.context_recall
+                             + utilities.recall.query_values[vertices]
+                             - utilities.recall_current.query_values[vertices]
+                             * self.context_recall)
+        collective_recall_all = (self.context_recall_all
+                                 + utilities.recall_all.query_values[vertices]
+                                 - utilities.recall_current_all.query_values[vertices]
+                                 * self.context_recall_all)
         return CollectiveUtilityArrays(
-            queries=list(queries),
             collective_recall=_clamp_array(collective_recall),
             collective_recall_all=_clamp_array(collective_recall_all),
         )
 
     # -- Updates ---------------------------------------------------------------
-    def update(self, query: Query, utilities: EntityUtilities) -> None:
-        """Fold the selected query into the context (``Phi <- Phi u {q*}``)."""
-        collective = self.evaluate_many([query], utilities)
+    def update(self, utilities: EntityUtilities, vertex: int) -> None:
+        """Fold the selected candidate, query vertex ``vertex`` of
+        ``utilities``' graph, into the context (``Phi <- Phi u {q*}``)."""
+        collective = self.evaluate_many(utilities, np.array([vertex]))
         self.context_recall = float(collective.collective_recall[0])
         self.context_recall_all = float(collective.collective_recall_all[0])
-        self.past_queries.append(query)
+        self.num_queries += 1
 
     def __len__(self) -> int:
-        return len(self.past_queries)
+        return self.num_queries
 
 
 def _clamp_array(values: np.ndarray, low: float = 0.0,

@@ -31,6 +31,7 @@ from repro.core.queries import NgramTable, Query, QueryEnumerator, prune_queries
 from repro.core.templates import Template
 from repro.core.utility import (
     GraphAssembler,
+    GraphTables,
     precision_page_regularization,
     recall_page_regularization,
 )
@@ -53,7 +54,20 @@ class DomainModel:
     query_precision: Dict[Query, float] = field(default_factory=dict)
     query_recall: Dict[Query, float] = field(default_factory=dict)
     query_entity_support: Dict[Query, int] = field(default_factory=dict)
-    frequent_queries: List[Query] = field(default_factory=list)
+    #: The domain's queries: the split's :attr:`DomainQueries.queries`,
+    #: one list shared by every aspect's model (read-only).  A harvester
+    #: numbers them with each entity's n-grams (see
+    #: :mod:`repro.core.session`).
+    domain_queries: Sequence[Query] = ()
+    #: Positions in ``domain_queries`` of the queries that occur with many
+    #: domain entities, most entities first (ties lexicographic).
+    frequent: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64),
+                                 compare=False)
+
+    @property
+    def frequent_queries(self) -> List[Query]:
+        """The frequent domain queries, most entities first."""
+        return [self.domain_queries[position] for position in self.frequent.tolist()]
 
     def best_queries_by_precision(self, limit: int = 0) -> List[Query]:
         """Domain queries ranked by learnt precision (for the +q ablation)."""
@@ -77,7 +91,9 @@ class _DomainGraph:
     pages: List[Page]
     queries: List[Query]
     query_entity_support: Dict[Query, int]
-    frequent_queries: List[Query]
+    frequent: np.ndarray
+    #: The template vertices, in vertex order.
+    templates: List[Template]
     #: ``None`` when the domain yields no pages or no queries.
     solver: Optional[UtilitySolver]
 
@@ -129,13 +145,16 @@ class DomainPhase:
              RegularizationProblem(
                  page_regularization=recall_page_regularization(pages, AllRelevant()))])
 
-        model.template_precision = precision.template_utilities()
-        model.template_recall = recall.template_utilities()
-        model.template_recall_all = recall_all.template_utilities()
-        model.query_precision = precision.query_utilities()
-        model.query_recall = recall.query_utilities()
+        templates, queries = domain_graph.templates, domain_graph.queries
+        model.template_precision = dict(zip(templates, precision.template_values.tolist()))
+        model.template_recall = dict(zip(templates, recall.template_values.tolist()))
+        model.template_recall_all = dict(zip(templates,
+                                             recall_all.template_values.tolist()))
+        model.query_precision = dict(zip(queries, precision.query_values.tolist()))
+        model.query_recall = dict(zip(queries, recall.query_values.tolist()))
         model.query_entity_support = dict(domain_graph.query_entity_support)
-        model.frequent_queries = list(domain_graph.frequent_queries)
+        model.domain_queries = queries
+        model.frequent = domain_graph.frequent
         return model
 
     def domain_queries(self) -> DomainQueries:
@@ -151,17 +170,24 @@ class DomainPhase:
             return self._graph
         domain = self.domain_queries()
         pages, queries = domain.pages, domain.queries
-        support = dict(zip(queries, domain.entity_support.tolist()))
+        support = domain.entity_support.tolist()
         threshold = self.config.domain_support_threshold(self.corpus.num_entities())
-        frequent = sorted((q for q in queries if support[q] >= threshold),
-                          key=lambda q: (-support[q], q))
-        solver = None
+        frequent = sorted((position for position, count in enumerate(support)
+                           if count >= threshold),
+                          key=lambda position: (-support[position], queries[position]))
+        frequent = np.array(frequent, dtype=np.int64)
+        frequent.flags.writeable = False  # every aspect's model shares it
+        solver, templates = None, []
         if queries:
-            assembled = self._assembler.assemble(pages, queries, use_templates=True)
+            tables = GraphTables(self.corpus.type_system, pages, domain_queries=queries)
+            assembled = self._assembler.assemble(tables, np.arange(len(pages)),
+                                                 tables.domain_ids, use_templates=True)
+            templates = [tables.templates[index] for index in assembled.templates.tolist()]
             solver = assembled.solver(self.config)
         self._graph = _DomainGraph(pages=pages, queries=queries,
-                                   query_entity_support=support,
-                                   frequent_queries=frequent, solver=solver)
+                                   query_entity_support=dict(zip(queries, support)),
+                                   frequent=frequent,
+                                   templates=templates, solver=solver)
         return self._graph
 
 

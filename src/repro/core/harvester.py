@@ -34,7 +34,7 @@ from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
 from repro.core.queries import Query
 from repro.core.selection import QuerySelector
-from repro.core.session import HarvestSession, NgramTableCache
+from repro.core.session import GraphTablesCache, HarvestSession, NgramTableCache
 from repro.corpus.corpus import Corpus
 from repro.dedup.signatures import PageSignatureCache
 from repro.search.clients import SearchClient
@@ -129,14 +129,15 @@ class Harvester:
 
     Callers may run several harvests of one harvester on threads of their
     own.  The engine locks its caches; the memo caches jobs share (n-gram
-    tables, classifier relevance labels, ideal pools) rely on the GIL
-    making their get-then-set races benign, since every thread computes
-    the same value.  A free-threaded (no-GIL) build would need locks there
-    too.
+    and graph tables, classifier relevance labels, ideal pools) rely on the
+    GIL making their get-then-set races benign, since every thread computes
+    the same value and never changes it once stored.  A free-threaded
+    (no-GIL) build would need locks there too.
     """
 
     def __init__(self, corpus: Corpus, engine: SearchEngine,
-                 config: Optional[L2QConfig] = None) -> None:
+                 config: Optional[L2QConfig] = None,
+                 page_signatures: Optional[PageSignatureCache] = None) -> None:
         self.corpus = corpus
         self.engine = engine
         self.config = config if config is not None else L2QConfig()
@@ -145,10 +146,18 @@ class Harvester:
         #: Every entity's n-gram table, shared by all the sessions this
         #: harvester builds (see :mod:`repro.core.session`).
         self.ngram_tables: NgramTableCache = {}
+        #: Every entity's graph tables, one per domain-query list its jobs
+        #: bring, shared by all the sessions this harvester builds and kept
+        #: as long as the harvester (see :mod:`repro.core.session`).
+        self.graph_tables: GraphTablesCache = {}
         #: Every page's MinHash signature, shared by the novelty estimators
         #: of all the sessions this harvester builds, so that with the dedup
-        #: penalty on each page is signed once, not once per session.
-        self.page_signatures = PageSignatureCache(self.config)
+        #: penalty on each page is signed once, not once per session.  An
+        #: owner that also scores waste over this corpus with the same
+        #: configuration passes its own cache, so each page is signed once
+        #: for both.
+        self.page_signatures = page_signatures if page_signatures is not None \
+            else PageSignatureCache(self.config)
 
     def harvest_job(self, job: HarvestJob) -> HarvestResult:
         """Execute one :class:`HarvestJob`."""
@@ -208,6 +217,7 @@ class Harvester:
                 rng=rng.spawn(entity_id, aspect, selector.name),
                 domain_model=domain_model,
                 ngram_tables=self.ngram_tables,
+                graph_tables=self.graph_tables,
                 page_signatures=self.page_signatures,
             )
             accounting = RunFetchAccounting()

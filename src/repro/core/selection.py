@@ -15,6 +15,11 @@ This module implements the strategy ladder the paper evaluates in Sect. VI-B
 Every strategy implements :class:`QuerySelector`; instances are stateful per
 harvesting run, so callers should create a fresh selector per harvest (the
 factory :func:`make_selector` does exactly that).
+
+The strategies that run the entity phase choose on ids of the entity's
+:class:`~repro.core.utility.GraphTables`; ids sort as queries do, so "ties
+lexicographic" is "ties by id", and the chosen id becomes a query only when
+it is returned for firing.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import L2QConfig
-from repro.core.context import ContextTracker
+from repro.core.context import CollectiveUtilityArrays, ContextTracker
 from repro.core.entity_phase import EntityPhase, EntityUtilities
 from repro.core.queries import Query
 from repro.core.session import HarvestSession
+from repro.core.utility import GraphTables
 from repro.utils.vectorize import exact_pow_half, first_lexicographic_argmax
 
 OBJECTIVE_PRECISION = "precision"
@@ -62,6 +68,13 @@ def first_unfired(ranked: Sequence[Query], session: HarvestSession) -> Optional[
     return None
 
 
+def best_ranked(values: np.ndarray, ids: np.ndarray) -> int:
+    """Position of the greatest of ``values``, the smallest of ``ids``
+    among equal values: the first of the ranking by ``(-value, id)``."""
+    tied = np.flatnonzero(values == values.max())
+    return int(tied[np.argmin(ids[tied])])
+
+
 # ---------------------------------------------------------------------------
 # RND
 # ---------------------------------------------------------------------------
@@ -86,9 +99,9 @@ class EntityPhaseSelection(QuerySelector):
     """Base for selectors that run the entity phase on every selection.
 
     One :class:`EntityPhase` instance is shared across a run's selections so
-    its per-``(domain model, entity)`` caches survive from one harvesting
-    iteration to the next; the phase is rebuilt whenever the session's type
-    system or config differs from the one it was built for.
+    its per-domain-model cache survives from one harvesting iteration to
+    the next; the phase is rebuilt whenever the session's type system or
+    config differs from the one it was built for.
     """
 
     _phase: Optional[EntityPhase] = None
@@ -102,9 +115,29 @@ class EntityPhaseSelection(QuerySelector):
             self._phase = phase
         return phase
 
+    def _utilities(self, session: HarvestSession, use_domain: bool
+                   ) -> Tuple[GraphTables, EntityUtilities]:
+        """The entity's tables and one entity-phase run over its unfired
+        candidates, with the session's domain model if ``use_domain``."""
+        model = session.domain_model if use_domain else None
+        tables = session.tables(model.domain_queries if model is not None else ())
+        utilities = self._entity_phase(session).compute(
+            entity=session.entity,
+            relevance=session.relevance,
+            domain_model=model,
+            use_templates=use_domain,
+            exclude=session.fired_ids(tables),
+            statistics=session.candidates,
+            tables=tables,
+        )
+        return tables, utilities
+
 
 class UtilityOnlySelection(EntityPhaseSelection):
     """Optimise inferred precision or recall; no domain, no context (Sect. III)."""
+
+    #: Whether the entity phase runs with the domain model's templates.
+    use_domain = False
 
     def __init__(self, objective: str) -> None:
         if objective not in (OBJECTIVE_PRECISION, OBJECTIVE_RECALL):
@@ -113,21 +146,13 @@ class UtilityOnlySelection(EntityPhaseSelection):
         self.name = "P" if objective == OBJECTIVE_PRECISION else "R"
 
     def select(self, session: HarvestSession) -> Optional[Query]:
-        phase = self._entity_phase(session)
-        utilities = phase.compute(
-            entity=session.entity,
-            current_pages=session.current_pages,
-            relevance=session.relevance,
-            domain_model=None,
-            use_templates=False,
-            exclude=set(session.fired_queries),
-            statistics=session.candidates,
-            tables=session.tables,
-        )
-        ranked = (utilities.ranked_by_precision()
-                  if self.objective == OBJECTIVE_PRECISION
-                  else utilities.ranked_by_recall())
-        return first_unfired(ranked, session)
+        tables, utilities = self._utilities(session, self.use_domain)
+        if not utilities.candidates.size:
+            return None
+        vector = (utilities.precision if self.objective == OBJECTIVE_PRECISION
+                  else utilities.recall)
+        best = best_ranked(vector.query_values, utilities.candidates)
+        return tables.queries[utilities.candidates[best]]
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +184,14 @@ class DomainQuerySelection(QuerySelector):
 # P+t / R+t — domain-aware via templates, without context awareness
 # ---------------------------------------------------------------------------
 
-class TemplateSelection(EntityPhaseSelection):
+class TemplateSelection(UtilityOnlySelection):
     """Optimise inferred precision or recall with template-based domain awareness."""
 
-    def __init__(self, objective: str) -> None:
-        if objective not in (OBJECTIVE_PRECISION, OBJECTIVE_RECALL):
-            raise ValueError("objective must be 'precision' or 'recall'")
-        self.objective = objective
-        self.name = "P+t" if objective == OBJECTIVE_PRECISION else "R+t"
+    use_domain = True
 
-    def select(self, session: HarvestSession) -> Optional[Query]:
-        phase = self._entity_phase(session)
-        utilities = phase.compute(
-            entity=session.entity,
-            current_pages=session.current_pages,
-            relevance=session.relevance,
-            domain_model=session.domain_model,
-            use_templates=True,
-            exclude=set(session.fired_queries),
-            statistics=session.candidates,
-            tables=session.tables,
-        )
-        ranked = (utilities.ranked_by_precision()
-                  if self.objective == OBJECTIVE_PRECISION
-                  else utilities.ranked_by_recall())
-        return first_unfired(ranked, session)
+    def __init__(self, objective: str) -> None:
+        super().__init__(objective)
+        self.name = "P+t" if objective == OBJECTIVE_PRECISION else "R+t"
 
 
 # ---------------------------------------------------------------------------
@@ -210,60 +218,54 @@ class ContextAwareSelection(EntityPhaseSelection):
         if self._tracker is None:
             self.prepare(session)
         assert self._tracker is not None
-        phase = self._entity_phase(session)
-        utilities = phase.compute(
-            entity=session.entity,
-            current_pages=session.current_pages,
-            relevance=session.relevance,
-            domain_model=session.domain_model,
-            use_templates=True,
-            exclude=set(session.fired_queries),
-            statistics=session.candidates,
-            tables=session.tables,
-        )
+        tables, utilities = self._utilities(session, use_domain=True)
         penalty = (self._config or session.config).dedup_penalty
-        candidates = [query for query in sorted(utilities.candidates)
-                      if not session.is_fired(query)]
-        best_query = self._choose(session, utilities, candidates, penalty)
-        if best_query is not None:
-            self._tracker.update(best_query, utilities)
-        return best_query
+        best = self._choose(session, tables, utilities, penalty)
+        if best is None:
+            return None
+        self._tracker.update(utilities, best)
+        return tables.queries[utilities.candidates[best]]
 
-    def _choose(self, session: HarvestSession, utilities: EntityUtilities,
-                candidates: List[Query], penalty: float) -> Optional[Query]:
+    def _choose(self, session: HarvestSession, tables: GraphTables,
+                utilities: EntityUtilities, penalty: float) -> Optional[int]:
         """Vectorized candidate scoring: the whole set in a few array ops.
 
-        Ranks every unfired candidate by ``(collective utility, individual
-        utility)`` and returns the first lexicographic maximum — the same
+        Ranks every candidate (the entity phase left the fired ones out) by
+        ``(collective utility, individual utility)`` and returns the query
+        vertex of the first lexicographic maximum in query order — the same
         winner the per-candidate loop ``tests/oracles.py::reference_choose``
         produces (array expressions mirror the scalar ones operation for
         operation).  The individual utility breaks ties so that
         near-identical collective values (common in the first iteration)
         still prefer genuinely useful queries.
         """
-        if not candidates:
+        if not utilities.candidates.size:
             return None
         assert self._tracker is not None
-        collective = self._tracker.evaluate_many(candidates, utilities)
+        # Query order is id order.
+        vertices = np.argsort(utilities.candidates)
+        collective = self._tracker.evaluate_many(utilities, vertices)
         if penalty > 0.0:
             # Dedup awareness: discount collective utility by the expected
             # page-level redundancy of each query's postings.
-            novelty = np.asarray(session.expected_novelties(candidates),
-                                 dtype=np.float64)
+            novelty = np.asarray(session.expected_novelties(
+                tables.queries_of(utilities.candidates[vertices])), dtype=np.float64)
             collective = collective.discounted(novelty, penalty)
-        primary, secondary = self._score_arrays(collective, utilities, candidates)
-        return candidates[first_lexicographic_argmax(primary, secondary)]
+        primary, secondary = self._score_arrays(collective, utilities, vertices)
+        return int(vertices[first_lexicographic_argmax(primary, secondary)])
 
-    def _score_arrays(self, collective, utilities: EntityUtilities,
-                      candidates: List[Query]) -> Tuple[np.ndarray, np.ndarray]:
+    def _score_arrays(self, collective: CollectiveUtilityArrays,
+                      utilities: EntityUtilities,
+                      vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-candidate (primary, secondary) score arrays."""
-        arrays = utilities.gather(candidates)
+        precision = utilities.precision.query_values[vertices]
+        recall = utilities.recall.query_values[vertices]
         if self.objective == OBJECTIVE_PRECISION:
-            return collective.collective_precision, arrays.precision
+            return collective.collective_precision, precision
         if self.objective == OBJECTIVE_RECALL:
-            return collective.collective_recall, arrays.recall
-        individual = exact_pow_half(np.maximum(arrays.precision, 0.0)
-                                    * np.maximum(arrays.recall, 0.0))
+            return collective.collective_recall, recall
+        individual = exact_pow_half(np.maximum(precision, 0.0)
+                                    * np.maximum(recall, 0.0))
         return collective.balanced, individual
 
 

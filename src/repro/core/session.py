@@ -15,11 +15,25 @@ The candidate statistics count over the entity's
 words.  The table is built on the session's first page fold and kept in
 ``ngram_tables``, a cache the harvester hands to every session it builds,
 so all of an entity's sessions (and the ideal oracle's pool) share one
-table; a session built without a cache keeps its own.  Sessions a caller
-runs on threads of its own may build the same table twice; the builds are
-identical, and the first one stored is the one every session uses.  With
-the dedup penalty on, the harvester hands its page-signature cache over
-the same way, so each page is signed once per harvester.
+table; a session built without a cache keeps its own.
+
+The entity's :class:`~repro.core.utility.GraphTables` are kept the same way,
+in ``graph_tables``: one table per (entity, domain-query list) numbers the
+entity's n-grams and the domain queries its jobs bring (a split's
+:attr:`~repro.core.domain_phase.DomainQueries.queries`, which hold both
+the domain model's frequent queries and the HR baseline's pool) in one
+lexicographic id space, and holds every query's and page's graph rows.
+Selection works on those ids; queries reappear as tuples only where a
+query is fired, recorded or reported.  The harvester owns the tables and
+they live as long as it does; sessions read them and no selector or job
+holds them.
+
+Sessions a caller runs on threads of its own may build the same n-gram or
+graph table twice; the builds are identical, and the first one stored is
+the one every session uses.  A table never changes once stored (see
+:class:`~repro.core.utility.GraphTables`), so sessions share it without a
+lock.  With the dedup penalty on, the harvester hands its page-signature
+cache over the same way, so each page is signed once per harvester.
 """
 
 from __future__ import annotations
@@ -27,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.candidates import CandidateStatistics
@@ -45,6 +61,13 @@ from repro.utils.rng import SeededRandom
 #: one cache serves one corpus (a harvester's).
 NgramTableCache = Dict[Tuple[str, int, int], NgramTable]
 
+#: Graph tables by ``(id(n-gram table), id(domain queries), type-system
+#: version)``, each entry holding the two objects its key names, so that
+#: neither id is reused while the entry lives; one cache serves one corpus
+#: (a harvester's).
+GraphTablesCache = Dict[Tuple[int, int, Optional[int]],
+                        Tuple[NgramTable, Sequence[Query], GraphTables]]
+
 
 def entity_ngram_table(cache: NgramTableCache, corpus: Corpus, entity: Entity,
                        config: L2QConfig) -> NgramTable:
@@ -60,6 +83,23 @@ def entity_ngram_table(cache: NgramTableCache, corpus: Corpus, entity: Entity,
         table = cache.setdefault(key, NgramTable.build(
             enumerator, corpus.pages_of(entity.entity_id)))
     return table
+
+
+def entity_graph_tables(cache: GraphTablesCache, corpus: Corpus, ngrams: NgramTable,
+                        domain_queries: Sequence[Query]) -> GraphTables:
+    """An entity's graph tables over its n-grams (``ngrams``, the entity's
+    table) and ``domain_queries`` from ``cache``, built there on first use.
+
+    The tables' page rows are the n-gram table's: the entity's pages in
+    corpus order.
+    """
+    key = (id(ngrams), id(domain_queries), getattr(corpus.type_system, "_version", None))
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache.setdefault(key, (ngrams, domain_queries, GraphTables(
+            corpus.type_system, [corpus.get_page(page_id) for page_id in ngrams.page_ids],
+            ngrams=ngrams.queries, domain_queries=domain_queries)))
+    return entry[2]
 
 
 @dataclass
@@ -78,6 +118,7 @@ class HarvestSession:
     past_queries: List[Query] = field(default_factory=list)
     fired_queries: Set[Query] = field(default_factory=set)
     ngram_tables: NgramTableCache = field(default_factory=dict, repr=False)
+    graph_tables: GraphTablesCache = field(default_factory=dict, repr=False)
     #: Page signatures for the novelty estimator; a session built without
     #: one (no harvester) signs into a cache of its own.
     page_signatures: Optional[PageSignatureCache] = field(default=None,
@@ -95,11 +136,6 @@ class HarvestSession:
         self.candidates = CandidateStatistics(partial(
             entity_ngram_table, self.ngram_tables, self.corpus, self.entity,
             self.config))
-        #: Graph rows of the candidates and pages met so far, shared by every
-        #: selection of the session (see :class:`GraphTables`).  Only the
-        #: session holds the tables, so they are freed with it: a selector
-        #: or job kept after the harvest does not keep them alive.
-        self.tables = GraphTables(self.corpus.type_system)
         #: Incremental MinHash index over gathered pages, maintained under
         #: the same O(new pages) contract as ``candidates``.  Only built
         #: when the dedup penalty is active: with ``dedup_penalty == 0.0``
@@ -151,6 +187,12 @@ class HarvestSession:
         return [self.novelty.expected_novelty(query, self.has_page)
                 for query in queries]
 
+    def tables(self, domain_queries: Sequence[Query] = ()) -> GraphTables:
+        """The entity's graph tables over its n-grams and ``domain_queries``
+        (see the module docstring)."""
+        return entity_graph_tables(self.graph_tables, self.corpus,
+                                   self.candidates.table, domain_queries)
+
     def has_page(self, page_id: str) -> bool:
         """Whether a page has already been gathered in this session."""
         return self.candidates.has_page(page_id)
@@ -172,3 +214,9 @@ class HarvestSession:
     def is_fired(self, query: Query) -> bool:
         """Whether ``query`` has already been fired in this session."""
         return query in self.fired_queries
+
+    def fired_ids(self, tables: GraphTables) -> np.ndarray:
+        """The ids in ``tables`` of the fired queries in its id space."""
+        ids = map(tables.id_of, self.past_queries)
+        return np.array([query_id for query_id in ids if query_id is not None],
+                        dtype=np.int64)

@@ -34,16 +34,20 @@ class DuplicateWasteScorer:
     """Scores harvest runs for duplicate-fetch waste over one corpus.
 
     One scorer serves a whole evaluation: page signatures are computed at
-    most once per corpus page (through the same
-    :class:`~repro.dedup.signatures.PageSignatureCache` the selection-time
-    novelty estimate uses, so the two views cannot drift apart) and shared
-    across all scored runs.
+    most once per corpus page (through a
+    :class:`~repro.dedup.signatures.PageSignatureCache`, the kind the
+    selection-time novelty estimate uses, so the two views cannot drift
+    apart) and shared across all scored runs.  ``signatures``, a cache made
+    with the same configuration over the same corpus, lets the scorer reuse
+    the signatures the harvests already made.
     """
 
-    def __init__(self, corpus, config: Optional[L2QConfig] = None) -> None:
+    def __init__(self, corpus, config: Optional[L2QConfig] = None,
+                 signatures: Optional[PageSignatureCache] = None) -> None:
         self.corpus = corpus
         self.config = config if config is not None else L2QConfig()
-        self.signatures = PageSignatureCache(self.config)
+        self.signatures = signatures if signatures is not None \
+            else PageSignatureCache(self.config)
 
     def fetched_page_ids(self, result, num_queries: Optional[int] = None) -> List[str]:
         """The fetched page stream of a run, with repeats, in fetch order."""

@@ -36,6 +36,7 @@ from repro.core.domain_phase import DomainModel, DomainPhase
 from repro.core.harvester import HarvestJob, HarvestResult, Harvester
 from repro.core.selection import QuerySelector, make_selector, selector_names
 from repro.corpus.corpus import Corpus
+from repro.dedup.signatures import PageSignatureCache
 from repro.dedup.waste import DuplicateWasteScorer
 from repro.eval.metrics import HarvestMetrics, MetricSeries, compute_metrics
 from repro.eval.splits import EntitySplit, split_entities, subsample_entities
@@ -222,6 +223,10 @@ class ExperimentRunner:
         self._store_handle: Optional[StoreHandle] = None
         self._store_failed = False
         self._corpus_digest: Optional[str] = None
+        #: Every page's MinHash signature, shared by the harvesters this
+        #: runner builds (novelty, with the dedup penalty on) and by its
+        #: waste scorers, so that each page is signed once per runner.
+        self.page_signatures = PageSignatureCache(self.config)
         #: Probes of the last distributed dispatch (split-first sharding):
         #: one :class:`~repro.exec.specs.HarvestBatchOutcome` per executed
         #: batch, carrying worker pid, split index and how many prepared
@@ -386,10 +391,12 @@ class ExperimentRunner:
         """The split's harvester over this corpus and the split's engine.
 
         One per prepared split, so every session of an entity in the split
-        shares the entity's n-gram table.
+        shares the entity's n-gram and graph tables; all of them share the
+        runner's page signatures.
         """
         if prepared._harvester is None:
-            prepared._harvester = Harvester(self.corpus, prepared.engine, self.config)
+            prepared._harvester = Harvester(self.corpus, prepared.engine, self.config,
+                                            page_signatures=self.page_signatures)
         return prepared._harvester
 
     # -- Single harvest -------------------------------------------------------------
@@ -477,7 +484,8 @@ class ExperimentRunner:
         waste: Dict[str, Dict[int, List[float]]] = {
             method: {k: [] for k in budgets} for method in methods
         }
-        scorer = DuplicateWasteScorer(self.corpus, self.config) \
+        scorer = DuplicateWasteScorer(self.corpus, self.config,
+                                      signatures=self.page_signatures) \
             if collect_waste else None
         accountings: List = []
 

@@ -8,20 +8,14 @@ from repro.graph.random_walk import (
     normalize_columns,
     normalize_rows,
 )
-from repro.graph.reinforcement import (
-    ReinforcementGraph,
-    ReinforcementGraphBuilder,
-    VertexIndex,
-)
+from repro.graph.reinforcement import ReinforcementGraph
 
 __all__ = [
     "MODE_PRECISION",
     "MODE_RECALL",
     "ReinforcementGraph",
-    "ReinforcementGraphBuilder",
     "UtilitySolver",
     "UtilityVector",
-    "VertexIndex",
     "normalize_columns",
     "normalize_rows",
 ]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -74,15 +74,17 @@ _STEP_NORMS = {MODE_PRECISION: np.maximum, MODE_RECALL: np.add}
 class RegularizationProblem:
     """One utility-regularization ``U_hat`` triple for a multi-RHS solve.
 
-    The entity phase solves several regularization problems on the *same*
-    graph (recall w.r.t. ``Y``, ``Y~``, ``Y*``, ``Y~*``); stacking them as
-    the columns of one right-hand-side matrix lets every solve step share
-    one sparse matmul across problems.
+    Each vector holds one value per page, query or template vertex, in
+    vertex order; ``None`` regularizes none of that layer.  The entity
+    phase solves several regularization problems on the *same* graph
+    (recall w.r.t. ``Y``, ``Y~``, ``Y*``, ``Y~*``); stacking them as the
+    columns of one right-hand-side matrix lets every solve step share one
+    sparse matmul across problems.
     """
 
-    page_regularization: Optional[Mapping[Hashable, float]] = None
-    query_regularization: Optional[Mapping[Hashable, float]] = None
-    template_regularization: Optional[Mapping[Hashable, float]] = None
+    page_regularization: Optional[np.ndarray] = None
+    query_regularization: Optional[np.ndarray] = None
+    template_regularization: Optional[np.ndarray] = None
 
 
 def normalize_rows(matrix: sparse.spmatrix) -> sparse.csr_matrix:
@@ -101,7 +103,8 @@ def normalize_columns(matrix: sparse.spmatrix) -> sparse.csr_matrix:
 
 @dataclass
 class UtilityVector:
-    """Solved utilities for every vertex of a reinforcement graph."""
+    """Solved utilities for every vertex of a reinforcement graph, each
+    layer's values in vertex order."""
 
     mode: str
     page_values: np.ndarray
@@ -113,36 +116,6 @@ class UtilityVector:
     converged: bool
     #: Full-system residual ``max |u - (1 - alpha) W u - alpha U_hat|``.
     residual: float
-
-    def page(self, page_key: Hashable) -> float:
-        """Utility of a page vertex (0.0 if the page is not in the graph)."""
-        index = self.graph.pages.index_of(page_key)
-        return float(self.page_values[index]) if index is not None else 0.0
-
-    def query(self, query_key: Hashable) -> float:
-        """Utility of a query vertex (0.0 if the query is not in the graph)."""
-        index = self.graph.queries.index_of(query_key)
-        return float(self.query_values[index]) if index is not None else 0.0
-
-    def template(self, template_key: Hashable) -> float:
-        """Utility of a template vertex (0.0 if absent)."""
-        index = self.graph.templates.index_of(template_key)
-        return float(self.template_values[index]) if index is not None else 0.0
-
-    def query_utilities(self) -> Dict[Hashable, float]:
-        """All query utilities as a dictionary."""
-        return {self.graph.queries.key_of(i): float(v)
-                for i, v in enumerate(self.query_values)}
-
-    def template_utilities(self) -> Dict[Hashable, float]:
-        """All template utilities as a dictionary."""
-        return {self.graph.templates.key_of(i): float(v)
-                for i, v in enumerate(self.template_values)}
-
-    def page_utilities(self) -> Dict[Hashable, float]:
-        """All page utilities as a dictionary."""
-        return {self.graph.pages.key_of(i): float(v)
-                for i, v in enumerate(self.page_values)}
 
 
 class UtilitySolver:
@@ -201,9 +174,9 @@ class UtilitySolver:
 
     # -- Public API ----------------------------------------------------------
     def solve(self, mode: str,
-              page_regularization: Optional[Mapping[Hashable, float]] = None,
-              query_regularization: Optional[Mapping[Hashable, float]] = None,
-              template_regularization: Optional[Mapping[Hashable, float]] = None) -> UtilityVector:
+              page_regularization: Optional[np.ndarray] = None,
+              query_regularization: Optional[np.ndarray] = None,
+              template_regularization: Optional[np.ndarray] = None) -> UtilityVector:
         """Solve for the utilities of every vertex.
 
         Parameters
@@ -211,8 +184,9 @@ class UtilitySolver:
         mode:
             ``"precision"`` or ``"recall"``.
         page_regularization / query_regularization / template_regularization:
-            The utility regularization ``U_hat`` per vertex key.  Missing
-            vertices default to 0 (no regularization), as in the paper.
+            The utility regularization ``U_hat`` of each vertex of the
+            layer, in vertex order; ``None`` is 0 everywhere (no
+            regularization), as in the paper.
         """
         return self._solve(mode, [RegularizationProblem(
             page_regularization, query_regularization, template_regularization)])[0]
@@ -245,11 +219,11 @@ class UtilitySolver:
         damping = 1.0 - alpha
         operator, pt_from_q, q_from_pt = self._modes[mode]
         alpha_pt_hat = alpha * np.concatenate([
-            self._stack(graph.pages, [p.page_regularization for p in problems]),
-            self._stack(graph.templates,
-                        [p.template_regularization for p in problems])])
-        q_hat = self._stack(graph.queries,
-                            [p.query_regularization for p in problems])
+            _stack(graph.num_pages, [p.page_regularization for p in problems]),
+            _stack(graph.num_templates,
+                   [p.template_regularization for p in problems])])
+        q_hat = _stack(graph.num_queries,
+                       [p.query_regularization for p in problems])
         alpha_q_hat = alpha * q_hat
 
         rhs = alpha_pt_hat + (alpha * damping) * (pt_from_q @ q_hat)
@@ -303,15 +277,14 @@ class UtilitySolver:
             pt += rhs
         return pt, steps
 
-    @staticmethod
-    def _stack(index, regularizations: Sequence[Optional[Mapping[Hashable, float]]]
-               ) -> np.ndarray:
-        """One ``(len(index), len(regularizations))`` column per problem."""
-        values = np.zeros((len(index), len(regularizations)))
-        for column, regularization in enumerate(regularizations):
-            if regularization:
-                for key, value in regularization.items():
-                    position = index.index_of(key)
-                    if position is not None:
-                        values[position, column] = float(value)
-        return values
+
+def _stack(size: int, regularizations: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """One ``(size, len(regularizations))`` column per problem."""
+    values = np.zeros((size, len(regularizations)))
+    for column, regularization in enumerate(regularizations):
+        if regularization is not None:
+            if np.shape(regularization) != (size,):
+                raise ValueError(f"a regularization vector of shape "
+                                 f"{np.shape(regularization)} for {size} vertices")
+            values[:, column] = regularization
+    return values

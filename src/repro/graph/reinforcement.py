@@ -10,199 +10,48 @@ sparse biadjacency matrices:
 * ``W_PQ`` with shape ``(|P|, |Q|)`` — page-query edges;
 * ``W_QT`` with shape ``(|Q|, |T|)`` — query-template edges.
 
-Vertex identities are kept as opaque hashable keys (page ids, query tuples,
-template tuples) mapped to dense indices.
+Vertices are the rows and columns of those matrices.  What each vertex
+stands for is the assembler's bookkeeping:
+:class:`~repro.core.utility.AssembledGraph` keeps the page rows, query ids
+and template ids of its graph in vertex order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 from scipy import sparse
-
-
-class VertexIndex:
-    """A bidirectional mapping between hashable vertex keys and dense indices."""
-
-    def __init__(self, keys: Iterable[Hashable] = ()) -> None:
-        self._key_to_index: Dict[Hashable, int] = {}
-        self._keys: List[Hashable] = []
-        for key in keys:
-            self.add(key)
-
-    def add(self, key: Hashable) -> int:
-        """Add ``key`` (idempotent) and return its index."""
-        index = self._key_to_index.get(key)
-        if index is None:
-            index = len(self._keys)
-            self._key_to_index[key] = index
-            self._keys.append(key)
-        return index
-
-    def extend(self, keys: Sequence[Hashable]) -> List[int]:
-        """Add many keys (idempotent, like repeated :meth:`add`) and return
-        their indices.  On an empty index with all-distinct keys — the
-        common bulk-registration case — the mapping is built in one dict
-        construction instead of one :meth:`add` call per key.
-        """
-        if not self._keys:
-            mapping = {key: position for position, key in enumerate(keys)}
-            if len(mapping) == len(keys):
-                self._key_to_index = mapping
-                self._keys = list(keys)
-                return list(range(len(keys)))
-        add = self.add
-        return [add(key) for key in keys]
-
-    def index_of(self, key: Hashable) -> Optional[int]:
-        """Index of ``key`` or ``None`` if absent."""
-        return self._key_to_index.get(key)
-
-    def key_of(self, index: int) -> Hashable:
-        """Key at ``index``."""
-        return self._keys[index]
-
-    def keys(self) -> List[Hashable]:
-        """All keys in index order."""
-        return list(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._key_to_index
 
 
 class ReinforcementGraph:
     """Immutable page-query-template reinforcement graph.
 
-    Build it with :class:`ReinforcementGraphBuilder`; the solver in
+    :class:`~repro.core.utility.GraphAssembler` builds it; the solver in
     :mod:`repro.graph.random_walk` consumes the two biadjacency matrices.
     """
 
-    def __init__(self, pages: VertexIndex, queries: VertexIndex, templates: VertexIndex,
-                 page_query: sparse.csr_matrix, query_template: sparse.csr_matrix) -> None:
-        if page_query.shape != (len(pages), len(queries)):
-            raise ValueError("page_query matrix shape does not match vertex counts")
-        if query_template.shape != (len(queries), len(templates)):
-            raise ValueError("query_template matrix shape does not match vertex counts")
-        self.pages = pages
-        self.queries = queries
-        self.templates = templates
+    def __init__(self, page_query: sparse.spmatrix,
+                 query_template: sparse.spmatrix) -> None:
+        if page_query.shape[1] != query_template.shape[0]:
+            raise ValueError("page_query and query_template disagree on the "
+                             "number of query vertices")
         self.page_query = page_query.tocsr()
         self.query_template = query_template.tocsr()
 
-    # -- Introspection -------------------------------------------------------
     @property
     def num_pages(self) -> int:
         """Number of page vertices."""
-        return len(self.pages)
+        return self.page_query.shape[0]
 
     @property
     def num_queries(self) -> int:
         """Number of query vertices."""
-        return len(self.queries)
+        return self.page_query.shape[1]
 
     @property
     def num_templates(self) -> int:
         """Number of template vertices."""
-        return len(self.templates)
+        return self.query_template.shape[1]
 
     @property
     def num_edges(self) -> int:
         """Total number of (non-zero) edges."""
         return int(self.page_query.nnz + self.query_template.nnz)
-
-    def query_page_neighbors(self, query_key: Hashable) -> List[Tuple[Hashable, float]]:
-        """Pages adjacent to a query with their edge weights."""
-        q = self.queries.index_of(query_key)
-        if q is None:
-            return []
-        column = self.page_query.getcol(q).tocoo()
-        return [(self.pages.key_of(i), float(v)) for i, v in zip(column.row, column.data)]
-
-    def page_query_neighbors(self, page_key: Hashable) -> List[Tuple[Hashable, float]]:
-        """Queries adjacent to a page with their edge weights."""
-        p = self.pages.index_of(page_key)
-        if p is None:
-            return []
-        row = self.page_query.getrow(p).tocoo()
-        return [(self.queries.key_of(j), float(v)) for j, v in zip(row.col, row.data)]
-
-    def query_template_neighbors(self, query_key: Hashable) -> List[Tuple[Hashable, float]]:
-        """Templates adjacent to a query with their edge weights."""
-        q = self.queries.index_of(query_key)
-        if q is None:
-            return []
-        row = self.query_template.getrow(q).tocoo()
-        return [(self.templates.key_of(j), float(v)) for j, v in zip(row.col, row.data)]
-
-    def template_query_neighbors(self, template_key: Hashable) -> List[Tuple[Hashable, float]]:
-        """Queries adjacent to a template with their edge weights."""
-        t = self.templates.index_of(template_key)
-        if t is None:
-            return []
-        column = self.query_template.getcol(t).tocoo()
-        return [(self.queries.key_of(i), float(v)) for i, v in zip(column.row, column.data)]
-
-
-class ReinforcementGraphBuilder:
-    """Incremental builder for :class:`ReinforcementGraph`."""
-
-    def __init__(self) -> None:
-        self.pages = VertexIndex()
-        self.queries = VertexIndex()
-        self.templates = VertexIndex()
-        self._pq_entries: Dict[Tuple[int, int], float] = {}
-        self._qt_entries: Dict[Tuple[int, int], float] = {}
-
-    def add_page(self, page_key: Hashable) -> int:
-        """Register a page vertex."""
-        return self.pages.add(page_key)
-
-    def add_query(self, query_key: Hashable) -> int:
-        """Register a query vertex."""
-        return self.queries.add(query_key)
-
-    def add_template(self, template_key: Hashable) -> int:
-        """Register a template vertex."""
-        return self.templates.add(template_key)
-
-    def connect_page_query(self, page_key: Hashable, query_key: Hashable,
-                           weight: float = 1.0) -> None:
-        """Add (or accumulate) a page-query edge with the given weight."""
-        if weight <= 0:
-            return
-        p = self.add_page(page_key)
-        q = self.add_query(query_key)
-        self._pq_entries[(p, q)] = self._pq_entries.get((p, q), 0.0) + float(weight)
-
-    def connect_query_template(self, query_key: Hashable, template_key: Hashable,
-                               weight: float = 1.0) -> None:
-        """Add (or accumulate) a query-template edge with the given weight."""
-        if weight <= 0:
-            return
-        q = self.add_query(query_key)
-        t = self.add_template(template_key)
-        self._qt_entries[(q, t)] = self._qt_entries.get((q, t), 0.0) + float(weight)
-
-    def build(self) -> ReinforcementGraph:
-        """Finalise the graph into sparse matrices."""
-        page_query = _entries_to_csr(self._pq_entries, (len(self.pages), len(self.queries)))
-        query_template = _entries_to_csr(self._qt_entries, (len(self.queries), len(self.templates)))
-        return ReinforcementGraph(self.pages, self.queries, self.templates,
-                                  page_query, query_template)
-
-
-def _entries_to_csr(entries: Mapping[Tuple[int, int], float],
-                    shape: Tuple[int, int]) -> sparse.csr_matrix:
-    """Convert a ``{(row, col): weight}`` mapping into a CSR matrix."""
-    if not entries:
-        return sparse.csr_matrix(shape, dtype=np.float64)
-    rows, cols, data = [], [], []
-    for (row, col), value in entries.items():
-        rows.append(row)
-        cols.append(col)
-        data.append(value)
-    return sparse.csr_matrix((data, (rows, cols)), shape=shape, dtype=np.float64)

@@ -17,6 +17,7 @@ import threading
 from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.queries import NgramTable, QueryEnumerator
+from repro.core.utility import GraphTables
 from repro.corpus.document import Page, Paragraph
 from repro.eval.runner import ExperimentRunner
 
@@ -49,6 +50,13 @@ def candidate_pool(entity, pages, config=None):
     pool = CandidateStatistics(lambda: table)
     pool.add_pages(pages)
     return pool
+
+
+def pool_tables(type_system, pages, pool, domain_queries=()):
+    """The graph tables of ``candidate_pool(entity, pages)``: its n-grams
+    and ``domain_queries``, with ``pages`` as the page rows."""
+    return GraphTables(type_system, pages, ngrams=pool.table.queries,
+                       domain_queries=domain_queries)
 
 
 def harvest_signature(result):

@@ -8,9 +8,11 @@ two on random and real inputs.
 derives every query's words and templates and every page's words afresh,
 registers vertices one by one, and finds containment pairs with per-query
 and per-page Python loops.  The production
-:meth:`~repro.core.utility.GraphAssembler.assemble`, which reads memoised
-rows from :class:`~repro.core.utility.GraphTables`, must produce the same
+:meth:`~repro.core.utility.GraphAssembler.assemble`, which reads the rows
+of a :class:`~repro.core.utility.GraphTables` by id, must produce the same
 vertex keys in the same order and byte-identical CSR arrays.
+:class:`ReferenceGraphBuilder` builds a graph from keyed, weighted edges,
+one vertex and one edge at a time, and reads solved utilities back by key.
 
 :func:`reference_hr_select` and :func:`reference_aq_select` score every
 candidate of the HR and AQ baselines with per-candidate × per-page loops
@@ -42,11 +44,11 @@ array-native :class:`~repro.core.candidates.CandidateStatistics`, the
 pools, rankings, supports and page sets.
 
 :func:`reference_choose` scores the context-aware selector's candidates one
-at a time through :func:`reference_evaluate`, the scalar
+at a time, in query order, through :func:`reference_evaluate`, the scalar
 :class:`CollectiveUtilities` of one candidate;
 :meth:`~repro.core.selection.ContextAwareSelection._choose` must return the
-same query, and :meth:`~repro.core.context.ContextTracker.evaluate_many` the
-same floats.
+same candidate, and :meth:`~repro.core.context.ContextTracker.evaluate_many`
+the same floats.
 
 :class:`ReferenceNaiveBayes` is the dict-based multinomial Naive Bayes:
 its ``fit`` must equal :meth:`~repro.aspects.naive_bayes.
@@ -102,49 +104,141 @@ from repro.core.selection import (
 )
 from repro.core.session import HarvestSession
 from repro.core.templates import Template, TemplateIndex
-from repro.core.utility import AssembledGraph
+from repro.core.utility import AssembledGraph, GraphTables
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
 from repro.core.context import ContextTracker
 from repro.corpus.knowledge_base import TypeSystem
 from repro.dedup.minhash import EMPTY_COMPONENT, MinHasher
 from repro.dedup.shingles import shingle_hashes
-from repro.graph.reinforcement import ReinforcementGraph, VertexIndex
+from repro.graph.random_walk import UtilityVector
+from repro.graph.reinforcement import ReinforcementGraph
 from repro.search.bm25 import BM25Ranker
 from repro.search.language_model import DirichletLanguageModel
 
 
+@dataclass
+class ReferenceGraph:
+    """A graph and its vertex keys, in vertex order."""
+
+    graph: ReinforcementGraph
+    page_ids: List[str]
+    queries: List[Query]
+    templates: List[Template]
+
+
 def reference_assemble(type_system: TypeSystem, pages: Sequence[Page],
                        queries: Sequence[Query],
-                       use_templates: bool = True) -> AssembledGraph:
+                       use_templates: bool = True) -> ReferenceGraph:
     """Assemble the page-query(-template) graph of distinct vertices."""
-    pages_index = VertexIndex()
-    pages_index.extend([page.page_id for page in pages])
-    queries_index = VertexIndex()
-    query_positions = queries_index.extend(queries)
+    page_ids = list(dict.fromkeys(page.page_id for page in pages))
+    query_positions = {query: position for position, query in enumerate(queries)}
+    assert len(page_ids) == len(pages) and len(query_positions) == len(queries)
 
     page_positions, query_cols = reference_containment_arrays(pages, queries)
     page_query = sparse.csr_matrix(
         (np.ones(page_positions.size), (page_positions, query_cols)),
-        shape=(len(pages_index), len(queries_index)), dtype=np.float64)
+        shape=(len(pages), len(queries)), dtype=np.float64)
 
-    templates_index = VertexIndex()
+    template_positions: Dict[Template, int] = {}
     qt_rows: List[int] = []
     qt_cols: List[int] = []
     if use_templates:
         template_index = TemplateIndex(type_system)
-        for query, query_vertex in zip(queries, query_positions):
+        for query_vertex, query in enumerate(queries):
             for template in template_index.add_query(query):
                 qt_rows.append(query_vertex)
-                qt_cols.append(templates_index.add(template))
+                qt_cols.append(template_positions.setdefault(
+                    template, len(template_positions)))
     query_template = sparse.csr_matrix(
         (np.ones(len(qt_rows)), (qt_rows, qt_cols)),
-        shape=(len(queries_index), len(templates_index)), dtype=np.float64)
+        shape=(len(queries), len(template_positions)), dtype=np.float64)
+    return ReferenceGraph(graph=ReinforcementGraph(page_query, query_template),
+                          page_ids=page_ids, queries=list(queries),
+                          templates=list(template_positions))
 
-    graph = ReinforcementGraph(pages_index, queries_index, templates_index,
-                               page_query, query_template)
-    return AssembledGraph(graph=graph, pages=list(pages), queries=list(queries),
-                          templates=list(graph.templates.keys()))
+
+class ReferenceGraphBuilder:
+    """Builds a :class:`ReinforcementGraph` from keyed, weighted edges.
+
+    Vertices are numbered in order of first mention; an edge mentioned twice
+    accumulates its weights, and a non-positive weight adds nothing.  The
+    ``*_vector`` methods lay a keyed regularization out in vertex order and
+    the ``*_value`` methods read a solved utility back by key (0.0 for a
+    key that is not a vertex).
+    """
+
+    def __init__(self) -> None:
+        self.pages: Dict[Hashable, int] = {}
+        self.queries: Dict[Hashable, int] = {}
+        self.templates: Dict[Hashable, int] = {}
+        self._pq: Dict[Tuple[int, int], float] = {}
+        self._qt: Dict[Tuple[int, int], float] = {}
+
+    @staticmethod
+    def _add(vertices: Dict[Hashable, int], key: Hashable) -> int:
+        return vertices.setdefault(key, len(vertices))
+
+    def add_page(self, key: Hashable) -> int:
+        return self._add(self.pages, key)
+
+    def add_query(self, key: Hashable) -> int:
+        return self._add(self.queries, key)
+
+    def add_template(self, key: Hashable) -> int:
+        return self._add(self.templates, key)
+
+    def connect_page_query(self, page: Hashable, query: Hashable,
+                           weight: float = 1.0) -> None:
+        if weight > 0:
+            edge = (self.add_page(page), self.add_query(query))
+            self._pq[edge] = self._pq.get(edge, 0.0) + float(weight)
+
+    def connect_query_template(self, query: Hashable, template: Hashable,
+                               weight: float = 1.0) -> None:
+        if weight > 0:
+            edge = (self.add_query(query), self.add_template(template))
+            self._qt[edge] = self._qt.get(edge, 0.0) + float(weight)
+
+    def build(self) -> ReinforcementGraph:
+        def matrix(entries, shape):
+            rows = [row for row, _ in entries]
+            cols = [col for _, col in entries]
+            return sparse.csr_matrix((list(entries.values()), (rows, cols)),
+                                     shape=shape, dtype=np.float64)
+        return ReinforcementGraph(
+            matrix(self._pq, (len(self.pages), len(self.queries))),
+            matrix(self._qt, (len(self.queries), len(self.templates))))
+
+    @staticmethod
+    def _vector(vertices: Dict[Hashable, int],
+                values: Mapping[Hashable, float]) -> np.ndarray:
+        vector = np.zeros(len(vertices))
+        for key, value in values.items():
+            if key in vertices:
+                vector[vertices[key]] = float(value)
+        return vector
+
+    def page_vector(self, values: Mapping[Hashable, float]) -> np.ndarray:
+        return self._vector(self.pages, values)
+
+    def query_vector(self, values: Mapping[Hashable, float]) -> np.ndarray:
+        return self._vector(self.queries, values)
+
+    def template_vector(self, values: Mapping[Hashable, float]) -> np.ndarray:
+        return self._vector(self.templates, values)
+
+    def page_value(self, vector: UtilityVector, key: Hashable) -> float:
+        index = self.pages.get(key)
+        return float(vector.page_values[index]) if index is not None else 0.0
+
+    def query_value(self, vector: UtilityVector, key: Hashable) -> float:
+        index = self.queries.get(key)
+        return float(vector.query_values[index]) if index is not None else 0.0
+
+    def template_value(self, vector: UtilityVector, key: Hashable) -> float:
+        index = self.templates.get(key)
+        return float(vector.template_values[index]) if index is not None else 0.0
 
 
 def reference_containment_arrays(pages: Sequence[Page],
@@ -204,15 +298,15 @@ def reference_containment_arrays(pages: Sequence[Page],
     return pair_pages, pair_queries
 
 
-def assert_same_graph(actual: AssembledGraph, expected: AssembledGraph) -> None:
+def assert_same_graph(actual: AssembledGraph, tables: GraphTables,
+                      expected: ReferenceGraph) -> None:
     """Vertex keys in order, shapes and every CSR array (bytes and dtype)."""
+    assert [tables.pages[row].page_id for row in actual.pages.tolist()] == \
+        expected.page_ids
+    assert tables.queries_of(actual.queries) == expected.queries
+    assert [tables.templates[index] for index in actual.templates.tolist()] == \
+        expected.templates
     got, want = actual.graph, expected.graph
-    assert got.pages.keys() == want.pages.keys()
-    assert got.queries.keys() == want.queries.keys()
-    assert got.templates.keys() == want.templates.keys()
-    assert actual.templates == expected.templates
-    assert actual.queries == expected.queries
-    assert [p.page_id for p in actual.pages] == [p.page_id for p in expected.pages]
     for name in ("page_query", "query_template"):
         mine, theirs = getattr(got, name), getattr(want, name)
         assert mine.shape == theirs.shape, name
@@ -365,32 +459,37 @@ def reference_ideal_candidates(statistics: "ReferenceQueryStatistics",
 
 
 def reference_choose(selector: ContextAwareSelection, session: HarvestSession,
-                     utilities: EntityUtilities, candidates: List[Query],
-                     penalty: float) -> Optional[Query]:
+                     tables: GraphTables, utilities: EntityUtilities,
+                     penalty: float) -> Optional[int]:
     """:meth:`~repro.core.selection.ContextAwareSelection._choose`, one
-    candidate at a time: the first candidate with the greatest
-    ``(collective utility, individual utility)``."""
+    candidate at a time in query order: the query vertex of the first
+    candidate with the greatest ``(collective utility, individual
+    utility)``."""
     tracker = selector._tracker
     assert tracker is not None
-    best_query: Optional[Query] = None
+    queries = {tables.queries[query_id]: vertex
+               for vertex, query_id in enumerate(utilities.candidates.tolist())}
+    best_vertex: Optional[int] = None
     best_score: Optional[tuple] = None
-    for query in candidates:
-        collective = reference_evaluate(tracker, query, utilities)
+    for query in sorted(queries):
+        vertex = queries[query]
+        collective = reference_evaluate(tracker, utilities, vertex)
         if penalty > 0.0:
             collective = collective.discounted(session.expected_novelty(query),
                                                penalty)
+        precision = float(utilities.precision.query_values[vertex])
+        recall = float(utilities.recall.query_values[vertex])
         if selector.objective == OBJECTIVE_PRECISION:
-            score = (collective.collective_precision, utilities.precision_of(query))
+            score = (collective.collective_precision, precision)
         elif selector.objective == OBJECTIVE_RECALL:
-            score = (collective.collective_recall, utilities.recall_of(query))
+            score = (collective.collective_recall, recall)
         else:
-            individual = (max(utilities.precision_of(query), 0.0)
-                          * max(utilities.recall_of(query), 0.0)) ** 0.5
+            individual = (max(precision, 0.0) * max(recall, 0.0)) ** 0.5
             score = (collective.balanced, individual)
         if best_score is None or score > best_score:
             best_score = score
-            best_query = query
-    return best_query
+            best_vertex = vertex
+    return best_vertex
 
 
 @dataclass
@@ -651,7 +750,6 @@ def reference_rank(ranker, index: ReferenceIndex, query: Sequence[str], top_k: i
 class CollectiveUtilities:
     """Collective utilities of the context plus one candidate query."""
 
-    query: Query
     collective_recall: float
     collective_recall_all: float
 
@@ -670,26 +768,25 @@ class CollectiveUtilities:
         redundancy = min(max(1.0 - expected_novelty, 0.0), 1.0)
         factor = 1.0 - penalty * redundancy
         return CollectiveUtilities(
-            query=self.query,
             collective_recall=self.collective_recall * factor,
             collective_recall_all=self.collective_recall_all,
         )
 
 
-def reference_evaluate(tracker: ContextTracker, query: Query,
-                       utilities: EntityUtilities) -> CollectiveUtilities:
-    """Collective utilities of ``Phi u {query}`` (Eqs. 26-27), one query."""
-    recall_q = utilities.recall.query(query)
-    redundancy = utilities.recall_current.query(query) * tracker.context_recall
+def reference_evaluate(tracker: ContextTracker, utilities: EntityUtilities,
+                       vertex: int) -> CollectiveUtilities:
+    """Collective utilities of ``Phi u {q}`` (Eqs. 26-27) for the one
+    candidate ``q`` at query vertex ``vertex``."""
+    recall_q = float(utilities.recall.query_values[vertex])
+    redundancy = float(utilities.recall_current.query_values[vertex]) * tracker.context_recall
     collective_recall = tracker.context_recall + recall_q - redundancy
 
-    recall_all_q = utilities.recall_all.query(query)
-    redundancy_all = (utilities.recall_current_all.query(query)
+    recall_all_q = float(utilities.recall_all.query_values[vertex])
+    redundancy_all = (float(utilities.recall_current_all.query_values[vertex])
                       * tracker.context_recall_all)
     collective_recall_all = tracker.context_recall_all + recall_all_q - redundancy_all
 
     return CollectiveUtilities(
-        query=query,
         collective_recall=min(max(collective_recall, 0.0), 1.0),
         collective_recall_all=min(max(collective_recall_all, 0.0), 1.0),
     )

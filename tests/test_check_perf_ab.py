@@ -10,6 +10,7 @@ import pytest
 from benchmarks import check_perf_ab
 from benchmarks.check_perf_ab import (
     Run,
+    compare_outputs,
     failed_share,
     iqr,
     judge_metric,
@@ -202,6 +203,14 @@ class TestRuns:
         assert run.metrics == {"pass_s": 4.5}
         assert (run.attempted, run.failed, run.wall_s) == (72, 0, 12.0)
 
+    def test_parse_run_reads_the_digest_of_the_info_line(self):
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+        info = {"perfbench": {"digest": "ab" * 32, "seed": 11}}
+        stdout = json.dumps(info) + "\n" + json.dumps(result) + "\n"
+        assert parse_run(stdout, 0, 1.0).digest == "ab" * 32
+        assert parse_run(json.dumps(result), 0, 1.0).digest == ""
+        assert parse_run('{"perfbench": {}}\n' + json.dumps(result), 0, 1.0).digest == ""
+
     def test_parse_run_without_result_line(self):
         run = parse_run("Traceback ...\n", 1, 0.5)
         assert not run.correct
@@ -296,6 +305,35 @@ class TestSummaries:
         assert "walls (s) base [12.0, 12.0, 12.0, 12.0, 12.0]" in text
         assert "FAIL pass_s" in text
         assert "ok   f_score" in text
+
+
+class TestOutputs:
+    @staticmethod
+    def _digested(*digests):
+        return [Run(correct=True, attempted=1, digest=digest) for digest in digests]
+
+    def test_identical_outputs(self):
+        runs = self._digested("d" * 64, "d" * 64)
+        assert compare_outputs(runs, runs) == "outputs identical"
+
+    def test_differing_outputs_name_both_digests(self):
+        text = compare_outputs(self._digested("a" * 64, "a" * 64),
+                               self._digested("b" * 64, "b" * 64))
+        assert text == f"outputs differ (base {'a' * 12}, head {'b' * 12})"
+
+    def test_a_run_without_an_info_line_is_not_compared(self):
+        base = self._digested("a" * 64, "a" * 64)
+        head = self._digested("a" * 64, "")
+        assert compare_outputs(base, head) == \
+            "outputs not compared: 1 of 4 runs reported no digest"
+
+    def test_report_shows_the_outputs_line(self):
+        base = _runs(BASE_PASS_S)
+        for run in base:
+            run.digest = "c" * 64
+        out = io.StringIO()
+        report({"fig13": {"base": base, "head": base}}, _benchmark("fig13"), out=out)
+        assert "\n  outputs identical\n" in out.getvalue()
 
 
 class TestMain:

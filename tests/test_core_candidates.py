@@ -57,8 +57,16 @@ class TestIncrementalEqualsBatch:
         all_at_once = _pool(table)
         all_at_once.add_pages(pages)
         assert one_by_one.sorted_queries() == all_at_once.sorted_queries()
-        assert one_by_one.pruned() == all_at_once.pruned()
+        assert one_by_one.pruned().tolist() == all_at_once.pruned().tolist()
         assert one_by_one.occurrences.tolist() == all_at_once.occurrences.tolist()
+
+    def test_page_rows_follow_folding_order(self, table):
+        pages = _pages()
+        pool = _pool(table)
+        assert pool.page_rows.tolist() == []
+        pool.add_pages([pages[2], pages[0], pages[2]])
+        assert pool.page_rows.tolist() == [table.rows[pages[2].page_id],
+                                           table.rows[pages[0].page_id]]
 
 
 class TestDeduplication:
@@ -84,7 +92,7 @@ class TestTable:
     def test_loaded_on_the_first_fold_only(self, table):
         loads = []
         stats = CandidateStatistics(lambda: loads.append(1) or table)
-        assert stats.sorted_queries() == [] and stats.pruned() == []
+        assert stats.sorted_queries() == [] and stats.pruned().size == 0
         assert not stats.has_page("p1") and stats.num_queries == 0
         assert loads == []
         stats.add_pages(_pages())
@@ -136,7 +144,9 @@ class TestDerivedState:
         stats.add_pages(_pages())
         counts = {query: int(stats.occurrences[table.queries.index(query)])
                   for query in stats.sorted_queries()}
-        expected = sorted(counts, key=lambda q: (-counts[q], q))
-        assert stats.pruned() == expected
-        assert stats.pruned(2) == expected[:2]
-        assert stats.pruned(0) == []
+        expected = [table.queries.index(query)
+                    for query in sorted(counts, key=lambda q: (-counts[q], q))]
+        assert stats.pruned().tolist() == expected
+        assert stats.pruned(2).tolist() == expected[:2]
+        assert stats.pruned(0).tolist() == []
+        assert stats.ids().tolist() == sorted(expected)

@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.context import CollectiveUtilityArrays, ContextTracker
 from repro.core.entity_phase import EntityPhase
 
-from tests.helpers import candidate_pool
+from tests.helpers import candidate_pool, pool_tables
 from tests.oracles import CollectiveUtilities, reference_evaluate
 
 
@@ -19,13 +19,14 @@ def entity_utilities(researcher_corpus):
     entity = researcher_corpus.get_entity(entity_id)
     pages = researcher_corpus.pages_of(entity_id)[:5]
     phase = EntityPhase(researcher_corpus.type_system, L2QConfig())
-    return phase.compute(entity, pages, OracleRelevance("RESEARCH"), domain_model=None,
-                         statistics=candidate_pool(entity, pages))
+    pool = candidate_pool(entity, pages)
+    return phase.compute(entity, OracleRelevance("RESEARCH"), domain_model=None,
+                         statistics=pool,
+                         tables=pool_tables(researcher_corpus.type_system, pages, pool))
 
 
 def _collective(recall, recall_all) -> CollectiveUtilityArrays:
-    return CollectiveUtilityArrays(queries=[("q",)],
-                                   collective_recall=np.array([recall]),
+    return CollectiveUtilityArrays(collective_recall=np.array([recall]),
                                    collective_recall_all=np.array([recall_all]))
 
 
@@ -47,13 +48,11 @@ class TestCollectiveUtilities:
         recall = np.concatenate([rng.random(20), [0.0, 1.0, -0.0]])
         recall_all = np.concatenate([rng.random(20), [0.0, 1.0, 0.5]])
         novelty = np.concatenate([rng.random(20), [0.0, 1.0, 0.5]])
-        arrays = CollectiveUtilityArrays(queries=[(str(i),) for i in range(23)],
-                                         collective_recall=recall,
+        arrays = CollectiveUtilityArrays(collective_recall=recall,
                                          collective_recall_all=recall_all)
         discounted = arrays.discounted(novelty, 0.7)
         for i in range(23):
-            scalar = CollectiveUtilities(query=(str(i),),
-                                         collective_recall=float(recall[i]),
+            scalar = CollectiveUtilities(collective_recall=float(recall[i]),
                                          collective_recall_all=float(recall_all[i]))
             for mine, theirs in ((arrays, scalar),
                                  (discounted, scalar.discounted(float(novelty[i]), 0.7))):
@@ -77,26 +76,25 @@ class TestContextTracker:
 
     def test_inclusion_exclusion_formula(self, entity_utilities):
         tracker = ContextTracker(seed_recall_r0=0.3)
-        query = entity_utilities.candidates[0]
-        collective = tracker.evaluate_many([query], entity_utilities)
-        recall_q = entity_utilities.recall.query(query)
-        redundancy = entity_utilities.recall_current.query(query) * 0.3
+        collective = tracker.evaluate_many(entity_utilities, np.array([0]))
+        recall_q = entity_utilities.recall.query_values[0]
+        redundancy = entity_utilities.recall_current.query_values[0] * 0.3
         assert collective.collective_recall[0] == pytest.approx(
             min(max(0.3 + recall_q - redundancy, 0.0), 1.0))
 
     def test_evaluate_many_matches_the_scalar_reference_bitwise(self, entity_utilities):
         tracker = ContextTracker(seed_recall_r0=0.3)
-        candidates = list(entity_utilities.candidates[:40]) + [("never", "seen")]
+        vertices = np.arange(40)[::-1]
         for step in range(3):
-            collective = tracker.evaluate_many(candidates, entity_utilities)
-            for i, query in enumerate(candidates):
-                scalar = reference_evaluate(tracker, query, entity_utilities)
+            collective = tracker.evaluate_many(entity_utilities, vertices)
+            for i, vertex in enumerate(vertices.tolist()):
+                scalar = reference_evaluate(tracker, entity_utilities, vertex)
                 assert collective.collective_recall[i] == scalar.collective_recall
                 assert collective.collective_recall_all[i] == \
                     scalar.collective_recall_all
-            chosen = candidates[step]
-            expected = reference_evaluate(tracker, chosen, entity_utilities)
-            tracker.update(chosen, entity_utilities)
+            chosen = int(vertices[step])
+            expected = reference_evaluate(tracker, entity_utilities, chosen)
+            tracker.update(entity_utilities, chosen)
             assert type(tracker.context_recall) is float
             assert tracker.context_recall == expected.collective_recall
             assert tracker.context_recall_all == expected.collective_recall_all
@@ -105,36 +103,32 @@ class TestContextTracker:
         # Adding a query can only add pages: R(Phi u {q}) >= R(Phi) because
         # the redundancy term is at most R(q)'s contribution.
         tracker = ContextTracker(seed_recall_r0=0.3)
-        collective = tracker.evaluate_many(entity_utilities.candidates[:20],
-                                           entity_utilities)
+        collective = tracker.evaluate_many(entity_utilities, np.arange(20))
         assert (collective.collective_recall >= tracker.context_recall - 1e-9).all()
 
     def test_update_moves_context(self, entity_utilities):
         tracker = ContextTracker(seed_recall_r0=0.3)
-        query = max(entity_utilities.candidates,
-                    key=lambda q: entity_utilities.recall.query(q))
+        best = int(np.argmax(entity_utilities.recall.query_values))
         before = tracker.context_recall
-        tracker.update(query, entity_utilities)
+        tracker.update(entity_utilities, best)
         assert tracker.context_recall >= before
-        assert tracker.past_queries == [query]
         assert len(tracker) == 1
 
     def test_context_recall_bounded_by_one(self, entity_utilities):
         tracker = ContextTracker(seed_recall_r0=0.9)
-        for query in entity_utilities.candidates[:10]:
-            tracker.update(query, entity_utilities)
+        for vertex in range(10):
+            tracker.update(entity_utilities, vertex)
         assert tracker.context_recall <= 1.0
         assert tracker.context_recall_all <= 1.0
 
     def test_redundant_query_adds_less_than_fresh_one(self, entity_utilities):
         """A query whose pages are already covered contributes less gain."""
         tracker = ContextTracker(seed_recall_r0=0.3)
-        candidates = entity_utilities.candidates
-        collective = tracker.evaluate_many(candidates[:50], entity_utilities)
-        gains = {query: recall - tracker.context_recall
-                 for query, recall in zip(candidates[:50],
-                                          collective.collective_recall.tolist())}
-        redundancies = {q: entity_utilities.recall_current.query(q) for q in gains}
+        collective = tracker.evaluate_many(entity_utilities, np.arange(50))
+        gains = dict(enumerate((collective.collective_recall
+                                - tracker.context_recall).tolist()))
+        redundancies = dict(enumerate(
+            entity_utilities.recall_current.query_values[:50].tolist()))
         # The query with the largest redundancy should not have the largest gain
         # unless its raw recall is also the largest.
         most_redundant = max(gains, key=lambda q: redundancies[q])

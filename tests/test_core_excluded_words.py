@@ -19,7 +19,7 @@ from repro.corpus.document import Entity
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
 
-from tests.helpers import candidate_pool, entity_enumerator
+from tests.helpers import candidate_pool, entity_enumerator, pool_tables
 
 
 def _entity():
@@ -88,8 +88,12 @@ class TestExcludedWords:
             current_pages=list(pages),
         )
         phase = EntityPhase(researcher_corpus.type_system, L2QConfig())
-        from_scratch = phase.enumerate_candidates(
-            entity, pages, statistics=candidate_pool(entity, pages))
+        pool = candidate_pool(entity, pages)
+        scratch_tables = pool_tables(researcher_corpus.type_system, pages, pool)
+        from_scratch = phase.enumerate_candidates(entity, statistics=pool,
+                                                  tables=scratch_tables)
+        session_tables = session.tables()
         incremental = phase.enumerate_candidates(
-            entity, pages, statistics=session.candidates, tables=session.tables)
-        assert from_scratch == incremental
+            entity, statistics=session.candidates, tables=session_tables)
+        assert scratch_tables.queries_of(from_scratch) == \
+            session_tables.queries_of(incremental)

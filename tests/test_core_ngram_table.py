@@ -115,13 +115,15 @@ class TestAgainstTheReference:
         assert set(pool.sorted_queries()) == set(reference.occurrences)
         assert pool.sorted_queries() == sorted(reference.occurrences)
         limit = _cap(cap, len(reference.occurrences))
-        assert pool.pruned(limit) == reference_prune(reference, 1, limit)
+        assert [pool.table.queries[i] for i in pool.pruned(limit).tolist()] == \
+            reference_prune(reference, 1, limit)
         phase = EntityPhase(corpus.type_system,
                             L2QConfig(max_query_length=max_length,
                                       min_query_word_length=min_word_length,
                                       max_entity_candidates=limit))
-        assert phase.enumerate_candidates(entity, session.current_pages,
-                                          statistics=pool) == \
+        tables = session.tables()
+        assert tables.queries_of(phase.enumerate_candidates(
+            entity, statistics=pool, tables=tables)) == \
             reference_prune(reference, 1, limit)
 
         # The ideal oracle's candidates: the entity's whole universe.

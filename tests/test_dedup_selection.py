@@ -10,6 +10,7 @@ from repro.core.harvester import Harvester
 from repro.core.selection import make_selector
 from repro.core.session import HarvestSession
 from repro.dedup.minhash import MinHasher
+from repro.eval.runner import ExperimentRunner
 from repro.scenarios import make_scenario
 from repro.search.engine import SearchEngine
 from repro.utils.rng import SeededRandom
@@ -65,8 +66,7 @@ class TestSessionNoveltyIndex:
 
 class TestCollectiveDiscount:
     def _collective(self):
-        return CollectiveUtilityArrays(queries=[("q",)],
-                                       collective_recall=np.array([0.6]),
+        return CollectiveUtilityArrays(collective_recall=np.array([0.6]),
                                        collective_recall_all=np.array([0.8]))
 
     def test_full_novelty_is_identity(self):
@@ -150,6 +150,28 @@ class TestSharedPageSignatures:
                                   make_selector(method, config), AllRelevant(),
                                   num_queries=3)
         assert sum(signed) == len(harvester.page_signatures._signatures) > 0
+
+    def test_penalty_on_evaluation_signs_each_page_once(self, dup_corpus,
+                                                        monkeypatch):
+        # The runner's harvesters (novelty) and its waste scorer sign into
+        # the runner's one cache: no page is signed twice in an evaluation.
+        signed = []
+        signatures = MinHasher.signatures
+
+        def counting(self, shingle_sets):
+            signed.append(len(shingle_sets))
+            return signatures(self, shingle_sets)
+
+        monkeypatch.setattr(MinHasher, "signatures", counting)
+        runner = ExperimentRunner(dup_corpus, L2QConfig(dedup_penalty=0.5),
+                                  corpus_store="off")
+        series = runner.evaluate_methods_detailed(
+            ["L2QBAL", "L2QR"], num_queries_list=(1, 2), max_test_entities=2,
+            aspects=["RESEARCH"])
+        assert series.duplicate_waste["L2QBAL"]
+        prepared = runner.prepare(runner.default_split(0))
+        assert runner.harvester_for(prepared).page_signatures is runner.page_signatures
+        assert sum(signed) == len(runner.page_signatures._signatures) > 0
 
     def test_shared_signatures_leave_results_unchanged(self, dup_corpus):
         # One harvester for all runs (one shared cache) gathers exactly what

@@ -18,7 +18,8 @@ from repro.graph.random_walk import (
     RegularizationProblem,
     UtilitySolver,
 )
-from repro.graph.reinforcement import ReinforcementGraphBuilder
+
+from tests.oracles import ReferenceGraphBuilder
 
 SEEDS = range(24)
 ALPHAS = (0.05, 0.15, 0.5, 0.9)
@@ -61,7 +62,7 @@ def _dense_solution(graph, mode, alpha, u_hat):
 def _random_graph(rng: random.Random):
     """Weighted edges, templates, one-sided and isolated queries, and any
     layer possibly empty."""
-    builder = ReinforcementGraphBuilder()
+    builder = ReferenceGraphBuilder()
     num_pages = rng.choice([0, 1, 3, 6])
     num_queries = rng.choice([0, 1, 4, 8])
     num_templates = rng.choice([0, 0, 2, 4])
@@ -85,28 +86,28 @@ def _random_graph(rng: random.Random):
 
 
 def _random_problem(rng: random.Random, graph) -> RegularizationProblem:
-    def layer(index, probability, scale):
+    def layer(size, probability, scale):
         if rng.random() > probability:
             return None
-        return {key: scale * rng.random() for key in index.keys()
-                if rng.random() < 0.7}
+        return np.array([scale * rng.random() if rng.random() < 0.7 else 0.0
+                         for _ in range(size)])
 
     return RegularizationProblem(
-        page_regularization=layer(graph.pages, 0.9, 1.0),
-        query_regularization=layer(graph.queries, 0.3, 1.0),
+        page_regularization=layer(graph.num_pages, 0.9, 1.0),
+        query_regularization=layer(graph.num_queries, 0.3, 1.0),
         # Domain-template regularization reaches lambda = 10.
-        template_regularization=layer(graph.templates, 0.5, 10.0),
+        template_regularization=layer(graph.num_templates, 0.5, 10.0),
     )
 
 
 def _u_hat(graph, problem) -> np.ndarray:
-    def values(index, regularization):
-        regularization = regularization or {}
-        return [regularization.get(key, 0.0) for key in index.keys()]
+    def values(size, regularization):
+        return np.zeros(size) if regularization is None else regularization
 
-    return np.array(values(graph.pages, problem.page_regularization)
-                    + values(graph.templates, problem.template_regularization)
-                    + values(graph.queries, problem.query_regularization))
+    return np.concatenate([
+        values(graph.num_pages, problem.page_regularization),
+        values(graph.num_templates, problem.template_regularization),
+        values(graph.num_queries, problem.query_regularization)])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -140,11 +141,11 @@ def test_recall_operator_is_transposed_precision_operator(seed):
 
 
 def test_non_finite_regularization_raises():
-    builder = ReinforcementGraphBuilder()
+    builder = ReferenceGraphBuilder()
     builder.connect_page_query("p", "q", 1.0)
     solver = UtilitySolver(builder.build())
     with pytest.raises(ArithmeticError, match="residual"):
-        solver.solve(MODE_PRECISION, page_regularization={"p": float("nan")})
+        solver.solve(MODE_PRECISION, page_regularization=np.array([float("nan")]))
 
 
 def test_random_graphs_cover_the_edge_cases():

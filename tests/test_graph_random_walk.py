@@ -11,11 +11,13 @@ from repro.graph.random_walk import (
     normalize_columns,
     normalize_rows,
 )
-from repro.graph.reinforcement import ReinforcementGraphBuilder
+
+from tests.oracles import ReferenceGraphBuilder
 
 
 def build_snir_graph():
-    """The paper's Fig. 2 running example (Marc Snir), without templates."""
+    """The paper's Fig. 2 running example (Marc Snir), without templates:
+    its builder, which knows each vertex's key."""
     edges = {
         ("q1",): ["p1", "p2", "p3"],     # parallel research
         ("q2",): ["p1", "p2"],           # hpc research
@@ -23,19 +25,20 @@ def build_snir_graph():
         ("q4",): ["p4", "p5", "p6"],     # u illinois
         ("q5",): ["p6"],                 # ibm
     }
-    builder = ReinforcementGraphBuilder()
+    builder = ReferenceGraphBuilder()
     for query, pages in edges.items():
         for page in pages:
             builder.connect_page_query(page, query)
-    return builder.build()
+    return builder
 
 
 RELEVANT_SNIR = {"p1": 1.0, "p2": 1.0, "p3": 1.0, "p4": 1.0, "p5": 0.0, "p6": 0.0}
 
 
 def build_ng_graph():
-    """The paper's Fig. 6 domain example (Andrew Ng), with templates."""
-    builder = ReinforcementGraphBuilder()
+    """The paper's Fig. 6 domain example (Andrew Ng), with templates: its
+    builder."""
+    builder = ReferenceGraphBuilder()
     builder.connect_page_query("p7", ("ai", "research"))
     builder.connect_page_query("p7", ("baidu",))
     builder.connect_page_query("p8", ("stanford",))
@@ -43,7 +46,7 @@ def build_ng_graph():
     builder.connect_query_template(("ai", "research"), ("<topic>", "research"))
     builder.connect_query_template(("baidu",), ("<institute>",))
     builder.connect_query_template(("stanford",), ("<institute>",))
-    return builder.build()
+    return builder
 
 
 class TestNormalisation:
@@ -65,116 +68,138 @@ class TestNormalisation:
 
 class TestSolverBasics:
     def test_invalid_alpha(self):
-        graph = build_snir_graph()
+        graph = build_snir_graph().build()
         with pytest.raises(ValueError):
             UtilitySolver(graph, alpha=0.0)
         with pytest.raises(ValueError):
             UtilitySolver(graph, alpha=1.0)
 
     def test_invalid_mode(self):
-        solver = UtilitySolver(build_snir_graph())
+        solver = UtilitySolver(build_snir_graph().build())
         with pytest.raises(ValueError):
             solver.solve("accuracy")
 
     def test_converges(self):
-        solver = UtilitySolver(build_snir_graph(), alpha=0.15)
-        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
+        snir = build_snir_graph()
+        solver = UtilitySolver(snir.build(), alpha=0.15)
+        result = solver.solve(MODE_PRECISION,
+                              page_regularization=snir.page_vector(RELEVANT_SNIR))
         assert result.converged
         assert result.iterations <= 100
 
     def test_no_regularization_gives_zero_utilities(self):
-        solver = UtilitySolver(build_snir_graph())
+        solver = UtilitySolver(build_snir_graph().build())
         result = solver.solve(MODE_PRECISION)
         assert np.allclose(result.page_values, 0.0)
         assert np.allclose(result.query_values, 0.0)
 
-    def test_unknown_vertex_returns_zero(self):
-        solver = UtilitySolver(build_snir_graph())
-        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
-        assert result.page("ghost") == 0.0
-        assert result.query(("ghost",)) == 0.0
-        assert result.template(("<ghost>",)) == 0.0
+    def test_regularization_of_the_wrong_length_raises(self):
+        solver = UtilitySolver(build_snir_graph().build())
+        with pytest.raises(ValueError, match="6 vertices"):
+            solver.solve(MODE_PRECISION, page_regularization=np.ones(5))
+        with pytest.raises(ValueError, match="0 vertices"):
+            solver.solve(MODE_PRECISION, template_regularization=np.ones(1))
 
     def test_utilities_non_negative_and_bounded(self):
-        solver = UtilitySolver(build_snir_graph())
+        snir = build_snir_graph()
+        solver = UtilitySolver(snir.build())
         for mode in (MODE_PRECISION, MODE_RECALL):
             regularization = (RELEVANT_SNIR if mode == MODE_PRECISION else
                               {p: v / 4.0 for p, v in RELEVANT_SNIR.items()})
-            result = solver.solve(mode, page_regularization=regularization)
+            result = solver.solve(mode,
+                                  page_regularization=snir.page_vector(regularization))
             for values in (result.page_values, result.query_values):
                 assert np.all(values >= -1e-12)
                 assert np.all(values <= 1.0 + 1e-9)
 
-    def test_dictionary_exports(self):
-        solver = UtilitySolver(build_snir_graph())
-        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
-        assert set(result.page_utilities()) == set(RELEVANT_SNIR)
-        assert len(result.query_utilities()) == 5
+    def test_one_value_per_vertex(self):
+        snir = build_snir_graph()
+        solver = UtilitySolver(snir.build())
+        result = solver.solve(MODE_PRECISION,
+                              page_regularization=snir.page_vector(RELEVANT_SNIR))
+        assert result.page_values.shape == (6,)
+        assert result.query_values.shape == (5,)
+        assert result.template_values.shape == (0,)
 
 
 class TestSnirRunningExample:
     """Qualitative checks of Fig. 2: precision and recall orderings."""
 
     def setup_method(self):
-        self.solver = UtilitySolver(build_snir_graph(), alpha=0.15)
-        self.precision = self.solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
+        self.snir = build_snir_graph()
+        self.solver = UtilitySolver(self.snir.build(), alpha=0.15)
+        self.precision = self.solver.solve(
+            MODE_PRECISION, page_regularization=self.snir.page_vector(RELEVANT_SNIR))
         recall_reg = {p: (0.25 if v > 0 else 0.0) for p, v in RELEVANT_SNIR.items()}
-        self.recall = self.solver.solve(MODE_RECALL, page_regularization=recall_reg)
+        self.recall = self.solver.solve(
+            MODE_RECALL, page_regularization=self.snir.page_vector(recall_reg))
+
+    def precision_of(self, query):
+        return self.snir.query_value(self.precision, (query,))
+
+    def recall_of(self, query):
+        return self.snir.query_value(self.recall, (query,))
 
     def test_precision_prefers_queries_with_only_relevant_pages(self):
         # q1, q2 retrieve only relevant pages; q4 retrieves mostly irrelevant
         # pages; q5 only an irrelevant page.
-        assert self.precision.query(("q1",)) > self.precision.query(("q4",))
-        assert self.precision.query(("q2",)) > self.precision.query(("q4",))
-        assert self.precision.query(("q4",)) > self.precision.query(("q5",))
+        assert self.precision_of("q1") > self.precision_of("q4")
+        assert self.precision_of("q2") > self.precision_of("q4")
+        assert self.precision_of("q4") > self.precision_of("q5")
 
     def test_relevant_pages_have_higher_precision_than_irrelevant(self):
-        assert self.precision.page("p1") > self.precision.page("p6")
-        assert self.precision.page("p3") > self.precision.page("p5")
+        page = self.snir.page_value
+        assert page(self.precision, "p1") > page(self.precision, "p6")
+        assert page(self.precision, "p3") > page(self.precision, "p5")
 
     def test_recall_prefers_queries_covering_more_relevant_pages(self):
         # q1 covers three relevant pages, q2 two, q5 none.
-        assert self.recall.query(("q1",)) > self.recall.query(("q2",))
-        assert self.recall.query(("q2",)) > self.recall.query(("q5",))
+        assert self.recall_of("q1") > self.recall_of("q2")
+        assert self.recall_of("q2") > self.recall_of("q5")
 
     def test_recall_of_q3_exceeds_q5(self):
-        assert self.recall.query(("q3",)) > self.recall.query(("q5",))
+        assert self.recall_of("q3") > self.recall_of("q5")
 
 
 class TestNgDomainExample:
     """The paper's Fig. 6 claim: P(t1) > P(t3) and R(t1) < R(t3)."""
 
     def setup_method(self):
-        graph = build_ng_graph()
-        self.solver = UtilitySolver(graph, alpha=0.15)
-        precision_reg = {"p7": 1.0, "p8": 1.0, "p9": 0.0}
-        recall_reg = {"p7": 0.5, "p8": 0.5, "p9": 0.0}
+        self.ng = build_ng_graph()
+        self.solver = UtilitySolver(self.ng.build(), alpha=0.15)
+        precision_reg = self.ng.page_vector({"p7": 1.0, "p8": 1.0, "p9": 0.0})
+        recall_reg = self.ng.page_vector({"p7": 0.5, "p8": 0.5, "p9": 0.0})
         self.precision = self.solver.solve(MODE_PRECISION, page_regularization=precision_reg)
         self.recall = self.solver.solve(MODE_RECALL, page_regularization=recall_reg)
 
     def test_topic_research_template_has_higher_precision(self):
-        assert self.precision.template(("<topic>", "research")) > \
-            self.precision.template(("<institute>",))
+        template = self.ng.template_value
+        assert template(self.precision, ("<topic>", "research")) > \
+            template(self.precision, ("<institute>",))
 
     def test_institute_template_has_higher_recall(self):
-        assert self.recall.template(("<institute>",)) > \
-            self.recall.template(("<topic>", "research"))
+        template = self.ng.template_value
+        assert template(self.recall, ("<institute>",)) > \
+            template(self.recall, ("<topic>", "research"))
 
 
 class TestRegularizationLimit:
     def test_high_alpha_pins_pages_to_regularization(self):
-        graph = build_snir_graph()
-        solver = UtilitySolver(graph, alpha=0.99)
-        result = solver.solve(MODE_PRECISION, page_regularization=RELEVANT_SNIR)
+        snir = build_snir_graph()
+        solver = UtilitySolver(snir.build(), alpha=0.99)
+        result = solver.solve(MODE_PRECISION,
+                              page_regularization=snir.page_vector(RELEVANT_SNIR))
         for page, value in RELEVANT_SNIR.items():
-            assert result.page(page) == pytest.approx(value, abs=0.05)
+            assert snir.page_value(result, page) == pytest.approx(value, abs=0.05)
 
     def test_template_regularization_lifts_template_queries(self):
-        graph = build_ng_graph()
-        solver = UtilitySolver(graph, alpha=0.15)
-        baseline = solver.solve(MODE_PRECISION, page_regularization={"p7": 1.0})
+        ng = build_ng_graph()
+        solver = UtilitySolver(ng.build(), alpha=0.15)
+        pages = ng.page_vector({"p7": 1.0})
+        baseline = solver.solve(MODE_PRECISION, page_regularization=pages)
         boosted = solver.solve(
             MODE_PRECISION,
-            page_regularization={"p7": 1.0},
-            template_regularization={("<institute>",): 5.0})
-        assert boosted.query(("stanford",)) > baseline.query(("stanford",))
+            page_regularization=pages,
+            template_regularization=ng.template_vector({("<institute>",): 5.0}))
+        assert ng.query_value(boosted, ("stanford",)) > \
+            ng.query_value(baseline, ("stanford",))

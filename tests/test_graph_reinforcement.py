@@ -1,83 +1,76 @@
 """Tests for the reinforcement-graph data structure."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.graph.reinforcement import ReinforcementGraphBuilder, VertexIndex
+from repro.graph.reinforcement import ReinforcementGraph
+
+from tests.oracles import ReferenceGraphBuilder
 
 
-class TestVertexIndex:
-    def test_add_idempotent(self):
-        index = VertexIndex()
-        assert index.add("a") == index.add("a")
-        assert len(index) == 1
+class TestReinforcementGraph:
+    def test_layer_sizes_come_from_the_matrices(self):
+        graph = ReinforcementGraph(sparse.csr_matrix((3, 2)), sparse.csr_matrix((2, 4)))
+        assert (graph.num_pages, graph.num_queries, graph.num_templates) == (3, 2, 4)
+        assert graph.num_edges == 0
 
-    def test_round_trip(self):
-        index = VertexIndex(["a", "b"])
-        assert index.key_of(index.index_of("b")) == "b"
+    def test_mismatched_query_layers_raise(self):
+        with pytest.raises(ValueError, match="query vertices"):
+            ReinforcementGraph(sparse.csr_matrix((3, 2)), sparse.csr_matrix((3, 1)))
 
-    def test_unknown_key(self):
-        assert VertexIndex().index_of("missing") is None
-
-    def test_keys_preserve_insertion_order(self):
-        index = VertexIndex(["b", "a", "c"])
-        assert index.keys() == ["b", "a", "c"]
-
-    def test_contains(self):
-        index = VertexIndex(["x"])
-        assert "x" in index
-        assert "y" not in index
+    def test_matrices_stored_as_csr(self):
+        graph = ReinforcementGraph(sparse.coo_matrix(np.eye(2)),
+                                   sparse.csc_matrix(np.ones((2, 1))))
+        assert sparse.isspmatrix_csr(graph.page_query)
+        assert sparse.isspmatrix_csr(graph.query_template)
+        assert graph.num_edges == 4
 
 
 class TestGraphBuilder:
-    def _small_graph(self):
-        builder = ReinforcementGraphBuilder()
+    def _small_builder(self):
+        builder = ReferenceGraphBuilder()
         builder.connect_page_query("p1", ("q1",), 1.0)
         builder.connect_page_query("p1", ("q2",), 2.0)
         builder.connect_page_query("p2", ("q1",), 1.0)
         builder.connect_query_template(("q1",), ("<t>",), 1.0)
-        return builder.build()
+        return builder
 
     def test_vertex_counts(self):
-        graph = self._small_graph()
+        graph = self._small_builder().build()
         assert graph.num_pages == 2
         assert graph.num_queries == 2
         assert graph.num_templates == 1
         assert graph.num_edges == 4
 
     def test_matrix_shapes(self):
-        graph = self._small_graph()
+        graph = self._small_builder().build()
         assert graph.page_query.shape == (2, 2)
         assert graph.query_template.shape == (2, 1)
 
-    def test_neighbor_lookups(self):
-        graph = self._small_graph()
-        assert dict(graph.page_query_neighbors("p1")) == {("q1",): 1.0, ("q2",): 2.0}
-        assert dict(graph.query_page_neighbors(("q1",))) == {"p1": 1.0, "p2": 1.0}
-        assert dict(graph.query_template_neighbors(("q1",))) == {("<t>",): 1.0}
-        assert dict(graph.template_query_neighbors(("<t>",))) == {("q1",): 1.0}
-
-    def test_neighbors_of_unknown_vertex_empty(self):
-        graph = self._small_graph()
-        assert graph.page_query_neighbors("ghost") == []
-        assert graph.query_page_neighbors(("ghost",)) == []
+    def test_edges_by_vertex_number(self):
+        builder = self._small_builder()
+        graph = builder.build()
+        p1, q1, q2 = builder.pages["p1"], builder.queries[("q1",)], builder.queries[("q2",)]
+        assert graph.page_query[p1, q1] == 1.0
+        assert graph.page_query[p1, q2] == 2.0
+        assert graph.query_template[q1, builder.templates[("<t>",)]] == 1.0
 
     def test_zero_weight_edges_ignored(self):
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         builder.add_page("p1")
         builder.add_query(("q1",))
         builder.connect_page_query("p1", ("q1",), 0.0)
-        graph = builder.build()
-        assert graph.num_edges == 0
+        assert builder.build().num_edges == 0
 
     def test_repeated_edges_accumulate_weight(self):
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         builder.connect_page_query("p1", ("q1",), 1.0)
         builder.connect_page_query("p1", ("q1",), 2.0)
-        graph = builder.build()
-        assert dict(graph.page_query_neighbors("p1"))[("q1",)] == 3.0
+        assert builder.build().page_query[0, 0] == 3.0
 
     def test_isolated_vertices_allowed(self):
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         builder.add_page("lonely_page")
         builder.add_query(("lonely_query",))
         graph = builder.build()
@@ -86,6 +79,11 @@ class TestGraphBuilder:
         assert graph.num_edges == 0
 
     def test_empty_graph(self):
-        graph = ReinforcementGraphBuilder().build()
+        graph = ReferenceGraphBuilder().build()
         assert graph.num_pages == 0
         assert graph.num_edges == 0
+
+    def test_keyed_vectors_in_vertex_order(self):
+        builder = self._small_builder()
+        assert builder.page_vector({"p2": 0.5, "ghost": 1.0}).tolist() == [0.0, 0.5]
+        assert builder.query_vector({}).tolist() == [0.0, 0.0]

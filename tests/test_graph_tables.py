@@ -1,31 +1,38 @@
-"""Tests for the per-session graph tables (:class:`repro.core.utility.GraphTables`).
+"""Tests for the graph tables (:class:`repro.core.utility.GraphTables`).
 
 Every graph assembled from a table must equal, byte for byte, the graph the
 loop-based reference assembler (:func:`tests.oracles.reference_assemble`)
 builds from scratch: same vertex keys in the same order, same CSR arrays and
-dtypes.  The tables are a memo, so a table that has served any earlier
-sequence of calls must answer exactly as a fresh one.
+dtypes.  A table numbers its queries in lexicographic order and never
+changes once built, so a harvester builds one per entity and every session
+of the entity shares it.
 """
 
 import gc
 import random
+import sys
+import threading
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aspects.relevance import OracleRelevance
 from repro.core import entity_phase as entity_phase_module
-from repro.core import utility as utility_module
+from repro.core import session as session_module
+from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainPhase
 from repro.core.entity_phase import EntityPhase
-from repro.core.utility import GraphAssembler, GraphTables, template_regularization
+from repro.core.harvester import Harvester
+from repro.core.queries import NgramTable
+from repro.core.utility import GraphAssembler, GraphTables, template_scale
 from repro.corpus.knowledge_base import build_type_system
 from repro.graph.random_walk import UtilitySolver
 
-from tests.helpers import candidate_pool, make_page
+from tests.helpers import entity_enumerator, harvest_signature, make_page
 from tests.oracles import assert_same_graph, reference_assemble
 
 WORDS = [f"w{i}" for i in range(10)]
@@ -49,101 +56,56 @@ def _random_query(rng):
 
 
 def _candidates(rng, size):
-    queries = {_random_query(rng) for _ in range(size)}
-    # Every call meets the empty query and a query contained in no page at
-    # least once per sequence (see ``_sequence``); order churns freely.
-    queries = sorted(queries)
+    queries = sorted({_random_query(rng) for _ in range(size)})
     rng.shuffle(queries)
     return queries
-
-
-def _sequence(seed):
-    """A random sequence of (action, payload) steps.  Every sequence grows
-    its page list, churns and reorders candidates, toggles templates, adds a
-    typed word mid-sequence, replaces a page object under an existing id,
-    and passes the empty query and a query found on no page."""
-    rng = random.Random(seed)
-    steps = []
-    num_pages = 0
-    for index in range(8):
-        for _ in range(rng.randint(0, 2) if index else 2):
-            steps.append(("page", num_pages))
-            num_pages += 1
-        if index == 3:
-            steps.append(("add_word", (rng.choice(["t0", "t2"]), rng.choice(WORDS))))
-        if index == 5:
-            steps.append(("replace_page", rng.randrange(num_pages)))
-        candidates = _candidates(rng, rng.randint(0, 12))
-        if index == 2:
-            candidates += [q for q in [(), (UNSEEN[0],)] if q not in candidates]
-        use_templates = index % 2 == 0 if index < 4 else rng.random() < 0.5
-        steps.append(("assemble", (candidates, use_templates, rng.random() < 0.3)))
-    return rng, steps
 
 
 class TestAssemblyEqualsReference:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=0, max_value=2 ** 30))
-    def test_random_call_sequences_on_one_table(self, seed):
+    def test_random_graphs_over_one_table(self, seed):
+        rng = random.Random(seed)
         type_system = build_type_system({"t0": ["w0", "w1"], "t1": ["w1", "w2", "w3"]})
         assembler = GraphAssembler(type_system, L2QConfig())
-        tables = GraphTables(type_system)
-        rng, steps = _sequence(seed)
-        pages = []
-        for action, payload in steps:
-            if action == "page":
-                pages.append(_random_page(rng, f"p{payload}"))
-            elif action == "replace_page":
-                # Equal id, new object and new words: the cached row is stale.
-                pages[payload] = _random_page(rng, f"p{payload}")
-            elif action == "add_word":
-                type_system.add_word(*payload)
-            else:
-                candidates, use_templates, shuffle_pages = payload
-                passed = list(pages)
-                if shuffle_pages:
-                    rng.shuffle(passed)
-                assembled = assembler.assemble(passed, candidates,
-                                               use_templates=use_templates,
-                                               tables=tables)
-                assert_same_graph(assembled, reference_assemble(
-                    type_system, passed, candidates, use_templates))
+        pages = [_random_page(rng, f"p{index}") for index in range(rng.randint(1, 8))]
+        ngrams = _candidates(rng, rng.randint(0, 15)) + [(), (UNSEEN[0],)]
+        domain = _candidates(rng, rng.randint(0, 10))
+        tables = GraphTables(type_system, pages, ngrams=ngrams, domain_queries=domain)
+        for _ in range(4):
+            queries = [query for query in set(ngrams) | set(domain)
+                       if rng.random() < 0.6]
+            rng.shuffle(queries)
+            rows = [row for row in range(len(pages)) if rng.random() < 0.7]
+            rng.shuffle(rows)
+            use_templates = rng.random() < 0.5
+            assembled = assembler.assemble(tables, np.array(rows, dtype=np.int64),
+                                           tables.ids(queries),
+                                           use_templates=use_templates)
+            assert_same_graph(assembled, tables, reference_assemble(
+                type_system, [pages[row] for row in rows], queries, use_templates))
 
-    def test_generator_covers_every_case(self):
-        seen = set()
-        for seed in range(20):
-            _, steps = _sequence(seed)
-            actions = [action for action, _ in steps]
-            assert {"page", "replace_page", "add_word", "assemble"} <= set(actions)
-            calls = [payload for action, payload in steps if action == "assemble"]
-            assert any(() in candidates for candidates, _, _ in calls)
-            assert any((UNSEEN[0],) in candidates for candidates, _, _ in calls)
-            assert {use for _, use, _ in calls} == {True, False}
-            seen.update(len(candidates) == 0 for candidates, _, _ in calls)
-        assert seen == {True, False}
-
-    def test_page_row_not_reused_for_another_page_object(self):
+    def test_ids_sort_as_queries_do(self):
         type_system = build_type_system({})
-        assembler = GraphAssembler(type_system)
-        tables = GraphTables(type_system)
-        first = make_page("p1", "e1", [(["alpha", "beta"], None)])
-        graph = assembler.assemble([first], [("alpha",)], tables=tables).graph
-        assert graph.page_query.nnz == 1
-        replaced = make_page("p1", "e1", [(["gamma"], None)])
-        graph = assembler.assemble([replaced], [("alpha",)], tables=tables).graph
-        assert graph.page_query.nnz == 0
+        ngrams = [("b",), ("a", "c"), ("a",)]
+        domain = [("c",), ("a",), ("b", "a")]
+        tables = GraphTables(type_system, [], ngrams=ngrams, domain_queries=domain)
+        assert tables.queries == tuple(sorted(set(ngrams) | set(domain)))
+        assert tables.queries_of(tables.ngram_ids) == ngrams
+        assert tables.queries_of(tables.domain_ids) == domain
+        assert tables.id_of(("a",)) == 0 and tables.id_of(("zz",)) is None
+        with pytest.raises(KeyError):
+            tables.ids([("zz",)])
 
-    def test_type_system_change_starts_fresh_tables(self):
+    def test_tables_keep_the_templates_they_were_built_with(self):
         type_system = build_type_system({"t": ["alpha"]})
-        assembler = GraphAssembler(type_system)
-        tables = GraphTables(type_system)
         pages = [make_page("p1", "e1", [(["alpha", "beta"], None)])]
-        before = assembler.assemble(pages, [("beta",)], tables=tables)
-        assert before.templates == []
+        before = GraphTables(type_system, pages, ngrams=[("beta",)])
+        assert before.templates == ()
         type_system.add_word("t", "beta")
-        after = assembler.assemble(pages, [("beta",)], tables=tables)
-        assert after.templates == [("<t>",)]
+        after = GraphTables(type_system, pages, ngrams=[("beta",)])
+        assert after.templates == (("<t>",),) and before.templates == ()
 
     @pytest.mark.parametrize("pages,queries", [
         ([], [("alpha",)]),
@@ -152,8 +114,11 @@ class TestAssemblyEqualsReference:
     ])
     def test_empty_layers(self, pages, queries):
         type_system = build_type_system({"t": ["alpha"]})
-        assembled = GraphAssembler(type_system).assemble(pages, queries)
-        assert_same_graph(assembled, reference_assemble(type_system, pages, queries))
+        tables = GraphTables(type_system, pages, ngrams=queries)
+        assembled = GraphAssembler(type_system).assemble(
+            tables, np.arange(len(pages)), tables.ids(queries))
+        assert_same_graph(assembled, tables,
+                          reference_assemble(type_system, pages, queries))
 
 
 class TestContainment:
@@ -161,12 +126,12 @@ class TestContainment:
     @given(st.integers(min_value=0, max_value=2 ** 30))
     def test_equals_contains_all_pair_by_pair(self, seed):
         rng = random.Random(seed)
-        tables = GraphTables(build_type_system({}))
         pages = [make_page("p0", "e1", [(["parallel", "hpc"], None)])]
         pages += [_random_page(rng, f"p{index}") for index in range(1, rng.randint(1, 6))]
         queries = [("parallel",), ("hpc", "parallel"), ("parallel", "missing"), ()]
         queries += [query for query in _candidates(rng, 20) if query not in queries]
-        contained = tables.containment(pages, tables.query_ids(queries))
+        tables = GraphTables(build_type_system({}), pages, ngrams=queries)
+        contained = tables.containment(np.arange(len(pages)), tables.ids(queries))
         assert contained.toarray().tolist() == [
             [float(page.contains_all(query)) for query in queries] for page in pages]
         assert contained.toarray()[0, :3].tolist() == [1.0, 1.0, 0.0]
@@ -181,37 +146,45 @@ class TestGrounding:
             "RESEARCH", OracleRelevance("RESEARCH"))
         entity = researcher_corpus.get_entity(entity_ids[-1])
         pages = researcher_corpus.pages_of(entity.entity_id)
-        return researcher_corpus, config, model, entity, pages
+        ngrams = NgramTable.build(entity_enumerator(entity, config), pages)
+        tables = GraphTables(researcher_corpus.type_system, pages,
+                             ngrams=ngrams.queries, domain_queries=model.domain_queries)
+        return researcher_corpus, config, model, entity, pages, ngrams, tables
 
-    def test_candidates_depend_only_on_the_pages_passed(self, setup):
-        corpus, config, model, entity, pages = setup
+    @staticmethod
+    def _pool(ngrams, pages):
+        pool = CandidateStatistics(lambda: ngrams)
+        pool.add_pages(pages)
+        return pool
+
+    def test_candidates_depend_only_on_the_pages_folded(self, setup):
+        corpus, config, model, entity, pages, ngrams, tables = setup
         phase = EntityPhase(corpus.type_system, config)
-        tables = GraphTables(corpus.type_system)
-        # The table first sees many pages, then a call passes only two: the
-        # grounding must read the words of those two alone.
-        few, many = candidate_pool(entity, pages[:2]), candidate_pool(entity, pages[:8])
-        phase.enumerate_candidates(entity, pages[:8], model, statistics=many,
-                                   tables=tables)
-        reused = phase.enumerate_candidates(entity, pages[:2], model, statistics=few,
-                                            tables=tables)
-        fresh = phase.enumerate_candidates(entity, pages[:2], model, statistics=few)
-        assert reused == fresh
-        wide = phase.enumerate_candidates(entity, pages[:8], model, statistics=many)
-        assert set(reused) != set(wide)
+        few, many = self._pool(ngrams, pages[:2]), self._pool(ngrams, pages[:8])
+        shared = phase.enumerate_candidates(entity, model, statistics=few, tables=tables)
+        # Tables over exactly the two pages and their n-grams.
+        own_ngrams = NgramTable.build(entity_enumerator(entity, config), pages[:2])
+        own = GraphTables(corpus.type_system, pages[:2], ngrams=own_ngrams.queries,
+                          domain_queries=model.domain_queries)
+        own_pool = self._pool(own_ngrams, pages[:2])
+        alone = phase.enumerate_candidates(entity, model, statistics=own_pool,
+                                           tables=own)
+        assert tables.queries_of(shared) == own.queries_of(alone)
+        wide = phase.enumerate_candidates(entity, model, statistics=many, tables=tables)
+        assert set(shared.tolist()) != set(wide.tolist())
 
-    def test_grounding_matches_a_word_scan(self, setup):
-        corpus, config, model, entity, pages = setup
-        tables = GraphTables(corpus.type_system)
-        queries = list(model.frequent_queries) + [(), ("never_seen_word",)]
+    def test_grounding_and_avoiding_match_a_word_scan(self, setup):
+        _, _, _, entity, pages, _, tables = setup
         observed = set().union(*(page.token_set for page in pages[:3]))
-        grounded = tables.grounded(queries, pages[:3])
-        assert grounded.tolist() == [any(word in observed for word in query)
-                                     for query in queries]
+        excluded = entity.excluded_words() | {"never_seen_word"}
+        assert tables.grounded(np.arange(3)).tolist() == [
+            any(word in observed for word in query) for query in tables.queries]
+        assert tables.avoiding(excluded).tolist() == [
+            not any(word in excluded for word in query) for query in tables.queries]
 
     def test_domain_template_scales_found_once_per_model(self, setup, monkeypatch):
-        corpus, config, model, entity, pages = setup
+        corpus, config, model, entity, pages, ngrams, tables = setup
         scaled = []
-        template_scale = entity_phase_module.template_scale
         monkeypatch.setattr(entity_phase_module, "template_scale",
                             lambda values: scaled.append(id(values))
                             or template_scale(values))
@@ -222,28 +195,28 @@ class TestGrounding:
                                 (precision, recall)) or solve_joint(self, precision, recall))
         phase = EntityPhase(corpus.type_system, config)
         relevance = OracleRelevance("RESEARCH")
-        results = [phase.compute(entity, pages[:count], relevance, domain_model=model,
-                                 statistics=candidate_pool(entity, pages[:count]))
+        results = [phase.compute(entity, relevance, domain_model=model,
+                                 statistics=self._pool(ngrams, pages[:count]),
+                                 tables=tables)
                    for count in (3, 4)]
         assert sorted(scaled) == sorted(map(id, (
             model.template_precision, model.template_recall,
             model.template_recall_all)))
-        # Each selection's regularization equals normalising afresh.
+        # Each selection's regularization is the scalar lambda * U / scale of
+        # every graph template with a positive domain utility.
         for result, (precision, recall) in zip(results, solved):
-            templates = result.assembled.templates
-            expected = [template_regularization(values, templates,
-                                                config.adaptation_lambda)
-                        for values in (model.template_precision,
-                                       model.template_recall,
-                                       model.template_recall_all)]
-            assert expected[0]
-            assert [precision[0].template_regularization,
-                    recall[0].template_regularization,
-                    recall[2].template_regularization] == expected
-            assert [list(regularization) for regularization in expected] == \
-                [list(precision[0].template_regularization),
-                 list(recall[0].template_regularization),
-                 list(recall[2].template_regularization)]
+            templates = [tables.templates[t] for t in result.assembled.templates.tolist()]
+            expected = []
+            for values in (model.template_precision, model.template_recall,
+                           model.template_recall_all):
+                scale = template_scale(values)
+                expected.append([config.adaptation_lambda * values[t] / scale
+                                 if values.get(t, 0.0) > 0 else 0.0
+                                 for t in templates])
+            assert any(expected[0])
+            assert [precision[0].template_regularization.tolist(),
+                    recall[0].template_regularization.tolist(),
+                    recall[2].template_regularization.tolist()] == expected
 
 
 # -- In-harvest cross-checks -------------------------------------------------
@@ -254,29 +227,33 @@ ENTITY_PHASE_METHODS = ("P", "R", "P+t", "R+t", "L2QP", "L2QR", "L2QBAL")
 @pytest.fixture()
 def cross_checked(monkeypatch):
     """Check every graph against the reference assembler and every candidate
-    list against an enumeration on fresh tables, in situ."""
-    counts = {"graphs": 0, "session_graphs": 0, "candidate_lists": 0}
+    list against an enumeration on tables built afresh, in situ."""
+    counts = {"graphs": 0, "entity_graphs": 0, "candidate_lists": 0}
     assemble = GraphAssembler.assemble
     enumerate_candidates = EntityPhase.enumerate_candidates
 
-    def checked_assemble(self, pages, queries, use_templates=True, tables=None):
-        assembled = assemble(self, pages, queries, use_templates=use_templates,
-                             tables=tables)
-        assert_same_graph(assembled, reference_assemble(
-            self.type_system, pages, queries, use_templates))
+    def checked_assemble(self, tables, pages, queries, use_templates=True):
+        assembled = assemble(self, tables, pages, queries, use_templates=use_templates)
+        assert_same_graph(assembled, tables, reference_assemble(
+            self.type_system, [tables.pages[row] for row in pages.tolist()],
+            tables.queries_of(queries), use_templates))
         counts["graphs"] += 1
-        counts["session_graphs"] += tables is not None
+        # The domain phase's tables number domain queries only.
+        counts["entity_graphs"] += tables.ngram_ids.size > 0
         return assembled
 
-    def checked_enumerate(self, entity, current_pages, domain_model=None,
-                          exclude=None, *, statistics, tables=None):
-        candidates = enumerate_candidates(self, entity, current_pages, domain_model,
-                                          exclude, statistics=statistics,
-                                          tables=tables)
-        fresh = enumerate_candidates(self, entity, current_pages, domain_model,
-                                     exclude, statistics=statistics,
-                                     tables=GraphTables(self.type_system))
-        assert candidates == fresh
+    def checked_enumerate(self, entity, domain_model=None, exclude=None, *,
+                          statistics, tables):
+        candidates = enumerate_candidates(self, entity, domain_model, exclude,
+                                          statistics=statistics, tables=tables)
+        fresh = GraphTables(self.type_system, tables.pages,
+                            ngrams=tables.queries_of(tables.ngram_ids),
+                            domain_queries=tables.queries_of(tables.domain_ids))
+        again = enumerate_candidates(self, entity, domain_model,
+                                     None if exclude is None else fresh.ids(
+                                         tables.queries_of(exclude)),
+                                     statistics=statistics, tables=fresh)
+        assert tables.queries_of(candidates) == fresh.queries_of(again)
         counts["candidate_lists"] += 1
         return candidates
 
@@ -293,44 +270,97 @@ def test_harvest_graphs_equal_the_reference(cross_checked, researcher_runner,
         job = researcher_runner.build_job(researcher_prepared, method, entity_id,
                                           "RESEARCH", 3)
         assert harvester.harvest_job(job).iterations
-    # Every selection assembles one graph from its session's tables.
-    assert cross_checked["session_graphs"] >= 4
-    assert cross_checked["candidate_lists"] == cross_checked["session_graphs"]
+    # Every selection assembles one graph from the entity's tables.
+    assert cross_checked["entity_graphs"] >= 4
+    assert cross_checked["candidate_lists"] == cross_checked["entity_graphs"]
 
 
-def test_plain_utility_selection_derives_no_templates(researcher_runner,
-                                                      researcher_prepared,
-                                                      monkeypatch):
-    abstracted = []
-    abstract_queries = utility_module.abstract_queries
-    monkeypatch.setattr(utility_module, "abstract_queries",
-                        lambda queries, *args: abstracted.append(len(queries))
-                        or abstract_queries(queries, *args))
-    harvester = researcher_runner.harvester_for(researcher_prepared)
-    for method in ("P", "R"):
-        job = researcher_runner.build_job(
-            researcher_prepared, method,
-            researcher_prepared.split.test_entities[0], "RESEARCH", 3)
-        assert harvester.harvest_job(job).iterations
-    assert abstracted == []
+def _fresh_harvester(runner, prepared):
+    return Harvester(runner.corpus, prepared.engine, runner.config)
 
 
-def test_session_tables_die_with_the_harvest(researcher_runner, researcher_prepared):
+def test_one_table_per_entity_and_domain_list(researcher_runner, researcher_prepared,
+                                              monkeypatch):
+    built = []
+    tables_class = session_module.GraphTables
+    monkeypatch.setattr(session_module, "GraphTables",
+                        lambda *args, **kwargs: built.append(args[0])
+                        or tables_class(*args, **kwargs))
+    harvester = _fresh_harvester(researcher_runner, researcher_prepared)
+    entities = researcher_prepared.split.test_entities[:2]
+    for entity_id in entities:
+        for method in ("L2QP", "L2QBAL", "HR", "P+t"):
+            for aspect in ("RESEARCH", "CONTACT"):
+                job = researcher_runner.build_job(researcher_prepared, method,
+                                                  entity_id, aspect, 2)
+                harvester.harvest_job(job)
+    # The domain models and the HR statistics of every aspect bring the
+    # split's one list of domain queries.
+    assert len(built) == len(entities)
+    assert len(harvester.graph_tables) == len(entities)
+
+
+def test_tables_live_with_the_harvester_only(researcher_runner, researcher_prepared):
+    harvester = _fresh_harvester(researcher_runner, researcher_prepared)
     job = researcher_runner.build_job(
         researcher_prepared, "L2QBAL", researcher_prepared.split.test_entities[0],
         "RESEARCH", 3)
-    tables = []
-    select = job.selector.select
-
-    def spying_select(session):
-        tables.append(weakref.ref(session.tables))
-        return select(session)
-
-    job.selector.select = spying_select
-    result = researcher_runner.harvester_for(researcher_prepared).harvest_job(job)
+    result = harvester.harvest_job(job)
+    tables = [weakref.ref(entry[-1]) for entry in harvester.graph_tables.values()]
+    assert result.iterations and len(tables) == 1
+    del harvester
     gc.collect()
-    assert result.iterations and len(tables) == len(result.iterations)
     # The job (and its selector, which fig13 keeps for the whole batch) and
-    # the result are still referenced; the session's tables are not.
+    # the result are still referenced; the tables are not.
     assert job.selector is not None
     assert all(ref() is None for ref in tables)
+
+
+def test_threads_sharing_one_entitys_tables_match_serial_runs(researcher_runner,
+                                                              researcher_prepared):
+    # Sessions a caller runs on its own threads share the harvester's
+    # tables, built by whichever thread needs them first.  More threads
+    # than cores and a tiny switch interval interleave the sessions as
+    # finely as the interpreter allows; every run must still equal its
+    # serial twin.
+    entity_id = researcher_prepared.split.test_entities[0]
+    runs = [(method, aspect) for method in ("L2QBAL", "L2QP", "L2QR", "HR", "P+t", "R")
+            for aspect in ("RESEARCH", "CONTACT")]
+
+    def jobs():
+        return [researcher_runner.build_job(researcher_prepared, method, entity_id,
+                                            aspect, 3) for method, aspect in runs]
+
+    serial_harvester = _fresh_harvester(researcher_runner, researcher_prepared)
+    serial = [harvest_signature(serial_harvester.harvest_job(job)) for job in jobs()]
+
+    harvester = _fresh_harvester(researcher_runner, researcher_prepared)
+    pending = jobs()
+    results = [None] * len(pending)
+    errors = []
+    num_threads = 4
+    barrier = threading.Barrier(num_threads)
+
+    def work(offset):
+        try:
+            barrier.wait(timeout=30)
+            for index in range(offset, len(pending), num_threads):
+                results[index] = harvest_signature(harvester.harvest_job(pending[index]))
+        except Exception as error:  # reported by the main thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,), daemon=True)
+                   for offset in range(num_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "a harvest thread did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert results == serial
+    assert len(harvester.graph_tables) == 2  # with and without domain queries

@@ -3,6 +3,7 @@
 import random
 import string
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,12 +23,11 @@ from repro.graph.random_walk import (
     RegularizationProblem,
     UtilitySolver,
 )
-from repro.graph.reinforcement import ReinforcementGraphBuilder
 from repro.scenarios import make_scenario, scenario_names
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
 
-from tests.oracles import reference_enumerate, reference_prune
+from tests.oracles import ReferenceGraphBuilder, reference_enumerate, reference_prune
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -140,11 +140,11 @@ class TestSolverProperties:
                     min_size=1, max_size=20),
            st.floats(0.05, 0.9))
     def test_utilities_bounded_by_regularization_maximum(self, edges, alpha):
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         for page_index, query_index in edges:
             builder.connect_page_query(f"p{page_index}", (f"q{query_index}",))
         graph = builder.build()
-        regularization = {f"p{i}": 1.0 for i in range(6)}
+        regularization = builder.page_vector({f"p{i}": 1.0 for i in range(6)})
         solver = UtilitySolver(graph, alpha=alpha)
         result = solver.solve(MODE_PRECISION, page_regularization=regularization)
         assert result.page_values.max(initial=0.0) <= 1.0 + 1e-9
@@ -158,12 +158,11 @@ class TestSolverProperties:
     def test_recall_mass_conserved_within_tolerance(self, edges):
         # The total recall mass injected by the regularization cannot be
         # amplified by the propagation (it is only redistributed / damped).
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         for page_index, query_index in edges:
             builder.connect_page_query(f"p{page_index}", (f"q{query_index}",))
         graph = builder.build()
-        pages = graph.pages.keys()
-        regularization = {p: 1.0 / len(pages) for p in pages}
+        regularization = np.full(graph.num_pages, 1.0 / graph.num_pages)
         solver = UtilitySolver(graph, alpha=0.15)
         result = solver.solve(MODE_RECALL, page_regularization=regularization)
         assert result.query_values.sum() <= 1.0 + 1e-6
@@ -179,7 +178,7 @@ class TestSolverProperties:
            st.integers(0, 2**31 - 1))
     def test_every_solve_meets_the_residual_bound(self, page_edges,
                                                   template_edges, alpha, seed):
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         for page_index, query_index, weight in page_edges:
             builder.connect_page_query(f"p{page_index}", f"q{query_index}",
                                        weight)
@@ -190,13 +189,13 @@ class TestSolverProperties:
         graph = builder.build()
         rng = random.Random(seed)
 
-        def regularization(index, scale):
-            return {key: scale * rng.random() for key in index.keys()}
+        def regularization(size, scale):
+            return np.array([scale * rng.random() for _ in range(size)])
 
         problem = RegularizationProblem(
-            page_regularization=regularization(graph.pages, 1.0),
-            query_regularization=regularization(graph.queries, 1.0),
-            template_regularization=regularization(graph.templates, 10.0))
+            page_regularization=regularization(graph.num_pages, 1.0),
+            query_regularization=regularization(graph.num_queries, 1.0),
+            template_regularization=regularization(graph.num_templates, 10.0))
         precision, recall = UtilitySolver(graph, alpha=alpha).solve_joint(
             [problem], [problem, RegularizationProblem()])
         for vector in precision + recall:
@@ -246,7 +245,8 @@ class TestCandidateStatisticsProperties:
         assert incremental.page_frequency[ids].tolist() == \
             [scratch.page_frequency(query) for query in queries]
         assert incremental.num_pages == len(pages)
-        assert incremental.pruned() == reference_prune(scratch)
+        assert [table.queries[i] for i in incremental.pruned().tolist()] == \
+            reference_prune(scratch)
 
 
 class TestScenarioGenerationProperties:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.selection import ContextAwareSelection
-from repro.core.utility import GraphAssembler
+from repro.core.utility import GraphAssembler, GraphTables
 from repro.corpus.knowledge_base import build_type_system
 from repro.graph.random_walk import (
     MODE_PRECISION,
@@ -28,12 +28,12 @@ from repro.graph.random_walk import (
     RegularizationProblem,
     UtilitySolver,
 )
-from repro.graph.reinforcement import ReinforcementGraphBuilder
 from repro.search.bm25 import BM25Ranker
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
 
-from tests.oracles import ReferenceIndex, reference_choose, reference_rank, reference_score
+from tests.oracles import (ReferenceGraphBuilder, ReferenceIndex, reference_choose,
+                          reference_rank, reference_score)
 
 VOCABULARY = [f"w{i}" for i in range(30)]
 
@@ -155,7 +155,7 @@ class TestRankerKernelEquivalence:
 
 
 def _random_graph(rng: random.Random):
-    builder = ReinforcementGraphBuilder()
+    builder = ReferenceGraphBuilder()
     num_pages = rng.randint(1, 5)
     num_queries = rng.randint(1, 7)
     num_templates = rng.randint(0, 4)
@@ -178,16 +178,16 @@ def _random_graph(rng: random.Random):
 
 
 def _random_problem(rng: random.Random, graph) -> RegularizationProblem:
-    def layer(index, probability):
+    def layer(size, probability):
         if rng.random() > probability:
             return None
-        return {key: rng.random() for key in index.keys()
-                if rng.random() < 0.7}
+        return np.array([rng.random() if rng.random() < 0.7 else 0.0
+                         for _ in range(size)])
 
     return RegularizationProblem(
-        page_regularization=layer(graph.pages, 0.9),
-        query_regularization=layer(graph.queries, 0.3),
-        template_regularization=layer(graph.templates, 0.5),
+        page_regularization=layer(graph.num_pages, 0.9),
+        query_regularization=layer(graph.num_queries, 0.3),
+        template_regularization=layer(graph.num_templates, 0.5),
     )
 
 
@@ -243,18 +243,18 @@ class TestSolverEquivalence:
         # One page, one query, p_hat = 1: the iteration alternates
         # u_q <- 0.85 u_p and u_p <- 0.85 u_q + 0.15, whose fixed point is
         # u_p = 0.15 / (1 - 0.85^2), u_q = 0.85 u_p.
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         builder.connect_page_query("p", "q", 1.0)
         solver = UtilitySolver(builder.build(), alpha=0.15)
-        solved = solver.solve(MODE_PRECISION, page_regularization={"p": 1.0})
+        solved = solver.solve(MODE_PRECISION, page_regularization=np.array([1.0]))
         assert solved.converged
         expected_page = 0.15 / (1.0 - 0.85 ** 2)
-        assert solved.page("p") == pytest.approx(expected_page, abs=1e-12)
-        assert solved.query("q") == pytest.approx(0.85 * expected_page,
-                                                  abs=1e-12)
+        assert solved.page_values[0] == pytest.approx(expected_page, abs=1e-12)
+        assert solved.query_values[0] == pytest.approx(0.85 * expected_page,
+                                                       abs=1e-12)
 
     def test_empty_problem_list_returns_empty(self):
-        builder = ReinforcementGraphBuilder()
+        builder = ReferenceGraphBuilder()
         builder.connect_page_query("p", "q", 1.0)
         solver = UtilitySolver(builder.build())
         assert solver.solve_many(MODE_RECALL, []) == []
@@ -270,10 +270,9 @@ class _CrossCheckingSelection(ContextAwareSelection):
         super().__init__(objective)
         self.comparisons = 0
 
-    def _choose(self, session, utilities, candidates, penalty):
-        chosen = super()._choose(session, utilities, candidates, penalty)
-        reference = reference_choose(self, session, utilities, candidates,
-                                     penalty)
+    def _choose(self, session, tables, utilities, penalty):
+        chosen = super()._choose(session, tables, utilities, penalty)
+        reference = reference_choose(self, session, tables, utilities, penalty)
         assert chosen == reference, \
             f"vectorized choice {chosen!r} != scalar choice {reference!r}"
         self.comparisons += 1
@@ -300,23 +299,27 @@ class TestSelectorEquivalence:
 
     def test_choose_empty_candidates_returns_none(self):
         selector = ContextAwareSelection("precision")
-        assert selector._choose(None, None, [], 0.0) is None
+
+        class NoCandidates:
+            candidates = np.zeros(0, dtype=np.int64)
+
+        assert selector._choose(None, None, NoCandidates(), 0.0) is None
 
 
 class TestAssembledGraphTemplates:
-    def test_templates_attribute_is_a_materialised_list(self):
-        # Regression: ``AssembledGraph.templates`` was once the live
-        # ``dict_keys`` view of the vertex index — iterable exactly once and
-        # mutated under the caller's feet by later vertex registration.  It
-        # must be a plain list, aligned with the template vertex order.
+    def test_vertex_arrays_align_with_the_graph(self):
+        # ``AssembledGraph.queries`` and ``.templates`` name the graph's
+        # query and template vertices, in vertex order, as table ids.
         from tests.helpers import make_page
 
         type_system = build_type_system({"person": ["smith"]})
         pages = [make_page("p0", "e1", [(["smith", "essay"], "RESEARCH")])]
+        tables = GraphTables(type_system, pages, ngrams=[("essay",), ("smith", "essay")])
+        queries = tables.ids([("smith", "essay"), ("essay",)])
         assembled = GraphAssembler(type_system).assemble(
-            pages, [("smith", "essay")], use_templates=True)
-        assert isinstance(assembled.templates, list)
-        assert assembled.templates == list(assembled.graph.templates.keys())
-        assert len(assembled.templates) >= 1
-        # A list survives repeated iteration (a consumed iterator would not).
-        assert list(assembled.templates) == list(assembled.templates)
+            tables, np.arange(1), queries, use_templates=True)
+        assert assembled.queries.tolist() == queries.tolist()
+        assert len(assembled.queries) == assembled.graph.num_queries
+        assert len(assembled.templates) == assembled.graph.num_templates >= 1
+        assert [tables.templates[t] for t in assembled.templates.tolist()] == \
+            [("<person>", "essay")]
