@@ -3,7 +3,8 @@
 The Fig. 13 golden pins L2QBAL and the baselines only through their
 metrics, so a drifted L2QP, L2QR or P+t choice could pass it.  This
 snapshot pins the fired-query sequence itself, for every P, R, P+t, R+t,
-L2QP, L2QR, L2QBAL and HR session at ``SMOKE_SCALE``: both domains, split
+L2QP, L2QR, L2QBAL, HR and AQ session at ``SMOKE_SCALE`` (every selector
+that reads :meth:`~repro.core.utility.GraphTables.containment`): both domains, split
 0, every evaluated aspect and test entity, a budget of 3 queries.  The
 sessions of one split run on the split's one harvester, as an evaluation
 runs them, so state a harvester shares between sessions is exercised too.
@@ -28,7 +29,7 @@ from repro.eval.experiments import DOMAINS, SMOKE_SCALE
 from repro.eval.runner import ExperimentRunner
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "selection_smoke_golden.json"
-METHODS = ("P", "R", "P+t", "R+t", "L2QP", "L2QR", "L2QBAL", "HR")
+METHODS = ("P", "R", "P+t", "R+t", "L2QP", "L2QR", "L2QBAL", "HR", "AQ")
 BUDGET = 3
 
 
@@ -55,7 +56,7 @@ def fired_queries() -> Dict[str, List[List[str]]]:
 def test_selection_smoke_matches_golden_snapshot():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     actual = fired_queries()
-    assert len(golden) == 64
+    assert len(golden) == 72
     drifted = sorted(label for label in golden if actual.get(label) != golden[label])
     assert set(actual) == set(golden) and not drifted, (
         f"fired queries drifted from the golden snapshot in {drifted}; if the "
