@@ -37,6 +37,23 @@ unusable)::
 
 One gate run takes ``PAIRS × workloads × 2`` perfbench runs: about 7 min
 with three workloads at ``run_seconds`` 10 on a 2-vCPU VM.
+
+``--claim WORKLOAD/METRIC --seed S`` checks a claimed gain instead: it runs
+only that workload, :data:`CLAIM_PAIRS` alternating pairs at seed ``S``
+(pick one the change was not developed on), and applies the rule for
+claiming a gain.  The claim holds when both hold:
+
+* head is better than base in at least nine tenths of the pairs run, a tie
+  counting for neither side (a pair without both values is not a win);
+* the medians of the two sides differ, in head's favour, by more than the
+  distance between the first and third quartile of base's runs.
+
+It prints each side's median and quartiles, the pair counts and whether
+the outputs are identical, and exits 1 when the claim is not met (or a run
+is incorrect), 2 on an unknown workload or metric::
+
+    python benchmarks/check_perf_ab.py --base ../base --head . \
+        --claim l2q-sessions/pass_s --seed 47
 """
 
 from __future__ import annotations
@@ -51,7 +68,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median, quantiles
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Alternating base/head pairs per workload.
 PAIRS = 5
@@ -61,6 +78,10 @@ SEED = 11
 #: A run that takes longer than this many times ``run_seconds`` (plus a
 #: minute for set-up) is stopped and counts as a run without a result.
 TIMEOUT_FACTOR = 10
+#: Alternating base/head pairs of a ``--claim`` run.
+CLAIM_PAIRS = 10
+#: The share of a claim's pairs head must win.
+CLAIM_WIN_SHARE = 0.9
 
 
 @dataclass
@@ -92,12 +113,13 @@ def load_benchmark(checkout: Path) -> dict:
     return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def perfbench_command(benchmark: dict, workload: str, seconds: int) -> List[str]:
+def perfbench_command(benchmark: dict, workload: str, seconds: int,
+                      seed: int = SEED) -> List[str]:
     """The benchmark's command for one untraced run, on this interpreter."""
     command = list(benchmark["command"])
     if command and Path(command[0]).name.startswith("python"):
         command[0] = sys.executable
-    return command + ["--workload", workload, "--seed", str(SEED),
+    return command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
 
 
@@ -146,13 +168,15 @@ def run_perfbench(checkout: Path, command: Sequence[str], seconds: int) -> Run:
 
 
 def collect(base: Path, head: Path, benchmark: dict, pairs: int = PAIRS,
-            log=sys.stderr) -> Dict[str, Dict[str, List[Run]]]:
-    """``{workload: {"base": [runs], "head": [runs]}}``, alternating sides."""
+            log=sys.stderr, seed: int = SEED
+            ) -> Dict[str, Dict[str, List[Run]]]:
+    """``{workload: {"base": [runs], "head": [runs]}}``, alternating sides,
+    for every workload of ``benchmark``."""
     seconds = int(benchmark["run_seconds"])
     runs: Dict[str, Dict[str, List[Run]]] = {}
     for entry in benchmark["workloads"]:
         workload = entry["name"]
-        command = perfbench_command(benchmark, workload, seconds)
+        command = perfbench_command(benchmark, workload, seconds, seed)
         sides = runs[workload] = {"base": [], "head": []}
         for pair in range(pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
@@ -166,11 +190,18 @@ def collect(base: Path, head: Path, benchmark: dict, pairs: int = PAIRS,
     return runs
 
 
+def quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    """The first and third quartile (the value itself for one value, zeros
+    for none)."""
+    if len(values) < 2:
+        return (values[0], values[0]) if values else (0.0, 0.0)
+    first, _, third = quantiles(values, n=4, method="inclusive")
+    return first, third
+
+
 def iqr(values: Sequence[float]) -> float:
     """Distance between the first and third quartile (0 for one value)."""
-    if len(values) < 2:
-        return 0.0
-    first, _, third = quantiles(values, n=4, method="inclusive")
+    first, third = quartiles(values)
     return third - first
 
 
@@ -284,13 +315,112 @@ def report(runs: Dict[str, Dict[str, List[Run]]], benchmark: dict,
     return failures
 
 
+def judge_claim(base: Sequence[Optional[float]], head: Sequence[Optional[float]],
+                better: str) -> dict:
+    """The gain rule for one metric; ``met`` is the verdict.
+
+    ``base[i]`` and ``head[i]`` are pair ``i``'s values (``None`` where a
+    run has no result).  Head must win at least :data:`CLAIM_WIN_SHARE` of
+    all pairs run, ties counting for neither side, and its median must beat
+    base's by more than base's IQR.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    paired = [(b, h) for b, h in zip(base, head)
+              if b is not None and h is not None]
+    wins = sum(1 for b, h in paired if sign * (b - h) > 0)
+    ties = sum(1 for b, h in paired if b == h)
+    base_values = [b for b, _ in paired]
+    head_values = [h for _, h in paired]
+    base_median = median(base_values) if paired else 0.0
+    head_median = median(head_values) if paired else 0.0
+    gain = sign * (base_median - head_median)
+    spread = iqr(base_values)
+    pairs = max(len(base), len(head))
+    return {
+        "pairs": pairs,
+        "wins": wins,
+        "ties": ties,
+        "losses": len(paired) - wins - ties,
+        "base_median": base_median,
+        "base_quartiles": quartiles(base_values),
+        "head_median": head_median,
+        "head_quartiles": quartiles(head_values),
+        "gain": gain,
+        "base_iqr": spread,
+        "met": bool(pairs) and wins >= CLAIM_WIN_SHARE * pairs and gain > spread,
+    }
+
+
+def report_claim(workload: str, metric: str, better: str, sides: Dict[str, List[Run]],
+                 out=sys.stdout) -> bool:
+    """Print the reading of one claimed gain; return whether it is met."""
+    base, head = sides["base"], sides["head"]
+    reading = judge_claim([run.metrics.get(metric) for run in base],
+                          [run.metrics.get(metric) for run in head], better)
+    change = (reading["head_median"] / reading["base_median"] - 1.0
+              if reading["base_median"] else 0.0)
+    wrong = [run.error or "correct: false" for run in base + head
+             if not run.correct]
+    print(f"\nclaim {workload}/{metric} ({better} is better), "
+          f"{reading['pairs']} pairs:", file=out)
+    for side in ("base", "head"):
+        first, third = reading[f"{side}_quartiles"]
+        values = " ".join(f"{run.metrics[metric]:.4g}" if metric in run.metrics
+                          else "-" for run in sides[side])
+        print(f"  {side}: median {reading[f'{side}_median']:.4g} "
+              f"[Q1 {first:.4g}, Q3 {third:.4g}]; runs {values}", file=out)
+    print(f"  head better in {reading['wins']} of {reading['pairs']} pairs "
+          f"(needs {CLAIM_WIN_SHARE:.0%}), {reading['ties']} tied, "
+          f"{reading['losses']} worse", file=out)
+    print(f"  median gain {reading['gain']:.4g} ({change:+.1%}) against base "
+          f"IQR {reading['base_iqr']:.4g}", file=out)
+    print(f"  {compare_outputs(base, head)}", file=out)
+    if wrong:
+        print(f"  {len(wrong)} of {len(base) + len(head)} runs incorrect: "
+              f"{wrong[0]}", file=out)
+    met = reading["met"] and not wrong
+    print(f"claim {'met' if met else 'NOT met'}: {workload}/{metric}", file=out)
+    return met
+
+
+def claim(args: argparse.Namespace, benchmark: dict, out=sys.stdout) -> int:
+    """Run and judge ``--claim WORKLOAD/METRIC``."""
+    workload, _, metric = args.claim.partition("/")
+    workloads = [entry for entry in benchmark["workloads"]
+                 if entry["name"] == workload]
+    metrics = {entry["name"]: entry for entry in benchmark["end_to_end"]}
+    if not workloads or metric not in metrics:
+        print(f"--claim {args.claim}: expected WORKLOAD/METRIC with a workload "
+              f"of {[entry['name'] for entry in benchmark['workloads']]} and an "
+              f"end-to-end metric of {sorted(metrics)}", file=out)
+        return 2
+    start = time.perf_counter()
+    runs = collect(args.base.resolve(), args.head.resolve(),
+                   dict(benchmark, workloads=workloads), pairs=CLAIM_PAIRS,
+                   seed=args.seed)
+    met = report_claim(workload, metric, metrics[metric]["better"],
+                       runs[workload], out=out)
+    print(f"{CLAIM_PAIRS} pairs at seed {args.seed}, "
+          f"{benchmark['run_seconds']} s a run; wall "
+          f"{time.perf_counter() - start:.0f} s", file=out)
+    return 0 if met else 1
+
+
 def main(argv: Optional[Sequence[str]] = None, out=sys.stdout) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path,
                         help="checkout of the commit to compare against")
     parser.add_argument("--head", required=True, type=Path,
                         help="checkout of the commit under test")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="check a claimed gain of one end-to-end metric "
+                             "on one workload instead of the regression gate")
+    parser.add_argument("--seed", type=int,
+                        help=f"perfbench seed of a --claim run, one the change "
+                             f"was not developed on (the gate runs at {SEED})")
     args = parser.parse_args(argv)
+    if (args.claim is None) != (args.seed is None):
+        parser.error("--claim and --seed go together")
     for checkout, needed in ((args.base, "perfbench/run.py"),
                              (args.head, "perfbench/run.py"),
                              (args.head, "BENCHMARK.json")):
@@ -298,6 +428,8 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout) -> int:
             print(f"{checkout}: no {needed}", file=out)
             return 2
     benchmark = load_benchmark(args.head)
+    if args.claim is not None:
+        return claim(args, benchmark, out=out)
     start = time.perf_counter()
     runs = collect(args.base.resolve(), args.head.resolve(), benchmark)
     failures = report(runs, benchmark, out=out)

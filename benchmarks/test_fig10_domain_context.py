@@ -1,11 +1,20 @@
 """Regenerates Fig. 10: validation of domain and context awareness.
 
-Paper claims to reproduce (in shape):
-* template-based domain awareness helps — P+t > P and R+t > R;
-* raw query transfer suffers from entity variation — P+t >= P+q is expected
-  in the paper (we assert the weaker claim that templates beat no-domain);
-* context awareness helps — L2QP >= P+t and L2QR >= R+t (approximately);
-* everything beats RND on its own objective.
+The paper's claims, in shape: template-based domain awareness helps
+(P+t > P, R+t > R), raw query transfer suffers from entity variation
+(P+t >= P+q, R+t >= R+q), and context awareness helps (L2QP >= P+t,
+L2QR >= R+t).
+
+What this test asserts: at every scale, each method's precision and recall
+lie in [0, 1].  At the default scale or larger, on the mean over domains:
+
+* P+t >= P - 0.02 and R+t >= R - 0.02 (templates do not lose to no domain
+  awareness by more than 0.02; the strict P+t > P is not asserted);
+* L2QP > RND on precision and L2QR > RND on recall (only these two are
+  held against RND);
+* L2QP >= P+t - 0.05 and L2QR >= R+t - 0.05.
+
+P+q and R+q are reported but not asserted against.
 """
 
 from benchmarks.helpers import save_result

@@ -57,10 +57,13 @@ class AdaptiveQueryingSelection(QuerySelector):
         relevant = np.array([session.relevance(page) == 1
                              for page in session.current_pages])
         scoring = relevant if relevant.any() else np.ones(pages.size, dtype=bool)
-        covered = np.asarray(tables.containment(pages, fired).sum(axis=1)).ravel() > 0
+        # Every past query counts, also one outside the id space (fired by
+        # another selector, or not an n-gram of these pages).
+        covered = np.array([any(map(page.contains_all, session.past_queries))
+                            for page in session.current_pages], dtype=np.float64)
         count = np.asarray(contained.sum(axis=0)).ravel()
         support = contained.T @ scoring.astype(np.float64)
-        already = contained.T @ covered.astype(np.float64)
+        already = contained.T @ covered
         novelty = 1.0 - np.divide(already, count, out=np.zeros(candidates.size),
                                   where=count > 0)
         score = support * (0.5 + 0.5 * novelty)

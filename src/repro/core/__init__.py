@@ -38,8 +38,7 @@ from repro.core.utility import (
     AssembledGraph,
     GraphAssembler,
     GraphTables,
-    precision_page_regularization,
-    recall_page_regularization,
+    page_regularizations,
     template_regularization,
 )
 
@@ -74,9 +73,8 @@ __all__ = [
     "is_type_unit",
     "learn_domain_models",
     "make_selector",
-    "precision_page_regularization",
+    "page_regularizations",
     "prune_queries",
-    "recall_page_regularization",
     "selector_names",
     "template_abstraction_level",
     "template_abstracts",

@@ -25,15 +25,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from repro.aspects.relevance import AllRelevant, RelevanceFunction
+from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
 from repro.core.queries import NgramTable, Query, QueryEnumerator, prune_queries
 from repro.core.templates import Template
 from repro.core.utility import (
     GraphAssembler,
     GraphTables,
-    precision_page_regularization,
-    recall_page_regularization,
+    page_regularizations,
 )
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
@@ -136,14 +135,12 @@ class DomainPhase:
         if domain_graph.solver is None:
             return model
 
-        pages = domain_graph.pages
+        page_precision, page_recall, page_recall_all = page_regularizations(
+            domain_graph.pages, relevance)
         (precision,), (recall, recall_all) = domain_graph.solver.solve_joint(
-            [RegularizationProblem(
-                page_regularization=precision_page_regularization(pages, relevance))],
-            [RegularizationProblem(
-                page_regularization=recall_page_regularization(pages, relevance)),
-             RegularizationProblem(
-                 page_regularization=recall_page_regularization(pages, AllRelevant()))])
+            [RegularizationProblem(page_regularization=page_precision)],
+            [RegularizationProblem(page_regularization=page_recall),
+             RegularizationProblem(page_regularization=page_recall_all)])
 
         templates, queries = domain_graph.templates, domain_graph.queries
         model.template_precision = dict(zip(templates, precision.template_values.tolist()))

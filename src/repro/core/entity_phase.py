@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.aspects.relevance import AllRelevant, RelevanceFunction
+from repro.aspects.relevance import RelevanceFunction
 from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
@@ -42,8 +42,7 @@ from repro.core.utility import (
     AssembledGraph,
     GraphAssembler,
     GraphTables,
-    precision_page_regularization,
-    recall_page_regularization,
+    page_regularizations,
     template_regularization,
     template_scale,
 )
@@ -175,10 +174,8 @@ class EntityPhase:
                                              use_templates=use_templates)
         solver = assembled.solver(self.config)
 
-        pages = [tables.pages[row] for row in page_rows.tolist()]
-        page_precision_reg = precision_page_regularization(pages, relevance)
-        page_recall_reg = recall_page_regularization(pages, relevance)
-        page_recall_all_reg = recall_page_regularization(pages, AllRelevant())
+        page_precision_reg, page_recall_reg, page_recall_all_reg = page_regularizations(
+            [tables.pages[row] for row in page_rows.tolist()], relevance)
 
         template_precision_reg = template_recall_reg = template_recall_all_reg = None
         if use_templates and domain_model is not None and not domain_model.is_empty():

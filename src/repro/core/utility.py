@@ -8,11 +8,12 @@ relevant pages share a total recall mass of 1.
 
 Graphs are assembled over a :class:`GraphTables`: one id space of queries,
 numbered in lexicographic order, and one page set, with every query's words
-and templates and every page's words derived when the table is built.  A
-graph's vertices are then ids and page rows of its table, and assembly is
-one sparse matmul for the page-query edges and a gather of template rows
-for the query-template edges; vertex order and every CSR array are exactly
-those of building the graph vertex by vertex.  A harvester builds one table
+and templates, every page's words and the ids every page contains derived
+when the table is built.  A graph's vertices are then ids and page rows of
+its table, and assembly gathers the pages' rows of contained ids for the
+page-query edges and the queries' template rows for the query-template
+edges; vertex order and every CSR array are exactly those of building the
+graph vertex by vertex.  A harvester builds one table
 per entity (see :mod:`repro.core.session`), and the domain phase one per
 domain corpus.  The HR and AQ baselines read their candidates' containment
 from the same kernel (:meth:`GraphTables.containment`).
@@ -98,7 +99,7 @@ class GraphTables:
     Every row is derived when the table is built: each query's sorted
     distinct word ids and its template ids (in
     :func:`~repro.core.templates.abstract_query` order), and each page's
-    ids of the query words it holds.  Word and template ids number the
+    ids of the query words it holds and ids of the queries it contains.  Word and template ids number the
     table's own vocabularies; ``templates`` lists the templates by id.  From
     these rows the table answers which pages contain which queries
     (:meth:`containment`), which queries have a word on some page
@@ -136,8 +137,6 @@ class GraphTables:
         distinct[1:] = (words[1:] != words[:-1]) | (owners[1:] != owners[:-1])
         self._query_words = _frozen(words[distinct])
         self._word_owners = _frozen(owners[distinct])
-        self._query_word_ptr = _frozen(_indptr(
-            np.bincount(self._word_owners, minlength=len(self.queries))))
 
         # Each page's query words.
         known = self._word_ids
@@ -148,6 +147,31 @@ class GraphTables:
             count=sum(map(len, page_words))))
         self._page_word_ptr = _frozen(_indptr(np.fromiter(
             map(len, page_words), dtype=np.int64, count=len(page_words))))
+
+        # Each page's contained ids.  A page holds every word of a query
+        # where the count of the query's words on the page, one sparse
+        # matmul of binary incidences, equals the query's number of distinct
+        # words.  An empty query counts as holding one word, a word every
+        # page holds, so that every page contains it.
+        num_pages, num_queries = len(self.pages), len(self.queries)
+        word_counts = np.bincount(self._word_owners, minlength=num_queries)
+        required = np.maximum(word_counts, 1)
+        everywhere = self.num_words
+        pages_by_word = sparse.csr_matrix(
+            (np.ones(self._page_words.size + num_pages),
+             np.insert(self._page_words, self._page_word_ptr[1:], everywhere),
+             self._page_word_ptr + np.arange(num_pages + 1)),
+            shape=(num_pages, everywhere + 1))
+        words_by_query = sparse.csc_matrix(
+            (np.ones(required.sum()),
+             np.insert(self._query_words,
+                       _indptr(word_counts)[:-1][word_counts == 0], everywhere),
+             _indptr(required)),
+            shape=(everywhere + 1, num_queries))
+        counts = pages_by_word @ words_by_query
+        contained = np.flatnonzero(counts.data == required[counts.indices])
+        self._page_ids = _frozen(counts.indices[contained].astype(np.int64))
+        self._page_id_ptr = _frozen(np.searchsorted(contained, counts.indptr))
 
         # Each query's templates.
         abstractions = abstract_queries(self.queries, type_system)
@@ -218,41 +242,32 @@ class GraphTables:
 
     def containment(self, pages: np.ndarray, query_ids: np.ndarray) -> sparse.csr_matrix:
         """Binary ``pages × queries`` matrix: 1 where the page (a row of the
-        table) contains every word of the query (the queries ``query_ids``,
-        in order).
+        table) contains every word of the query (the distinct queries
+        ``query_ids``, in order).
 
         Containment is the proxy for "query q can retrieve page p": the
         learner builds its graph edges from it, and the baselines estimate
-        a query's results from it, without firing the query.  The count of
-        a query's words on a page is one sparse matmul,
-        ``(pages × words) @ (words × queries)`` over binary incidence
-        matrices; the page contains the query where the count equals the
-        query's number of distinct words.  An empty query is contained in
-        every page.
+        a query's results from it, without firing the query.  The pages'
+        rows of contained ids, derived when the table was built, are
+        gathered, the ids of ``query_ids`` kept and renumbered to their
+        columns, and each row's columns sorted: one canonical CSR.  An
+        empty query is contained in every page.
+
+        Raises ``ValueError`` on a repeated id.
         """
-        shape = (pages.size, query_ids.size)
-        rows = cols = np.zeros(0, dtype=np.int64)
-        if pages.size and query_ids.size:
-            page_words, page_lengths = _gather(self._page_word_ptr,
-                                               self._page_words, pages)
-            query_words, query_lengths = _gather(self._query_word_ptr,
-                                                 self._query_words, query_ids)
-            pages_by_word = sparse.csr_matrix(
-                (np.ones(page_words.size), page_words, _indptr(page_lengths)),
-                shape=(pages.size, self.num_words))
-            words_by_query = sparse.csc_matrix(
-                (np.ones(query_words.size), query_words, _indptr(query_lengths)),
-                shape=(self.num_words, query_ids.size))
-            counts = (pages_by_word @ words_by_query).tocoo()
-            contained = counts.data == query_lengths[counts.col]
-            rows = counts.row[contained].astype(np.int64)
-            cols = counts.col[contained].astype(np.int64)
-            vacuous = np.flatnonzero(query_lengths == 0)
-            if vacuous.size:
-                rows = np.concatenate([rows, np.tile(np.arange(pages.size), vacuous.size)])
-                cols = np.concatenate([cols, np.repeat(vacuous, pages.size)])
-        return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape,
-                                 dtype=np.float64)
+        ids, lengths = _gather(self._page_id_ptr, self._page_ids, pages)
+        positions = np.arange(query_ids.size)
+        column_of = np.full(self.num_queries, -1, dtype=np.int64)
+        column_of[query_ids] = positions
+        if not np.array_equal(column_of[query_ids], positions):
+            raise ValueError("repeated query ids")
+        columns = column_of[ids]
+        kept = np.flatnonzero(columns >= 0)
+        contained = sparse.csr_matrix(
+            (np.ones(kept.size), columns[kept], np.searchsorted(kept, _indptr(lengths))),
+            shape=(pages.size, query_ids.size))
+        contained.sort_indices()
+        return contained
 
     # -- Masks over the id space -------------------------------------------------
     def grounded(self, pages: np.ndarray) -> np.ndarray:
@@ -333,21 +348,22 @@ class GraphAssembler:
 # Utility regularization (Eqs. 11-12)
 # ---------------------------------------------------------------------------
 
-def precision_page_regularization(pages: Sequence[Page],
-                                  relevance: RelevanceFunction) -> np.ndarray:
-    """``P_hat(p) = Y(p)`` per page, in page order: every relevant page is
-    guided towards precision 1."""
-    return np.array([float(relevance(page)) for page in pages], dtype=np.float64)
+def page_regularizations(pages: Sequence[Page], relevance: RelevanceFunction
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The page regularizations of one relevance pass, each per page in
+    page order: ``P_hat(p) = Y(p)``, every relevant page guided towards
+    precision 1; ``R_hat(p) = Y(p) / sum_p' Y(p')``, relevant pages sharing
+    recall mass 1; and ``R_hat*``, the recall regularization with every
+    page relevant (``Y*``, Sect. V-B)."""
+    labels = np.array([float(relevance(page)) for page in pages], dtype=np.float64)
+    return labels, _recall_shares(labels), _recall_shares(np.ones(len(pages)))
 
 
-def recall_page_regularization(pages: Sequence[Page],
-                               relevance: RelevanceFunction) -> np.ndarray:
-    """``R_hat(p) = Y(p) / sum_p' Y(p')`` per page, in page order: relevant
-    pages share recall mass 1."""
-    labels = precision_page_regularization(pages, relevance)
+def _recall_shares(labels: np.ndarray) -> np.ndarray:
+    """``labels / sum(labels)``, or zeros when the sum is not positive."""
     total = sum(labels.tolist())
     if total <= 0:
-        return np.zeros(len(pages))
+        return np.zeros(labels.size)
     return labels / total
 
 

@@ -43,10 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
+# The compiled kernels behind scipy's sparse ``@``; see :func:`sparse_product`.
+from scipy.sparse import _sparsetools
 
 from repro.graph.reinforcement import ReinforcementGraph
 
@@ -85,6 +88,41 @@ class RegularizationProblem:
     page_regularization: Optional[np.ndarray] = None
     query_regularization: Optional[np.ndarray] = None
     template_regularization: Optional[np.ndarray] = None
+
+
+def sparse_product(matrix: sparse.csr_matrix, columns: np.ndarray,
+                   transpose: bool = False) -> np.ndarray:
+    """``matrix @ columns``, or ``matrix.T @ columns`` with ``transpose``,
+    for a float64 ``(n, k)`` array ``columns``, bit for bit.
+
+    It calls the compiled kernel scipy's ``@`` dispatches to, with the same
+    arguments: ``csr_matvec`` for one column and ``csr_matvecs`` for
+    several, and their ``csc_*`` twins on the matrix's own CSR arrays for
+    the transpose (a CSR matrix's arrays are its transpose's CSC arrays).
+    On the solver's small operators most of an ``@`` is its dispatch,
+    checks and wrapping, not the product.  ``scipy.sparse._sparsetools`` is
+    private, so ``tests/test_graph_random_walk.py`` pins this function to
+    ``@``.
+    """
+    rows, cols = matrix.shape
+    prefix = "csr"
+    if transpose:
+        rows, cols, prefix = cols, rows, "csc"
+    # The kernels index ``columns`` unchecked.
+    if columns.shape[0] != cols:
+        raise ValueError(f"a product of a {rows} x {cols} operator with "
+                         f"{columns.shape[0]} rows")
+    count = columns.shape[1]
+    product = np.zeros((rows, count))
+    if count == 1:
+        getattr(_sparsetools, prefix + "_matvec")(
+            rows, cols, matrix.indptr, matrix.indices, matrix.data,
+            columns.ravel(), product.ravel())
+    else:
+        getattr(_sparsetools, prefix + "_matvecs")(
+            rows, cols, count, matrix.indptr, matrix.indices, matrix.data,
+            columns.ravel(), product.ravel())
+    return product
 
 
 def normalize_rows(matrix: sparse.spmatrix) -> sparse.csr_matrix:
@@ -165,11 +203,17 @@ class UtilitySolver:
         # K = (1 - alpha)^2 B D M, with D scaling the columns of B.
         operator = (stacked(pt_from_q.data * (self.contraction * two_sided)[indices])
                     @ q_from_pt_t.T).tocsr()
-        # Per mode (K, F, G): K = (1 - alpha)^2 F D G, the right-hand side
-        # and residual take F, the query back-substitution D G.
+        # Per mode, the products with K, F and G, where K = (1 - alpha)^2 F D G:
+        # the right-hand side and residual take F, the query
+        # back-substitution D G.  Each applies one of the three CSR
+        # matrices as itself or as its transpose.
         self._modes = {
-            MODE_PRECISION: (operator, pt_from_q, q_from_pt_t.T),
-            MODE_RECALL: (operator.T, q_from_pt_t, pt_from_q.T),
+            MODE_PRECISION: (partial(sparse_product, operator),
+                             partial(sparse_product, pt_from_q),
+                             partial(sparse_product, q_from_pt_t, transpose=True)),
+            MODE_RECALL: (partial(sparse_product, operator, transpose=True),
+                          partial(sparse_product, q_from_pt_t),
+                          partial(sparse_product, pt_from_q, transpose=True)),
         }
 
     # -- Public API ----------------------------------------------------------
@@ -226,12 +270,12 @@ class UtilitySolver:
                        [p.query_regularization for p in problems])
         alpha_q_hat = alpha * q_hat
 
-        rhs = alpha_pt_hat + (alpha * damping) * (pt_from_q @ q_hat)
+        rhs = alpha_pt_hat + (alpha * damping) * pt_from_q(q_hat)
         pt, iterations = self._iterate(operator, rhs, _STEP_NORMS[mode])
-        queries = damping * self._two_sided * (q_from_pt @ pt) + alpha_q_hat
+        queries = damping * self._two_sided * q_from_pt(pt) + alpha_q_hat
         # The query block of the residual is zero by construction of the
         # back-substitution, so the page+template block is the whole of it.
-        residuals = np.abs(pt - damping * (pt_from_q @ queries) - alpha_pt_hat)
+        residuals = np.abs(pt - damping * pt_from_q(queries) - alpha_pt_hat)
         residuals = residuals.max(axis=0, initial=0.0)
         worst = float(residuals.max())
         if not worst <= RESIDUAL_TOLERANCE:
@@ -253,9 +297,10 @@ class UtilitySolver:
             residual=float(residuals[j]),
         ) for j in range(len(problems))]
 
-    def _iterate(self, operator: sparse.spmatrix, rhs: np.ndarray,
+    def _iterate(self, operator: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                  norm: np.ufunc) -> Tuple[np.ndarray, int]:
-        """Iterate ``x <- K x + b`` from ``x = b``; return ``x`` and the steps.
+        """Iterate ``x <- K x + b`` from ``x = b``, with ``operator`` the
+        product with ``K``; return ``x`` and the steps.
 
         The ``k``-th step is ``K^k b`` and ``K`` contracts by ``c`` in the
         mode's norm, so after ``k`` steps the iterate lies within
@@ -273,7 +318,7 @@ class UtilitySolver:
             steps = max(0, math.ceil(math.log(target) / math.log(contraction)) - 1)
         pt = rhs
         for _ in range(steps):
-            pt = operator @ pt
+            pt = operator(pt)
             pt += rhs
         return pt, steps
 

@@ -11,6 +11,10 @@ and per-page Python loops.  The production
 :meth:`~repro.core.utility.GraphAssembler.assemble`, which reads the rows
 of a :class:`~repro.core.utility.GraphTables` by id, must produce the same
 vertex keys in the same order and byte-identical CSR arrays.
+:func:`reference_containment` is its containment matrix alone, one
+product of word incidences per call: the CSR arrays and index dtypes of
+:meth:`~repro.core.utility.GraphTables.containment`, which gathers rows its
+table derived once, must equal it for any pages and ids, in any order.
 :class:`ReferenceGraphBuilder` builds a graph from keyed, weighted edges,
 one vertex and one edge at a time, and reads solved utilities back by key.
 
@@ -135,10 +139,7 @@ def reference_assemble(type_system: TypeSystem, pages: Sequence[Page],
     query_positions = {query: position for position, query in enumerate(queries)}
     assert len(page_ids) == len(pages) and len(query_positions) == len(queries)
 
-    page_positions, query_cols = reference_containment_arrays(pages, queries)
-    page_query = sparse.csr_matrix(
-        (np.ones(page_positions.size), (page_positions, query_cols)),
-        shape=(len(pages), len(queries)), dtype=np.float64)
+    page_query = reference_containment(pages, queries)
 
     template_positions: Dict[Template, int] = {}
     qt_rows: List[int] = []
@@ -241,6 +242,18 @@ class ReferenceGraphBuilder:
         return float(vector.template_values[index]) if index is not None else 0.0
 
 
+def reference_containment(pages: Sequence[Page],
+                          queries: Sequence[Query]) -> sparse.csr_matrix:
+    """The binary ``pages × queries`` containment matrix as one product of
+    word incidences per call, in canonical CSR form: the per-call kernel
+    :meth:`~repro.core.utility.GraphTables.containment` replaced with rows
+    of contained ids derived when its table is built."""
+    page_positions, query_cols = reference_containment_arrays(pages, queries)
+    return sparse.csr_matrix(
+        (np.ones(page_positions.size), (page_positions, query_cols)),
+        shape=(len(pages), len(queries)), dtype=np.float64)
+
+
 def reference_containment_arrays(pages: Sequence[Page],
                                  queries: Sequence[Query]
                                  ) -> Tuple[np.ndarray, np.ndarray]:
@@ -308,12 +321,18 @@ def assert_same_graph(actual: AssembledGraph, tables: GraphTables,
         expected.templates
     got, want = actual.graph, expected.graph
     for name in ("page_query", "query_template"):
-        mine, theirs = getattr(got, name), getattr(want, name)
-        assert mine.shape == theirs.shape, name
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(mine, part), getattr(theirs, part)
-            assert a.dtype == b.dtype, (name, part, a.dtype, b.dtype)
-            assert a.tobytes() == b.tobytes(), (name, part)
+        assert_same_csr(getattr(got, name), getattr(want, name), name)
+
+
+def assert_same_csr(actual: sparse.csr_matrix, expected: sparse.csr_matrix,
+                    name: str = "matrix") -> None:
+    """Same format, shape and CSR arrays (bytes and dtype)."""
+    assert actual.format == expected.format == "csr", name
+    assert actual.shape == expected.shape, name
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(actual, part), getattr(expected, part)
+        assert a.dtype == b.dtype, (name, part, a.dtype, b.dtype)
+        assert a.tobytes() == b.tobytes(), (name, part)
 
 
 def reference_hr_select(domain_statistics: HarvestRateStatistics,

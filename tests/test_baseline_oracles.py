@@ -203,6 +203,14 @@ class TestRandomSessions:
     def test_selectors_choose_the_oracles_query(self, researcher_corpus, seed):
         _replay(seed, researcher_corpus)
 
+    @pytest.mark.parametrize("seed", [414, 1145, 1291])
+    def test_fired_queries_outside_the_id_space_cover_pages(self, researcher_corpus,
+                                                            seed):
+        # These sessions fire a domain query that is no n-gram of the
+        # entity's pages, although one of them holds all its words: AQ must
+        # count that page as covered, as the oracle does.
+        _replay(seed, researcher_corpus)
+
     def test_generator_covers_every_case(self, researcher_corpus):
         met = set()
         for seed in range(40):

@@ -13,10 +13,12 @@ from benchmarks.check_perf_ab import (
     compare_outputs,
     failed_share,
     iqr,
+    judge_claim,
     judge_metric,
     judge_workload,
     parse_run,
     perfbench_command,
+    quartiles,
     report,
     run_perfbench,
 )
@@ -384,3 +386,123 @@ class TestMain:
         assert check_perf_ab.main(["--base", str(base), "--head", str(head)],
                                   out=out) == 2
         assert "no BENCHMARK.json" in out.getvalue()
+
+
+class TestClaim:
+    BASE = [10.0, 10.3, 9.8, 10.1, 9.9, 10.2, 10.0, 9.9, 10.1, 10.0]
+
+    def test_ten_wins_beyond_the_spread_meet_the_claim(self):
+        reading = judge_claim(self.BASE, [value * 0.8 for value in self.BASE],
+                              "lower")
+        assert (reading["wins"], reading["ties"], reading["losses"]) == (10, 0, 0)
+        assert reading["gain"] > reading["base_iqr"]
+        assert reading["met"]
+
+    def test_eight_wins_of_ten_do_not(self):
+        head = [value * 0.8 for value in self.BASE[:8]] + [11.0, 11.0]
+        reading = judge_claim(self.BASE, head, "lower")
+        assert reading["wins"] == 8
+        assert not reading["met"]
+
+    def test_ties_count_for_neither_side(self):
+        head = [value * 0.8 for value in self.BASE]
+        head[0] = self.BASE[0]
+        reading = judge_claim(self.BASE, head, "lower")
+        assert (reading["wins"], reading["ties"]) == (9, 1)
+        assert reading["met"]
+        head[1] = self.BASE[1]
+        assert not judge_claim(self.BASE, head, "lower")["met"]
+
+    def test_a_gain_inside_base_spread_does_not(self):
+        base = [1.0, 4.0] * 5
+        head = [value - 0.1 for value in base]
+        reading = judge_claim(base, head, "lower")
+        assert reading["wins"] == 10
+        assert reading["gain"] < reading["base_iqr"]
+        assert not reading["met"]
+
+    def test_higher_is_better(self):
+        base = [0.80 + 0.001 * index for index in range(10)]
+        assert judge_claim(base, [0.9] * 10, "higher")["met"]
+        assert not judge_claim(base, [0.7] * 10, "higher")["met"]
+
+    def test_a_pair_without_both_values_is_not_a_win(self):
+        head = [value * 0.8 for value in self.BASE]
+        head[3] = None
+        reading = judge_claim(self.BASE, head, "lower")
+        assert (reading["pairs"], reading["wins"]) == (10, 9)
+        head[4] = None
+        assert not judge_claim(self.BASE, head, "lower")["met"]
+
+    def test_quartiles(self):
+        assert quartiles([]) == (0.0, 0.0)
+        assert quartiles([3.0]) == (3.0, 3.0)
+        assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)
+
+    def _checkouts(self, tmp_path, base_marker, head_marker):
+        benchmark = _benchmark("l2q-sessions", "fig13")
+        return (_checkout(tmp_path / "base", base_marker, benchmark),
+                _checkout(tmp_path / "head", head_marker, benchmark))
+
+    def _claim(self, checkouts, monkeypatch, *extra):
+        commands = []
+        real = check_perf_ab.run_perfbench
+
+        def recorded(checkout, command, seconds):
+            commands.append((checkout.name, command))
+            return real(checkout, command, seconds)
+
+        monkeypatch.setattr(check_perf_ab, "run_perfbench", recorded)
+        monkeypatch.setattr(check_perf_ab, "CLAIM_PAIRS", 4)
+        monkeypatch.setattr(check_perf_ab, "CLAIM_WIN_SHARE", 0.75)
+        base, head = checkouts
+        out = io.StringIO()
+        code = check_perf_ab.main(["--base", str(base), "--head", str(head),
+                                   "--claim", "l2q-sessions/pass_s", *extra],
+                                  out=out)
+        return code, out.getvalue(), commands
+
+    def test_claim_runs_one_workload_at_its_seed_and_passes(self, tmp_path,
+                                                            monkeypatch):
+        code, text, commands = self._claim(
+            self._checkouts(tmp_path, "2.0", "1.5"), monkeypatch, "--seed", "47")
+        assert code == 0
+        assert [side for side, _ in commands] == \
+            ["base", "head", "head", "base", "base", "head", "head", "base"]
+        for _, command in commands:
+            assert command[command.index("--workload") + 1] == "l2q-sessions"
+            assert command[command.index("--seed") + 1] == "47"
+        assert "head better in 4 of 4 pairs" in text
+        assert "base: median 2 [Q1 2, Q3 2]" in text
+        assert "head: median 1.5 [Q1 1.5, Q3 1.5]" in text
+        assert "(-25.0%)" in text
+        assert text.rstrip().splitlines()[-2] == "claim met: l2q-sessions/pass_s"
+
+    def test_a_claim_without_a_gain_exits_1(self, tmp_path, monkeypatch):
+        code, text, _ = self._claim(
+            self._checkouts(tmp_path, "2.0", "2.0"), monkeypatch, "--seed", "47")
+        assert code == 1
+        assert "0 of 4 pairs" in text and "4 tied" in text
+        assert "claim NOT met: l2q-sessions/pass_s" in text
+
+    def test_a_failed_head_run_fails_the_claim(self, tmp_path, monkeypatch):
+        code, text, _ = self._claim(
+            self._checkouts(tmp_path, "2.0", "fail"), monkeypatch, "--seed", "47")
+        assert code == 1
+        assert "4 of 8 runs incorrect: exit 3" in text
+        assert "claim NOT met: l2q-sessions/pass_s" in text
+
+    def test_unknown_workload_or_metric_exits_2(self, tmp_path):
+        base, head = self._checkouts(tmp_path, "2.0", "1.0")
+        for claim in ("campaign-sweep/pass_s", "l2q-sessions/nope", "l2q-sessions"):
+            out = io.StringIO()
+            assert check_perf_ab.main(["--base", str(base), "--head", str(head),
+                                       "--claim", claim, "--seed", "3"],
+                                      out=out) == 2
+            assert "expected WORKLOAD/METRIC" in out.getvalue()
+
+    def test_claim_and_seed_go_together(self, tmp_path):
+        for extra in (["--seed", "3"], ["--claim", "l2q-sessions/pass_s"]):
+            with pytest.raises(SystemExit):
+                check_perf_ab.main(["--base", str(tmp_path), "--head",
+                                    str(tmp_path), *extra])

@@ -10,8 +10,7 @@ from repro.core.config import L2QConfig
 from repro.core.utility import (
     GraphAssembler,
     GraphTables,
-    precision_page_regularization,
-    recall_page_regularization,
+    page_regularizations,
     template_regularization,
     template_scale,
 )
@@ -107,22 +106,48 @@ class TestGraphAssembly:
 
 class TestPageRegularization:
     def test_precision_regularization_is_binary(self):
-        regularization = precision_page_regularization(_pages(), OracleRelevance("RESEARCH"))
-        assert regularization.tolist() == [1.0, 1.0, 0.0]
+        precision, _, _ = page_regularizations(_pages(), OracleRelevance("RESEARCH"))
+        assert precision.tolist() == [1.0, 1.0, 0.0]
 
     def test_recall_regularization_sums_to_one(self):
-        regularization = recall_page_regularization(_pages(), OracleRelevance("RESEARCH"))
-        assert regularization.sum() == pytest.approx(1.0)
-        assert regularization[0] == pytest.approx(0.5)
-        assert regularization[2] == 0.0
+        _, recall, _ = page_regularizations(_pages(), OracleRelevance("RESEARCH"))
+        assert recall.sum() == pytest.approx(1.0)
+        assert recall[0] == pytest.approx(0.5)
+        assert recall[2] == 0.0
 
     def test_recall_regularization_all_relevant(self):
-        regularization = recall_page_regularization(_pages(), AllRelevant())
-        assert regularization.tolist() == [1 / 3] * 3
+        _, _, recall_all = page_regularizations(_pages(), OracleRelevance("HOBBY"))
+        assert recall_all.tolist() == [1 / 3] * 3
+        _, recall, _ = page_regularizations(_pages(), AllRelevant())
+        assert recall.tolist() == recall_all.tolist()
 
     def test_recall_regularization_no_relevant_pages(self):
-        regularization = recall_page_regularization(_pages(), OracleRelevance("HOBBY"))
-        assert regularization.tolist() == [0.0] * 3
+        _, recall, _ = page_regularizations(_pages(), OracleRelevance("HOBBY"))
+        assert recall.tolist() == [0.0] * 3
+
+    def test_no_pages(self):
+        for regularization in page_regularizations([], OracleRelevance("RESEARCH")):
+            assert regularization.dtype == np.float64 and regularization.shape == (0,)
+
+    def test_relevance_is_asked_once_per_page(self):
+        asked = []
+
+        class Counting(OracleRelevance):
+            def __call__(self, page):
+                asked.append(page.page_id)
+                return super().__call__(page)
+
+        page_regularizations(_pages(), Counting("RESEARCH"))
+        assert asked == ["p1", "p2", "p3"]
+
+    def test_shares_are_the_labels_over_their_python_sum(self):
+        # The same float operations as dividing by ``sum(labels.tolist())``.
+        pages = [make_page(f"p{i}", "e1", [(["w"], "RESEARCH" if i % 3 else None)])
+                 for i in range(7)]
+        precision, recall, recall_all = page_regularizations(
+            pages, OracleRelevance("RESEARCH"))
+        assert recall.tobytes() == (precision / sum(precision.tolist())).tobytes()
+        assert recall_all.tobytes() == (np.ones(7) / 7.0).tobytes()
 
 
 class TestTemplateRegularization:

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.graph import random_walk
 from repro.graph.random_walk import (
     MODE_PRECISION,
     MODE_RECALL,
+    RegularizationProblem,
     UtilitySolver,
     normalize_columns,
     normalize_rows,
+    sparse_product,
 )
+from repro.graph.reinforcement import ReinforcementGraph
 
 from tests.oracles import ReferenceGraphBuilder
 
@@ -203,3 +207,108 @@ class TestRegularizationLimit:
             template_regularization=ng.template_vector({("<institute>",): 5.0}))
         assert ng.query_value(boosted, ("stanford",)) > \
             ng.query_value(baseline, ("stanford",))
+
+
+def _binary(rng, shape, density):
+    matrix = sparse.random(*shape, density=density, random_state=rng, format="csr")
+    matrix.data[:] = 1.0
+    return matrix
+
+
+def _unsorted(rng, matrix):
+    """A copy with each row's indices (and values) in a shuffled order."""
+    matrix = matrix.copy()
+    for row in range(matrix.shape[0]):
+        start, end = matrix.indptr[row], matrix.indptr[row + 1]
+        order = start + rng.permutation(end - start)
+        matrix.indices[start:end] = matrix.indices[order]
+        matrix.data[start:end] = matrix.data[order]
+    matrix.has_sorted_indices = False
+    return matrix
+
+
+class TestSparseProduct:
+    """``sparse_product`` calls scipy's private sparsetools kernels directly;
+    it must equal ``@`` (and ``.T @``) bit for bit."""
+
+    @staticmethod
+    def _operators():
+        rng = np.random.default_rng(3)
+        plain = sparse.random(30, 20, density=0.2, random_state=rng, format="csr")
+        # csr_matmat leaves a product's indices unsorted, as in the solver's K.
+        product = (sparse.random(25, 40, density=0.15, random_state=rng, format="csr")
+                   @ sparse.random(40, 25, density=0.15, random_state=rng,
+                                   format="csc")).tocsr()
+        assert not product.has_sorted_indices
+        return {
+            "sorted": plain,
+            "shuffled": _unsorted(rng, plain),
+            "matmat": product,
+            "no non-zeros": sparse.csr_matrix((6, 4)),
+            "no rows": sparse.csr_matrix((0, 5)),
+            "no columns": sparse.csr_matrix((5, 0)),
+        }
+
+    @pytest.mark.parametrize("name", ["sorted", "shuffled", "matmat", "no non-zeros",
+                                      "no rows", "no columns"])
+    @pytest.mark.parametrize("columns", [1, 4])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_equals_matmul_bit_for_bit(self, name, columns, transpose):
+        matrix = self._operators()[name]
+        applied = matrix.T if transpose else matrix
+        rng = np.random.default_rng(columns)
+        x = rng.standard_normal((applied.shape[1], columns)) * 10.0 ** rng.integers(
+            -8, 8, size=(applied.shape[1], columns))
+        expected = applied @ x
+        actual = sparse_product(matrix, x, transpose=transpose)
+        assert actual.dtype == expected.dtype == np.float64
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_a_mismatched_block_raises(self, transpose):
+        matrix = self._operators()["sorted"]
+        rows = matrix.shape[0] if not transpose else matrix.shape[1]
+        with pytest.raises(ValueError, match="rows"):
+            sparse_product(matrix, np.ones((rows, 2)), transpose=transpose)
+
+    def test_a_non_contiguous_block_is_read_as_its_values(self):
+        matrix = self._operators()["matmat"]
+        x = np.random.default_rng(5).standard_normal((matrix.shape[1], 8))[:, ::2]
+        assert sparse_product(matrix, x).tobytes() == (matrix @ x).tobytes()
+
+    @staticmethod
+    def _graph(seed):
+        rng = np.random.default_rng(seed)
+        return ReinforcementGraph(_binary(rng, (12, 30), 0.15),
+                                  _binary(rng, (30, 6), 0.1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solves_equal_the_matmul_solves(self, seed, monkeypatch):
+        graph = self._graph(seed)
+        rng = np.random.default_rng(seed)
+        problems = [
+            RegularizationProblem(page_regularization=rng.random(12),
+                                  template_regularization=rng.random(6) * 5.0),
+            RegularizationProblem(query_regularization=rng.random(30)),
+            # No regularization: the iteration takes zero steps.
+            RegularizationProblem(),
+        ]
+
+        def solve_all():
+            solver = UtilitySolver(graph)
+            return [vector for mode in (MODE_PRECISION, MODE_RECALL)
+                    for count in (1, len(problems))
+                    for vector in solver.solve_many(mode, problems[:count])] + [
+                solver.solve(mode) for mode in (MODE_PRECISION, MODE_RECALL)]
+
+        raw = solve_all()
+        monkeypatch.setattr(random_walk, "sparse_product",
+                            lambda matrix, columns, transpose=False:
+                            (matrix.T if transpose else matrix) @ columns)
+        dispatched = solve_all()
+        assert [vector.iterations for vector in raw][-2:] == [0, 0]
+        for mine, theirs in zip(raw, dispatched):
+            assert (mine.iterations, mine.residual) == (theirs.iterations, theirs.residual)
+            for layer in ("page_values", "query_values", "template_values"):
+                assert getattr(mine, layer).tobytes() == getattr(theirs, layer).tobytes()

@@ -33,7 +33,12 @@ from repro.corpus.knowledge_base import build_type_system
 from repro.graph.random_walk import UtilitySolver
 
 from tests.helpers import entity_enumerator, harvest_signature, make_page
-from tests.oracles import assert_same_graph, reference_assemble
+from tests.oracles import (
+    assert_same_csr,
+    assert_same_graph,
+    reference_assemble,
+    reference_containment,
+)
 
 WORDS = [f"w{i}" for i in range(10)]
 #: Words no generated page contains.
@@ -135,6 +140,49 @@ class TestContainment:
         assert contained.toarray().tolist() == [
             [float(page.contains_all(query)) for query in queries] for page in pages]
         assert contained.toarray()[0, :3].tolist() == [1.0, 1.0, 0.0]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_equals_the_per_call_product(self, data):
+        # Any subsets of the table's pages and ids, in any order, empty ones
+        # included, and tables with and without an empty (vacuous) query.
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 30)))
+        pages = [_random_page(rng, f"p{index}") for index in range(rng.randint(0, 7))]
+        ngrams = _candidates(rng, rng.randint(0, 15)) + [(UNSEEN[0],)]
+        if data.draw(st.booleans()):
+            ngrams.append(())
+        tables = GraphTables(build_type_system({}), pages, ngrams=ngrams)
+        rows = data.draw(st.permutations(range(len(pages))).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda size: order[:size])))
+        ids = data.draw(st.permutations(range(tables.num_queries)).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda size: order[:size])))
+        rows, ids = np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64)
+        assert_same_csr(tables.containment(rows, ids), reference_containment(
+            [pages[row] for row in rows.tolist()], tables.queries_of(ids)))
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [2, 0, 1], [1], []])
+    def test_an_empty_query_is_in_every_page(self, ids):
+        pages = [make_page("p0", "e1", [(["alpha"], None)]),
+                 make_page("p1", "e1", [(["beta"], None)])]
+        tables = GraphTables(build_type_system({}), pages,
+                             ngrams=[("alpha",), (), ("gamma",)])
+        assert tables.queries == ((), ("alpha",), ("gamma",))
+        ids = np.array(ids, dtype=np.int64)
+        for rows in ([0, 1], [1, 0], []):
+            rows = np.array(rows, dtype=np.int64)
+            contained = tables.containment(rows, ids)
+            assert_same_csr(contained, reference_containment(
+                [pages[row] for row in rows.tolist()], tables.queries_of(ids)))
+        assert tables.containment(np.array([1, 0]), np.array([1, 0])).toarray().tolist() \
+            == [[0.0, 1.0], [1.0, 1.0]]
+
+    def test_a_repeated_id_raises(self):
+        tables = GraphTables(build_type_system({}),
+                             [make_page("p0", "e1", [(["alpha"], None)])],
+                             ngrams=[("alpha",), ("beta",)])
+        with pytest.raises(ValueError, match="repeated"):
+            tables.containment(np.array([0]), np.array([1, 0, 1]))
 
 
 class TestGrounding:
