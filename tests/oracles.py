@@ -17,6 +17,10 @@ product of word incidences per call: the CSR arrays and index dtypes of
 table derived once, must equal it for any pages and ids, in any order.
 :class:`ReferenceGraphBuilder` builds a graph from keyed, weighted edges,
 one vertex and one edge at a time, and reads solved utilities back by key.
+:func:`reference_operators` forms the solver's operators B, Mᵀ and K of a
+graph with scipy's public constructors, ``tocsc``, ``.T`` and ``@``; the
+CSR arrays :class:`~repro.graph.random_walk.UtilitySolver` applies must
+equal them array for array, in stored order.
 
 :func:`reference_hr_select` and :func:`reference_aq_select` score every
 candidate of the HR and AQ baselines with per-candidate × per-page loops
@@ -240,6 +244,38 @@ class ReferenceGraphBuilder:
     def template_value(self, vector: UtilityVector, key: Hashable) -> float:
         index = self.templates.get(key)
         return float(vector.template_values[index]) if index is not None else 0.0
+
+
+def reference_operators(graph: ReinforcementGraph, alpha: float
+                        ) -> Tuple[sparse.csr_matrix, sparse.csr_matrix,
+                                   sparse.csr_matrix]:
+    """B, Mᵀ and K = (1 - alpha)² B D M of the query-eliminated system
+    (:mod:`repro.graph.random_walk`), each a CSR matrix over the rows of
+    the stacked adjacency ``[W_PQ; W_QT^T]``: B normalises each page's and
+    template's row over its queries, Mᵀ each query's column over its pages
+    and, separately, over its templates, and D is the two-sided mean."""
+    contraction = (1.0 - float(alpha)) ** 2
+    pq = graph.page_query
+    tq = graph.query_template.tocsc()
+    shape = (graph.num_pages + graph.num_templates, graph.num_queries)
+    indptr = np.concatenate([pq.indptr, pq.indptr[-1] + tq.indptr[1:]])
+    indices = np.concatenate([pq.indices, tq.indices])
+    weights = np.concatenate([pq.data, tq.data]).astype(np.float64)
+    rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+    pt_degree = np.bincount(rows, weights, minlength=shape[0])
+    page_degree = np.bincount(pq.indices, pq.data, minlength=shape[1])
+    template_degree = np.bincount(tq.indices, tq.data, minlength=shape[1])
+    two_sided = np.where((page_degree > 0) & (template_degree > 0), 0.5, 1.0)
+
+    def stacked(data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+    pt_from_q = stacked(weights / pt_degree[rows])
+    q_from_pt_t = stacked(weights / np.concatenate(
+        [page_degree[pq.indices], template_degree[tq.indices]]))
+    operator = (stacked(pt_from_q.data * (contraction * two_sided)[indices])
+                @ q_from_pt_t.T).tocsr()
+    return pt_from_q, q_from_pt_t, operator
 
 
 def reference_containment(pages: Sequence[Page],

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.graph import random_walk
@@ -16,7 +18,7 @@ from repro.graph.random_walk import (
 )
 from repro.graph.reinforcement import ReinforcementGraph
 
-from tests.oracles import ReferenceGraphBuilder
+from tests.oracles import ReferenceGraphBuilder, reference_operators
 
 
 def build_snir_graph():
@@ -312,3 +314,98 @@ class TestSparseProduct:
             assert (mine.iterations, mine.residual) == (theirs.iterations, theirs.residual)
             for layer in ("page_values", "query_values", "template_values"):
                 assert getattr(mine, layer).tobytes() == getattr(theirs, layer).tobytes()
+
+
+def _stored(operator, transpose):
+    """An operator's shape, CSR arrays (dtype and bytes, in stored order)
+    and whether it is applied transposed."""
+    return (tuple(operator.shape), transpose) + tuple(
+        (array.dtype.str, array.tobytes())
+        for array in (operator.indptr, operator.indices, operator.data))
+
+
+def _applied_operators(graph, alpha):
+    """Per mode, the operators every product of a solve applies, through
+    the module's product function."""
+    applied = {}
+    product = random_walk.sparse_product
+
+    def recording(operator, columns, transpose=False):
+        applied[mode].add(_stored(operator, transpose))
+        return product(operator, columns, transpose=transpose)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(random_walk, "sparse_product", recording)
+        solver = UtilitySolver(graph, alpha=alpha)
+        for mode in (MODE_PRECISION, MODE_RECALL):
+            applied[mode] = set()
+            # Pages regularized: the iteration takes steps, so K is applied.
+            assert solver.solve(mode, page_regularization=np.ones(
+                graph.num_pages)).iterations > 0
+    return applied
+
+
+def _matrix(weights, rows, cols):
+    return sparse.csr_matrix(np.array(weights, dtype=np.float64).reshape(rows, cols))
+
+
+@st.composite
+def _graphs(draw):
+    """Weighted graphs of 1-6 pages, 0-8 queries and 0-4 templates, with
+    many absent edges, so that vertices without neighbours are common."""
+    sizes = draw(st.tuples(st.integers(1, 6), st.integers(0, 8), st.integers(0, 4)))
+    weight = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 3.0])
+    num_pages, num_queries, num_templates = sizes
+    pq = draw(st.lists(weight, min_size=num_pages * num_queries,
+                       max_size=num_pages * num_queries))
+    qt = draw(st.lists(weight, min_size=num_queries * num_templates,
+                       max_size=num_queries * num_templates))
+    return ReinforcementGraph(_matrix(pq, num_pages, num_queries),
+                              _matrix(qt, num_queries, num_templates))
+
+
+class TestOperatorsEqualTheReference:
+    """The solver's B, Mᵀ and K equal, array for array, their construction
+    with scipy's public constructors (``tests/oracles.py::
+    reference_operators``): precision applies K and B as themselves and Mᵀ
+    transposed, recall Kᵀ, Mᵀ and Bᵀ."""
+
+    @staticmethod
+    def _assert_same(graph, alpha=0.15):
+        pt_from_q, q_from_pt_t, operator = reference_operators(graph, alpha)
+        assert _applied_operators(graph, alpha) == {
+            MODE_PRECISION: {_stored(operator, False), _stored(pt_from_q, False),
+                             _stored(q_from_pt_t, True)},
+            MODE_RECALL: {_stored(operator, True), _stored(q_from_pt_t, False),
+                          _stored(pt_from_q, True)},
+        }
+
+    @pytest.mark.parametrize("pq,qt", [
+        # No template layer.
+        ([[1, 1, 0], [0, 1, 1]], np.zeros((3, 0))),
+        # A query with no page (reached through a template only).
+        ([[1, 0], [1, 0]], [[1], [1]]),
+        # A page and a template with no query.
+        ([[1, 1], [0, 0]], [[1, 0], [0, 0]]),
+        # No edge at all: K has no non-zero (csr_matmat_maxnnz is 0).
+        (np.zeros((2, 3)), np.zeros((3, 2))),
+        # A single page, and a single page without queries.
+        ([[1, 1, 1]], [[1, 0], [0, 1], [1, 1]]),
+        (np.zeros((1, 0)), np.zeros((0, 0))),
+    ], ids=["no-templates", "query-without-page", "page-and-template-without-query",
+            "zero-operator", "single-page", "single-page-alone"])
+    def test_edge_graphs(self, pq, qt):
+        self._assert_same(ReinforcementGraph(sparse.csr_matrix(np.array(pq, dtype=float)),
+                                             sparse.csr_matrix(np.array(qt, dtype=float))))
+
+    def test_the_operator_keeps_the_product_order_of_its_indices(self):
+        rng = np.random.default_rng(7)
+        graph = ReinforcementGraph(_binary(rng, (12, 30), 0.2), _binary(rng, (30, 6), 0.2))
+        _, _, operator = reference_operators(graph, 0.15)
+        assert not operator.has_sorted_indices
+        self._assert_same(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs(), st.sampled_from([0.15, 0.5, 0.9]))
+    def test_random_graphs(self, graph, alpha):
+        self._assert_same(graph, alpha)
