@@ -20,7 +20,8 @@ domain phase and HR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -33,6 +34,7 @@ from repro.core.utility import (
     GraphAssembler,
     GraphTables,
     page_regularizations,
+    template_scale,
 )
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
@@ -62,6 +64,14 @@ class DomainModel:
     #: domain entities, most entities first (ties lexicographic).
     frequent: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64),
                                  compare=False)
+
+    @cached_property
+    def template_scales(self) -> Tuple[float, float, float]:
+        """The :func:`~repro.core.utility.template_scale` divisors of the
+        precision, recall and recall-all template utilities, found once per
+        model: every session that reads the model shares them."""
+        return tuple(map(template_scale, (self.template_precision, self.template_recall,
+                                          self.template_recall_all)))
 
     @property
     def frequent_queries(self) -> List[Query]:
@@ -109,7 +119,7 @@ class DomainPhase:
         self.corpus = domain_corpus
         self.config = config if config is not None else L2QConfig()
         self.config.validate()
-        self._assembler = GraphAssembler(domain_corpus.type_system, self.config)
+        self._assembler = GraphAssembler(domain_corpus.type_system)
         self._queries: Optional[DomainQueries] = None
         self._graph: Optional[_DomainGraph] = None
 

@@ -23,13 +23,13 @@ rows of those tables throughout.  It also passes its
 :class:`~repro.core.candidates.CandidateStatistics`, the pool of n-grams on
 its pages, which the phase ranks by occurrences and never enumerates
 itself.  The normalising divisors of the domain model's template utilities
-are found once per model.
+are found once per model (:attr:`DomainModel.template_scales`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -37,14 +37,12 @@ from repro.aspects.relevance import RelevanceFunction
 from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
 from repro.core.domain_phase import DomainModel
-from repro.core.templates import Template
 from repro.core.utility import (
     AssembledGraph,
     GraphAssembler,
     GraphTables,
     page_regularizations,
     template_regularization,
-    template_scale,
 )
 from repro.corpus.document import Entity
 from repro.corpus.knowledge_base import TypeSystem
@@ -76,14 +74,7 @@ class EntityPhase:
         self.type_system = type_system
         self.config = config if config is not None else L2QConfig()
         self.config.validate()
-        self._assembler = GraphAssembler(type_system, self.config)
-        # (domain_model, scales): the normalising divisors of the model's
-        # precision, recall and recall-all template utilities.  Only the
-        # divisors are kept: a selector outlives its session, and normalised
-        # copies of the model's utilities, one set per selector, would add
-        # up in a batch that keeps all its jobs.
-        self._template_scales_cache: Optional[
-            Tuple[DomainModel, Tuple[float, float, float]]] = None
+        self._assembler = GraphAssembler(type_system)
 
     # -- Candidate enumeration --------------------------------------------------
     def enumerate_candidates(self, entity: Entity,
@@ -123,18 +114,6 @@ class EntityPhase:
         if exclude is not None and exclude.size:
             candidates = candidates[~np.isin(candidates, exclude)]
         return candidates
-
-    def _template_utilities(self, domain_model: DomainModel
-                            ) -> List[Tuple[Dict[Template, float], float]]:
-        """The model's precision, recall and recall-all template utilities,
-        each paired with its normalising divisor (found once per model)."""
-        utilities = (domain_model.template_precision, domain_model.template_recall,
-                     domain_model.template_recall_all)
-        cache = self._template_scales_cache
-        if cache is None or cache[0] is not domain_model:
-            cache = self._template_scales_cache = (
-                domain_model, tuple(map(template_scale, utilities)))
-        return list(zip(utilities, cache[1]))
 
     # -- Utility inference ----------------------------------------------------------
     def compute(self, entity: Entity, relevance: RelevanceFunction,
@@ -179,10 +158,12 @@ class EntityPhase:
 
         template_precision_reg = template_recall_reg = template_recall_all_reg = None
         if use_templates and domain_model is not None and not domain_model.is_empty():
+            utilities = (domain_model.template_precision, domain_model.template_recall,
+                         domain_model.template_recall_all)
             template_precision_reg, template_recall_reg, template_recall_all_reg = (
-                template_regularization(tables.template_values(utilities)[assembled.templates],
+                template_regularization(tables.template_values(values)[assembled.templates],
                                         self.config.adaptation_lambda, scale)
-                for utilities, scale in self._template_utilities(domain_model))
+                for values, scale in zip(utilities, domain_model.template_scales))
 
         # The precision problem and the four recall problems (w.r.t. Y, Y~,
         # Y* and Y~*) run in one joint loop: recall problems share every

@@ -96,24 +96,7 @@ class RandomSelection(QuerySelector):
 # ---------------------------------------------------------------------------
 
 class EntityPhaseSelection(QuerySelector):
-    """Base for selectors that run the entity phase on every selection.
-
-    One :class:`EntityPhase` instance is shared across a run's selections so
-    its per-domain-model cache survives from one harvesting iteration to
-    the next; the phase is rebuilt whenever the session's type system or
-    config differs from the one it was built for.
-    """
-
-    _phase: Optional[EntityPhase] = None
-
-    def _entity_phase(self, session: HarvestSession) -> EntityPhase:
-        phase = self._phase
-        if (phase is None
-                or phase.type_system is not session.corpus.type_system
-                or phase.config is not session.config):
-            phase = EntityPhase(session.corpus.type_system, session.config)
-            self._phase = phase
-        return phase
+    """Base for selectors that run the entity phase on every selection."""
 
     def _utilities(self, session: HarvestSession, use_domain: bool
                    ) -> Tuple[GraphTables, EntityUtilities]:
@@ -121,7 +104,7 @@ class EntityPhaseSelection(QuerySelector):
         candidates, with the session's domain model if ``use_domain``."""
         model = session.domain_model if use_domain else None
         tables = session.tables(model.domain_queries if model is not None else ())
-        utilities = self._entity_phase(session).compute(
+        utilities = EntityPhase(session.corpus.type_system, session.config).compute(
             entity=session.entity,
             relevance=session.relevance,
             domain_model=model,

@@ -35,7 +35,7 @@ from repro.core.queries import Query
 from repro.core.templates import Template, abstract_queries
 from repro.corpus.document import Page
 from repro.corpus.knowledge_base import TypeSystem
-from repro.graph.reinforcement import ReinforcementGraph
+from repro.graph.reinforcement import ReinforcementGraph, index_dtype
 from repro.graph.random_walk import UtilitySolver
 
 
@@ -85,6 +85,29 @@ def _gather(indptr: np.ndarray, values: np.ndarray,
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _positions(vertices: np.ndarray, size: int, what: str) -> np.ndarray:
+    """Each of the ``size`` vertices' position in ``vertices``, -1 where
+    absent; raises ``ValueError`` on a repeated vertex."""
+    positions = np.arange(vertices.size)
+    position_of = np.full(size, -1, dtype=np.int64)
+    position_of[vertices] = positions
+    if not np.array_equal(position_of[vertices], positions):
+        raise ValueError(f"repeated {what}")
+    return position_of
+
+
+def _binary_csr(columns: np.ndarray, indptr: np.ndarray,
+                shape: Tuple[int, int]) -> sparse.csr_matrix:
+    """The canonical binary CSR of rows ``columns[indptr[i]:indptr[i + 1]]``,
+    each row's columns distinct; they are sorted here.  The index arrays
+    arrive in the dtype scipy would choose, so it scans and copies none."""
+    index = index_dtype(*shape, columns.size)
+    matrix = sparse.csr_matrix((np.ones(columns.size), columns.astype(index),
+                                indptr.astype(index)), shape=shape)
+    matrix.sort_indices()
+    return matrix
 
 
 class GraphTables:
@@ -253,21 +276,15 @@ class GraphTables:
         columns, and each row's columns sorted: one canonical CSR.  An
         empty query is contained in every page.
 
-        Raises ``ValueError`` on a repeated id.
+        Raises ``ValueError`` on a repeated page row or id.
         """
+        _positions(pages, len(self.pages), "page rows")
+        column_of = _positions(query_ids, self.num_queries, "query ids")
         ids, lengths = _gather(self._page_id_ptr, self._page_ids, pages)
-        positions = np.arange(query_ids.size)
-        column_of = np.full(self.num_queries, -1, dtype=np.int64)
-        column_of[query_ids] = positions
-        if not np.array_equal(column_of[query_ids], positions):
-            raise ValueError("repeated query ids")
         columns = column_of[ids]
         kept = np.flatnonzero(columns >= 0)
-        contained = sparse.csr_matrix(
-            (np.ones(kept.size), columns[kept], np.searchsorted(kept, _indptr(lengths))),
-            shape=(pages.size, query_ids.size))
-        contained.sort_indices()
-        return contained
+        return _binary_csr(columns[kept], np.searchsorted(kept, _indptr(lengths)),
+                           (pages.size, query_ids.size))
 
     # -- Masks over the id space -------------------------------------------------
     def grounded(self, pages: np.ndarray) -> np.ndarray:
@@ -291,9 +308,8 @@ class GraphTables:
 class GraphAssembler:
     """Builds reinforcement graphs from pages, candidate queries and templates."""
 
-    def __init__(self, type_system: TypeSystem, config: Optional[L2QConfig] = None) -> None:
+    def __init__(self, type_system: TypeSystem) -> None:
         self.type_system = type_system
-        self.config = config if config is not None else L2QConfig()
 
     def assemble(self, tables: GraphTables, pages: np.ndarray, queries: np.ndarray,
                  use_templates: bool = True) -> AssembledGraph:
@@ -316,30 +332,27 @@ class GraphAssembler:
             Whether to add the template layer (Sect. IV).  Template vertices
             come in order of first appearance among the queries' templates.
 
-        Raises ``ValueError`` on a duplicate page or query, or on tables of
-        another type system.
+        Raises ``ValueError`` on tables of another type system, and
+        (through :meth:`GraphTables.containment`) on a duplicate page or query.
         """
         if tables.type_system is not self.type_system:
             raise ValueError("graph tables belong to another type system")
-        for vertices, what in ((pages, "page"), (queries, "query")):
-            if np.unique(vertices).size != vertices.size:
-                raise ValueError(f"duplicate {what} among the graph's vertices")
         page_query = tables.containment(pages, queries)
 
-        templates = qt_rows = qt_cols = np.zeros(0, dtype=np.int64)
+        templates = columns = np.zeros(0, dtype=np.int64)
+        lengths = np.zeros(queries.size, dtype=np.int64)
         if use_templates:
             template_ids, lengths = tables.query_templates(queries)
-            distinct, first, inverse = np.unique(
-                template_ids, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            templates = distinct[order]
-            qt_rows = np.repeat(np.arange(queries.size), lengths)
-            qt_cols = rank[inverse.reshape(-1)]
-        query_template = sparse.csr_matrix(
-            (np.ones(qt_rows.size), (qt_rows, qt_cols)),
-            shape=(queries.size, templates.size), dtype=np.float64)
+            # Template vertices in order of each one's first appearance.
+            first = np.full(len(tables.templates), template_ids.size)
+            np.minimum.at(first, template_ids, np.arange(template_ids.size))
+            templates = np.flatnonzero(first < template_ids.size)
+            templates = templates[np.argsort(first[templates])]
+            vertex = np.empty(len(tables.templates), dtype=np.int64)
+            vertex[templates] = np.arange(templates.size)
+            columns = vertex[template_ids]
+        query_template = _binary_csr(columns, _indptr(lengths),
+                                     (queries.size, templates.size))
         return AssembledGraph(graph=ReinforcementGraph(page_query, query_template),
                               pages=pages, queries=queries, templates=templates)
 

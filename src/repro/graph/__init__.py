@@ -5,8 +5,6 @@ from repro.graph.random_walk import (
     MODE_RECALL,
     UtilitySolver,
     UtilityVector,
-    normalize_columns,
-    normalize_rows,
 )
 from repro.graph.reinforcement import ReinforcementGraph
 
@@ -16,6 +14,4 @@ __all__ = [
     "ReinforcementGraph",
     "UtilitySolver",
     "UtilityVector",
-    "normalize_columns",
-    "normalize_rows",
 ]

@@ -44,14 +44,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-# The compiled kernels behind scipy's sparse ``@``; see :func:`sparse_product`.
+# The compiled kernels behind scipy's sparse formats; see UtilitySolver.
 from scipy.sparse import _sparsetools
 
-from repro.graph.reinforcement import ReinforcementGraph
+from repro.graph.reinforcement import ReinforcementGraph, index_dtype
 
 MODE_PRECISION = "precision"
 MODE_RECALL = "recall"
@@ -72,6 +71,20 @@ _ERROR_TARGET = 1e-12
 #: transpose, hence bounded in the column-sum norm.
 _STEP_NORMS = {MODE_PRECISION: np.maximum, MODE_RECALL: np.add}
 
+#: One and several columns' product kernels of a CSR matrix, applied as
+#: itself and as its transpose (whose CSC arrays are the matrix's CSR arrays).
+_PRODUCT_KERNELS = {False: (_sparsetools.csr_matvec, _sparsetools.csr_matvecs),
+                    True: (_sparsetools.csc_matvec, _sparsetools.csc_matvecs)}
+
+
+class CsrOperator(NamedTuple):
+    """A sparse matrix as the arrays of scipy's CSR format."""
+
+    shape: Tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
 
 @dataclass(frozen=True)
 class RegularizationProblem:
@@ -90,53 +103,36 @@ class RegularizationProblem:
     template_regularization: Optional[np.ndarray] = None
 
 
-def sparse_product(matrix: sparse.csr_matrix, columns: np.ndarray,
+def sparse_product(operator: CsrOperator, columns: np.ndarray,
                    transpose: bool = False) -> np.ndarray:
-    """``matrix @ columns``, or ``matrix.T @ columns`` with ``transpose``,
-    for a float64 ``(n, k)`` array ``columns``, bit for bit.
+    """``operator @ columns``, or ``operator.T @ columns`` with ``transpose``,
+    for a float64 ``(n, k)`` array ``columns``, bit for bit as scipy's ``@``
+    on a CSR matrix of ``operator``'s arrays (a scipy CSR matrix also works).
 
-    It calls the compiled kernel scipy's ``@`` dispatches to, with the same
+    It calls the compiled kernel ``@`` dispatches to, with the same
     arguments: ``csr_matvec`` for one column and ``csr_matvecs`` for
-    several, and their ``csc_*`` twins on the matrix's own CSR arrays for
-    the transpose (a CSR matrix's arrays are its transpose's CSC arrays).
-    On the solver's small operators most of an ``@`` is its dispatch,
-    checks and wrapping, not the product.  ``scipy.sparse._sparsetools`` is
-    private, so ``tests/test_graph_random_walk.py`` pins this function to
-    ``@``.
+    several, and their ``csc_*`` twins for the transpose.  On the solver's
+    small operators most of an ``@`` is its dispatch, checks and wrapping,
+    not the product.  ``scipy.sparse._sparsetools`` is private, so
+    ``tests/test_graph_random_walk.py`` pins this function to ``@``.
     """
-    rows, cols = matrix.shape
-    prefix = "csr"
+    rows, cols = operator.shape
     if transpose:
-        rows, cols, prefix = cols, rows, "csc"
+        rows, cols = cols, rows
     # The kernels index ``columns`` unchecked.
     if columns.shape[0] != cols:
         raise ValueError(f"a product of a {rows} x {cols} operator with "
                          f"{columns.shape[0]} rows")
     count = columns.shape[1]
     product = np.zeros((rows, count))
+    matvec, matvecs = _PRODUCT_KERNELS[transpose]
     if count == 1:
-        getattr(_sparsetools, prefix + "_matvec")(
-            rows, cols, matrix.indptr, matrix.indices, matrix.data,
-            columns.ravel(), product.ravel())
+        matvec(rows, cols, operator.indptr, operator.indices, operator.data,
+               columns.ravel(), product.ravel())
     else:
-        getattr(_sparsetools, prefix + "_matvecs")(
-            rows, cols, count, matrix.indptr, matrix.indices, matrix.data,
-            columns.ravel(), product.ravel())
+        matvecs(rows, cols, count, operator.indptr, operator.indices, operator.data,
+                columns.ravel(), product.ravel())
     return product
-
-
-def normalize_rows(matrix: sparse.spmatrix) -> sparse.csr_matrix:
-    """Return a row-stochastic copy of ``matrix`` (zero rows stay zero)."""
-    normalised = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
-    row_sums = np.asarray(normalised.sum(axis=1)).ravel()
-    scale = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
-    normalised.data *= np.repeat(scale, np.diff(normalised.indptr))
-    return normalised
-
-
-def normalize_columns(matrix: sparse.spmatrix) -> sparse.csr_matrix:
-    """Return a column-stochastic copy of ``matrix`` (zero columns stay zero)."""
-    return normalize_rows(matrix.T).T.tocsr()
 
 
 @dataclass
@@ -174,35 +170,63 @@ class UtilitySolver:
         self.contraction = (1.0 - self.alpha) ** 2
 
         # One stacked adjacency: rows are pages then templates, columns are
-        # queries, i.e. [W_PQ; W_QT^T] (a CSC's arrays are its transpose's
-        # CSR arrays).
-        pq = graph.page_query
-        tq = graph.query_template.tocsc()
-        shape = (graph.num_pages + graph.num_templates, graph.num_queries)
-        indptr = np.concatenate([pq.indptr, pq.indptr[-1] + tq.indptr[1:]])
-        indices = np.concatenate([pq.indices, tq.indices])
-        weights = np.concatenate([pq.data, tq.data]).astype(np.float64)
-        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
-        pt_degree = np.bincount(rows, weights, minlength=shape[0])
-        page_degree = np.bincount(pq.indices, pq.data, minlength=shape[1])
-        template_degree = np.bincount(tq.indices, tq.data, minlength=shape[1])
+        # queries, i.e. [W_PQ; W_QT^T].  Every array below is the one
+        # scipy's constructors, ``tocsc``, ``.T`` and ``@`` return: the
+        # kernels they call, with the same arguments and index dtypes.
+        pq, qt = graph.page_query, graph.query_template
+        num_pages, num_queries = pq.shape
+        size = num_pages + graph.num_templates
+        page_edges = int(pq.indptr[-1])
+        edges = page_edges + int(qt.indptr[-1])
+        index = index_dtype(size, num_queries, edges)
+        indptr, indices, weights = (np.empty(size + 1, dtype=index),
+                                    np.empty(edges, dtype=index), np.empty(edges))
+        indptr[:num_pages + 1] = pq.indptr
+        indices[:page_edges] = pq.indices
+        weights[:page_edges] = pq.data
+        # The template rows: W_QT's CSC arrays are W_QT^T's CSR arrays.
+        _sparsetools.csr_tocsc(num_queries, graph.num_templates,
+                               qt.indptr.astype(index, copy=False),
+                               qt.indices.astype(index, copy=False),
+                               qt.data.astype(np.float64, copy=False),
+                               indptr[num_pages:], indices[page_edges:], weights[page_edges:])
+        indptr[num_pages:] += page_edges
+        rows = np.repeat(np.arange(size), np.diff(indptr))
+        pt_degree = np.bincount(rows, weights, minlength=size)
+        page_degree = np.bincount(pq.indices, pq.data, minlength=num_queries)
+        template_degree = np.bincount(indices[page_edges:], weights[page_edges:],
+                                      minlength=num_queries)
         # Queries with neighbours on both sides average the two (the paper
         # takes "their average as the final utility of q", Sect. IV-A).
         two_sided = np.where((page_degree > 0) & (template_degree > 0), 0.5, 1.0)
         self._two_sided = two_sided[:, None]
 
-        def stacked(data: np.ndarray) -> sparse.csr_matrix:
-            return sparse.csr_matrix((data, indices, indptr), shape=shape)
-
+        shape = (size, num_queries)
         # B: rows normalised over each page's / template's queries.
-        pt_from_q = stacked(weights / pt_degree[rows])
+        pt_from_q = CsrOperator(shape, indptr, indices, weights / pt_degree[rows])
         # M^T: columns normalised over each query's pages and, separately,
         # over its templates.
-        q_from_pt_t = stacked(weights / np.concatenate(
-            [page_degree[pq.indices], template_degree[tq.indices]]))
-        # K = (1 - alpha)^2 B D M, with D scaling the columns of B.
-        operator = (stacked(pt_from_q.data * (self.contraction * two_sided)[indices])
-                    @ q_from_pt_t.T).tocsr()
+        q_from_pt_t = CsrOperator(shape, indptr, indices, weights / np.concatenate(
+            [page_degree[pq.indices], template_degree[indices[page_edges:]]]))
+        # K = (1 - alpha)^2 B D M, D scaling B's columns, M as CSR (M^T's CSC
+        # arrays).  csr_matmat leaves each row's columns unsorted and drops
+        # exact zeros, so K ends at its indptr[-1], as scipy's prune() does.
+        m_indptr, m_indices, m_data = (np.empty(num_queries + 1, dtype=index),
+                                       np.empty(edges, dtype=index), np.empty(edges))
+        _sparsetools.csr_tocsc(size, num_queries, indptr, indices, q_from_pt_t.data,
+                               m_indptr, m_indices, m_data)
+        maxnnz = _sparsetools.csr_matmat_maxnnz(size, size, indptr, indices,
+                                                m_indptr, m_indices)
+        index = index_dtype(size, num_queries, edges, maxnnz)
+        k_indptr, k_indices, k_data = (np.empty(size + 1, dtype=index),
+                                       np.empty(maxnnz, dtype=index), np.empty(maxnnz))
+        left_indptr, left_indices, m_indptr, m_indices = (
+            array.astype(index, copy=False) for array in (indptr, indices, m_indptr, m_indices))
+        _sparsetools.csr_matmat(size, size, left_indptr, left_indices,
+                                pt_from_q.data * (self.contraction * two_sided)[indices],
+                                m_indptr, m_indices, m_data, k_indptr, k_indices, k_data)
+        nnz = k_indptr[-1]
+        operator = CsrOperator((size, size), k_indptr, k_indices[:nnz], k_data[:nnz])
         # Per mode, the products with K, F and G, where K = (1 - alpha)^2 F D G:
         # the right-hand side and residual take F, the query
         # back-substitution D G.  Each applies one of the three CSR

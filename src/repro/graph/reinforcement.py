@@ -18,7 +18,13 @@ and template ids of its graph in vertex order.
 
 from __future__ import annotations
 
+import numpy as np
 from scipy import sparse
+
+
+def index_dtype(*sizes: int) -> type:
+    """The index dtype scipy gives CSR arrays: int32 unless a size needs int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 class ReinforcementGraph:

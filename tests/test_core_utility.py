@@ -27,12 +27,12 @@ def _pages():
     ]
 
 
-def _assemble(queries, use_templates=True, pages=None, config=None, system=SYSTEM):
+def _assemble(queries, use_templates=True, pages=None, system=SYSTEM):
     """Assemble ``queries`` over every page of ``_pages()`` (or ``pages``,
     given as rows), returning the graph and its tables."""
     tables = GraphTables(system, _pages(), ngrams=queries)
     rows = np.arange(3) if pages is None else np.asarray(pages)
-    assembled = GraphAssembler(system, config or L2QConfig()).assemble(
+    assembled = GraphAssembler(system).assemble(
         tables, rows, tables.ids(queries), use_templates=use_templates)
     return assembled, tables
 
@@ -99,7 +99,7 @@ class TestGraphAssembly:
 
     def test_solver_uses_config_alpha(self):
         config = L2QConfig(alpha=0.3)
-        assembled, _ = _assemble([("hpc",)], use_templates=False, config=config,
+        assembled, _ = _assemble([("hpc",)], use_templates=False,
                                  system=build_type_system({}))
         assert assembled.solver(config).alpha == 0.3
 

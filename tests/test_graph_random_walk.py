@@ -12,8 +12,6 @@ from repro.graph.random_walk import (
     MODE_RECALL,
     RegularizationProblem,
     UtilitySolver,
-    normalize_columns,
-    normalize_rows,
     sparse_product,
 )
 from repro.graph.reinforcement import ReinforcementGraph
@@ -53,23 +51,6 @@ def build_ng_graph():
     builder.connect_query_template(("baidu",), ("<institute>",))
     builder.connect_query_template(("stanford",), ("<institute>",))
     return builder
-
-
-class TestNormalisation:
-    def test_normalize_rows_stochastic(self):
-        matrix = sparse.csr_matrix(np.array([[1.0, 3.0], [0.0, 0.0], [2.0, 2.0]]))
-        normalised = normalize_rows(matrix)
-        sums = np.asarray(normalised.sum(axis=1)).ravel()
-        assert sums[0] == pytest.approx(1.0)
-        assert sums[1] == pytest.approx(0.0)
-        assert sums[2] == pytest.approx(1.0)
-
-    def test_normalize_columns_stochastic(self):
-        matrix = sparse.csr_matrix(np.array([[1.0, 0.0], [3.0, 0.0]]))
-        normalised = normalize_columns(matrix)
-        sums = np.asarray(normalised.sum(axis=0)).ravel()
-        assert sums[0] == pytest.approx(1.0)
-        assert sums[1] == pytest.approx(0.0)
 
 
 class TestSolverBasics:
@@ -298,18 +279,30 @@ class TestSparseProduct:
         ]
 
         def solve_all():
+            """Every vector of six solves, and each solve's steps."""
             solver = UtilitySolver(graph)
-            return [vector for mode in (MODE_PRECISION, MODE_RECALL)
-                    for count in (1, len(problems))
-                    for vector in solver.solve_many(mode, problems[:count])] + [
-                solver.solve(mode) for mode in (MODE_PRECISION, MODE_RECALL)]
+            solves = [solver.solve_many(mode, problems[:count])
+                      for mode in (MODE_PRECISION, MODE_RECALL)
+                      for count in (1, len(problems))] + [
+                [solver.solve(mode)] for mode in (MODE_PRECISION, MODE_RECALL)]
+            return ([vector for vectors in solves for vector in vectors],
+                    [vectors[0].iterations for vectors in solves])
 
-        raw = solve_all()
-        monkeypatch.setattr(random_walk, "sparse_product",
-                            lambda matrix, columns, transpose=False:
-                            (matrix.T if transpose else matrix) @ columns)
-        dispatched = solve_all()
-        assert [vector.iterations for vector in raw][-2:] == [0, 0]
+        raw, _ = solve_all()
+        products = []
+
+        def matmul(operator, columns, transpose=False):
+            products.append(transpose)
+            matrix = sparse.csr_matrix((operator.data, operator.indices, operator.indptr),
+                                       shape=operator.shape)
+            return (matrix.T if transpose else matrix) @ columns
+
+        monkeypatch.setattr(random_walk, "sparse_product", matmul)
+        dispatched, steps = solve_all()
+        assert steps[-2:] == [0, 0]
+        # Every product goes through the substitute: the right-hand side,
+        # each step, the query back-substitution and the residual.
+        assert len(products) == sum(count + 3 for count in steps)
         for mine, theirs in zip(raw, dispatched):
             assert (mine.iterations, mine.residual) == (theirs.iterations, theirs.residual)
             for layer in ("page_values", "query_values", "template_values"):

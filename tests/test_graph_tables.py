@@ -8,6 +8,7 @@ changes once built, so a harvester builds one per entity and every session
 of the entity shares it.
 """
 
+import dataclasses
 import gc
 import random
 import sys
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aspects.relevance import OracleRelevance
-from repro.core import entity_phase as entity_phase_module
+from repro.core import domain_phase as domain_phase_module
 from repro.core import session as session_module
 from repro.core.candidates import CandidateStatistics
 from repro.core.config import L2QConfig
@@ -73,7 +74,7 @@ class TestAssemblyEqualsReference:
     def test_random_graphs_over_one_table(self, seed):
         rng = random.Random(seed)
         type_system = build_type_system({"t0": ["w0", "w1"], "t1": ["w1", "w2", "w3"]})
-        assembler = GraphAssembler(type_system, L2QConfig())
+        assembler = GraphAssembler(type_system)
         pages = [_random_page(rng, f"p{index}") for index in range(rng.randint(1, 8))]
         ngrams = _candidates(rng, rng.randint(0, 15)) + [(), (UNSEEN[0],)]
         domain = _candidates(rng, rng.randint(0, 10))
@@ -184,6 +185,14 @@ class TestContainment:
         with pytest.raises(ValueError, match="repeated"):
             tables.containment(np.array([0]), np.array([1, 0, 1]))
 
+    def test_a_repeated_page_row_raises(self):
+        tables = GraphTables(build_type_system({}),
+                             [make_page(f"p{row}", "e1", [(["alpha"], None)])
+                              for row in range(2)],
+                             ngrams=[("alpha",)])
+        with pytest.raises(ValueError, match="repeated page rows"):
+            tables.containment(np.array([1, 0, 1]), np.array([0]))
+
 
 class TestGrounding:
     @pytest.fixture(scope="class")
@@ -232,8 +241,10 @@ class TestGrounding:
 
     def test_domain_template_scales_found_once_per_model(self, setup, monkeypatch):
         corpus, config, model, entity, pages, ngrams, tables = setup
+        # A copy of the shared model, whose divisors are not found yet.
+        model = dataclasses.replace(model)
         scaled = []
-        monkeypatch.setattr(entity_phase_module, "template_scale",
+        monkeypatch.setattr(domain_phase_module, "template_scale",
                             lambda values: scaled.append(id(values))
                             or template_scale(values))
         solved = []
@@ -241,11 +252,11 @@ class TestGrounding:
         monkeypatch.setattr(UtilitySolver, "solve_joint",
                             lambda self, precision, recall: solved.append(
                                 (precision, recall)) or solve_joint(self, precision, recall))
-        phase = EntityPhase(corpus.type_system, config)
         relevance = OracleRelevance("RESEARCH")
-        results = [phase.compute(entity, relevance, domain_model=model,
-                                 statistics=self._pool(ngrams, pages[:count]),
-                                 tables=tables)
+        # Two phases, as two selections build them: one computation per model.
+        results = [EntityPhase(corpus.type_system, config).compute(
+                       entity, relevance, domain_model=model,
+                       statistics=self._pool(ngrams, pages[:count]), tables=tables)
                    for count in (3, 4)]
         assert sorted(scaled) == sorted(map(id, (
             model.template_precision, model.template_recall,
