@@ -156,3 +156,22 @@ class TestCompilation:
     def test_stable_key_is_order_insensitive(self):
         assert stable_key({"a": 1, "b": 2}) == stable_key({"b": 2, "a": 1})
         assert stable_key({"a": 1}) != stable_key({"a": 2})
+
+
+class TestPinnedKeys:
+    """Journaled campaign directories resume only while their cells keep
+    their keys, so the keys of a smoke campaign are pinned literally."""
+
+    def test_smoke_campaign_cell_keys_do_not_move(self):
+        from repro.core.config import L2QConfig
+
+        plain = spec_from_preset("pins", "smoke", ("researcher", "car"),
+                                 ("zipf-skew",), ("L2QBAL", "MQ"), (7,))
+        tuned = spec_from_preset("pins", "smoke", ("car",),
+                                 ("near-duplicates",), ("L2QBAL",), (7,),
+                                 config=L2QConfig(dedup_penalty=0.5))
+        plain_keys = {c.label(): c.key for c in compile_cells(plain)}
+        tuned_keys = {c.label(): c.key for c in compile_cells(tuned)}
+        assert plain_keys["seed=7 researcher/clean"] == "12a7774b433f2639"
+        assert plain_keys["seed=7 car/zipf-skew"] == "398fe13ec03412c2"
+        assert tuned_keys["seed=7 car/near-duplicates"] == "df170fc8bfaa8243"
