@@ -34,16 +34,18 @@ Five subcommands cover the common workflows:
 ``harvest`` and ``experiment`` both accept ``--ranker`` to pick the
 retrieval model backing the offline search engine (any name in the ranker
 registry, ``dirichlet`` by default), plus ``--backend {serial,process}``
-and ``--workers`` to pick the execution engine for the harvesting loops
-(serial for 1 worker, process for more; results are identical for any
-backend and worker count, because seeds are derived per run, not per
-schedule).  ``--backend``/``--workers`` are ignored — with a note — where
-they cannot help: single ``harvest`` runs, ``fig09`` (no harvesting) and
-``fig14`` (wall-clock selection timings must be measured serially).
+and ``--workers`` to pick the execution engine that dispatches a figure's
+cells: one task per domain (for ``fig11``, per domain and domain
+fraction), each cell's harvests running serially (serial for 1 worker,
+process for more; results are identical for any backend and worker count,
+because seeds are derived per run, not per schedule).
+``--backend``/``--workers`` are ignored — with a note — where they cannot
+help: single ``harvest`` runs, ``fig09`` (no harvesting) and ``fig14``
+(wall-clock selection timings must be measured serially).
 
-``scenarios run`` takes the same ``--backend``/``--workers``, but they
-dispatch the sweep's (domain, scenario) cells, one task per cell, and a
-cell's harvests run serially.  It additionally accepts ``--paper-scale``
+``scenarios run`` and ``campaign run`` take the same
+``--backend``/``--workers`` for their cells, one task per (domain,
+scenario) cell.  ``scenarios run`` additionally accepts ``--paper-scale``
 (the paper's 996 researchers / 143 cars sweep, defaulting to the process
 backend over all CPUs) and ``--param name=v1,v2,...`` severity grids that
 expand each requested scenario into one cell per parameter value; when the
@@ -127,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "0 runs the seed query only)")
     harvest.add_argument("--entity", default=None,
                          help="entity id to harvest (defaults to the first test entity)")
-    _add_engine_arguments(harvest)
+    _add_engine_arguments(harvest, dispatched="cells (ignored: harvest "
+                                             "runs one loop)")
 
     experiment = subparsers.add_parser("experiment", help="regenerate a paper figure")
     experiment.add_argument("--figure", choices=sorted(_FIGURES), required=True)
@@ -257,7 +260,9 @@ def _dedup_penalty(value: str) -> float:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser,
-                          dispatched: str = "the harvesting loops") -> None:
+                          dispatched: str = "the figure cells, one per "
+                                            "domain or, for fig11, per "
+                                            "domain and fraction") -> None:
     parser.add_argument("--ranker", default=None, choices=ranker_names(),
                         help="retrieval model of the offline search engine "
                              "(default: the configured 'dirichlet')")

@@ -12,6 +12,12 @@ Every ``run_figNN`` function regenerates the corresponding experiment:
 Experiments accept an :class:`ExperimentScale`, so the same code runs at a
 laptop-friendly smoke scale, the default benchmark scale, or the paper's
 full scale (996 researchers / 143 cars, 10 repeated splits).
+
+Figs. 10–13 compile into cells (:func:`~repro.eval.scenario_sweep
+.figure_cell_specs`): one per domain, and for Fig. 11 one per domain and
+domain fraction.  ``workers`` / ``backend`` dispatch the cells, on any
+backend with the same results, and each figure folds its cells' rows
+(:func:`~repro.eval.runner.fold_rows`) into its tables.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from repro.core.config import L2QConfig
 from repro.corpus.corpus import Corpus
 from repro.corpus.synthetic import build_corpus
 from repro.eval.metrics import MetricSeries, relative_improvement
-from repro.eval.runner import EfficiencyReport, ExperimentRunner
+from repro.eval.runner import EfficiencyReport, ExperimentRunner, fold_rows
 from repro.exec.backends import ExecutionBackend
 from repro.exec.specs import CorpusSpec
 
@@ -191,34 +197,39 @@ def run_fig10(scale: ExperimentScale = DEFAULT_SCALE,
               backend: BackendArg = None,
               corpus_store: str = "auto") -> Fig10Result:
     """Compare {RND, P, P+q, P+t, L2QP} on precision and the recall ladder on recall."""
-    precision_results: Dict[str, Dict[str, float]] = {}
-    recall_results: Dict[str, Dict[str, float]] = {}
-    for domain in domains:
-        corpus = scale.corpus_for(domain)
-        runner = ExperimentRunner(corpus, config=config, workers=workers,
-                                  backend=backend,
-                                  corpus_spec=scale.corpus_spec_for(domain),
-                                  corpus_store=corpus_store)
-        aspects = scale.aspects_for(corpus)
-        methods = sorted(set(FIG10_PRECISION_METHODS) | set(FIG10_RECALL_METHODS))
-        try:
-            series = runner.evaluate_methods(
-                methods, num_queries_list=(num_queries,),
-                num_splits=scale.num_splits,
-                max_test_entities=scale.max_test_entities,
-                aspects=aspects,
-            )
-        finally:
-            runner.release_store()
-        precision_results[domain] = {
-            m: series[m].precision[num_queries] for m in FIG10_PRECISION_METHODS
-        }
-        recall_results[domain] = {
-            m: series[m].recall[num_queries] for m in FIG10_RECALL_METHODS
-        }
-    return Fig10Result(precision_by_domain=precision_results,
-                       recall_by_domain=recall_results,
-                       num_queries=num_queries)
+    methods = sorted(set(FIG10_PRECISION_METHODS) | set(FIG10_RECALL_METHODS))
+    series = _figure_series(scale, domains, methods, (num_queries,), config,
+                            workers=workers, backend=backend,
+                            corpus_store=corpus_store)
+    return Fig10Result(
+        precision_by_domain={
+            domain: {m: series[domain, 1.0][m].precision[num_queries]
+                     for m in FIG10_PRECISION_METHODS}
+            for domain in domains},
+        recall_by_domain={
+            domain: {m: series[domain, 1.0][m].recall[num_queries]
+                     for m in FIG10_RECALL_METHODS}
+            for domain in domains},
+        num_queries=num_queries)
+
+
+def _figure_series(scale: ExperimentScale, domains: Sequence[str],
+                   methods: Sequence[str], budgets: Sequence[int],
+                   config: Optional[L2QConfig], *, workers: int,
+                   backend: BackendArg, corpus_store: str,
+                   fractions: Sequence[float] = (1.0,)
+                   ) -> Dict[Tuple[str, float], Dict[str, MetricSeries]]:
+    """Run a figure's cells; each (domain, fraction)'s normalised series."""
+    # Imported here: the cell pipeline imports this module's scales.
+    from repro.eval.scenario_sweep import figure_cell_specs, run_cells
+
+    specs = figure_cell_specs(scale, domains, methods, budgets, config,
+                              fractions)
+    results = run_cells(specs, workers=workers, backend=backend,
+                        corpus_store=corpus_store)
+    return {(spec.domain, spec.domain_fraction):
+            fold_rows(result.rows, methods, budgets).normalized
+            for spec, result in zip(specs, results)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,33 +254,19 @@ def run_fig11(scale: ExperimentScale = DEFAULT_SCALE,
               backend: BackendArg = None,
               corpus_store: str = "auto") -> Fig11Result:
     """Sweep the fraction of domain entities available to the domain phase."""
-    precision_results: Dict[str, Dict[float, float]] = {}
-    recall_results: Dict[str, Dict[float, float]] = {}
-    for domain in domains:
-        corpus = scale.corpus_for(domain)
-        runner = ExperimentRunner(corpus, config=config, workers=workers,
-                                  backend=backend,
-                                  corpus_spec=scale.corpus_spec_for(domain),
-                                  corpus_store=corpus_store)
-        aspects = scale.aspects_for(corpus)
-        precision_results[domain] = {}
-        recall_results[domain] = {}
-        try:
-            for fraction in fractions:
-                series = runner.evaluate_methods(
-                    ("L2QP", "L2QR"), num_queries_list=(num_queries,),
-                    num_splits=scale.num_splits,
-                    domain_fraction=fraction,
-                    max_test_entities=scale.max_test_entities,
-                    aspects=aspects,
-                )
-                precision_results[domain][fraction] = series["L2QP"].precision[num_queries]
-                recall_results[domain][fraction] = series["L2QR"].recall[num_queries]
-        finally:
-            runner.release_store()
-    return Fig11Result(precision_by_domain=precision_results,
-                       recall_by_domain=recall_results,
-                       fractions=tuple(fractions))
+    series = _figure_series(scale, domains, ("L2QP", "L2QR"), (num_queries,),
+                            config, workers=workers, backend=backend,
+                            corpus_store=corpus_store, fractions=fractions)
+    return Fig11Result(
+        precision_by_domain={
+            domain: {f: series[domain, f]["L2QP"].precision[num_queries]
+                     for f in fractions}
+            for domain in domains},
+        recall_by_domain={
+            domain: {f: series[domain, f]["L2QR"].recall[num_queries]
+                     for f in fractions}
+            for domain in domains},
+        fractions=tuple(fractions))
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +321,12 @@ def _run_comparison(methods: Sequence[str], scale: ExperimentScale,
                     workers: int = 1,
                     backend: BackendArg = None,
                     corpus_store: str = "auto") -> ComparisonResult:
-    series_by_domain: Dict[str, Dict[str, MetricSeries]] = {}
-    for domain in domains:
-        corpus = scale.corpus_for(domain)
-        runner = ExperimentRunner(corpus, config=config, workers=workers,
-                                  backend=backend,
-                                  corpus_spec=scale.corpus_spec_for(domain),
-                                  corpus_store=corpus_store)
-        aspects = scale.aspects_for(corpus)
-        try:
-            series_by_domain[domain] = runner.evaluate_methods(
-                methods, num_queries_list=scale.num_queries_list,
-                num_splits=scale.num_splits,
-                max_test_entities=scale.max_test_entities,
-                aspects=aspects,
-            )
-        finally:
-            runner.release_store()
-    return ComparisonResult(series_by_domain=series_by_domain,
-                            num_queries_list=tuple(scale.num_queries_list))
+    series = _figure_series(scale, domains, methods, scale.num_queries_list,
+                            config, workers=workers, backend=backend,
+                            corpus_store=corpus_store)
+    return ComparisonResult(
+        series_by_domain={domain: series[domain, 1.0] for domain in domains},
+        num_queries_list=tuple(scale.num_queries_list))
 
 
 def run_fig12(scale: ExperimentScale = DEFAULT_SCALE,

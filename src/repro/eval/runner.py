@@ -9,15 +9,16 @@
 3. run the one-off domain phase per aspect on the domain entities' pages;
 4. for every test entity and aspect, run the harvesting loop with each
    method and with the infeasible *ideal* upper bound;
-5. report precision / recall / F-score normalised against the ideal,
-   averaged over entities, aspects and repeated splits.
+5. score each session at each query budget as one row
+   (:meth:`ExperimentRunner.evaluate_rows`), and fold the rows into
+   precision / recall / F-score normalised against the ideal, averaged
+   over entities, aspects and repeated splits (:func:`fold_rows`).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.aspects.classifier import AspectClassifierSuite
@@ -38,28 +39,11 @@ from repro.core.selection import QuerySelector, make_selector, selector_names
 from repro.corpus.corpus import Corpus
 from repro.dedup.signatures import PageSignatureCache
 from repro.dedup.waste import DuplicateWasteScorer
-from repro.eval.metrics import HarvestMetrics, MetricSeries, compute_metrics
+from repro.eval.metrics import MetricSeries, compute_metrics
 from repro.eval.splits import EntitySplit, split_entities, subsample_entities
-from repro.exec.backends import ExecutionBackend, resolve_backend
-from repro.exec.specs import (
-    CorpusSpec,
-    HarvestBatchOutcome,
-    HarvestBatchSpec,
-    HarvestJobSpec,
-    HarvestTaskContext,
-    _ProcessLocalCache,
-    reserve_base_slots,
-)
+from repro.exec.specs import HarvestJobSpec, SessionRow
 from repro.search.engine import FetchStatistics, SearchEngine, merge_run_accounting
-from repro.store import (
-    MODE_OFF,
-    CorpusStoreWriter,
-    StoreError,
-    StoreHandle,
-    release,
-)
-from repro.store import resolve_mode as resolve_store_mode
-from repro.corpus.synthetic import CorpusConfig
+from repro.store import StoreError
 from repro.utils.rng import derive_seed
 
 #: Methods that consume the domain phase output.
@@ -81,9 +65,6 @@ class PreparedSplit:
     engine: SearchEngine
     config: L2QConfig
     domain_fraction: float = 1.0
-    #: True when the classifier suite was attached from a published store
-    #: instead of trained (the zero-retrain guarantee probed by outcomes).
-    classifier_attached: bool = False
     _domain_models: Dict[str, DomainModel] = field(default_factory=dict)
     _domain_phase: Optional[DomainPhase] = None
     _hr_domain: Optional[HarvestRateDomain] = None
@@ -167,9 +148,9 @@ class EvaluationSeries:
     ``duplicate_waste`` maps method → budget → mean fraction of fetched
     pages that were exact or near-duplicate re-fetches (see
     :class:`~repro.dedup.waste.DuplicateWasteScorer`); lower is better.
-    ``fetch_statistics`` is the batch-level fetch accounting merged from
-    every harvest run's own records — identical across execution backends
-    by construction (it reads result payloads, never live engines).
+    ``fetch_statistics`` is the fetch accounting merged from every
+    harvest run's own records — identical in any process by construction
+    (it reads result payloads, never live engines).
     """
 
     normalized: Dict[str, MetricSeries]
@@ -179,60 +160,30 @@ class EvaluationSeries:
 
 
 class ExperimentRunner:
-    """Runs the paper's evaluation protocol over one corpus.
+    """Runs the paper's evaluation protocol over one corpus, in this process.
 
-    ``backend`` picks the execution engine for the harvesting runs (a
-    registered name, an :class:`ExecutionBackend` instance, or ``None``
-    for the ``workers`` default: 1 = serial, N = process pool).  Per-run
-    seeds are derived from ``(base_seed, split, method, entity, aspect)``
-    and never from execution order, so every backend and worker count
-    yields identical results.
-
-    Distributed (process) backends shard **split-first**, and need
-    ``corpus_spec`` to say how workers rebuild the corpus: every split's
-    job specs travel as one :class:`~repro.exec.specs.HarvestBatchSpec`,
-    so each worker prepares and trains classifiers for exactly one split
-    per batch (see :func:`plan_harvest_batches` for the ``workers >
-    num_splits`` page-batch fallback).  A distributed backend without a
-    ``corpus_spec`` is rejected at construction.
+    Per-run seeds are derived from ``(base_seed, split, method, entity,
+    aspect)`` and never from execution order, so a run reproduces in any
+    process.  Fan-out happens one level up: figures, sweeps and campaigns
+    dispatch cells (:func:`~repro.eval.scenario_sweep.execute_sweep_cell`),
+    and each cell runs one runner serially.
     """
 
     def __init__(self, corpus: Corpus, config: Optional[L2QConfig] = None,
-                 base_seed: int = 99, workers: int = 1,
-                 backend: Union[None, str, ExecutionBackend] = None,
-                 corpus_spec: Optional[CorpusSpec] = None,
-                 corpus_store: str = "auto") -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+                 base_seed: int = 99, corpus_store: str = "auto") -> None:
+        # ``corpus_store`` is accepted and unread: the runner publishes no
+        # store (a cell's corpus attaches one through its CorpusSpec).  It
+        # stays only because perfbench's l2q-sessions workload passes
+        # ``corpus_store="off"``, and it goes when the store is retired.
+        del corpus_store
         self.corpus = corpus
         self.config = config if config is not None else L2QConfig()
         self.config.validate()
         self.base_seed = base_seed
-        self.workers = workers
-        self.backend = resolve_backend(backend, workers=workers)
-        if self.backend.distributed and corpus_spec is None:
-            raise ValueError(
-                f"the {self.backend.name} backend ships corpus specs to its "
-                f"workers; pass corpus_spec= describing this corpus")
-        self.corpus_spec = corpus_spec
-        #: Shared corpus store policy for distributed dispatches:
-        #: ``auto`` (probe shm, else mmap), ``off``, ``shm`` or ``mmap``.
-        self.corpus_store = corpus_store
-        if corpus_store != MODE_OFF:
-            resolve_store_mode(corpus_store)  # validate eagerly
-        self._store_handle: Optional[StoreHandle] = None
-        self._store_failed = False
-        self._corpus_digest: Optional[str] = None
         #: Every page's MinHash signature, shared by the harvesters this
         #: runner builds (novelty, with the dedup penalty on) and by its
         #: waste scorers, so that each page is signed once per runner.
         self.page_signatures = PageSignatureCache(self.config)
-        #: Probes of the last distributed dispatch (split-first sharding):
-        #: one :class:`~repro.exec.specs.HarvestBatchOutcome` per executed
-        #: batch, carrying worker pid, split index and how many prepared
-        #: runtimes the batch built.  Instrumentation for tests and perf
-        #: accounting; empty until a distributed evaluation ran.
-        self.last_batch_outcomes: List[HarvestBatchOutcome] = []
 
     # -- Preparation ------------------------------------------------------------
     def prepare(self, split: EntitySplit, domain_fraction: float = 1.0) -> PreparedSplit:
@@ -245,7 +196,7 @@ class ExperimentRunner:
         """
         with perf.phase("split-prepare", split_seed=split.seed,
                         domain_fraction=domain_fraction):
-            suite, classifier_attached = self._classifier_suite(split)
+            suite = self._classifier_suite(split)
 
             if domain_fraction >= 1.0:
                 domain_entity_ids: Sequence[str] = split.domain_entities
@@ -271,43 +222,36 @@ class ExperimentRunner:
                 engine=engine,
                 config=self.config,
                 domain_fraction=domain_fraction,
-                classifier_attached=classifier_attached,
             )
 
     def _classifier_key(self, split: EntitySplit) -> str:
-        """Store key of this split's trained suite (shared orchestrator/worker)."""
+        """Store key of this split's trained suite (shared publisher/worker)."""
         return str(derive_seed(self.base_seed, "classifier", split.seed))
 
-    def _classifier_suite(self, split: EntitySplit
-                          ) -> Tuple[AspectClassifierSuite, bool]:
+    def _classifier_suite(self, split: EntitySplit) -> AspectClassifierSuite:
         """Attach the split's trained suite from the store, else train it.
 
         A store-backed corpus may carry suites published at dispatch
-        (:meth:`_ensure_store`); attaching one is zero-copy and skips both
-        the training pass *and* realising the classifier corpus subset.
+        (:func:`~repro.eval.scenario_sweep.publish_domain_store`); attaching
+        one is zero-copy and skips both the training pass *and* realising
+        the classifier corpus subset.
         Any :class:`~repro.store.StoreError` — no classifier block, unknown
         key, failed digest check — falls back to the bit-identical retrain
-        path.  Returns ``(suite, attached)``.
+        path.
         """
         attach_source = getattr(self.corpus, "classifier_suite", None)
         if attach_source is not None:
             try:
                 with perf.phase("classifier-attach", split_seed=split.seed):
-                    return attach_source(self._classifier_key(split)), True
+                    return attach_source(self._classifier_key(split))
             except StoreError:
                 pass
         with perf.phase("classifier-train", split_seed=split.seed):
-            return self._train_classifier_suite(split), False
-
-    def _train_classifier_suite(self, split: EntitySplit) -> AspectClassifierSuite:
-        """Train the split's suite on the domain half (the reference path)."""
-        global _CLASSIFIER_TRAININGS
-        _CLASSIFIER_TRAININGS += 1
-        classifier_corpus = self.corpus.subset(split.domain_entities) \
-            if split.domain_entities else self.corpus.subset(split.test_entities)
-        return AspectClassifierSuite.train_on_corpus(
-            classifier_corpus,
-            seed=derive_seed(self.base_seed, "classifier", split.seed))
+            classifier_corpus = self.corpus.subset(
+                split.domain_entities or split.test_entities)
+            return AspectClassifierSuite.train_on_corpus(
+                classifier_corpus,
+                seed=derive_seed(self.base_seed, "classifier", split.seed))
 
     def default_split(self, split_seed: int = 0) -> EntitySplit:
         """The canonical 50/25/25 split of this corpus's entities."""
@@ -420,11 +364,11 @@ class ExperimentRunner:
         (or, with ``normalize=False``, absolute) precision, recall and
         F-score per query budget.
         """
-        primary, _, _, _ = self._evaluate_collect(
+        evaluation = self.evaluate_methods_detailed(
             methods, num_queries_list=num_queries_list, num_splits=num_splits,
-            domain_fraction=domain_fraction, max_test_entities=max_test_entities,
-            aspects=aspects, normalize=normalize)
-        return primary
+            domain_fraction=domain_fraction,
+            max_test_entities=max_test_entities, aspects=aspects)
+        return evaluation.normalized if normalize else evaluation.absolute
 
     def evaluate_methods_detailed(self, methods: Sequence[str],
                                   num_queries_list: Sequence[int] = (2, 3, 4, 5),
@@ -435,35 +379,34 @@ class ExperimentRunner:
                                   ) -> EvaluationSeries:
         """Evaluate methods and return normalised *and* absolute series.
 
-        Both views — plus the ``duplicate_waste`` metric and the merged
-        fetch accounting — are folded from the same harvest runs (no extra
-        harvesting over :meth:`evaluate_methods`).
+        Both views, the ``duplicate_waste`` metric and the merged fetch
+        accounting are folded from one :meth:`evaluate_rows` call.
         """
-        normalized, absolute, waste, fetch = self._evaluate_collect(
+        rows, fetch = self.evaluate_rows(
             methods, num_queries_list=num_queries_list, num_splits=num_splits,
-            domain_fraction=domain_fraction, max_test_entities=max_test_entities,
-            aspects=aspects, normalize=True, collect_waste=True)
-        return EvaluationSeries(normalized=normalized, absolute=absolute,
-                                duplicate_waste=waste, fetch_statistics=fetch)
+            domain_fraction=domain_fraction,
+            max_test_entities=max_test_entities, aspects=aspects)
+        evaluation = fold_rows(rows, methods, num_queries_list)
+        evaluation.fetch_statistics = fetch
+        return evaluation
 
-    def _evaluate_collect(self, methods: Sequence[str],
-                          num_queries_list: Sequence[int],
-                          num_splits: int, domain_fraction: float,
-                          max_test_entities: Optional[int],
-                          aspects: Optional[Sequence[str]],
-                          normalize: bool,
-                          collect_waste: bool = False
-                          ) -> Tuple[Dict[str, MetricSeries],
-                                     Dict[str, MetricSeries],
-                                     Dict[str, Dict[int, float]],
-                                     FetchStatistics]:
-        """Shared evaluation loop; returns ``(primary, absolute, waste, fetch)``.
+    def evaluate_rows(self, methods: Sequence[str],
+                      num_queries_list: Sequence[int] = (2, 3, 4, 5),
+                      num_splits: int = 1,
+                      domain_fraction: float = 1.0,
+                      max_test_entities: Optional[int] = None,
+                      aspects: Optional[Sequence[str]] = None
+                      ) -> Tuple[List[SessionRow], FetchStatistics]:
+        """Harvest every session of the protocol and score it per budget.
 
-        ``primary`` is ideal-normalised when ``normalize`` is set,
-        otherwise identical to ``absolute``.  ``waste`` is the per-method
-        mean duplicate-waste per budget (empty unless ``collect_waste``,
-        which the figure paths skip — fingerprinting pages is pure
-        overhead there).  ``fetch`` merges every run's own accounting.
+        Per split, each (aspect, test entity) with relevant pages gets the
+        ideal selector's session and one session per method, all harvested
+        to the largest budget on the split's one harvester.  Each method
+        session yields one :class:`~repro.exec.specs.SessionRow` per
+        budget, in (split, aspect, entity, method, budget) order: its
+        absolute metrics, the same normalised by the ideal session's, and
+        its duplicate waste.  Also returns every session's fetch accounting
+        merged.
         """
         if not methods:
             raise ValueError("at least one method is required")
@@ -474,228 +417,51 @@ class ExperimentRunner:
             raise ValueError(f"query budgets must be >= 0, got {negative}")
         max_budget = budgets[-1]
         aspect_list = list(aspects) if aspects is not None else list(self.corpus.aspects)
-
-        primary: Dict[str, Dict[int, List[HarvestMetrics]]] = {
-            method: {k: [] for k in budgets} for method in methods
-        }
-        absolute: Dict[str, Dict[int, List[HarvestMetrics]]] = {
-            method: {k: [] for k in budgets} for method in methods
-        }
-        waste: Dict[str, Dict[int, List[float]]] = {
-            method: {k: [] for k in budgets} for method in methods
-        }
         scorer = DuplicateWasteScorer(self.corpus, self.config,
-                                      signatures=self.page_signatures) \
-            if collect_waste else None
-        accountings: List = []
-
-        # Pass 1 — build every split's job specs up front.  One batch per
-        # split: every (method, entity, aspect) run plus the ideal
-        # upper-bound runs.  Specs and results stay in the same
-        # deterministic order, so metric folding is independent of
-        # scheduling.
-        split_batches: List[Tuple[EntitySplit,
-                                  List[Tuple[str, str, List[str]]],
-                                  List[HarvestJobSpec]]] = []
+                                      signatures=self.page_signatures)
+        rows: List[SessionRow] = []
+        accountings = []
         for split_index in range(num_splits):
             split = self.default_split(split_index)
-            test_entities = list(split.test_entities)
-            if max_test_entities is not None:
-                test_entities = test_entities[:max_test_entities]
-
             targets: List[Tuple[str, str, List[str]]] = []
-            specs: List[HarvestJobSpec] = []
             for aspect in aspect_list:
-                for entity_id in test_entities:
-                    relevant = [p.page_id
-                                for p in self.corpus.relevant_pages(entity_id, aspect)]
-                    if not relevant:
-                        continue
-                    targets.append((aspect, entity_id, relevant))
-                    if normalize:
-                        specs.append(self.job_spec(split, "IDEAL", entity_id,
-                                                   aspect, max_budget))
-                    for method in methods:
-                        specs.append(self.job_spec(split, method, entity_id,
-                                                   aspect, max_budget))
-            split_batches.append((split, targets, specs))
-
-        # Pass 2 — dispatch all splits at once (split-first on distributed
-        # backends: each worker prepares a split at most once), then fold.
-        results_per_split = self._run_all_splits(
-            [(split, specs) for split, _, specs in split_batches],
-            domain_fraction)
-
-        for (split, targets, specs), split_results in zip(split_batches,
-                                                          results_per_split):
-            accountings.extend(run.fetch_accounting for run in split_results)
-            results = iter(split_results)
-
+                for entity_id in list(split.test_entities)[:max_test_entities]:
+                    relevant = [p.page_id for p in
+                                self.corpus.relevant_pages(entity_id, aspect)]
+                    if relevant:
+                        targets.append((aspect, entity_id, relevant))
+            # Every job of the split is resolved before the first harvest,
+            # so lazily learned domain models and HR statistics are built
+            # in one fixed order.
+            prepared = self.prepare(split, domain_fraction=domain_fraction)
+            jobs = [self.build_job(prepared, method, entity_id, aspect, max_budget)
+                    for aspect, entity_id, _ in targets
+                    for method in ("IDEAL", *methods)]
+            harvester = self.harvester_for(prepared)
+            runs = iter([harvester.harvest_job(job) for job in jobs])
             for aspect, entity_id, relevant in targets:
-                ideal_by_budget: Dict[int, HarvestMetrics] = {}
-                if normalize:
-                    ideal_run = next(results)
-                    ideal_by_budget = {
-                        k: compute_metrics(ideal_run.gathered_after(k), relevant)
-                        for k in budgets
-                    }
+                ideal_run = next(runs)
+                accountings.append(ideal_run.fetch_accounting)
+                ideal = {k: compute_metrics(ideal_run.gathered_after(k), relevant)
+                         for k in budgets}
                 for method in methods:
-                    run = next(results)
-                    run_waste = (scorer.waste_by_budget(run, budgets)
-                                 if scorer is not None else None)
+                    run = next(runs)
+                    accountings.append(run.fetch_accounting)
+                    waste = scorer.waste_by_budget(run, budgets)
                     for k in budgets:
                         metrics = compute_metrics(run.gathered_after(k), relevant)
-                        absolute[method][k].append(metrics)
-                        if run_waste is not None:
-                            waste[method][k].append(run_waste[k])
-                        if normalize:
-                            metrics = metrics.normalized_by(ideal_by_budget[k])
-                        primary[method][k].append(metrics)
-
-        waste_series = {
-            method: {k: (sum(values) / len(values) if values else 0.0)
-                     for k, values in waste[method].items()}
-            for method in methods
-        } if collect_waste else {}
-        return ({method: _series_from(method, primary[method]) for method in methods},
-                {method: _series_from(method, absolute[method]) for method in methods},
-                waste_series,
-                merge_run_accounting(accountings))
-
-    # -- Shared corpus store --------------------------------------------------------
-    def _ensure_store(self, splits: Sequence[EntitySplit] = ()
-                      ) -> Optional[StoreHandle]:
-        """Publish this runner's corpus once for workers to attach.
-
-        Only meaningful when the dispatch is distributed, a ``corpus_spec``
-        exists and it describes the *clean* corpus (a scenario spec's store
-        would have to hold the unperturbed base, which this runner does not
-        have).  Publishing streams the live corpus — entities plus pages in
-        sorted id order — through a store writer whose incremental digest is
-        checked against :attr:`_corpus_digest`, so the published bytes are
-        provably the corpus the metrics fold against.
-
-        ``splits`` are the entity splits of the imminent dispatch: each
-        split's aspect-classifier suite is trained **once** here (the
-        train-once/attach-many side of the classifier vectorization) and
-        published alongside the corpus, so workers attach trained suites
-        zero-copy instead of retraining per (worker, split).  Publish
-        failures latch: the run silently continues on the rebuild path.
-        """
-        if self._store_handle is not None:
-            return self._store_handle
-        if (self._store_failed or self.corpus_store == MODE_OFF
-                or self.corpus_spec is None
-                or self.corpus_spec.scenario is not None):
-            return None
-        spec = self.corpus_spec
-        config = CorpusConfig(domain=spec.domain,
-                              num_entities=spec.num_entities,
-                              pages_per_entity=spec.pages_per_entity,
-                              seed=spec.seed)
-        try:
-            suites = []
-            for split in splits:
-                with perf.phase("classifier-train", split_seed=split.seed):
-                    suite = self._train_classifier_suite(split)
-                suites.append((self._classifier_key(split), suite))
-
-            with perf.phase("store-publish", domain=spec.domain):
-                writer = CorpusStoreWriter(config, self.corpus.entities)
-                writer.add_pages(self.corpus.iter_pages())
-                for key, suite in suites:
-                    writer.add_classifier_suite(key, suite)
-                handle = writer.publish(mode=self.corpus_store)
-                if (self._corpus_digest is not None
-                        and handle.digest != self._corpus_digest):
-                    release(handle)
-                    raise StoreError(
-                        f"published digest {handle.digest} does not match "
-                        f"the runner's corpus digest {self._corpus_digest}")
-            self._store_handle = handle
-        except StoreError:
-            self._store_failed = True
-            return None
-        return self._store_handle
-
-    def _dispatch_spec(self, splits: Sequence[EntitySplit] = ()
-                       ) -> Optional[CorpusSpec]:
-        """The corpus spec workers receive: with a store handle when published."""
-        handle = self._ensure_store(splits)
-        if handle is None:
-            return self.corpus_spec
-        return replace(self.corpus_spec, store_handle=handle)
-
-    def release_store(self) -> None:
-        """Unlink the published store, if any (idempotent).
-
-        Attached workers keep their mappings; only new attaches stop
-        resolving (and fall back to rebuilding).  Also called automatically
-        at interpreter exit via the store module's cleanup hook.
-        """
-        if self._store_handle is not None:
-            release(self._store_handle)
-            self._store_handle = None
-            self._store_failed = False
-
-    def _run_all_splits(self, split_specs: List[Tuple[EntitySplit,
-                                                      List[HarvestJobSpec]]],
-                        domain_fraction: float) -> List[List[HarvestResult]]:
-        """Execute every split's job specs; returns results grouped by split.
-
-        On a distributed backend, the batches are sharded **split-first**:
-        :func:`plan_harvest_batches` emits one
-        :class:`~repro.exec.specs.HarvestBatchSpec` per split (each worker
-        prepares and trains classifiers for exactly one split at a time),
-        falling back to cutting splits into contiguous page batches when
-        ``workers > num_splits`` so no worker idles.  Batches are
-        dispatched with work-stealing scheduling
-        (:meth:`~repro.exec.backends.ExecutionBackend.map_tasks`) and the
-        executed :class:`~repro.exec.specs.HarvestBatchOutcome` probes are
-        kept on :attr:`last_batch_outcomes` for preparation accounting.
-
-        In-process backends prepare each split locally and run its jobs in
-        order through :meth:`Harvester.harvest_job`, exactly one
-        preparation per split.
-        """
-        if self.backend.distributed:
-            if self._corpus_digest is None:
-                # Computed once per runner and shipped with every context:
-                # workers refuse to harvest a rebuilt corpus that does not
-                # match the corpus the metrics will be folded against.
-                self._corpus_digest = self.corpus.content_digest()
-            dispatch_spec = self._dispatch_spec(
-                [split for split, _ in split_specs])
-            payloads = plan_harvest_batches(
-                [(HarvestTaskContext(
-                    corpus=dispatch_spec,
-                    config=self.config,
-                    base_seed=self.base_seed,
-                    split_index=split_index,
-                    domain_fraction=domain_fraction,
-                    corpus_digest=self._corpus_digest,
-                ), specs) for split_index, (_, specs) in enumerate(split_specs)],
-                self.backend.workers)
-            outcomes = self.backend.map_tasks(execute_harvest_batch, payloads)
-            self.last_batch_outcomes = list(outcomes)
-            # Each worker's shipped-home phases: one weighted sample per
-            # (batch, phase), tagged with its origin.
-            for outcome in self.last_batch_outcomes:
-                perf.fold(outcome.perf_phases, worker_pid=outcome.worker_pid,
-                          split=outcome.split_index)
-            per_split: List[List[HarvestResult]] = [[] for _ in split_specs]
-            for payload, outcome in zip(payloads, outcomes):
-                # Payloads are split-major and in-order, so extending per
-                # split reassembles each split's results in spec order.
-                per_split[payload.context.split_index].extend(outcome.results)
-            return per_split
-        out: List[List[HarvestResult]] = []
-        for split, specs in split_specs:
-            prepared = self.prepare(split, domain_fraction=domain_fraction)
-            jobs = [self.job_from_spec(prepared, spec) for spec in specs]
-            harvester = self.harvester_for(prepared)
-            out.append([harvester.harvest_job(job) for job in jobs])
-        return out
+                        normalized = metrics.normalized_by(ideal[k])
+                        rows.append(SessionRow(
+                            split=split_index, method=method,
+                            entity_id=entity_id, aspect=aspect, budget=k,
+                            precision=metrics.precision,
+                            recall=metrics.recall,
+                            f_score=metrics.f_score,
+                            normalized_precision=normalized.precision,
+                            normalized_recall=normalized.recall,
+                            normalized_f_score=normalized.f_score,
+                            duplicate_waste=waste[k]))
+        return rows, merge_run_accounting(accountings)
 
     # -- Efficiency (Fig. 14) --------------------------------------------------------------
     def measure_efficiency(self, methods: Sequence[str] = ("L2QP", "L2QR", "L2QBAL"),
@@ -705,10 +471,9 @@ class ExperimentRunner:
                            ) -> EfficiencyReport:
         """Measure per-query selection time and (simulated) fetch time.
 
-        Always runs serially regardless of the configured backend or worker
-        count: the wall-clock selection times *are* the result here, and
-        concurrent runs contending for the interpreter (or a cold per-worker
-        engine) would inflate them.
+        Runs serially in this process: the wall-clock selection times *are*
+        the result here, and concurrent runs contending for the interpreter
+        would inflate them.
 
         Every method is measured against **cold** engine state: a freshly
         prepared split (fresh engine, result cache and classifier-relevance
@@ -762,9 +527,9 @@ class ExperimentRunner:
         """Choose the seed-recall parameter ``r0`` on the validation entities.
 
         Mirrors the paper's cross-validation of ``r0`` (Sect. V-A).  Returns
-        the best value and the mean F-score of every candidate.  Harvests
-        run in this process whatever the backend: each candidate mutates
-        this runner's config, which a worker never sees.
+        the best value and the mean F-score of every candidate.  Each
+        candidate is set on this runner's config for its harvests and the
+        original value is restored afterwards.
         """
         split = self.default_split(0)
         prepared = self.prepare(split)
@@ -798,154 +563,36 @@ class ExperimentRunner:
         return best, scores
 
 
-# -- Split-first batch planning ----------------------------------------------------
-def plan_harvest_batches(split_payloads: Sequence[Tuple[HarvestTaskContext,
-                                                        Sequence[HarvestJobSpec]]],
-                         workers: int) -> List[HarvestBatchSpec]:
-    """Cut per-split spec lists into split-first batch payloads.
+def fold_rows(rows: Sequence[SessionRow], methods: Sequence[str],
+              budgets: Sequence[int]) -> EvaluationSeries:
+    """Fold session rows into per-method series, in row order.
 
-    The sharding policy of the distributed evaluation path:
-
-    * ``workers <= num_splits`` — one batch per split.  Every split is
-      prepared exactly once in the whole cluster, by whichever worker
-      steals its batch.
-    * ``workers > num_splits`` — each split is cut into
-      ``ceil(workers / num_splits)`` contiguous *page batches* so every
-      worker has work to steal; the split's context travels with every
-      batch, so a worker executing several batches of one split still
-      prepares it only once (process-local runtime cache).
-
-    Batches are emitted split-major and in spec order, so concatenating
-    result lists per ``context.split_index`` reproduces each split's spec
-    order regardless of scheduling.
+    Each (method, budget) point of a series is the mean of its rows'
+    values, summed in row order, and 0.0 when it has no rows.  Figures and
+    sweep cells both read their numbers from this fold, so the same rows
+    give them bit-for-bit the same values.  ``fetch_statistics`` is left
+    empty: rows carry none.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    payloads = [(context, list(specs)) for context, specs in split_payloads]
-    num_splits = sum(1 for _, specs in payloads if specs)
-    base_slots = len({context.corpus.base_key()
-                      for context, specs in payloads if specs})
-    pieces_per_split = 1 if num_splits == 0 or workers <= num_splits \
-        else -(-workers // num_splits)
-    batches: List[HarvestBatchSpec] = []
-    for context, specs in payloads:
-        if not specs:
-            continue
-        pieces = min(pieces_per_split, len(specs))
-        size = -(-len(specs) // pieces)
-        for start in range(0, len(specs), size):
-            batches.append(HarvestBatchSpec(
-                context=context, specs=tuple(specs[start:start + size]),
-                runtime_slots=num_splits, base_slots=base_slots))
-    return batches
+    budgets = sorted(set(budgets))
+    groups: Dict[Tuple[str, int], List[SessionRow]] = {
+        (method, k): [] for method in methods for k in budgets}
+    for row in rows:
+        group = groups.get((row.method, row.budget))
+        if group is not None:
+            group.append(row)
 
+    def mean(method: str, budget: int, attr: str) -> float:
+        group = groups[(method, budget)]
+        return sum(getattr(row, attr) for row in group) / len(group) \
+            if group else 0.0
 
-# -- Distributed worker side -------------------------------------------------------
-#: Rebuilt (runner, prepared, harvester) runtimes, cached per worker process
-#: so every batch a worker runs of one split reuses one corpus, classifier
-#: suite and engine.
-_TASK_RUNTIMES = _ProcessLocalCache(capacity=4)
+    def series(method: str, prefix: str) -> MetricSeries:
+        return MetricSeries(method=method, **{
+            name: {k: mean(method, k, prefix + name) for k in budgets}
+            for name in ("precision", "recall", "f_score")})
 
-#: Process-local count of prepared-runtime *builds* (cache misses in
-#: ``_TASK_RUNTIMES``).  The preparation probe: batch outcomes report the
-#: delta across their execution, so orchestrators can assert each worker
-#: prepared each split at most once.
-_RUNTIME_BUILDS = 0
-
-#: Process-local count of aspect-classifier suite *trainings*.  The
-#: train-once/attach-many probe: with a store carrying published suites,
-#: worker batches must report a delta of 0 (attach instead of train).
-_CLASSIFIER_TRAININGS = 0
-
-
-@dataclass
-class _TaskRuntime:
-    """Everything a worker rebuilds once per (corpus, config, split)."""
-
-    runner: "ExperimentRunner"
-    prepared: PreparedSplit
-    harvester: Harvester
-
-
-def _task_runtime(context: HarvestTaskContext) -> _TaskRuntime:
-    def build() -> _TaskRuntime:
-        global _RUNTIME_BUILDS
-        _RUNTIME_BUILDS += 1
-        corpus = context.corpus.build()
-        if context.corpus_digest is not None:
-            # A store-backed corpus carries the publish-time digest, which
-            # the publisher already verified against the live corpus —
-            # trusting it avoids realising every lazy page just to re-hash.
-            digest = getattr(corpus, "store_digest", None)
-            if digest is None:
-                digest = corpus.content_digest()
-            if digest != context.corpus_digest:
-                raise ValueError(
-                    f"corpus_spec {context.corpus!r} rebuilds a corpus whose "
-                    f"digest does not match the orchestrator's corpus; the spec "
-                    f"describes a different corpus (stale seed or sizes?)")
-        runner = ExperimentRunner(corpus, config=context.config,
-                                  base_seed=context.base_seed, workers=1)
-        prepared = runner.prepare(runner.default_split(context.split_index),
-                                  domain_fraction=context.domain_fraction)
-        return _TaskRuntime(runner=runner, prepared=prepared,
-                            harvester=runner.harvester_for(prepared))
-
-    return _TASK_RUNTIMES.get_or_build(context.cache_key(), build)
-
-
-def execute_harvest_batch(batch: HarvestBatchSpec) -> HarvestBatchOutcome:
-    """Worker entry point: rebuild one split's world and run its batch.
-
-    Deterministic given the batch alone — the rebuilt corpus, split,
-    classifier suite and engine are bit-for-bit what the orchestrating
-    process would build, so results are independent of which worker (or
-    whether a worker at all) executes the batch.  The outcome carries the
-    preparation probe: how many runtimes this batch had to build (0 when
-    the worker had already prepared this split for an earlier batch).
-    """
-    # Room for every split in flight: without this, a worker interleaving
-    # work-stolen batches of more splits than the default capacity would
-    # evict and re-prepare runtimes it still needs.
-    _TASK_RUNTIMES.reserve(batch.runtime_slots)
-    # Likewise for the base-corpus and realised-corpus caches: room for
-    # every distinct base in the dispatch, so workers touching many
-    # (domain, sizes, seed) bases cannot thrash into regeneration cycles.
-    reserve_base_slots(batch.base_slots)
-    before = _RUNTIME_BUILDS
-    trainings_before = _CLASSIFIER_TRAININGS
-    # This worker's phase timings for exactly this batch, shipped home so
-    # the orchestrator's profile covers worker-side work too.
-    with perf.handoff() as perf_phases:
-        runtime = _task_runtime(batch.context)
-        results = [runtime.harvester.harvest_job(
-                       runtime.runner.job_from_spec(runtime.prepared, spec))
-                   for spec in batch.specs]
-    return HarvestBatchOutcome(
-        results=results,
-        worker_pid=os.getpid(),
-        split_index=batch.context.split_index,
-        runtime_builds=_RUNTIME_BUILDS - before,
-        perf_phases=perf_phases,
-        attached=getattr(runtime.runner.corpus, "store_handle", None)
-        is not None,
-        index_builds=runtime.prepared.engine.index_builds,
-        classifier_trainings=_CLASSIFIER_TRAININGS - trainings_before,
-        classifier_attached=runtime.prepared.classifier_attached,
-    )
-
-
-def _series_from(method: str, per_budget: Dict[int, List[HarvestMetrics]]) -> MetricSeries:
-    precision: Dict[int, float] = {}
-    recall: Dict[int, float] = {}
-    f_score: Dict[int, float] = {}
-    for budget, metrics in per_budget.items():
-        if metrics:
-            precision[budget] = sum(m.precision for m in metrics) / len(metrics)
-            recall[budget] = sum(m.recall for m in metrics) / len(metrics)
-            f_score[budget] = sum(m.f_score for m in metrics) / len(metrics)
-        else:
-            precision[budget] = 0.0
-            recall[budget] = 0.0
-            f_score[budget] = 0.0
-    return MetricSeries(method=method, precision=precision, recall=recall, f_score=f_score)
+    return EvaluationSeries(
+        normalized={m: series(m, "normalized_") for m in methods},
+        absolute={m: series(m, "") for m in methods},
+        duplicate_waste={m: {k: mean(m, k, "duplicate_waste") for k in budgets}
+                         for m in methods})

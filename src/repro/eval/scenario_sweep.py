@@ -21,16 +21,20 @@ label-derived — see :class:`~repro.corpus.synthetic.BaseCorpus`).  A sweep
 therefore performs exactly one base generation per domain instead of
 ``1 + len(scenarios)``.
 
-Sweeps and campaigns (:mod:`repro.campaign`) share one cell pipeline:
+Sweeps, campaigns (:mod:`repro.campaign`) and the figures of
+:mod:`repro.eval.experiments` share one cell pipeline:
 :func:`sweep_cell_specs` lists one corpus realisation's cells, domain-major
-and clean first; :func:`publish_base_stores` publishes the clean base
-stores a distributed dispatch attaches; and :func:`dispatch_cells` runs
-every cell as its own ``backend.map_tasks`` task of
-:func:`execute_sweep_cell`, on any
-:class:`~repro.exec.backends.ExecutionBackend`.  A cell rebuilds its
-corpus from a picklable :class:`~repro.exec.specs.SweepCellSpec` against
-a process-locally cached base and runs its harvests serially, so every
-backend produces the same JSON byte-for-byte.
+and clean first, and :func:`figure_cell_specs` a figure's cells, one per
+domain and domain fraction; :func:`publish_base_stores` publishes the
+clean base stores a distributed dispatch attaches; and
+:func:`dispatch_cells` runs every cell as its own ``backend.map_tasks``
+task of :func:`execute_sweep_cell`, on any
+:class:`~repro.exec.backends.ExecutionBackend` (:func:`run_cells` does
+all three steps and cleans up).  A cell rebuilds its corpus from a
+picklable :class:`~repro.exec.specs.SweepCellSpec` against a
+process-locally cached base, runs its harvests serially and returns one
+:class:`~repro.exec.specs.SessionRow` per scored session, so every
+backend produces the same rows and the same JSON byte-for-byte.
 
 Everything in the result is deterministic: corpora are seeded, harvest
 seeds derive from ``(base_seed, split, method, entity, aspect)``, and no
@@ -54,9 +58,9 @@ from repro.core.selection import selector_names
 from repro.corpus.corpus import Corpus
 from repro.corpus.synthetic import CorpusConfig, CorpusGenerator
 from repro.eval.experiments import DOMAINS, SMOKE_SCALE, ExperimentScale
-from repro.eval.runner import BASELINE_METHODS, ExperimentRunner
+from repro.eval.runner import BASELINE_METHODS, ExperimentRunner, fold_rows
 from repro.eval.splits import split_entities
-from repro.exec.backends import ExecutionBackend, resolve_backend
+from repro.exec.backends import ExecutionBackend, ProcessBackend, resolve_backend
 from repro.exec.specs import SweepCellResult, SweepCellSpec, reserve_base_slots
 from repro.scenarios import (
     ScenarioSpec,
@@ -394,6 +398,38 @@ def sweep_cell_specs(scale: ExperimentScale, domains: Sequence[str],
     return [replace(spec, base_slots=base_slots) for spec in specs]
 
 
+def figure_cell_specs(scale: ExperimentScale, domains: Sequence[str],
+                      methods: Sequence[str], budgets: Sequence[int],
+                      config: Optional[L2QConfig] = None,
+                      fractions: Sequence[float] = (1.0,)
+                      ) -> List[SweepCellSpec]:
+    """The cells of one figure: one per domain and domain fraction.
+
+    Figures run clean corpora only.  Every harvest runs to the largest of
+    ``budgets``, which is also the budget of the cells' metric blocks, and
+    the rows are scored at each of them.
+    """
+    budgets = tuple(sorted(set(budgets)))
+    specs = [
+        SweepCellSpec(
+            corpus=scale.corpus_spec_for(domain),
+            methods=tuple(methods),
+            num_queries=budgets[-1],
+            num_splits=scale.num_splits,
+            max_test_entities=scale.max_test_entities,
+            max_aspects=scale.max_aspects,
+            config=config,
+            base_seed=RUNNER_BASE_SEED,
+            budgets=budgets,
+            domain_fraction=fraction,
+        )
+        for domain in domains
+        for fraction in fractions
+    ]
+    base_slots = len({spec.corpus.base_key() for spec in specs})
+    return [replace(spec, base_slots=base_slots) for spec in specs]
+
+
 def assemble_sweep_result(*, scale_name: str, seed: int, num_queries: int,
                           methods: Sequence[str], domains: Sequence[str],
                           specs: Sequence[ScenarioSpec],
@@ -534,13 +570,16 @@ def publish_base_stores(backend: ExecutionBackend,
 
 
 def execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
-    """Evaluate one (domain, scenario) cell from its spec.
+    """Evaluate one cell from its spec: the one worker entry point.
 
     The corpus is rebuilt from the spec (scenario pipelines realise against
-    a process-locally cached shared base), its harvests run serially, and
-    only the plain-data result crosses back — config in, result dataclass
-    out.  With profiling on, the cell is timed as a ``sweep-cell`` phase
-    and the result carries the cell's phases home
+    a process-locally cached shared base) and one serial
+    :class:`ExperimentRunner` scores every session of it as rows
+    (:meth:`~ExperimentRunner.evaluate_rows`); the metric blocks are the
+    rows' fold (:func:`~repro.eval.runner.fold_rows`) at the cell's
+    ``num_queries``.  Only the plain-data result crosses back — config in,
+    result dataclass out.  With profiling on, the cell is timed as a
+    ``sweep-cell`` phase and the result carries the cell's phases home
     (:func:`repro.perf.handoff`).
     """
     with perf.handoff() as phases, \
@@ -552,13 +591,15 @@ def execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
         corpus = spec.corpus.build()
         runner = ExperimentRunner(corpus, config=spec.config,
                                   base_seed=spec.base_seed)
-        evaluation = runner.evaluate_methods_detailed(
+        rows, fetch = runner.evaluate_rows(
             spec.methods,
-            num_queries_list=(spec.num_queries,),
+            num_queries_list=spec.query_budgets,
             num_splits=spec.num_splits,
+            domain_fraction=spec.domain_fraction,
             max_test_entities=spec.max_test_entities,
             aspects=list(corpus.aspects)[:spec.max_aspects],
         )
+        evaluation = fold_rows(rows, spec.methods, spec.query_budgets)
         # Store-attached corpora carry their publish-time content digest
         # (the same canonical hash), sparing a full lazy-page realisation.
         digest = getattr(corpus, "store_digest", None)
@@ -575,7 +616,8 @@ def execute_sweep_cell(spec: SweepCellSpec) -> SweepCellResult:
             duplicate_waste={
                 method: evaluation.duplicate_waste[method][spec.num_queries]
                 for method in spec.methods},
-            fetch=evaluation.fetch_statistics.as_dict(),
+            fetch=fetch.as_dict(),
+            rows=rows,
         )
     result.perf_phases = phases
     return result
@@ -601,6 +643,33 @@ def dispatch_cells(backend: ExecutionBackend, specs: Sequence[SweepCellSpec],
             perf.fold(result.perf_phases, domain=result.domain,
                       scenario=result.scenario or "clean")
     return results
+
+
+def run_cells(specs: Sequence[SweepCellSpec], workers: int = 1,
+              backend: Union[None, str, ExecutionBackend] = None,
+              corpus_store: str = "auto") -> List[SweepCellResult]:
+    """Publish, dispatch and clean up one set of cells; results in order.
+
+    ``workers`` / ``backend`` resolve as :func:`~repro.exec.backends
+    .resolve_backend` takes them.  The clean base stores a distributed
+    dispatch attaches (:func:`publish_base_stores`) are released once it
+    returns, and a process pool this call created is closed; a backend
+    instance passed in stays open for its owner.
+    """
+    if corpus_store not in STORE_MODES:
+        raise ValueError(f"unknown corpus-store mode {corpus_store!r}; "
+                         f"options: {STORE_MODES}")
+    engine = resolve_backend(backend, workers=workers)
+    handles = publish_base_stores(engine, specs, corpus_store)
+    try:
+        with perf.phase("sweep-dispatch", cells=len(specs),
+                        workers=engine.workers):
+            return dispatch_cells(engine, specs, handles)
+    finally:
+        for handle in handles.values():
+            release(handle)
+        if engine is not backend and isinstance(engine, ProcessBackend):
+            engine.close()
 
 
 class ScenarioSweep:
@@ -681,14 +750,8 @@ class ScenarioSweep:
         specs = sweep_cell_specs(self.scale, self.domains, self.specs,
                                  self.methods, self.num_queries, self.config,
                                  self.config_by_scenario)
-        handles = publish_base_stores(self.backend, specs, self.corpus_store)
-        try:
-            with perf.phase("sweep-dispatch", cells=len(specs),
-                            workers=self.backend.workers):
-                cell_results = dispatch_cells(self.backend, specs, handles)
-        finally:
-            for handle in handles.values():
-                release(handle)
+        cell_results = run_cells(specs, backend=self.backend,
+                                 corpus_store=self.corpus_store)
         return assemble_sweep_result(
             scale_name=self.scale.name,
             seed=self.scale.corpus_seed,

@@ -1,10 +1,10 @@
 """Pluggable execution backends and picklable job specifications.
 
 The orchestration API every fan-out site shares: resolve a backend
-(``serial`` / ``process``), hand it payloads, get results in payload
-order.  See :mod:`repro.exec.backends` for the engines and
-:mod:`repro.exec.specs` for the spec layer distributed backends ship
-instead of live object graphs.
+(``serial`` / ``process``), hand it cells, get results in cell order.
+See :mod:`repro.exec.backends` for the engines and :mod:`repro.exec.specs`
+for the cell specs and results that travel instead of live object
+graphs.
 """
 
 from repro.exec.backends import (
@@ -21,10 +21,8 @@ from repro.exec.backends import (
 )
 from repro.exec.specs import (
     CorpusSpec,
-    HarvestBatchOutcome,
-    HarvestBatchSpec,
     HarvestJobSpec,
-    HarvestTaskContext,
+    SessionRow,
     SweepCellResult,
     SweepCellSpec,
     stable_key,
@@ -42,10 +40,8 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "CorpusSpec",
-    "HarvestBatchOutcome",
-    "HarvestBatchSpec",
     "HarvestJobSpec",
-    "HarvestTaskContext",
+    "SessionRow",
     "SweepCellResult",
     "SweepCellSpec",
     "stable_key",

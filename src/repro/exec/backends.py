@@ -3,13 +3,12 @@
 Every fan-out site in the project funnels through the same tiny contract:
 :meth:`ExecutionBackend.map_tasks` applies a module-level function to
 each of a list of picklable payloads, one task per payload, and returns
-the results *in payload order*.  A distributed
-:class:`~repro.eval.runner.ExperimentRunner` ships its split batches that
-way, and a :class:`~repro.eval.scenario_sweep.ScenarioSweep` or a
-campaign ships its (domain, scenario) cells that way on every backend,
-each cell running its own harvests serially.  Payloads are specs
-(:mod:`repro.exec.specs`), never live object graphs: a worker rebuilds or
-attaches the corpus, classifiers and engine it needs.  Because every
+the results *in payload order*.  There is one unit of fan-out, the cell:
+figures, scenario sweeps and campaigns all ship their cells that way
+(:func:`~repro.eval.scenario_sweep.dispatch_cells`), each cell running its
+own harvests serially.  Payloads are specs (:mod:`repro.exec.specs`),
+never live object graphs: a worker rebuilds or attaches the corpus,
+classifiers and engine it needs.  Because every
 job's randomness derives only from its seed (never from scheduling),
 swapping the backend changes wall-clock behaviour but not one bit of the
 results.
@@ -20,8 +19,8 @@ Two engines are built in and registered through the shared
 * ``serial`` — a plain in-order loop; the reference semantics.
 * ``process`` — a persistent process pool; every payload becomes its own
   pool task, so idle workers steal the next one, and process-local caches
-  (rebuilt corpora, prepared splits) amortise across the tasks a worker
-  runs.  Results travel back by pickle.
+  (rebuilt corpora) amortise across the tasks a worker runs.  Results
+  travel back by pickle.
 
 Custom backends register the same way rankers and scenarios do::
 
@@ -71,9 +70,9 @@ class ExecutionBackend:
     def map_tasks(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Apply ``fn`` to every item, one task each; results in item order.
 
-        Items are coarse, self-contained batches (a split's
-        :class:`~repro.exec.specs.HarvestBatchSpec`, a sweep cell).  This
-        default runs them in order on the calling thread.
+        Items are coarse, self-contained cells
+        (:class:`~repro.exec.specs.SweepCellSpec`).  This default runs them
+        in order on the calling thread.
         """
         return [fn(item) for item in items]
 
@@ -91,9 +90,9 @@ class ProcessBackend(ExecutionBackend):
     """Multiprocess execution: one pool task per payload.
 
     The worker pool is created lazily and persists across
-    :meth:`map_tasks` calls, so process-local caches (rebuilt corpora,
-    prepared splits) amortise across calls — e.g. across the dispatch
-    rounds of a campaign.  Call :meth:`close` (or drop the backend) to
+    :meth:`map_tasks` calls, so process-local caches (rebuilt corpora)
+    amortise across calls — e.g. across the dispatch rounds of a
+    campaign.  Call :meth:`close` (or drop the backend) to
     release the workers.
     """
 
@@ -138,7 +137,7 @@ class ProcessBackend(ExecutionBackend):
         """Tear the pool down after a failed future, without waiting.
 
         ``close()`` would block behind every still-running sibling (a
-        shutdown waits by default), so one poisoned batch could hide its
+        shutdown waits by default), so one poisoned cell could hide its
         error behind minutes of doomed work.  Aborting cancels the queued
         futures and returns immediately; in-flight ones finish in workers
         that are no longer ours.  The pool is dropped either way so a

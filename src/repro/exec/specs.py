@@ -1,19 +1,24 @@
-"""Self-contained, picklable job specifications for distributed backends.
+"""Self-contained, picklable cell specifications and their results.
 
-A process worker cannot receive live object graphs cheaply: the search
-engine carries a lock, classifier suites and indexes are large, and shared
-caches would stop being shared.  Distributed execution therefore ships
-*specs* — plain dataclasses saying how to rebuild the world (config in) —
-and receives plain result dataclasses back (result out).  Because every
-component is deterministic given its seeds, a worker rebuilding a corpus,
-split, classifier suite or engine from a spec produces bit-for-bit the
-objects the caller would have built locally.
+The cell is the one unit of fan-out: figures, scenario sweeps and
+campaigns all dispatch :class:`SweepCellSpec` payloads to
+:func:`~repro.eval.scenario_sweep.execute_sweep_cell`, one task per cell,
+on any :class:`~repro.exec.backends.ExecutionBackend`.  A process worker
+cannot receive live object graphs cheaply: the search engine carries a
+lock, classifier suites and indexes are large, and shared caches would
+stop being shared.  A cell therefore travels as a *spec* — a plain
+dataclass saying how to rebuild the world (config in) — and comes back as
+a plain :class:`SweepCellResult` holding one :class:`SessionRow` per
+scored session (result out).  Because every component is deterministic
+given its seeds, a worker rebuilding a corpus, split, classifier suite or
+engine from a spec produces bit-for-bit the objects the caller would have
+built locally.
 
 Workers keep small process-local caches (:meth:`CorpusSpec.build_base`
-backed by a module-level LRU) so the expensive rebuilds amortise across the
-payloads a worker runs — and, because a
-:class:`~repro.exec.backends.ProcessBackend` keeps its worker pool across
-calls, across successive dispatches too.
+and :meth:`CorpusSpec.build`, backed by module-level LRUs) so the
+expensive rebuilds amortise across the cells a worker runs — and, because
+a :class:`~repro.exec.backends.ProcessBackend` keeps its worker pool
+across calls, across successive dispatches too.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ class _ProcessLocalCache:
         """Grow (never shrink) the capacity.
 
         Orchestrators that know how many distinct keys a workload touches
-        (e.g. the number of splits in an evaluation) reserve room for all
-        of them, so interleaved work-stolen batches cannot thrash the
+        (e.g. the distinct base corpora of a dispatch) reserve room for all
+        of them, so interleaved work-stolen cells cannot thrash the
         cache into evict-and-rebuild cycles.  Only entries actually built
         occupy memory; capacity is just the eviction bound.
         """
@@ -114,10 +119,10 @@ def corpus_build_count() -> int:
 def reserve_base_slots(count: int) -> None:
     """Grow the worker's base- and corpus-cache capacity to ``count``.
 
-    Dispatchers call this (via the ``base_slots`` carried on batch and cell
-    specs) with the number of distinct base keys in flight, so a worker
-    touching many ``(domain, sizes, seed)`` bases cannot thrash either
-    cache into evict-and-rebuild cycles.
+    Cells call this with their ``base_slots``, the number of distinct
+    base keys in flight, so a worker touching many ``(domain, sizes,
+    seed)`` bases cannot thrash either cache into evict-and-rebuild
+    cycles.
     """
     _BASE_CACHE.reserve(count)
     _CORPUS_CACHE.reserve(count)
@@ -213,10 +218,9 @@ class CorpusSpec:
 class HarvestJobSpec:
     """One harvesting run as pure configuration: (method, target, budget, seed).
 
-    The seed is derived by the orchestrator from
-    ``(base_seed, split, method, entity, aspect)`` — never from execution
-    order — so a worker executing this spec reproduces the serial run
-    bit-for-bit.
+    The seed is derived from ``(base_seed, split, method, entity, aspect)``
+    — never from execution order — so the spec reproduces the same run in
+    any process.
     """
 
     method: str
@@ -227,104 +231,16 @@ class HarvestJobSpec:
 
 
 @dataclass(frozen=True)
-class HarvestTaskContext:
-    """The shared world one batch of :class:`HarvestJobSpec` runs against.
-
-    Everything a worker needs to rebuild the prepared split — corpus,
-    learner configuration, split derivation — with nothing runtime-bound
-    inside.  ``config`` is carried by value; :class:`L2QConfig` is a plain
-    dataclass of scalars.  ``corpus_digest`` is the orchestrator's live
-    corpus digest: the worker compares it against its rebuilt corpus, so a
-    spec that silently describes a *different* corpus (stale seed, wrong
-    sizes) fails loudly instead of folding metrics against mismatched
-    ground truth.
-    """
-
-    corpus: CorpusSpec
-    config: L2QConfig
-    base_seed: int
-    split_index: int
-    domain_fraction: float = 1.0
-    corpus_digest: Optional[str] = None
-
-    def cache_key(self) -> str:
-        """Process-local cache key for the rebuilt runtime."""
-        return repr(self)
-
-
-@dataclass(frozen=True)
-class HarvestBatchSpec:
-    """One worker-sized batch of harvest jobs sharing one split context.
-
-    The payload unit of *split-first* sharding: every spec in the batch
-    belongs to the split its ``context`` describes, so the worker executing
-    the batch rebuilds (or cache-hits) exactly one prepared split and runs
-    the jobs as an in-order loop.  When a split is cut into several batches
-    (the ``workers > num_splits`` fallback), each batch still carries the
-    same context and the worker-side runtime cache dedupes preparation
-    within a worker.
-
-    ``runtime_slots`` is the number of distinct splits in flight across the
-    whole dispatch: workers grow their runtime cache to at least this many
-    slots, so the "each worker prepares each split at most once" guarantee
-    is structural — a worker interleaving batches of many splits can never
-    evict a runtime it will need again.
-    """
-
-    context: HarvestTaskContext
-    specs: Tuple[HarvestJobSpec, ...]
-    runtime_slots: int = 4
-    #: Distinct base-corpus keys in flight across the dispatch — workers
-    #: grow their base/corpus caches to at least this (see
-    #: :func:`reserve_base_slots`).
-    base_slots: int = 4
-
-
-@dataclass
-class HarvestBatchOutcome:
-    """What one executed batch ships home: results plus a preparation probe.
-
-    ``results`` are the batch's :class:`~repro.core.harvester.HarvestResult`
-    objects in spec order.  ``worker_pid`` and ``runtime_builds`` (how many
-    prepared-split runtimes this batch had to *build* rather than reuse —
-    0 or 1) exist so orchestrators and tests can assert the split-first
-    guarantee: each worker prepares each split at most once.
-
-    ``perf_phases`` carries the worker-side profiling view when the worker
-    process had profiling on: per-phase ``{count, total_seconds}``
-    aggregates of exactly the samples this batch produced (see
-    :func:`repro.perf.handoff`; empty when worker profiling is off).  The
-    orchestrator folds them into its own recorder (:func:`repro.perf.fold`),
-    so sharded runs lose no phase accounting to the process boundary.
-    """
-
-    results: list
-    worker_pid: int
-    split_index: int
-    runtime_builds: int
-    perf_phases: dict = field(default_factory=dict)
-    #: True when the batch's corpus came from an attached store segment —
-    #: with it, ``index_builds`` must be 0 (the attach == rebuild guarantee
-    #: is asserted by tests, not assumed).
-    attached: bool = False
-    #: Full corpus indexing passes the batch's engine performed (0 when a
-    #: published store supplied the index, else at most 1 per runtime).
-    index_builds: int = 0
-    #: Aspect-classifier suites this batch had to *train* (0 when the
-    #: published store carried the split's trained suite and the worker
-    #: attached it, else at most 1 per runtime build).
-    classifier_trainings: int = 0
-    #: True when the batch's split runtime attached its classifier suite
-    #: from the store instead of training.
-    classifier_attached: bool = False
-
-
-@dataclass(frozen=True)
 class SweepCellSpec:
-    """One (domain, scenario) cell of a scenario sweep, as configuration.
+    """One cell of a figure, sweep or campaign, as configuration.
 
-    ``scenario=None`` denotes the clean baseline cell.  The result travels
-    back as a :class:`SweepCellResult`.
+    A cell evaluates ``methods`` on every split of one corpus: the clean
+    corpus, or the one ``corpus.scenario`` perturbs (``scenario=None`` is
+    the clean baseline cell).  Every harvest runs to the largest of
+    :attr:`query_budgets`; the result, a :class:`SweepCellResult`, holds one
+    :class:`SessionRow` per scored session and budget, plus metric blocks
+    at ``num_queries``.  ``domain_fraction`` subsamples the entities the
+    domain phase sees (Fig. 11).
     """
 
     corpus: CorpusSpec
@@ -338,6 +254,9 @@ class SweepCellSpec:
     #: Distinct base-corpus keys across the sweep's dispatched cells (see
     #: :func:`reserve_base_slots`).
     base_slots: int = 4
+    #: Further budgets the rows are scored at (a figure's budget axis).
+    budgets: Tuple[int, ...] = ()
+    domain_fraction: float = 1.0
 
     @property
     def domain(self) -> str:
@@ -349,18 +268,27 @@ class SweepCellSpec:
         """Scenario name, or ``None`` for the clean baseline cell."""
         return self.corpus.scenario.name if self.corpus.scenario else None
 
+    @property
+    def query_budgets(self) -> Tuple[int, ...]:
+        """Every budget the rows are scored at, sorted: ``num_queries``
+        and ``budgets``."""
+        return tuple(sorted({self.num_queries, *self.budgets}))
+
     def cell_key(self) -> str:
         """Stable content-addressed identity of this cell.
 
         Two specs share a key exactly when they denote the same evaluated
         cell: corpus (domain, sizes, seed, scenario pipeline), methods,
-        budgets and learner config.  Transport and cache-tuning fields
-        (``store_handle``, ``base_slots``) are excluded, so the key
-        survives resume under a different store mode or worker count —
-        the property journal replay rests on.
+        budgets, domain fraction and learner config.  Transport and
+        cache-tuning fields (``store_handle``, ``base_slots``) are
+        excluded, so the key survives resume under a different store mode
+        or worker count — the property journal replay rests on.  The
+        budget list and the domain fraction enter the key only when they
+        differ from their defaults, which sweep and campaign cells keep:
+        journaled campaign directories resume by those keys.
         """
         corpus = self.corpus
-        return stable_key({
+        payload = {
             "kind": "sweep-cell",
             "corpus": {
                 "domain": corpus.domain,
@@ -378,12 +306,42 @@ class SweepCellSpec:
             "max_aspects": self.max_aspects,
             "config": asdict(self.config) if self.config is not None else None,
             "base_seed": self.base_seed,
-        })
+        }
+        if self.query_budgets != (self.num_queries,):
+            payload["budgets"] = list(self.query_budgets)
+        if self.domain_fraction != 1.0:
+            payload["domain_fraction"] = self.domain_fraction
+        return stable_key(payload)
+
+
+@dataclass(frozen=True)
+class SessionRow:
+    """One harvest session of a cell, scored at one query budget.
+
+    The absolute precision, recall and F-score of the pages the session
+    gathered within ``budget`` queries; the same normalised by the ideal
+    selector's session of the (split, entity, aspect); and the session's
+    duplicate waste at that budget (:mod:`repro.dedup.waste`).  ``split``
+    is the split's index in the cell.
+    """
+
+    split: int
+    method: str
+    entity_id: str
+    aspect: str
+    budget: int
+    precision: float
+    recall: float
+    f_score: float
+    normalized_precision: float
+    normalized_recall: float
+    normalized_f_score: float
+    duplicate_waste: float
 
 
 @dataclass
 class SweepCellResult:
-    """Evaluated metrics of one sweep cell (what crosses back by pickle)."""
+    """Evaluated rows and metrics of one cell (what crosses back by pickle)."""
 
     domain: str
     scenario: Optional[str]
@@ -395,6 +353,11 @@ class SweepCellResult:
     #: Merged per-run fetch accounting of the cell's harvest runs — this is
     #: how worker-side engine counters survive the process boundary.
     fetch: dict = field(default_factory=dict)
+    #: One :class:`SessionRow` per (split, aspect, entity, method, budget),
+    #: in evaluation order; the metric blocks above are their fold at the
+    #: cell's ``num_queries``.  Empty in artifacts written before cells
+    #: returned rows.
+    rows: list = field(default_factory=list)
     #: Per-phase ``{count, total_seconds}`` the cell recorded while
     #: profiling was on (see :func:`repro.perf.handoff`), shipped home so a
     #: distributed sweep's profile covers its workers.
@@ -404,8 +367,8 @@ class SweepCellResult:
     def to_json_dict(self) -> dict:
         """Plain-JSON rendering (the campaign layer's on-disk artifact).
 
-        Every field is already JSON-plain (strings, floats, nested dicts),
-        and JSON float round-trips are exact, so
+        Every field renders as JSON-plain data (strings, floats, nested
+        dicts, one dict per row), and JSON float round-trips are exact, so
         ``from_json_dict(to_json_dict(r))`` reproduces ``r`` bit-for-bit —
         the property resumed-run byte-identity rests on.
         """
@@ -417,6 +380,7 @@ class SweepCellResult:
             "absolute_metrics": self.absolute_metrics,
             "duplicate_waste": self.duplicate_waste,
             "fetch": self.fetch,
+            "rows": [asdict(row) for row in self.rows],
         }
 
     @classmethod
@@ -428,4 +392,5 @@ class SweepCellResult:
                    metrics=data["metrics"],
                    absolute_metrics=data["absolute_metrics"],
                    duplicate_waste=data["duplicate_waste"],
-                   fetch=data["fetch"])
+                   fetch=data["fetch"],
+                   rows=[SessionRow(**row) for row in data.get("rows", [])])

@@ -20,6 +20,7 @@ from repro.core.queries import NgramTable, QueryEnumerator
 from repro.core.utility import GraphTables
 from repro.corpus.document import Page, Paragraph
 from repro.eval.runner import ExperimentRunner
+from repro.exec.backends import ProcessBackend
 
 
 def make_paragraph(paragraph_id, tokens, aspect=None):
@@ -77,31 +78,53 @@ def harvest_signature(result):
     )
 
 
+#: Worlds this process rebuilt for :func:`harvest_in_worker`, keyed by
+#: (corpus spec, config): a worker prepares each world once, however many
+#: of its tasks it runs.
+_WORKER_WORLDS = {}
+
+
+def harvest_in_worker(task):
+    """One task of :func:`run_split_specs`: ``(pid, result)`` of one job
+    spec, harvested in a world rebuilt from its corpus spec."""
+    corpus_spec, config, spec = task
+    key = repr((corpus_spec, config))
+    if key not in _WORKER_WORLDS:
+        runner = ExperimentRunner(corpus_spec.build(), config=config,
+                                  base_seed=5)
+        prepared = runner.prepare(runner.default_split(0))
+        _WORKER_WORLDS[key] = (runner, prepared, runner.harvester_for(prepared))
+    runner, prepared, harvester = _WORKER_WORLDS[key]
+    return os.getpid(), harvester.harvest_job(runner.job_from_spec(prepared, spec))
+
+
 def run_split_specs(corpus, methods, *, corpus_spec=None, config=None,
                     num_queries=2, workers=2):
-    """Two test entities of split 0 × ``methods``, dispatched once.
+    """Two test entities of split 0 × ``methods``, one harvest per job spec.
 
-    With ``corpus_spec`` the specs go to ``workers`` process workers, which
-    rebuild the corpus from it, and the runner's results must be its batch
-    outcomes' results in batch order; without it they run in this process.
-    Returns the results in spec order.
+    With ``corpus_spec`` every spec is its own task on ``workers`` process
+    workers (``ProcessBackend.map_tasks``), harvested in a world the worker
+    rebuilt from ``corpus_spec``; without it the specs run in this process
+    on one harvester.  Returns the results in spec order.
     """
-    runner = ExperimentRunner(corpus, config=config, base_seed=5,
-                              workers=workers if corpus_spec else 1,
-                              corpus_spec=corpus_spec, corpus_store="off")
+    runner = ExperimentRunner(corpus, config=config, base_seed=5)
     split = runner.default_split(0)
     specs = [runner.job_spec(split, method, entity_id, "RESEARCH", num_queries)
              for method in methods
              for entity_id in list(split.test_entities)[:2]]
-    (results,) = runner._run_all_splits([(split, specs)], 1.0)
-    if corpus_spec is not None:
-        outcomes = runner.last_batch_outcomes
-        assert outcomes
-        assert all(outcome.worker_pid != os.getpid() for outcome in outcomes)
-        assert results == [result for outcome in outcomes
-                           for result in outcome.results]
-        runner.backend.close()
-    return results
+    if corpus_spec is None:
+        prepared = runner.prepare(split)
+        harvester = runner.harvester_for(prepared)
+        return [harvester.harvest_job(runner.job_from_spec(prepared, spec))
+                for spec in specs]
+    backend = ProcessBackend(workers)
+    try:
+        shipped = backend.map_tasks(harvest_in_worker,
+                                    [(corpus_spec, config, spec) for spec in specs])
+    finally:
+        backend.close()
+    assert all(pid != os.getpid() for pid, _ in shipped)
+    return [result for _, result in shipped]
 
 
 def run_on_threads(fn, items, timeout=120.0):

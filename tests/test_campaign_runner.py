@@ -104,6 +104,25 @@ class TestRunAndFold:
         assert json.dumps(once, sort_keys=True) \
             == json.dumps(twice, sort_keys=True)
 
+    def test_artifacts_without_rows_fold_to_the_same_matrices(self, tmp_path):
+        # Cell artifacts journaled before cells returned rows hold only the
+        # metric blocks; a campaign directory of them folds to the same
+        # matrices, byte for byte.
+        runner = CampaignRunner(tmp_path / "camp", spec=tiny_spec())
+        report = runner.run()
+        expected = report.matrices_path.read_bytes()
+        artifacts = sorted(runner.store.cells_dir.glob("*.json"))
+        assert artifacts
+        for artifact in artifacts:
+            payload = json.loads(artifact.read_text(encoding="utf-8"))
+            assert payload["result"].pop("rows")
+            artifact.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                                + "\n", encoding="utf-8")
+        report.matrices_path.unlink()
+        replayed = CampaignRunner(tmp_path / "camp").run()
+        assert (replayed.skipped, replayed.executed) == (2, 0)
+        assert replayed.matrices_path.read_bytes() == expected
+
     def test_process_backend_same_bytes(self, tmp_path):
         serial = CampaignRunner(tmp_path / "serial", spec=tiny_spec())
         process = CampaignRunner(tmp_path / "process", spec=tiny_spec(),

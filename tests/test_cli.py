@@ -366,6 +366,21 @@ class TestPerfCommand:
         assert process.get("harvest", {}).get("count") == \
             serial["harvest"]["count"]
 
+    def test_experiment_workers_dispatch_figure_cells(self, capsys):
+        # --workers parallelises a figure's cells; the table is the
+        # serial one, byte for byte.
+        def render(*args):
+            out = io.StringIO()
+            assert main(["experiment", "--figure", "fig10", "--scale",
+                         "smoke", *args], out=out) == 0
+            return out.getvalue()
+
+        assert render("--workers", "2") == render()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "parallel workers for the figure cells" in help_text
+
     def test_perf_output_does_not_leak_global_recorder(self, tmp_path):
         from repro import perf
 

@@ -30,8 +30,9 @@ def _jobs(runner, prepared, methods, num_queries=2):
 class TestDeterminism:
     @pytest.mark.parametrize("methods", [("L2QBAL", "RND"), ("LM", "HR")])
     def test_workers_4_reproduces_workers_1(self, researcher_corpus, methods):
-        # Four workers over one split cut it into four one-spec page
-        # batches; the reassembled results equal the in-process loop's.
+        # Four process workers, one task per job spec, each harvesting in
+        # a world it rebuilt from the corpus spec, reproduce the in-process
+        # loop.
         from repro.exec.specs import CorpusSpec
 
         serial = run_split_specs(researcher_corpus, methods)
@@ -41,70 +42,55 @@ class TestDeterminism:
             [_signature(r) for r in serial]
 
     def test_results_in_job_order(self, researcher_corpus):
-        # Four workers cut the split into four one-spec page batches; the
-        # runner puts their results back together in spec order.
+        # Whichever of four workers runs a spec, its result comes back in
+        # the spec's place.
         from repro.eval.runner import ExperimentRunner
         from repro.exec.specs import CorpusSpec
 
-        runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=4,
-                                  corpus_spec=CorpusSpec(**RESEARCHER_SPEC),
-                                  corpus_store="off")
+        runner = ExperimentRunner(researcher_corpus, base_seed=5)
         split = runner.default_split(0)
-        specs = [runner.job_spec(split, method, entity_id, "RESEARCH", 2)
-                 for method in ("RND", "MQ")
-                 for entity_id in list(split.test_entities)[:2]]
-        try:
-            (results,) = runner._run_all_splits([(split, specs)], 1.0)
-        finally:
-            runner.backend.close()
-        assert len(runner.last_batch_outcomes) == 4
+        methods = ("RND", "MQ")
+        results = run_split_specs(researcher_corpus, methods, workers=4,
+                                  corpus_spec=CorpusSpec(**RESEARCHER_SPEC))
         assert [(r.selector_name, r.entity_id) for r in results] == \
-            [(spec.method, spec.entity_id) for spec in specs]
+            [(method, entity_id) for method in methods
+             for entity_id in list(split.test_entities)[:2]]
 
-    def test_evaluate_methods_identical_across_worker_counts(self, researcher_corpus):
-        from repro.eval.runner import ExperimentRunner
-        from repro.exec.specs import CorpusSpec
+    def test_evaluate_methods_identical_across_worker_counts(self):
+        from repro.eval.experiments import ExperimentScale
+        from repro.eval.scenario_sweep import figure_cell_specs, run_cells
 
-        # Several workers mean the process backend, whose workers rebuild
-        # the corpus from its spec.
-        spec = CorpusSpec(domain="researcher", num_entities=16,
-                          pages_per_entity=10, seed=11)
-
-        def run(workers):
-            runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=workers,
-                                      corpus_spec=spec)
-            return runner.evaluate_methods(("RND", "MQ"), num_queries_list=(2,),
-                                           max_test_entities=2,
-                                           aspects=("RESEARCH",))
-
-        serial, parallel = run(1), run(4)
-        for method in ("RND", "MQ"):
-            assert serial[method].precision == parallel[method].precision
-            assert serial[method].recall == parallel[method].recall
-            assert serial[method].f_score == parallel[method].f_score
+        # One cell per (domain, fraction): four cells for four workers.
+        scale = ExperimentScale(
+            name="unit", num_entities={"researcher": 16, "car": 12},
+            pages_per_entity=10, num_splits=1, max_test_entities=2,
+            max_aspects=1, num_queries_list=(2,), corpus_seed=11)
+        cells = figure_cell_specs(scale, ("researcher", "car"), ("RND", "MQ"),
+                                  (2,), fractions=(0.5, 1.0))
+        serial = run_cells(cells, corpus_store="off")
+        parallel = run_cells(cells, workers=4, corpus_store="off")
+        assert all(result.rows for result in serial)
+        assert parallel == serial
 
 
 class TestValidation:
-    def test_empty_batch(self, researcher_corpus):
-        # A split without specs dispatches nothing: no batch, no pool.
-        from repro.eval.runner import ExperimentRunner
-        from repro.exec.specs import CorpusSpec
+    def test_empty_batch(self):
+        # A dispatch without cells runs nothing and starts no pool.
+        from repro.eval.scenario_sweep import dispatch_cells
+        from repro.exec.backends import ProcessBackend
 
-        runner = ExperimentRunner(researcher_corpus, base_seed=5, workers=2,
-                                  corpus_spec=CorpusSpec(**RESEARCHER_SPEC),
-                                  corpus_store="off")
+        backend = ProcessBackend(2)
         try:
-            assert runner._run_all_splits([(runner.default_split(0), [])],
-                                          1.0) == [[]]
-            assert runner.last_batch_outcomes == []
-            assert runner.backend._pool is None
+            assert dispatch_cells(backend, [], {}) == []
+            assert backend._pool is None
         finally:
-            runner.backend.close()
+            backend.close()
 
-    def test_runner_rejects_zero_workers(self, researcher_corpus):
-        from repro.eval.runner import ExperimentRunner
-        with pytest.raises(ValueError):
-            ExperimentRunner(researcher_corpus, workers=0)
+    def test_figure_rejects_zero_workers(self):
+        from repro.eval.experiments import SMOKE_SCALE, run_fig13
+
+        with pytest.raises(ValueError, match="workers"):
+            run_fig13(SMOKE_SCALE, workers=0)
 
     def test_negative_budget_rejected(self, researcher_runner,
                                       researcher_prepared):

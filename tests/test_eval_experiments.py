@@ -96,3 +96,77 @@ class TestFig14:
         report = result.reports_by_domain["researcher"]
         assert report.selection_seconds["L2QBAL"] >= 0.0
         assert report.fetch_seconds > 0.0
+
+
+class TestFigureCells:
+    """Figs. 10–13 run as cells: any backend gives the same tables, a
+    figure cleans up the pool it created, and an in-process run never
+    touches the corpus store."""
+
+    def test_fig11_compiles_one_cell_per_domain_and_fraction(self):
+        from repro.eval.scenario_sweep import figure_cell_specs
+
+        cells = figure_cell_specs(TINY_SCALE, ("researcher", "car"),
+                                  ("L2QP", "L2QR"), (3,),
+                                  fractions=(0.0, 0.5, 1.0))
+        assert [(c.domain, c.domain_fraction) for c in cells] == [
+            (domain, fraction) for domain in ("researcher", "car")
+            for fraction in (0.0, 0.5, 1.0)]
+        assert all(c.num_queries == 3 and c.query_budgets == (3,)
+                   for c in cells)
+
+    def test_comparison_cells_harvest_to_the_largest_budget(self):
+        from repro.eval.scenario_sweep import figure_cell_specs
+
+        (cell,) = figure_cell_specs(TINY_SCALE, ("car",), ("MQ",), (4, 2, 3))
+        assert cell.num_queries == 4
+        assert cell.query_budgets == (2, 3, 4)
+
+    def test_process_workers_reproduce_the_serial_figure(self):
+        serial = run_fig11(TINY_SCALE, fractions=(0.0, 1.0))
+        process = run_fig11(TINY_SCALE, fractions=(0.0, 1.0),
+                            backend="process", workers=2)
+        assert process == serial
+
+    def test_figure_closes_the_pool_it_created(self):
+        import multiprocessing
+
+        before = multiprocessing.active_children()
+        run_fig10(TINY_SCALE, domains=("car",), workers=2)
+        assert multiprocessing.active_children() == before
+
+    def test_figure_leaves_a_passed_backend_open(self):
+        from repro.exec.backends import ProcessBackend
+
+        backend = ProcessBackend(2)
+        try:
+            run_fig10(TINY_SCALE, domains=("car",), backend=backend)
+            assert backend._pool is not None
+        finally:
+            backend.close()
+
+    def test_figure_rejects_unknown_store_mode(self):
+        with pytest.raises(ValueError, match="corpus-store mode"):
+            run_fig13(TINY_SCALE, corpus_store="floppy")
+
+
+class TestNoStoreInProcess:
+    """Resolving ``auto`` probes shared memory, which starts
+    multiprocessing's resource-tracker process; in-process work must
+    never get that far."""
+
+    @pytest.fixture
+    def no_store_probe(self, monkeypatch):
+        def probe():
+            raise AssertionError("an in-process run resolved a store mode")
+
+        monkeypatch.setattr("repro.store.corpus_store.default_mode", probe)
+
+    def test_runner_resolves_no_store_mode(self, no_store_probe):
+        from repro.eval.runner import ExperimentRunner
+
+        ExperimentRunner(SMOKE_SCALE.corpus_for("car"))
+
+    def test_serial_figure_resolves_no_store_mode(self, no_store_probe):
+        result = run_fig13(SMOKE_SCALE, domains=("car",))
+        assert set(result.series_by_domain) == {"car"}

@@ -94,7 +94,7 @@ class TestEvaluateMethods:
         def no_harvest(*args, **kwargs):
             raise AssertionError("harvested before validating budgets")
 
-        monkeypatch.setattr(researcher_runner, "_run_all_splits", no_harvest)
+        monkeypatch.setattr(researcher_runner, "prepare", no_harvest)
         with pytest.raises(ValueError, match=r"budgets must be >= 0, got \[-1\]"):
             researcher_runner.evaluate_methods(("RND",),
                                                num_queries_list=(-1, 2))
@@ -107,6 +107,47 @@ class TestEvaluateMethods:
         assert series["MQ"].budgets() == [0, 2]
         assert 0.0 <= series["MQ"].precision[2] <= 1.0
         assert series["MQ"].recall[0] <= series["MQ"].recall[2]
+
+
+class TestRows:
+    @staticmethod
+    def _row(method, budget, precision, split=0, entity_id="e1"):
+        from repro.exec.specs import SessionRow
+
+        return SessionRow(split=split, method=method, entity_id=entity_id,
+                          aspect="RESEARCH", budget=budget,
+                          precision=precision, recall=1.0, f_score=0.5,
+                          normalized_precision=precision / 2,
+                          normalized_recall=0.25, normalized_f_score=0.125,
+                          duplicate_waste=precision / 4)
+
+    def test_fold_means_each_point_in_row_order(self):
+        from repro.eval.runner import fold_rows
+
+        values = [0.1, 0.2, 0.7]
+        rows = [self._row("MQ", 3, v, entity_id=f"e{i}")
+                for i, v in enumerate(values)]
+        rows.append(self._row("RND", 3, 0.9))  # another method's row
+        folded = fold_rows(rows, ("MQ",), (3, 2))
+        assert folded.absolute["MQ"].precision == {2: 0.0, 3: sum(values) / 3}
+        assert folded.normalized["MQ"].precision[3] == \
+            sum(v / 2 for v in values) / 3
+        assert folded.duplicate_waste["MQ"] == \
+            {2: 0.0, 3: sum(v / 4 for v in values) / 3}
+        # Series keys are the sorted budgets, as the figures print them.
+        assert folded.absolute["MQ"].budgets() == [2, 3]
+        assert set(folded.normalized) == {"MQ"}
+
+    def test_evaluate_rows_scores_every_session_at_every_budget(
+            self, researcher_runner, researcher_corpus):
+        rows, fetch = researcher_runner.evaluate_rows(
+            ("RND", "MQ"), num_queries_list=(2, 1), max_test_entities=2,
+            aspects=researcher_corpus.aspects[:1])
+        sessions = {(row.aspect, row.entity_id, row.method) for row in rows}
+        assert len(rows) == 2 * len(sessions)
+        assert [row.budget for row in rows[:2]] == [1, 2]
+        assert all(0.0 <= row.normalized_precision <= 1.0 for row in rows)
+        assert fetch.queries_fired > 0
 
 
 class TestEfficiencyAndValidation:
@@ -150,8 +191,9 @@ class TestEfficiencyAndValidation:
 
     def test_validate_seed_recall_harvests_in_process(self, researcher_corpus):
         # Each candidate r0 lives in this runner's config, so the harvests
-        # stay here whatever the backend: the process pool is never started.
-        from repro.exec.specs import CorpusSpec
+        # stay in this process: no child process is started, and a second
+        # runner reproduces the scores.
+        import multiprocessing
 
         def validate(runner):
             return runner.validate_seed_recall(
@@ -159,10 +201,7 @@ class TestEfficiencyAndValidation:
                 max_validation_entities=1,
                 aspects=researcher_corpus.aspects[:1])
 
-        serial = validate(ExperimentRunner(researcher_corpus, base_seed=5))
-        runner = ExperimentRunner(
-            researcher_corpus, base_seed=5, workers=2, backend="process",
-            corpus_spec=CorpusSpec(domain="researcher", num_entities=16,
-                                   pages_per_entity=10, seed=11))
-        assert validate(runner) == serial
-        assert runner.backend._pool is None
+        before = multiprocessing.active_children()
+        first = validate(ExperimentRunner(researcher_corpus, base_seed=5))
+        assert validate(ExperimentRunner(researcher_corpus, base_seed=5)) == first
+        assert multiprocessing.active_children() == before

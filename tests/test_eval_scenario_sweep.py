@@ -316,3 +316,92 @@ class TestConfigGrid:
         # Same corpus condition (one digest), different learner behaviour.
         assert off["corpus_digest"] == on["corpus_digest"]
         assert set(off["duplicate_waste"]) == {"L2QBAL"}
+
+
+class TestCellRows:
+    """A cell returns one row per scored session; its metric blocks are the
+    rows' fold at the cell's budget, and the rows survive JSON."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        from repro.eval.scenario_sweep import execute_sweep_cell, figure_cell_specs
+
+        (spec,) = figure_cell_specs(TINY_SCALE, ("researcher",),
+                                    ("L2QBAL", "MQ"), (1, 2))
+        return spec, execute_sweep_cell(spec)
+
+    def test_one_row_per_split_aspect_entity_method_budget(self, cell):
+        from repro.eval.runner import ExperimentRunner
+
+        spec, result = cell
+        corpus = spec.corpus.build()
+        split = ExperimentRunner(corpus, base_seed=spec.base_seed).default_split(0)
+        expected = [
+            (0, aspect, entity_id, method, budget)
+            for aspect in list(corpus.aspects)[:spec.max_aspects]
+            for entity_id in list(split.test_entities)[:spec.max_test_entities]
+            if corpus.relevant_pages(entity_id, aspect)
+            for method in spec.methods
+            for budget in (1, 2)
+        ]
+        assert expected
+        assert [(row.split, row.aspect, row.entity_id, row.method, row.budget)
+                for row in result.rows] == expected
+
+    def test_metric_blocks_are_the_rows_fold(self, cell):
+        from repro.eval.runner import fold_rows
+
+        spec, result = cell
+        assert spec.num_queries == 2
+        folded = fold_rows(result.rows, spec.methods, spec.query_budgets)
+        for method in spec.methods:
+            assert result.metrics[method] == {
+                "precision": folded.normalized[method].precision[2],
+                "recall": folded.normalized[method].recall[2],
+                "f_score": folded.normalized[method].f_score[2]}
+            assert result.absolute_metrics[method]["f_score"] == \
+                folded.absolute[method].f_score[2]
+            assert result.duplicate_waste[method] == \
+                folded.duplicate_waste[method][2]
+
+    def test_rows_round_trip_through_json(self, cell):
+        from repro.exec.specs import SweepCellResult
+
+        _, result = cell
+        text = json.dumps(result.to_json_dict(), sort_keys=True)
+        assert SweepCellResult.from_json_dict(json.loads(text)) == result
+
+    def test_result_json_without_rows_still_loads(self, cell):
+        # Artifacts journaled before cells returned rows have no "rows".
+        from repro.exec.specs import SweepCellResult
+
+        _, result = cell
+        legacy = result.to_json_dict()
+        del legacy["rows"]
+        loaded = SweepCellResult.from_json_dict(legacy)
+        assert loaded.rows == []
+        assert loaded.metrics == result.metrics
+
+
+class TestCellKeys:
+    def _spec(self, **fields):
+        from repro.exec.specs import SweepCellSpec
+
+        base = dict(corpus=TINY_SCALE.corpus_spec_for("car"), methods=("MQ",),
+                    num_queries=3, num_splits=1, max_test_entities=2,
+                    max_aspects=2, config=None, base_seed=99)
+        base.update(fields)
+        return SweepCellSpec(**base)
+
+    def test_default_budgets_and_fraction_leave_the_key_alone(self):
+        plain = self._spec()
+        assert self._spec(budgets=(3,)).cell_key() == plain.cell_key()
+        assert self._spec(domain_fraction=1.0).cell_key() == plain.cell_key()
+        assert plain.query_budgets == (3,)
+
+    def test_budget_axis_and_fraction_change_the_key(self):
+        plain = self._spec().cell_key()
+        axis = self._spec(budgets=(2, 3))
+        assert axis.query_budgets == (2, 3)
+        fraction = self._spec(domain_fraction=0.25)
+        assert len({plain, axis.cell_key(), fraction.cell_key()}) == 3

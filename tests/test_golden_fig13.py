@@ -45,3 +45,11 @@ def test_golden_snapshot_has_expected_shape():
         assert "L2QBAL" in series and "MQ" in series
         for method_series in series.values():
             assert set(method_series) == {"precision", "recall", "f_score"}
+
+
+def test_fig13_smoke_on_two_process_workers_matches_golden():
+    # The figure's cells, dispatched to two process workers, fold to the
+    # same table as the serial run that generated the snapshot.
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    result = run_fig13(SMOKE_SCALE, backend="process", workers=2)
+    assert json.loads(json.dumps(result.to_json_dict())) == golden
