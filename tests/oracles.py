@@ -20,7 +20,10 @@ one vertex and one edge at a time, and reads solved utilities back by key.
 :func:`reference_operators` forms the solver's operators B, Mᵀ and K of a
 graph with scipy's public constructors, ``tocsc``, ``.T`` and ``@``; the
 CSR arrays :class:`~repro.graph.random_walk.UtilitySolver` applies must
-equal them array for array, in stored order.
+equal them array for array, in stored order.  :func:`reference_solve`
+iterates on them with scipy's ``@``, for as many steps as the solver took;
+every :class:`~repro.graph.random_walk.UtilityVector` the solver returns
+must equal it byte for byte.
 
 :func:`reference_hr_select` and :func:`reference_aq_select` score every
 candidate of the HR and AQ baselines with per-candidate × per-page loops
@@ -119,7 +122,8 @@ from repro.core.context import ContextTracker
 from repro.corpus.knowledge_base import TypeSystem
 from repro.dedup.minhash import EMPTY_COMPONENT, MinHasher
 from repro.dedup.shingles import shingle_hashes
-from repro.graph.random_walk import UtilityVector
+from repro.graph.random_walk import (MODE_PRECISION, RESIDUAL_TOLERANCE,
+                                     RegularizationProblem, UtilityVector)
 from repro.graph.reinforcement import ReinforcementGraph
 from repro.search.bm25 import BM25Ranker
 from repro.search.language_model import DirichletLanguageModel
@@ -263,9 +267,8 @@ def reference_operators(graph: ReinforcementGraph, alpha: float
     weights = np.concatenate([pq.data, tq.data]).astype(np.float64)
     rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
     pt_degree = np.bincount(rows, weights, minlength=shape[0])
-    page_degree = np.bincount(pq.indices, pq.data, minlength=shape[1])
-    template_degree = np.bincount(tq.indices, tq.data, minlength=shape[1])
-    two_sided = np.where((page_degree > 0) & (template_degree > 0), 0.5, 1.0)
+    page_degree, template_degree = _query_degrees(graph)
+    two_sided = _two_sided(page_degree, template_degree)
 
     def stacked(data: np.ndarray) -> sparse.csr_matrix:
         return sparse.csr_matrix((data, indices, indptr), shape=shape)
@@ -276,6 +279,69 @@ def reference_operators(graph: ReinforcementGraph, alpha: float
     operator = (stacked(pt_from_q.data * (contraction * two_sided)[indices])
                 @ q_from_pt_t.T).tocsr()
     return pt_from_q, q_from_pt_t, operator
+
+
+def _query_degrees(graph: ReinforcementGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Each query's summed edge weight to pages and, separately, to templates."""
+    pq, tq = graph.page_query, graph.query_template.tocsc()
+    return (np.bincount(pq.indices, pq.data, minlength=graph.num_queries),
+            np.bincount(tq.indices, tq.data, minlength=graph.num_queries))
+
+
+def _two_sided(page_degree: np.ndarray, template_degree: np.ndarray) -> np.ndarray:
+    """D: 0.5 on a query with both page and template neighbours, else 1."""
+    return np.where((page_degree > 0) & (template_degree > 0), 0.5, 1.0)
+
+
+def reference_solve(graph: ReinforcementGraph, alpha: float, mode: str,
+                    problems: Sequence[RegularizationProblem],
+                    steps: int) -> List[UtilityVector]:
+    """One :class:`UtilityVector` per problem, solved with scipy's ``@`` on
+    :func:`reference_operators`: ``steps`` steps of ``x <- K x + b`` from
+    ``x = b`` (``K^T`` for recall), then the query back-substitution and
+    the full-system residual.
+
+    With ``F`` the forward factor (B for precision, Mᵀ for recall) and
+    ``G`` the back factor (M, or Bᵀ), ``b = alpha x_hat + alpha (1 - alpha)
+    F q_hat``, ``q = (1 - alpha) D G x + alpha q_hat`` and the residual is
+    each column's ``max |x - (1 - alpha) F q - alpha x_hat|``.  The solver
+    picks ``steps`` from its contraction rate; the reference takes it as
+    given.
+    """
+    alpha = float(alpha)
+    damping = 1.0 - alpha
+    pt_from_q, q_from_pt_t, operator = reference_operators(graph, alpha)
+    if mode == MODE_PRECISION:
+        step, forward, back = operator, pt_from_q, q_from_pt_t.T
+    else:
+        step, forward, back = operator.T, q_from_pt_t, pt_from_q.T
+
+    def stacked(size: int, vectors: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+        values = np.zeros((size, len(vectors)))
+        for column, vector in enumerate(vectors):
+            if vector is not None:
+                values[:, column] = vector
+        return values
+
+    alpha_pt_hat = alpha * np.concatenate([
+        stacked(graph.num_pages, [p.page_regularization for p in problems]),
+        stacked(graph.num_templates, [p.template_regularization for p in problems])])
+    q_hat = stacked(graph.num_queries, [p.query_regularization for p in problems])
+    rhs = alpha_pt_hat + (alpha * damping) * (forward @ q_hat)
+    pt = rhs
+    for _ in range(steps):
+        pt = step @ pt + rhs
+    two_sided = _two_sided(*_query_degrees(graph))[:, None]
+    queries = damping * two_sided * (back @ pt) + alpha * q_hat
+    residuals = np.abs(pt - damping * (forward @ queries) - alpha_pt_hat).max(
+        axis=0, initial=0.0)
+    num_pages = graph.num_pages
+    return [UtilityVector(
+        mode=mode, page_values=pt[:num_pages, j].copy(),
+        query_values=queries[:, j].copy(), template_values=pt[num_pages:, j].copy(),
+        graph=graph, iterations=steps,
+        converged=bool(residuals[j] <= RESIDUAL_TOLERANCE),
+        residual=float(residuals[j])) for j in range(len(problems))]
 
 
 def reference_containment(pages: Sequence[Page],

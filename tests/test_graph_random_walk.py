@@ -16,7 +16,7 @@ from repro.graph.random_walk import (
 )
 from repro.graph.reinforcement import ReinforcementGraph
 
-from tests.oracles import ReferenceGraphBuilder, reference_operators
+from tests.oracles import ReferenceGraphBuilder, reference_operators, reference_solve
 
 
 def build_snir_graph():
@@ -357,6 +357,28 @@ def _graphs(draw):
                               _matrix(qt, num_queries, num_templates))
 
 
+#: Graphs at the edges of the build: (W_PQ, W_QT) as dense arrays.
+_EDGE_GRAPHS = pytest.mark.parametrize("pq,qt", [
+    # No template layer.
+    ([[1, 1, 0], [0, 1, 1]], np.zeros((3, 0))),
+    # A query with no page (reached through a template only).
+    ([[1, 0], [1, 0]], [[1], [1]]),
+    # A page and a template with no query.
+    ([[1, 1], [0, 0]], [[1, 0], [0, 0]]),
+    # No edge at all: K has no non-zero (csr_matmat_maxnnz is 0).
+    (np.zeros((2, 3)), np.zeros((3, 2))),
+    # A single page, and a single page without queries.
+    ([[1, 1, 1]], [[1, 0], [0, 1], [1, 1]]),
+    (np.zeros((1, 0)), np.zeros((0, 0))),
+], ids=["no-templates", "query-without-page", "page-and-template-without-query",
+        "zero-operator", "single-page", "single-page-alone"])
+
+
+def _edge_graph(pq, qt):
+    return ReinforcementGraph(sparse.csr_matrix(np.array(pq, dtype=float)),
+                              sparse.csr_matrix(np.array(qt, dtype=float)))
+
+
 class TestOperatorsEqualTheReference:
     """The solver's B, Mᵀ and K equal, array for array, their construction
     with scipy's public constructors (``tests/oracles.py::
@@ -373,23 +395,9 @@ class TestOperatorsEqualTheReference:
                           _stored(pt_from_q, True)},
         }
 
-    @pytest.mark.parametrize("pq,qt", [
-        # No template layer.
-        ([[1, 1, 0], [0, 1, 1]], np.zeros((3, 0))),
-        # A query with no page (reached through a template only).
-        ([[1, 0], [1, 0]], [[1], [1]]),
-        # A page and a template with no query.
-        ([[1, 1], [0, 0]], [[1, 0], [0, 0]]),
-        # No edge at all: K has no non-zero (csr_matmat_maxnnz is 0).
-        (np.zeros((2, 3)), np.zeros((3, 2))),
-        # A single page, and a single page without queries.
-        ([[1, 1, 1]], [[1, 0], [0, 1], [1, 1]]),
-        (np.zeros((1, 0)), np.zeros((0, 0))),
-    ], ids=["no-templates", "query-without-page", "page-and-template-without-query",
-            "zero-operator", "single-page", "single-page-alone"])
+    @_EDGE_GRAPHS
     def test_edge_graphs(self, pq, qt):
-        self._assert_same(ReinforcementGraph(sparse.csr_matrix(np.array(pq, dtype=float)),
-                                             sparse.csr_matrix(np.array(qt, dtype=float))))
+        self._assert_same(_edge_graph(pq, qt))
 
     def test_the_operator_keeps_the_product_order_of_its_indices(self):
         rng = np.random.default_rng(7)
@@ -397,6 +405,60 @@ class TestOperatorsEqualTheReference:
         _, _, operator = reference_operators(graph, 0.15)
         assert not operator.has_sorted_indices
         self._assert_same(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs(), st.sampled_from([0.15, 0.5, 0.9]))
+    def test_random_graphs(self, graph, alpha):
+        self._assert_same(graph, alpha)
+
+
+def _assert_same_vectors(actual, expected):
+    """Mode, steps, residual and every layer's bytes, vector by vector."""
+    assert len(actual) == len(expected)
+    for mine, theirs in zip(actual, expected):
+        assert (mine.mode, mine.iterations, mine.residual, mine.converged) == (
+            theirs.mode, theirs.iterations, theirs.residual, theirs.converged)
+        for layer in ("page_values", "query_values", "template_values"):
+            assert getattr(mine, layer).tobytes() == getattr(theirs, layer).tobytes()
+
+
+class TestSolvesEqualTheReference:
+    """Every vector a solve returns equals ``tests/oracles.py::
+    reference_solve``, the same number of steps taken with scipy's ``@`` on
+    the reference operators, byte for byte: page, query and template
+    values, steps and residual."""
+
+    @staticmethod
+    def _assert_same(graph, alpha=0.15):
+        rng = np.random.default_rng(graph.num_pages + 7 * graph.num_queries)
+        problems = [
+            RegularizationProblem(page_regularization=rng.random(graph.num_pages),
+                                  template_regularization=rng.random(graph.num_templates) * 5.0),
+            RegularizationProblem(query_regularization=rng.random(graph.num_queries)),
+            # No regularization: the iteration takes zero steps.
+            RegularizationProblem(),
+        ]
+        unregularized = problems[2:]
+        solver = UtilitySolver(graph, alpha=alpha)
+        solves = []
+        for mode in (MODE_PRECISION, MODE_RECALL):
+            for chosen in (problems[:1], problems[1:2], unregularized, problems):
+                solves.append((mode, chosen, solver.solve_many(mode, chosen)))
+            solves.append((mode, problems[:1], [solver.solve(
+                mode, page_regularization=problems[0].page_regularization,
+                template_regularization=problems[0].template_regularization)]))
+        # The entity phase's shape: one precision and four recall columns.
+        joint = (problems[:1], problems + problems[:1])
+        solves.extend(zip((MODE_PRECISION, MODE_RECALL), joint, solver.solve_joint(*joint)))
+        for mode, chosen, vectors in solves:
+            if chosen is unregularized:
+                assert vectors[0].iterations == 0
+            _assert_same_vectors(vectors, reference_solve(
+                graph, alpha, mode, chosen, vectors[0].iterations))
+
+    @_EDGE_GRAPHS
+    def test_edge_graphs(self, pq, qt):
+        self._assert_same(_edge_graph(pq, qt))
 
     @settings(max_examples=60, deadline=None)
     @given(_graphs(), st.sampled_from([0.15, 0.5, 0.9]))
