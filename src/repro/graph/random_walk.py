@@ -76,6 +76,10 @@ _STEP_NORMS = {MODE_PRECISION: np.maximum, MODE_RECALL: np.add}
 _PRODUCT_KERNELS = {False: (_sparsetools.csr_matvec, _sparsetools.csr_matvecs),
                     True: (_sparsetools.csc_matvec, _sparsetools.csc_matvecs)}
 
+#: ``kernel(columns, out)``: adds a bound operator's product with
+#: ``columns`` into ``out``.
+ProductKernel = Callable[[np.ndarray, np.ndarray], None]
+
 
 class CsrOperator(NamedTuple):
     """A sparse matrix as the arrays of scipy's CSR format."""
@@ -103,35 +107,43 @@ class RegularizationProblem:
     template_regularization: Optional[np.ndarray] = None
 
 
+def product_kernel(operator: CsrOperator, count: int,
+                   transpose: bool = False) -> ProductKernel:
+    """The compiled kernel scipy's ``@`` runs for ``operator @ x``, or
+    ``operator.T @ x`` with ``transpose``, on a float64 ``(n, count)``
+    array ``x``, bound to ``operator``'s arrays (a scipy CSR matrix also
+    works): ``kernel(x, out)`` adds the product into ``out``, a C-contiguous
+    float64 array of the product's shape, where ``@`` adds it into zeros.
+
+    The kernel is ``csr_matvec`` for one column and ``csr_matvecs`` for
+    several, and their ``csc_*`` twins for the transpose; this is the
+    module's one choice of kernel.  On the solver's small operators most of
+    an ``@`` is its dispatch, checks and wrapping, not the product.  The
+    kernels index ``x`` and ``out`` unchecked.  ``scipy.sparse._sparsetools``
+    is private, so ``tests/test_graph_random_walk.py`` pins every product
+    and every solve to ``@``.
+    """
+    rows, cols = operator.shape[::-1] if transpose else operator.shape
+    matvec, matvecs = _PRODUCT_KERNELS[transpose]
+    arrays = (operator.indptr, operator.indices, operator.data)
+    if count == 1:
+        return partial(matvec, rows, cols, *arrays)
+    return partial(matvecs, rows, cols, count, *arrays)
+
+
 def sparse_product(operator: CsrOperator, columns: np.ndarray,
                    transpose: bool = False) -> np.ndarray:
     """``operator @ columns``, or ``operator.T @ columns`` with ``transpose``,
     for a float64 ``(n, k)`` array ``columns``, bit for bit as scipy's ``@``
-    on a CSR matrix of ``operator``'s arrays (a scipy CSR matrix also works).
-
-    It calls the compiled kernel ``@`` dispatches to, with the same
-    arguments: ``csr_matvec`` for one column and ``csr_matvecs`` for
-    several, and their ``csc_*`` twins for the transpose.  On the solver's
-    small operators most of an ``@`` is its dispatch, checks and wrapping,
-    not the product.  ``scipy.sparse._sparsetools`` is private, so
-    ``tests/test_graph_random_walk.py`` pins this function to ``@``.
-    """
-    rows, cols = operator.shape
-    if transpose:
-        rows, cols = cols, rows
-    # The kernels index ``columns`` unchecked.
+    on a CSR matrix of ``operator``'s arrays: :func:`product_kernel` added
+    into zeros."""
+    rows, cols = operator.shape[::-1] if transpose else operator.shape
     if columns.shape[0] != cols:
         raise ValueError(f"a product of a {rows} x {cols} operator with "
                          f"{columns.shape[0]} rows")
-    count = columns.shape[1]
-    product = np.zeros((rows, count))
-    matvec, matvecs = _PRODUCT_KERNELS[transpose]
-    if count == 1:
-        matvec(rows, cols, operator.indptr, operator.indices, operator.data,
-               columns.ravel(), product.ravel())
-    else:
-        matvecs(rows, cols, count, operator.indptr, operator.indices, operator.data,
-                columns.ravel(), product.ravel())
+    product = np.zeros((rows, columns.shape[1]))
+    product_kernel(operator, columns.shape[1], transpose)(
+        np.ascontiguousarray(columns), product)
     return product
 
 
@@ -227,15 +239,15 @@ class UtilitySolver:
                                 m_indptr, m_indices, m_data, k_indptr, k_indices, k_data)
         nnz = k_indptr[-1]
         operator = CsrOperator((size, size), k_indptr, k_indices[:nnz], k_data[:nnz])
-        # Per mode, the products with K, F and G, where K = (1 - alpha)^2 F D G:
-        # the right-hand side and residual take F, the query
-        # back-substitution D G.  Each applies one of the three CSR
-        # matrices as itself or as its transpose.
+        # Per mode, K's kernel for a column count, and the products with F
+        # and G, where K = (1 - alpha)^2 F D G: the right-hand side and
+        # residual take F, the query back-substitution D G.  Each applies
+        # one of the three CSR matrices as itself or as its transpose.
         self._modes = {
-            MODE_PRECISION: (partial(sparse_product, operator),
+            MODE_PRECISION: (partial(product_kernel, operator),
                              partial(sparse_product, pt_from_q),
                              partial(sparse_product, q_from_pt_t, transpose=True)),
-            MODE_RECALL: (partial(sparse_product, operator, transpose=True),
+            MODE_RECALL: (partial(product_kernel, operator, transpose=True),
                           partial(sparse_product, q_from_pt_t),
                           partial(sparse_product, pt_from_q, transpose=True)),
         }
@@ -285,7 +297,7 @@ class UtilitySolver:
         graph = self.graph
         alpha = self.alpha
         damping = 1.0 - alpha
-        operator, pt_from_q, q_from_pt = self._modes[mode]
+        operator_kernel, pt_from_q, q_from_pt = self._modes[mode]
         alpha_pt_hat = alpha * np.concatenate([
             _stack(graph.num_pages, [p.page_regularization for p in problems]),
             _stack(graph.num_templates,
@@ -295,7 +307,8 @@ class UtilitySolver:
         alpha_q_hat = alpha * q_hat
 
         rhs = alpha_pt_hat + (alpha * damping) * pt_from_q(q_hat)
-        pt, iterations = self._iterate(operator, rhs, _STEP_NORMS[mode])
+        pt, iterations = self._iterate(operator_kernel(len(problems)), rhs,
+                                       _STEP_NORMS[mode])
         queries = damping * self._two_sided * q_from_pt(pt) + alpha_q_hat
         # The query block of the residual is zero by construction of the
         # back-substitution, so the page+template block is the whole of it.
@@ -321,10 +334,10 @@ class UtilitySolver:
             residual=float(residuals[j]),
         ) for j in range(len(problems))]
 
-    def _iterate(self, operator: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
+    def _iterate(self, operator: ProductKernel, rhs: np.ndarray,
                  norm: np.ufunc) -> Tuple[np.ndarray, int]:
-        """Iterate ``x <- K x + b`` from ``x = b``, with ``operator`` the
-        product with ``K``; return ``x`` and the steps.
+        """Iterate ``x <- K x + b`` from ``x = b``, with ``operator`` K's
+        kernel; return ``x`` and the steps.
 
         The ``k``-th step is ``K^k b`` and ``K`` contracts by ``c`` in the
         mode's norm, so after ``k`` steps the iterate lies within
@@ -333,6 +346,10 @@ class UtilitySolver:
         is tight: on non-negative ``b`` a recall step shrinks by exactly
         ``c`` when every page and template has a query, so testing each
         step as it is taken would save at most a few steps.
+
+        A step is one kernel call between two buffers that swap roles: it
+        zeroes the target, adds ``K x`` into it and then adds ``b``, the
+        additions of ``(K @ x) + b`` in their order.
         """
         contraction = self.contraction
         size = float(norm.reduce(np.abs(rhs), axis=0, initial=0.0).max(initial=0.0))
@@ -340,10 +357,12 @@ class UtilitySolver:
         if 0.0 < size < math.inf:
             target = _ERROR_TARGET * (1.0 - contraction) / size
             steps = max(0, math.ceil(math.log(target) / math.log(contraction)) - 1)
-        pt = rhs
+        pt, target = rhs.copy(), np.empty_like(rhs)
         for _ in range(steps):
-            pt = operator(pt)
-            pt += rhs
+            target.fill(0.0)
+            operator(pt, target)
+            target += rhs
+            pt, target = target, pt
         return pt, steps
 
 

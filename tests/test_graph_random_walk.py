@@ -260,54 +260,6 @@ class TestSparseProduct:
         x = np.random.default_rng(5).standard_normal((matrix.shape[1], 8))[:, ::2]
         assert sparse_product(matrix, x).tobytes() == (matrix @ x).tobytes()
 
-    @staticmethod
-    def _graph(seed):
-        rng = np.random.default_rng(seed)
-        return ReinforcementGraph(_binary(rng, (12, 30), 0.15),
-                                  _binary(rng, (30, 6), 0.1))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_solves_equal_the_matmul_solves(self, seed, monkeypatch):
-        graph = self._graph(seed)
-        rng = np.random.default_rng(seed)
-        problems = [
-            RegularizationProblem(page_regularization=rng.random(12),
-                                  template_regularization=rng.random(6) * 5.0),
-            RegularizationProblem(query_regularization=rng.random(30)),
-            # No regularization: the iteration takes zero steps.
-            RegularizationProblem(),
-        ]
-
-        def solve_all():
-            """Every vector of six solves, and each solve's steps."""
-            solver = UtilitySolver(graph)
-            solves = [solver.solve_many(mode, problems[:count])
-                      for mode in (MODE_PRECISION, MODE_RECALL)
-                      for count in (1, len(problems))] + [
-                [solver.solve(mode)] for mode in (MODE_PRECISION, MODE_RECALL)]
-            return ([vector for vectors in solves for vector in vectors],
-                    [vectors[0].iterations for vectors in solves])
-
-        raw, _ = solve_all()
-        products = []
-
-        def matmul(operator, columns, transpose=False):
-            products.append(transpose)
-            matrix = sparse.csr_matrix((operator.data, operator.indices, operator.indptr),
-                                       shape=operator.shape)
-            return (matrix.T if transpose else matrix) @ columns
-
-        monkeypatch.setattr(random_walk, "sparse_product", matmul)
-        dispatched, steps = solve_all()
-        assert steps[-2:] == [0, 0]
-        # Every product goes through the substitute: the right-hand side,
-        # each step, the query back-substitution and the residual.
-        assert len(products) == sum(count + 3 for count in steps)
-        for mine, theirs in zip(raw, dispatched):
-            assert (mine.iterations, mine.residual) == (theirs.iterations, theirs.residual)
-            for layer in ("page_values", "query_values", "template_values"):
-                assert getattr(mine, layer).tobytes() == getattr(theirs, layer).tobytes()
-
 
 def _stored(operator, transpose):
     """An operator's shape, CSR arrays (dtype and bytes, in stored order)
@@ -318,23 +270,33 @@ def _stored(operator, transpose):
 
 
 def _applied_operators(graph, alpha):
-    """Per mode, the operators every product of a solve applies, through
-    the module's product function."""
+    """Per mode, the operators every product of a solve applies: each
+    kernel the module's one kernel choice binds records its operator when
+    it runs."""
     applied = {}
-    product = random_walk.sparse_product
+    calls = []
+    kernel_of = random_walk.product_kernel
 
-    def recording(operator, columns, transpose=False):
-        applied[mode].add(_stored(operator, transpose))
-        return product(operator, columns, transpose=transpose)
+    def recording(operator, count, transpose=False):
+        kernel = kernel_of(operator, count, transpose)
+
+        def run(columns, out):
+            calls.append(mode)
+            applied[mode].add(_stored(operator, transpose))
+            kernel(columns, out)
+        return run
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(random_walk, "sparse_product", recording)
+        patch.setattr(random_walk, "product_kernel", recording)
         solver = UtilitySolver(graph, alpha=alpha)
         for mode in (MODE_PRECISION, MODE_RECALL):
             applied[mode] = set()
             # Pages regularized: the iteration takes steps, so K is applied.
-            assert solver.solve(mode, page_regularization=np.ones(
-                graph.num_pages)).iterations > 0
+            steps = solver.solve(mode, page_regularization=np.ones(graph.num_pages)).iterations
+            assert steps > 0
+            # Every product runs a recorded kernel: the right-hand side,
+            # each step, the query back-substitution and the residual.
+            assert calls.count(mode) == steps + 3
     return applied
 
 
@@ -464,3 +426,9 @@ class TestSolvesEqualTheReference:
     @given(_graphs(), st.sampled_from([0.15, 0.5, 0.9]))
     def test_random_graphs(self, graph, alpha):
         self._assert_same(graph, alpha)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_binary_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        self._assert_same(ReinforcementGraph(_binary(rng, (12, 30), 0.15),
+                                             _binary(rng, (30, 6), 0.1)))
