@@ -166,11 +166,12 @@ class EntityPhase:
                 for values, scale in zip(utilities, domain_model.template_scales))
 
         # The precision problem and the four recall problems (w.r.t. Y, Y~,
-        # Y* and Y~*) run in one joint loop: recall problems share every
-        # sparse matmul as multi-RHS columns, and the precision iteration
-        # rides the same Python loop.  Y~ / Y~* carry no domain-template
-        # regularization: the domain speaks about the whole universe, not
-        # about what has already been downloaded.
+        # Y* and Y~*) share one solver and its operator, in two loops: the
+        # recall problems are the columns of one right-hand side, so each
+        # recall step is one sparse product for all four, and the precision
+        # column iterates in a loop of its own.  Y~ / Y~* carry no
+        # domain-template regularization: the domain speaks about the whole
+        # universe, not about what has already been downloaded.
         precision_solved, recall_solved = solver.solve_joint(
             [RegularizationProblem(
                 page_regularization=page_precision_reg,

@@ -36,6 +36,9 @@ class TypeSystem:
         #: Mutation counter; lets lookup caches (e.g. the template
         #: abstraction memo) detect that earlier answers are stale.
         self._version = 0
+        #: ``types_of`` answers by the token as asked; every mutation
+        #: clears it.
+        self._types_memo: Dict[str, Tuple[str, ...]] = {}
 
     # -- Construction ------------------------------------------------------
     @staticmethod
@@ -51,6 +54,7 @@ class TypeSystem:
         self._type_to_words.setdefault(type_name, set()).add(token)
         self._word_to_types.setdefault(token, set()).add(type_name)
         self._version += 1
+        self._types_memo.clear()
 
     def add_words(self, type_name: str, words: Iterable[str]) -> None:
         """Add many words/phrases to a type."""
@@ -66,6 +70,7 @@ class TypeSystem:
         self._regex_types.append((type_name, re.compile(pattern)))
         self._type_to_words.setdefault(type_name, set())
         self._version += 1
+        self._types_memo.clear()
 
     # -- Lookups -------------------------------------------------------------
     def type_names(self) -> List[str]:
@@ -77,8 +82,17 @@ class TypeSystem:
         return frozenset(self._type_to_words.get(type_name, ()))
 
     def types_of(self, token: str) -> Tuple[str, ...]:
-        """Return every type that ``token`` belongs to (dictionary then regex)."""
-        token = self.canonical(token)
+        """Return every type that ``token`` belongs to (dictionary then regex).
+
+        Answers are memoised per token: template abstraction asks about
+        every word of every query it abstracts.
+        """
+        types = self._types_memo.get(token)
+        if types is None:
+            types = self._types_memo[token] = self._lookup(self.canonical(token))
+        return types
+
+    def _lookup(self, token: str) -> Tuple[str, ...]:
         found = sorted(self._word_to_types.get(token, ()))
         if found:
             return tuple(found)

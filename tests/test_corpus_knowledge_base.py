@@ -34,6 +34,13 @@ class TestDictionaryTypes:
         system.add_word("feature", "security")
         assert system.types_of("security") == ("feature", "topic")
 
+    def test_a_lookup_sees_a_word_added_after_it(self):
+        assert self.system.types_of("icde") == ()
+        self.system.add_word("venue", "ICDE")
+        assert self.system.types_of("icde") == ("venue",)
+        self.system.add_word("journal", "icde")
+        assert self.system.types_of("ICDE") == ("journal", "venue")
+
     def test_primary_type(self):
         assert self.system.primary_type("tkde") == "journal"
         assert self.system.primary_type("banana") is None
@@ -70,6 +77,12 @@ class TestRegexTypes:
     def test_year(self):
         assert self.system.types_of("2009") == ("year",)
         assert self.system.types_of("3009") == ()
+
+    def test_a_lookup_sees_a_regex_type_added_after_it(self):
+        system = TypeSystem()
+        assert system.types_of("kdd2016") == ()
+        system.add_regex_type("venue_year", r"[a-z]+(19|20)[0-9]{2}")
+        assert system.types_of("kdd2016") == ("venue_year",)
 
     def test_dictionary_takes_precedence_over_regex(self):
         system = build_type_system({"award": ["2009"]})
