@@ -348,7 +348,7 @@ class UtilitySolver:
         step as it is taken would save at most a few steps.
 
         A step is one kernel call between two buffers that swap roles: it
-        zeroes the target, adds ``K x`` into it and then adds ``b``, the
+        zeroes ``out``, adds ``K x`` into it and then adds ``b``, the
         additions of ``(K @ x) + b`` in their order.
         """
         contraction = self.contraction
@@ -357,12 +357,12 @@ class UtilitySolver:
         if 0.0 < size < math.inf:
             target = _ERROR_TARGET * (1.0 - contraction) / size
             steps = max(0, math.ceil(math.log(target) / math.log(contraction)) - 1)
-        pt, target = rhs.copy(), np.empty_like(rhs)
+        pt, out = rhs.copy(), np.empty_like(rhs)
         for _ in range(steps):
-            target.fill(0.0)
-            operator(pt, target)
-            target += rhs
-            pt, target = target, pt
+            out.fill(0.0)
+            operator(pt, out)
+            out += rhs
+            pt, out = out, pt
         return pt, steps
 
 
