@@ -334,10 +334,10 @@ class UtilitySolver:
             residual=float(residuals[j]),
         ) for j in range(len(problems))]
 
-    def _iterate(self, operator: ProductKernel, rhs: np.ndarray,
+    def _iterate(self, kernel: ProductKernel, rhs: np.ndarray,
                  norm: np.ufunc) -> Tuple[np.ndarray, int]:
-        """Iterate ``x <- K x + b`` from ``x = b``, with ``operator`` K's
-        kernel; return ``x`` and the steps.
+        """Iterate ``x <- K x + b`` from ``x = b``, with ``kernel`` K's;
+        return ``x`` and the steps.
 
         The ``k``-th step is ``K^k b`` and ``K`` contracts by ``c`` in the
         mode's norm, so after ``k`` steps the iterate lies within
@@ -360,7 +360,7 @@ class UtilitySolver:
         pt, out = rhs.copy(), np.empty_like(rhs)
         for _ in range(steps):
             out.fill(0.0)
-            operator(pt, out)
+            kernel(pt, out)
             out += rhs
             pt, out = out, pt
         return pt, steps
