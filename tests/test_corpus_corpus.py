@@ -83,7 +83,15 @@ class TestStats:
         assert stats.num_pages == researcher_corpus.num_pages()
         assert stats.num_paragraphs == sum(
             len(p.paragraphs) for p in researcher_corpus.iter_pages())
-        assert stats.vocabulary_size == len(researcher_corpus.vocabulary())
+
+    @pytest.mark.parametrize("corpus_name", ["researcher_corpus", "car_corpus"])
+    def test_vocabulary_size_counts_distinct_page_tokens(self, request, corpus_name):
+        corpus = request.getfixturevalue(corpus_name)
+        distinct = set()
+        for page in corpus.pages.values():
+            for paragraph in page.paragraphs:
+                distinct.update(paragraph.tokens)
+        assert corpus.stats().vocabulary_size == len(distinct) > 0
 
     def test_stats_rows_render(self, researcher_corpus):
         rows = researcher_corpus.stats().as_rows()

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.config import L2QConfig
-from repro.eval.runner import DOMAIN_AWARE_METHODS, ExperimentRunner
+from repro.core.selection import selector_names
+from repro.eval.runner import BASELINE_METHODS, DOMAIN_AWARE_METHODS, ExperimentRunner
+from repro.utils.rng import derive_seed
 
 
 class TestPreparedSplit:
@@ -71,6 +73,35 @@ class TestSelectorsAndHarvests:
     def test_domain_aware_methods_constant(self):
         assert "L2QBAL" in DOMAIN_AWARE_METHODS
         assert "LM" not in DOMAIN_AWARE_METHODS
+
+
+class TestBuildJob:
+    """``build_job`` for every name ``create_selector`` accepts: the job's
+    seed derives from (base seed, split, method, entity, aspect) alone, the
+    domain model goes exactly to the domain-aware methods, and only IDEAL
+    scores pages by the ground truth."""
+
+    @pytest.mark.parametrize("method", sorted(set(selector_names()) | BASELINE_METHODS))
+    def test_job_fields(self, researcher_runner, researcher_prepared, method):
+        split = researcher_prepared.split
+        entity_id = split.test_entities[0]
+        job = researcher_runner.build_job(researcher_prepared, method, entity_id,
+                                          "RESEARCH", 3)
+        assert (job.entity_id, job.aspect, job.num_queries) == \
+            (entity_id, "RESEARCH", 3)
+        assert job.seed == derive_seed(researcher_runner.base_seed, "harvest",
+                                       split.seed, method, entity_id, "RESEARCH")
+        if method in DOMAIN_AWARE_METHODS:
+            assert job.domain_model is researcher_prepared.domain_model("RESEARCH")
+        else:
+            assert job.domain_model is None
+        expected = (researcher_prepared.ground_truth_by_aspect if method == "IDEAL"
+                    else researcher_prepared.relevance_by_aspect)["RESEARCH"]
+        assert job.relevance is expected
+
+    def test_covers_every_method(self):
+        assert len(selector_names()) == 10
+        assert BASELINE_METHODS == {"LM", "AQ", "HR", "MQ", "IDEAL"}
 
 
 class TestEvaluateMethods:
