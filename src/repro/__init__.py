@@ -56,7 +56,6 @@ from repro.eval import (
     run_fig12,
     run_fig13,
     run_fig14,
-    run_scenario_sweep,
 )
 from repro.scenarios import ScenarioSpec, make_scenario, register_scenario, scenario_names
 from repro.search import SearchEngine
@@ -95,7 +94,6 @@ __all__ = [
     "run_fig12",
     "run_fig13",
     "run_fig14",
-    "run_scenario_sweep",
     "scenario_names",
     "selector_names",
 ]

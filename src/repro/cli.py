@@ -82,11 +82,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro import perf
 from repro.core.config import L2QConfig
 from repro.core.queries import format_query
+from repro.core.selection import selector_names
 from repro.corpus.domains import available_domains
 from repro.corpus.synthetic import build_corpus
 from repro.eval import experiments, reporting
 from repro.eval.metrics import compute_metrics
-from repro.eval.runner import ExperimentRunner
+from repro.eval.runner import BASELINE_METHODS, ExperimentRunner
 from repro.eval.scenario_sweep import (
     DEFAULT_SWEEP_METHODS,
     ScenarioSweep,
@@ -123,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     harvest.add_argument("--aspect", default=None,
                          help="target aspect (defaults to the domain's first aspect)")
     harvest.add_argument("--method", default="L2QBAL",
-                         help="selection strategy (e.g. L2QBAL, L2QP, MQ, LM)")
+                         choices=sorted(set(selector_names()) | BASELINE_METHODS),
+                         help="selection strategy (default L2QBAL)")
     harvest.add_argument("--queries", type=_non_negative_int, default=3,
                          help="number of queries after the seed (default 3; "
                               "0 runs the seed query only)")
@@ -233,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--domain", default="researcher", choices=available_domains())
-    parser.add_argument("--entities", type=int, default=24)
-    parser.add_argument("--pages", type=int, default=16)
+    parser.add_argument("--entities", type=_positive_int, default=24)
+    parser.add_argument("--pages", type=_positive_int, default=16)
     parser.add_argument("--seed", type=int, default=3)
 
 

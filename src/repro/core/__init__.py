@@ -2,7 +2,7 @@
 
 from repro.core.config import L2QConfig
 from repro.core.context import ContextTracker
-from repro.core.domain_phase import DomainModel, DomainPhase, learn_domain_models
+from repro.core.domain_phase import DomainModel, DomainPhase
 from repro.core.entity_phase import EntityPhase, EntityUtilities
 from repro.core.harvester import HarvestResult, Harvester, IterationRecord
 from repro.core.queries import (
@@ -23,17 +23,7 @@ from repro.core.selection import (
     selector_names,
 )
 from repro.core.session import HarvestSession
-from repro.core.templates import (
-    Template,
-    TemplateIndex,
-    abstract_query,
-    format_template,
-    is_type_unit,
-    template_abstracts,
-    template_abstraction_level,
-    type_unit,
-    unit_type_name,
-)
+from repro.core.templates import Template, abstract_query, is_type_unit, type_unit
 from repro.core.utility import (
     AssembledGraph,
     GraphAssembler,
@@ -64,21 +54,15 @@ __all__ = [
     "QuerySelector",
     "RandomSelection",
     "Template",
-    "TemplateIndex",
     "TemplateSelection",
     "UtilityOnlySelection",
     "abstract_query",
     "format_query",
-    "format_template",
     "is_type_unit",
-    "learn_domain_models",
     "make_selector",
     "page_regularizations",
     "prune_queries",
     "selector_names",
-    "template_abstraction_level",
-    "template_abstracts",
     "template_regularization",
     "type_unit",
-    "unit_type_name",
 ]

@@ -2,9 +2,13 @@
 
 Default values follow the paper's experimental settings (Sect. VI-A):
 ``alpha = 0.15``, ``lambda = 10``, maximum query length ``L = 3``, top-5
-results per query, and the seed-recall parameter ``r0`` chosen by validation
-(0.3 is the value our validation sweep selects most often; see
-``benchmarks/test_ablation_parameters.py``).
+results per query, and the seed-recall parameter ``r0`` chosen by validation.
+The default ``r0 = 0.3`` is fixed, not validated: ``benchmarks/
+test_ablation_parameters.py`` sweeps r0 over 0.1, 0.3 and 0.7 on a small
+researcher corpus and asserts only that the default's L2QBAL F-score is
+within 0.15 of the best value swept.  :meth:`~repro.eval.runner.
+ExperimentRunner.validate_seed_recall` selects r0 on a split's validation
+entities.
 """
 
 from __future__ import annotations

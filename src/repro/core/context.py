@@ -24,7 +24,6 @@ named by its query vertex in the entity phase's graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,16 +92,13 @@ class CollectiveUtilityArrays:
 class ContextTracker:
     """Tracks the collective recall of the fired queries ``Phi``."""
 
-    def __init__(self, seed_recall_r0: float = 0.3,
-                 seed_recall_all: Optional[float] = None) -> None:
+    def __init__(self, seed_recall_r0: float = 0.3) -> None:
         if not 0.0 < seed_recall_r0 < 1.0:
             raise ValueError("seed_recall_r0 must be in (0, 1)")
         self.seed_recall_r0 = seed_recall_r0
-        self.seed_recall_all = (seed_recall_all if seed_recall_all is not None
-                                else seed_recall_r0)
         # R(Phi) w.r.t. Y and w.r.t. Y*: base case is the seed query q(0).
         self.context_recall = seed_recall_r0
-        self.context_recall_all = self.seed_recall_all
+        self.context_recall_all = seed_recall_r0
         #: How many queries have been folded into the context.
         self.num_queries = 0
 

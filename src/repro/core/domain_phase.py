@@ -243,11 +243,3 @@ def enumerate_domain_queries(pages: Sequence[Page], config: L2QConfig) -> Domain
         queries=[table.queries[index] for index in kept.tolist()],
         entity_support=(containing @ page_entity).getnnz(axis=1),
         containing=containing)
-
-
-def learn_domain_models(domain_corpus: Corpus, relevance_by_aspect: Dict[str, RelevanceFunction],
-                        config: Optional[L2QConfig] = None) -> Dict[str, DomainModel]:
-    """Convenience: learn one :class:`DomainModel` per aspect."""
-    phase = DomainPhase(domain_corpus, config)
-    return {aspect: phase.learn(aspect, relevance)
-            for aspect, relevance in relevance_by_aspect.items()}

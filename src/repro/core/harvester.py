@@ -17,9 +17,7 @@ A :class:`HarvestJob` is one independent harvesting run (own session,
 own seeded RNG, own selector instance), executed by
 :meth:`Harvester.harvest_job`.  Every job's randomness derives only from
 its seed, so a batch of jobs gives the same results in any order and in
-any process: distributed backends ship job *specs*
-(:mod:`repro.exec.specs`), and each worker builds its jobs and harvester
-from them.
+any process.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ def entity_graph_tables(cache: GraphTablesCache, corpus: Corpus, ngrams: NgramTa
     The tables' page rows are the n-gram table's: the entity's pages in
     corpus order.
     """
-    key = (id(ngrams), id(domain_queries), getattr(corpus.type_system, "_version", None))
+    key = (id(ngrams), id(domain_queries), corpus.type_system._version)
     entry = cache.get(key)
     if entry is None:
         entry = cache.setdefault(key, (ngrams, domain_queries, GraphTables(

@@ -14,7 +14,6 @@ from repro.corpus.domains import (
 from repro.corpus.knowledge_base import TypeSystem, build_type_system, default_regex_types
 from repro.corpus.synthetic import CorpusConfig, CorpusGenerator, build_corpus
 from repro.corpus.tokenizer import DEFAULT_STOPWORDS, Tokenizer
-from repro.corpus.vocabulary import Vocabulary
 
 __all__ = [
     "AspectSpec",
@@ -30,7 +29,6 @@ __all__ = [
     "Tokenizer",
     "TypePool",
     "TypeSystem",
-    "Vocabulary",
     "available_domains",
     "build_corpus",
     "build_type_system",

@@ -16,7 +16,6 @@ from repro.corpus.document import Entity, Page, Paragraph
 from repro.corpus.domains import DomainSpec
 from repro.corpus.knowledge_base import TypeSystem
 from repro.corpus.tokenizer import Tokenizer
-from repro.corpus.vocabulary import Vocabulary
 
 
 # -- Canonical content digest -------------------------------------------------
@@ -122,8 +121,6 @@ class Corpus:
         for page_ids in self._pages_by_entity.values():
             page_ids.sort()
 
-        self._vocabulary: Optional[Vocabulary] = None
-
     # -- Basic accessors -----------------------------------------------------
     @property
     def domain(self) -> str:
@@ -184,14 +181,6 @@ class Corpus:
         return sum(1 for para in self.iter_paragraphs() if para.aspect == aspect)
 
     # -- Derived views ----------------------------------------------------------
-    def vocabulary(self) -> Vocabulary:
-        """A lazily-built vocabulary over all pages."""
-        if self._vocabulary is None:
-            self._vocabulary = Vocabulary.from_documents(
-                page.tokens for page in self.iter_pages()
-            )
-        return self._vocabulary
-
     def subset(self, entity_ids: Iterable[str]) -> "Corpus":
         """Return a new corpus restricted to the given entities.
 
@@ -226,10 +215,12 @@ class Corpus:
         """Compute summary statistics."""
         num_paragraphs = 0
         num_tokens = 0
+        vocabulary = set()
         per_aspect: Dict[str, int] = {aspect: 0 for aspect in self.aspects}
         for para in self.iter_paragraphs():
             num_paragraphs += 1
             num_tokens += len(para)
+            vocabulary.update(para.tokens)
             if para.aspect is not None and para.aspect in per_aspect:
                 per_aspect[para.aspect] += 1
         return CorpusStats(
@@ -238,6 +229,6 @@ class Corpus:
             num_pages=self.num_pages(),
             num_paragraphs=num_paragraphs,
             num_tokens=num_tokens,
-            vocabulary_size=len(self.vocabulary()),
+            vocabulary_size=len(vocabulary),
             paragraphs_per_aspect=per_aspect,
         )

@@ -11,7 +11,7 @@ a given entity, so relative comparisons are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,6 @@ def compute_metrics(gathered_page_ids: Iterable[str],
     precision = hits / len(gathered)
     recall = hits / len(relevant) if relevant else 0.0
     return HarvestMetrics(precision=precision, recall=recall)
-
-
-def average_metrics(metrics: Sequence[HarvestMetrics]) -> HarvestMetrics:
-    """Component-wise mean of a collection of metrics (zero if empty)."""
-    if not metrics:
-        return HarvestMetrics(precision=0.0, recall=0.0)
-    precision = sum(m.precision for m in metrics) / len(metrics)
-    recall = sum(m.recall for m in metrics) / len(metrics)
-    return HarvestMetrics(precision=precision, recall=recall)
-
-
-def average_f_score(metrics: Sequence[HarvestMetrics]) -> float:
-    """Mean F-score of a collection of metrics."""
-    if not metrics:
-        return 0.0
-    return sum(m.f_score for m in metrics) / len(metrics)
 
 
 @dataclass

@@ -41,7 +41,7 @@ from repro.dedup.signatures import PageSignatureCache
 from repro.dedup.waste import DuplicateWasteScorer
 from repro.eval.metrics import MetricSeries, compute_metrics
 from repro.eval.splits import EntitySplit, split_entities, subsample_entities
-from repro.exec.specs import HarvestJobSpec, SessionRow
+from repro.exec.specs import SessionRow
 from repro.search.engine import FetchStatistics, SearchEngine, merge_run_accounting
 from repro.store import StoreError
 from repro.utils.rng import derive_seed
@@ -277,59 +277,37 @@ class ExperimentRunner:
                                   pools=prepared.ideal_pools)
         raise KeyError(f"unknown method {method!r}")
 
-    def job_spec(self, split: EntitySplit, method: str, entity_id: str,
-                 aspect: str, num_queries: int) -> HarvestJobSpec:
-        """The picklable configuration of one harvesting run.
-
-        The seed derives from ``(base_seed, split, method, entity, aspect)``
-        — never from execution order — so the spec reproduces the same run
-        in this process or any worker.
-        """
-        return HarvestJobSpec(
-            method=method,
-            entity_id=entity_id,
-            aspect=aspect,
-            num_queries=num_queries,
-            seed=derive_seed(self.base_seed, "harvest", split.seed,
-                             method, entity_id, aspect),
-        )
-
-    def job_from_spec(self, prepared: PreparedSplit,
-                      spec: HarvestJobSpec) -> HarvestJob:
-        """Resolve a :class:`HarvestJobSpec` into a live, single-use job.
-
-        Everything a job needs — selector instance, domain model, HR
-        statistics — is resolved here, on the calling thread, so executing
-        the job later touches no lazily-built shared state, with one
-        exception: the ideal selector's per-entity pools
-        (:attr:`PreparedSplit.ideal_pools`) are built on each entity's first
-        selection.  A pool is immutable once built and a pure function of
-        the split and the entity, so two of an entity's sessions that a
-        caller races on its own threads build identical pools and need no
-        lock.
-        """
-        selector = self.create_selector(spec.method, prepared, spec.aspect)
-        domain_model = (prepared.domain_model(spec.aspect)
-                        if spec.method in DOMAIN_AWARE_METHODS else None)
-        relevance = (prepared.ground_truth_by_aspect[spec.aspect]
-                     if spec.method == "IDEAL"
-                     else prepared.relevance_by_aspect[spec.aspect])
-        return HarvestJob(
-            entity_id=spec.entity_id,
-            aspect=spec.aspect,
-            selector=selector,
-            relevance=relevance,
-            num_queries=spec.num_queries,
-            domain_model=domain_model,
-            seed=spec.seed,
-        )
-
     def build_job(self, prepared: PreparedSplit, method: str, entity_id: str,
                   aspect: str, num_queries: int) -> HarvestJob:
-        """Assemble one single-use harvesting job for (method, entity, aspect)."""
-        return self.job_from_spec(
-            prepared,
-            self.job_spec(prepared.split, method, entity_id, aspect, num_queries))
+        """Assemble one single-use harvesting job for (method, entity, aspect).
+
+        The seed derives from ``(base_seed, split, method, entity, aspect)``
+        — never from execution order — so the job reproduces the same run
+        in this process or any worker.  Everything a job needs — selector
+        instance, domain model, HR statistics — is resolved here, on the
+        calling thread, so executing the job later touches no lazily-built
+        shared state, with one exception: the ideal selector's per-entity
+        pools (:attr:`PreparedSplit.ideal_pools`) are built on each
+        entity's first selection.  A pool is immutable once built and a
+        pure function of the split and the entity, so two of an entity's
+        sessions that a caller races on its own threads build identical
+        pools and need no lock.
+        """
+        selector = self.create_selector(method, prepared, aspect)
+        domain_model = (prepared.domain_model(aspect)
+                        if method in DOMAIN_AWARE_METHODS else None)
+        relevance = (prepared.ground_truth_by_aspect[aspect] if method == "IDEAL"
+                     else prepared.relevance_by_aspect[aspect])
+        return HarvestJob(
+            entity_id=entity_id,
+            aspect=aspect,
+            selector=selector,
+            relevance=relevance,
+            num_queries=num_queries,
+            domain_model=domain_model,
+            seed=derive_seed(self.base_seed, "harvest", prepared.split.seed,
+                             method, entity_id, aspect),
+        )
 
     def harvester_for(self, prepared: PreparedSplit) -> Harvester:
         """The split's harvester over this corpus and the split's engine.

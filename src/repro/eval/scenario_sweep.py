@@ -249,8 +249,8 @@ def expand_severity_grid(scenarios: Sequence[str], param: str,
 
 #: L2QConfig fields the sweep's evaluation path never reads: the budget
 #: comes from ``ScenarioSweep.num_queries`` and every harvest seed derives
-#: from the runner's ``base_seed`` (job specs), so grids over these would
-#: produce byte-identical cells.
+#: from the runner's ``base_seed`` (``ExperimentRunner.build_job``), so grids
+#: over these would produce byte-identical cells.
 _SWEEP_IGNORED_CONFIG_FIELDS = {
     "num_queries": "the budget comes from --queries / ScenarioSweep.num_queries",
     "random_seed": "harvest seeds derive from the runner's base_seed",
@@ -762,20 +762,3 @@ class ScenarioSweep:
             cell_results=cell_results,
             param_grid=self.param_grid,
         )
-
-
-def run_scenario_sweep(scale: ExperimentScale = SMOKE_SCALE,
-                       scenarios: Optional[Sequence[object]] = None,
-                       methods: Sequence[str] = DEFAULT_SWEEP_METHODS,
-                       domains: Sequence[str] = DOMAINS,
-                       num_queries: int = 3,
-                       config: Optional[L2QConfig] = None,
-                       workers: int = 1,
-                       backend: Union[None, str, ExecutionBackend] = None,
-                       corpus_store: str = "auto"
-                       ) -> ScenarioSweepResult:
-    """Convenience wrapper: build a :class:`ScenarioSweep` and run it."""
-    return ScenarioSweep(scale=scale, scenarios=scenarios, methods=methods,
-                         domains=domains, num_queries=num_queries,
-                         config=config, workers=workers, backend=backend,
-                         corpus_store=corpus_store).run()

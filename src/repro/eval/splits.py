@@ -24,10 +24,6 @@ class EntitySplit:
     test_entities: tuple
     seed: int
 
-    def all_target_entities(self) -> List[str]:
-        """Validation plus test entities."""
-        return list(self.validation_entities) + list(self.test_entities)
-
     def __post_init__(self) -> None:
         overlap = (set(self.domain_entities) & set(self.validation_entities)
                    | set(self.domain_entities) & set(self.test_entities)
@@ -62,15 +58,6 @@ def split_entities(entity_ids: Sequence[str], seed: int = 0,
         test_entities=tuple(sorted(test)),
         seed=seed,
     )
-
-
-def repeated_splits(entity_ids: Sequence[str], num_repeats: int = 10,
-                    base_seed: int = 0, domain_fraction: float = 0.5) -> List[EntitySplit]:
-    """The paper's repeated random splits (10 by default)."""
-    if num_repeats < 1:
-        raise ValueError("num_repeats must be >= 1")
-    return [split_entities(entity_ids, seed=base_seed + i, domain_fraction=domain_fraction)
-            for i in range(num_repeats)]
 
 
 def subsample_entities(entity_ids: Sequence[str], fraction: float,

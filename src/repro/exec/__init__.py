@@ -1,4 +1,4 @@
-"""Pluggable execution backends and picklable job specifications.
+"""Execution backends and the picklable cell specifications they ship.
 
 The orchestration API every fan-out site shares: resolve a backend
 (``serial`` / ``process``), hand it cells, get results in cell order.
@@ -14,14 +14,11 @@ from repro.exec.backends import (
     ProcessBackend,
     SerialBackend,
     backend_names,
-    is_registered,
     make_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.exec.specs import (
     CorpusSpec,
-    HarvestJobSpec,
     SessionRow,
     SweepCellResult,
     SweepCellSpec,
@@ -35,12 +32,9 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "backend_names",
-    "is_registered",
     "make_backend",
-    "register_backend",
     "resolve_backend",
     "CorpusSpec",
-    "HarvestJobSpec",
     "SessionRow",
     "SweepCellResult",
     "SweepCellSpec",

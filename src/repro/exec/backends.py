@@ -1,4 +1,4 @@
-"""Pluggable execution backends: one orchestration API, two engines.
+"""Execution backends: one orchestration API, two engines.
 
 Every fan-out site in the project funnels through the same tiny contract:
 :meth:`ExecutionBackend.map_tasks` applies a module-level function to
@@ -13,31 +13,20 @@ job's randomness derives only from its seed (never from scheduling),
 swapping the backend changes wall-clock behaviour but not one bit of the
 results.
 
-Two engines are built in and registered through the shared
-:class:`~repro.utils.registry.NamedRegistry`:
+Two engines make up the table :func:`make_backend` reads:
 
 * ``serial`` — a plain in-order loop; the reference semantics.
 * ``process`` — a persistent process pool; every payload becomes its own
   pool task, so idle workers steal the next one, and process-local caches
   (rebuilt corpora) amortise across the tasks a worker runs.  Results
   travel back by pickle.
-
-Custom backends register the same way rankers and scenarios do::
-
-    from repro.exec import register_backend
-
-    @register_backend("my-cluster")
-    def _my_cluster(workers: int = 8) -> MyClusterBackend:
-        return MyClusterBackend(workers)
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
-
-from repro.utils.registry import NamedRegistry
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -52,7 +41,7 @@ class ExecutionBackend:
     Attributes
     ----------
     name:
-        Registry name of the engine.
+        Table name of the engine (see :func:`make_backend`).
     workers:
         Degree of parallelism (1 for the serial engine).
     distributed:
@@ -99,20 +88,14 @@ class ProcessBackend(ExecutionBackend):
     name = BACKEND_PROCESS
     distributed = True
 
-    def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         workers = workers if workers is not None else (multiprocessing.cpu_count() or 1)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            # Prefer fork where available: no re-import, cheap corpus reuse.
-            start_method = "fork" if "fork" in available else available[0]
-        elif start_method not in available:
-            raise ValueError(f"start method {start_method!r} not available; "
-                             f"options: {available}")
         self.workers = workers
-        self.start_method = start_method
+        # Fork where available: no re-import, cheap corpus reuse.
+        self.start_method = "fork" if "fork" in available else available[0]
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _executor(self) -> ProcessPoolExecutor:
@@ -168,28 +151,27 @@ class ProcessBackend(ExecutionBackend):
             raise
 
 
-_REGISTRY = NamedRegistry("backend")
+#: The engines by name: each builds its backend from a worker count.
+_ENGINES: Dict[str, Callable[[int], ExecutionBackend]] = {
+    BACKEND_SERIAL: lambda workers: SerialBackend(),
+    BACKEND_PROCESS: ProcessBackend,
+}
 
 
-def register_backend(name: str, factory: Callable[..., ExecutionBackend] = None,
-                     *, overwrite: bool = False):
-    """Register a backend factory (decorator or plain call)."""
-    return _REGISTRY.register(name, factory, overwrite=overwrite)
-
-
-def make_backend(name: str, workers: int = 1, **params) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
-    return _REGISTRY.make(name, workers=workers, **params)
+def make_backend(name: str, workers: int = 1) -> ExecutionBackend:
+    """The engine named ``name`` with ``workers`` workers (the serial
+    engine has one, whatever ``workers`` says)."""
+    try:
+        engine = _ENGINES[name]
+    except KeyError:
+        raise ValueError(f"unknown backend {name!r}; "
+                         f"available: {backend_names()}") from None
+    return engine(workers)
 
 
 def backend_names() -> List[str]:
-    """Names of all registered backends, sorted."""
-    return _REGISTRY.names()
-
-
-def is_registered(name: str) -> bool:
-    """Whether ``name`` resolves to a registered backend."""
-    return name in _REGISTRY
+    """Names of the engines, sorted."""
+    return sorted(_ENGINES)
 
 
 def resolve_backend(backend: Union[None, str, ExecutionBackend],
@@ -197,8 +179,8 @@ def resolve_backend(backend: Union[None, str, ExecutionBackend],
     """Coerce a backend argument (name, instance or None) to an instance.
 
     ``None`` picks by ``workers``: one worker means serial, several mean
-    the process pool.  A string resolves through the registry with
-    ``workers`` forwarded; an instance is returned as-is (its own worker
+    the process pool.  A string names an engine of :func:`make_backend`,
+    which gets ``workers``; an instance is returned as-is (its own worker
     count wins).
     """
     if backend is None:
@@ -207,17 +189,5 @@ def resolve_backend(backend: Union[None, str, ExecutionBackend],
         return make_backend(backend, workers=workers)
     if isinstance(backend, ExecutionBackend):
         return backend
-    raise TypeError(f"backend must be None, a registered name or an "
+    raise TypeError(f"backend must be None, an engine name or an "
                     f"ExecutionBackend, got {type(backend).__name__}")
-
-
-@register_backend(BACKEND_SERIAL)
-def _serial_backend(workers: int = 1) -> SerialBackend:
-    del workers  # The serial engine is single-worker by definition.
-    return SerialBackend()
-
-
-@register_backend(BACKEND_PROCESS)
-def _process_backend(workers: int = 4,
-                     start_method: Optional[str] = None) -> ProcessBackend:
-    return ProcessBackend(workers, start_method=start_method)

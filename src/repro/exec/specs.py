@@ -215,22 +215,6 @@ class CorpusSpec:
 
 
 @dataclass(frozen=True)
-class HarvestJobSpec:
-    """One harvesting run as pure configuration: (method, target, budget, seed).
-
-    The seed is derived from ``(base_seed, split, method, entity, aspect)``
-    — never from execution order — so the spec reproduces the same run in
-    any process.
-    """
-
-    method: str
-    entity_id: str
-    aspect: str
-    num_queries: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class SweepCellSpec:
     """One cell of a figure, sweep or campaign, as configuration.
 

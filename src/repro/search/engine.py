@@ -222,35 +222,6 @@ class SearchEngine:
         # their own; the lock guards the caches and counters.
         self._lock = threading.Lock()
 
-    # -- Pickling (process-backend support) -----------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Ship configuration and corpus; leave runtime state behind.
-
-        The lock cannot cross a process boundary and shipping the index,
-        views, rankers and result cache would defeat the point of cheap
-        spec-style payloads — each worker process constructs its own on
-        first use.  ``index_builds`` restarts at 0 accordingly, and the
-        engine-side fetch counters restart too: fetch accounting crosses
-        process boundaries through the per-run
-        :class:`RunFetchAccounting` attached to each harvest result
-        (merged orchestrator-side by :func:`merge_run_accounting`), never
-        through the engine object.
-        """
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_shared_index"] = None
-        state["_entity_views"] = {}
-        state["_entity_rankers"] = {}
-        state["_result_cache"] = OrderedDict()
-        state["index_builds"] = 0
-        state["index_attaches"] = 0
-        state["fetch_statistics"] = FetchStatistics()
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def _default_ranker_params(self, ranker: str) -> Dict[str, object]:
         if ranker == RANKER_DIRICHLET:
             return {"mu": self.mu}
@@ -417,11 +388,6 @@ class SearchEngine:
         return [SearchResult(page_id=p.page_id, score=0.0) for p in pages]
 
     # -- Introspection --------------------------------------------------------------
-    def reset_statistics(self) -> None:
-        """Clear the fetch accounting (used between experiment runs)."""
-        with self._lock:
-            self.fetch_statistics = FetchStatistics()
-
     def entity_index(self, entity_id: str) -> InvertedIndex:
         """The entity's view of the shared corpus index.
 

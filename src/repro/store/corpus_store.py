@@ -455,7 +455,6 @@ class StoreBackedCorpus(Corpus):
         self.type_system = self.domain_spec.build_type_system()
         self.tokenizer = Tokenizer(self.type_system)
         self._pages_by_entity = attachment.pages_by_entity()
-        self._vocabulary = None
         self._attachment = attachment
         #: The handle this corpus attached (probed by batch outcomes).
         self.store_handle = attachment.handle

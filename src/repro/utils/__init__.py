@@ -1,4 +1,4 @@
-"""Shared utilities: seeded randomness, registries, text statistics and vectorization helpers."""
+"""Shared utilities: seeded randomness, registries and vectorization helpers."""
 
 from repro.utils.rng import SeededRandom, derive_seed
 

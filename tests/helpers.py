@@ -85,9 +85,11 @@ _WORKER_WORLDS = {}
 
 
 def harvest_in_worker(task):
-    """One task of :func:`run_split_specs`: ``(pid, result)`` of one job
-    spec, harvested in a world rebuilt from its corpus spec."""
-    corpus_spec, config, spec = task
+    """One task of :func:`run_split_specs`: ``(pid, result)`` of one
+    ``(method, entity_id, aspect, budget)`` job, built by
+    :meth:`~repro.eval.runner.ExperimentRunner.build_job` and harvested in a
+    world rebuilt from its corpus spec."""
+    corpus_spec, config, job = task
     key = repr((corpus_spec, config))
     if key not in _WORKER_WORLDS:
         runner = ExperimentRunner(corpus_spec.build(), config=config,
@@ -95,32 +97,33 @@ def harvest_in_worker(task):
         prepared = runner.prepare(runner.default_split(0))
         _WORKER_WORLDS[key] = (runner, prepared, runner.harvester_for(prepared))
     runner, prepared, harvester = _WORKER_WORLDS[key]
-    return os.getpid(), harvester.harvest_job(runner.job_from_spec(prepared, spec))
+    return os.getpid(), harvester.harvest_job(runner.build_job(prepared, *job))
 
 
 def run_split_specs(corpus, methods, *, corpus_spec=None, config=None,
                     num_queries=2, workers=2):
-    """Two test entities of split 0 × ``methods``, one harvest per job spec.
+    """Two test entities of split 0 × ``methods``, one harvest per job.
 
-    With ``corpus_spec`` every spec is its own task on ``workers`` process
-    workers (``ProcessBackend.map_tasks``), harvested in a world the worker
-    rebuilt from ``corpus_spec``; without it the specs run in this process
-    on one harvester.  Returns the results in spec order.
+    A job travels as its ``(method, entity_id, aspect, budget)`` payload.
+    With ``corpus_spec`` every job is its own task on ``workers`` process
+    workers (``ProcessBackend.map_tasks``), built and harvested in a world
+    the worker rebuilt from ``corpus_spec``; without it the jobs run in
+    this process on one harvester.  Returns the results in job order.
     """
     runner = ExperimentRunner(corpus, config=config, base_seed=5)
     split = runner.default_split(0)
-    specs = [runner.job_spec(split, method, entity_id, "RESEARCH", num_queries)
-             for method in methods
-             for entity_id in list(split.test_entities)[:2]]
+    jobs = [(method, entity_id, "RESEARCH", num_queries)
+            for method in methods
+            for entity_id in list(split.test_entities)[:2]]
     if corpus_spec is None:
         prepared = runner.prepare(split)
         harvester = runner.harvester_for(prepared)
-        return [harvester.harvest_job(runner.job_from_spec(prepared, spec))
-                for spec in specs]
+        return [harvester.harvest_job(runner.build_job(prepared, *job))
+                for job in jobs]
     backend = ProcessBackend(workers)
     try:
         shipped = backend.map_tasks(harvest_in_worker,
-                                    [(corpus_spec, config, spec) for spec in specs])
+                                    [(corpus_spec, config, job) for job in jobs])
     finally:
         backend.close()
     assert all(pid != os.getpid() for pid, _ in shipped)

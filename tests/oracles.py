@@ -4,6 +4,13 @@ Each is the straightforward scalar (dict-and-loop) form of a computation
 that production runs as array kernels; the equivalence tests compare the
 two on random and real inputs.
 
+:func:`template_abstracts` is Definition 1 read literally: a template
+abstracts a query when every literal unit equals the query's word and every
+type unit's type contains it.  Every template
+:func:`~repro.core.templates.abstract_query` returns must satisfy it.
+:class:`TemplateIndex` maps queries to their templates, one query at a time;
+the reference graphs below take their query-template edges from it.
+
 :func:`reference_assemble` is the straightforward graph assembler: it
 derives every query's words and templates and every page's words afresh,
 registers vertices one by one, and finds containment pairs with per-query
@@ -114,7 +121,7 @@ from repro.core.selection import (
     first_unfired,
 )
 from repro.core.session import HarvestSession
-from repro.core.templates import Template, TemplateIndex
+from repro.core.templates import Template, abstract_queries, is_type_unit
 from repro.core.utility import AssembledGraph, GraphTables
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Page
@@ -127,6 +134,57 @@ from repro.graph.random_walk import (MODE_PRECISION, RESIDUAL_TOLERANCE,
 from repro.graph.reinforcement import ReinforcementGraph
 from repro.search.bm25 import BM25Ranker
 from repro.search.language_model import DirichletLanguageModel
+
+
+def unit_type_name(unit: str) -> Optional[str]:
+    """The type name of a type unit ``"<name>"``, or ``None`` for literal units."""
+    if is_type_unit(unit):
+        return unit[1:-1]
+    return None
+
+
+def template_abstracts(template: Template, query: Query, type_system: TypeSystem) -> bool:
+    """Whether ``template`` abstracts ``query`` (Definition 1)."""
+    if len(template) != len(query):
+        return False
+    for unit, word in zip(template, query):
+        name = unit_type_name(unit)
+        if name is None:
+            if unit != word:
+                return False
+        else:
+            if name not in type_system.types_of(word):
+                return False
+    return True
+
+
+class TemplateIndex:
+    """Maps queries to their templates for one graph build."""
+
+    def __init__(self, type_system: TypeSystem, max_templates_per_query: int = 16) -> None:
+        self.type_system = type_system
+        self.max_templates_per_query = max_templates_per_query
+        self._query_templates: Dict[Query, Tuple[Template, ...]] = {}
+
+    def add_query(self, query: Query) -> Tuple[Template, ...]:
+        """Register a query, computing (and caching) its templates."""
+        cached = self._query_templates.get(query)
+        if cached is None:
+            self.add_queries([query])
+            cached = self._query_templates[query]
+        return cached
+
+    def add_queries(self, queries: Iterable[Query]) -> None:
+        """Register many queries."""
+        new = [query for query in dict.fromkeys(queries)
+               if query not in self._query_templates]
+        for query, templates in zip(new, abstract_queries(
+                new, self.type_system, self.max_templates_per_query)):
+            self._query_templates[query] = templates
+
+    def templates_of(self, query: Query) -> Tuple[Template, ...]:
+        """Templates of a registered query (empty tuple if unknown/untyped)."""
+        return self._query_templates.get(query, ())
 
 
 @dataclass

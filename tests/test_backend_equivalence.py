@@ -16,12 +16,12 @@ from repro.corpus.synthetic import base_generation_count
 from repro.eval.experiments import ExperimentScale
 from repro.eval.runner import ExperimentRunner
 from repro.eval.scenario_sweep import (
+    ScenarioSweep,
     execute_sweep_cell,
     figure_cell_specs,
     publish_base_stores,
     publish_domain_store,
     run_cells,
-    run_scenario_sweep,
 )
 from repro.exec.backends import ProcessBackend, SerialBackend
 from repro.exec.specs import _BASE_CACHE, _CORPUS_CACHE, CorpusSpec, _ProcessLocalCache
@@ -255,11 +255,11 @@ class TestSweepEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_json(self, sweep_kwargs):
-        return run_scenario_sweep(backend="serial", **sweep_kwargs).to_json()
+        return ScenarioSweep(backend="serial", **sweep_kwargs).run().to_json()
 
     def test_sweep_digest_equal_across_backends(self, sweep_kwargs, serial_json):
-        swept = run_scenario_sweep(backend="process", workers=4,
-                                   **sweep_kwargs).to_json()
+        swept = ScenarioSweep(backend="process", workers=4,
+                              **sweep_kwargs).run().to_json()
         assert swept == serial_json
 
 
@@ -359,9 +359,9 @@ class TestSharedBaseGeneration:
         _BASE_CACHE._entries.clear()
         _CORPUS_CACHE._entries.clear()
         before = base_generation_count()
-        result = run_scenario_sweep(
+        result = ScenarioSweep(
             scale=TINY_SCALE, scenarios=("zipf-skew", "near-duplicates"),
-            methods=("MQ",), domains=("researcher",), num_queries=2)
+            methods=("MQ",), domains=("researcher",), num_queries=2).run()
         return base_generation_count() - before, result
 
 

@@ -67,6 +67,29 @@ class TestHarvestCommand:
         assert raised.value.code == 2
         assert "--queries: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["corpus", "harvest"])
+    @pytest.mark.parametrize("flag,value", [("--entities", "0"), ("--pages", "-2")])
+    def test_non_positive_corpus_size_rejected_with_a_message(self, capsys, command,
+                                                               flag, value):
+        with pytest.raises(SystemExit) as raised:
+            main([command, flag, value], out=io.StringIO())
+        assert raised.value.code == 2
+        assert f"{flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+    def test_unknown_method_rejected_with_a_message(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["harvest", "--method", "NOPE"], out=io.StringIO())
+        assert raised.value.code == 2
+        assert "--method: invalid choice: 'NOPE'" in capsys.readouterr().err
+
+    def test_every_runnable_method_parses(self):
+        from repro.core.selection import selector_names
+        from repro.eval.runner import BASELINE_METHODS
+
+        for method in sorted(set(selector_names()) | BASELINE_METHODS):
+            args = build_parser().parse_args(["harvest", "--method", method])
+            assert args.method == method
+
     def test_zero_queries_runs_the_seed_query_only(self):
         out = io.StringIO()
         code = main(["harvest", "--domain", "researcher", "--entities", "12",

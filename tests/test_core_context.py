@@ -135,8 +135,3 @@ class TestContextTracker:
         best_gain = max(gains, key=lambda q: gains[q])
         if most_redundant != best_gain:
             assert gains[most_redundant] <= gains[best_gain]
-
-    def test_separate_seed_recall_for_all_pages(self):
-        tracker = ContextTracker(seed_recall_r0=0.3, seed_recall_all=0.5)
-        assert tracker.context_recall == pytest.approx(0.3)
-        assert tracker.context_recall_all == pytest.approx(0.5)

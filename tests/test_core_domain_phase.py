@@ -5,7 +5,7 @@ import pytest
 from repro.aspects.relevance import OracleRelevance
 from repro.core import domain_phase as domain_phase_module
 from repro.core.config import L2QConfig
-from repro.core.domain_phase import DomainPhase, learn_domain_models
+from repro.core.domain_phase import DomainPhase
 from repro.core.templates import is_type_unit
 from repro.core.utility import GraphAssembler
 
@@ -19,6 +19,7 @@ def domain_model(researcher_corpus):
 
 class TestDomainModel:
     def test_records_domain_size(self, domain_model):
+        assert domain_model.aspect == "RESEARCH"
         assert domain_model.num_domain_entities == 8
         assert domain_model.num_domain_pages == 8 * 10
         assert not domain_model.is_empty()
@@ -69,17 +70,6 @@ class TestEmptyDomain:
         assert model.is_empty()
         assert model.frequent_queries == []
         assert model.best_queries_by_precision() == []
-
-
-class TestLearnDomainModels:
-    def test_one_model_per_aspect(self, researcher_corpus):
-        domain_corpus = researcher_corpus.subset(researcher_corpus.entity_ids()[:4])
-        relevance = {aspect: OracleRelevance(aspect)
-                     for aspect in researcher_corpus.aspects[:2]}
-        models = learn_domain_models(domain_corpus, relevance, L2QConfig())
-        assert set(models) == set(relevance)
-        for aspect, model in models.items():
-            assert model.aspect == aspect
 
 
 class TestSharedDomainGraph:

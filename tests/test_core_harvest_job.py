@@ -30,9 +30,9 @@ def _jobs(runner, prepared, methods, num_queries=2):
 class TestDeterminism:
     @pytest.mark.parametrize("methods", [("L2QBAL", "RND"), ("LM", "HR")])
     def test_workers_4_reproduces_workers_1(self, researcher_corpus, methods):
-        # Four process workers, one task per job spec, each harvesting in
-        # a world it rebuilt from the corpus spec, reproduce the in-process
-        # loop.
+        # Four process workers, one task per job, each building and
+        # harvesting it in a world rebuilt from the corpus spec, reproduce
+        # the in-process loop.
         from repro.exec.specs import CorpusSpec
 
         serial = run_split_specs(researcher_corpus, methods)
@@ -42,8 +42,8 @@ class TestDeterminism:
             [_signature(r) for r in serial]
 
     def test_results_in_job_order(self, researcher_corpus):
-        # Whichever of four workers runs a spec, its result comes back in
-        # the spec's place.
+        # Whichever of four workers runs a job, its result comes back in
+        # the job's place.
         from repro.eval.runner import ExperimentRunner
         from repro.exec.specs import CorpusSpec
 

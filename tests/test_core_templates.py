@@ -1,16 +1,9 @@
 """Tests for templates (Definition 1 of the paper)."""
 
-from repro.core.templates import (
-    TemplateIndex,
-    abstract_query,
-    format_template,
-    is_type_unit,
-    template_abstraction_level,
-    template_abstracts,
-    type_unit,
-    unit_type_name,
-)
+from repro.core.templates import abstract_query, is_type_unit, type_unit
 from repro.corpus.knowledge_base import build_type_system
+
+from tests.oracles import template_abstracts, unit_type_name
 
 
 def _system():
@@ -29,9 +22,6 @@ class TestUnits:
     def test_literal_unit(self):
         assert not is_type_unit("research")
         assert unit_type_name("research") is None
-
-    def test_format_template(self):
-        assert format_template(("<topic>", "research")) == "<topic> research"
 
 
 class TestAbstraction:
@@ -53,12 +43,7 @@ class TestAbstraction:
     def test_max_templates_cap_prefers_most_abstract(self):
         templates = abstract_query(("hpc", "ijhpca", "ai"), _system(), max_templates=2)
         assert len(templates) == 2
-        assert templates[0] == ("<journal>", "<topic>") or \
-            template_abstraction_level(templates[0]) == 3
-
-    def test_abstraction_level(self):
-        assert template_abstraction_level(("<topic>", "research")) == 1
-        assert template_abstraction_level(("hpc", "research")) == 0
+        assert all(is_type_unit(unit) for unit in templates[0])
 
 
 class TestTemplateMatching:
@@ -90,27 +75,3 @@ class TestTemplateMatching:
             & set(abstract_query(ng, system))
         assert ("<topic>", "<journal>") in shared
 
-
-class TestTemplateIndex:
-    def test_add_query_caches(self):
-        index = TemplateIndex(_system())
-        first = index.add_query(("hpc", "research"))
-        second = index.add_query(("hpc", "research"))
-        assert first == second
-        assert index.templates_of(("hpc", "research")) == first
-
-    def test_queries_of_template(self):
-        index = TemplateIndex(_system())
-        index.add_queries([("hpc", "research"), ("ai", "research")])
-        queries = index.queries_of(("<topic>", "research"))
-        assert queries == frozenset({("hpc", "research"), ("ai", "research")})
-
-    def test_unknown_query_empty(self):
-        index = TemplateIndex(_system())
-        assert index.templates_of(("zzz",)) == ()
-        assert index.queries_of(("<topic>",)) == frozenset()
-
-    def test_len_counts_templates(self):
-        index = TemplateIndex(_system())
-        index.add_query(("hpc", "ijhpca"))
-        assert len(index) >= 3

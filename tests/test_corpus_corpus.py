@@ -97,6 +97,3 @@ class TestStats:
         rows = researcher_corpus.stats().as_rows()
         assert ("domain", "researcher") in rows
         assert len(rows) >= 6
-
-    def test_vocabulary_cached(self, researcher_corpus):
-        assert researcher_corpus.vocabulary() is researcher_corpus.vocabulary()

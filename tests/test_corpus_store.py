@@ -243,14 +243,6 @@ class TestPickling:
         # Within one process the round-trip lands on the cached attachment.
         assert clone is corpus
 
-    def test_pickled_engine_reattaches(self, handle):
-        engine = SearchEngine(attach_corpus(handle))
-        engine.shared_index()
-        clone = pickle.loads(pickle.dumps(engine))
-        clone.shared_index()
-        assert clone.index_builds == 0
-        assert clone.index_attaches == 1
-
 
 class TestClassifierBlock:
     @pytest.fixture(scope="class")

@@ -5,8 +5,6 @@ import pytest
 from repro.eval.metrics import (
     HarvestMetrics,
     MetricSeries,
-    average_f_score,
-    average_metrics,
     compute_metrics,
     relative_improvement,
 )
@@ -67,25 +65,6 @@ class TestNormalisation:
         normalised = metrics.normalized_by(ideal)
         assert normalised.precision == 1.0
         assert normalised.recall == 1.0
-
-
-class TestAverages:
-    def test_average_metrics(self):
-        metrics = [HarvestMetrics(0.2, 0.4), HarvestMetrics(0.6, 0.8)]
-        averaged = average_metrics(metrics)
-        assert averaged.precision == pytest.approx(0.4)
-        assert averaged.recall == pytest.approx(0.6)
-
-    def test_average_metrics_empty(self):
-        averaged = average_metrics([])
-        assert averaged.precision == 0.0
-
-    def test_average_f_score(self):
-        metrics = [HarvestMetrics(1.0, 1.0), HarvestMetrics(0.0, 0.0)]
-        assert average_f_score(metrics) == pytest.approx(0.5)
-
-    def test_average_f_score_empty(self):
-        assert average_f_score([]) == 0.0
 
 
 class TestMetricSeries:

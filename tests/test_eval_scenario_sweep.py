@@ -13,7 +13,6 @@ from repro.eval.scenario_sweep import (
     ScenarioSweep,
     expand_config_grid,
     expand_severity_grid,
-    run_scenario_sweep,
 )
 from repro.scenarios import ScenarioSpec, ZipfPageSkew, make_scenario
 
@@ -34,9 +33,9 @@ SCENARIOS = ("zipf-skew", "near-duplicates")
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_scenario_sweep(scale=TINY_SCALE, scenarios=SCENARIOS,
-                              methods=("L2QBAL", "MQ"),
-                              domains=("researcher",), num_queries=2)
+    return ScenarioSweep(scale=TINY_SCALE, scenarios=SCENARIOS,
+                         methods=("L2QBAL", "MQ"),
+                         domains=("researcher",), num_queries=2).run()
 
 
 class TestSweepStructure:
@@ -135,16 +134,16 @@ class TestDeterminism:
         kwargs = dict(scale=TINY_SCALE, scenarios=("zipf-skew",),
                       methods=("L2QBAL",), domains=("researcher",),
                       num_queries=2)
-        first = run_scenario_sweep(**kwargs).to_json()
-        second = run_scenario_sweep(**kwargs).to_json()
+        first = ScenarioSweep(**kwargs).run().to_json()
+        second = ScenarioSweep(**kwargs).run().to_json()
         assert first == second
 
     def test_worker_count_does_not_change_result(self):
         kwargs = dict(scale=TINY_SCALE, scenarios=("zipf-skew",),
                       methods=("L2QBAL",), domains=("researcher",),
                       num_queries=2)
-        serial = run_scenario_sweep(workers=1, **kwargs).to_json()
-        parallel = run_scenario_sweep(workers=4, **kwargs).to_json()
+        serial = ScenarioSweep(workers=1, **kwargs).run().to_json()
+        parallel = ScenarioSweep(workers=4, **kwargs).run().to_json()
         assert serial == parallel
 
 

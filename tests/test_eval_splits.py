@@ -4,7 +4,6 @@ import pytest
 
 from repro.eval.splits import (
     EntitySplit,
-    repeated_splits,
     split_entities,
     subsample_entities,
 )
@@ -48,27 +47,6 @@ class TestSplitEntities:
         with pytest.raises(ValueError):
             EntitySplit(domain_entities=("a",), validation_entities=("a",),
                         test_entities=("b",), seed=0)
-
-    def test_all_target_entities(self):
-        split = split_entities([f"e{i}" for i in range(8)], seed=1)
-        assert set(split.all_target_entities()) == \
-            set(split.validation_entities) | set(split.test_entities)
-
-
-class TestRepeatedSplits:
-    def test_number_of_repeats(self):
-        splits = repeated_splits([f"e{i}" for i in range(10)], num_repeats=3, base_seed=7)
-        assert len(splits) == 3
-        assert len({s.seed for s in splits}) == 3
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            repeated_splits(["a", "b"], num_repeats=0)
-
-    def test_splits_differ(self):
-        splits = repeated_splits([f"e{i}" for i in range(20)], num_repeats=5, base_seed=0)
-        domains = {s.domain_entities for s in splits}
-        assert len(domains) > 1
 
 
 class TestSubsample:

@@ -7,11 +7,8 @@ from repro.exec.backends import (
     BACKEND_SERIAL,
     ProcessBackend,
     SerialBackend,
-    _REGISTRY,
     backend_names,
-    is_registered,
     make_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.exec.specs import CorpusSpec, _ProcessLocalCache
@@ -89,18 +86,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend(name)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda workers=1: SerialBackend())
-
-    def test_custom_backend_roundtrip(self):
-        register_backend("test-custom", lambda workers=1: SerialBackend())
-        try:
-            assert is_registered("test-custom")
-            assert isinstance(make_backend("test-custom"), SerialBackend)
-        finally:
-            _REGISTRY.factories.pop("test-custom")
-
 
 class TestResolveBackend:
     def test_none_maps_workers_to_serial_or_process(self):
@@ -171,10 +156,6 @@ class TestMapSemantics:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             ProcessBackend(0)
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ValueError, match="start method"):
-            ProcessBackend(2, start_method="telepathy")
 
 
 class TestPool:

@@ -4,7 +4,6 @@ import random
 import string
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +11,8 @@ from repro.core.candidates import CandidateStatistics
 from repro.corpus.document import Page, Paragraph
 from repro.corpus.knowledge_base import TypeSystem, build_type_system
 from repro.corpus.synthetic import CorpusConfig, CorpusGenerator
-from repro.corpus.vocabulary import Vocabulary
 from repro.core.queries import NgramTable, QueryEnumerator
-from repro.core.templates import abstract_query, template_abstracts
+from repro.core.templates import abstract_query
 from repro.eval.metrics import HarvestMetrics, compute_metrics
 from repro.eval.splits import split_entities
 from repro.graph.random_walk import (
@@ -27,7 +25,8 @@ from repro.scenarios import make_scenario, scenario_names
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
 
-from tests.oracles import ReferenceGraphBuilder, reference_enumerate, reference_prune
+from tests.oracles import (ReferenceGraphBuilder, reference_enumerate, reference_prune,
+                          template_abstracts)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -39,26 +38,6 @@ words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 documents = st.lists(st.lists(words, min_size=0, max_size=12), min_size=0, max_size=8)
 page_ids = st.lists(st.text(alphabet=string.ascii_lowercase + string.digits,
                             min_size=1, max_size=5), min_size=1, max_size=20, unique=True)
-
-
-class TestVocabularyProperties:
-    @SETTINGS
-    @given(documents)
-    def test_counts_are_consistent(self, docs):
-        vocab = Vocabulary.from_documents(docs)
-        total_tokens = sum(len(d) for d in docs)
-        assert vocab.num_tokens == total_tokens
-        assert sum(vocab.term_frequency(w) for w in vocab) == total_tokens
-        for word in vocab:
-            assert 1 <= vocab.document_frequency(word) <= max(len(docs), 1)
-
-    @SETTINGS
-    @given(documents)
-    def test_collection_probabilities_sum_to_one(self, docs):
-        vocab = Vocabulary.from_documents(docs)
-        if vocab.num_tokens == 0:
-            return
-        assert sum(vocab.collection_probability(w) for w in vocab) == pytest.approx(1.0)
 
 
 class TestMetricsProperties:

@@ -125,10 +125,3 @@ class TestFetchAccounting:
         assert engine.fetch_statistics.queries_fired == 0
         assert engine.fetch_statistics.pages_fetched == 0
 
-    def test_reset_statistics(self, researcher_corpus):
-        engine = SearchEngine(researcher_corpus)
-        entity_id = researcher_corpus.entity_ids()[0]
-        engine.search(entity_id, ["research"])
-        engine.reset_statistics()
-        assert engine.fetch_statistics.queries_fired == 0
-

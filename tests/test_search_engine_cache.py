@@ -92,10 +92,3 @@ class TestCacheBehaviour:
     def test_negative_capacity_rejected(self, researcher_corpus):
         with pytest.raises(ValueError):
             SearchEngine(researcher_corpus, result_cache_size=-1)
-
-    def test_reset_statistics_clears_counters(self, engine, entity_id):
-        engine.search(entity_id, ["research"])
-        engine.search(entity_id, ["research"])
-        engine.reset_statistics()
-        stats = engine.fetch_statistics
-        assert (stats.cache_hits, stats.cache_misses) == (0, 0)
