@@ -5,6 +5,8 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.selection import selector_names
+from repro.eval.runner import BASELINE_METHODS
 
 
 class TestParser:
@@ -83,9 +85,6 @@ class TestHarvestCommand:
         assert "--method: invalid choice: 'NOPE'" in capsys.readouterr().err
 
     def test_every_runnable_method_parses(self):
-        from repro.core.selection import selector_names
-        from repro.eval.runner import BASELINE_METHODS
-
         for method in sorted(set(selector_names()) | BASELINE_METHODS):
             args = build_parser().parse_args(["harvest", "--method", method])
             assert args.method == method
