@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.selection import selector_names
+from repro.corpus.synthetic import build_corpus
 from repro.eval.runner import BASELINE_METHODS
 
 
@@ -37,6 +38,16 @@ class TestCorpusCommand:
         text = out.getvalue()
         assert "domain" in text and "car" in text
         assert "pages" in text
+
+    def test_prints_the_distinct_token_count_as_vocabulary(self):
+        out = io.StringIO()
+        assert main(["corpus", "--domain", "car", "--entities", "6", "--pages", "6",
+                     "--seed", "3"], out=out) == 0
+        rows = dict(line.split() for line in out.getvalue().splitlines())
+        corpus = build_corpus("car", num_entities=6, pages_per_entity=6, seed=3)
+        distinct = {token for page in corpus.iter_pages()
+                    for paragraph in page.paragraphs for token in paragraph.tokens}
+        assert int(rows["vocabulary"]) == len(distinct) > 0
 
 
 class TestHarvestCommand:
@@ -84,10 +95,10 @@ class TestHarvestCommand:
         assert raised.value.code == 2
         assert "--method: invalid choice: 'NOPE'" in capsys.readouterr().err
 
-    def test_every_runnable_method_parses(self):
-        for method in sorted(set(selector_names()) | BASELINE_METHODS):
-            args = build_parser().parse_args(["harvest", "--method", method])
-            assert args.method == method
+    @pytest.mark.parametrize("method", sorted(set(selector_names()) | BASELINE_METHODS))
+    def test_every_runnable_method_parses(self, method):
+        args = build_parser().parse_args(["harvest", "--method", method])
+        assert args.method == method
 
     def test_zero_queries_runs_the_seed_query_only(self):
         out = io.StringIO()

@@ -72,6 +72,18 @@ class TestEmptyDomain:
         assert model.best_queries_by_precision() == []
 
 
+class TestLearnDomainModels:
+    def test_one_model_per_aspect(self, researcher_prepared, researcher_corpus):
+        # A prepared split learns each aspect's model on its one domain phase.
+        aspects = researcher_corpus.aspects[:2]
+        models = {aspect: researcher_prepared.domain_model(aspect) for aspect in aspects}
+        for aspect, model in models.items():
+            assert model.aspect == aspect
+            assert model.num_domain_entities == \
+                len(researcher_prepared.domain_corpus.entity_ids())
+        assert models[aspects[0]] is not models[aspects[1]]
+
+
 class TestSharedDomainGraph:
     def test_aspects_reuse_one_enumeration_and_assembly(self, researcher_corpus,
                                                         monkeypatch):

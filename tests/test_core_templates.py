@@ -3,7 +3,7 @@
 from repro.core.templates import abstract_query, is_type_unit, type_unit
 from repro.corpus.knowledge_base import build_type_system
 
-from tests.oracles import template_abstracts, unit_type_name
+from tests.oracles import TemplateIndex, template_abstracts, unit_type_name
 
 
 def _system():
@@ -45,6 +45,15 @@ class TestAbstraction:
         assert len(templates) == 2
         assert all(is_type_unit(unit) for unit in templates[0])
 
+    def test_memo_refreshes_after_add_word(self):
+        # Answers are memoised per type system; a mutation must not be
+        # served the templates cached before it.
+        system = _system()
+        assert abstract_query(("quantum", "research"), system) == []
+        system.add_word("topic", "quantum")
+        assert abstract_query(("quantum", "research"), system) == \
+            [("<topic>", "research")]
+
 
 class TestTemplateMatching:
     def test_template_abstracts_matching_query(self):
@@ -75,3 +84,26 @@ class TestTemplateMatching:
             & set(abstract_query(ng, system))
         assert ("<topic>", "<journal>") in shared
 
+
+class TestTemplateIndex:
+    """The query-to-templates map the reference graph builders use."""
+
+    def test_add_query_caches(self):
+        index = TemplateIndex(_system())
+        first = index.add_query(("hpc", "research"))
+        second = index.add_query(("hpc", "research"))
+        assert first == second
+        assert index.templates_of(("hpc", "research")) == first
+
+    def test_add_queries_registers_each_query_once(self):
+        index = TemplateIndex(_system())
+        queries = [("hpc", "research"), ("ai", "jmlr"), ("hpc", "research"),
+                   ("random", "words")]
+        index.add_queries(queries)
+        for query in queries:
+            assert index.templates_of(query) == tuple(abstract_query(query, _system()))
+        assert index.templates_of(("random", "words")) == ()
+
+    def test_unknown_query_empty(self):
+        index = TemplateIndex(_system())
+        assert index.templates_of(("zzz",)) == ()

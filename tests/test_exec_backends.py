@@ -1,5 +1,7 @@
 """Unit tests for the execution-backend layer (:mod:`repro.exec`)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.exec.backends import (
@@ -156,6 +158,12 @@ class TestMapSemantics:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             ProcessBackend(0)
+
+    def test_forks_where_available(self):
+        available = multiprocessing.get_all_start_methods()
+        expected = "fork" if "fork" in available else available[0]
+        assert ProcessBackend(2).start_method == expected
+        assert make_backend(BACKEND_PROCESS, workers=2).start_method == expected
 
 
 class TestPool:

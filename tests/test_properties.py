@@ -4,6 +4,7 @@ import random
 import string
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,34 @@ words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 documents = st.lists(st.lists(words, min_size=0, max_size=12), min_size=0, max_size=8)
 page_ids = st.lists(st.text(alphabet=string.ascii_lowercase + string.digits,
                             min_size=1, max_size=5), min_size=1, max_size=20, unique=True)
+
+
+class TestVocabularyProperties:
+    """The search index's term statistics, the project's one vocabulary."""
+
+    @SETTINGS
+    @given(documents)
+    def test_counts_are_consistent(self, docs):
+        index = InvertedIndex.from_documents(
+            {f"d{i}": tokens for i, tokens in enumerate(docs)})
+        total_tokens = sum(len(d) for d in docs)
+        assert index.total_tokens == total_tokens
+        assert sorted(index.vocabulary()) == sorted({w for d in docs for w in d})
+        assert sum(index.collection_frequency(w) for w in index.vocabulary()) == \
+            total_tokens
+        for word in index.vocabulary():
+            assert 1 <= index.document_frequency(word) <= len(docs)
+            assert index.document_frequency(word) == sum(word in d for d in docs)
+
+    @SETTINGS
+    @given(documents)
+    def test_collection_probabilities_sum_to_one(self, docs):
+        index = InvertedIndex.from_documents(
+            {f"d{i}": tokens for i, tokens in enumerate(docs)})
+        if index.total_tokens == 0:
+            return
+        assert sum(index.collection_probability(w) for w in index.vocabulary()) == \
+            pytest.approx(1.0)
 
 
 class TestMetricsProperties:

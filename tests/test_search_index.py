@@ -53,6 +53,11 @@ class TestTermStatistics:
         total = sum(index.collection_probability(t) for t in index.vocabulary())
         assert total == pytest.approx(1.0)
 
+    def test_document_frequency_counts_documents_not_occurrences(self, index):
+        # "parallel" occurs twice, in one document.
+        assert index.document_frequency("parallel") == 1
+        assert index.collection_frequency("parallel") == 2
+
     def test_term_frequency_of_unknown_document_is_zero(self, index):
         assert index.term_frequency("parallel", "missing") == 0
 
@@ -66,6 +71,24 @@ class TestTermStatistics:
         assert index.document_length("d1") == 4
         with pytest.raises(KeyError):
             index.document_length("missing")
+
+
+
+class TestPositions:
+    """The matrix's id maps: one row per document, one column per term."""
+
+    def test_positions_round_trip(self, index):
+        matrix = index.term_document_matrix()
+        assert list(matrix.terms) == index.vocabulary()
+        for term in matrix.terms:
+            assert matrix.terms[matrix.term_position(term)] == term
+        for doc_id in matrix.doc_ids:
+            assert matrix.doc_ids[matrix.doc_position(doc_id)] == doc_id
+
+    def test_unknown_positions_are_none(self, index):
+        matrix = index.term_document_matrix()
+        assert matrix.term_position("zzz") is None
+        assert matrix.doc_position("missing") is None
 
 
 class TestMatchingDocuments:
